@@ -32,15 +32,17 @@ check:
 
 # Regenerate the reproduction report via the benchmark harness, then record
 # the telemetry layer's on/off overhead on the campaign engine (budget <=3%)
-# into BENCH_PR5.json and the serve path's loopback throughput (rootblast
-# B-Root mix, cache on/off) into BENCH_SERVE.json.
+# into BENCH_PR5.json and the replay figures into BENCH_PR7.json. The serve
+# path (with the campaign and replay end to end) is measured by the repo's
+# one benchmark, `go run ./bench`: fixed workloads against the shipping
+# rootserve, results in bench/out/results.json (see bench/README.md).
 # BENCH_SCALE overrides schedule thinning (smaller = higher fidelity, slower).
 # -benchmem keeps allocs/op visible so fast-path regressions are caught.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
 	sh scripts/bench_telemetry.sh
-	sh scripts/bench_serve.sh
 	sh scripts/bench_replay.sh
+	$(GO) run ./bench
 
 report:
 	$(GO) run ./cmd/rootstudy -quick

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rootserve [-addr 127.0.0.1:5353] [-tlds 120] [-hostname id] [-no-axfr]
-//	          [-serve-workers N] [-no-cache] [-cache-bytes N]
+//	          [-serve-workers N]
 //	          [-netem loss=0.1,seed=7] [-rrl rate=0.5,slip=2]
 //	          [-qlog flight.qlog] [-qlog-sample every=64,seed=7]
 //	          [-tcp-timeout 2m] [-max-tcp-conns 64]
@@ -42,8 +42,6 @@ func main() {
 	noAXFR := flag.Bool("no-axfr", false, "refuse zone transfers")
 	useRSA := flag.Bool("rsa", false, "sign with RSA/SHA-256 (algorithm 8, like the real root) instead of ECDSA-P256")
 	serveWorkers := flag.Int("serve-workers", 0, "UDP read loops (SO_REUSEPORT sockets on linux); 0 = GOMAXPROCS")
-	noCache := flag.Bool("no-cache", false, "disable the response cache (every query takes the full lookup path)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "response cache budget in bytes; 0 = 8 MiB default")
 	netemSpec := flag.String("netem", "", "adverse-network profile, e.g. loss=0.1,corrupt=0.05,seed=7 (see internal/netem)")
 	rrlSpec := flag.String("rrl", "", "response-rate-limiting, e.g. rate=0.5,burst=8,slip=2,seed=7 (empty = off)")
 	qlogPath := flag.String("qlog", "", "record a per-query flight log to this file (empty = off)")
@@ -114,8 +112,6 @@ func main() {
 		Identity:     dnsserver.Identity{Hostname: *hostname, Version: *version},
 		AllowAXFR:    !*noAXFR,
 		ServeWorkers: *serveWorkers,
-		DisableCache: *noCache,
-		CacheBytes:   *cacheBytes,
 		Netem:        netemProf,
 		RRL:          rrlCfg,
 		QLog:         rec,

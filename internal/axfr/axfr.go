@@ -72,16 +72,16 @@ func WriteMessage(w io.Writer, m *dnswire.Message) error {
 func ReadMessage(r io.Reader) (*dnswire.Message, error) {
 	bp := framePool.Get().(*[]byte)
 	defer framePool.Put(bp)
-	wire, err := readFrame(r, bp)
+	wire, err := ReadFrame(r, bp)
 	if err != nil {
 		return nil, err
 	}
 	return dnswire.Unpack(wire)
 }
 
-// readFrame reads one length-prefixed frame into *bp, growing the buffer as
+// ReadFrame reads one length-prefixed frame into *bp, growing the buffer as
 // needed. The returned slice aliases *bp and is valid until the next read.
-func readFrame(r io.Reader, bp *[]byte) ([]byte, error) {
+func ReadFrame(r io.Reader, bp *[]byte) ([]byte, error) {
 	var prefix [2]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -263,7 +263,7 @@ func ReceiveLazy(r io.Reader, id uint16, visit func(v *dnswire.View, rr *dnswire
 	var v dnswire.View
 	var raw dnswire.RawRR
 	for soaSeen < 2 {
-		frame, err := readFrame(r, bp)
+		frame, err := ReadFrame(r, bp)
 		if err == nil {
 			v, err = dnswire.NewView(frame)
 		}

@@ -5,26 +5,28 @@ import "repro/internal/telemetry"
 // dns/queries is stream-class: the campaign's wire-check battery issues a
 // deterministic query sequence per tick, serially, so the total is a pure
 // function of the schedule. Query latency is wall-clock and only records
-// behind the telemetry enable gate. The cache counters are volatile-class:
-// hit/miss splits depend on packet arrival order across UDP shards.
+// behind the telemetry enable gate. dns/cache/hits and dns/cache/misses keep
+// their names from the response cache they used to count: a hit is a query
+// answered on the compiled path, a miss one answered by the oracle because
+// the fast parser refused its shape.
 var (
-	mQueries        = telemetry.NewCounter("dns/queries")
-	mQueryDur       = telemetry.NewHistogram("wallclock/dns_query_us")
-	mCacheHits      = telemetry.NewCounter("dns/cache/hits")
-	mCacheMisses    = telemetry.NewCounter("dns/cache/misses")
-	mCacheEvictions = telemetry.NewCounter("dns/cache/evictions")
+	mQueries     = telemetry.NewCounter("dns/queries")
+	mQueryDur    = telemetry.NewHistogram("wallclock/dns_query_us")
+	mCacheHits   = telemetry.NewCounter("dns/cache/hits")
+	mCacheMisses = telemetry.NewCounter("dns/cache/misses")
 )
 
 // RRL counters are process-class: every verdict is a pure function of
 // (config, per-bucket arrival index), so a serial offered load reproduces
 // them byte-identically across runs and shard counts — they are what the
-// check.sh adversity step diffs. Sheds and TCP rejects are volatile: they
-// exist precisely because queue drain and accept timing are wall-clock
-// facts.
+// check.sh adversity step diffs. Sheds, TCP rejects and socket errors are
+// volatile: they exist precisely because queue drain, accept timing and
+// kernel resource limits are wall-clock facts.
 var (
 	mRRLDrops     = telemetry.NewCounter("rrl/drops")
 	mRRLSlips     = telemetry.NewCounter("rrl/slips")
 	mRRLEvictions = telemetry.NewCounter("rrl/evictions")
 	mSheds        = telemetry.NewCounter("serve/sheds")
 	mTCPRejects   = telemetry.NewCounter("serve/tcp_rejects")
+	mSocketErrors = telemetry.NewCounter("serve/socket_errors")
 )

@@ -24,11 +24,10 @@ const (
 )
 
 // qev is one query's flight-recorder context, threaded from the read loop to
-// the terminal point (respond, shed, or ingress drop). The zero value means
-// "not sampled", so unrecorded queries carry it for free.
+// the terminal point (respond or ingress drop). The zero value means "not
+// sampled", so unrecorded queries carry it for free.
 type qev struct {
 	sampled bool
-	hit     bool // response served from the cache
 	key     uint64
 	flow    uint64
 	fidx    uint64
@@ -39,8 +38,11 @@ type qev struct {
 // query emits exactly one event. class/rcode/tc describe the response bytes
 // the verdict left behind: the wire response for send, the suppressed
 // response for an RRL drop, the TC stub for a slip, zero when no response was
-// ever built (ingress drop, shed).
-func (s *Server) emitServe(ev qev, pkt []byte, sh queryShape, fate, verdict, shed, tc, class, rcode uint64) {
+// ever built (ingress drop). Only fast-parsed queries are recorded (the key
+// hashes their question), and those never take the slow queue: the cache
+// field, "answered on the compiled path", is set for every query the link let
+// in, and shed stays zero.
+func (s *Server) emitServe(ev qev, pkt []byte, sh queryShape, fate, verdict, tc, class, rcode uint64) {
 	var bucket uint64
 	switch s.bucketLimit(sh.hasEDNS, sh.adv) {
 	case 4096:
@@ -48,18 +50,18 @@ func (s *Server) emitServe(ev qev, pkt []byte, sh queryShape, fate, verdict, she
 	case 1232:
 		bucket = 1
 	}
-	var edns, do, hit uint64
+	var edns, do, compiled, shed uint64
 	if sh.hasEDNS {
 		edns = 1
 	}
 	if sh.do {
 		do = 1
 	}
-	if ev.hit {
-		hit = 1
+	if fate == qFateOK {
+		compiled = 1
 	}
 	s.cfg.QLog.Emit(evServeQuery, ev.key, pkt[:sh.qEnd],
-		ev.flow, ev.fidx, fate, verdict, hit, bucket, edns, do, shed, tc, class, rcode)
+		ev.flow, ev.fidx, fate, verdict, compiled, bucket, edns, do, shed, tc, class, rcode)
 }
 
 // qlogIngressDrop records a sampled query the emulated link swallowed on
@@ -76,7 +78,7 @@ func (s *Server) qlogIngressDrop(pkt []byte, flow, fidx uint64) {
 		return
 	}
 	s.emitServe(qev{key: key, flow: flow, fidx: fidx}, pkt, sh,
-		qFateDrop, qVerdictNone, 0, 0, 0, 0)
+		qFateDrop, qVerdictNone, 0, 0, 0)
 }
 
 // respTC reads the response's TC bit for the flight recorder.

@@ -13,7 +13,7 @@ import (
 )
 
 // adversityWires packs the fixed 20-query serial sequence the adversity
-// tests drive: a cache-hitting SOA, a delegation, an NXDOMAIN, and an
+// tests drive: an apex SOA, a delegation, an NXDOMAIN, and an
 // EDNS-sized priming query, cycled with distinct message IDs.
 func adversityWires(t *testing.T) [][]byte {
 	t.Helper()
@@ -107,6 +107,14 @@ func TestFlightLogIdenticalAcrossWorkers(t *testing.T) {
 	base := qlogAdversityRun(t, z, 1)
 	if len(base) == 0 {
 		t.Fatal("adversity run recorded no flight-log events")
+	}
+	// The cache field is "answered on the compiled path", a function of the
+	// query's shape alone: every recorded query was fast-parsed, so it is set
+	// exactly when the link let the query in, and none took the slow queue.
+	for _, e := range base {
+		if admitted := e.Val("fate") == qFateOK; (e.Val("cache") == 1) != admitted || e.Val("shed") != 0 {
+			t.Errorf("cache=%d shed=%d on an event with fate=%d: %s", e.Val("cache"), e.Val("shed"), e.Val("fate"), e)
+		}
 	}
 	for name, workers := range map[string]int{"again-1": 1, "workers-4": 4} {
 		got := qlogAdversityRun(t, z, workers)

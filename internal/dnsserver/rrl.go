@@ -40,7 +40,7 @@ type RRLConfig struct {
 	// limiting (spoofed floods vary the low bits). 0 means /24 and /56.
 	Prefix4, Prefix6 int
 	// TableBytes bounds the bucket table; oldest buckets are evicted
-	// first, exactly like the response cache. 0 means 1 MiB.
+	// first. 0 means 1 MiB.
 	TableBytes int64
 	// Seed roots the per-bucket slip phase so drop/slip interleavings are
 	// seed-deterministic rather than starting every bucket in lockstep.
@@ -128,7 +128,7 @@ const (
 )
 
 // rrlClassify maps a packed response wire to its class from the rcode
-// octet alone, so the cache-hit path never decodes.
+// octet alone, so the compiled path never decodes.
 func rrlClassify(resp []byte) byte {
 	if len(resp) < udpHeaderLen {
 		return rrlClassError
@@ -157,7 +157,7 @@ type rrlBucket struct {
 const rrlBucketOverhead = 80
 
 // rrlState is the limiter: a byte-budgeted bucket table with insertion-
-// order eviction (the respCache policy). One table serves all shards; the
+// order eviction. One table serves all shards; the
 // mutex is uncontended at test scale and a single cache line at line rate
 // beats a per-shard split, which would make verdicts depend on kernel
 // flow-hashing.

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -106,7 +107,7 @@ func adversityRun(t *testing.T, z *zone.Zone, workers int) []byte {
 // fixed netem seed and RRL enabled, the logical telemetry namespace (stream
 // + process classes — queries handled, packets dropped/corrupted, RRL
 // drop/slip/eviction counts) is byte-identical across runs and across
-// serve-worker counts. Volatile counters (cache hits, sheds) are excluded
+// serve-worker counts. Volatile counters (compiled-path hits, sheds) are excluded
 // by scope, exactly as `rootanalyze -diff` excludes them.
 func TestRRLDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
@@ -309,8 +310,10 @@ func TestChaosForcedRRLDrop(t *testing.T) {
 	}
 }
 
-// TestChaosForcedShed arms the slow-queue shed failpoint: the first cache
-// miss is shed before enqueue (silent, counted), and re-asking succeeds.
+// TestChaosForcedShed arms the slow-queue shed failpoint: the first query
+// bound for the slow queue is shed before enqueue (silent, counted), and
+// re-asking succeeds. Only shapes the fast parser refuses take the queue; a
+// trailing octet is one.
 func TestChaosForcedShed(t *testing.T) {
 	z, _ := signedRootZone(t, 10)
 	s, c := startServer(t, Config{Zone: z})
@@ -327,6 +330,7 @@ func TestChaosForcedShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wire = append(wire, 0)
 	if _, ok := sendMaybe(t, conn, wire, 200*time.Millisecond); ok {
 		t.Fatal("shed query still produced a response")
 	}
@@ -475,4 +479,60 @@ func TestTCPConnCapRejectsOverflow(t *testing.T) {
 	if err != nil || len(resp.Answers) == 0 {
 		t.Fatalf("first connection after reject: err=%v answers=%v", err, resp)
 	}
+}
+
+// failingListener fails its first `fails` accepts the way a process out of
+// descriptors does, announces the accept after those, and then blocks until
+// closed.
+type failingListener struct {
+	fails   int
+	accepts int
+	through chan struct{} // closed by accept number fails+1
+	closed  chan struct{}
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	l.accepts++
+	if l.accepts <= l.fails {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	if l.accepts == l.fails+1 {
+		close(l.through)
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *failingListener) Close() error   { close(l.closed); return nil }
+func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestSocketErrorBackoff: a listener that keeps failing must be retried on
+// the doubling schedule, not in a spin, and every failure counted.
+func TestSocketErrorBackoff(t *testing.T) {
+	z, _ := signedRootZone(t, 5)
+	s, err := New(Config{Zone: z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fails = 5 // 1 + 2 + 4 + 8 + 16 ms of backoff
+	l := &failingListener{fails: fails, through: make(chan struct{}), closed: make(chan struct{})}
+	s.tcp = l
+	before := mSocketErrors.Value()
+	start := time.Now()
+	s.wg.Add(1)
+	go s.serveTCP()
+	select {
+	case <-l.through:
+	case <-time.After(10 * time.Second):
+		t.Fatal("accept loop never got past the failing accepts")
+	}
+	if elapsed := time.Since(start); elapsed < 31*time.Millisecond {
+		t.Errorf("%d failed accepts retried within %v; the schedule sleeps 31ms", fails, elapsed)
+	}
+	if got := mSocketErrors.Value() - before; got != fails {
+		t.Errorf("serve/socket_errors rose by %d, want %d", got, fails)
+	}
+	close(s.closed)
+	l.Close()
+	s.wg.Wait()
 }

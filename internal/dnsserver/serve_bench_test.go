@@ -10,9 +10,10 @@ import (
 )
 
 // benchServe drives one query wire through a running server over a connected
-// UDP socket. The first exchange happens before the timer starts, so for a
-// caching server the measured loop is pure hit path — which must report
-// 0 allocs/op (ReportAllocs counts every goroutine, server loops included).
+// UDP socket. The first exchange happens before the timer starts and compiles
+// the answer, so the measured loop is pure classify + stitch — which must
+// report 0 allocs/op (ReportAllocs counts every goroutine, server loops
+// included).
 func benchServe(b *testing.B, cfg Config, query *dnswire.Message) {
 	s, err := New(cfg)
 	if err != nil {
@@ -45,7 +46,7 @@ func benchServe(b *testing.B, cfg Config, query *dnswire.Message) {
 			b.Fatal(err)
 		}
 	}
-	exchange() // warm: populates the response cache
+	exchange() // warm: compiles the answer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,39 +57,39 @@ func benchServe(b *testing.B, cfg Config, query *dnswire.Message) {
 func BenchmarkServeUDP(b *testing.B) {
 	z, _ := signedRootZone(b, 120)
 	base := Config{Zone: z, Identity: Identity{Hostname: "bench", Version: "v"}}
+	referral := dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeA)
 
-	b.Run("cached-A-referral", func(b *testing.B) {
-		benchServe(b, base, dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeA))
+	b.Run("compiled-referral", func(b *testing.B) {
+		benchServe(b, base, referral)
 	})
-	b.Run("cached-AAAA-referral", func(b *testing.B) {
-		benchServe(b, base, dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeAAAA))
-	})
-	b.Run("cached-apex-SOA", func(b *testing.B) {
+	b.Run("compiled-apex-SOA", func(b *testing.B) {
 		benchServe(b, base, dnswire.NewQuery(7, dnswire.Root, dnswire.TypeSOA))
 	})
-	b.Run("cached-NXDOMAIN-do", func(b *testing.B) {
+	b.Run("compiled-nxdomain", func(b *testing.B) {
 		benchServe(b, base, dnswire.NewQuery(7, dnswire.MustName("junk.nosuchtld."), dnswire.TypeA).WithEDNS(1232, true))
 	})
-	uncached := base
-	uncached.DisableCache = true
-	b.Run("uncached-A-referral", func(b *testing.B) {
-		benchServe(b, uncached, dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeA))
+	// A NOTIFY is a shape the fast parser refuses: slow queue, full decode,
+	// handleState, pack — the oracle path, allocations and all.
+	notify := dnswire.NewQuery(7, dnswire.Root, dnswire.TypeSOA)
+	notify.Header.Opcode = dnswire.OpcodeNotify
+	b.Run("oracle-shape", func(b *testing.B) {
+		benchServe(b, base, notify)
 	})
 
 	// Flight recorder compiled in and attached, but sampling nothing: the
-	// hit path pays the key hash and one sampler branch and must still
+	// compiled path pays the key hash and one sampler branch and must still
 	// report 0 allocs/op — the recorder-off contract from the qlog PR.
 	qlogOff := base
 	qlogOff.QLog = benchRecorder(b, qlog.Sampler{Every: 0})
-	b.Run("cached-A-referral-qlog-off", func(b *testing.B) {
-		benchServe(b, qlogOff, dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeA))
+	b.Run("compiled-referral-qlog-off", func(b *testing.B) {
+		benchServe(b, qlogOff, referral)
 	})
 	// Every query sampled: the worst-case recording overhead (encode, block
 	// append, black-box copy) for sizing the -qlog-sample budget.
 	qlogAll := base
 	qlogAll.QLog = benchRecorder(b, qlog.Sampler{Every: 1})
-	b.Run("cached-A-referral-qlog-all", func(b *testing.B) {
-		benchServe(b, qlogAll, dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeA))
+	b.Run("compiled-referral-qlog-all", func(b *testing.B) {
+		benchServe(b, qlogAll, referral)
 	})
 }
 

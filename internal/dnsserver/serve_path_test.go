@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -103,94 +102,10 @@ func TestTCFallbackAcrossEDNSSizes(t *testing.T) {
 	}
 }
 
-// TestCachedResponseByteIdentity pins the tentpole's correctness invariant:
-// a cache hit returns byte-for-byte what the full path produces — against a
-// cache-disabled twin server, across repeats, and with the ID patched.
-func TestCachedResponseByteIdentity(t *testing.T) {
-	z, _ := signedRootZone(t, 10)
-	cached, cc := startServer(t, Config{Zone: z, Identity: Identity{Hostname: "h", Version: "v"}})
-	_, uc := startServer(t, Config{Zone: z, Identity: Identity{Hostname: "h", Version: "v"}, DisableCache: true})
-	cachedAddr, _ := net.ResolveUDPAddr("udp", cc.Addr)
-	uncachedAddr, _ := net.ResolveUDPAddr("udp", uc.Addr)
-
-	queries := []*dnswire.Message{
-		dnswire.NewQuery(7, dnswire.Root, dnswire.TypeSOA),
-		dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeA),
-		dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeAAAA),
-		dnswire.NewQuery(7, dnswire.MustName("nope.nosuchtld."), dnswire.TypeA).WithEDNS(1232, true),
-		dnswire.NewQuery(7, dnswire.Root, dnswire.TypeDNSKEY).WithEDNS(4096, true),
-	}
-	for i, q := range queries {
-		wire, err := q.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		miss := rawUDP(t, cachedAddr, wire)    // populates the cache
-		hit := rawUDP(t, cachedAddr, wire)     // served from the cache
-		plain := rawUDP(t, uncachedAddr, wire) // always the full path
-		if !bytes.Equal(miss, hit) {
-			t.Errorf("query %d: cache hit differs from the miss that filled it", i)
-		}
-		if !bytes.Equal(hit, plain) {
-			t.Errorf("query %d: cached response differs from cache-disabled server", i)
-		}
-		// A different ID must yield the same bytes modulo the ID field.
-		q.Header.ID = 0x1234
-		wire2, _ := q.Pack()
-		hit2 := rawUDP(t, cachedAddr, wire2)
-		if hit2[0] != 0x12 || hit2[1] != 0x34 {
-			t.Errorf("query %d: response ID not patched: % x", i, hit2[:2])
-		}
-		if !bytes.Equal(hit2[2:], hit[2:]) {
-			t.Errorf("query %d: response body changed with the query ID", i)
-		}
-	}
-	// The hits above must actually have been hits.
-	st := cached.state.Load()
-	if st.cache == nil || st.cache.Len() == 0 {
-		t.Fatal("response cache is empty after cacheable queries")
-	}
-}
-
-// TestCacheInvalidationOnSetZone verifies the atomic swap: after SetZone,
-// answers reflect the new zone immediately and match a server that never
-// cached the old one, byte for byte.
-func TestCacheInvalidationOnSetZone(t *testing.T) {
-	z, _ := signedRootZone(t, 5)
-	s, c := startServer(t, Config{Zone: z})
-	addr, _ := net.ResolveUDPAddr("udp", c.Addr)
-
-	query := dnswire.NewQuery(3, dnswire.Root, dnswire.TypeSOA)
-	wire, _ := query.Pack()
-	before := rawUDP(t, addr, wire)
-	rawUDP(t, addr, wire) // ensure the entry is cached
-
-	bumped := z.BumpSerial(z.Serial() + 7)
-	s.SetZone(bumped)
-
-	after := rawUDP(t, addr, wire)
-	if bytes.Equal(before, after) {
-		t.Fatal("response unchanged after SetZone: stale cache entry served")
-	}
-	resp, err := dnswire.Unpack(after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soa := resp.Answers[0].Data.(dnswire.SOARecord)
-	if soa.Serial != z.Serial()+7 {
-		t.Errorf("serial after SetZone = %d, want %d", soa.Serial, z.Serial()+7)
-	}
-	// And the post-swap answer must match a fresh cache-free server.
-	_, uc := startServer(t, Config{Zone: bumped, DisableCache: true})
-	uncachedAddr, _ := net.ResolveUDPAddr("udp", uc.Addr)
-	if plain := rawUDP(t, uncachedAddr, wire); !bytes.Equal(after, plain) {
-		t.Error("post-swap cached answer differs from cache-disabled server")
-	}
-}
-
 // TestSetZoneUnderLoad hammers the server from several goroutines while the
 // zone is concurrently replaced. Every response must parse and carry a
-// serial the server has actually served — never a torn or stale-cache mix.
+// serial the server has actually served — never a torn response or an
+// answer compiled from a zone that has been replaced.
 // Run under -race this doubles as the swap-safety regression test for the
 // old RWMutex zone field.
 func TestSetZoneUnderLoad(t *testing.T) {
@@ -240,33 +155,6 @@ func TestSetZoneUnderLoad(t *testing.T) {
 	}
 	if got := resp.Answers[0].Data.(dnswire.SOARecord).Serial; got != base+swaps {
 		t.Errorf("final serial = %d, want %d", got, base+swaps)
-	}
-}
-
-// TestCacheEviction fills a tiny cache past its budget and checks that old
-// entries fall out while the cache keeps answering correctly.
-func TestCacheEviction(t *testing.T) {
-	z, _ := signedRootZone(t, 10)
-	s, c := startServer(t, Config{Zone: z, CacheBytes: 4096})
-	addr, _ := net.ResolveUDPAddr("udp", c.Addr)
-
-	for i := 0; i < 64; i++ {
-		q := dnswire.NewQuery(uint16(i), dnswire.MustName(fmt.Sprintf("host%02d.nosuchtld.", i)), dnswire.TypeA)
-		wire, _ := q.Pack()
-		resp, err := dnswire.Unpack(rawUDP(t, addr, wire))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Header.Rcode != dnswire.RcodeNXDomain {
-			t.Fatalf("query %d: rcode %s", i, resp.Header.Rcode)
-		}
-	}
-	cache := s.state.Load().cache
-	if cache.bytes > 4096 {
-		t.Errorf("cache holds %d bytes, budget 4096", cache.bytes)
-	}
-	if n := cache.Len(); n == 0 || n >= 64 {
-		t.Errorf("cache has %d entries; want some but fewer than 64 (eviction)", n)
 	}
 }
 

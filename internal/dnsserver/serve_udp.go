@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bytes"
 	"net"
 	"net/netip"
 
@@ -14,12 +15,15 @@ import (
 const udpHeaderLen = 12
 
 // queryShape is the result of the zero-alloc fast parse of one datagram:
-// enough to build a cache key without decoding the message. ok is false for
-// anything the fast parser does not recognize (compression pointers in the
-// question, multiple questions, trailing bytes, non-OPT additionals), which
-// routes the datagram down the full decode path uncached.
+// enough to answer it from the compiled table without decoding the message.
+// ok is false for anything the fast parser does not recognize (compression
+// pointers in the question, multiple questions, trailing bytes, non-OPT
+// additionals, non-QUERY opcodes), which routes the datagram to the oracle's
+// full decode path.
 type queryShape struct {
 	qEnd    int // offset just past the question section
+	qtype   dnswire.Type
+	qclass  dnswire.Class
 	hasEDNS bool
 	do      bool
 	adv     uint16 // client's advertised EDNS payload size
@@ -60,7 +64,12 @@ func parseQueryShape(pkt []byte) (sh queryShape) {
 			return
 		}
 		nameLen += l + 1
-		if nameLen+1 > dnswire.MaxNameLen {
+		if nameLen+1 > dnswire.MaxNameLen || off+1+l > len(pkt) {
+			return
+		}
+		// A label holding a literal '.' has no presentation form here: the
+		// full decoder rejects it (dnswire.ErrBadLabel), so this parser does.
+		if bytes.IndexByte(pkt[off+1:off+1+l], '.') >= 0 {
 			return
 		}
 		off += 1 + l
@@ -68,7 +77,9 @@ func parseQueryShape(pkt []byte) (sh queryShape) {
 	if off+4 > len(pkt) {
 		return
 	}
-	off += 4 // qtype + qclass
+	sh.qtype = dnswire.Type(uint16(pkt[off])<<8 | uint16(pkt[off+1]))
+	sh.qclass = dnswire.Class(uint16(pkt[off+2])<<8 | uint16(pkt[off+3]))
+	off += 4
 	sh.qEnd = off
 	switch {
 	case ar == 1:
@@ -96,9 +107,8 @@ func parseQueryShape(pkt []byte) (sh queryShape) {
 }
 
 // bucketLimit maps the effective UDP payload limit (server floor vs. client
-// advertisement) onto the bucket set {512, 1232, 4096}. Bucketing keeps the
-// cache key space small and guarantees the cached and uncached paths apply
-// the same truncation threshold for any advertised size.
+// advertisement) onto the bucket set {512, 1232, 4096}, the sizes resolvers
+// actually advertise; the compiled and oracle paths both truncate by it.
 func (s *Server) bucketLimit(hasEDNS bool, adv uint16) int {
 	limit := s.cfg.UDPSize
 	if hasEDNS && int(adv) > limit {
@@ -114,38 +124,21 @@ func (s *Server) bucketLimit(hasEDNS bool, adv uint16) int {
 	}
 }
 
-// bucketByte encodes every response-relevant EDNS fact into one cache-key
-// octet: the size bucket, EDNS presence (the response echoes an OPT), and
-// the DO bit (the response carries DNSSEC proofs).
-func (s *Server) bucketByte(sh queryShape) byte {
-	var b byte
-	switch s.bucketLimit(sh.hasEDNS, sh.adv) {
-	case 4096:
-		b = 2
-	case 1232:
-		b = 1
-	}
-	if sh.hasEDNS {
-		b |= 4
-	}
-	if sh.do {
-		b |= 8
-	}
-	return b
-}
+// maxTCPMessage is the size limit where UDP's does not apply: what the
+// 2-byte length prefix can frame.
+const maxTCPMessage = 0xFFFF
 
 // shardBufs is one serving goroutine's reusable buffers (each read loop and
 // each slow worker owns a set; nothing is shared, nothing escapes).
 type shardBufs struct {
 	resp   []byte
-	key    []byte
 	rrlKey []byte
+	name   foldedName
 }
 
 func newShardBufs() *shardBufs {
 	return &shardBufs{
 		resp:   make([]byte, 0, 4096),
-		key:    make([]byte, 0, dnswire.MaxNameLen+8),
 		rrlKey: make([]byte, 0, 32),
 	}
 }
@@ -155,12 +148,11 @@ type slowItem struct {
 	pkt   []byte
 	raddr netip.AddrPort
 	flow  uint64
-	ev    qev
 }
 
 // slowQueue is the bounded per-shard hand-off between the read loop and the
-// slow worker, plus a free list recycling packet buffers so a steady miss
-// load allocates nothing after warm-up. Enqueue never blocks: a full queue
+// slow worker, plus a free list recycling packet buffers so a steady load
+// of refused shapes allocates nothing for the hand-off after warm-up. Enqueue never blocks: a full queue
 // sheds the query (an overload drop a real server would also take, counted
 // in serve/sheds).
 type slowQueue struct {
@@ -176,10 +168,10 @@ func newSlowQueue(depth int) *slowQueue {
 }
 
 // serveUDPLoop is one shard's read loop. All buffers are reused across
-// iterations; a cache hit answers with zero allocations (the map lookup via
-// string(keyBuf) does not allocate, and the netip read/write paths are
-// alloc-free). Cache misses are handed to the shard's slow worker so an
-// expensive decode can never stall the socket; the emulated link, when
+// iterations; a query the fast parser accepts is answered inline with zero
+// allocations once its answer is compiled (the netip read/write paths are
+// alloc-free). Anything else is handed to the shard's slow worker so a
+// full decode can never stall the socket; the emulated link, when
 // configured, admits datagrams on ingress (possibly dropping, corrupting,
 // or duplicating them) before any parsing happens.
 //
@@ -198,16 +190,16 @@ func (s *Server) serveUDPLoop(conn *net.UDPConn, shard int) {
 		// datagram, one index).
 		flowCounts = make(map[uint64]uint64)
 	}
+	var pace errorPace
 	for {
 		n, raddr, err := conn.ReadFromUDPAddrPort(readBuf)
 		if err != nil {
-			select {
-			case <-s.closed:
+			if !pace.wait(s.closed) {
 				return
-			default:
-				continue
 			}
+			continue
 		}
+		pace.reset()
 		var flow uint64
 		if s.link != nil || qlogOn {
 			// Flow identity is the client IP alone: ephemeral ports differ
@@ -232,49 +224,38 @@ func (s *Server) serveUDPLoop(conn *net.UDPConn, shard int) {
 	}
 }
 
-// servePacket serves one admitted datagram: cache hits answer inline on the
-// zero-alloc path, everything else is enqueued for the shard's slow worker.
+// servePacket serves one admitted datagram: inline from the compiled table
+// when the fast parser accepts it, through the shard's slow worker
+// otherwise.
 //
 //rootlint:hotpath
 func (s *Server) servePacket(conn *net.UDPConn, shard int, bufs *shardBufs, pkt []byte, raddr netip.AddrPort, flow, fidx uint64) {
 	sh := parseQueryShape(pkt)
+	if !sh.ok {
+		s.enqueueSlow(shard, pkt, raddr, flow)
+		return
+	}
 	var ev qev
-	if s.cfg.QLog != nil && sh.ok {
+	if s.cfg.QLog != nil {
 		ev.key = qlog.Key(pkt[:sh.qEnd])
 		ev.flow, ev.fidx = flow, fidx
 		ev.sampled = s.cfg.QLog.Sampled(ev.key)
 	}
-	st := s.state.Load()
-	if sh.ok && st.cache != nil {
-		// Key = raw question bytes (case preserved, so a hit is
-		// byte-identical to what the slow path produced) + EDNS bucket.
-		bufs.key = append(bufs.key[:0], pkt[udpHeaderLen:sh.qEnd]...)
-		bufs.key = append(bufs.key, s.bucketByte(sh))
-		if wire := st.cache.get(bufs.key); wire != nil {
-			mQueries.ShardInc(shard)
-			mCacheHits.ShardInc(shard)
-			bufs.resp = append(bufs.resp[:0], wire...)
-			bufs.resp[0], bufs.resp[1] = pkt[0], pkt[1] // patch in the query ID
-			ev.hit = true
-			s.respond(conn, shard, bufs, pkt, sh, raddr, flow, ev)
-			return
-		}
-		mCacheMisses.ShardInc(shard)
+	bufs.resp = s.answerCompiled(s.state.Load(), shard, &bufs.name, bufs.resp[:0], pkt, sh, s.bucketLimit(sh.hasEDNS, sh.adv))
+	if len(bufs.resp) == 0 {
+		return
 	}
-	s.enqueueSlow(shard, pkt, raddr, flow, sh, ev)
+	s.respond(conn, shard, bufs, pkt, sh, raddr, flow, ev)
 }
 
-// enqueueSlow hands a miss to the shard's slow worker, or sheds it when the
-// bounded queue is full. The serve/shed failpoint forces a shed for chaos
-// tests.
+// enqueueSlow hands a query the fast parser refused to the shard's slow
+// worker, or sheds it when the bounded queue is full. The serve/shed
+// failpoint forces a shed for chaos tests.
 //
 //rootlint:hotpath
-func (s *Server) enqueueSlow(shard int, pkt []byte, raddr netip.AddrPort, flow uint64, sh queryShape, ev qev) {
+func (s *Server) enqueueSlow(shard int, pkt []byte, raddr netip.AddrPort, flow uint64) {
 	if err := failpoint.Eval("serve/shed"); err != nil {
 		mSheds.ShardInc(shard)
-		if ev.sampled {
-			s.emitServe(ev, pkt, sh, qFateOK, qVerdictNone, 1, 0, 0, 0)
-		}
 		return
 	}
 	q := s.slow[shard]
@@ -286,22 +267,18 @@ func (s *Server) enqueueSlow(shard int, pkt []byte, raddr netip.AddrPort, flow u
 	}
 	buf = append(buf[:0], pkt...)
 	select {
-	case q.ch <- slowItem{pkt: buf, raddr: raddr, flow: flow, ev: ev}:
+	case q.ch <- slowItem{pkt: buf, raddr: raddr, flow: flow}:
 	default:
 		select {
 		case q.free <- buf:
 		default:
 		}
 		mSheds.ShardInc(shard)
-		if ev.sampled {
-			s.emitServe(ev, pkt, sh, qFateOK, qVerdictNone, 1, 0, 0, 0)
-		}
 	}
 }
 
-// slowWorker drains one shard's queue: full decode, handle, pack, cache
-// insert, respond. It owns its buffers, so the read loop and the worker
-// never share mutable state.
+// slowWorker drains one shard's queue through the oracle. It owns its
+// buffers, so the read loop and the worker never share mutable state.
 func (s *Server) slowWorker(conn *net.UDPConn, shard int, q *slowQueue) {
 	defer s.wg.Done()
 	bufs := newShardBufs()
@@ -310,7 +287,13 @@ func (s *Server) slowWorker(conn *net.UDPConn, shard int, q *slowQueue) {
 		case <-s.closed:
 			return
 		case it := <-q.ch:
-			s.serveSlow(conn, shard, bufs, it.pkt, it.raddr, it.flow, it.ev)
+			// Unparseable datagrams are dropped, like real servers.
+			if query, err := dnswire.Unpack(it.pkt); err == nil {
+				bufs.resp = s.oracleWire(s.state.Load(), bufs.resp[:0], query, false)
+				if len(bufs.resp) > 0 {
+					s.respond(conn, shard, bufs, it.pkt, queryShape{}, it.raddr, it.flow, qev{})
+				}
+			}
 			select {
 			case q.free <- it.pkt:
 			default:
@@ -319,48 +302,37 @@ func (s *Server) slowWorker(conn *net.UDPConn, shard int, q *slowQueue) {
 	}
 }
 
-// serveSlow is the allocating miss path: full decode, Handle, pack into the
-// worker's response buffer, truncate to the bucketed limit, and insert the
-// final bytes into the response cache when the fast parser recognized the
-// query (so the next identical query is a zero-alloc hit).
-func (s *Server) serveSlow(conn *net.UDPConn, shard int, bufs *shardBufs, pkt []byte, raddr netip.AddrPort, flow uint64, ev qev) {
-	sh := parseQueryShape(pkt)
-	st := s.state.Load()
-	query, err := dnswire.Unpack(pkt)
-	if err != nil {
-		return // unparseable datagrams are dropped, like real servers
-	}
-	resp := s.handleState(st, query, false)
+// oracleWire is the allocating path for what the fast parser refuses: it
+// appends handleState's answer to the decoded query to dst, packed and, over
+// UDP, truncated to the bucketed limit. It returns dst unchanged when there
+// is no answer.
+func (s *Server) oracleWire(st *serveState, dst []byte, query *dnswire.Message, tcp bool) []byte {
+	mCacheMisses.Inc()
+	resp := s.handleState(st, query)
 	if resp == nil {
-		return
+		return dst
 	}
-	limit := s.bucketLimit(false, 0)
-	if opt, ok := query.EDNS(); ok {
-		limit = s.bucketLimit(true, opt.UDPSize)
+	limit := maxTCPMessage
+	if !tcp {
+		opt, ok := query.EDNS()
+		limit = s.bucketLimit(ok, opt.UDPSize)
 	}
-	bufs.resp, err = resp.AppendPack(bufs.resp[:0])
-	if err != nil {
-		return
-	}
-	if len(bufs.resp) > limit {
+	out, err := resp.AppendPack(dst)
+	if err == nil && len(out)-len(dst) > limit {
 		tc := &dnswire.Message{Header: resp.Header, Questions: resp.Questions}
 		tc.Header.Truncated = true
-		if bufs.resp, err = tc.AppendPack(bufs.resp[:0]); err != nil {
-			return
-		}
+		out, err = tc.AppendPack(dst)
 	}
-	if sh.ok && st.cache != nil {
-		bufs.key = append(bufs.key[:0], pkt[udpHeaderLen:sh.qEnd]...)
-		bufs.key = append(bufs.key, s.bucketByte(sh))
-		st.cache.put(bufs.key, bufs.resp)
+	if err != nil {
+		return dst
 	}
-	s.respond(conn, shard, bufs, pkt, sh, raddr, flow, ev)
+	return out
 }
 
 // respond is the single egress funnel for UDP responses: the RRL verdict
 // (send / drop / answer with a TC slip) is taken here from the raw response
-// bytes, then the emulated link admits whatever survives. Both the hit and
-// slow paths converge on this method, so serve/rrl/decide has exactly one
+// bytes, then the emulated link admits whatever survives. Both the compiled
+// and the oracle path converge on this method, so serve/rrl/decide has exactly one
 // evaluation site and verdict order per client follows the client's own
 // arrival order.
 //
@@ -372,7 +344,7 @@ func (s *Server) respond(conn *net.UDPConn, shard int, bufs *shardBufs, pkt []by
 		case rrlDrop:
 			if ev.sampled {
 				s.emitServe(ev, pkt, sh, qFateOK, qVerdictDrop,
-					0, respTC(bufs.resp), uint64(rrlClassify(bufs.resp)), respRcode(bufs.resp))
+					respTC(bufs.resp), uint64(rrlClassify(bufs.resp)), respRcode(bufs.resp))
 			}
 			return
 		case rrlSlip:
@@ -390,7 +362,7 @@ func (s *Server) respond(conn *net.UDPConn, shard int, bufs *shardBufs, pkt []by
 	}
 	if ev.sampled {
 		s.emitServe(ev, pkt, sh, qFateOK, verdict,
-			0, respTC(bufs.resp), uint64(rrlClassify(bufs.resp)), respRcode(bufs.resp))
+			respTC(bufs.resp), uint64(rrlClassify(bufs.resp)), respRcode(bufs.resp))
 	}
 	first, second := s.link.Admit(netem.Egress, flow, bufs.resp)
 	if first != nil {

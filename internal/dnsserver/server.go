@@ -5,22 +5,28 @@
 // TCP fallback, and AXFR. Each simulated root server instance in the study
 // can be backed by one of these, and the examples run them on loopback.
 //
-// The UDP path is built for line rate: N read loops on SO_REUSEPORT-sharded
-// sockets (or N loops sharing one socket where unsupported), a zero-alloc
-// fast path answering repeat queries from a response cache keyed by the raw
-// question bytes, and an atomically swapped zone pointer so queries never
-// take a lock. See serve_udp.go and cache.go.
+// The root zone's answer space is small and closed — one referral per TLD,
+// one NXDOMAIN proof per NSEC span, a handful of apex and CHAOS answers — so
+// UDP, TCP and the in-process wire entry (ServeWire) all answer the same
+// way, from raw bytes: fold the question name, binary-search the zone's
+// owner index, pick the compiled answer, and stitch it behind the client's
+// own question (compiled.go). Answers are compiled on first touch by the
+// oracle, handleState, which is also what answers the few query shapes the
+// fast parser refuses. N read loops on SO_REUSEPORT-sharded sockets (or N
+// loops sharing one socket where unsupported) and an atomically swapped
+// serve state mean queries never take a lock. See serve_udp.go.
 package dnsserver
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/axfr"
@@ -55,18 +61,12 @@ type Config struct {
 	AllowAXFR bool
 	// UDPSize caps UDP responses; larger answers set TC. Defaults to 512
 	// without EDNS, or the client's advertised size. Effective limits are
-	// floored to the bucket set {512, 1232, 4096} so the cached and uncached
-	// paths truncate identically (see bucketLimit).
+	// floored to the bucket set {512, 1232, 4096} (see bucketLimit).
 	UDPSize int
 	// ServeWorkers is the number of UDP read loops. On Linux each loop owns
 	// its own SO_REUSEPORT socket and the kernel shards datagrams between
 	// them; elsewhere the loops share one socket. 0 means GOMAXPROCS.
 	ServeWorkers int
-	// DisableCache turns the response cache off, forcing every query down
-	// the full decode/lookup/pack path (ablation and benchmarks).
-	DisableCache bool
-	// CacheBytes bounds the response cache; 0 means the 8 MiB default.
-	CacheBytes int64
 	// RRL enables BIND-style response-rate-limiting on the UDP path when
 	// Rate > 0 (see RRLConfig). The zero value leaves it off with no cost
 	// on the hot path beyond one nil check.
@@ -81,9 +81,9 @@ type Config struct {
 	// point (ingress drop, overload shed, or the egress funnel). Nil
 	// leaves recording off; the fast path then pays one nil check.
 	QLog *qlog.Recorder
-	// QueueDepth bounds each shard's slow-path queue (cache misses wait
-	// here for the shard's decode worker; a full queue sheds the query).
-	// 0 means 256.
+	// QueueDepth bounds each shard's slow-path queue (queries the fast
+	// parser refuses wait here for the shard's decode worker; a full queue
+	// sheds the query). 0 means 256.
 	QueueDepth int
 	// TCPTimeout is the per-connection idle deadline: every read or write
 	// on an accepted TCP connection must make progress within it, so one
@@ -97,14 +97,17 @@ type Config struct {
 }
 
 // serveState is everything a query touches that SetZone replaces: the zone
-// and the response cache built over it. Swapping the whole struct through
-// one atomic pointer makes zone replacement and cache invalidation a single
-// indivisible step — a query that loaded the old state answers (and caches)
-// consistently from the old zone, and no query ever sees a new zone with a
-// stale cache.
+// and the answers compiled from it. Swapping the whole struct through one
+// atomic pointer makes zone replacement and invalidation a single
+// indivisible step — a query that loaded the old state answers (and
+// compiles) consistently from the old zone, and no query ever sees a new
+// zone with a stale answer.
 type serveState struct {
-	zone  *zone.Zone
-	cache *respCache // nil when the cache is disabled
+	//rootlint:immutable-after-start
+	zone *zone.Zone
+	// answers is built by the first query (see compiled.go), not here:
+	// New and SetZone stay O(1).
+	answers atomic.Pointer[answerTable]
 }
 
 // Server is an authoritative DNS server bound to UDP and TCP sockets. Apart
@@ -159,24 +162,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTCPConns > 0 {
 		s.tcpSem = make(chan struct{}, cfg.MaxTCPConns)
 	}
-	s.state.Store(s.makeState(cfg.Zone))
+	s.state.Store(&serveState{zone: cfg.Zone})
 	return s, nil
 }
 
-// makeState builds a serveState for z with a fresh (empty) response cache.
-func (s *Server) makeState(z *zone.Zone) *serveState {
-	st := &serveState{zone: z}
-	if !s.cfg.DisableCache {
-		st.cache = newRespCache(s.cfg.CacheBytes)
-	}
-	return st
-}
-
 // SetZone atomically replaces the served zone (zone updates mid-study). The
-// swap installs a fresh response cache, so no answer computed from the old
+// swap starts from an empty answer table, so no answer compiled from the old
 // zone can be served afterwards.
 func (s *Server) SetZone(z *zone.Zone) {
-	s.state.Store(s.makeState(z))
+	s.state.Store(&serveState{zone: z})
 }
 
 // Zone returns the currently served primary zone.
@@ -214,16 +208,24 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	udps, err := s.listenShards(addr, workers)
-	if err != nil {
-		return nil, err
-	}
-	tcp, err := net.Listen("tcp", udps[0].LocalAddr().String())
-	if err != nil {
+	// With port 0 the kernel picks a free UDP port, which some TCP socket
+	// may happen to hold: pick again rather than fail on a coincidence.
+	var udps []*net.UDPConn
+	var tcp net.Listener
+	for attempt := 0; ; attempt++ {
+		var err error
+		if udps, err = s.listenShards(addr, workers); err != nil {
+			return nil, err
+		}
+		if tcp, err = net.Listen("tcp", udps[0].LocalAddr().String()); err == nil {
+			break
+		}
 		for _, c := range udps {
 			c.Close()
 		}
-		return nil, fmt.Errorf("dnsserver: listen tcp: %w", err)
+		if _, port, _ := net.SplitHostPort(addr); port != "0" || !errors.Is(err, syscall.EADDRINUSE) || attempt == 8 {
+			return nil, fmt.Errorf("dnsserver: listen tcp: %w", err)
+		}
 	}
 	s.udps, s.tcp = udps, tcp
 	s.started = true
@@ -297,16 +299,16 @@ func (s *Server) Close() error {
 
 func (s *Server) serveTCP() {
 	defer s.wg.Done()
+	var pace errorPace
 	for {
 		conn, err := s.tcp.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
+			if !pace.wait(s.closed) {
 				return
-			default:
-				continue
 			}
+			continue
 		}
+		pace.reset()
 		if s.tcpSem != nil {
 			select {
 			case s.tcpSem <- struct{}{}:
@@ -337,41 +339,72 @@ func (s *Server) serveTCP() {
 	}
 }
 
-// serveConn handles sequential queries on one TCP connection.
+// serveConn handles sequential queries on one TCP connection. A query rides
+// the same byte path as UDP, behind the 2-byte length prefix; only what may
+// be a transfer request is decoded here, to be answered with a stream.
 func (s *Server) serveConn(conn net.Conn) {
+	var frame, out []byte
 	for {
-		query, err := axfr.ReadMessage(conn)
+		pkt, err := axfr.ReadFrame(conn, &frame)
 		if err != nil {
 			return
 		}
-		if len(query.Questions) == 1 && query.Questions[0].Type == dnswire.TypeAXFR {
-			if s.cfg.AllowAXFR {
-				_ = axfr.Serve(conn, s.Zone(), query)
-			} else {
-				_ = axfr.Refuse(conn, query)
+		if sh := parseQueryShape(pkt); !sh.ok || sh.qtype == dnswire.TypeAXFR {
+			query, err := dnswire.Unpack(pkt)
+			if err == nil && len(query.Questions) == 1 && query.Questions[0].Type == dnswire.TypeAXFR {
+				if s.cfg.AllowAXFR {
+					_ = axfr.Serve(conn, s.Zone(), query)
+				} else {
+					_ = axfr.Refuse(conn, query)
+				}
+				continue
 			}
-			continue
 		}
-		resp := s.Handle(query, true)
-		if resp == nil {
-			return
+		out = s.ServeWire(append(out[:0], 0, 0), pkt, true)
+		if len(out) == 2 {
+			return // no answer: a malformed message, or not a query
 		}
-		if err := axfr.WriteMessage(conn, resp); err != nil {
+		binary.BigEndian.PutUint16(out, uint16(len(out)-2))
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-// Handle computes the response for query. tcp reports the transport (AXFR is
-// only valid over TCP and handled by the caller). A nil return means "drop".
-// Exported so in-process simulations can query a server without sockets.
-func (s *Server) Handle(query *dnswire.Message, tcp bool) *dnswire.Message {
-	return s.handleState(s.state.Load(), query, tcp)
+// ServeWire answers one raw query the way a socket would: it appends the
+// response to dst and returns it, or returns dst unchanged for a query that
+// gets no answer (a response, a malformed packet). tcp lifts the UDP size
+// limit. It is the entry point for in-process simulations (the campaign's
+// wire-check battery); the UDP read loops and the TCP listener take the
+// same two paths underneath it.
+func (s *Server) ServeWire(dst, query []byte, tcp bool) []byte {
+	st := s.state.Load()
+	if sh := parseQueryShape(query); sh.ok {
+		limit := maxTCPMessage
+		if !tcp {
+			limit = s.bucketLimit(sh.hasEDNS, sh.adv)
+		}
+		var name foldedName
+		return s.answerCompiled(st, 0, &name, dst, query, sh, limit)
+	}
+	m, err := dnswire.Unpack(query)
+	if err != nil {
+		return dst
+	}
+	return s.oracleWire(st, dst, m, tcp)
 }
 
-// handleState is Handle pinned to one serveState, so the UDP miss path
-// answers from the same zone whose cache it populates.
-func (s *Server) handleState(st *serveState, query *dnswire.Message, tcp bool) *dnswire.Message {
+// Handle computes the response for query, decoded: the oracle every compiled
+// answer is made by and checked against. tcp is accepted for the callers
+// that have it; no answer depends on the transport (AXFR is served by the
+// TCP listener itself, and refused here). A nil return means "drop".
+func (s *Server) Handle(query *dnswire.Message, tcp bool) *dnswire.Message {
+	return s.handleState(s.state.Load(), query)
+}
+
+// handleState is Handle pinned to one serveState, so an answer is compiled
+// from the same zone whose table it lands in.
+func (s *Server) handleState(st *serveState, query *dnswire.Message) *dnswire.Message {
 	if query.Header.Response || len(query.Questions) != 1 {
 		return nil
 	}
@@ -403,9 +436,6 @@ func (s *Server) handleState(st *serveState, query *dnswire.Message, tcp bool) *
 	case dnswire.ClassINET:
 		if q.Type == dnswire.TypeAXFR {
 			resp.Header.Rcode = dnswire.RcodeRefused
-			if tcp && s.cfg.AllowAXFR {
-				// handled by serveConn; Handle alone refuses
-			}
 			return resp
 		}
 		s.answerINET(st, resp, q, query)
@@ -417,12 +447,13 @@ func (s *Server) handleState(st *serveState, query *dnswire.Message, tcp bool) *
 
 // answerChaos answers the identity battery.
 func (s *Server) answerChaos(resp *dnswire.Message, q dnswire.Question) {
-	name := strings.ToLower(strings.TrimSuffix(string(q.Name), "."))
+	// ASCII folding, as everywhere else in the DNS (RFC 4343): Unicode
+	// lowercasing would also accept spellings such as "version.b\u0130nd.".
 	var txt string
-	switch name {
-	case "hostname.bind", "id.server":
+	switch q.Name.Canonical() {
+	case "hostname.bind.", "id.server.":
 		txt = s.cfg.Identity.Hostname
-	case "version.bind", "version.server":
+	case "version.bind.", "version.server.":
 		txt = s.cfg.Identity.Version
 	default:
 		resp.Header.Rcode = dnswire.RcodeRefused
@@ -511,32 +542,13 @@ func (s *Server) addNSEC(resp *dnswire.Message, z *zone.Zone, name dnswire.Name)
 	resp.Authority = append(resp.Authority, coveringSigs(z, name, dnswire.TypeNSEC)...)
 }
 
-// addCoveringNSEC appends the NSEC record whose owner/next-name span covers
-// the (nonexistent) queried name, with its RRSIG.
+// addCoveringNSEC appends the NSEC record whose span covers the
+// (nonexistent) queried name, with its RRSIG.
 func (s *Server) addCoveringNSEC(resp *dnswire.Message, z *zone.Zone, name dnswire.Name) {
-	for _, rr := range z.Records {
-		nsec, ok := rr.Data.(dnswire.NSECRecord)
-		if !ok {
-			continue
-		}
-		if nsecCovers(rr.Name, nsec.NextName, name) {
-			resp.Authority = append(resp.Authority, rr)
-			resp.Authority = append(resp.Authority, coveringSigs(z, rr.Name, dnswire.TypeNSEC)...)
-			return
-		}
+	if rr, ok := z.CoveringNSEC(name); ok {
+		resp.Authority = append(resp.Authority, rr)
+		resp.Authority = append(resp.Authority, coveringSigs(z, rr.Name, dnswire.TypeNSEC)...)
 	}
-}
-
-// nsecCovers reports whether the NSEC span (owner, next) covers name in
-// canonical order, handling the chain's wrap-around at the apex.
-func nsecCovers(owner, next, name dnswire.Name) bool {
-	cmpOwner := dnswire.CompareCanonical(owner, name)
-	cmpNext := dnswire.CompareCanonical(name, next)
-	if dnswire.CompareCanonical(owner, next) < 0 {
-		return cmpOwner < 0 && cmpNext < 0
-	}
-	// Wrap-around span (last NSEC pointing back to the apex).
-	return cmpOwner < 0 || cmpNext < 0
 }
 
 // addGlue appends A/AAAA (and with dnssecOK their RRSIGs) for NS targets.
@@ -588,3 +600,31 @@ func (s *Server) Run(ctx context.Context, addr string) (net.Addr, error) {
 	}()
 	return bound, nil
 }
+
+// errorPace spaces out a serve loop's retries after a failed accept or read.
+// A persistent failure (EMFILE, ENOBUFS) fails again at once, so an
+// unpaced loop spins at 100 % CPU; this one sleeps 1 ms, doubling up to
+// 100 ms, until a success resets it.
+type errorPace struct{ delay time.Duration }
+
+// wait counts one socket error and sleeps out the current delay. It returns
+// false, without sleeping, once the server is closed.
+func (p *errorPace) wait(closed <-chan struct{}) bool {
+	select {
+	case <-closed:
+		return false
+	default:
+	}
+	mSocketErrors.Inc()
+	p.delay = min(max(2*p.delay, time.Millisecond), 100*time.Millisecond)
+	timer := time.NewTimer(p.delay)
+	defer timer.Stop()
+	select {
+	case <-closed:
+		return false
+	case <-timer.C:
+		return true
+	}
+}
+
+func (p *errorPace) reset() { p.delay = 0 }

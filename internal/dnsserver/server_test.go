@@ -370,16 +370,10 @@ func TestNXDomainNSECProof(t *testing.T) {
 	if nsecSigs == 0 {
 		t.Error("NSEC proof unsigned")
 	}
-	// The covering NSEC must actually cover the queried name.
-	covered := false
-	for _, rr := range nsecs {
-		nsec := rr.Data.(dnswire.NSECRecord)
-		if nsecCovers(rr.Name, nsec.NextName, dnswire.MustName("no-such-tld-xyz.")) {
-			covered = true
-		}
-	}
-	if !covered {
-		t.Error("no returned NSEC covers the queried name")
+	// The covering NSEC must actually cover the queried name, by the
+	// validator's own span check.
+	if kind, err := dnssec.CheckDenial(nsecs, dnswire.MustName("no-such-tld-xyz."), dnswire.TypeA); err != nil || kind != dnssec.DenialNXDomain {
+		t.Errorf("returned NSECs do not prove NXDOMAIN: kind=%v err=%v", kind, err)
 	}
 }
 
@@ -406,21 +400,27 @@ func TestNODataNSECProof(t *testing.T) {
 	}
 }
 
+// TestNSECCovers pins which NSEC the oracle picks to deny a name: the one
+// whose span covers it, through the chain's wrap-around at the apex.
 func TestNSECCovers(t *testing.T) {
-	cases := []struct {
-		owner, next, name string
-		want              bool
-	}{
-		{"com.", "de.", "cz.", true},
-		{"com.", "de.", "com.", false},
-		{"com.", "de.", "fr.", false},
-		{"ws.", ".", "zz.", true},  // wrap-around
-		{"ws.", ".", "aa.", false}, // before the span
+	z := zone.New(dnswire.Root)
+	chain := []string{".", "com.", "de.", "ws."}
+	for i, owner := range chain {
+		z.Add(dnswire.RR{Name: dnswire.MustName(owner), Class: dnswire.ClassINET, TTL: 60,
+			Data: dnswire.NSECRecord{NextName: dnswire.MustName(chain[(i+1)%len(chain)])}})
 	}
-	for _, c := range cases {
-		got := nsecCovers(dnswire.MustName(c.owner), dnswire.MustName(c.next), dnswire.MustName(c.name))
-		if got != c.want {
-			t.Errorf("nsecCovers(%s, %s, %s) = %v, want %v", c.owner, c.next, c.name, got, c.want)
+	for name, want := range map[string]string{
+		"cz.": "com.",
+		"fr.": "de.",
+		"zz.": "ws.", // wrap-around
+		"aa.": ".",   // before the first TLD: the apex span
+	} {
+		rr, ok := z.CoveringNSEC(dnswire.MustName(name))
+		if !ok || string(rr.Name) != want {
+			t.Errorf("CoveringNSEC(%s) = %q, %v; want the NSEC at %s", name, rr.Name, ok, want)
 		}
+	}
+	if _, ok := zone.New(dnswire.Root).CoveringNSEC("cz."); ok {
+		t.Error("a zone without NSEC records produced a covering NSEC")
 	}
 }

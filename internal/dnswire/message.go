@@ -67,10 +67,10 @@ type Message struct {
 	Additional []RR
 }
 
-// cmPool recycles compression maps across packs. Maps are cleared before
-// reuse, which keeps their buckets allocated — steady-state packs insert
-// into warm buckets and never touch the heap.
-var cmPool = sync.Pool{New: func() any { return make(compressionMap, 32) }}
+// cmPool recycles compressors across packs. Their maps are cleared before
+// reuse, which keeps the buckets allocated — steady-state packs insert into
+// warm buckets and never touch the heap.
+var cmPool = sync.Pool{New: func() any { return &compressor{offs: make(map[Name]int, 32)} }}
 
 // Pack encodes m into wire format with name compression.
 func (m *Message) Pack() ([]byte, error) { return m.AppendPack(nil) }
@@ -82,9 +82,20 @@ func (m *Message) Pack() ([]byte, error) { return m.AppendPack(nil) }
 //
 //rootlint:hotpath
 func (m *Message) AppendPack(buf []byte) ([]byte, error) {
-	cm := cmPool.Get().(compressionMap)
+	return m.AppendPackTraced(buf, nil)
+}
+
+// AppendPackTraced is AppendPack that also reports, into tr when it is not
+// nil, the compression decisions taken after the question section; the
+// bytes are AppendPack's either way.
+//
+//rootlint:hotpath
+func (m *Message) AppendPackTraced(buf []byte, tr *PackTrace) ([]byte, error) {
+	cm := cmPool.Get().(*compressor)
+	cm.trace = tr
 	out, err := m.pack(buf, cm)
-	clear(cm)
+	clear(cm.offs)
+	cm.trace = nil
 	cmPool.Put(cm)
 	return out, err
 }
@@ -95,7 +106,7 @@ func (m *Message) PackUncompressed() ([]byte, error) { return m.pack(nil, nil) }
 
 // pack appends the encoded message to dst; the message starts at len(dst),
 // and compression offsets are relative to that base.
-func (m *Message) pack(dst []byte, cm compressionMap) ([]byte, error) {
+func (m *Message) pack(dst []byte, cm *compressor) ([]byte, error) {
 	base := len(dst)
 	if cap(dst)-base < headerLen {
 		grown := make([]byte, base, base+512)
@@ -134,10 +145,17 @@ func (m *Message) pack(dst []byte, cm compressionMap) ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[base+8:], uint16(len(m.Authority)))
 	binary.BigEndian.PutUint16(buf[base+10:], uint16(len(m.Additional)))
 
+	var tr *PackTrace
+	if cm != nil {
+		tr, cm.trace = cm.trace, nil // the trace covers what follows the question
+	}
 	for _, q := range m.Questions {
 		buf = appendName(buf, q.Name, len(buf)-base, cm)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Type))
 		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Class))
+	}
+	if cm != nil {
+		cm.trace = tr
 	}
 	var err error
 	for _, section := range [][]RR{m.Answers, m.Authority, m.Additional} {
@@ -153,7 +171,7 @@ func (m *Message) pack(dst []byte, cm compressionMap) ([]byte, error) {
 
 // appendRR appends one resource record, handling the OPT pseudo-record's
 // special Class/TTL encoding. base is the offset of the message start in buf.
-func appendRR(buf []byte, rr RR, base int, cm compressionMap) ([]byte, error) {
+func appendRR(buf []byte, rr RR, base int, cm *compressor) ([]byte, error) {
 	if rr.Data == nil {
 		return nil, errors.New("dnswire: RR with nil RData")
 	}

@@ -184,8 +184,24 @@ func (n Name) wireLen() int {
 	return l
 }
 
-// compressionMap tracks name→offset mappings while building a message.
-type compressionMap map[Name]int
+// compressor tracks name→offset mappings while building a message and,
+// for a traced pack, reports what it did with them.
+type compressor struct {
+	offs  map[Name]int
+	trace *PackTrace // nil outside AppendPackTraced and during its question section
+}
+
+// PackTrace is what AppendPackTraced learned about name compression in the
+// sections after the question. It is what a caller needs to lift those
+// sections off one question and set them behind another: the pointers to
+// relocate, and the spellings a longer question name could have matched.
+type PackTrace struct {
+	// Pointers holds the message offset of every compression pointer written.
+	Pointers []int
+	// Suffixes holds every name suffix offered to the compressor, whether it
+	// matched an earlier spelling or was recorded as a new one.
+	Suffixes []Name
+}
 
 // appendName appends the wire encoding of n to buf. When cm is non-nil,
 // RFC 1035 §4.1.4 compression pointers are emitted for known suffixes and
@@ -198,7 +214,7 @@ type compressionMap map[Name]int
 // Suffixes are substrings of n, so the encode allocates nothing beyond
 // buf growth; together with a pooled cm this is what makes steady-state
 // packs allocation-free.
-func appendName(buf []byte, n Name, off int, cm compressionMap) []byte {
+func appendName(buf []byte, n Name, off int, cm *compressor) []byte {
 	if n.IsRoot() || n == "" {
 		return append(buf, 0)
 	}
@@ -206,11 +222,17 @@ func appendName(buf []byte, n Name, off int, cm compressionMap) []byte {
 	for i := 0; i < len(s); {
 		if cm != nil {
 			suffix := Name(s[i:])
-			if ptr, ok := cm[suffix]; ok {
+			if cm.trace != nil {
+				cm.trace.Suffixes = append(cm.trace.Suffixes, suffix)
+			}
+			if ptr, ok := cm.offs[suffix]; ok {
+				if cm.trace != nil {
+					cm.trace.Pointers = append(cm.trace.Pointers, off)
+				}
 				return append(buf, 0xC0|byte(ptr>>8), byte(ptr))
 			}
 			if off < 0x4000 {
-				cm[suffix] = off
+				cm.offs[suffix] = off
 			}
 		}
 		end := strings.IndexByte(s[i:], '.')

@@ -153,7 +153,7 @@ func TestNameCompressionRoundTrip(t *testing.T) {
 		Root,
 		MustName("root-servers.net."),
 	}
-	cm := make(compressionMap)
+	cm := &compressor{offs: make(map[Name]int)}
 	buf := make([]byte, headerLen) // simulate header so offsets are realistic
 	offsets := make([]int, len(names))
 	for i, n := range names {

@@ -21,7 +21,7 @@ type RData interface {
 	// String returns the presentation form of the RDATA fields.
 	String() string
 
-	appendTo(buf []byte, off int, cm compressionMap) []byte
+	appendTo(buf []byte, off int, cm *compressor) []byte
 }
 
 // ARecord is an IPv4 address record (RFC 1035 §3.4.1).
@@ -33,7 +33,7 @@ func (ARecord) Type() Type { return TypeA }
 // String implements RData.
 func (r ARecord) String() string { return r.Addr.String() }
 
-func (r ARecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r ARecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	a4 := r.Addr.As4()
 	return append(buf, a4[:]...)
 }
@@ -47,7 +47,7 @@ func (AAAARecord) Type() Type { return TypeAAAA }
 // String implements RData.
 func (r AAAARecord) String() string { return r.Addr.String() }
 
-func (r AAAARecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r AAAARecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	a16 := r.Addr.As16()
 	return append(buf, a16[:]...)
 }
@@ -61,7 +61,7 @@ func (NSRecord) Type() Type { return TypeNS }
 // String implements RData.
 func (r NSRecord) String() string { return string(r.Host) }
 
-func (r NSRecord) appendTo(buf []byte, off int, cm compressionMap) []byte {
+func (r NSRecord) appendTo(buf []byte, off int, cm *compressor) []byte {
 	return appendName(buf, r.Host, off, cm)
 }
 
@@ -74,7 +74,7 @@ func (CNAMERecord) Type() Type { return TypeCNAME }
 // String implements RData.
 func (r CNAMERecord) String() string { return string(r.Target) }
 
-func (r CNAMERecord) appendTo(buf []byte, off int, cm compressionMap) []byte {
+func (r CNAMERecord) appendTo(buf []byte, off int, cm *compressor) []byte {
 	return appendName(buf, r.Target, off, cm)
 }
 
@@ -87,7 +87,7 @@ func (PTRRecord) Type() Type { return TypePTR }
 // String implements RData.
 func (r PTRRecord) String() string { return string(r.Target) }
 
-func (r PTRRecord) appendTo(buf []byte, off int, cm compressionMap) []byte {
+func (r PTRRecord) appendTo(buf []byte, off int, cm *compressor) []byte {
 	return appendName(buf, r.Target, off, cm)
 }
 
@@ -103,7 +103,7 @@ func (MXRecord) Type() Type { return TypeMX }
 // String implements RData.
 func (r MXRecord) String() string { return fmt.Sprintf("%d %s", r.Preference, r.Host) }
 
-func (r MXRecord) appendTo(buf []byte, off int, cm compressionMap) []byte {
+func (r MXRecord) appendTo(buf []byte, off int, cm *compressor) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, r.Preference)
 	return appendName(buf, r.Host, off+2, cm)
 }
@@ -128,7 +128,7 @@ func (r SOARecord) String() string {
 		r.MName, r.RName, r.Serial, r.Refresh, r.Retry, r.Expire, r.Minimum)
 }
 
-func (r SOARecord) appendTo(buf []byte, off int, cm compressionMap) []byte {
+func (r SOARecord) appendTo(buf []byte, off int, cm *compressor) []byte {
 	start := len(buf)
 	buf = appendName(buf, r.MName, off, cm)
 	buf = appendName(buf, r.RName, off+(len(buf)-start), cm)
@@ -155,7 +155,7 @@ func (r TXTRecord) String() string {
 	return strings.Join(parts, " ")
 }
 
-func (r TXTRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r TXTRecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	for _, s := range r.Strings {
 		if len(s) > 255 {
 			s = s[:255]
@@ -183,7 +183,7 @@ func (r DNSKEYRecord) String() string {
 		base64.StdEncoding.EncodeToString(r.PublicKey))
 }
 
-func (r DNSKEYRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r DNSKEYRecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, r.Flags)
 	buf = append(buf, r.Protocol, r.Algorithm)
 	return append(buf, r.PublicKey...)
@@ -216,7 +216,7 @@ func (r RRSIGRecord) String() string {
 		base64.StdEncoding.EncodeToString(r.Signature))
 }
 
-func (r RRSIGRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r RRSIGRecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	buf = r.appendPreamble(buf)
 	return append(buf, r.Signature...)
 }
@@ -251,7 +251,7 @@ func (r DSRecord) String() string {
 		strings.ToUpper(hex.EncodeToString(r.Digest)))
 }
 
-func (r DSRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r DSRecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, r.KeyTag)
 	buf = append(buf, r.Algorithm, r.DigestType)
 	return append(buf, r.Digest...)
@@ -275,7 +275,7 @@ func (r NSECRecord) String() string {
 	return strings.Join(parts, " ")
 }
 
-func (r NSECRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r NSECRecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	buf = appendName(buf, r.NextName, 0, nil)
 	return appendTypeBitmap(buf, r.Types)
 }
@@ -354,7 +354,7 @@ func (r ZONEMDRecord) String() string {
 		strings.ToUpper(hex.EncodeToString(r.Digest)))
 }
 
-func (r ZONEMDRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r ZONEMDRecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, r.Serial)
 	buf = append(buf, r.Scheme, r.Hash)
 	return append(buf, r.Digest...)
@@ -376,7 +376,7 @@ func (r OPTRecord) String() string {
 	return fmt.Sprintf("EDNS0 udp=%d do=%v", r.UDPSize, r.Do)
 }
 
-func (OPTRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte { return buf }
+func (OPTRecord) appendTo(buf []byte, _ int, _ *compressor) []byte { return buf }
 
 // RawRecord carries RDATA of a type this codec does not interpret
 // (RFC 3597 treatment).
@@ -393,6 +393,6 @@ func (r RawRecord) String() string {
 	return fmt.Sprintf("\\# %d %s", len(r.Data), strings.ToUpper(hex.EncodeToString(r.Data)))
 }
 
-func (r RawRecord) appendTo(buf []byte, _ int, _ compressionMap) []byte {
+func (r RawRecord) appendTo(buf []byte, _ int, _ *compressor) []byte {
 	return append(buf, r.Data...)
 }

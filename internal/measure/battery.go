@@ -15,9 +15,9 @@ import (
 // (Appendix F): per root server IP, 47 queries — AXFR, ZONEMD, NS for "."
 // and root-servers.net, the four CHAOS identity probes, and A/AAAA/TXT for
 // each of the 13 root server names. RunBattery builds every query as a real
-// DNS message, runs it through an in-process authoritative server, and
-// verifies the responses, so the codec, server, and zone contents are
-// exercised end-to-end inside the campaign.
+// DNS message, runs its bytes through an in-process authoritative server's
+// wire entry point, and verifies the responses, so the codec, server, and
+// zone contents are exercised end-to-end inside the campaign.
 type Battery struct {
 	srv *dnsserver.Server
 	// memBytes estimates the resident footprint of the zones the battery
@@ -76,9 +76,9 @@ func (r *BatteryResult) check(cond bool, format string, args ...any) {
 func (b *Battery) Run(target rss.ServiceAddr, expectIdentity string) BatteryResult {
 	var res BatteryResult
 	var id uint16
-	// One scratch buffer serves all 47 round-trips: Unpack copies everything
-	// it keeps, so each pack may overwrite the previous message's bytes.
-	var scratch []byte
+	// Two scratch buffers serve all 47 round-trips: Unpack copies everything
+	// it keeps, so each exchange may overwrite the previous one's bytes.
+	var scratch, answer []byte
 
 	query := func(name dnswire.Name, typ dnswire.Type, class dnswire.Class) *dnswire.Message {
 		id++
@@ -88,30 +88,20 @@ func (b *Battery) Run(target rss.ServiceAddr, expectIdentity string) BatteryResu
 		}
 		q.WithEDNS(4096, true)
 		res.Queries++
-		// Round-trip through the wire codec, as a socket would.
+		// Through the wire codec and the server's byte path, as a socket
+		// would; over "TCP", so no answer is cut to a UDP size.
 		wire, err := q.AppendPack(scratch[:0])
 		if err != nil {
 			res.check(false, "pack %s/%s: %v", name, typ, err)
 			return nil
 		}
 		scratch = wire[:0]
-		parsed, err := dnswire.Unpack(wire)
-		if err != nil {
-			res.check(false, "unpack %s/%s: %v", name, typ, err)
-			return nil
-		}
-		resp := b.srv.Handle(parsed, false)
-		if resp == nil {
+		answer = b.srv.ServeWire(answer[:0], wire, true)
+		if len(answer) == 0 {
 			res.check(false, "no response for %s/%s", name, typ)
 			return nil
 		}
-		respWire, err := resp.AppendPack(scratch[:0])
-		if err != nil {
-			res.check(false, "pack response %s/%s: %v", name, typ, err)
-			return nil
-		}
-		scratch = respWire[:0]
-		back, err := dnswire.Unpack(respWire)
+		back, err := dnswire.Unpack(answer)
 		if err != nil {
 			res.check(false, "unpack response %s/%s: %v", name, typ, err)
 			return nil

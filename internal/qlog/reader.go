@@ -86,7 +86,9 @@ func (r *Reader) Events() ([]Event, error) {
 // declared count in both directions.
 func decodeBlock(payload []byte, count uint32) ([]Event, error) {
 	rr := segment.NewRecordReader(payload)
-	out := make([]Event, 0, count)
+	// The count is whatever the file says: size by it no further than the
+	// payload could bear it out (a record takes at least a byte).
+	out := make([]Event, 0, min(int(count), len(payload)))
 	left := count
 	for rr.Len() > 0 {
 		if left == 0 {

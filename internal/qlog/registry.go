@@ -1,6 +1,6 @@
 // Package qlog is the per-query flight recorder: one wide, structured event
 // per query carrying the full decision chain the aggregate telemetry layer
-// collapses — netem fate, RRL verdict, cache hit and EDNS bucket, slow-queue
+// collapses — netem fate, RRL verdict, compiled-path answer and EDNS bucket, slow-queue
 // shed, truncation, response class on the server; attempt count and logical
 // backoff latency on the client; probe/transfer outcomes in the campaign
 // engine. It is the per-query evidence trail that query-composition studies
@@ -53,11 +53,11 @@ var Registry = []Def{
 			{Name: "fidx", Help: "per-flow delivery index on this server"},
 			{Name: "fate", Help: "ingress fate on the emulated link", Enum: []string{"ok", "drop"}},
 			{Name: "verdict", Help: "RRL verdict for the response", Enum: []string{"none", "send", "drop", "slip"}},
-			{Name: "cache", Help: "response cache outcome", Enum: []string{"miss", "hit"}},
+			{Name: "cache", Help: "answered on the compiled path (a function of the query's shape; the name predates it)", Enum: []string{"miss", "hit"}},
 			{Name: "bucket", Help: "EDNS size bucket", Enum: []string{"512", "1232", "4096"}},
 			{Name: "edns", Help: "query carried an OPT record"},
 			{Name: "do", Help: "query set the DO bit"},
-			{Name: "shed", Help: "dropped by slow-queue overload shed"},
+			{Name: "shed", Help: "dropped by slow-queue overload shed (always 0 since recorded queries stopped taking the queue)"},
 			{Name: "tc", Help: "response truncated to a TC stub"},
 			{Name: "class", Help: "response class", Enum: []string{"answer", "nxdomain", "error"}},
 			{Name: "rcode", Help: "response rcode"},

@@ -145,11 +145,11 @@ var Registry = []Def{
 	// across shards. Histograms are only recorded while telemetry is
 	// enabled; the serve/blast counters are always live (one atomic add).
 	{Name: "process/workers", Kind: KindGauge, Class: ClassVolatile, Help: "resolved campaign worker count"},
-	{Name: "dns/cache/hits", Kind: KindCounter, Class: ClassVolatile, Help: "UDP response-cache hits (served from cached wire bytes)"},
-	{Name: "dns/cache/misses", Kind: KindCounter, Class: ClassVolatile, Help: "UDP response-cache misses (responses built and inserted)"},
-	{Name: "dns/cache/evictions", Kind: KindCounter, Class: ClassVolatile, Help: "response-cache entries evicted by the byte budget"},
+	{Name: "dns/cache/hits", Kind: KindCounter, Class: ClassVolatile, Help: "queries answered on the compiled path (stitched from raw bytes; the name predates it)"},
+	{Name: "dns/cache/misses", Kind: KindCounter, Class: ClassVolatile, Help: "queries answered by the oracle's full decode path (shapes the fast parser refuses)"},
 	{Name: "serve/sheds", Kind: KindCounter, Class: ClassVolatile, Help: "queries dropped because a shard's slow-path queue was full (overload shed; depends on drain timing)"},
 	{Name: "serve/tcp_rejects", Kind: KindCounter, Class: ClassVolatile, Help: "TCP connections refused over the concurrent-connection cap (depends on accept timing)"},
+	{Name: "serve/socket_errors", Kind: KindCounter, Class: ClassVolatile, Help: "failed accepts and datagram reads, each followed by a backoff (depends on kernel resource limits)"},
 	{Name: "blast/sent", Kind: KindCounter, Class: ClassVolatile, Help: "rootblast queries sent"},
 	{Name: "blast/received", Kind: KindCounter, Class: ClassVolatile, Help: "rootblast responses matched to an outstanding query"},
 	{Name: "blast/timeouts", Kind: KindCounter, Class: ClassVolatile, Help: "rootblast queries reaped unanswered"},

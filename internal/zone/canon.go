@@ -52,6 +52,10 @@ type canonState struct {
 	// atomically.
 	//rootlint:atomic
 	sigOK []uint32
+
+	// index is the owner-name index over order and groups (see index.go),
+	// built on first use and dropped whenever they are.
+	index atomic.Pointer[Index]
 }
 
 // state returns the sidecar, installing an empty one on first use.
@@ -221,6 +225,7 @@ func (z *Zone) MutateRecord(i int, fn func(*dnswire.RR)) {
 	cs.wire[i], cs.rd[i] = dnswire.CanonicalRR(post, post.TTL)
 	cs.orderDone.Store(false)
 	cs.order, cs.groups = nil, nil
+	cs.index.Store(nil)
 
 	preName, preType := pre.Name.Canonical(), pre.Type()
 	postName, postType := post.Name.Canonical(), post.Type()
@@ -269,6 +274,7 @@ func (z *Zone) CloneCOW() *Zone {
 	if cs.orderDone.Load() {
 		nc.order, nc.groups = cs.order, cs.groups
 		nc.orderDone.Store(true)
+		nc.index.Store(cs.index.Load())
 	}
 	cs.mu.Unlock()
 	nc.wiresDone.Store(true)

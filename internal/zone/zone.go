@@ -6,7 +6,6 @@ package zone
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -45,7 +44,10 @@ func (z *Zone) Add(rrs ...dnswire.RR) {
 }
 
 // SOA returns the zone's SOA record. The second return is false when the
-// zone has none (an invalid zone; AXFR consumers treat it as an error).
+// zone has none (an invalid zone; AXFR consumers treat it as an error). It
+// scans rather than consult the index: the apex SOA sits among the first
+// records in insertion and in canonical order alike, and callers such as
+// dnsserver.New must not pay for an index they may never query.
 func (z *Zone) SOA() (dnswire.RR, bool) {
 	for _, rr := range z.Records {
 		if rr.Type() == dnswire.TypeSOA && rr.Name.Canonical() == z.Apex.Canonical() {
@@ -62,54 +64,6 @@ func (z *Zone) Serial() uint32 {
 		return 0
 	}
 	return soa.Data.(dnswire.SOARecord).Serial
-}
-
-// Lookup returns all records with the given owner name and type. Type
-// dnswire.TypeANY matches every type.
-func (z *Zone) Lookup(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
-	var out []dnswire.RR
-	nc := name.Canonical()
-	for _, rr := range z.Records {
-		if rr.Name.Canonical() == nc && (typ == dnswire.TypeANY || rr.Type() == typ) {
-			out = append(out, rr)
-		}
-	}
-	return out
-}
-
-// Names returns the distinct owner names in the zone, in canonical order.
-func (z *Zone) Names() []dnswire.Name {
-	seen := make(map[dnswire.Name]bool)
-	var names []dnswire.Name
-	for _, rr := range z.Records {
-		c := rr.Name.Canonical()
-		if !seen[c] {
-			seen[c] = true
-			names = append(names, c)
-		}
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return dnswire.CompareCanonical(names[i], names[j]) < 0
-	})
-	return names
-}
-
-// Delegation returns the NS RRset delegating name, walking up from name
-// toward the apex, excluding the apex itself. It implements the referral
-// decision of an authoritative server.
-func (z *Zone) Delegation(name dnswire.Name) []dnswire.RR {
-	for n := name; !n.IsRoot() || z.Apex.IsRoot() && n == name; n = n.Parent() {
-		if n.Canonical() == z.Apex.Canonical() {
-			break
-		}
-		if nsset := z.Lookup(n, dnswire.TypeNS); len(nsset) > 0 {
-			return nsset
-		}
-		if n.IsRoot() {
-			break
-		}
-	}
-	return nil
 }
 
 // Glue returns the A and AAAA records for host if present in the zone.
@@ -157,6 +111,7 @@ func (z *Zone) Canonicalize() *Zone {
 		p += len(g)
 	}
 	cs.order, cs.groups = order, groups
+	cs.index.Store(nil)
 	return z
 }
 

@@ -34,11 +34,13 @@ echo "== telemetry race stress =="
 go test -race -count=1 -run 'TestTelemetryStressConcurrent' ./internal/telemetry
 
 # Serve path under the race detector: concurrent clients hammer a server
-# while SetZone swaps the zone (and response cache) out from under them, and
-# a sharded multi-socket server answers in parallel. Catches races in the
-# atomic state swap and the per-shard buffer reuse.
+# while SetZone swaps the zone (and the answers compiled from it) out from
+# under them, a sharded multi-socket server answers in parallel, and the
+# differential table test walks the whole answer space from 4 shards at once
+# so first-touch compilation of a table cell is contended. Catches races in
+# the atomic state swap, the table slots and the per-shard buffer reuse.
 echo "== serve-under-load race stress =="
-go test -race -count=1 -run 'TestSetZoneUnderLoad|TestServeWorkersSharded|TestCachedResponseByteIdentity' ./internal/dnsserver
+go test -race -count=1 -run 'TestSetZoneUnderLoad|TestServeWorkersSharded|TestCompiledAnswersMatchOracle|TestSetZoneDropsCompiledAnswers' ./internal/dnsserver
 
 # Short fuzz smoke: each dnswire fuzz target gets a few seconds of
 # coverage-guided input on top of its seed corpus. Crashes fail the step.
@@ -53,6 +55,14 @@ done
 # invariants (registered kind, full field list).
 echo "== fuzz FuzzQlogDecode (5s) =="
 go test -run '^FuzzQlogDecode$' -fuzz '^FuzzQlogDecode$' -fuzztime 5s ./internal/qlog
+# The serve path's two byte-level decisions against their oracles: the fast
+# parser must agree with the full decoder on everything it accepts, and a
+# compiled answer must equal decode + Handle + pack + truncate byte for byte
+# (seeded with both compression traps: "www.CoM." and "ns1.com.").
+for target in FuzzShapeAgreement FuzzCompiledAgreement; do
+	echo "== fuzz $target (5s) =="
+	go test -run "^$target$" -fuzz "^$target$" -fuzztime 5s ./internal/dnsserver
+done
 
 echo "== chaos matrix =="
 go test -run 'TestChaos|TestSeal|TestWorker|TestResume|TestTornTail|TestCorruptBlock|TestReplay' \
