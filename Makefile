@@ -18,11 +18,11 @@ test: build
 lint:
 	$(GO) run ./cmd/rootlint ./...
 
-# Race coverage for the parallel campaign engine and the analyses it feeds.
-# TestCampaignManyWorkersRace drives a many-worker campaign across a fault
-# window so the single-flight caches are contended under the detector.
+# Race coverage for the parallel campaign engine, the analyses it feeds, and
+# everything a checkpoint touches (dataset, flight log, segment container,
+# sidecar writer, telemetry). See scripts/race.sh.
 race:
-	$(GO) test -race ./internal/measure/... ./internal/analysis/...
+	sh scripts/race.sh
 
 # Robustness gate: go vet, a short fuzz smoke over the dnswire codec, and
 # the chaos matrix (failpoint kill/resume byte-identity, worker supervision,
@@ -30,18 +30,11 @@ race:
 check:
 	sh scripts/check.sh
 
-# Regenerate the reproduction report via the benchmark harness, then record
-# the telemetry layer's on/off overhead on the campaign engine (budget <=3%)
-# into BENCH_PR5.json and the replay figures into BENCH_PR7.json. The serve
-# path (with the campaign and replay end to end) is measured by the repo's
-# one benchmark, `go run ./bench`: fixed workloads against the shipping
-# rootserve, results in bench/out/results.json (see bench/README.md).
-# BENCH_SCALE overrides schedule thinning (smaller = higher fidelity, slower).
-# -benchmem keeps allocs/op visible so fast-path regressions are caught.
+# The repo's one benchmark: fixed serve, campaign and replay workloads against
+# the shipping binaries, repeated runs with spread, results in
+# bench/out/results.json (see bench/README.md and BENCHMARK.json). The
+# per-table microbenchmarks in bench_test.go run with `go test -bench .`.
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x .
-	sh scripts/bench_telemetry.sh
-	sh scripts/bench_replay.sh
 	$(GO) run ./bench
 
 report:

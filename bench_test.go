@@ -281,8 +281,9 @@ func BenchmarkCampaignWorkers8(b *testing.B) { benchmarkCampaignWorkers(b, 8) }
 // benchmarkCampaignWorkersTelemetry is the same campaign with the telemetry
 // layer fully live — counters, gauges, and the wall-clock histogram timers
 // that SetEnabled gates (the exact state a `-metrics`/`-telemetry-addr` run
-// is in). scripts/bench_telemetry.sh pairs these against the plain variants
-// and records the overhead into BENCH_PR5.json; the budget is ≤3%.
+// is in). Pair these against the plain variants to read the layer's overhead
+// on the campaign (the budget is ≤3%); the gated end-to-end figures are
+// `go run ./bench`'s.
 func benchmarkCampaignWorkersTelemetry(b *testing.B, workers int) {
 	telemetry.Reset()
 	telemetry.SetEnabled(true)

@@ -111,39 +111,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var f *os.File
-	var writer *dataset.Writer
-	var cp *measure.Checkpoint
+	// A resumed run reopens the interrupted recording instead of truncating
+	// it, and builds the same handlers over it: Campaign.Run rewinds each to
+	// the offset the checkpoint recorded.
+	openFlags := os.O_RDWR | os.O_CREATE | os.O_TRUNC
 	if *resume {
-		// Continue the interrupted recording: reopen the dataset and rewind
-		// it to the sealed offset the checkpoint recorded.
-		if cp, err = measure.LoadCheckpoint(*checkpoint); err != nil {
-			fatal(err)
-		}
-		state, err := cp.HandlerState(0)
-		if err != nil {
-			fatal(err)
-		}
-		if f, err = os.OpenFile(*out, os.O_RDWR, 0); err != nil {
-			fatal(err)
-		}
-		if writer, err = dataset.ResumeWriter(f, state); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("resuming at tick %d/%d (%d probes, %d transfers recorded)\n",
-			cp.TickPos, cp.TickCount, writer.Probes, writer.Transfers)
-	} else {
-		if f, err = os.Create(*out); err != nil {
-			fatal(err)
-		}
-		if writer, err = dataset.NewWriter(f); err != nil {
-			fatal(err)
-		}
+		openFlags = os.O_RDWR
+	}
+	f, err := os.OpenFile(*out, openFlags, 0o666)
+	if err != nil {
+		fatal(err)
 	}
 	defer f.Close()
-
-	// The flight recorder, when enabled, is handler #1 behind the dataset
-	// writer: its resume blob rides the same checkpoint sidecar.
+	writer, err := dataset.NewWriter(f)
+	if err != nil {
+		fatal(err)
+	}
 	handlers := []measure.Handler{writer}
 	var qrec *qlog.Recorder
 	blackbox := ""
@@ -153,27 +136,14 @@ func main() {
 			fatal(err)
 		}
 		blackbox = *qlogPath + ".blackbox"
-		var qf *os.File
-		if *resume {
-			state, err := cp.HandlerState(1)
-			if err != nil {
-				fatal(err)
-			}
-			if qf, err = os.OpenFile(*qlogPath, os.O_RDWR, 0); err != nil {
-				fatal(err)
-			}
-			if qrec, err = qlog.Resume(qf, sampler, blackbox, state); err != nil {
-				fatal(err)
-			}
-		} else {
-			if qf, err = os.Create(*qlogPath); err != nil {
-				fatal(err)
-			}
-			if qrec, err = qlog.New(qf, sampler, blackbox); err != nil {
-				fatal(err)
-			}
+		qf, err := os.OpenFile(*qlogPath, openFlags, 0o666)
+		if err != nil {
+			fatal(err)
 		}
 		defer qf.Close()
+		if qrec, err = qlog.New(qf, sampler, blackbox); err != nil {
+			fatal(err)
+		}
 		defer qlog.DumpOnPanic(blackbox)
 		handlers = append(handlers, measure.NewFlightLog(qrec))
 	}

@@ -1,507 +1,146 @@
-// Checkpoint support: every accumulator in this package can seal its state
-// into a deterministic JSON blob and restore from one, which is what lets
-// rootanalyze ride the replay checkpoint/resume machinery (dataset.ReplayWith)
-// the same way the live campaign rides measure checkpoints. Determinism
-// matters more than compactness here — map state is flattened into entry
-// slices sorted by key so that the same logical state always seals to the
-// same bytes, making resumed-vs-uninterrupted comparisons byte-exact.
+// Checkpoint support: every accumulator in this package is a checkpoint.Part.
+// It seals its state into a deterministic JSON blob and restores from one,
+// which is what lets rootanalyze ride the replay checkpoint/resume machinery
+// (dataset.ReplayWith). Determinism matters more than compactness here: the
+// same logical state must always seal to the same bytes, so that
+// resumed-vs-uninterrupted comparisons are byte-exact. encoding/json already
+// orders maps keyed by strings or integers; the struct-keyed maps go through
+// sorted, the one helper below. An accumulator's seal is then nothing but
+// the list of its fields.
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"sort"
-	"time"
-
-	"repro/internal/faults"
-	"repro/internal/geo"
-	"repro/internal/rss"
-	"repro/internal/topology"
 )
 
-// --- Coverage ---
+// sorted is a struct-keyed map that seals as a JSON array of {k, v} entries.
+// Entries are ordered by their encoding, and since every entry opens with
+// its key and keys are distinct, that is the order of the keys' own
+// encodings: a total order that depends on the map's content alone, never on
+// iteration order. (A set is a sorted[K, bool].)
+type sorted[K comparable, V any] map[K]V
 
-type coverageEntry struct {
-	Letter rss.Letter `json:"letter"`
-	IDs    []string   `json:"ids"`
+type entry[K comparable, V any] struct {
+	K K `json:"k"`
+	V V `json:"v"`
 }
 
-// CheckpointSeal implements measure.Checkpointable.
-func (c *Coverage) CheckpointSeal() ([]byte, error) {
-	entries := make([]coverageEntry, 0, len(c.observedIdentifiers))
-	for l, set := range c.observedIdentifiers {
-		ids := make([]string, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
+// sortedMap views an accumulator's map field as a sorted, for both sealing
+// and restoring in place.
+func sortedMap[K comparable, V any](m *map[K]V) *sorted[K, V] { return (*sorted[K, V])(m) }
+
+// MarshalJSON implements json.Marshaler.
+func (m sorted[K, V]) MarshalJSON() ([]byte, error) {
+	entries := make([][]byte, 0, len(m))
+	for k, v := range m {
+		b, err := json.Marshal(entry[K, V]{k, v})
+		if err != nil {
+			return nil, err
 		}
-		sort.Strings(ids)
-		entries = append(entries, coverageEntry{Letter: l, IDs: ids})
+		entries = append(entries, b)
 	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Letter < entries[b].Letter })
-	return json.Marshal(entries)
+	sort.Slice(entries, func(a, b int) bool { return bytes.Compare(entries[a], entries[b]) < 0 })
+	out := append([]byte{'['}, bytes.Join(entries, []byte{','})...)
+	return append(out, ']'), nil
 }
 
-// RestoreCheckpoint implements dataset.ReplayCheckpointable.
-func (c *Coverage) RestoreCheckpoint(state []byte) error {
-	var entries []coverageEntry
-	if err := json.Unmarshal(state, &entries); err != nil {
+// UnmarshalJSON implements json.Unmarshaler; it always leaves a fresh,
+// non-nil map behind.
+func (m *sorted[K, V]) UnmarshalJSON(data []byte) error {
+	var entries []entry[K, V]
+	if err := json.Unmarshal(data, &entries); err != nil {
 		return err
 	}
-	c.observedIdentifiers = make(map[rss.Letter]map[string]bool, len(entries))
+	*m = make(sorted[K, V], len(entries))
 	for _, e := range entries {
-		set := make(map[string]bool, len(e.IDs))
-		for _, id := range e.IDs {
-			set[id] = true
-		}
-		c.observedIdentifiers[e.Letter] = set
+		(*m)[e.K] = e.V
 	}
 	return nil
 }
 
-// --- Stability ---
-
-type stabilityEntry struct {
-	VPIdx   int             `json:"vp"`
-	Letter  rss.Letter      `json:"letter"`
-	Family  topology.Family `json:"family"`
-	Old     bool            `json:"old,omitempty"`
-	Last    string          `json:"last,omitempty"`
-	HasLast bool            `json:"has_last,omitempty"`
-	Changes int             `json:"changes,omitempty"`
-}
-
-func stabKeyLess(a, b stabKey) bool {
-	if a.vpIdx != b.vpIdx {
-		return a.vpIdx < b.vpIdx
-	}
-	if a.letter != b.letter {
-		return a.letter < b.letter
-	}
-	if a.family != b.family {
-		return a.family < b.family
-	}
-	return !a.old && b.old
-}
-
-// CheckpointSeal implements measure.Checkpointable.
-func (s *Stability) CheckpointSeal() ([]byte, error) {
-	keys := make([]stabKey, 0, len(s.seen))
-	for k := range s.seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return stabKeyLess(keys[a], keys[b]) })
-	entries := make([]stabilityEntry, 0, len(keys))
-	for _, k := range keys {
-		last, hasLast := s.last[k]
-		entries = append(entries, stabilityEntry{
-			VPIdx: k.vpIdx, Letter: k.letter, Family: k.family, Old: k.old,
-			Last: last, HasLast: hasLast, Changes: s.changes[k],
-		})
-	}
-	return json.Marshal(entries)
-}
-
-// RestoreCheckpoint implements dataset.ReplayCheckpointable.
-func (s *Stability) RestoreCheckpoint(state []byte) error {
-	var entries []stabilityEntry
-	if err := json.Unmarshal(state, &entries); err != nil {
+// restore decodes a blob sealed as json.Marshal(fields) back into the same
+// field pointers, refusing a blob with another field count.
+func restore(state []byte, fields []any) error {
+	var raw []json.RawMessage
+	if err := json.Unmarshal(state, &raw); err != nil {
 		return err
 	}
-	s.last = make(map[stabKey]string, len(entries))
-	s.changes = make(map[stabKey]int, len(entries))
-	s.seen = make(map[stabKey]bool, len(entries))
-	for _, e := range entries {
-		k := stabKey{e.VPIdx, e.Letter, e.Family, e.Old}
-		s.seen[k] = true
-		if e.HasLast {
-			s.last[k] = e.Last
-		}
-		if e.Changes != 0 {
-			s.changes[k] = e.Changes
+	if len(raw) != len(fields) {
+		return fmt.Errorf("analysis: sealed state has %d fields, accumulator has %d", len(raw), len(fields))
+	}
+	for i, f := range fields {
+		if err := json.Unmarshal(raw[i], f); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// --- Colocation ---
+func (c *Coverage) sealed() []any { return []any{&c.observedIdentifiers} }
 
-type colocCurrentEntry struct {
-	VPIdx   int             `json:"vp"`
-	Family  topology.Family `json:"family"`
-	Tick    int             `json:"tick"`
-	Total   int             `json:"total"`
-	Uniques int             `json:"uniques,omitempty"`
-	Hops    []string        `json:"hops"`
+// CheckpointSeal implements checkpoint.Part.
+func (c *Coverage) CheckpointSeal() ([]byte, error) { return json.Marshal(c.sealed()) }
+
+// RestoreCheckpoint implements checkpoint.Part.
+func (c *Coverage) RestoreCheckpoint(state []byte) error { return restore(state, c.sealed()) }
+
+func (s *Stability) sealed() []any {
+	return []any{sortedMap(&s.last), sortedMap(&s.changes), sortedMap(&s.seen)}
 }
 
-type colocSeriesEntry struct {
-	VPIdx  int             `json:"vp"`
-	Family topology.Family `json:"family"`
-	Values []float64       `json:"values"`
+// CheckpointSeal implements checkpoint.Part.
+func (s *Stability) CheckpointSeal() ([]byte, error) { return json.Marshal(s.sealed()) }
+
+// RestoreCheckpoint implements checkpoint.Part.
+func (s *Stability) RestoreCheckpoint(state []byte) error { return restore(state, s.sealed()) }
+
+// The in-progress tick state (current) is part of the snapshot: a checkpoint
+// can land mid-tick, and the resumed run must fold that tick exactly as the
+// uninterrupted one would.
+func (c *Colocation) sealed() []any {
+	return []any{sortedMap(&c.current), sortedMap(&c.series)}
 }
 
-type colocState struct {
-	Current []colocCurrentEntry `json:"current,omitempty"`
-	Series  []colocSeriesEntry  `json:"series,omitempty"`
+// CheckpointSeal implements checkpoint.Part.
+func (c *Colocation) CheckpointSeal() ([]byte, error) { return json.Marshal(c.sealed()) }
+
+// RestoreCheckpoint implements checkpoint.Part.
+func (c *Colocation) RestoreCheckpoint(state []byte) error { return restore(state, c.sealed()) }
+
+// The closest-global-site cache is deliberately excluded: it is a pure
+// function of the system and population the accumulator was constructed
+// with, and rebuilds on demand.
+func (d *Distance) sealed() []any {
+	return []any{sortedMap(&d.samples), sortedMap(&d.extraSum), sortedMap(&d.extraCount)}
 }
 
-func colocKeyLess(a, b colocKey) bool {
-	if a.vpIdx != b.vpIdx {
-		return a.vpIdx < b.vpIdx
-	}
-	return a.family < b.family
+// CheckpointSeal implements checkpoint.Part.
+func (d *Distance) CheckpointSeal() ([]byte, error) { return json.Marshal(d.sealed()) }
+
+// RestoreCheckpoint implements checkpoint.Part.
+func (d *Distance) RestoreCheckpoint(state []byte) error { return restore(state, d.sealed()) }
+
+func (r *RTT) sealed() []any {
+	return []any{sortedMap(&r.samples), sortedMap(&r.viaCarrier), sortedMap(&r.carrierCount), sortedMap(&r.totalCount)}
 }
 
-// CheckpointSeal implements measure.Checkpointable. The in-progress tick
-// state is part of the snapshot: a checkpoint can land mid-tick, and the
-// resumed run must fold that tick exactly as the uninterrupted one would.
-func (c *Colocation) CheckpointSeal() ([]byte, error) {
-	var st colocState
-	curKeys := make([]colocKey, 0, len(c.current))
-	for k := range c.current {
-		curKeys = append(curKeys, k)
-	}
-	sort.Slice(curKeys, func(a, b int) bool { return colocKeyLess(curKeys[a], curKeys[b]) })
-	for _, k := range curKeys {
-		th := c.current[k]
-		hops := make([]string, 0, len(th.hops))
-		for h := range th.hops {
-			hops = append(hops, h)
-		}
-		sort.Strings(hops)
-		st.Current = append(st.Current, colocCurrentEntry{
-			VPIdx: k.vpIdx, Family: k.family,
-			Tick: th.tick, Total: th.total, Uniques: th.uniques, Hops: hops,
-		})
-	}
-	serKeys := make([]colocKey, 0, len(c.series))
-	for k := range c.series {
-		serKeys = append(serKeys, k)
-	}
-	sort.Slice(serKeys, func(a, b int) bool { return colocKeyLess(serKeys[a], serKeys[b]) })
-	for _, k := range serKeys {
-		st.Series = append(st.Series, colocSeriesEntry{
-			VPIdx: k.vpIdx, Family: k.family, Values: c.series[k],
-		})
-	}
-	return json.Marshal(st)
+// CheckpointSeal implements checkpoint.Part.
+func (r *RTT) CheckpointSeal() ([]byte, error) { return json.Marshal(r.sealed()) }
+
+// RestoreCheckpoint implements checkpoint.Part.
+func (r *RTT) RestoreCheckpoint(state []byte) error { return restore(state, r.sealed()) }
+
+// The retained bitflip is order-sensitive (first observed wins), so it rides
+// the snapshot verbatim.
+func (i *Integrity) sealed() []any {
+	return []any{sortedMap(&i.rows), &i.flip, &i.Transfers, &i.Failures}
 }
 
-// RestoreCheckpoint implements dataset.ReplayCheckpointable.
-func (c *Colocation) RestoreCheckpoint(state []byte) error {
-	var st colocState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	c.current = make(map[colocKey]*tickHops, len(st.Current))
-	for _, e := range st.Current {
-		hops := make(map[string]bool, len(e.Hops))
-		for _, h := range e.Hops {
-			hops[h] = true
-		}
-		c.current[colocKey{e.VPIdx, e.Family}] = &tickHops{
-			tick: e.Tick, total: e.Total, uniques: e.Uniques, hops: hops,
-		}
-	}
-	c.series = make(map[colocKey][]float64, len(st.Series))
-	for _, e := range st.Series {
-		c.series[colocKey{e.VPIdx, e.Family}] = e.Values
-	}
-	return nil
-}
+// CheckpointSeal implements checkpoint.Part.
+func (i *Integrity) CheckpointSeal() ([]byte, error) { return json.Marshal(i.sealed()) }
 
-// --- Distance ---
-
-type distSampleEntry struct {
-	Letter  rss.Letter      `json:"letter"`
-	Family  topology.Family `json:"family"`
-	Closest []float64       `json:"closest"`
-	Actual  []float64       `json:"actual"`
-}
-
-type distExtraEntry struct {
-	VPIdx  int             `json:"vp"`
-	Letter rss.Letter      `json:"letter"`
-	Family topology.Family `json:"family"`
-	Sum    float64         `json:"sum"`
-	Count  int             `json:"count"`
-}
-
-type distState struct {
-	Samples []distSampleEntry `json:"samples,omitempty"`
-	Extra   []distExtraEntry  `json:"extra,omitempty"`
-}
-
-// CheckpointSeal implements measure.Checkpointable. The closest-global-site
-// cache is deliberately excluded: it is a pure function of the system and
-// population the accumulator was constructed with, and rebuilds on demand.
-func (d *Distance) CheckpointSeal() ([]byte, error) {
-	var st distState
-	sKeys := make([]sampleKey, 0, len(d.samples))
-	for k := range d.samples {
-		sKeys = append(sKeys, k)
-	}
-	sort.Slice(sKeys, func(a, b int) bool {
-		if sKeys[a].letter != sKeys[b].letter {
-			return sKeys[a].letter < sKeys[b].letter
-		}
-		return sKeys[a].family < sKeys[b].family
-	})
-	for _, k := range sKeys {
-		s := d.samples[k]
-		st.Samples = append(st.Samples, distSampleEntry{
-			Letter: k.letter, Family: k.family, Closest: s.closest, Actual: s.actual,
-		})
-	}
-	eKeys := make([]vpTarget, 0, len(d.extraSum))
-	for k := range d.extraSum {
-		eKeys = append(eKeys, k)
-	}
-	sort.Slice(eKeys, func(a, b int) bool {
-		if eKeys[a].vpIdx != eKeys[b].vpIdx {
-			return eKeys[a].vpIdx < eKeys[b].vpIdx
-		}
-		if eKeys[a].letter != eKeys[b].letter {
-			return eKeys[a].letter < eKeys[b].letter
-		}
-		return eKeys[a].family < eKeys[b].family
-	})
-	for _, k := range eKeys {
-		st.Extra = append(st.Extra, distExtraEntry{
-			VPIdx: k.vpIdx, Letter: k.letter, Family: k.family,
-			Sum: d.extraSum[k], Count: d.extraCount[k],
-		})
-	}
-	return json.Marshal(st)
-}
-
-// RestoreCheckpoint implements dataset.ReplayCheckpointable.
-func (d *Distance) RestoreCheckpoint(state []byte) error {
-	var st distState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	d.closestGlobal = make(map[distKey]float64)
-	d.samples = make(map[sampleKey]*distSamples, len(st.Samples))
-	for _, e := range st.Samples {
-		d.samples[sampleKey{e.Letter, e.Family}] = &distSamples{
-			closest: e.Closest, actual: e.Actual,
-		}
-	}
-	d.extraSum = make(map[vpTarget]float64, len(st.Extra))
-	d.extraCount = make(map[vpTarget]int, len(st.Extra))
-	for _, e := range st.Extra {
-		k := vpTarget{e.VPIdx, e.Letter, e.Family}
-		d.extraSum[k] = e.Sum
-		d.extraCount[k] = e.Count
-	}
-	return nil
-}
-
-// --- RTT ---
-
-type rttSampleEntry struct {
-	Region geo.Region      `json:"region"`
-	Letter rss.Letter      `json:"letter"`
-	Family topology.Family `json:"family"`
-	Old    bool            `json:"old,omitempty"`
-	Values []float64       `json:"values"`
-}
-
-type rttCarrierEntry struct {
-	Region  geo.Region      `json:"region"`
-	Letter  rss.Letter      `json:"letter"`
-	Family  topology.Family `json:"family"`
-	Carrier int             `json:"carrier"`
-	Values  []float64       `json:"values"`
-}
-
-type rttCountEntry struct {
-	Region  geo.Region      `json:"region"`
-	Family  topology.Family `json:"family"`
-	Carrier int             `json:"carrier"`
-	Via     int             `json:"via,omitempty"`
-	Total   int             `json:"total,omitempty"`
-}
-
-type rttState struct {
-	Samples []rttSampleEntry  `json:"samples,omitempty"`
-	Carrier []rttCarrierEntry `json:"carrier,omitempty"`
-	Counts  []rttCountEntry   `json:"counts,omitempty"`
-}
-
-// CheckpointSeal implements measure.Checkpointable.
-func (r *RTT) CheckpointSeal() ([]byte, error) {
-	var st rttState
-	sKeys := make([]rttKey, 0, len(r.samples))
-	for k := range r.samples {
-		sKeys = append(sKeys, k)
-	}
-	sort.Slice(sKeys, func(a, b int) bool {
-		ka, kb := sKeys[a], sKeys[b]
-		if ka.region != kb.region {
-			return ka.region < kb.region
-		}
-		if ka.letter != kb.letter {
-			return ka.letter < kb.letter
-		}
-		if ka.family != kb.family {
-			return ka.family < kb.family
-		}
-		return !ka.old && kb.old
-	})
-	for _, k := range sKeys {
-		st.Samples = append(st.Samples, rttSampleEntry{
-			Region: k.region, Letter: k.letter, Family: k.family, Old: k.old,
-			Values: r.samples[k],
-		})
-	}
-	cKeys := make([]rttCarrierKey, 0, len(r.viaCarrier))
-	for k := range r.viaCarrier {
-		cKeys = append(cKeys, k)
-	}
-	sort.Slice(cKeys, func(a, b int) bool {
-		ka, kb := cKeys[a], cKeys[b]
-		if ka.region != kb.region {
-			return ka.region < kb.region
-		}
-		if ka.letter != kb.letter {
-			return ka.letter < kb.letter
-		}
-		if ka.family != kb.family {
-			return ka.family < kb.family
-		}
-		return ka.carrier < kb.carrier
-	})
-	for _, k := range cKeys {
-		st.Carrier = append(st.Carrier, rttCarrierEntry{
-			Region: k.region, Letter: k.letter, Family: k.family, Carrier: k.carrier,
-			Values: r.viaCarrier[k],
-		})
-	}
-	nKeys := make([]carrierCountKey, 0, len(r.totalCount))
-	for k := range r.totalCount {
-		nKeys = append(nKeys, k)
-	}
-	for k := range r.carrierCount {
-		if _, ok := r.totalCount[k]; !ok {
-			nKeys = append(nKeys, k)
-		}
-	}
-	sort.Slice(nKeys, func(a, b int) bool {
-		ka, kb := nKeys[a], nKeys[b]
-		if ka.region != kb.region {
-			return ka.region < kb.region
-		}
-		if ka.family != kb.family {
-			return ka.family < kb.family
-		}
-		return ka.carrier < kb.carrier
-	})
-	for _, k := range nKeys {
-		st.Counts = append(st.Counts, rttCountEntry{
-			Region: k.region, Family: k.family, Carrier: k.carrier,
-			Via: r.carrierCount[k], Total: r.totalCount[k],
-		})
-	}
-	return json.Marshal(st)
-}
-
-// RestoreCheckpoint implements dataset.ReplayCheckpointable.
-func (r *RTT) RestoreCheckpoint(state []byte) error {
-	var st rttState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	r.samples = make(map[rttKey][]float64, len(st.Samples))
-	for _, e := range st.Samples {
-		r.samples[rttKey{e.Region, e.Letter, e.Family, e.Old}] = e.Values
-	}
-	r.viaCarrier = make(map[rttCarrierKey][]float64, len(st.Carrier))
-	for _, e := range st.Carrier {
-		r.viaCarrier[rttCarrierKey{e.Region, e.Letter, e.Family, e.Carrier}] = e.Values
-	}
-	r.carrierCount = make(map[carrierCountKey]int, len(st.Counts))
-	r.totalCount = make(map[carrierCountKey]int, len(st.Counts))
-	for _, e := range st.Counts {
-		k := carrierCountKey{e.Region, e.Family, e.Carrier}
-		if e.Via != 0 {
-			r.carrierCount[k] = e.Via
-		}
-		if e.Total != 0 {
-			r.totalCount[k] = e.Total
-		}
-	}
-	return nil
-}
-
-// --- Integrity ---
-
-type integrityRowEntry struct {
-	Reason   string    `json:"reason"`
-	VPID     string    `json:"vp_id"`
-	VPIdx    int       `json:"vp"`
-	SOAs     []uint32  `json:"soas"`
-	Servers  []string  `json:"servers"`
-	FirstObs time.Time `json:"first_obs"`
-	LastObs  time.Time `json:"last_obs"`
-	Obs      int       `json:"obs"`
-}
-
-type integrityState struct {
-	Rows      []integrityRowEntry `json:"rows,omitempty"`
-	Flip      *faults.Bitflip     `json:"flip,omitempty"`
-	Transfers int                 `json:"transfers"`
-	Failures  int                 `json:"failures,omitempty"`
-}
-
-// CheckpointSeal implements measure.Checkpointable. The retained bitflip is
-// order-sensitive (first observed wins), so it rides the snapshot verbatim.
-func (i *Integrity) CheckpointSeal() ([]byte, error) {
-	st := integrityState{Flip: i.flip, Transfers: i.Transfers, Failures: i.Failures}
-	for _, row := range i.Rows() {
-		soas := make([]uint32, 0, len(row.SOAs))
-		for s := range row.SOAs {
-			soas = append(soas, s)
-		}
-		sort.Slice(soas, func(a, b int) bool { return soas[a] < soas[b] })
-		servers := make([]string, 0, len(row.Servers))
-		for s := range row.Servers {
-			servers = append(servers, s)
-		}
-		sort.Strings(servers)
-		st.Rows = append(st.Rows, integrityRowEntry{
-			Reason: row.Reason, VPID: row.VPID, VPIdx: row.VPIdx,
-			SOAs: soas, Servers: servers,
-			FirstObs: row.FirstObs, LastObs: row.LastObs, Obs: row.Obs,
-		})
-	}
-	return json.Marshal(st)
-}
-
-// RestoreCheckpoint implements dataset.ReplayCheckpointable.
-func (i *Integrity) RestoreCheckpoint(state []byte) error {
-	var st integrityState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	i.rows = make(map[integrityKey]*IntegrityRow, len(st.Rows))
-	for _, e := range st.Rows {
-		soas := make(map[uint32]bool, len(e.SOAs))
-		for _, s := range e.SOAs {
-			soas[s] = true
-		}
-		servers := make(map[string]bool, len(e.Servers))
-		for _, s := range e.Servers {
-			servers[s] = true
-		}
-		i.rows[integrityKey{e.Reason, e.VPIdx}] = &IntegrityRow{
-			Reason: e.Reason, VPID: e.VPID, VPIdx: e.VPIdx,
-			SOAs: soas, Servers: servers,
-			FirstObs: e.FirstObs, LastObs: e.LastObs, Obs: e.Obs,
-		}
-	}
-	i.flip = st.Flip
-	i.Transfers = st.Transfers
-	i.Failures = st.Failures
-	return nil
-}
+// RestoreCheckpoint implements checkpoint.Part.
+func (i *Integrity) RestoreCheckpoint(state []byte) error { return restore(state, i.sealed()) }

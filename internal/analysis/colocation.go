@@ -31,15 +31,15 @@ type Colocation struct {
 }
 
 type colocKey struct {
-	vpIdx  int
-	family topology.Family
+	VP     int
+	Family topology.Family
 }
 
 type tickHops struct {
-	tick    int
-	total   int
-	hops    map[string]bool
-	uniques int // unresponsive hops, each counted unique
+	Tick    int
+	Total   int
+	Hops    map[string]bool
+	Uniques int // unresponsive hops, each counted unique
 }
 
 // NewColocation creates the accumulator.
@@ -66,18 +66,18 @@ func (c *Colocation) HandleProbe(e measure.ProbeEvent) {
 	}
 	k := colocKey{e.VPIdx, e.Target.Family}
 	th := c.current[k]
-	if th == nil || th.tick != e.Tick.Index {
+	if th == nil || th.Tick != e.Tick.Index {
 		if th != nil {
 			c.fold(k, th)
 		}
-		th = &tickHops{tick: e.Tick.Index, hops: make(map[string]bool)}
+		th = &tickHops{Tick: e.Tick.Index, Hops: make(map[string]bool)}
 		c.current[k] = th
 	}
-	th.total++
+	th.Total++
 	if e.STLOK {
-		th.hops[e.SecondToLast] = true
+		th.Hops[e.SecondToLast] = true
 	} else {
-		th.uniques++
+		th.Uniques++
 	}
 }
 
@@ -85,8 +85,8 @@ func (c *Colocation) HandleProbe(e measure.ProbeEvent) {
 func (c *Colocation) HandleTransfer(measure.TransferEvent) {}
 
 func (c *Colocation) fold(k colocKey, th *tickHops) {
-	distinct := len(th.hops) + th.uniques
-	rr := th.total - distinct
+	distinct := len(th.Hops) + th.Uniques
+	rr := th.Total - distinct
 	if rr < 0 {
 		rr = 0
 	}

@@ -40,18 +40,18 @@ type distKey struct {
 }
 
 type sampleKey struct {
-	letter rss.Letter
-	family topology.Family
+	Letter rss.Letter
+	Family topology.Family
 }
 
 type vpTarget struct {
-	vpIdx  int
-	letter rss.Letter
-	family topology.Family
+	VP     int
+	Letter rss.Letter
+	Family topology.Family
 }
 
 type distSamples struct {
-	closest, actual []float64
+	Closest, Actual []float64
 }
 
 // NewDistance creates the accumulator.
@@ -85,8 +85,8 @@ func (d *Distance) HandleProbe(e measure.ProbeEvent) {
 		s = &distSamples{}
 		d.samples[sk] = s
 	}
-	s.closest = append(s.closest, closest)
-	s.actual = append(s.actual, actual)
+	s.Closest = append(s.Closest, closest)
+	s.Actual = append(s.Actual, actual)
 
 	vk := vpTarget{e.VPIdx, e.Target.Letter, e.Target.Family}
 	extra := actual - closest
@@ -115,16 +115,16 @@ func (d *Distance) computeClosest(vp *vantage.VP, l rss.Letter) float64 {
 // m.root), using a tolerance of tolKm for "same distance".
 func (d *Distance) OptimalShare(l rss.Letter, f topology.Family, tolKm float64) float64 {
 	s := d.samples[sampleKey{l, f}]
-	if s == nil || len(s.actual) == 0 {
+	if s == nil || len(s.Actual) == 0 {
 		return math.NaN()
 	}
 	n := 0
-	for i := range s.actual {
-		if s.actual[i] <= s.closest[i]+tolKm {
+	for i := range s.Actual {
+		if s.Actual[i] <= s.Closest[i]+tolKm {
 			n++
 		}
 	}
-	return float64(n) / float64(len(s.actual))
+	return float64(n) / float64(len(s.Actual))
 }
 
 // ExtraDistancePerVP returns each VP's mean additional distance for the
@@ -133,7 +133,7 @@ func (d *Distance) OptimalShare(l rss.Letter, f topology.Family, tolKm float64) 
 func (d *Distance) ExtraDistancePerVP(l rss.Letter, f topology.Family) []float64 {
 	var out []float64
 	for vk, sum := range d.extraSum {
-		if vk.letter == l && vk.family == f && d.extraCount[vk] > 0 {
+		if vk.Letter == l && vk.Family == f && d.extraCount[vk] > 0 {
 			out = append(out, sum/float64(d.extraCount[vk]))
 		}
 	}
@@ -174,16 +174,16 @@ func (d *Distance) WriteFigure5(w io.Writer) {
 // site closer than the closest global site (below-diagonal mass in Fig. 5).
 func (d *Distance) closerLocalShare(l rss.Letter, f topology.Family) float64 {
 	s := d.samples[sampleKey{l, f}]
-	if s == nil || len(s.actual) == 0 {
+	if s == nil || len(s.Actual) == 0 {
 		return math.NaN()
 	}
 	n := 0
-	for i := range s.actual {
-		if s.actual[i] < s.closest[i]-100 {
+	for i := range s.Actual {
+		if s.Actual[i] < s.Closest[i]-100 {
 			n++
 		}
 	}
-	return float64(n) / float64(len(s.actual))
+	return float64(n) / float64(len(s.Actual))
 }
 
 // LocalSiteShare exposes closerLocalShare for reports and tests.

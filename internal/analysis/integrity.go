@@ -28,8 +28,8 @@ type Integrity struct {
 }
 
 type integrityKey struct {
-	reason string
-	vpIdx  int
+	Reason string
+	VP     int
 }
 
 // IntegrityRow is one Table 2 row.

@@ -26,23 +26,23 @@ type RTT struct {
 }
 
 type rttKey struct {
-	region geo.Region
-	letter rss.Letter
-	family topology.Family
-	old    bool
+	Region geo.Region
+	Letter rss.Letter
+	Family topology.Family
+	Old    bool
 }
 
 type rttCarrierKey struct {
-	region  geo.Region
-	letter  rss.Letter
-	family  topology.Family
-	carrier int
+	Region  geo.Region
+	Letter  rss.Letter
+	Family  topology.Family
+	Carrier int
 }
 
 type carrierCountKey struct {
-	region  geo.Region
-	family  topology.Family
-	carrier int
+	Region  geo.Region
+	Family  topology.Family
+	Carrier int
 }
 
 // NewRTT creates the accumulator.

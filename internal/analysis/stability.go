@@ -23,11 +23,13 @@ type Stability struct {
 	seen map[stabKey]bool
 }
 
+// stabKey and the other map keys below carry exported fields because the
+// checkpoint seals encode them as JSON (see checkpoint.go).
 type stabKey struct {
-	vpIdx  int
-	letter rss.Letter
-	family topology.Family
-	old    bool
+	VP     int
+	Letter rss.Letter
+	Family topology.Family
+	Old    bool
 }
 
 // NewStability creates the accumulator.
@@ -59,7 +61,7 @@ func (s *Stability) HandleTransfer(measure.TransferEvent) {}
 func (s *Stability) Changes(letter rss.Letter, family topology.Family, old bool) []float64 {
 	var out []float64
 	for k := range s.seen {
-		if k.letter == letter && k.family == family && k.old == old {
+		if k.Letter == letter && k.Family == family && k.Old == old {
 			out = append(out, float64(s.changes[k]))
 		}
 	}

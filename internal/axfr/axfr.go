@@ -201,65 +201,49 @@ func Refuse(w io.Writer, query *dnswire.Message) error {
 }
 
 // Receive reads AXFR response messages from r until the transfer is complete
-// (the SOA record appears a second time) and reassembles the zone. It
-// enforces the SOA bracket and matching message IDs.
+// (the SOA record appears a second time) and reassembles the zone. It is the
+// decoding visitor over ReceiveLazy, which enforces the SOA bracket and
+// matching message IDs.
 func Receive(r io.Reader, id uint16) (*zone.Zone, error) {
 	var records []dnswire.RR
-	soaSeen := 0
-	for soaSeen < 2 {
-		m, err := ReadMessage(r)
+	_, err := ReceiveLazy(r, id, func(v *dnswire.View, raw *dnswire.RawRR) error {
+		rr, err := v.Unpack(raw)
 		if err != nil {
-			if soaSeen > 0 || len(records) > 0 {
-				// The stream delivered part of the zone and then stopped:
-				// a mid-transfer disconnect, distinct from a dead server.
-				return nil, fmt.Errorf("%w after %d records (%v)", ErrTruncatedTransfer, len(records), err)
-			}
-			return nil, fmt.Errorf("axfr: read: %w", err)
+			return cutErr(len(records), err)
 		}
-		if m.Header.ID != id {
-			return nil, fmt.Errorf("axfr: response ID %d does not match query ID %d", m.Header.ID, id)
-		}
-		if m.Header.Rcode == dnswire.RcodeRefused {
-			return nil, ErrRefused
-		}
-		if m.Header.Rcode != dnswire.RcodeNoError {
-			return nil, fmt.Errorf("axfr: server returned %s", m.Header.Rcode)
-		}
-		if len(m.Answers) == 0 {
-			return nil, ErrEmpty
-		}
-		for _, rr := range m.Answers {
-			if rr.Type() == dnswire.TypeSOA {
-				soaSeen++
-				if soaSeen == 2 {
-					break
-				}
-			}
-			records = append(records, rr)
-		}
+		records = append(records, rr)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if soaSeen != 2 || len(records) == 0 || records[0].Type() != dnswire.TypeSOA {
-		return nil, ErrNotBracketed
-	}
-	apex := records[0].Name
-	z := zone.New(apex)
+	z := zone.New(records[0].Name)
 	z.Add(records...)
 	return z, nil
 }
 
-// ReceiveLazy reads an AXFR response stream like Receive — same ID, Rcode,
-// and SOA-bracket enforcement, same error classification — but walks the
-// records through the lazy wire view (dnswire.View) instead of decoding
-// them, so no Name strings or RData values are materialized. visit is
-// called once per zone record in stream order (the opening SOA included,
-// the closing SOA excluded); a nil visit just counts. It returns the number
-// of zone records seen.
+// cutErr classifies a stream that stopped making sense: once part of the
+// zone has been delivered it is a mid-transfer disconnect (a malformed
+// record counts as one), distinct from a server that never answered.
+func cutErr(records int, err error) error {
+	if records > 0 {
+		return fmt.Errorf("%w after %d records (%v)", ErrTruncatedTransfer, records, err)
+	}
+	return fmt.Errorf("axfr: read: %w", err)
+}
+
+// ReceiveLazy reads an AXFR response stream, enforcing message IDs, Rcodes
+// and the SOA bracket, and walks the records through the lazy wire view
+// (dnswire.View) instead of decoding them, so no Name strings or RData
+// values are materialized unless the visitor asks. visit is called once per
+// zone record in stream order (the opening SOA included, the closing SOA
+// excluded); a nil visit just counts. It returns the number of zone records
+// seen. Receive, ReceiveCount and ReceiveCompare are its three visitors.
 func ReceiveLazy(r io.Reader, id uint16, visit func(v *dnswire.View, rr *dnswire.RawRR) error) (int, error) {
 	bp := framePool.Get().(*[]byte)
 	defer framePool.Put(bp)
 	records := 0
 	soaSeen := 0
-	firstType := dnswire.Type(0)
 	var v dnswire.View
 	var raw dnswire.RawRR
 	for soaSeen < 2 {
@@ -268,12 +252,7 @@ func ReceiveLazy(r io.Reader, id uint16, visit func(v *dnswire.View, rr *dnswire
 			v, err = dnswire.NewView(frame)
 		}
 		if err != nil {
-			if soaSeen > 0 || records > 0 {
-				// The stream delivered part of the zone and then stopped:
-				// a mid-transfer disconnect, distinct from a dead server.
-				return records, fmt.Errorf("%w after %d records (%v)", ErrTruncatedTransfer, records, err)
-			}
-			return 0, fmt.Errorf("axfr: read: %w", err)
+			return records, cutErr(records, err)
 		}
 		if v.ID() != id {
 			return records, fmt.Errorf("axfr: response ID %d does not match query ID %d", v.ID(), id)
@@ -299,9 +278,10 @@ func ReceiveLazy(r io.Reader, id uint16, visit func(v *dnswire.View, rr *dnswire
 					done = true
 					break
 				}
-			}
-			if records == 0 {
-				firstType = raw.Type
+			} else if records == 0 {
+				// The bracket opens with the SOA or the stream is not a
+				// transfer; no visitor sees a record of it.
+				return 0, ErrNotBracketed
 			}
 			if visit != nil {
 				if err := visit(&v, &raw); err != nil {
@@ -311,17 +291,8 @@ func ReceiveLazy(r io.Reader, id uint16, visit func(v *dnswire.View, rr *dnswire
 			records++
 		}
 		if err := cur.Err(); err != nil && !done {
-			// A malformed record mid-stream classifies like a cut
-			// connection: Receive hits the same condition as an Unpack
-			// failure inside ReadMessage.
-			if soaSeen > 0 || records > 0 {
-				return records, fmt.Errorf("%w after %d records (%v)", ErrTruncatedTransfer, records, err)
-			}
-			return 0, fmt.Errorf("axfr: read: %w", err)
+			return records, cutErr(records, err)
 		}
-	}
-	if soaSeen != 2 || records == 0 || firstType != dnswire.TypeSOA {
-		return records, ErrNotBracketed
 	}
 	return records, nil
 }

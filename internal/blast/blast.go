@@ -26,6 +26,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/netem"
 	"repro/internal/qlog"
+	"repro/internal/seeded"
 	"repro/internal/zone"
 )
 
@@ -84,25 +85,17 @@ func (c *Corpus) Len() int { return len(c.wires) }
 // copy before patching the ID.
 func (c *Corpus) Wire(i int) []byte { return c.wires[i] }
 
-// splitmix64 is the repo's standard allocation-free seeded generator.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// rng is a tiny seeded stream over splitmix64.
+// rng is a tiny seeded stream over seeded.Mix.
 type rng struct{ state uint64 }
 
 func (r *rng) next() uint64 {
-	r.state = splitmix64(r.state)
+	r.state = seeded.Mix(r.state)
 	return r.state
 }
 
 // frac returns a uniform float64 in [0, 1).
 func (r *rng) frac() float64 {
-	return float64(r.next()>>11) / (1 << 53)
+	return seeded.Unit(r.next())
 }
 
 // BuildCorpus generates size packed queries sampled from mix over a
@@ -321,7 +314,7 @@ func Run(cfg Config) (*Result, error) {
 		w.flow = netem.FlowID(uint64(i))
 		// Stagger corpus offsets so N workers collectively offer the mix.
 		w.ci = (i * cfg.Corpus.Len()) / workers
-		w.idCtr = uint32(splitmix64(uint64(i)*0x9e37 + 1))
+		w.idCtr = uint32(seeded.Mix(uint64(i)*0x9e37 + 1))
 		go func() { errs <- w.run(raddr) }()
 	}
 	var firstErr error

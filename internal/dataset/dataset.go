@@ -11,9 +11,9 @@
 // the framing mechanics live in segment and are shared with the qlog flight
 // recorder. A Writer doubles as a measure.Handler so a campaign can be
 // recorded while analyses run; a Reader replays the events into the same
-// handlers later. Writers can also resume appending after the last sealed
-// block of an interrupted recording (see ResumeWriter), which is how
-// rootmeasure survives kill/restart cycles byte-identically.
+// handlers later. A Writer is also a checkpoint.Part: reopened over an
+// interrupted recording it rewinds to the last checkpointed block, which is
+// how rootmeasure survives kill/restart cycles byte-identically.
 package dataset
 
 import (
@@ -105,30 +105,11 @@ type writerState struct {
 	Transfers int   `json:"transfers"`
 }
 
-// ResumeWriter continues an interrupted recording: it truncates out to the
-// sealed offset recorded in state (a blob produced by CheckpointSeal),
-// positions writes at the new end, and restores the event counters. The
-// next block starts with a fresh dictionary, exactly as it would have in an
-// uninterrupted run, so the resumed file is byte-identical.
-func ResumeWriter(out io.Writer, state []byte) (*Writer, error) {
-	var st writerState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return nil, fmt.Errorf("dataset: bad resume state: %w", err)
-	}
-	seg, err := segment.Resume(out, magic, st.Offset)
-	if err != nil {
-		return nil, err
-	}
-	hook(seg)
-	return &Writer{Writer: seg, Probes: st.Probes, Transfers: st.Transfers}, nil
-}
-
-// CheckpointSeal implements the campaign's checkpoint protocol
-// (measure.Checkpointable): it seals the pending block, syncs the underlying
-// file when possible, and returns the writer's resume state for the
-// checkpoint sidecar. An injected dataset write error surfaces here before
-// any bytes move, so the campaign can count it against the error budget and
-// retry.
+// CheckpointSeal implements checkpoint.Part: it seals the pending block,
+// syncs the underlying file when possible, and returns the writer's resume
+// state for the checkpoint sidecar. An injected dataset write error surfaces
+// here before any bytes move, so the campaign can count it against the error
+// budget and retry.
 func (d *Writer) CheckpointSeal() ([]byte, error) {
 	if err := failpoint.Eval("dataset/seal"); err != nil {
 		return nil, err
@@ -140,6 +121,23 @@ func (d *Writer) CheckpointSeal() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(writerState{Offset: d.SealedBytes(), Probes: d.Probes, Transfers: d.Transfers})
+}
+
+// RestoreCheckpoint implements checkpoint.Part for a writer opened over an
+// interrupted recording (NewWriter on the file, not truncated): it rewinds
+// the output to the sealed offset in state and restores the event counters.
+// The next block starts with a fresh dictionary, exactly as it would have in
+// an uninterrupted run, so the resumed file is byte-identical.
+func (d *Writer) RestoreCheckpoint(state []byte) error {
+	var st writerState
+	if err := json.Unmarshal(state, &st); err != nil {
+		return fmt.Errorf("dataset: bad resume state: %w", err)
+	}
+	if err := d.Rewind(st.Offset); err != nil {
+		return err
+	}
+	d.Probes, d.Transfers = st.Probes, st.Transfers
+	return nil
 }
 
 // HandleProbe implements measure.Handler.

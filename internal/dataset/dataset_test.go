@@ -430,13 +430,17 @@ func TestResumeWriterByteIdentical(t *testing.T) {
 	f.Write([]byte("partial frame torn by the crash"))
 	f.Close() // no Writer.Close: the process died
 
-	// Restart: resume from the checkpoint blob and replay the tail events.
+	// Restart: reopen the file without truncating, restore from the
+	// checkpoint blob, and replay the tail events.
 	f2, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w3, err := ResumeWriter(f2, state)
+	w3, err := NewWriter(f2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w3.RestoreCheckpoint(state); err != nil {
 		t.Fatal(err)
 	}
 	w3.BlockBytes = blockBytes

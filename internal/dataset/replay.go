@@ -3,15 +3,14 @@ package dataset
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/failpoint"
 	"repro/internal/measure"
 	"repro/internal/segment"
@@ -30,10 +29,12 @@ type ReplayOptions struct {
 	// CheckpointPath, when set, makes the replay crash-safe: after every
 	// CheckpointEvery delivered blocks the accumulated handler state is
 	// sealed and written atomically to this sidecar path. Every handler
-	// must then implement ReplayCheckpointable.
+	// must then be a checkpoint.Part.
 	CheckpointPath string
 	// CheckpointEvery is the number of delivered blocks between
-	// checkpoints; 0 means DefaultReplayCheckpointEvery.
+	// checkpoints; 0 means DefaultReplayCheckpointEvery. A resume must use
+	// the cadence the sidecar was written at: it moves the stream-class
+	// replay/checkpoints counter, so it is part of the sidecar's signature.
 	CheckpointEvery int
 	// Resume loads CheckpointPath (if it exists), restores handler and
 	// telemetry state, and fast-forwards past the checkpointed blocks
@@ -45,30 +46,12 @@ type ReplayOptions struct {
 // ReplayOptions.CheckpointEvery is zero.
 const DefaultReplayCheckpointEvery = 8
 
-// replayCheckpointVersion gates the sidecar schema.
-const replayCheckpointVersion = 1
-
-// ReplayCheckpointable is the contract a handler must satisfy to ride a
-// replay checkpoint: seal state into a blob, and restore from one. The
-// analysis accumulators implement it; so does anything reusing the campaign
-// Checkpointable seal with a restore side.
-type ReplayCheckpointable interface {
-	measure.Checkpointable
-	RestoreCheckpoint(state []byte) error
-}
-
-// replayCheckpoint is the JSON sidecar. Sig fingerprints the frame headers
-// (length, CRC, count) of every delivered block, so a resume over a
-// different or rewritten dataset is refused instead of producing silently
-// wrong analyses.
-type replayCheckpoint struct {
-	Version   int      `json:"version"`
-	Sig       string   `json:"sig"`
-	Blocks    int      `json:"blocks"`
-	Probes    int      `json:"probes"`
-	Transfers int      `json:"transfers"`
-	Handlers  [][]byte `json:"handlers"`
-	Telemetry []byte   `json:"telemetry"`
+// replayProgress counts what a replay has delivered; it is also the replay's
+// own position in the checkpoint sidecar.
+type replayProgress struct {
+	Blocks    int `json:"blocks"`
+	Probes    int `json:"probes"`
+	Transfers int `json:"transfers"`
 }
 
 // ReplayWith streams every event into the handlers like Replay, with
@@ -77,15 +60,28 @@ type replayCheckpoint struct {
 // from the start of the dataset, as an uninterrupted run would report).
 func (d *Reader) ReplayWith(opts ReplayOptions, handlers ...measure.Handler) (probes, transfers int, err error) {
 	st := &replayState{d: d, handlers: handlers, opts: opts, sig: sha256.New()}
+	if opts.Resume && opts.CheckpointPath == "" {
+		return 0, 0, errors.New("dataset: ReplayOptions.Resume requires ReplayOptions.CheckpointPath")
+	}
 	if opts.CheckpointPath != "" {
 		for _, h := range handlers {
-			if _, ok := h.(ReplayCheckpointable); !ok {
+			p, ok := h.(checkpoint.Part)
+			if !ok {
 				return 0, 0, fmt.Errorf("dataset: handler %T cannot ride a replay checkpoint (wants CheckpointSeal + RestoreCheckpoint)", h)
 			}
+			st.parts = append(st.parts, p)
 		}
+		// Telemetry last: its snapshot then includes what sealing the
+		// handlers counted.
+		st.parts = append(st.parts, telemetry.StreamState{})
 		if opts.CheckpointEvery <= 0 {
 			st.opts.CheckpointEvery = DefaultReplayCheckpointEvery
 		}
+		// The signature opens with the cadence and then absorbs the frame
+		// header (length, CRC, count) of every delivered block, so a resume
+		// at another cadence, or over a different or rewritten dataset, is
+		// refused instead of producing silently wrong analyses.
+		fmt.Fprintf(st.sig, "every=%d\n", st.opts.CheckpointEvery)
 		if opts.Resume {
 			if err := st.resume(); err != nil {
 				return 0, 0, err
@@ -97,7 +93,7 @@ func (d *Reader) ReplayWith(opts ReplayOptions, handlers ...measure.Handler) (pr
 	} else {
 		err = st.runParallel()
 	}
-	return st.probes, st.transfers, err
+	return st.pos.Probes, st.pos.Transfers, err
 }
 
 // replayState is the per-ReplayWith bookkeeping shared by the serial and
@@ -106,12 +102,11 @@ func (d *Reader) ReplayWith(opts ReplayOptions, handlers ...measure.Handler) (pr
 type replayState struct {
 	d        *Reader
 	handlers []measure.Handler
+	parts    []checkpoint.Part // handlers + telemetry; nil without a CheckpointPath
 	opts     ReplayOptions
 
-	sig       hash.Hash // running fingerprint of delivered frame headers
-	blocks    int
-	probes    int
-	transfers int
+	sig hash.Hash      // cadence, then the frame header of every delivered block
+	pos replayProgress // what has been delivered so far
 }
 
 // drainBlock delivers one decoded block in order: events to handlers,
@@ -126,13 +121,13 @@ func (st *replayState) drainBlock(f segment.Frame, res blockResult) error {
 		ev := &res.events[i]
 		switch ev.kind {
 		case recProbe:
-			st.probes++
+			st.pos.Probes++
 			mReplayed.Inc()
 			for _, h := range st.handlers {
 				h.HandleProbe(ev.probe)
 			}
 		case recTransfer:
-			st.transfers++
+			st.pos.Transfers++
 			mReplayed.Inc()
 			for _, h := range st.handlers {
 				h.HandleTransfer(ev.transfer)
@@ -144,10 +139,10 @@ func (st *replayState) drainBlock(f segment.Frame, res blockResult) error {
 		// delivered (matching the old record-interleaved loop), now fail.
 		return res.decodeErr
 	}
-	st.blocks++
+	st.pos.Blocks++
 	st.sig.Write(f.Hdr[:])
 	mReplayBlocks.Inc()
-	if st.opts.CheckpointPath != "" && st.blocks%st.opts.CheckpointEvery == 0 {
+	if st.opts.CheckpointPath != "" && st.pos.Blocks%st.opts.CheckpointEvery == 0 {
 		if err := st.checkpoint(); err != nil {
 			return err
 		}
@@ -259,111 +254,46 @@ func (st *replayState) runParallel() error {
 	return nil
 }
 
-// checkpoint seals handler + telemetry state and writes the sidecar
-// atomically. The checkpoint counter increments before the telemetry
-// snapshot so the saved state includes this checkpoint, mirroring the
-// campaign's convention.
+// checkpoint seals every part and replaces the sidecar. The checkpoint
+// counter increments before the seals so the telemetry part's snapshot
+// includes this checkpoint, mirroring the campaign's convention.
 func (st *replayState) checkpoint() error {
 	mReplayCheckpoints.Inc()
-	cp := replayCheckpoint{
-		Version:   replayCheckpointVersion,
-		Sig:       hex.EncodeToString(st.sig.Sum(nil)),
-		Blocks:    st.blocks,
-		Probes:    st.probes,
-		Transfers: st.transfers,
+	f, err := checkpoint.Seal(hex.EncodeToString(st.sig.Sum(nil)), st.pos, st.parts)
+	if err != nil {
+		return fmt.Errorf("dataset: replay checkpoint: %w", err)
 	}
-	for _, h := range st.handlers {
-		blob, err := h.(ReplayCheckpointable).CheckpointSeal()
-		if err != nil {
-			return fmt.Errorf("dataset: replay checkpoint: %w", err)
-		}
-		cp.Handlers = append(cp.Handlers, blob)
-	}
-	cp.Telemetry = telemetry.CheckpointState()
 	// The kill site sits between seal and write, the window where a crash
 	// proves the previous sidecar (not the in-memory state) is what resume
 	// trusts.
 	if err := failpoint.Eval("dataset/replay"); err != nil {
 		return err
 	}
-	data, err := json.Marshal(cp)
-	if err != nil {
-		return err
-	}
-	return writeReplaySidecar(st.opts.CheckpointPath, data)
+	return f.Save(st.opts.CheckpointPath)
 }
 
-// writeReplaySidecar persists crash-safely: temp file in the same
-// directory, fsync, rename, best-effort directory fsync — a crash leaves
-// either the old or the new sidecar, never a torn one.
-func writeReplaySidecar(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
-}
-
-// resume loads the sidecar (a missing file is a cold start), restores
-// handler and telemetry state, and fast-forwards the Reader past the
-// checkpointed blocks, re-hashing frame headers to prove the dataset is the
-// one the checkpoint describes.
+// resume loads the sidecar (a missing file is a cold start), fast-forwards
+// the Reader past the checkpointed blocks, re-hashing frame headers to prove
+// the dataset is the one the checkpoint describes, and restores every part.
 func (st *replayState) resume() error {
-	data, err := os.ReadFile(st.opts.CheckpointPath)
+	var p replayProgress
+	f, err := checkpoint.Load(st.opts.CheckpointPath, &p)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
 		}
-		return err
+		return fmt.Errorf("dataset: resume: %w", err)
 	}
-	var cp replayCheckpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return fmt.Errorf("dataset: replay checkpoint: %w", err)
-	}
-	if cp.Version != replayCheckpointVersion {
-		return fmt.Errorf("dataset: replay checkpoint version %d, want %d", cp.Version, replayCheckpointVersion)
-	}
-	if len(cp.Handlers) != len(st.handlers) {
-		return fmt.Errorf("dataset: replay checkpoint has %d handler states, replay has %d handlers", len(cp.Handlers), len(st.handlers))
-	}
-	for i := 0; i < cp.Blocks; i++ {
-		f, err := st.d.NextFrame()
+	for i := 0; i < p.Blocks; i++ {
+		fr, err := st.d.NextFrame()
 		if err != nil {
-			return fmt.Errorf("dataset: resume: dataset ends before checkpointed block %d/%d", i+1, cp.Blocks)
+			return fmt.Errorf("dataset: resume: dataset ends before checkpointed block %d/%d", i+1, p.Blocks)
 		}
-		st.sig.Write(f.Hdr[:])
+		st.sig.Write(fr.Hdr[:])
 	}
-	if hex.EncodeToString(st.sig.Sum(nil)) != cp.Sig {
-		return errors.New("dataset: resume: dataset does not match checkpoint fingerprint")
+	if err := f.Restore(hex.EncodeToString(st.sig.Sum(nil)), st.parts); err != nil {
+		return fmt.Errorf("dataset: resume: sidecar does not fit this replay (dataset fingerprint, cadence, handlers): %w", err)
 	}
-	for i, h := range st.handlers {
-		if err := h.(ReplayCheckpointable).RestoreCheckpoint(cp.Handlers[i]); err != nil {
-			return fmt.Errorf("dataset: restoring handler %T: %w", h, err)
-		}
-	}
-	if err := telemetry.RestoreState(cp.Telemetry); err != nil {
-		return err
-	}
-	st.blocks = cp.Blocks
-	st.probes, st.transfers = cp.Probes, cp.Transfers
+	st.pos = p
 	return nil
 }

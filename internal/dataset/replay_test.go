@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/checkpoint"
 	"repro/internal/dnssec"
 	"repro/internal/failpoint"
 	"repro/internal/faults"
@@ -100,12 +101,22 @@ func replayHandlers(t *testing.T) []measure.Handler {
 	}
 }
 
+// streamState seals the stream-class telemetry, the blob a checkpoint carries.
+func streamState(t *testing.T) []byte {
+	t.Helper()
+	blob, err := telemetry.StreamState{}.CheckpointSeal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
 // sealAll snapshots every handler's state for byte comparison.
 func sealAll(t *testing.T, handlers []measure.Handler) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(handlers))
 	for i, h := range handlers {
-		blob, err := h.(ReplayCheckpointable).CheckpointSeal()
+		blob, err := h.(checkpoint.Part).CheckpointSeal()
 		if err != nil {
 			t.Fatalf("handler %T seal: %v", h, err)
 		}
@@ -141,7 +152,7 @@ func TestReplayWorkersByteIdentical(t *testing.T) {
 		if r.Torn() {
 			t.Fatalf("workers=%d: intact dataset reported torn: %v", workers, r.TornReason())
 		}
-		return result{probes, transfers, sealAll(t, handlers), telemetry.CheckpointState()}
+		return result{probes, transfers, sealAll(t, handlers), streamState(t)}
 	}
 
 	ref := run(0)
@@ -250,7 +261,7 @@ func TestResumeReplayKillMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return probes, transfers, sealAll(t, handlers), telemetry.CheckpointState()
+		return probes, transfers, sealAll(t, handlers), streamState(t)
 	}
 	refProbes, refTransfers, refStates, refTel := runRef(1, filepath.Join(dir, "ref.ckpt"))
 
@@ -308,7 +319,7 @@ func TestResumeReplayKillMatrix(t *testing.T) {
 						t.Errorf("handler %d state differs from uninterrupted run", i)
 					}
 				}
-				if got := telemetry.CheckpointState(); !bytes.Equal(got, refTel) {
+				if got := streamState(t); !bytes.Equal(got, refTel) {
 					t.Error("stream-class telemetry differs from uninterrupted run")
 				}
 			})
@@ -317,7 +328,8 @@ func TestResumeReplayKillMatrix(t *testing.T) {
 }
 
 // TestReplayResumeGuards pins the resume failure modes: a fingerprint
-// mismatch (different dataset), a handler-count mismatch, and a
+// mismatch (different dataset, or another checkpoint cadence), a
+// handler-count mismatch, Resume without a sidecar path, and a
 // non-checkpointable handler are all refused loudly.
 func TestReplayResumeGuards(t *testing.T) {
 	data := writeMixedFile(t, 300, 1024)
@@ -348,7 +360,7 @@ func TestReplayResumeGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = r.ReplayWith(ReplayOptions{CheckpointPath: ckpt, Resume: true}, replayHandlers(t)...)
+		_, _, err = r.ReplayWith(ReplayOptions{CheckpointPath: ckpt, CheckpointEvery: 2, Resume: true}, replayHandlers(t)...)
 		if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 			t.Errorf("resume over wrong dataset: err = %v, want fingerprint refusal", err)
 		}
@@ -358,9 +370,32 @@ func TestReplayResumeGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = r.ReplayWith(ReplayOptions{CheckpointPath: ckpt, Resume: true}, replayHandlers(t)[:3]...)
-		if err == nil || !strings.Contains(err.Error(), "handler") {
+		_, _, err = r.ReplayWith(ReplayOptions{CheckpointPath: ckpt, CheckpointEvery: 2, Resume: true}, replayHandlers(t)[:3]...)
+		if err == nil || !errors.Is(err, checkpoint.ErrParts) || !strings.Contains(err.Error(), "handler") {
 			t.Errorf("resume with fewer handlers: err = %v, want handler-count refusal", err)
+		}
+	})
+	t.Run("cadence", func(t *testing.T) {
+		// Same dataset, same handlers, another cadence: the resumed run
+		// would end with a different replay/checkpoints total than an
+		// uninterrupted one, so the sidecar's signature refuses it.
+		r, err := NewReader(bytes.NewReader(data), pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = r.ReplayWith(ReplayOptions{CheckpointPath: ckpt, CheckpointEvery: 1, Resume: true}, replayHandlers(t)...)
+		if !errors.Is(err, checkpoint.ErrSig) {
+			t.Errorf("resume at another cadence: err = %v, want checkpoint.ErrSig", err)
+		}
+	})
+	t.Run("resume-without-path", func(t *testing.T) {
+		r, err := NewReader(bytes.NewReader(data), pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = r.ReplayWith(ReplayOptions{Resume: true}, replayHandlers(t)...)
+		if err == nil || !strings.Contains(err.Error(), "CheckpointPath") {
+			t.Errorf("Resume without CheckpointPath: err = %v, want a refusal", err)
 		}
 	})
 	t.Run("not-checkpointable", func(t *testing.T) {
@@ -421,7 +456,7 @@ func TestAnalysisCheckpointRoundTrip(t *testing.T) {
 	feed(orig, 0, cut)
 	mid := sealAll(t, orig)
 	for i, h := range restored {
-		if err := h.(ReplayCheckpointable).RestoreCheckpoint(mid[i]); err != nil {
+		if err := h.(checkpoint.Part).RestoreCheckpoint(mid[i]); err != nil {
 			t.Fatalf("handler %T restore: %v", h, err)
 		}
 	}

@@ -1,6 +1,10 @@
 package dnsclient
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/seeded"
+)
 
 // Backoff is the client's retry pacing policy: capped exponential growth
 // with deterministic jitter. The zero value waits nothing between attempts,
@@ -9,7 +13,7 @@ import "time"
 // opts in (see DESIGN.md §14 for why the battery default must not change:
 // the paper's loss-rate observable *is* the unretried timeout).
 //
-// Jitter is drawn from splitmix64(Seed, attempt), not from wall clock or
+// Jitter is drawn from seeded.Mix(Seed, attempt), not from wall clock or
 // global rand, so a retrying client under a seeded netem profile re-sends
 // at reproducible offsets and a blast run's retry schedule is a pure
 // function of its configuration.
@@ -20,14 +24,6 @@ type Backoff struct {
 	Cap time.Duration
 	// Seed roots the jitter stream.
 	Seed uint64
-}
-
-// splitmix64 is the repo's standard allocation-free seeded generator.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Delay returns the pause taken after send attempt `attempt` (0-based)
@@ -53,7 +49,6 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	h := splitmix64(b.Seed ^ uint64(attempt)*0x9e3779b97f4a7c15)
-	frac := float64(h>>11) / (1 << 53)
+	frac := seeded.Unit(seeded.Mix(b.Seed ^ uint64(attempt)*0x9e3779b97f4a7c15))
 	return half + time.Duration(frac*float64(half))
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/axfr"
 	"repro/internal/dnswire"
 	"repro/internal/qlog"
+	"repro/internal/seeded"
 	"repro/internal/zone"
 )
 
@@ -67,14 +68,11 @@ func New(addr string) *Client {
 	return NewSeeded(addr, addrSeed(addr))
 }
 
-// addrSeed derives a stable per-target seed (FNV-1a over addr).
+// addrSeed derives a stable per-target seed (FNV-1a over addr). The basis is
+// the standard one with its last digit missing — a typo when it was written,
+// kept because every default query-ID sequence recorded since starts from it.
 func addrSeed(addr string) int64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(addr); i++ {
-		h ^= uint64(addr[i])
-		h *= 1099511628211
-	}
-	return int64(h)
+	return int64(seeded.FNVString(1469598103934665603, addr))
 }
 
 // NewSeeded is New with an explicit query-ID seed: two clients built with

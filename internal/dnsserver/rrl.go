@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/failpoint"
+	"repro/internal/seeded"
 )
 
 // RRLConfig configures BIND-style response-rate-limiting on the UDP path
@@ -270,13 +271,9 @@ func (r *rrlState) insert(key []byte) *rrlBucket {
 			mRRLEvictions.Inc()
 		}
 	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint64(k[i])) * 1099511628211
-	}
 	b := &rrlBucket{credit: int64(r.cfg.Burst) * rrlCreditUnit}
 	if s := r.cfg.Slip; s > 1 {
-		b.denies = splitmix64rrl(r.cfg.Seed^h) % uint64(s)
+		b.denies = seeded.Mix(r.cfg.Seed^seeded.FNVString(seeded.FNVBasis, k)) % uint64(s)
 	}
 	r.buckets[k] = b
 	r.keys = append(r.keys, k)
@@ -293,15 +290,6 @@ func (r *rrlState) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.buckets)
-}
-
-// splitmix64rrl is the repo's standard seeded generator (local copy; the
-// netem package is a consumer of this package's peer layer, not a dep).
-func splitmix64rrl(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // appendSlipStub writes the minimal truncated reply for the raw query pkt

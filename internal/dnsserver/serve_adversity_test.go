@@ -264,7 +264,7 @@ func TestRRLStateExcludedFromCheckpoints(t *testing.T) {
 	}
 
 	telemetry.Reset()
-	checkpointBefore := telemetry.CheckpointState()
+	checkpointBefore := streamState(t)
 	logicalBefore := telemetry.MarshalLogical()
 
 	r := newRRL(RRLConfig{Rate: 0.1, Burst: 1, Slip: 2, Seed: 3})
@@ -277,9 +277,19 @@ func TestRRLStateExcludedFromCheckpoints(t *testing.T) {
 	if bytes.Equal(logicalBefore, telemetry.MarshalLogical()) {
 		t.Error("40 rate-limited responses moved no logical telemetry")
 	}
-	if !bytes.Equal(checkpointBefore, telemetry.CheckpointState()) {
+	if !bytes.Equal(checkpointBefore, streamState(t)) {
 		t.Error("RRL activity leaked into the checkpointed stream state")
 	}
+}
+
+// streamState seals the stream-class telemetry, the blob a checkpoint carries.
+func streamState(t *testing.T) []byte {
+	t.Helper()
+	blob, err := telemetry.StreamState{}.CheckpointSeal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // TestChaosForcedRRLDrop arms the limiter's failpoint: the first verdict is

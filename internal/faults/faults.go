@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dnswire"
+	"repro/internal/seeded"
 	"repro/internal/zone"
 )
 
@@ -130,7 +131,7 @@ type LossModel struct {
 }
 
 // Lost reports deterministically whether query (vp, target, tick, step) is
-// lost. The decision is a splitmix64 finalizer chain over the packed
+// lost. The decision is a seeded.Mix chain over the packed
 // coordinates — allocation-free, unlike constructing a PRNG per call — with
 // the top 53 bits mapped uniformly onto [0, 1).
 //
@@ -141,21 +142,9 @@ func (l LossModel) Lost(vpIdx, targetIdx, tick, step int) bool {
 	}
 	h := uint64(l.Seed)
 	for _, v := range [...]int{vpIdx, targetIdx, tick, step} {
-		h = splitmix64(h + uint64(int64(v)))
+		h = seeded.Mix(h + uint64(int64(v)))
 	}
-	return float64(h>>11)/(1<<53) < l.Prob
-}
-
-// splitmix64 is the SplitMix64 finalizer: full avalanche, so consecutive
-// coordinates map to independent-looking uniform draws.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return seeded.Unit(h) < l.Prob
 }
 
 // StaleSitePlan marks sites that serve a stale (expired-signature) zone

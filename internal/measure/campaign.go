@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/geo"
 	"repro/internal/rss"
+	"repro/internal/seeded"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
@@ -206,19 +207,22 @@ type Config struct {
 	Workers int
 	// CheckpointPath, when non-empty, enables crash-safe progress
 	// checkpoints: at every CheckpointEvery-tick boundary the campaign
-	// seals its checkpointable handlers (making their output durable) and
-	// atomically replaces the checkpoint file, so a killed run can resume
-	// byte-identically.
+	// seals every handler that is a checkpoint.Part (making its output
+	// durable) and atomically replaces the checkpoint file, so a killed run
+	// can resume byte-identically.
 	CheckpointPath string
 	// CheckpointEvery is the checkpoint cadence in ticks (0 = 32). It is
 	// part of the determinism contract: interrupted and uninterrupted runs
 	// must use the same cadence, because checkpoint boundaries also seal
-	// dataset blocks.
+	// dataset blocks. It is part of the checkpoint signature, so a resume at
+	// another cadence is refused.
 	CheckpointEvery int
 	// Resume fast-forwards the campaign from the checkpoint at
 	// CheckpointPath instead of starting at the first tick. The checkpoint
 	// must come from an identically configured campaign (worker count and
-	// error budget may differ).
+	// error budget may differ), and the handlers passed to Run must be the
+	// same kinds in the same order, built over the interrupted run's output
+	// files: Run restores them from the checkpoint.
 	Resume bool
 	// ErrorBudget bounds degraded outcomes (recovered worker panics,
 	// per-probe errors, retried dataset write errors) before the campaign
@@ -443,24 +447,15 @@ func geoRTT(route topology.Route) float64 {
 }
 
 // rttJitter adds deterministic per-probe noise, uniform in [0, 2) ms. The
-// probe key is mixed through splitmix64 finalizers instead of seeding a
+// probe key is mixed through seeded.Mix instead of seeding a
 // throwaway math/rand generator, keeping the hottest per-probe call
 // allocation-free.
 func rttJitter(seed int64, vpIdx, tIdx, tick int) float64 {
 	h := uint64(seed)
-	h = splitmix64(h ^ uint64(vpIdx))
-	h = splitmix64(h ^ uint64(tIdx)<<24)
-	h = splitmix64(h ^ uint64(tick)<<48)
-	// 53 high bits → uniform float64 in [0, 1), scaled to [0, 2).
-	return float64(h>>11) / (1 << 53) * 2.0
-}
-
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
+	h = seeded.Mix(h ^ uint64(vpIdx))
+	h = seeded.Mix(h ^ uint64(tIdx)<<24)
+	h = seeded.Mix(h ^ uint64(tick)<<48)
+	return seeded.Unit(h) * 2.0
 }
 
 // transfer performs the AXFR step and classifies its validation outcome.

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/failpoint"
 	"repro/internal/geo"
@@ -88,28 +89,37 @@ func runToFile(t *testing.T, w *measure.World, cfg measure.Config, dataPath stri
 	return c, runErr
 }
 
-// resumeFromCheckpoint restarts a killed recording: load the checkpoint,
-// resume the dataset writer at its sealed offset, and run a fresh campaign
-// with Resume set.
+// streamState seals the stream-class telemetry, the blob a checkpoint carries.
+func streamState(t *testing.T) []byte {
+	t.Helper()
+	blob, err := telemetry.StreamState{}.CheckpointSeal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// resumeFromCheckpoint restarts a killed recording: reopen the dataset
+// without truncating it, build the same writer over it, and run a fresh
+// campaign with Resume set — the campaign rewinds the writer to the sealed
+// offset its checkpoint recorded.
 func resumeFromCheckpoint(t *testing.T, w *measure.World, cfg measure.Config, dataPath string) *measure.Campaign {
 	t.Helper()
-	cp, err := measure.LoadCheckpoint(cfg.CheckpointPath)
-	if err != nil {
+	var progress struct {
+		TickPos int `json:"tick_pos"`
+	}
+	if _, err := checkpoint.Load(cfg.CheckpointPath, &progress); err != nil {
 		t.Fatal(err)
 	}
-	if cp.TickPos == 0 {
+	if progress.TickPos == 0 {
 		t.Fatal("checkpoint never advanced; kill site fired before first checkpoint")
-	}
-	st, err := cp.HandlerState(0)
-	if err != nil {
-		t.Fatal(err)
 	}
 	f, err := os.OpenFile(dataPath, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	wr, err := dataset.ResumeWriter(f, st)
+	wr, err := dataset.NewWriter(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestChaosKillResumeMatrix(t *testing.T) {
 	// Stream-class counter state an uninterrupted run ends with; every
 	// kill/resume cycle below must reconstruct exactly these totals from the
 	// checkpoint.
-	refTel := telemetry.CheckpointState()
+	refTel := streamState(t)
 
 	kills := []struct{ name, spec string }{
 		// SIGKILL at a tick boundary, after two checkpoints have landed.
@@ -206,7 +216,7 @@ func TestChaosKillResumeMatrix(t *testing.T) {
 				// Counter reconstruction: the killed run polluted the stream
 				// counters past the checkpoint; the resume must have restored
 				// them and finished with the uninterrupted run's exact totals.
-				if gotTel := telemetry.CheckpointState(); !bytes.Equal(gotTel, refTel) {
+				if gotTel := streamState(t); !bytes.Equal(gotTel, refTel) {
 					t.Errorf("stream counters after kill/resume differ from uninterrupted run:\nwant %s\ngot  %s", refTel, gotTel)
 				}
 			})
@@ -328,26 +338,15 @@ func TestChaosQlogKillResume(t *testing.T) {
 				t.Error("black-box dump is empty; the ring held recorded events at the kill")
 			}
 
-			// Resume both durable handlers from the checkpoint: the writer at
-			// its sealed offset, the recorder at its sealed offset.
-			cp, err := measure.LoadCheckpoint(cfg.CheckpointPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wrState, err := cp.HandlerState(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recState, err := cp.HandlerState(1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// Resume both durable handlers: the same writer and recorder over
+			// the untruncated files; the campaign rewinds each to the sealed
+			// offset its checkpoint recorded.
 			df, err := os.OpenFile(dataPath, os.O_RDWR, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer df.Close()
-			wr, err := dataset.ResumeWriter(df, wrState)
+			wr, err := dataset.NewWriter(df)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +355,7 @@ func TestChaosQlogKillResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer qf.Close()
-			rec, err := qlog.Resume(qf, qlog.Sampler{Every: 1}, bbPath, recState)
+			rec, err := qlog.New(qf, qlog.Sampler{Every: 1}, bbPath)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -588,11 +587,35 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "differently configured") {
 		t.Fatalf("mismatched resume error = %v", err)
 	}
-	// Worker count is allowed to change across a resume.
+	// So is another checkpoint cadence: every checkpoint seals a dataset
+	// block, so the resumed file would frame its blocks like neither run.
+	bad = cfg
+	bad.Resume = true
+	bad.CheckpointEvery++
+	err = measure.NewCampaign(bad, w).Run(&collectorT{})
+	if !errors.Is(err, checkpoint.ErrSig) {
+		t.Fatalf("cadence-mismatched resume error = %v, want checkpoint.ErrSig", err)
+	}
+	// And another handler list: the checkpoint carries the dataset writer's
+	// state, which a run without a writer cannot restore.
 	ok := cfg
 	ok.Resume = true
 	ok.Workers = 4
-	if err := measure.NewCampaign(ok, w).Run(&collectorT{}); err != nil {
+	err = measure.NewCampaign(ok, w).Run(&collectorT{})
+	if !errors.Is(err, checkpoint.ErrParts) {
+		t.Fatalf("resume without the writer: error = %v, want checkpoint.ErrParts", err)
+	}
+	// Worker count is allowed to change across a resume.
+	f, err := os.OpenFile(filepath.Join(dir, "a.dat"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	wr, err := dataset.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := measure.NewCampaign(ok, w).Run(wr, &collectorT{}); err != nil {
 		t.Fatalf("worker-count change rejected on resume: %v", err)
 	}
 }

@@ -2,43 +2,28 @@ package measure
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/failpoint"
 	"repro/internal/telemetry"
 )
 
-// Checkpoint/restore: the campaign is a pure function of (seed, config) per
-// tick — probes, transfers, jitter, and the loss model are stateless hashes,
-// and the zone/validation/battery caches are value-transparent and rebuild
-// on demand. The only state a resume needs is therefore the next tick
-// position, the wire-check accumulators (which cross ticks and feed the
-// report), and each durable handler's own resume blob (for the dataset
-// writer: its sealed byte offset and event counters). A killed-and-restarted
-// run that fast-forwards to the checkpointed tick produces a byte-identical
-// report and dataset to an uninterrupted run with the same checkpoint
-// cadence.
-
-// CheckpointVersion gates incompatible checkpoint-file changes.
-const CheckpointVersion = 1
+// The campaign as a checkpoint owner (DESIGN.md, "Checkpoint & resume"). It
+// is a pure function of (seed, config) per tick — probes, transfers, jitter
+// and the loss model are stateless hashes, and the zone/validation/battery
+// caches rebuild on demand — so a resume needs only the next tick position,
+// the wire-check accumulators that cross ticks, and the parts: every handler
+// that is a checkpoint.Part and, last, the stream-class telemetry.
 
 // DefaultCheckpointEvery is the checkpoint cadence when Config.CheckpointEvery
 // is zero.
 const DefaultCheckpointEvery = 32
 
-// Checkpoint is the versioned sidecar snapshot of campaign progress.
-type Checkpoint struct {
-	Version int `json:"version"`
-	// Sig fingerprints the campaign configuration and world shape; Resume
-	// refuses a checkpoint written by a differently configured campaign.
-	// Worker count and error budget are deliberately excluded: both may
-	// change across restarts without affecting output bytes.
-	Sig string `json:"sig"`
+// progress is the campaign's own position in the checkpoint sidecar.
+type progress struct {
 	// TickPos is the index of the next tick to run; TickCount cross-checks
 	// the schedule length.
 	TickPos   int `json:"tick_pos"`
@@ -46,180 +31,96 @@ type Checkpoint struct {
 	// WireQueries and WireFailures restore the wire-check accumulators.
 	WireQueries  int      `json:"wire_queries"`
 	WireFailures []string `json:"wire_failures,omitempty"`
-	// Handlers carries one opaque resume blob per Checkpointable handler,
-	// in handler order (JSON base64-encodes the bytes).
-	Handlers [][]byte `json:"handlers,omitempty"`
-	// Telemetry carries the stream-class counter snapshot
-	// (telemetry.CheckpointState) so a resumed run reconstructs counters
-	// instead of restarting them from zero. Absent in pre-telemetry
-	// checkpoints; restore treats that as all-zeros.
-	Telemetry []byte `json:"telemetry,omitempty"`
 }
 
-// Checkpointable is implemented by handlers with durable output (the
-// dataset writer): CheckpointSeal must make every event delivered so far
-// durable and return an opaque blob from which the handler can resume
-// (e.g. its sealed byte offset). The blob is stored in the checkpoint
-// sidecar and handed back by Checkpoint.HandlerState on restart.
-type Checkpointable interface {
-	CheckpointSeal() ([]byte, error)
-}
-
-// HandlerState returns the idx-th checkpointable handler's saved blob.
-func (cp *Checkpoint) HandlerState(idx int) ([]byte, error) {
-	if idx < 0 || idx >= len(cp.Handlers) {
-		return nil, fmt.Errorf("measure: checkpoint has no handler state %d (have %d)", idx, len(cp.Handlers))
+// checkpointParts lists what rides the campaign's checkpoints: the handlers
+// with resumable state, in handler order, then the stream-class telemetry —
+// last, so its snapshot includes what sealing the handlers counted.
+func checkpointParts(handlers []Handler) []checkpoint.Part {
+	var parts []checkpoint.Part
+	for _, h := range handlers {
+		if p, ok := h.(checkpoint.Part); ok {
+			parts = append(parts, p)
+		}
 	}
-	return cp.Handlers[idx], nil
-}
-
-// LoadCheckpoint reads and version-checks a checkpoint sidecar.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("measure: checkpoint: %w", err)
-	}
-	cp := &Checkpoint{}
-	if err := json.Unmarshal(data, cp); err != nil {
-		return nil, fmt.Errorf("measure: corrupt checkpoint %s: %w", path, err)
-	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("measure: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
-	}
-	return cp, nil
-}
-
-// writeAtomic persists the checkpoint crash-safely: write to a temp file in
-// the same directory, fsync, rename over the target, then best-effort fsync
-// the directory. A crash at any point leaves either the old or the new
-// checkpoint intact, never a torn one.
-func (cp *Checkpoint) writeAtomic(path string) error {
-	data, err := json.Marshal(cp)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return append(parts, telemetry.StreamState{})
 }
 
 // checkpointSig fingerprints everything that shapes the campaign's output
-// bytes: schedule, seed, zone size, and world population size.
-func (c *Campaign) checkpointSig() string {
+// bytes: schedule, seed, zone size, world population size, and the effective
+// checkpoint cadence (every checkpoint also seals a dataset block). Worker
+// count and error budget are deliberately excluded: both may change across
+// restarts without affecting output bytes.
+func (c *Campaign) checkpointSig(every int) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf(
-		"v%d|seed=%d|scale=%d|trace=%d|tld=%d|start=%s|end=%s|wire=%t|vps=%d",
-		CheckpointVersion, c.Cfg.Seed, c.Cfg.Scale, c.Cfg.TraceEvery, c.Cfg.TLDCount,
+		"seed=%d|scale=%d|trace=%d|tld=%d|start=%s|end=%s|wire=%t|vps=%d|every=%d",
+		c.Cfg.Seed, c.Cfg.Scale, c.Cfg.TraceEvery, c.Cfg.TLDCount,
 		c.Cfg.Start.UTC().Format(time.RFC3339), c.Cfg.End.UTC().Format(time.RFC3339),
-		c.Cfg.WireCheck, len(c.World.Population.VPs))))
+		c.Cfg.WireCheck, len(c.World.Population.VPs), every)))
 	return fmt.Sprintf("%x", h[:8])
 }
 
-// loadResume validates the checkpoint against this campaign and restores
-// the campaign-side accumulators, returning the tick position to resume at.
-func (c *Campaign) loadResume(nticks int) (int, error) {
-	cp, err := LoadCheckpoint(c.Cfg.CheckpointPath)
+// loadResume validates the checkpoint against this campaign (sig), restores
+// the parts and the campaign-side accumulators, and returns the tick
+// position to resume at.
+func (c *Campaign) loadResume(parts []checkpoint.Part, sig string, nticks int) (int, error) {
+	var p progress
+	f, err := checkpoint.Load(c.Cfg.CheckpointPath, &p)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("measure: %w", err)
 	}
-	if cp.Sig != c.checkpointSig() {
-		return 0, fmt.Errorf("measure: checkpoint %s was written by a differently configured campaign (sig %s, want %s)",
-			c.Cfg.CheckpointPath, cp.Sig, c.checkpointSig())
-	}
-	if cp.TickCount != nticks || cp.TickPos < 0 || cp.TickPos > nticks {
-		return 0, fmt.Errorf("measure: checkpoint tick position %d/%d does not fit schedule of %d ticks",
-			cp.TickPos, cp.TickCount, nticks)
-	}
-	c.WireQueries = cp.WireQueries
-	c.WireFailures = append([]string(nil), cp.WireFailures...)
-	// Overwrite stream-class counters with the checkpointed totals so the
-	// resumed process reports the same cumulative counts an uninterrupted
-	// run would. Process-class counters (caches, failpoints) deliberately
-	// start over: they describe this process, not the event stream.
-	if err := telemetry.RestoreState(cp.Telemetry); err != nil {
+	if err := f.Restore(sig, parts); err != nil {
 		return 0, fmt.Errorf("measure: checkpoint %s: %w", c.Cfg.CheckpointPath, err)
 	}
-	return cp.TickPos, nil
+	if p.TickCount != nticks || p.TickPos < 0 || p.TickPos > nticks {
+		return 0, fmt.Errorf("measure: checkpoint tick position %d/%d does not fit schedule of %d ticks",
+			p.TickPos, p.TickCount, nticks)
+	}
+	c.WireQueries = p.WireQueries
+	c.WireFailures = append([]string(nil), p.WireFailures...)
+	return p.TickPos, nil
 }
 
-// saveCheckpoint seals every checkpointable handler and atomically replaces
-// the checkpoint sidecar. A handler seal failure is a degraded outcome:
-// within the error budget it is counted and retried once; past the budget
-// (or on retry failure) the campaign aborts. A simulated kill (failpoint)
-// propagates immediately, skipping the checkpoint write as a real SIGKILL
-// would.
-func (c *Campaign) saveCheckpoint(handlers []Handler, pos, total int) error {
+// saveCheckpoint seals every part and atomically replaces the checkpoint
+// sidecar. A seal or write failure is a degraded outcome: within the error
+// budget it is counted and the step retried once (sealing is repeatable);
+// past the budget, or on retry failure, the campaign aborts. A simulated
+// kill (failpoint) propagates immediately, skipping the checkpoint write as
+// a real SIGKILL would.
+func (c *Campaign) saveCheckpoint(parts []checkpoint.Part, sig string, pos, total int) error {
 	timer := telemetry.StartTimer()
 	defer timer.ObserveInto(mCheckpointDur)
 	span := telemetry.StartSpan("campaign", "checkpoint", pos-1, 0)
 	defer span.End()
-	var states [][]byte
-	for _, h := range handlers {
-		cs, ok := h.(Checkpointable)
-		if !ok {
-			continue
-		}
-		blob, err := cs.CheckpointSeal()
-		if err != nil {
-			if errors.Is(err, failpoint.ErrKilled) {
-				return err
-			}
-			if aerr := c.noteDegraded(degWriteError, fmt.Sprintf("handler seal at tick %d: %v", pos, err)); aerr != nil {
-				return aerr
-			}
-			if blob, err = cs.CheckpointSeal(); err != nil {
-				return fmt.Errorf("measure: checkpoint seal retry failed: %w", err)
-			}
-		}
-		states = append(states, blob)
-	}
-	// Count the checkpoint BEFORE capturing counter state so the snapshot
-	// includes itself: an uninterrupted run's campaign/checkpoints total then
+	// Count the checkpoint before sealing, so the telemetry part's snapshot
+	// includes it: an uninterrupted run's campaign/checkpoints total then
 	// equals the resumed run's (restored N, plus one per later checkpoint),
 	// keeping the counter stream-class under kills.
 	mCheckpoints.Inc()
-	telState := telemetry.CheckpointState()
+	prog := progress{TickPos: pos, TickCount: total, WireQueries: c.WireQueries, WireFailures: c.WireFailures}
+	f, err := checkpoint.Seal(sig, prog, parts)
+	if err != nil {
+		if errors.Is(err, failpoint.ErrKilled) {
+			return err
+		}
+		if aerr := c.noteDegraded(degWriteError, fmt.Sprintf("seal at tick %d: %v", pos, err)); aerr != nil {
+			return aerr
+		}
+		if f, err = checkpoint.Seal(sig, prog, parts); err != nil {
+			return fmt.Errorf("measure: checkpoint seal retry failed: %w", err)
+		}
+	}
 	// Chaos kill-point between sealing the dataset and writing the
 	// checkpoint: resume must tolerate sealed-but-uncheckpointed blocks by
 	// truncating back to the recorded offset.
 	if err := failpoint.Eval("campaign/checkpoint"); err != nil {
 		return err
 	}
-	cp := &Checkpoint{
-		Version:      CheckpointVersion,
-		Sig:          c.checkpointSig(),
-		TickPos:      pos,
-		TickCount:    total,
-		WireQueries:  c.WireQueries,
-		WireFailures: c.WireFailures,
-		Handlers:     states,
-		Telemetry:    telState,
-	}
-	if err := cp.writeAtomic(c.Cfg.CheckpointPath); err != nil {
+	if err := f.Save(c.Cfg.CheckpointPath); err != nil {
 		if aerr := c.noteDegraded(degWriteError, fmt.Sprintf("checkpoint write at tick %d: %v", pos, err)); aerr != nil {
 			return aerr
 		}
-		if err := cp.writeAtomic(c.Cfg.CheckpointPath); err != nil {
+		if err := f.Save(c.Cfg.CheckpointPath); err != nil {
 			return fmt.Errorf("measure: checkpoint write retry failed: %w", err)
 		}
 	}

@@ -59,11 +59,13 @@ func (c *Campaign) workerCount() int {
 // loop is sharded across Config.Workers goroutines; handlers receive events
 // in deterministic serial order regardless of the worker count.
 //
-// With Config.CheckpointPath set, Run seals checkpointable handlers and
-// writes a progress checkpoint every CheckpointEvery ticks; with
-// Config.Resume it fast-forwards to the checkpointed tick first. A run
-// killed at any point and restarted with Resume produces byte-identical
-// handler output to an uninterrupted run with the same checkpoint settings.
+// With Config.CheckpointPath set, Run seals every handler that is a
+// checkpoint.Part and writes a progress checkpoint every CheckpointEvery
+// ticks; with Config.Resume it first restores those handlers (built over the
+// interrupted run's output files) and fast-forwards to the checkpointed
+// tick. A run killed at any point and restarted with Resume produces
+// byte-identical handler output to an uninterrupted run with the same
+// checkpoint settings.
 func (c *Campaign) Run(handlers ...Handler) error {
 	ticks := Ticks(c.Cfg.Start, c.Cfg.End, c.Cfg.Scale)
 	targets := rss.AllServiceAddrs()
@@ -77,12 +79,13 @@ func (c *Campaign) Run(handlers ...Handler) error {
 		every = DefaultCheckpointEvery
 	}
 	ckptOn := c.Cfg.CheckpointPath != ""
+	parts, sig := checkpointParts(handlers), c.checkpointSig(every)
 	startPos := 0
 	if c.Cfg.Resume {
 		if !ckptOn {
 			return errors.New("measure: Config.Resume requires Config.CheckpointPath")
 		}
-		pos, err := c.loadResume(len(ticks))
+		pos, err := c.loadResume(parts, sig, len(ticks))
 		if err != nil {
 			return err
 		}
@@ -155,7 +158,7 @@ func (c *Campaign) Run(handlers ...Handler) error {
 			return err
 		}
 		if ckptOn && ((ti+1)%every == 0 || ti == len(ticks)-1) {
-			if err := c.saveCheckpoint(handlers, ti+1, len(ticks)); err != nil {
+			if err := c.saveCheckpoint(parts, sig, ti+1, len(ticks)); err != nil {
 				return err
 			}
 		}

@@ -10,8 +10,9 @@ import (
 // Handlers run at the pool's serial drain, so the append order — and with it
 // the recorded segment — is a pure function of the schedule, byte-identical
 // across worker counts and across kill/resume (the chaos matrix pins this).
-// CheckpointSeal is promoted from the recorder, so a FlightLog registered as
-// a campaign handler rides the checkpoint protocol like the dataset writer.
+// CheckpointSeal and RestoreCheckpoint are promoted from the recorder, so a
+// FlightLog registered as a campaign handler is a checkpoint.Part like the
+// dataset writer.
 type FlightLog struct {
 	*qlog.Recorder
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net"
 	"sync"
+
+	"repro/internal/seeded"
 )
 
 // ErrCut reports a write on a connection the link decided to sever.
@@ -58,13 +60,13 @@ func (l *Link) WrapConn(c net.Conn) net.Conn {
 	idx := l.conns
 	l.conns++
 	l.mu.Unlock()
-	h := splitmix64(l.prof.Seed ^ saltCut ^ idx*0x9e3779b97f4a7c15)
-	if frac(h) >= l.prof.Cut {
+	h := seeded.Mix(l.prof.Seed ^ saltCut ^ idx*0x9e3779b97f4a7c15)
+	if seeded.Unit(h) >= l.prof.Cut {
 		return c
 	}
 	budget := l.prof.CutBytes
 	if budget <= 0 {
-		budget = 256 + int(splitmix64(h)%4096)
+		budget = 256 + int(seeded.Mix(h)%4096)
 	}
 	return &cutConn{Conn: c, budget: budget}
 }

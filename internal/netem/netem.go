@@ -3,7 +3,7 @@
 // TCP net.Conn) and injects loss, duplication, reordering, corruption,
 // delay, and blackholing per a seedable Profile. Every fate decision is a
 // pure function of (profile seed, flow key, per-flow packet index,
-// direction), computed with the repo's splitmix64 generator — no wall
+// direction), computed with the repo's seeded.Mix generator — no wall
 // clock, no global rand — so two runs with the same seed and the same
 // offered per-flow packet sequence make byte-identical decisions, and the
 // serve path's logical telemetry stays comparable across worker counts.
@@ -27,18 +27,8 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/seeded"
 )
-
-// splitmix64 is the repo's standard allocation-free seeded generator.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// frac maps a hash to a uniform float64 in [0, 1).
-func frac(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Dir distinguishes the two sides of the emulated link so ingress and
 // egress of the same flow draw from independent decision streams.
@@ -228,17 +218,13 @@ func (l *Link) Profile() Profile {
 func FlowAddr(addr netip.AddrPort) uint64 {
 	ip := addr.Addr().Unmap()
 	b := ip.As16()
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
+	return seeded.FNV(seeded.FNVBasis, b[:])
 }
 
 // FlowID derives a flow key from a stable small-integer identity (a blast
 // worker index, a TCP accept counter) — the client-side counterpart of
 // FlowAddr for flows the caller already numbers deterministically.
-func FlowID(n uint64) uint64 { return splitmix64(n ^ 0xda3e39cb94b95bdb) }
+func FlowID(n uint64) uint64 { return seeded.Mix(n ^ 0xda3e39cb94b95bdb) }
 
 // state returns (creating if needed) the flow's state, deciding blackhole
 // membership at creation. Caller holds l.mu.
@@ -246,11 +232,11 @@ func (l *Link) state(flow uint64) *flowState {
 	st := l.flows[flow]
 	if st == nil {
 		st = &flowState{base: [2]uint64{
-			splitmix64(l.prof.Seed ^ flow ^ saltIngress),
-			splitmix64(l.prof.Seed ^ flow ^ saltEgress),
+			seeded.Mix(l.prof.Seed ^ flow ^ saltIngress),
+			seeded.Mix(l.prof.Seed ^ flow ^ saltEgress),
 		}}
 		if l.prof.Blackhole > 0 &&
-			frac(splitmix64(l.prof.Seed^flow^saltBlackhole)) < l.prof.Blackhole {
+			seeded.Unit(seeded.Mix(l.prof.Seed^flow^saltBlackhole)) < l.prof.Blackhole {
 			st.dead = true
 		}
 		l.flows[flow] = st
@@ -287,22 +273,22 @@ func (l *Link) Admit(dir Dir, flow uint64, pkt []byte) (first, second []byte) {
 	st.count[dir]++
 	// One hash per fate, all derived from the flow's stream root and the
 	// packet's per-flow index, so fates are independent and replayable.
-	h := splitmix64(st.base[dir] + idx*0x9e3779b97f4a7c15)
-	hLoss, hDup, hReord, hCorr := h, splitmix64(h+1), splitmix64(h+2), splitmix64(h+3)
+	h := seeded.Mix(st.base[dir] + idx*0x9e3779b97f4a7c15)
+	hLoss, hDup, hReord, hCorr := h, seeded.Mix(h+1), seeded.Mix(h+2), seeded.Mix(h+3)
 	// Copy the profile by value: taking &l.prof would leak an interior
 	// pointer to immutable-after-start state past the critical section.
 	p := l.prof
-	if p.Loss > 0 && frac(hLoss) < p.Loss {
+	if p.Loss > 0 && seeded.Unit(hLoss) < p.Loss {
 		l.mu.Unlock()
 		mDrops.Inc()
 		return nil, nil
 	}
-	if p.Corrupt > 0 && frac(hCorr) < p.Corrupt && len(pkt) > 0 {
-		bit := splitmix64(hCorr) % uint64(len(pkt)*8)
+	if p.Corrupt > 0 && seeded.Unit(hCorr) < p.Corrupt && len(pkt) > 0 {
+		bit := seeded.Mix(hCorr) % uint64(len(pkt)*8)
 		pkt[bit/8] ^= 1 << (bit % 8)
 		mCorrupts.Inc()
 	}
-	if p.Reorder > 0 && frac(hReord) < p.Reorder && st.held[dir] == nil {
+	if p.Reorder > 0 && seeded.Unit(hReord) < p.Reorder && st.held[dir] == nil {
 		// Hold this packet; it rides out after the flow's next packet.
 		st.held[dir] = append([]byte(nil), pkt...)
 		l.mu.Unlock()
@@ -313,7 +299,7 @@ func (l *Link) Admit(dir Dir, flow uint64, pkt []byte) (first, second []byte) {
 		st.held[dir] = nil
 		second = held
 		mReorders.Inc()
-	} else if p.Dup > 0 && frac(hDup) < p.Dup {
+	} else if p.Dup > 0 && seeded.Unit(hDup) < p.Dup {
 		second = pkt
 		mDups.Inc()
 	}
@@ -321,7 +307,7 @@ func (l *Link) Admit(dir Dir, flow uint64, pkt []byte) (first, second []byte) {
 	if p.Delay > 0 || p.Jitter > 0 {
 		d := p.Delay
 		if p.Jitter > 0 {
-			d += time.Duration(frac(splitmix64(h+4)) * float64(p.Jitter))
+			d += time.Duration(seeded.Unit(seeded.Mix(h+4)) * float64(p.Jitter))
 		}
 		time.Sleep(d)
 	}

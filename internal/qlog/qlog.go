@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/failpoint"
+	"repro/internal/seeded"
 	"repro/internal/segment"
 )
 
@@ -20,32 +21,17 @@ const (
 	Version = 1
 )
 
-// splitmix64 is the repo's standard allocation-free seeded generator (local
-// copy, as in netem and blast: qlog must stay a leaf package).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Key hashes a query's identifying bytes (message ID + flags + question
 // section — the prefix both sides of an exchange see verbatim) into the
 // 64-bit join/sampling key. FNV-1a, matching netem.FlowAddr's choice.
-func Key(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * 1099511628211
-	}
-	return h
-}
+func Key(b []byte) uint64 { return seeded.FNV(seeded.FNVBasis, b) }
 
 // KeyVals folds small logical integers (tick, VP, target ordinal) into a
 // key for event sources that have no wire bytes (the campaign engine).
 func KeyVals(vs ...uint64) uint64 {
 	h := uint64(0x51ed270b8d2c4a35)
 	for _, v := range vs {
-		h = splitmix64(h ^ v)
+		h = seeded.Mix(h ^ v)
 	}
 	return h
 }
@@ -79,7 +65,7 @@ func QuestionEnd(w []byte) int {
 	return i + 4
 }
 
-// Sampler decides which queries are recorded: a pure splitmix64 function of
+// Sampler decides which queries are recorded: a pure seeded.Mix function of
 // (Seed, key). Every = 0 records nothing; 1 records everything; N records
 // the deterministic 1/N subset whose hash lands on residue zero. Two
 // samplers with equal Seed and Every select identical key sets — the
@@ -126,7 +112,7 @@ func (s Sampler) Sampled(key uint64) bool {
 	case 1:
 		return true
 	}
-	return splitmix64(s.Seed^key)%s.Every == 0
+	return seeded.Mix(s.Seed^key)%s.Every == 0
 }
 
 // Kind is one claimed event kind, the handle Emit requires. Like telemetry
@@ -211,21 +197,6 @@ type recorderState struct {
 	Events int   `json:"events"`
 }
 
-// Resume continues an interrupted recording from a CheckpointSeal blob:
-// the torn tail is truncated at the sealed offset and the next block starts
-// fresh, so the resumed segment is byte-identical to an uninterrupted one.
-func Resume(out io.Writer, sampler Sampler, blackboxPath string, state []byte) (*Recorder, error) {
-	var st recorderState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return nil, fmt.Errorf("qlog: bad resume state: %w", err)
-	}
-	seg, err := segment.Resume(out, Magic, st.Offset)
-	if err != nil {
-		return nil, err
-	}
-	return &Recorder{sampler: sampler, blackboxPath: blackboxPath, seg: seg, events: st.Events}, nil
-}
-
 // Sampler returns the recorder's sampler (zero for nil: nothing sampled).
 func (r *Recorder) Sampler() Sampler {
 	if r == nil {
@@ -281,8 +252,8 @@ func (r *Recorder) Emit(k *Kind, key uint64, subject []byte, vals ...uint64) {
 	encPool.Put(bp)
 }
 
-// Events reports how many events have been recorded (including restored
-// counts after Resume).
+// Events reports how many events have been recorded (including the count
+// restored from a checkpoint).
 func (r *Recorder) Events() int {
 	if r == nil {
 		return 0
@@ -292,12 +263,11 @@ func (r *Recorder) Events() int {
 	return r.events
 }
 
-// CheckpointSeal implements the campaign checkpoint protocol
-// (measure.Checkpointable) for the flight log: seal the pending block, sync,
-// return resume state. The qlog/seal failpoint at the head is the new
-// kill-capable chaos site; on a kill the black-box ring is dumped to the
-// configured path on the way down — every chaos-matrix failure leaves an
-// inspectable trace — and the error unwinds like a real crash.
+// CheckpointSeal implements checkpoint.Part for the flight log: seal the
+// pending block, sync, return resume state. The qlog/seal failpoint at the
+// head is a kill-capable chaos site; on a kill the black-box ring is dumped
+// to the configured path on the way down — every chaos-matrix failure leaves
+// an inspectable trace — and the error unwinds like a real crash.
 func (r *Recorder) CheckpointSeal() ([]byte, error) {
 	if err := failpoint.Eval("qlog/seal"); err != nil {
 		if r.blackboxPath != "" {
@@ -314,6 +284,24 @@ func (r *Recorder) CheckpointSeal() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(recorderState{Offset: r.seg.SealedBytes(), Events: r.events})
+}
+
+// RestoreCheckpoint implements checkpoint.Part for a recorder opened over an
+// interrupted log (New on the file, not truncated): the torn tail is cut at
+// the sealed offset and the next block starts fresh, so the resumed segment
+// is byte-identical to an uninterrupted one.
+func (r *Recorder) RestoreCheckpoint(state []byte) error {
+	var st recorderState
+	if err := json.Unmarshal(state, &st); err != nil {
+		return fmt.Errorf("qlog: bad resume state: %w", err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.seg.Rewind(st.Offset); err != nil {
+		return err
+	}
+	r.events = st.Events
+	return nil
 }
 
 // Close seals any pending block and flushes the recorder. Nil-safe so CLI

@@ -199,8 +199,11 @@ func TestResumeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rcf.Close()
-	resumed, err := qlog.Resume(rcf, qlog.Sampler{Every: 1}, "", state)
+	resumed, err := qlog.New(rcf, qlog.Sampler{Every: 1}, "")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.RestoreCheckpoint(state); err != nil {
 		t.Fatal(err)
 	}
 	if got := resumed.Events(); got != 20 {
@@ -224,7 +227,11 @@ func TestResumeByteIdentity(t *testing.T) {
 
 func TestResumeRejectsBadState(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := qlog.Resume(&buf, qlog.Sampler{}, "", []byte("not json")); err == nil {
+	rec, err := qlog.New(&buf, qlog.Sampler{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RestoreCheckpoint([]byte("not json")); err == nil {
 		t.Fatal("garbage resume state accepted")
 	}
 }

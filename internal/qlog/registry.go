@@ -6,7 +6,7 @@
 // engine. It is the per-query evidence trail that query-composition studies
 // (B-Root) and high-rate measurement tools expose as per-query result rows.
 //
-// Determinism contract: whether a query is recorded is a pure splitmix64
+// Determinism contract: whether a query is recorded is a pure seeded.Mix
 // function of (sampling seed, query key), never of worker, shard, or wall
 // clock, and every recorded field is logical (derived from wire bytes, seeds,
 // and counters). Client and server sampling the same key therefore select the

@@ -9,8 +9,9 @@
 // into a per-block dictionary that resets at every seal, so blocks are
 // independently decodable; a crash can at worst tear the trailing block,
 // which the Reader detects (short frame, CRC mismatch, bad DEFLATE) and
-// cleanly truncates instead of erroring mid-stream. Writers resume appending
-// after the last sealed block of an interrupted recording byte-identically.
+// cleanly truncates instead of erroring mid-stream. A Writer reopened over an
+// interrupted recording rewinds to its last checkpointed block (Rewind) and
+// appends from there byte-identically.
 //
 // The package is deliberately policy-free: record encodings, failpoint
 // sites, and metrics belong to the owning layer (dataset, qlog), which hook
@@ -89,35 +90,46 @@ func NewWriter(out io.Writer, magic string, version uint64) (*Writer, error) {
 	return w, nil
 }
 
-// truncater is what Resume needs from its output to discard a torn tail;
+// truncater is what Rewind needs from the output to discard a torn tail;
 // *os.File satisfies it.
 type truncater interface {
 	Truncate(size int64) error
 	Seek(offset int64, whence int) (int64, error)
 }
 
-// Resume continues an interrupted stream: it truncates out to the sealed
-// offset (discarding any torn tail), positions writes at the new end, and
-// starts the next block with a fresh dictionary — exactly the state an
-// uninterrupted run would have had at that boundary, so the resumed file is
-// byte-identical.
-func Resume(out io.Writer, magic string, offset int64) (*Writer, error) {
-	if offset < int64(len(magic))+1 {
-		return nil, fmt.Errorf("segment: resume offset %d precedes header", offset)
+// Rewind continues an interrupted stream on a writer freshly opened over
+// the interrupted file: it truncates the output to the sealed offset
+// (discarding any torn tail and any block sealed after the checkpoint that
+// recorded the offset), positions writes at the new end, and starts the next
+// block with a fresh dictionary — exactly the state an uninterrupted run
+// had at that boundary, so the resumed file is byte-identical.
+func (w *Writer) Rewind(offset int64) error {
+	if offset < int64(len(w.magic))+1 {
+		return fmt.Errorf("segment: resume offset %d precedes header", offset)
 	}
-	tr, ok := out.(truncater)
+	tr, ok := w.out.(truncater)
 	if !ok {
-		return nil, errors.New("segment: resume target does not support truncation")
+		return errors.New("segment: resume target does not support truncation")
+	}
+	end, err := tr.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	if end < offset {
+		return fmt.Errorf("segment: resume offset %d is past the end of the output (%d bytes)", offset, end)
 	}
 	if err := tr.Truncate(offset); err != nil {
-		return nil, fmt.Errorf("segment: truncating torn tail: %w", err)
+		return fmt.Errorf("segment: truncating torn tail: %w", err)
 	}
-	if _, err := tr.Seek(0, io.SeekEnd); err != nil {
-		return nil, err
+	if _, err := tr.Seek(offset, io.SeekStart); err != nil {
+		return err
 	}
-	w := &Writer{out: out, magic: magic, sealed: offset}
+	w.buf.Reset()
+	w.blockRecords = 0
+	w.err = nil
+	w.sealed = offset
 	w.resetDict()
-	return w, nil
+	return nil
 }
 
 func (w *Writer) resetDict() {

@@ -124,11 +124,17 @@ type counterState struct {
 	Value int64  `json:"value"`
 }
 
-// CheckpointState serializes the stream-class counters and gauges, in
-// registry order. The campaign stores this blob in its checkpoint sidecar;
-// restoring it on resume reconstructs the exact counter state, so a resumed
-// run's stream metrics match an uninterrupted run's.
-func CheckpointState() []byte {
+// StreamState is the stream-class counters and gauges as a checkpoint part
+// (checkpoint.Part). An owner lists it after every other part: sealing those
+// moves stream counters (blocks sealed, bytes sealed), and the owner counts
+// the checkpoint itself before sealing anything, so the snapshot taken here
+// holds exactly what an uninterrupted run has counted at this boundary.
+// Process-class metrics (caches, failpoints) are left out: they describe
+// this process, not the event stream, and start over on resume.
+type StreamState struct{}
+
+// CheckpointSeal serializes the stream-class metrics in registry order.
+func (StreamState) CheckpointSeal() ([]byte, error) {
 	var st []counterState
 	for i := range Registry {
 		def := &Registry[i]
@@ -146,21 +152,14 @@ func CheckpointState() []byte {
 		}
 		st = append(st, counterState{Name: def.Name, Value: val})
 	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		panic(err) // ints and strings only
-	}
-	return data
+	return json.Marshal(st)
 }
 
-// RestoreState overwrites the stream-class metrics from a CheckpointState
-// blob. Entries naming metrics that are unclaimed in this binary are
-// skipped; unknown names fail loudly, because they mean the checkpoint was
-// written by a binary with a different registry.
-func RestoreState(data []byte) error {
-	if len(data) == 0 {
-		return nil // pre-telemetry checkpoint
-	}
+// RestoreCheckpoint overwrites the stream-class metrics from a sealed blob.
+// Entries naming metrics that are unclaimed in this binary are skipped;
+// unknown names fail loudly, because they mean the checkpoint was written by
+// a binary with a different registry.
+func (StreamState) RestoreCheckpoint(data []byte) error {
 	var st []counterState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("telemetry: corrupt checkpoint state: %w", err)

@@ -97,11 +97,14 @@ func TestCheckpointStateRoundtrip(t *testing.T) {
 	Reset()
 	tRecords.Add(42)
 	tPairs.ShardAdd(3, 9)
-	state := CheckpointState()
+	state, err := StreamState{}.CheckpointSeal()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Simulate the resumed process: counters start over, restore overwrites.
 	Reset()
 	tRecords.Inc() // pre-restore noise a restore must overwrite
-	if err := RestoreState(state); err != nil {
+	if err := (StreamState{}).RestoreCheckpoint(state); err != nil {
 		t.Fatal(err)
 	}
 	if got := tRecords.Value(); got != 42 {
@@ -110,10 +113,10 @@ func TestCheckpointStateRoundtrip(t *testing.T) {
 	if got := tPairs.Value(); got != 9 {
 		t.Fatalf("restored campaign/pairs = %d, want 9", got)
 	}
-	if err := RestoreState(nil); err != nil {
-		t.Fatalf("empty state (pre-telemetry checkpoint) must restore cleanly: %v", err)
+	if err := (StreamState{}).RestoreCheckpoint(nil); err == nil {
+		t.Fatal("empty state must be refused: a sidecar without telemetry predates the current version")
 	}
-	if err := RestoreState([]byte(`[{"name":"bogus/metric","value":1}]`)); err == nil {
+	if err := (StreamState{}).RestoreCheckpoint([]byte(`[{"name":"bogus/metric","value":1}]`)); err == nil {
 		t.Fatal("unknown metric name in checkpoint state must fail")
 	}
 }
@@ -208,7 +211,7 @@ func TestTelemetryStressConcurrent(t *testing.T) {
 			Snapshot(ScopeAll)
 			MarshalLogical()
 			WriteTrace(io.Discard)
-			CheckpointState()
+			StreamState{}.CheckpointSeal()
 		}
 	}()
 	wg.Wait()
