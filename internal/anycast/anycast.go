@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/geo"
+	"repro/internal/seeded"
 	"repro/internal/topology"
 )
 
@@ -128,12 +129,15 @@ func (c *Catchment) Alternates(asn int) []topology.Route { return c.table.Altern
 // SelectAt returns the route asn uses at measurement interval tick, modeling
 // route flaps: with the deployment's per-family instability probability the
 // client re-rolls its tie-break among near-equal alternates. The selection
-// is deterministic in (asn, tick, seed). scale is the measurement schedule's
-// thinning factor: the per-interval flap probability compounds over the
-// skipped intervals (1-(1-p)^scale), so observed change counts stay
+// is deterministic in (asn, tick, seed): draw 0 of the key decides whether
+// the interval flaps, draw 1 picks the alternate. scale is the measurement
+// schedule's thinning factor: the per-interval flap probability compounds
+// over the skipped intervals (1-(1-p)^scale), so observed change counts stay
 // comparable to the paper's full-fidelity schedule.
+//
+//rootlint:hotpath
 func (c *Catchment) SelectAt(asn, tick int, seed int64, scale int) (topology.Route, bool) {
-	alts := c.table.Alternates(asn)
+	alts := c.table.Candidates(asn)
 	if len(alts) == 0 {
 		return topology.Route{}, false
 	}
@@ -144,28 +148,20 @@ func (c *Catchment) SelectAt(asn, tick int, seed int64, scale int) (topology.Rou
 	if scale > 1 && instability > 0 {
 		instability = 1 - pow1p(1-instability, scale)
 	}
-	if len(alts) == 1 || instability == 0 {
+	key := uint64(seed ^ int64(asn)<<20 ^ int64(tick))
+	if len(alts) == 1 || instability == 0 || seeded.Unit(seeded.Draw(key, 0)) >= instability {
+		// Stable interval: the best route carries the traffic.
 		return alts[0], true
 	}
-	// Near-equal alternates: same relationship class and path length within
-	// one hop of the best.
-	usable := alts[:1]
-	for _, a := range alts[1:] {
-		if a.Hops() <= alts[0].Hops()+1 {
-			usable = append(usable, a)
-		} else {
-			break
-		}
-	}
-	rng := rand.New(rand.NewSource(seed ^ int64(asn)<<20 ^ int64(tick)))
-	if rng.Float64() >= instability {
-		// Stable interval: the best route carries the traffic.
-		return usable[0], true
-	}
-	// Transient flap: the tie-break re-rolls among near-equal alternates
+	// Transient flap: the tie-break re-rolls among the near-equal alternates
+	// (same relationship class and path length within one hop of the best)
 	// for this interval; the following stable interval returns to the best
 	// route, so one flap surfaces as up to two observed site changes.
-	return usable[rng.Intn(len(usable))], true
+	usable := 1
+	for usable < len(alts) && alts[usable].Hops() <= alts[0].Hops()+1 {
+		usable++
+	}
+	return alts[seeded.Draw(key, 1)%uint64(usable)], true
 }
 
 // pow1p computes base^n for small integer n without importing math.

@@ -1,6 +1,8 @@
 package anycast
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -175,4 +177,159 @@ func TestSiteKindString(t *testing.T) {
 	if Global.String() != "global" || Local.String() != "local" {
 		t.Error("SiteKind strings")
 	}
+}
+
+// nearEqual returns how many of asn's alternates are within one hop of the
+// best — the set a flap re-rolls over.
+func nearEqual(c *Catchment, asn int) int {
+	alts := c.Alternates(asn)
+	n := 0
+	for n < len(alts) && alts[n].Hops() <= alts[0].Hops()+1 {
+		n++
+	}
+	return n
+}
+
+// flappyStubs returns the stubs with at least two near-equal alternates.
+func flappyStubs(t *testing.T, topo *topology.Topology, c *Catchment) []int {
+	t.Helper()
+	var out []int
+	for _, asn := range topo.StubASNs(nil) {
+		if nearEqual(c, asn) >= 2 {
+			out = append(out, asn)
+		}
+	}
+	if len(out) < 40 {
+		t.Fatalf("only %d stubs with near-equal alternates; the distribution tests need 40", len(out))
+	}
+	return out
+}
+
+func TestSelectAtDoesNotAllocate(t *testing.T) {
+	topo := testTopo()
+	c := ComputeCatchment(topo, testDeployment(topo), topology.IPv4)
+	asn := flappyStubs(t, topo, c)[0]
+	tick := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tick++
+		c.SelectAt(asn, tick, 1, 192)
+	}); allocs != 0 {
+		t.Errorf("SelectAt: %v allocs/op, want 0", allocs)
+	}
+}
+
+// The flap draw and the pick draw, measured through what SelectAt returns:
+// an AS with u near-equal alternates leaves the best route on a share
+// flap·(u-1)/u of intervals and lands on each of the other u-1 equally often.
+func TestFlapDistribution(t *testing.T) {
+	const p, ticks = 0.004, 2500
+	topo := testTopo()
+	d := testDeployment(topo)
+	d.InstabilityV4 = p
+	c := ComputeCatchment(topo, d, topology.IPv4)
+	stubs := flappyStubs(t, topo, c)
+	for _, scale := range []int{1, 96, 192} {
+		want := 1 - math.Pow(1-p, float64(scale))
+		var flapShare, n, both, moved float64
+		picks := map[int][]float64{} // near-equal set size → count per alternate
+		for _, asn := range stubs {
+			u := nearEqual(c, asn)
+			alts := c.Alternates(asn)
+			if picks[u] == nil {
+				picks[u] = make([]float64, u)
+			}
+			prev := false
+			for tick := 0; tick < ticks; tick++ {
+				r, _ := c.SelectAt(asn, tick, 1, scale)
+				k := 0 // which alternate: the copies share the table's AS paths
+				for &alts[k].ASPath[0] != &r.ASPath[0] {
+					k++
+				}
+				picks[u][k]++
+				n++
+				if k != 0 {
+					moved++
+					flapShare += float64(u) / float64(u-1)
+					if prev {
+						both++
+					}
+				}
+				prev = k != 0
+			}
+		}
+		if n < 100000 {
+			t.Fatalf("only %v coordinates", n)
+		}
+		if got := flapShare / n; math.Abs(got-want) > 0.01 {
+			t.Errorf("scale %d: flap share %.4f, want %.4f ± 0.01", scale, got, want)
+		}
+		// No lock-step: leaving the best route at tick t says nothing about t+1.
+		if got, indep := both/n, (moved/n)*(moved/n); math.Abs(got-indep) > 0.005 {
+			t.Errorf("scale %d: moved at t and t+1 on %.4f of ticks, independent draws give %.4f", scale, got, indep)
+		}
+		if scale == 1 {
+			continue // too few flaps at p = 0.004 to judge the pick
+		}
+		for u, counts := range picks {
+			total := 0.0
+			for _, c := range counts[1:] {
+				total += c
+			}
+			for k, c := range counts[1:] {
+				if share := c / total; math.Abs(share-1/float64(u-1)) > 0.02 {
+					t.Errorf("scale %d, %d near-equal: alternate %d takes %.3f of the moves, want %.3f", scale, u, k+1, share, 1/float64(u-1))
+				}
+			}
+		}
+	}
+}
+
+func TestSelectAtSeedSensitive(t *testing.T) {
+	topo := testTopo()
+	d := testDeployment(topo)
+	d.InstabilityV4 = 0.5
+	c := ComputeCatchment(topo, d, topology.IPv4)
+	asn := flappyStubs(t, topo, c)[0]
+	differ := 0
+	for tick := 0; tick < 500; tick++ {
+		a, _ := c.SelectAt(asn, tick, 1, 1)
+		b, _ := c.SelectAt(asn, tick, 2, 1)
+		if a.Origin != b.Origin {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("seeds 1 and 2 select the same route at every tick")
+	}
+}
+
+// The campaign's workers share one Catchment; under -race this proves
+// SelectAt only reads the routing table (scripts/race.sh).
+func TestSelectAtConcurrent(t *testing.T) {
+	topo := testTopo()
+	d := testDeployment(topo)
+	d.InstabilityV4 = 0.3
+	c := ComputeCatchment(topo, d, topology.IPv4)
+	stubs := flappyStubs(t, topo, c)
+	want := make([]topology.Origin, len(stubs))
+	for i, asn := range stubs {
+		r, _ := c.SelectAt(asn, i, 1, 96)
+		want[i] = r.Origin
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				for i, asn := range stubs {
+					if r, _ := c.SelectAt(asn, i, 1, 96); r.Origin != want[i] {
+						t.Errorf("AS%d: %v under contention, %v alone", asn, r.Origin, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -24,8 +24,8 @@ func TestSignRRSIGDonorInsertionFirst(t *testing.T) {
 	z.Add(dnswire.RR{
 		Name: dnswire.Root, Class: dnswire.ClassINET, TTL: 86400,
 		Data: dnswire.SOARecord{
-			MName: dnswire.MustName("a.root-servers.net."),
-			RName: dnswire.MustName("nstld.verisign-grs.com."),
+			MName:  dnswire.MustName("a.root-servers.net."),
+			RName:  dnswire.MustName("nstld.verisign-grs.com."),
 			Serial: 2023100100, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
 		},
 	})

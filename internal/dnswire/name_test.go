@@ -181,13 +181,13 @@ func TestNameCompressionRoundTrip(t *testing.T) {
 
 func TestDecodeNameMalformed(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":             {},
-		"truncated label":   {5, 'a', 'b'},
+		"empty":              {},
+		"truncated label":    {5, 'a', 'b'},
 		"missing terminator": {1, 'a'},
-		"forward pointer":   {0xC0, 10, 0},
-		"self pointer":      {0xC0, 0},
-		"reserved bits":     {0x80, 0},
-		"truncated pointer": {0xC0},
+		"forward pointer":    {0xC0, 10, 0},
+		"self pointer":       {0xC0, 0},
+		"reserved bits":      {0x80, 0},
+		"truncated pointer":  {0xC0},
 	}
 	for name, wire := range cases {
 		if _, _, err := decodeName(wire, 0); err == nil {

@@ -199,9 +199,9 @@ func TestViewErrors(t *testing.T) {
 	// forward pointer: the cursor skims past it (pointers end the
 	// representation), but canonicalizing must reject it.
 	msg := make([]byte, headerLen)
-	msg[7] = 1 // ANCOUNT = 1
-	msg = append(msg, 0xC0, 0x40)                      // pointer to offset 64 (forward)
-	msg = append(msg, 0, 1, 0, 1, 0, 0, 0, 60, 0, 0)   // TYPE A CLASS IN TTL 60 RDLEN 0
+	msg[7] = 1                                       // ANCOUNT = 1
+	msg = append(msg, 0xC0, 0x40)                    // pointer to offset 64 (forward)
+	msg = append(msg, 0, 1, 0, 1, 0, 0, 0, 60, 0, 0) // TYPE A CLASS IN TTL 60 RDLEN 0
 	v, err := NewView(msg)
 	if err != nil {
 		t.Fatal(err)

@@ -33,10 +33,10 @@ var Detrand = &Analyzer{
 // detrandSeededConstructors are the math/rand functions that build an
 // explicitly seeded generator rather than drawing from the global source.
 var detrandSeededConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
 }
 

@@ -14,6 +14,9 @@ import (
 //
 //   - fmt.Sprintf / fmt.Errorf / fmt.Sprint / fmt.Sprintln — always
 //     allocate, and usually smuggle in interface boxing too;
+//   - rand.New / rand.NewSource (and math/rand/v2's New, NewPCG,
+//     NewChaCha8) — allocate a generator and seed its whole state to draw a
+//     handful of numbers; a per-call draw is seeded.Draw over (key, index);
 //   - string concatenation inside a loop — each + re-allocates the
 //     accumulated string;
 //   - a closure that captures enclosing variables and escapes (assigned,
@@ -41,6 +44,10 @@ var Hotpath = &Analyzer{
 
 var hotpathFmtAllocs = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true,
+}
+
+var hotpathRandCtors = map[string]bool{
+	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true,
 }
 
 func runHotpath(pass *Pass) error {
@@ -115,11 +122,16 @@ func checkHotFunc(pass *Pass, allows *Allows, fd *ast.FuncDecl) {
 }
 
 func checkHotCall(pass *Pass, report func(token.Pos, string, ...any), fd *ast.FuncDecl, call *ast.CallExpr) {
-	// fmt.Sprintf and friends.
+	// fmt.Sprintf and friends, and generator constructors.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if ident, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := pkgNameOf(pass.Info, ident); ok && pn.Imported().Path() == "fmt" && hotpathFmtAllocs[sel.Sel.Name] {
-				report(call.Pos(), "%s: fmt.%s allocates on every call; hot paths must format into reused buffers or return sentinel errors", fd.Name.Name, sel.Sel.Name)
+			if pn, ok := pkgNameOf(pass.Info, ident); ok {
+				switch path := pn.Imported().Path(); {
+				case path == "fmt" && hotpathFmtAllocs[sel.Sel.Name]:
+					report(call.Pos(), "%s: fmt.%s allocates on every call; hot paths must format into reused buffers or return sentinel errors", fd.Name.Name, sel.Sel.Name)
+				case (path == "math/rand" || path == "math/rand/v2") && hotpathRandCtors[sel.Sel.Name]:
+					report(call.Pos(), "%s: rand.%s allocates and seeds a generator on every call; draw with seeded.Draw over (key, index) instead", fd.Name.Name, sel.Sel.Name)
+				}
 			}
 		}
 	}

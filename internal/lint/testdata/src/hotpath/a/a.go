@@ -2,7 +2,11 @@
 // constructs inside functions marked //rootlint:hotpath.
 package a
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+	randv2 "math/rand/v2"
+)
 
 //rootlint:hotpath
 func describe(kind string, n int) string {
@@ -115,4 +119,19 @@ func (c *cursor) boundAdvance() func() error {
 //rootlint:hotpath
 func gatherVia(src bufSource, tail []byte) []byte {
 	return append(src.Bytes(), tail...) // want "append onto a slice returned through an interface method allocates a fresh backing array per call"
+}
+
+// A generator built per call: the whole state is seeded to draw one number.
+//
+//rootlint:hotpath
+func flaps(seed int64, p float64) bool {
+	rng := rand.New(rand.NewSource(seed)) // want "rand.New allocates and seeds a generator" "rand.NewSource allocates and seeds a generator"
+	return rng.Float64() < p
+}
+
+//rootlint:hotpath
+func flapsV2(seed uint64, p float64) bool {
+	pcg := randv2.New(randv2.NewPCG(seed, 0))         // want "rand.New allocates and seeds" "rand.NewPCG allocates and seeds"
+	cha := randv2.New(randv2.NewChaCha8([32]byte{1})) // want "rand.New allocates and seeds" "rand.NewChaCha8 allocates and seeds"
+	return pcg.Float64() < p && cha.Float64() < p
 }

@@ -3,7 +3,10 @@
 // undirected functions the analyzer must ignore entirely. No reports here.
 package b
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // No //rootlint:hotpath directive: fmt.Sprintf is fine in ordinary code.
 func describe(kind string, n int) string {
@@ -73,4 +76,14 @@ func directCall(p *pool) {
 func coldBinding(p *pool) func(int) {
 	// Method values outside a hot function are fine.
 	return p.grow
+}
+
+// Building a generator once, off the hot path, is world construction.
+func newRng(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed))
+}
+
+//rootlint:hotpath
+func drawFrom(rng *rand.Rand, p float64) bool {
+	return rng.Float64() < p // drawing from a generator someone else owns seeds nothing
 }

@@ -450,6 +450,8 @@ func geoRTT(route topology.Route) float64 {
 // probe key is mixed through seeded.Mix instead of seeding a
 // throwaway math/rand generator, keeping the hottest per-probe call
 // allocation-free.
+//
+//rootlint:hotpath
 func rttJitter(seed int64, vpIdx, tIdx, tick int) float64 {
 	h := uint64(seed)
 	h = seeded.Mix(h ^ uint64(vpIdx))

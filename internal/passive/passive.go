@@ -29,12 +29,12 @@ const primingDailyVolume = 0.25
 
 // Observation windows of the two passive datasets (paper §4.1).
 var (
-	ISPPreDay      = time.Date(2023, 10, 8, 0, 0, 0, 0, time.UTC)
-	ISPWindow2     = [2]time.Time{time.Date(2024, 2, 5, 0, 0, 0, 0, time.UTC), time.Date(2024, 3, 4, 0, 0, 0, 0, time.UTC)}
-	ISPWindow3     = [2]time.Time{time.Date(2024, 4, 22, 0, 0, 0, 0, time.UTC), time.Date(2024, 4, 29, 0, 0, 0, 0, time.UTC)}
-	IXPWindow1     = [2]time.Time{time.Date(2023, 10, 26, 0, 0, 0, 0, time.UTC), time.Date(2023, 12, 28, 0, 0, 0, 0, time.UTC)}
-	IXPWindow2     = ISPWindow3
-	ARootDipDay    = time.Date(2024, 2, 26, 0, 0, 0, 0, time.UTC)
+	ISPPreDay   = time.Date(2023, 10, 8, 0, 0, 0, 0, time.UTC)
+	ISPWindow2  = [2]time.Time{time.Date(2024, 2, 5, 0, 0, 0, 0, time.UTC), time.Date(2024, 3, 4, 0, 0, 0, 0, time.UTC)}
+	ISPWindow3  = [2]time.Time{time.Date(2024, 4, 22, 0, 0, 0, 0, time.UTC), time.Date(2024, 4, 29, 0, 0, 0, 0, time.UTC)}
+	IXPWindow1  = [2]time.Time{time.Date(2023, 10, 26, 0, 0, 0, 0, time.UTC), time.Date(2023, 12, 28, 0, 0, 0, 0, time.UTC)}
+	IXPWindow2  = ISPWindow3
+	ARootDipDay = time.Date(2024, 2, 26, 0, 0, 0, 0, time.UTC)
 )
 
 // Target identifies one root prefix from the passive perspective.

@@ -46,3 +46,22 @@ func TestUnit(t *testing.T) {
 		t.Errorf("Unit(0x7ff) = %v", Unit(0x7ff))
 	}
 }
+
+// Keys that differ by one (consecutive ticks) must not share draws at
+// neighbouring indices, which Mix(key + k) would: one tick's second draw
+// would be the next tick's first.
+func TestDrawsDistinctAcrossNeighbouringKeys(t *testing.T) {
+	seen := map[uint64]bool{}
+	for key := uint64(0); key < 4096; key++ {
+		for k := 0; k < 16; k++ {
+			d := Draw(key, k)
+			if seen[d] {
+				t.Fatalf("Draw(%d, %d) repeats an earlier draw", key, k)
+			}
+			seen[d] = true
+		}
+	}
+	if Draw(7, 0) != Draw(7, 0) || Draw(7, 0) == Draw(7, 1) {
+		t.Error("Draw is not a function of (key, k)")
+	}
+}

@@ -266,5 +266,13 @@ func (rt *RoutingTable) Alternates(asn int) []Route {
 	return append([]Route(nil), rt.routes[asn]...)
 }
 
+// Candidates is Alternates without the copy, for per-probe readers: the
+// slice is the table's own, shared by every campaign worker, and must not be
+// written. Its capacity is clipped so that an append reallocates.
+func (rt *RoutingTable) Candidates(asn int) []Route {
+	rs := rt.routes[asn]
+	return rs[:len(rs):len(rs)]
+}
+
 // Reachable reports whether asn has any route.
 func (rt *RoutingTable) Reachable(asn int) bool { return len(rt.routes[asn]) > 0 }

@@ -8,10 +8,10 @@
 package traceroute
 
 import (
-	"fmt"
-	"math/rand"
+	"strconv"
 
 	"repro/internal/anycast"
+	"repro/internal/seeded"
 	"repro/internal/topology"
 )
 
@@ -64,71 +64,74 @@ func DefaultConfig() Config {
 // Run expands route (from a client in srcASN) into a Trace. The last hop is
 // the destination itself; the second-to-last is the facility edge router of
 // the destination site, shared by every deployment at that facility. The
-// expansion is deterministic in (srcASN, route, seed, tick).
+// expansion is deterministic in (srcASN, route, seed, tick): draw k of the
+// key decides whether hop k answers.
 func Run(topo *topology.Topology, route topology.Route, site anycast.Site, f topology.Family, cfg Config, seed int64, tick int) Trace {
-	rng := rand.New(rand.NewSource(seed ^ int64(tick)<<32 ^ int64(route.Origin.ASN)<<8 ^ int64(len(route.ASPath))))
-	tr := Trace{DestSite: site, Family: f}
+	key := uint64(seed ^ int64(tick)<<32 ^ int64(route.Origin.ASN)<<8 ^ int64(len(route.ASPath)))
+	n := len(route.ASPath)
+	hops := make([]Hop, 0, cfg.RoutersPerAS*max(n-1, 0)+3)
+	// Router names are rendered into one buffer that becomes the one string
+	// every Hop.Router slices; ends[k] is where hop k's name stops (where it
+	// starts, for a hop that did not answer). Both begin on the stack and
+	// only an unusually long path outgrows them.
+	names := make([]byte, 0, 512)
+	ends := make([]int, 0, 32)
+	fam := f.String()
+	// answers is the next hop's draw; add closes that hop once its name, if
+	// it has one, is rendered.
+	answers := func(missProb float64) bool {
+		return seeded.Unit(seeded.Draw(key, len(hops))) >= missProb
+	}
+	add := func(asn int, km float64) {
+		ends = append(ends, len(names))
+		hops = append(hops, Hop{ASN: asn, RTTms: km*0.01 + float64(len(hops)+1)*cfg.PerHopMs})
+	}
 
-	totalKm := route.PathKm
-	hops := 0
 	// Interior hops: RoutersPerAS per transit AS on the path (excluding the
 	// destination AS's facility hops added below).
 	kmSoFar := 0.0
-	n := len(route.ASPath)
-	for i := 0; i < n; i++ {
-		asn := route.ASPath[i]
+	for i, asn := range route.ASPath {
 		// Accumulate distance to this AS.
-		if i > 0 {
-			a := topo.ASes[route.ASPath[i-1]]
-			b := topo.ASes[asn]
-			if a != nil && b != nil {
-				kmSoFar += segKm(totalKm, n, i)
-				_ = a
-				_ = b
-			}
+		if i > 0 && topo.ASes[route.ASPath[i-1]] != nil && topo.ASes[asn] != nil {
+			kmSoFar += segKm(route.PathKm, n)
 		}
 		routers := cfg.RoutersPerAS
 		if i == n-1 {
 			routers = 1 // destination AS interior; facility hops follow
 		}
-		for rIdx := 0; rIdx < routers; rIdx++ {
-			hops++
-			router := fmt.Sprintf("as%d-r%d-%s", asn, rIdx+1, f)
-			if rng.Float64() < cfg.MissProb {
-				router = ""
+		for r := 1; r <= routers; r++ {
+			if answers(cfg.MissProb) {
+				names = strconv.AppendInt(append(names, "as"...), int64(asn), 10)
+				names = strconv.AppendInt(append(names, "-r"...), int64(r), 10)
+				names = append(append(names, '-'), fam...)
 			}
-			tr.Hops = append(tr.Hops, Hop{
-				Router: router,
-				ASN:    asn,
-				RTTms:  kmSoFar*0.01 + float64(hops)*cfg.PerHopMs,
-			})
+			add(asn, kmSoFar)
 		}
 	}
 
-	// Facility edge router: shared across deployments at the facility.
-	hops++
-	edge := fmt.Sprintf("fac-%s-edge-%s", site.Facility, f)
-	if rng.Float64() < cfg.MissProb/2 {
-		edge = "" // rarely missed
+	// Facility edge router: shared across deployments at the facility, and
+	// rarely missed.
+	if answers(cfg.MissProb / 2) {
+		names = append(append(names, "fac-"...), site.Facility...)
+		names = append(append(names, "-edge-"...), fam...)
 	}
-	tr.Hops = append(tr.Hops, Hop{
-		Router: edge,
-		ASN:    route.Origin.ASN,
-		RTTms:  totalKm*0.01 + float64(hops)*cfg.PerHopMs,
-	})
+	add(route.Origin.ASN, route.PathKm)
 
 	// Destination.
-	hops++
-	tr.Hops = append(tr.Hops, Hop{
-		Router: fmt.Sprintf("site-%s-%s", site.ID, f),
-		ASN:    route.Origin.ASN,
-		RTTms:  totalKm*0.01 + float64(hops)*cfg.PerHopMs,
-	})
-	return tr
+	names = append(append(names, "site-"...), site.ID...)
+	names = append(append(names, '-'), fam...)
+	add(route.Origin.ASN, route.PathKm)
+
+	all, start := string(names), 0
+	for k, end := range ends {
+		hops[k].Router = all[start:end]
+		start = end
+	}
+	return Trace{DestSite: site, Family: f, Hops: hops}
 }
 
 // segKm apportions the total path distance over the inter-AS segments.
-func segKm(totalKm float64, nASes, _ int) float64 {
+func segKm(totalKm float64, nASes int) float64 {
 	if nASes <= 1 {
 		return 0
 	}

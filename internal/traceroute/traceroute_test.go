@@ -1,6 +1,8 @@
 package traceroute
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -158,5 +160,141 @@ func TestShortTraceSecondToLast(t *testing.T) {
 	}
 	if (Trace{}).DestRTT() != 0 {
 		t.Error("empty trace RTT")
+	}
+}
+
+func TestRunAllocatesTwice(t *testing.T) {
+	topo, d, _ := setup(t)
+	c := anycast.ComputeCatchment(topo, d, topology.IPv4)
+	var route topology.Route
+	for _, asn := range topo.StubASNs(nil) {
+		if r, ok := c.Route(asn); ok && len(r.ASPath) > len(route.ASPath) {
+			route = r
+		}
+	}
+	site, _ := d.SiteByID(route.Origin.SiteID)
+	tick := 0
+	// The hop slice and the one string the router names share.
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tick++
+		Run(topo, route, site, topology.IPv4, DefaultConfig(), 1, tick)
+	}); allocs > 2 {
+		t.Errorf("Run over a %d-AS path: %v allocs/op, want at most 2", len(route.ASPath), allocs)
+	}
+}
+
+// Router names are what the co-location analysis keys on and what datasets
+// record; fmt.Sprintf is the oracle for the hand-rendered form.
+func TestRouterNamesMatchSprintf(t *testing.T) {
+	topo, d, _ := setup(t)
+	def := DefaultConfig()
+	checked := 0
+	for _, f := range topology.Families() {
+		c := anycast.ComputeCatchment(topo, d, f)
+		for _, asn := range topo.StubASNs(nil) {
+			for _, route := range c.Alternates(asn) {
+				site, _ := d.SiteByID(route.Origin.SiteID)
+				var want []string
+				for i, hopASN := range route.ASPath {
+					routers := def.RoutersPerAS
+					if i == len(route.ASPath)-1 {
+						routers = 1
+					}
+					for r := 1; r <= routers; r++ {
+						want = append(want, fmt.Sprintf("as%d-r%d-%s", hopASN, r, f))
+					}
+				}
+				want = append(want, fmt.Sprintf("fac-%s-edge-%s", site.Facility, f), fmt.Sprintf("site-%s-%s", site.ID, f))
+				for _, missProb := range []float64{0, def.MissProb} {
+					cfg := def
+					cfg.MissProb = missProb
+					tr := Run(topo, route, site, f, cfg, 1, asn)
+					if len(tr.Hops) != len(want) || cap(tr.Hops) != len(want) {
+						t.Fatalf("AS%d %s: %d hops (cap %d), want %d", asn, f, len(tr.Hops), cap(tr.Hops), len(want))
+					}
+					for k, h := range tr.Hops {
+						if h.Router != want[k] && (missProb == 0 || h.Router != "") {
+							t.Errorf("AS%d %s hop %d: %q, want %q", asn, f, k, h.Router, want[k])
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d hops checked", checked)
+	}
+}
+
+// missStats runs traces over (tick, origin, path-length) coordinates and
+// returns the interior and edge miss shares, plus how often two neighbouring
+// interior hops, and the first hop at two neighbouring ticks, are both missed.
+func missStats(seed int64) (interior, edge, pairHops, pairTicks float64, missed []bool) {
+	topo := &topology.Topology{}
+	cfg := DefaultConfig()
+	var nInterior, nEdge, nPairs, nTicks float64
+	for origin := 1; origin <= 50; origin++ {
+		for pathLen := 2; pathLen <= 5; pathLen++ {
+			route := topology.Route{Origin: topology.Origin{ASN: origin}, ASPath: make([]int, pathLen)}
+			prevFirst := false
+			for tick := 0; tick < 500; tick++ {
+				tr := Run(topo, route, anycast.Site{}, topology.IPv4, cfg, seed, tick)
+				hops := tr.Hops[:len(tr.Hops)-2]
+				for k, h := range hops {
+					nInterior++
+					missed = append(missed, h.Router == "")
+					if h.Router == "" {
+						interior++
+						if k > 0 && hops[k-1].Router == "" {
+							pairHops++
+						}
+					}
+				}
+				nPairs += float64(len(hops) - 1)
+				nEdge++
+				if _, ok := tr.SecondToLast(); !ok {
+					edge++
+				}
+				first := hops[0].Router == ""
+				if first && prevFirst {
+					pairTicks++
+				}
+				prevFirst = first
+				nTicks++
+			}
+		}
+	}
+	return interior / nInterior, edge / nEdge, pairHops / nPairs, pairTicks / nTicks, missed
+}
+
+func TestMissDistribution(t *testing.T) {
+	p := DefaultConfig().MissProb
+	interior, edge, pairHops, pairTicks, missed := missStats(1)
+	if len(missed) < 100000 {
+		t.Fatalf("only %d interior hops", len(missed))
+	}
+	if math.Abs(interior-p) > 0.005 {
+		t.Errorf("interior miss share %.4f, want %.4f ± 0.005", interior, p)
+	}
+	if math.Abs(edge-p/2) > 0.005 {
+		t.Errorf("edge miss share %.4f, want %.4f ± 0.005", edge, p/2)
+	}
+	// No lock-step between hop k and k+1, or between tick t and t+1.
+	if math.Abs(pairHops-p*p) > 0.002 {
+		t.Errorf("neighbouring hops both missed on %.4f of pairs, independent draws give %.4f", pairHops, p*p)
+	}
+	if math.Abs(pairTicks-p*p) > 0.002 {
+		t.Errorf("first hop missed at t and t+1 on %.4f of ticks, independent draws give %.4f", pairTicks, p*p)
+	}
+	_, _, _, _, other := missStats(2)
+	differ := 0
+	for i := range missed {
+		if missed[i] != other[i] {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("seeds 1 and 2 miss the same hops")
 	}
 }

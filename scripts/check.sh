@@ -23,6 +23,15 @@ wait_for_bind() {
 echo "== go vet =="
 go vet ./...
 
+# The analyzers' fixtures keep their want comments where they are.
+echo "== gofmt =="
+unformatted=$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need gofmt -w:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 # One seeded-hash helper: the SplitMix64 finalizer and the FNV-1a prime may
 # be spelled out only in internal/seeded (and in the detrand analyzer's
 # fixtures). A second copy is how the seven private ones started.

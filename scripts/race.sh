@@ -4,10 +4,12 @@
 # accumulators it feeds, and everything that rides a checkpoint — the
 # dataset's block-parallel replay, the flight recorder, the segment
 # container, the sidecar writer and the telemetry shards — under the Go race
-# detector.
+# detector, along with the two per-probe models its workers call on shared
+# read-only state (Catchment.SelectAt, traceroute.Run).
 set -eu
 cd "$(dirname "$0")/.."
 exec go test -race \
 	./internal/measure/... ./internal/analysis/... \
 	./internal/dataset/... ./internal/qlog/... ./internal/segment/... \
-	./internal/checkpoint/... ./internal/telemetry/...
+	./internal/checkpoint/... ./internal/telemetry/... \
+	./internal/anycast/... ./internal/traceroute/...
