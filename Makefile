@@ -18,9 +18,9 @@ test: build
 lint:
 	$(GO) run ./cmd/rootlint ./...
 
-# Race coverage for the parallel campaign engine, the analyses it feeds, and
+# Race coverage for the parallel campaign engine, the analyses it feeds,
 # everything a checkpoint touches (dataset, flight log, segment container,
-# sidecar writer, telemetry). See scripts/race.sh.
+# sidecar writer, telemetry) and the DNS server. See scripts/race.sh.
 race:
 	sh scripts/race.sh
 

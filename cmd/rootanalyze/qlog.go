@@ -280,9 +280,9 @@ func clientLost(e qlog.Event) bool {
 }
 
 // serverServed reports whether a server-side event shows a response leaving
-// the egress funnel (fate ok, not shed, verdict none/send/slip).
+// the egress funnel (fate ok, verdict none/send/slip).
 func serverServed(e qlog.Event) bool {
-	return e.Val("fate") == 0 && e.Val("shed") == 0 && e.Val("verdict") != 2
+	return e.Val("fate") == 0 && e.Val("verdict") != 2
 }
 
 // qlogJoin pairs every client-side event with the server-side events for the
@@ -338,7 +338,7 @@ func qlogJoin(serverPath, clientPath string) int {
 	}
 	fmt.Printf("join: client=%d server=%d sent=%d matched=%d lost=%d unmatched=%d\n",
 		len(cevs), len(sevs), sent, matched, lost, unmatched)
-	for _, why := range []string{"egress-lost", "rrl-drop", "shed", "ingress-drop", "no-server-event"} {
+	for _, why := range []string{"egress-lost", "rrl-drop", "ingress-drop", "no-server-event"} {
 		if n := lostWhy[why]; n > 0 {
 			fmt.Printf("  lost by server outcome: %-15s %d\n", why, n)
 		}
@@ -363,28 +363,22 @@ func qlogJoin(serverPath, clientPath string) int {
 
 // explainLoss characterizes the server's view of a query the client declared
 // lost: the server answered and the reply vanished (egress-lost), RRL
-// suppressed it, the slow queue shed it, the link dropped it on ingress, or
-// the server never saw it.
+// suppressed it, the link dropped it on ingress, or the server never saw it.
 func explainLoss(sevs []qlog.Event) string {
 	if len(sevs) == 0 {
 		return "no-server-event"
 	}
-	var sawDrop, sawShed bool
+	sawDrop := false
 	for _, e := range sevs {
 		switch {
 		case serverServed(e):
 			return "egress-lost"
 		case e.Val("verdict") == 2:
 			sawDrop = true
-		case e.Val("shed") == 1:
-			sawShed = true
 		}
 	}
 	if sawDrop {
 		return "rrl-drop"
-	}
-	if sawShed {
-		return "shed"
 	}
 	return "ingress-drop"
 }

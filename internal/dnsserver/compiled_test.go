@@ -262,7 +262,7 @@ func TestCompiledPathAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bufs := newShardBufs()
+		bufs := new(shardBufs)
 		sh := parseQueryShape(wire)
 		serve := func() {
 			bufs.resp = s.answerCompiled(s.state.Load(), 0, &bufs.name, bufs.resp[:0], wire, sh, s.bucketLimit(sh.hasEDNS, sh.adv))

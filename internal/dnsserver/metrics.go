@@ -19,14 +19,14 @@ var (
 // RRL counters are process-class: every verdict is a pure function of
 // (config, per-bucket arrival index), so a serial offered load reproduces
 // them byte-identically across runs and shard counts — they are what the
-// check.sh adversity step diffs. Sheds, TCP rejects and socket errors are
-// volatile: they exist precisely because queue drain, accept timing and
-// kernel resource limits are wall-clock facts.
+// check.sh adversity step diffs. Oversize drops (see answerWire), TCP
+// rejects and socket errors are volatile: they follow what the network
+// offers, accept timing and kernel resource limits.
 var (
 	mRRLDrops     = telemetry.NewCounter("rrl/drops")
 	mRRLSlips     = telemetry.NewCounter("rrl/slips")
 	mRRLEvictions = telemetry.NewCounter("rrl/evictions")
-	mSheds        = telemetry.NewCounter("serve/sheds")
+	mOversize     = telemetry.NewCounter("serve/oversize_drops")
 	mTCPRejects   = telemetry.NewCounter("serve/tcp_rejects")
 	mSocketErrors = telemetry.NewCounter("serve/socket_errors")
 )

@@ -8,7 +8,7 @@ import "repro/internal/qlog"
 // against the qlog registry.
 var evServeQuery = qlog.NewEvent("serve/query",
 	"flow", "fidx", "fate", "verdict", "cache", "bucket", "edns", "do",
-	"shed", "tc", "class", "rcode")
+	"tc", "class", "rcode")
 
 // serve/query enum values, in registry order. The rrl verdict and class
 // enums deliberately reuse the rrlVerdict/rrlClass numbering shifted by the
@@ -39,9 +39,8 @@ type qev struct {
 // the verdict left behind: the wire response for send, the suppressed
 // response for an RRL drop, the TC stub for a slip, zero when no response was
 // ever built (ingress drop). Only fast-parsed queries are recorded (the key
-// hashes their question), and those never take the slow queue: the cache
-// field, "answered on the compiled path", is set for every query the link let
-// in, and shed stays zero.
+// hashes their question), so the cache field, "answered on the compiled
+// path", is set for every query the link let in.
 func (s *Server) emitServe(ev qev, pkt []byte, sh queryShape, fate, verdict, tc, class, rcode uint64) {
 	var bucket uint64
 	switch s.bucketLimit(sh.hasEDNS, sh.adv) {
@@ -50,7 +49,7 @@ func (s *Server) emitServe(ev qev, pkt []byte, sh queryShape, fate, verdict, tc,
 	case 1232:
 		bucket = 1
 	}
-	var edns, do, compiled, shed uint64
+	var edns, do, compiled uint64
 	if sh.hasEDNS {
 		edns = 1
 	}
@@ -61,7 +60,7 @@ func (s *Server) emitServe(ev qev, pkt []byte, sh queryShape, fate, verdict, tc,
 		compiled = 1
 	}
 	s.cfg.QLog.Emit(evServeQuery, ev.key, pkt[:sh.qEnd],
-		ev.flow, ev.fidx, fate, verdict, compiled, bucket, edns, do, shed, tc, class, rcode)
+		ev.flow, ev.fidx, fate, verdict, compiled, bucket, edns, do, tc, class, rcode)
 }
 
 // qlogIngressDrop records a sampled query the emulated link swallowed on

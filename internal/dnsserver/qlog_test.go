@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"bytes"
+	"net"
 	"testing"
 	"time"
 
@@ -12,36 +13,73 @@ import (
 	"repro/internal/zone"
 )
 
-// adversityWires packs the fixed 20-query serial sequence the adversity
-// tests drive: an apex SOA, a delegation, an NXDOMAIN, and an
-// EDNS-sized priming query, cycled with distinct message IDs.
+// adversityWires packs the fixed 24-query serial sequence the adversity
+// tests drive: an apex SOA, a delegation, an NXDOMAIN, and an EDNS-sized
+// priming query, interleaved with four shapes the fast parser refuses — a
+// NOTIFY (answered NOTIMP) and a trailing octet (answered normally) by the
+// oracle, a two-question message and a response (never answered) — cycled
+// with distinct message IDs.
 func adversityWires(t *testing.T) [][]byte {
 	t.Helper()
 	type qt struct {
 		name dnswire.Name
 		typ  dnswire.Type
 		edns uint16
+		odd  string
 	}
 	seq := []qt{
-		{dnswire.Root, dnswire.TypeSOA, 0},
-		{dnswire.MustName("www.com."), dnswire.TypeA, 0},
-		{dnswire.MustName("nope.nosuchtld."), dnswire.TypeA, 0},
-		{dnswire.Root, dnswire.TypeNS, 1232},
+		{dnswire.Root, dnswire.TypeSOA, 0, ""},
+		{dnswire.MustName("com."), dnswire.TypeSOA, 0, "notify"},
+		{dnswire.MustName("www.com."), dnswire.TypeA, 0, ""},
+		{dnswire.Root, dnswire.TypeSOA, 0, "trailing octet"},
+		{dnswire.MustName("nope.nosuchtld."), dnswire.TypeA, 0, ""},
+		{dnswire.MustName("www.com."), dnswire.TypeA, 0, "two questions"},
+		{dnswire.Root, dnswire.TypeNS, 1232, ""},
+		{dnswire.Root, dnswire.TypeSOA, 0, "response"},
 	}
-	out := make([][]byte, 0, 20)
-	for i := 0; i < 20; i++ {
+	out := make([][]byte, 0, 24)
+	for i := 0; i < 24; i++ {
 		q := seq[i%len(seq)]
 		msg := dnswire.NewQuery(uint16(i+1), q.name, q.typ)
 		if q.edns > 0 {
 			msg.WithEDNS(q.edns, true)
 		}
+		switch q.odd {
+		case "notify":
+			msg.Header.Opcode = dnswire.OpcodeNotify
+		case "two questions":
+			msg.Questions = append(msg.Questions, msg.Questions[0])
+		case "response":
+			msg.Header.Response = true
+		}
 		wire, err := msg.Pack()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if q.odd == "trailing octet" {
+			wire = append(wire, 0)
+		}
+		if refused := !parseQueryShape(wire).ok; refused != (q.odd != "") {
+			t.Fatalf("wire %d (%q): fast parser refused = %v", i, q.odd, refused)
+		}
 		out = append(out, wire)
 	}
 	return out
+}
+
+// driveAdversity sends the adversity sequence over conn. The client is
+// deliberately serial (send, wait, send) so the per-flow packet order the
+// link sees is the client's own order. Every shape is answered on the read
+// loop that received it, so whatever comes back while the client waits
+// answers the query it just sent.
+func driveAdversity(t *testing.T, conn *net.UDPConn) {
+	t.Helper()
+	for i, wire := range adversityWires(t) {
+		reply, ok := sendMaybe(t, conn, wire, 120*time.Millisecond)
+		if ok && !bytes.Equal(reply[:2], wire[:2]) {
+			t.Errorf("query %d (ID % x) was answered out of order, by the reply to ID % x", i, wire[:2], reply[:2])
+		}
+	}
 }
 
 // qlogAdversityRun drives the fixed serial adversity sequence (netem loss +
@@ -72,9 +110,7 @@ func qlogAdversityRun(t *testing.T, z *zone.Zone, workers int) []qlog.Event {
 	defer s.Close()
 	conn := dialUDP(t, addr)
 
-	for _, wire := range adversityWires(t) {
-		sendMaybe(t, conn, wire, 120*time.Millisecond)
-	}
+	driveAdversity(t, conn)
 	s.Close()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -110,10 +146,10 @@ func TestFlightLogIdenticalAcrossWorkers(t *testing.T) {
 	}
 	// The cache field is "answered on the compiled path", a function of the
 	// query's shape alone: every recorded query was fast-parsed, so it is set
-	// exactly when the link let the query in, and none took the slow queue.
+	// exactly when the link let the query in.
 	for _, e := range base {
-		if admitted := e.Val("fate") == qFateOK; (e.Val("cache") == 1) != admitted || e.Val("shed") != 0 {
-			t.Errorf("cache=%d shed=%d on an event with fate=%d: %s", e.Val("cache"), e.Val("shed"), e.Val("fate"), e)
+		if admitted := e.Val("fate") == qFateOK; (e.Val("cache") == 1) != admitted {
+			t.Errorf("cache=%d on an event with fate=%d: %s", e.Val("cache"), e.Val("fate"), e)
 		}
 	}
 	for name, workers := range map[string]int{"again-1": 1, "workers-4": 4} {
@@ -163,9 +199,7 @@ func TestFlightLogSampledSubset(t *testing.T) {
 	}
 	defer s.Close()
 	conn := dialUDP(t, addr)
-	for _, wire := range adversityWires(t) {
-		sendMaybe(t, conn, wire, 120*time.Millisecond)
-	}
+	driveAdversity(t, conn)
 	s.Close()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

@@ -53,10 +53,9 @@ func dialUDP(tb testing.TB, addr net.Addr) *net.UDPConn {
 	return conn
 }
 
-// adversityRun drives one fixed serial query sequence against a server with
-// RRL and a lossy netem profile, then returns the logical telemetry bytes.
-// The client is deliberately serial (send, wait, send) so the per-flow
-// packet order the link sees is the client's own order.
+// adversityRun drives the fixed serial adversity sequence against a server
+// with RRL and a lossy netem profile, then returns the logical telemetry
+// bytes.
 func adversityRun(t *testing.T, z *zone.Zone, workers int) []byte {
 	t.Helper()
 	telemetry.Reset()
@@ -76,29 +75,7 @@ func adversityRun(t *testing.T, z *zone.Zone, workers int) []byte {
 	defer s.Close()
 	conn := dialUDP(t, addr)
 
-	type qt struct {
-		name dnswire.Name
-		typ  dnswire.Type
-		edns uint16
-	}
-	seq := []qt{
-		{dnswire.Root, dnswire.TypeSOA, 0},
-		{dnswire.MustName("www.com."), dnswire.TypeA, 0},
-		{dnswire.MustName("nope.nosuchtld."), dnswire.TypeA, 0},
-		{dnswire.Root, dnswire.TypeNS, 1232},
-	}
-	for i := 0; i < 20; i++ {
-		q := seq[i%len(seq)]
-		msg := dnswire.NewQuery(uint16(i+1), q.name, q.typ)
-		if q.edns > 0 {
-			msg.WithEDNS(q.edns, true)
-		}
-		wire, err := msg.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sendMaybe(t, conn, wire, 120*time.Millisecond)
-	}
+	driveAdversity(t, conn)
 	s.Close()
 	return telemetry.MarshalLogical()
 }
@@ -107,7 +84,7 @@ func adversityRun(t *testing.T, z *zone.Zone, workers int) []byte {
 // fixed netem seed and RRL enabled, the logical telemetry namespace (stream
 // + process classes — queries handled, packets dropped/corrupted, RRL
 // drop/slip/eviction counts) is byte-identical across runs and across
-// serve-worker counts. Volatile counters (compiled-path hits, sheds) are excluded
+// serve-worker counts. Volatile counters (compiled-path hits) are excluded
 // by scope, exactly as `rootanalyze -diff` excludes them.
 func TestRRLDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
@@ -317,35 +294,6 @@ func TestChaosForcedRRLDrop(t *testing.T) {
 	wire2, _ := dnswire.NewQuery(2, dnswire.Root, dnswire.TypeSOA).Pack()
 	if _, ok := sendMaybe(t, conn, wire2, 2*time.Second); !ok {
 		t.Fatal("second query got no response after the failpoint fired")
-	}
-}
-
-// TestChaosForcedShed arms the slow-queue shed failpoint: the first query
-// bound for the slow queue is shed before enqueue (silent, counted), and
-// re-asking succeeds. Only shapes the fast parser refuses take the queue; a
-// trailing octet is one.
-func TestChaosForcedShed(t *testing.T) {
-	z, _ := signedRootZone(t, 10)
-	s, c := startServer(t, Config{Zone: z})
-	_ = s
-	addr, _ := net.ResolveUDPAddr("udp", c.Addr)
-	conn := dialUDP(t, addr)
-
-	if err := failpoint.Enable("serve/shed=error@1"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable()
-
-	wire, err := dnswire.NewQuery(1, dnswire.Root, dnswire.TypeSOA).Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire = append(wire, 0)
-	if _, ok := sendMaybe(t, conn, wire, 200*time.Millisecond); ok {
-		t.Fatal("shed query still produced a response")
-	}
-	if _, ok := sendMaybe(t, conn, wire, 2*time.Second); !ok {
-		t.Fatal("retry after shed got no response")
 	}
 }
 

@@ -68,8 +68,8 @@ func BenchmarkServeUDP(b *testing.B) {
 	b.Run("compiled-nxdomain", func(b *testing.B) {
 		benchServe(b, base, dnswire.NewQuery(7, dnswire.MustName("junk.nosuchtld."), dnswire.TypeA).WithEDNS(1232, true))
 	})
-	// A NOTIFY is a shape the fast parser refuses: slow queue, full decode,
-	// handleState, pack — the oracle path, allocations and all.
+	// A NOTIFY is a shape the fast parser refuses: full decode, handleState,
+	// pack on the read loop — the oracle path, allocations and all.
 	notify := dnswire.NewQuery(7, dnswire.Root, dnswire.TypeSOA)
 	notify.Header.Opcode = dnswire.OpcodeNotify
 	b.Run("oracle-shape", func(b *testing.B) {

@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -170,6 +171,87 @@ func TestServeWorkersSharded(t *testing.T) {
 		}
 		if len(resp.Answers) != 1 || resp.Answers[0].Type() != dnswire.TypeSOA {
 			t.Fatalf("query %d: answers = %v", i, resp.Answers)
+		}
+	}
+}
+
+// TestOracleCapOverUDP pins the one bound on oracle work per datagram: over
+// UDP a shape the fast parser refuses is decoded only up to the classic
+// 512-byte message size, and dropped undecoded (and counted) beyond it.
+// Length alone never costs a query its answer: a parser-accepted query is
+// stitched at any size, and TCP decodes any shape. ServeWire applies the
+// socket's rule.
+func TestOracleCapOverUDP(t *testing.T) {
+	z, _ := signedRootZone(t, 10)
+	s, c := startServer(t, Config{Zone: z})
+	udpAddr, _ := net.ResolveUDPAddr("udp", c.Addr)
+	udp := dialUDP(t, udpAddr)
+	tcp, err := net.Dial("tcp", c.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+
+	plain, err := dnswire.NewQuery(7, dnswire.Root, dnswire.TypeSOA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trailing octets are a refused shape the oracle answers like the query
+	// they trail.
+	trailing := func(size int) []byte {
+		return append(bytes.Clone(plain), make([]byte, size-len(plain))...)
+	}
+	// An EDNS padding option (RFC 7830) makes a long query the parser accepts.
+	padded, err := dnswire.NewQuery(7, dnswire.Root, dnswire.TypeSOA).WithEDNS(1232, false).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pad = 600
+	binary.BigEndian.PutUint16(padded[len(padded)-2:], 4+pad)
+	padded = append(padded, 0, 12, pad>>8, pad&0xFF)
+	padded = append(padded, make([]byte, pad)...)
+
+	cases := []struct {
+		name     string
+		wire     []byte
+		overTCP  bool
+		accepted bool  // by the fast parser
+		drops    int64 // serve/oversize_drops moves by this, and no reply comes
+		oracle   int64 // dns/cache/misses moves by this
+	}{
+		{"refused shape at the cap", trailing(dnswire.MaxUDPPayload), false, false, 0, 1},
+		{"refused shape one over the cap", trailing(dnswire.MaxUDPPayload + 1), false, false, 1, 0},
+		{"accepted shape over the cap", padded, false, true, 0, 0},
+		{"refused shape over the cap, over TCP", trailing(dnswire.MaxUDPPayload + 1), true, false, 0, 1},
+	}
+	for _, tc := range cases {
+		if got := parseQueryShape(tc.wire).ok; got != tc.accepted {
+			t.Fatalf("%s: fast parser accepted = %v, want %v", tc.name, got, tc.accepted)
+		}
+		drops, oracle := mOversize.Value(), mCacheMisses.Value()
+		var reply []byte
+		if tc.overTCP {
+			reply = tcpExchange(t, tcp, tc.wire)
+		} else {
+			reply, _ = sendMaybe(t, udp, tc.wire, 300*time.Millisecond)
+		}
+		drops, oracle = mOversize.Value()-drops, mCacheMisses.Value()-oracle
+		if drops != tc.drops || oracle != tc.oracle {
+			t.Errorf("%s: %d oversize drops and %d oracle answers, want %d and %d", tc.name, drops, oracle, tc.drops, tc.oracle)
+		}
+		if tc.drops == 0 {
+			limit := maxTCPMessage
+			if !tc.overTCP {
+				limit = s.bucketLimit(tc.accepted, 1232)
+			}
+			if want := oracleBytes(t, s, tc.wire, limit); !bytes.Equal(reply, want) {
+				t.Errorf("%s: answered\n % x\nwant the oracle's\n % x", tc.name, reply, want)
+			}
+		} else if reply != nil {
+			t.Errorf("%s: answered % x, want no reply", tc.name, reply)
+		}
+		if !bytes.Equal(reply, s.ServeWire(nil, tc.wire, tc.overTCP)) {
+			t.Errorf("%s: the socket and ServeWire disagree", tc.name)
 		}
 	}
 }

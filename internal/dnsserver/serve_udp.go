@@ -6,7 +6,6 @@ import (
 	"net/netip"
 
 	"repro/internal/dnswire"
-	"repro/internal/failpoint"
 	"repro/internal/netem"
 	"repro/internal/qlog"
 )
@@ -18,8 +17,8 @@ const udpHeaderLen = 12
 // enough to answer it from the compiled table without decoding the message.
 // ok is false for anything the fast parser does not recognize (compression
 // pointers in the question, multiple questions, trailing bytes, non-OPT
-// additionals, non-QUERY opcodes), which routes the datagram to the oracle's
-// full decode path.
+// additionals, non-QUERY opcodes), which has answerWire decode the datagram
+// for the oracle instead.
 type queryShape struct {
 	qEnd    int // offset just past the question section
 	qtype   dnswire.Type
@@ -128,58 +127,27 @@ func (s *Server) bucketLimit(hasEDNS bool, adv uint16) int {
 // 2-byte length prefix can frame.
 const maxTCPMessage = 0xFFFF
 
-// shardBufs is one serving goroutine's reusable buffers (each read loop and
-// each slow worker owns a set; nothing is shared, nothing escapes).
+// shardBufs is one read loop's reusable buffers (nothing is shared, nothing
+// escapes).
 type shardBufs struct {
 	resp   []byte
 	rrlKey []byte
 	name   foldedName
 }
 
-func newShardBufs() *shardBufs {
-	return &shardBufs{
-		resp:   make([]byte, 0, 4096),
-		rrlKey: make([]byte, 0, 32),
-	}
-}
-
-// slowItem is one query handed from a read loop to its shard's slow worker.
-type slowItem struct {
-	pkt   []byte
-	raddr netip.AddrPort
-	flow  uint64
-}
-
-// slowQueue is the bounded per-shard hand-off between the read loop and the
-// slow worker, plus a free list recycling packet buffers so a steady load
-// of refused shapes allocates nothing for the hand-off after warm-up. Enqueue never blocks: a full queue
-// sheds the query (an overload drop a real server would also take, counted
-// in serve/sheds).
-type slowQueue struct {
-	ch   chan slowItem
-	free chan []byte
-}
-
-func newSlowQueue(depth int) *slowQueue {
-	return &slowQueue{
-		ch:   make(chan slowItem, depth),
-		free: make(chan []byte, depth),
-	}
-}
-
 // serveUDPLoop is one shard's read loop. All buffers are reused across
-// iterations; a query the fast parser accepts is answered inline with zero
+// iterations; a query the fast parser accepts is answered with zero
 // allocations once its answer is compiled (the netip read/write paths are
-// alloc-free). Anything else is handed to the shard's slow worker so a
-// full decode can never stall the socket; the emulated link, when
-// configured, admits datagrams on ingress (possibly dropping, corrupting,
-// or duplicating them) before any parsing happens.
+// alloc-free). Every datagram is answered here, on the loop that read it,
+// so a client's replies and RRL verdicts follow its own send order; the
+// emulated link, when configured, admits datagrams on ingress (possibly
+// dropping, corrupting, or duplicating them) before any parsing happens.
 //
 //rootlint:hotpath
 func (s *Server) serveUDPLoop(conn *net.UDPConn, shard int) {
 	defer s.wg.Done()
 	readBuf := make([]byte, 64*1024)
-	bufs := newShardBufs()
+	bufs := &shardBufs{resp: make([]byte, 0, 4096), rrlKey: make([]byte, 0, 32)}
 	qlogOn := s.cfg.QLog != nil
 	var flowCounts map[uint64]uint64
 	if qlogOn {
@@ -224,117 +192,31 @@ func (s *Server) serveUDPLoop(conn *net.UDPConn, shard int) {
 	}
 }
 
-// servePacket serves one admitted datagram: inline from the compiled table
-// when the fast parser accepts it, through the shard's slow worker
-// otherwise.
+// servePacket serves one admitted datagram: answerWire, then the egress
+// funnel.
 //
 //rootlint:hotpath
 func (s *Server) servePacket(conn *net.UDPConn, shard int, bufs *shardBufs, pkt []byte, raddr netip.AddrPort, flow, fidx uint64) {
 	sh := parseQueryShape(pkt)
-	if !sh.ok {
-		s.enqueueSlow(shard, pkt, raddr, flow)
-		return
-	}
 	var ev qev
-	if s.cfg.QLog != nil {
+	if sh.ok && s.cfg.QLog != nil {
 		ev.key = qlog.Key(pkt[:sh.qEnd])
 		ev.flow, ev.fidx = flow, fidx
 		ev.sampled = s.cfg.QLog.Sampled(ev.key)
 	}
-	bufs.resp = s.answerCompiled(s.state.Load(), shard, &bufs.name, bufs.resp[:0], pkt, sh, s.bucketLimit(sh.hasEDNS, sh.adv))
+	bufs.resp = s.answerWire(shard, &bufs.name, bufs.resp[:0], pkt, sh, false)
 	if len(bufs.resp) == 0 {
 		return
 	}
 	s.respond(conn, shard, bufs, pkt, sh, raddr, flow, ev)
 }
 
-// enqueueSlow hands a query the fast parser refused to the shard's slow
-// worker, or sheds it when the bounded queue is full. The serve/shed
-// failpoint forces a shed for chaos tests.
-//
-//rootlint:hotpath
-func (s *Server) enqueueSlow(shard int, pkt []byte, raddr netip.AddrPort, flow uint64) {
-	if err := failpoint.Eval("serve/shed"); err != nil {
-		mSheds.ShardInc(shard)
-		return
-	}
-	q := s.slow[shard]
-	var buf []byte
-	select {
-	case buf = <-q.free:
-	default:
-		buf = make([]byte, 0, 4096)
-	}
-	buf = append(buf[:0], pkt...)
-	select {
-	case q.ch <- slowItem{pkt: buf, raddr: raddr, flow: flow}:
-	default:
-		select {
-		case q.free <- buf:
-		default:
-		}
-		mSheds.ShardInc(shard)
-	}
-}
-
-// slowWorker drains one shard's queue through the oracle. It owns its
-// buffers, so the read loop and the worker never share mutable state.
-func (s *Server) slowWorker(conn *net.UDPConn, shard int, q *slowQueue) {
-	defer s.wg.Done()
-	bufs := newShardBufs()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case it := <-q.ch:
-			// Unparseable datagrams are dropped, like real servers.
-			if query, err := dnswire.Unpack(it.pkt); err == nil {
-				bufs.resp = s.oracleWire(s.state.Load(), bufs.resp[:0], query, false)
-				if len(bufs.resp) > 0 {
-					s.respond(conn, shard, bufs, it.pkt, queryShape{}, it.raddr, it.flow, qev{})
-				}
-			}
-			select {
-			case q.free <- it.pkt:
-			default:
-			}
-		}
-	}
-}
-
-// oracleWire is the allocating path for what the fast parser refuses: it
-// appends handleState's answer to the decoded query to dst, packed and, over
-// UDP, truncated to the bucketed limit. It returns dst unchanged when there
-// is no answer.
-func (s *Server) oracleWire(st *serveState, dst []byte, query *dnswire.Message, tcp bool) []byte {
-	mCacheMisses.Inc()
-	resp := s.handleState(st, query)
-	if resp == nil {
-		return dst
-	}
-	limit := maxTCPMessage
-	if !tcp {
-		opt, ok := query.EDNS()
-		limit = s.bucketLimit(ok, opt.UDPSize)
-	}
-	out, err := resp.AppendPack(dst)
-	if err == nil && len(out)-len(dst) > limit {
-		tc := &dnswire.Message{Header: resp.Header, Questions: resp.Questions}
-		tc.Header.Truncated = true
-		out, err = tc.AppendPack(dst)
-	}
-	if err != nil {
-		return dst
-	}
-	return out
-}
-
 // respond is the single egress funnel for UDP responses: the RRL verdict
 // (send / drop / answer with a TC slip) is taken here from the raw response
 // bytes, then the emulated link admits whatever survives. Both the compiled
-// and the oracle path converge on this method, so serve/rrl/decide has exactly one
-// evaluation site and verdict order per client follows the client's own
-// arrival order.
+// and the oracle path converge on this method, on the read loop that owns
+// the client's flow, so serve/rrl/decide has exactly one evaluation site and
+// verdict order per client follows the client's own arrival order.
 //
 //rootlint:hotpath
 func (s *Server) respond(conn *net.UDPConn, shard int, bufs *shardBufs, pkt []byte, sh queryShape, raddr netip.AddrPort, flow uint64, ev qev) {
@@ -350,7 +232,7 @@ func (s *Server) respond(conn *net.UDPConn, shard int, bufs *shardBufs, pkt []by
 		case rrlSlip:
 			if !sh.ok {
 				// No fast-parsed question to stitch a stub from; the
-				// slow decoder accepted something the stub builder can't
+				// full decoder accepted something the stub builder can't
 				// reproduce byte-exactly, so suppress entirely.
 				return
 			}

@@ -14,7 +14,8 @@
 // oracle, handleState, which is also what answers the few query shapes the
 // fast parser refuses. N read loops on SO_REUSEPORT-sharded sockets (or N
 // loops sharing one socket where unsupported) and an atomically swapped
-// serve state mean queries never take a lock. See serve_udp.go.
+// serve state mean a query never takes a lock or changes goroutine: the
+// kernel receive buffer is the only queue. See serve_udp.go.
 package dnsserver
 
 import (
@@ -78,13 +79,9 @@ type Config struct {
 	Netem netem.Profile
 	// QLog attaches a per-query flight recorder to the UDP serve path:
 	// every sampled query emits one serve/query event at its terminal
-	// point (ingress drop, overload shed, or the egress funnel). Nil
-	// leaves recording off; the fast path then pays one nil check.
+	// point (ingress drop or the egress funnel). Nil leaves recording off;
+	// the fast path then pays one nil check.
 	QLog *qlog.Recorder
-	// QueueDepth bounds each shard's slow-path queue (queries the fast
-	// parser refuses wait here for the shard's decode worker; a full queue
-	// sheds the query). 0 means 256.
-	QueueDepth int
 	// TCPTimeout is the per-connection idle deadline: every read or write
 	// on an accepted TCP connection must make progress within it, so one
 	// stalled or half-open peer cannot pin a server goroutine. 0 means 2
@@ -127,8 +124,6 @@ type Server struct {
 	//rootlint:immutable-after-start
 	link *netem.Link // nil when netem is off
 	//rootlint:immutable-after-start
-	slow []*slowQueue
-	//rootlint:immutable-after-start
 	tcpSem chan struct{} // nil when the connection cap is unlimited
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -146,9 +141,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.UDPSize == 0 {
 		cfg.UDPSize = dnswire.MaxUDPPayload
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
 	}
 	if cfg.TCPTimeout == 0 {
 		cfg.TCPTimeout = 2 * time.Minute
@@ -229,13 +221,9 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	}
 	s.udps, s.tcp = udps, tcp
 	s.started = true
-	s.slow = make([]*slowQueue, workers)
-	s.wg.Add(2*workers + 1)
+	s.wg.Add(workers + 1)
 	for i := 0; i < workers; i++ {
-		conn := s.udps[i%len(s.udps)]
-		s.slow[i] = newSlowQueue(s.cfg.QueueDepth)
-		go s.serveUDPLoop(conn, i)
-		go s.slowWorker(conn, i, s.slow[i])
+		go s.serveUDPLoop(s.udps[i%len(s.udps)], i)
 	}
 	go s.serveTCP()
 	return udps[0].LocalAddr(), nil
@@ -344,12 +332,14 @@ func (s *Server) serveTCP() {
 // be a transfer request is decoded here, to be answered with a stream.
 func (s *Server) serveConn(conn net.Conn) {
 	var frame, out []byte
+	var name foldedName
 	for {
 		pkt, err := axfr.ReadFrame(conn, &frame)
 		if err != nil {
 			return
 		}
-		if sh := parseQueryShape(pkt); !sh.ok || sh.qtype == dnswire.TypeAXFR {
+		sh := parseQueryShape(pkt)
+		if !sh.ok || sh.qtype == dnswire.TypeAXFR {
 			query, err := dnswire.Unpack(pkt)
 			if err == nil && len(query.Questions) == 1 && query.Questions[0].Type == dnswire.TypeAXFR {
 				if s.cfg.AllowAXFR {
@@ -360,7 +350,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 		}
-		out = s.ServeWire(append(out[:0], 0, 0), pkt, true)
+		out = s.answerWire(0, &name, append(out[:0], 0, 0), pkt, sh, true)
 		if len(out) == 2 {
 			return // no answer: a malformed message, or not a query
 		}
@@ -373,25 +363,64 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // ServeWire answers one raw query the way a socket would: it appends the
 // response to dst and returns it, or returns dst unchanged for a query that
-// gets no answer (a response, a malformed packet). tcp lifts the UDP size
-// limit. It is the entry point for in-process simulations (the campaign's
-// wire-check battery); the UDP read loops and the TCP listener take the
-// same two paths underneath it.
+// gets no answer (a response, a malformed packet, over UDP an odd shape past
+// the oracle's size cap). tcp lifts the UDP size limits. It is the entry
+// point for in-process simulations (the campaign's wire-check battery); the
+// UDP read loops and the TCP listener call the same answerWire underneath.
 func (s *Server) ServeWire(dst, query []byte, tcp bool) []byte {
+	var name foldedName
+	return s.answerWire(0, &name, dst, query, parseQueryShape(query), tcp)
+}
+
+// answerWire is the one "parse, else decode" step under UDP, TCP and
+// ServeWire. It appends the answer to pkt, whose fast parse is sh, to dst,
+// or returns dst unchanged when there is none: stitched from the compiled
+// table for a shape the parser accepted, decoded and computed by the oracle
+// on the caller's goroutine for any other. Decoding costs in proportion to
+// the datagram and over UDP anyone can send 64 KB of anything, so there a
+// refused shape longer than the classic 512-byte message is dropped
+// undecoded and counted: what makes real queries long, EDNS options, the
+// parser accepts, and up to 512 bytes the oracle is cheaper than the socket
+// round trip (DESIGN.md, "Serve: overload").
+//
+//rootlint:hotpath
+func (s *Server) answerWire(shard int, fn *foldedName, dst, pkt []byte, sh queryShape, tcp bool) []byte {
 	st := s.state.Load()
-	if sh := parseQueryShape(query); sh.ok {
+	if sh.ok {
 		limit := maxTCPMessage
 		if !tcp {
 			limit = s.bucketLimit(sh.hasEDNS, sh.adv)
 		}
-		var name foldedName
-		return s.answerCompiled(st, 0, &name, dst, query, sh, limit)
+		return s.answerCompiled(st, shard, fn, dst, pkt, sh, limit)
 	}
-	m, err := dnswire.Unpack(query)
+	if !tcp && len(pkt) > dnswire.MaxUDPPayload {
+		mOversize.ShardInc(shard)
+		return dst
+	}
+	query, err := dnswire.Unpack(pkt)
+	if err != nil {
+		return dst // unparseable datagrams are dropped, like real servers
+	}
+	mCacheMisses.ShardInc(shard)
+	resp := s.handleState(st, query)
+	if resp == nil {
+		return dst
+	}
+	limit := maxTCPMessage
+	if !tcp {
+		opt, ok := query.EDNS()
+		limit = s.bucketLimit(ok, opt.UDPSize)
+	}
+	out, err := resp.AppendPack(dst)
+	if err == nil && len(out)-len(dst) > limit {
+		tc := &dnswire.Message{Header: resp.Header, Questions: resp.Questions}
+		tc.Header.Truncated = true
+		out, err = tc.AppendPack(dst)
+	}
 	if err != nil {
 		return dst
 	}
-	return s.oracleWire(st, dst, m, tcp)
+	return out
 }
 
 // Handle computes the response for query, decoded: the oracle every compiled

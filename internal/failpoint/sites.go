@@ -65,8 +65,4 @@ var Sites = []Site{
 	// volatile serving state, excluded from checkpoints by construction
 	// (TestRRLStateExcludedFromCheckpoints).
 	{Name: "serve/rrl/decide", Kill: false},
-	// Slow-path enqueue in the sharded UDP serve loop: an injected error
-	// forces an overload shed for one query. Not kill-capable for the same
-	// reason as the RRL site.
-	{Name: "serve/shed", Kill: false},
 }

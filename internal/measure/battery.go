@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/axfr"
@@ -20,25 +21,6 @@ import (
 // zone contents are exercised end-to-end inside the campaign.
 type Battery struct {
 	srv *dnsserver.Server
-	// memBytes estimates the resident footprint of the zones the battery
-	// serves, computed once at construction; the battery cache budgets by
-	// it. Zero for a zero-value Battery.
-	memBytes int64
-}
-
-// SizeBytes reports the battery's estimated resident footprint.
-func (b *Battery) SizeBytes() int64 { return b.memBytes }
-
-// zoneFootprint estimates a zone's resident bytes: the cached canonical
-// wire of each record (which the battery's serve paths materialize anyway)
-// plus a fixed allowance for the decoded RR value and slice headers.
-func zoneFootprint(z *zone.Zone) int64 {
-	const perRecordOverhead = 96
-	var n int64
-	for i := range z.Records {
-		n += int64(len(z.CanonicalWire(i))) + perRecordOverhead
-	}
-	return n
 }
 
 // NewBattery wraps the root zone (and the root-servers.net companion zone
@@ -55,7 +37,7 @@ func NewBattery(z *zone.Zone, identity dnsserver.Identity) (*Battery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Battery{srv: srv, memBytes: zoneFootprint(z) + zoneFootprint(companion)}, nil
+	return &Battery{srv: srv}, nil
 }
 
 // BatteryResult summarizes a battery run.
@@ -192,7 +174,7 @@ func (b *Battery) Run(target rss.ServiceAddr, expectIdentity string) BatteryResu
 		res.check(false, "AXFR serve: %v", err)
 		return res
 	}
-	var stream sliceStream
+	var stream bytes.Buffer
 	for _, m := range msgs {
 		if err := axfr.WriteMessage(&stream, m); err != nil {
 			res.check(false, "AXFR write: %v", err)
@@ -209,24 +191,4 @@ func (b *Battery) Run(target rss.ServiceAddr, expectIdentity string) BatteryResu
 	res.check(got == len(b.srv.Zone().Records),
 		"AXFR returned %d records, zone has %d", got, len(b.srv.Zone().Records))
 	return res
-}
-
-// sliceStream is an in-memory byte pipe.
-type sliceStream struct {
-	data []byte
-	off  int
-}
-
-func (s *sliceStream) Write(p []byte) (int, error) {
-	s.data = append(s.data, p...)
-	return len(p), nil
-}
-
-func (s *sliceStream) Read(p []byte) (int, error) {
-	if s.off >= len(s.data) {
-		return 0, fmt.Errorf("sliceStream: EOF")
-	}
-	n := copy(p, s.data[s.off:])
-	s.off += n
-	return n, nil
 }

@@ -33,29 +33,6 @@ func TestBatteryCleanZone(t *testing.T) {
 	}
 }
 
-// TestBatterySizeBytes asserts a real battery reports a plausible nonzero
-// footprint, so the campaign's byte-budgeted cache is actually engaged.
-func TestBatterySizeBytes(t *testing.T) {
-	w := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.TLDCount = 15
-	c := NewCampaign(cfg, w)
-	when := time.Date(2023, 12, 10, 0, 0, 0, 0, time.UTC)
-	z, err := c.signedZone(SerialAt(when), 2, SerialPublishedAt(when), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBattery(z, dnsserver.Identity{Hostname: "h", Version: "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The root zone alone holds hundreds of records; anything tiny means
-	// the estimator broke.
-	if got := b.SizeBytes(); got < int64(len(z.Records))*10 {
-		t.Fatalf("SizeBytes = %d for %d records, implausibly small", got, len(z.Records))
-	}
-}
-
 func TestBatteryDetectsWrongIdentity(t *testing.T) {
 	w := testWorld(t)
 	cfg := DefaultConfig()
@@ -126,14 +103,18 @@ func TestBatteryBRootEra(t *testing.T) {
 	}
 }
 
+// TestCampaignWireCheck runs the battery on every tick of a window that
+// crosses the noon serial bump, and pins that a battery is built once per
+// zone version and reused by the ticks that follow within it.
 func TestCampaignWireCheck(t *testing.T) {
 	w := testWorld(t)
 	cfg := DefaultConfig()
-	start := time.Date(2023, 12, 10, 0, 0, 0, 0, time.UTC)
+	start := time.Date(2023, 12, 10, 11, 0, 0, 0, time.UTC)
 	cfg.Start, cfg.End, cfg.Scale = start, start.Add(2*time.Hour), 1
 	cfg.TLDCount = 15
 	cfg.WireCheck = true
 	c := NewCampaign(cfg, w)
+	hits, misses := mBatteryHits.Value(), mBatteryMisses.Value()
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,5 +123,8 @@ func TestCampaignWireCheck(t *testing.T) {
 	}
 	if len(c.WireFailures) != 0 {
 		t.Errorf("wire check failures: %v", c.WireFailures[:min(3, len(c.WireFailures))])
+	}
+	if hits, misses = mBatteryHits.Value()-hits, mBatteryMisses.Value()-misses; hits != 2 || misses != 2 {
+		t.Errorf("4 ticks over 2 zone versions: %d batteries reused, %d built, want 2 and 2", hits, misses)
 	}
 }

@@ -3,173 +3,45 @@ package measure
 import (
 	"sync"
 
-	"repro/internal/zone"
+	"repro/internal/telemetry"
 )
 
-// zoneCache is a thread-safe, single-flight cache of signed zones keyed by
-// (serial, rollout state, staleness). Single-flight matters under the
-// parallel campaign engine: signing a zone is the most expensive step on the
-// transfer path, and two workers hitting the same serial at once must not
-// both pay for it (or race on the map).
-type zoneCache struct {
-	mu sync.Mutex
-	//rootlint:guardedby mu
-	entries map[zoneKey]*zoneEntry
-}
-
-type zoneEntry struct {
-	once sync.Once
-	z    *zone.Zone
-	err  error
-}
-
-func newZoneCache() *zoneCache {
-	return &zoneCache{entries: make(map[zoneKey]*zoneEntry)}
-}
-
-// get returns the cached zone for key, building it via build exactly once no
-// matter how many goroutines ask concurrently.
-func (zc *zoneCache) get(key zoneKey, build func() (*zone.Zone, error)) (*zone.Zone, error) {
-	zc.mu.Lock()
-	e := zc.entries[key]
-	if e == nil {
-		e = &zoneEntry{}
-		zc.entries[key] = e
-		mZoneMisses.Inc()
-	} else {
-		mZoneHits.Inc()
-	}
-	zc.mu.Unlock()
-	e.once.Do(func() { e.z, e.err = build() })
-	return e.z, e.err
-}
-
-// valCache is the single-flight analogue for validation results: running the
-// full ldns-style validation is expensive, and the result is a pure function
-// of the key.
-type valCache struct {
-	mu sync.Mutex
-	//rootlint:guardedby mu
-	entries map[valKey]*valEntry
-}
-
-type valEntry struct {
-	once sync.Once
-	res  valResult
-}
-
-func newValCache() *valCache {
-	return &valCache{entries: make(map[valKey]*valEntry)}
-}
-
-func (vc *valCache) get(key valKey, build func() valResult) valResult {
-	vc.mu.Lock()
-	e := vc.entries[key]
-	if e == nil {
-		e = &valEntry{}
-		vc.entries[key] = e
-		mValMisses.Inc()
-	} else {
-		mValHits.Inc()
-	}
-	vc.mu.Unlock()
-	e.once.Do(func() { e.res = build() })
-	return e.res
-}
-
-// batteryCacheBudget bounds the campaign's wire-check battery cache. The
-// previous bound was 8 entries regardless of zone size; 32 MiB holds
-// roughly the same number of full-scale batteries (signed root zone +
-// companion, ~1–3 MiB each) while letting small-zone campaigns keep far
-// more serials resident.
-const batteryCacheBudget int64 = 32 << 20
-
-// batteryCache bounds the wire-check battery cache by resident bytes,
-// evicting oldest-serial entries while over budget — batteries are only
-// useful around the current serial, and serials are monotone over the
-// campaign, so oldest-serial is oldest-use. Bounding by bytes rather than
-// entry count (the PR 1 policy) lets many cheap entries stay resident —
-// copy-on-write zones make the marginal battery small — while a few huge
-// ones still evict promptly. (The seed's version cleared the whole map
-// instead, throwing away the current serial's neighbors too.)
-type batteryCache struct {
-	mu sync.Mutex
+// flightCache is a thread-safe, single-flight cache of build results keyed
+// by K. Single-flight matters under the parallel campaign engine: signing a
+// zone and running the full ldns-style validation are the most expensive
+// steps on the transfer path, both are pure functions of their key, and two
+// workers hitting the same key at once must not both pay for it (or race on
+// the map).
+type flightCache[K comparable, V any] struct {
 	//rootlint:immutable-after-start
-	budget int64 // max resident bytes
+	hits, misses *telemetry.Counter
+	mu           sync.Mutex
 	//rootlint:guardedby mu
-	used int64
-	//rootlint:guardedby mu
-	entries map[zoneKey]batteryEntry
+	entries map[K]*flightEntry[V]
 }
 
-type batteryEntry struct {
-	b    *Battery
-	cost int64
+type flightEntry[V any] struct {
+	once sync.Once
+	v    V
 }
 
-func newBatteryCache(budget int64) *batteryCache {
-	return &batteryCache{budget: budget, entries: make(map[zoneKey]batteryEntry)}
+func newFlightCache[K comparable, V any](hits, misses *telemetry.Counter) *flightCache[K, V] {
+	return &flightCache[K, V]{hits: hits, misses: misses, entries: make(map[K]*flightEntry[V])}
 }
 
-func (bc *batteryCache) get(key zoneKey) (*Battery, bool) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	e, ok := bc.entries[key]
-	if ok {
-		mBatteryHits.Inc()
+// get returns the cached value for key, building it via build exactly once
+// no matter how many goroutines ask concurrently.
+func (fc *flightCache[K, V]) get(key K, build func() V) V {
+	fc.mu.Lock()
+	e := fc.entries[key]
+	if e == nil {
+		e = &flightEntry[V]{}
+		fc.entries[key] = e
+		fc.misses.Inc()
 	} else {
-		mBatteryMisses.Inc()
+		fc.hits.Inc()
 	}
-	return e.b, ok
-}
-
-func (bc *batteryCache) put(key zoneKey, b *Battery) {
-	bc.putCost(key, b, b.SizeBytes())
-}
-
-// putCost inserts b at an explicit byte cost (put computes it; tests pin
-// boundary behavior with synthetic costs). Every entry costs at least one
-// byte so that even zero-sized batteries respect the budget's entry
-// arithmetic. The just-inserted entry is never evicted, even when it alone
-// exceeds the whole budget: the campaign is about to run it.
-func (bc *batteryCache) putCost(key zoneKey, b *Battery, cost int64) {
-	if cost < 1 {
-		cost = 1
-	}
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if prev, ok := bc.entries[key]; ok {
-		bc.used -= prev.cost
-	}
-	bc.entries[key] = batteryEntry{b: b, cost: cost}
-	bc.used += cost
-	for bc.used > bc.budget {
-		oldest := key
-		first := true
-		for k := range bc.entries {
-			if first || zone.SerialCompare(k.serial, oldest.serial) < 0 {
-				oldest, first = k, false
-			}
-		}
-		if oldest == key {
-			return // never evict the entry just inserted
-		}
-		bc.used -= bc.entries[oldest].cost
-		delete(bc.entries, oldest)
-		mBatteryEvictions.Inc()
-	}
-}
-
-// len reports the current entry count (for tests).
-func (bc *batteryCache) len() int {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return len(bc.entries)
-}
-
-// bytes reports the resident cost total (for tests).
-func (bc *batteryCache) bytes() int64 {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return bc.used
+	fc.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }

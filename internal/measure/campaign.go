@@ -298,14 +298,18 @@ type Campaign struct {
 	Plan  FaultPlan
 
 	traceCfg traceroute.Config
-	// signedZones caches fully signed+digested zones by (serial, state);
-	// single-flight, so concurrent workers never sign the same zone twice.
-	signedZones *zoneCache
+	// signedZones caches fully signed+digested zones by (serial, state,
+	// staleness); single-flight, so concurrent workers never sign the same
+	// zone twice.
+	signedZones *flightCache[zoneKey, signedResult]
 	// validations caches fault classifications, also single-flight.
-	validations *valCache
-	// batteries caches wire-check batteries per zone version, evicting
-	// oldest-serial entries once the resident-byte budget is exceeded.
-	batteries *batteryCache
+	validations *flightCache[valKey, valResult]
+	// battery is the wire-check battery of the zone version batteryKey, the
+	// last one runWireCheck ran. Ticks walk time forwards and (serial,
+	// rollout state) only moves forwards with it, so a version once left is
+	// never asked for again and remembering one is remembering all.
+	batteryKey zoneKey
+	battery    *Battery
 
 	// WireQueries and WireFailures accumulate the wire-check results when
 	// Config.WireCheck is enabled.
@@ -333,6 +337,11 @@ type valResult struct {
 	zonemdErr, dnssecErr error
 }
 
+type signedResult struct {
+	z   *zone.Zone
+	err error
+}
+
 // NewCampaign wires a campaign; the fault plan defaults to the paper's
 // Table 2 shape over d.root's sites.
 func NewCampaign(cfg Config, w *World) *Campaign {
@@ -353,9 +362,8 @@ func NewCampaign(cfg Config, w *World) *Campaign {
 		World:       w,
 		Plan:        DefaultFaultPlan(w.System.Deployments["d"]),
 		traceCfg:    traceroute.DefaultConfig(),
-		signedZones: newZoneCache(),
-		validations: newValCache(),
-		batteries:   newBatteryCache(batteryCacheBudget),
+		signedZones: newFlightCache[zoneKey, signedResult](mZoneHits, mZoneMisses),
+		validations: newFlightCache[valKey, valResult](mValHits, mValMisses),
 	}
 }
 
@@ -375,21 +383,23 @@ func (c *Campaign) runWireCheck(tick Tick) error {
 	serial := SerialAt(tick.Time)
 	state := zonemd.StateAt(tick.Time)
 	key := zoneKey{serial, state, false}
-	battery, ok := c.batteries.get(key)
-	if !ok {
+	if c.battery != nil && key == c.batteryKey {
+		mBatteryHits.Inc()
+	} else {
+		mBatteryMisses.Inc()
 		z, err := c.signedZone(serial, state, SerialPublishedAt(tick.Time), false)
 		if err != nil {
 			return err
 		}
-		battery, err = NewBattery(z, dnsserver.Identity{
+		battery, err := NewBattery(z, dnsserver.Identity{
 			Hostname: "wirecheck.local", Version: "repro-campaign",
 		})
 		if err != nil {
 			return err
 		}
-		c.batteries.put(key, battery)
+		c.batteryKey, c.battery = key, battery
 	}
-	res := battery.Run(rss.ServiceAddr{Letter: "a", Family: topology.IPv4}, "wirecheck.local")
+	res := c.battery.Run(rss.ServiceAddr{Letter: "a", Family: topology.IPv4}, "wirecheck.local")
 	c.WireQueries += res.Queries
 	mWireQueries.Add(int64(res.Queries))
 	if len(res.Failures) > 0 && len(c.WireFailures) < 100 {
@@ -539,7 +549,7 @@ func (c *Campaign) classifyFault(tick Tick, vpIdx int, target rss.ServiceAddr, r
 // use: the cache is single-flight, so each zone version is signed exactly
 // once per campaign no matter how many workers ask.
 func (c *Campaign) signedZone(serial uint32, state zonemd.RolloutState, signTime time.Time, stale bool) (*zone.Zone, error) {
-	return c.signedZones.get(zoneKey{serial, state, stale}, func() (*zone.Zone, error) {
+	res := c.signedZones.get(zoneKey{serial, state, stale}, func() signedResult {
 		// Build-once span: each zone version is signed exactly once per
 		// campaign, so this stage appears once per serial in a trace.
 		span := telemetry.StartSpan("worker", "sign", -1, 0)
@@ -551,10 +561,12 @@ func (c *Campaign) signedZone(serial uint32, state zonemd.RolloutState, signTime
 		base := baseZone.BumpSerial(serial)
 		signed, err := c.World.Signer.Sign(base, signTime)
 		if err != nil {
-			return nil, err
+			return signedResult{err: err}
 		}
-		return zonemd.AttachAndSign(signed, c.World.Signer, state, signTime)
+		z, err := zonemd.AttachAndSign(signed, c.World.Signer, state, signTime)
+		return signedResult{z, err}
 	})
+	return res.z, res.err
 }
 
 // validate builds the (possibly faulty) zone a transfer would deliver and

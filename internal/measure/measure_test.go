@@ -382,134 +382,6 @@ func TestCampaignManyWorkersRace(t *testing.T) {
 	}
 }
 
-// TestBatteryCacheEvictsOldestSerial pins the bounded battery cache's
-// eviction order: oldest serial out first, never the just-inserted entry.
-func TestBatteryCacheEvictsOldestSerial(t *testing.T) {
-	bc := newBatteryCache(3)
-	key := func(serial uint32) zoneKey { return zoneKey{serial: serial} }
-	for _, s := range []uint32{2023070100, 2023070101, 2023070200, 2023070201} {
-		bc.put(key(s), &Battery{})
-	}
-	if bc.len() != 3 {
-		t.Fatalf("cache size = %d, want 3", bc.len())
-	}
-	if _, ok := bc.get(key(2023070100)); ok {
-		t.Error("oldest serial not evicted")
-	}
-	for _, s := range []uint32{2023070101, 2023070200, 2023070201} {
-		if _, ok := bc.get(key(s)); !ok {
-			t.Errorf("serial %d wrongly evicted", s)
-		}
-	}
-	// Inserting an entry older than everything cached must keep the entry.
-	bc.put(key(2023010100), &Battery{})
-	if _, ok := bc.get(key(2023010100)); !ok {
-		t.Error("just-inserted entry was evicted")
-	}
-}
-
-// TestBatteryCacheEvictionSerialOrder drives the cache through a monotone
-// serial sequence, as the campaign tick loop does, and pins two properties
-// of the PR 1 eviction policy: entries leave in strict serial order (after
-// every insertion the survivors are exactly the highest serials seen), and
-// the entry for the current tick's serial is never the one evicted.
-func TestBatteryCacheEvictionSerialOrder(t *testing.T) {
-	const max = 4
-	bc := newBatteryCache(max)
-	key := func(serial uint32) zoneKey { return zoneKey{serial: serial} }
-	serials := []uint32{
-		2023070100, 2023070101, 2023070102, 2023070200,
-		2023070201, 2023070300, 2023070301, 2023070400,
-	}
-	for i, s := range serials {
-		bc.put(key(s), &Battery{})
-		if _, ok := bc.get(key(s)); !ok {
-			t.Fatalf("current tick's serial %d missing right after put", s)
-		}
-		lo := 0
-		if i+1 > max {
-			lo = i + 1 - max
-		}
-		for j, other := range serials[:i+1] {
-			_, ok := bc.get(key(other))
-			if want := j >= lo; ok != want {
-				t.Errorf("after inserting %d: serial %d cached=%v, want %v", s, other, ok, want)
-			}
-		}
-	}
-}
-
-// TestBatteryCacheByteBudget pins the byte-budget boundary semantics that
-// replaced the entry-count bound: entries cost their measured size, the
-// cache holds entries while the total fits, eviction is by oldest serial
-// once it does not, and an entry larger than the whole budget still lands
-// (the campaign is about to run it) while evicting everything else.
-func TestBatteryCacheByteBudget(t *testing.T) {
-	key := func(serial uint32) zoneKey { return zoneKey{serial: serial} }
-	bc := newBatteryCache(100)
-
-	// Three 40-byte entries exceed the 100-byte budget by 20: exactly the
-	// oldest serial leaves.
-	bc.putCost(key(2023070100), &Battery{}, 40)
-	bc.putCost(key(2023070101), &Battery{}, 40)
-	if got := bc.bytes(); got != 80 {
-		t.Fatalf("resident bytes = %d, want 80", got)
-	}
-	bc.putCost(key(2023070200), &Battery{}, 40)
-	if _, ok := bc.get(key(2023070100)); ok {
-		t.Error("oldest serial survived a budget overflow")
-	}
-	if bc.len() != 2 || bc.bytes() != 80 {
-		t.Fatalf("after overflow: len=%d bytes=%d, want 2/80", bc.len(), bc.bytes())
-	}
-
-	// Exactly-at-budget does not evict: 80 resident + 20 == 100.
-	bc.putCost(key(2023070201), &Battery{}, 20)
-	if bc.len() != 3 || bc.bytes() != 100 {
-		t.Fatalf("at-budget insert evicted: len=%d bytes=%d, want 3/100", bc.len(), bc.bytes())
-	}
-
-	// Re-inserting a cached key replaces its cost instead of double-counting:
-	// 40+40+30 = 110 > 100, so the oldest serial (070101) leaves and the
-	// survivors are 070200 (40) + 070201 (30).
-	bc.putCost(key(2023070201), &Battery{}, 30)
-	if bc.len() != 2 || bc.bytes() != 70 {
-		t.Fatalf("after re-insert: len=%d bytes=%d, want 2/70", bc.len(), bc.bytes())
-	}
-	if _, ok := bc.get(key(2023070101)); ok {
-		t.Error("oldest serial survived the re-insert overflow")
-	}
-	if got := bcCost(bc, key(2023070201)); got != 30 {
-		t.Errorf("re-inserted cost = %d, want 30 (replaced, not added)", got)
-	}
-
-	// An entry bigger than the whole budget evicts everything else but is
-	// itself kept.
-	bc.putCost(key(2023070300), &Battery{}, 500)
-	if bc.len() != 1 || bc.bytes() != 500 {
-		t.Fatalf("oversized insert: len=%d bytes=%d, want 1/500", bc.len(), bc.bytes())
-	}
-	if _, ok := bc.get(key(2023070300)); !ok {
-		t.Error("oversized just-inserted entry was evicted")
-	}
-
-	// Zero-cost entries floor at one byte so the arithmetic stays sound.
-	bc2 := newBatteryCache(2)
-	bc2.putCost(key(1), &Battery{}, 0)
-	bc2.putCost(key(2), &Battery{}, 0)
-	bc2.putCost(key(3), &Battery{}, 0)
-	if bc2.len() != 2 {
-		t.Fatalf("zero-cost entries: len=%d, want 2 (floored to 1 byte each)", bc2.len())
-	}
-}
-
-// bcCost reads an entry's recorded cost (0 when absent).
-func bcCost(bc *batteryCache, key zoneKey) int64 {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return bc.entries[key].cost
-}
-
 // TestRTTJitterDistribution checks the splitmix-based jitter stays uniform
 // in [0, 2) and deterministic.
 func TestRTTJitterDistribution(t *testing.T) {

@@ -24,16 +24,15 @@ var (
 	mWireQueries   = telemetry.NewCounter("campaign/wire_queries")
 	mCheckpoints   = telemetry.NewCounter("campaign/checkpoints")
 
-	mZoneHits         = telemetry.NewCounter("cache/zone/hits")
-	mZoneMisses       = telemetry.NewCounter("cache/zone/misses")
-	mValHits          = telemetry.NewCounter("cache/validation/hits")
-	mValMisses        = telemetry.NewCounter("cache/validation/misses")
-	mBatteryHits      = telemetry.NewCounter("cache/battery/hits")
-	mBatteryMisses    = telemetry.NewCounter("cache/battery/misses")
-	mBatteryEvictions = telemetry.NewCounter("cache/battery/evictions")
+	mZoneHits      = telemetry.NewCounter("cache/zone/hits")
+	mZoneMisses    = telemetry.NewCounter("cache/zone/misses")
+	mValHits       = telemetry.NewCounter("cache/validation/hits")
+	mValMisses     = telemetry.NewCounter("cache/validation/misses")
+	mBatteryHits   = telemetry.NewCounter("cache/battery/hits")
+	mBatteryMisses = telemetry.NewCounter("cache/battery/misses")
 
-	mQueueDepth = telemetry.NewGauge("campaign/queue_depth")
-	mWorkers    = telemetry.NewGauge("process/workers")
+	mTickQueue = telemetry.NewGauge("campaign/queue_depth")
+	mWorkers   = telemetry.NewGauge("process/workers")
 
 	mTickDur       = telemetry.NewHistogram("wallclock/tick_us")
 	mWirecheckDur  = telemetry.NewHistogram("wallclock/wirecheck_us")

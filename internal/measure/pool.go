@@ -110,7 +110,7 @@ func (c *Campaign) Run(handlers ...Handler) error {
 		// The queue-depth gauge counts VP shards still owed to the tick; a
 		// live /metrics poll watches it fall from nVPs to 0 as workers drain
 		// the index counter.
-		mQueueDepth.Set(int64(nVPs))
+		mTickQueue.Set(int64(nVPs))
 		if workers <= 1 {
 			for i := 0; i < nVPs; i++ {
 				c.collectVP(tick, i, targets, &shards[i], 0)
@@ -178,7 +178,7 @@ func (c *Campaign) collectVP(tick Tick, vpIdx int, targets []rss.ServiceAddr, ou
 		out.pairs = append(out.pairs, c.collectPair(tick, vp, vpIdx, tIdx, target, axfr, wid))
 		mPairs.ShardInc(wid)
 	}
-	mQueueDepth.Add(-1)
+	mTickQueue.Add(-1)
 }
 
 // collectPair computes one (tick, VP, target) pair under supervision. A

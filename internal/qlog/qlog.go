@@ -15,10 +15,11 @@ import (
 )
 
 // Magic and Version identify the flight-recorder segment stream. The block
-// framing is segment's; only the record encoding is qlog's.
+// framing is segment's; only the record encoding is qlog's. Version 2
+// dropped serve/query's shed field; a version-1 log is refused at open.
 const (
 	Magic   = "RGQL"
-	Version = 1
+	Version = 2
 )
 
 // Key hashes a query's identifying bytes (message ID + flags + question

@@ -12,13 +12,14 @@ import (
 	"testing"
 
 	"repro/internal/qlog"
+	"repro/internal/segment"
 )
 
 // evServe claims the serve/query kind for this test binary (the production
 // claimant lives in dnsserver, which this binary does not link).
 var evServe = qlog.NewEvent("serve/query",
 	"flow", "fidx", "fate", "verdict", "cache", "bucket", "edns", "do",
-	"shed", "tc", "class", "rcode")
+	"tc", "class", "rcode")
 
 // emitN records n distinguishable serve/query events, returning the
 // (key, subject) pairs in emission order.
@@ -27,7 +28,7 @@ func emitN(t *testing.T, rec *qlog.Recorder, start, n int) {
 	for i := start; i < start+n; i++ {
 		subj := []byte{byte(i >> 8), byte(i), 0x01, 0x20, 3, 'a', 'b', 'c', 0, 0, 1, 0, 1}
 		rec.Emit(evServe, qlog.Key(subj), subj,
-			uint64(i), uint64(i%3), 0, 1, uint64(i%2), 1, 1, 0, 0, 0, 0, 0)
+			uint64(i), uint64(i%3), 0, 1, uint64(i%2), 1, 1, 0, 0, 0, 0)
 	}
 }
 
@@ -39,7 +40,7 @@ func TestEmitDecodeRoundTrip(t *testing.T) {
 	}
 	subj := []byte("subject-bytes")
 	key := qlog.Key(subj)
-	rec.Emit(evServe, key, subj, 7, 2, 1, 3, 1, 2, 1, 1, 1, 1, 2, 5)
+	rec.Emit(evServe, key, subj, 7, 2, 1, 3, 1, 2, 1, 1, 1, 2, 5)
 	emitN(t, rec, 0, 50)
 	if got := rec.Events(); got != 51 {
 		t.Fatalf("Events() = %d, want 51", got)
@@ -65,7 +66,7 @@ func TestEmitDecodeRoundTrip(t *testing.T) {
 	if e.Def().Kind != "serve/query" || e.Key != key || !bytes.Equal(e.Subject, subj) {
 		t.Fatalf("envelope mismatch: %+v", e)
 	}
-	want := []uint64{7, 2, 1, 3, 1, 2, 1, 1, 1, 1, 2, 5}
+	want := []uint64{7, 2, 1, 3, 1, 2, 1, 1, 1, 2, 5}
 	for i, v := range want {
 		if e.Vals[i] != v {
 			t.Fatalf("field %d = %d, want %d", i, e.Vals[i], v)
@@ -87,7 +88,7 @@ func TestNilRecorderIsOff(t *testing.T) {
 	if rec.Sampled(123) {
 		t.Fatal("nil recorder sampled a key")
 	}
-	rec.Emit(evServe, 1, nil, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	rec.Emit(evServe, 1, nil, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	if rec.Events() != 0 {
 		t.Fatal("nil recorder counted an event")
 	}
@@ -233,6 +234,20 @@ func TestResumeRejectsBadState(t *testing.T) {
 	}
 	if err := rec.RestoreCheckpoint([]byte("not json")); err == nil {
 		t.Fatal("garbage resume state accepted")
+	}
+}
+
+// TestReaderRefusesOldVersion pins the format break of version 2, which
+// dropped serve/query's shed field: a version-1 log would decode with every
+// later field shifted by one, so it is refused at open with a version error.
+func TestReaderRefusesOldVersion(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := segment.NewWriter(&buf, qlog.Magic, qlog.Version-1); err != nil {
+		t.Fatal(err)
+	}
+	_, err := qlog.NewReader(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 log opened with err = %v, want an unsupported-version error", err)
 	}
 }
 
@@ -443,13 +458,13 @@ func FuzzQlogDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	subj := []byte{0x12, 0x34, 0x01, 0x20, 3, 'a', 'b', 'c', 0, 0, 1, 0, 1}
-	rec.Emit(evServe, qlog.Key(subj), subj, 1, 2, 0, 1, 1, 2, 1, 1, 0, 0, 0, 0)
+	rec.Emit(evServe, qlog.Key(subj), subj, 1, 2, 0, 1, 1, 2, 1, 1, 0, 0, 0)
 	if err := rec.Close(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:len(buf.Bytes())-3])
-	f.Add([]byte("RGQL\x01"))
+	f.Add([]byte("RGQL\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := qlog.NewReader(bytes.NewReader(data))
 		if err != nil {

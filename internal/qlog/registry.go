@@ -1,7 +1,7 @@
 // Package qlog is the per-query flight recorder: one wide, structured event
 // per query carrying the full decision chain the aggregate telemetry layer
-// collapses — netem fate, RRL verdict, compiled-path answer and EDNS bucket, slow-queue
-// shed, truncation, response class on the server; attempt count and logical
+// collapses — netem fate, RRL verdict, compiled-path answer and EDNS bucket,
+// truncation, response class on the server; attempt count and logical
 // backoff latency on the client; probe/transfer outcomes in the campaign
 // engine. It is the per-query evidence trail that query-composition studies
 // (B-Root) and high-rate measurement tools expose as per-query result rows.
@@ -57,7 +57,6 @@ var Registry = []Def{
 			{Name: "bucket", Help: "EDNS size bucket", Enum: []string{"512", "1232", "4096"}},
 			{Name: "edns", Help: "query carried an OPT record"},
 			{Name: "do", Help: "query set the DO bit"},
-			{Name: "shed", Help: "dropped by slow-queue overload shed (always 0 since recorded queries stopped taking the queue)"},
 			{Name: "tc", Help: "response truncated to a TC stub"},
 			{Name: "class", Help: "response class", Enum: []string{"answer", "nxdomain", "error"}},
 			{Name: "rcode", Help: "response rcode"},

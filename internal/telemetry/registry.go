@@ -118,9 +118,8 @@ var Registry = []Def{
 	{Name: "cache/zone/misses", Kind: KindCounter, Class: ClassProcess, Help: "signed-zone cache misses (zones signed)"},
 	{Name: "cache/validation/hits", Kind: KindCounter, Class: ClassProcess, Help: "validation cache hits"},
 	{Name: "cache/validation/misses", Kind: KindCounter, Class: ClassProcess, Help: "validation cache misses (validations run)"},
-	{Name: "cache/battery/hits", Kind: KindCounter, Class: ClassProcess, Help: "wire-check battery cache hits"},
-	{Name: "cache/battery/misses", Kind: KindCounter, Class: ClassProcess, Help: "wire-check battery cache misses (batteries built)"},
-	{Name: "cache/battery/evictions", Kind: KindCounter, Class: ClassProcess, Help: "battery cache evictions (byte budget)"},
+	{Name: "cache/battery/hits", Kind: KindCounter, Class: ClassProcess, Help: "wire checks that reused the previous tick's battery (same zone version)"},
+	{Name: "cache/battery/misses", Kind: KindCounter, Class: ClassProcess, Help: "wire checks that built a battery (new zone version)"},
 	{Name: "failpoint/fired", Kind: KindCounter, Class: ClassProcess, Help: "failpoint sites fired (any action)"},
 	{Name: "failpoint/kills", Kind: KindCounter, Class: ClassProcess, Help: "failpoint sites fired with a kill action"},
 	{Name: "campaign/queue_depth", Kind: KindGauge, Class: ClassProcess, Help: "VP shards remaining in the in-flight tick"},
@@ -147,7 +146,7 @@ var Registry = []Def{
 	{Name: "process/workers", Kind: KindGauge, Class: ClassVolatile, Help: "resolved campaign worker count"},
 	{Name: "dns/cache/hits", Kind: KindCounter, Class: ClassVolatile, Help: "queries answered on the compiled path (stitched from raw bytes; the name predates it)"},
 	{Name: "dns/cache/misses", Kind: KindCounter, Class: ClassVolatile, Help: "queries answered by the oracle's full decode path (shapes the fast parser refuses)"},
-	{Name: "serve/sheds", Kind: KindCounter, Class: ClassVolatile, Help: "queries dropped because a shard's slow-path queue was full (overload shed; depends on drain timing)"},
+	{Name: "serve/oversize_drops", Kind: KindCounter, Class: ClassVolatile, Help: "UDP datagrams over 512 bytes dropped undecoded because the fast parser refused their shape (the cap on oracle work per packet)"},
 	{Name: "serve/tcp_rejects", Kind: KindCounter, Class: ClassVolatile, Help: "TCP connections refused over the concurrent-connection cap (depends on accept timing)"},
 	{Name: "serve/socket_errors", Kind: KindCounter, Class: ClassVolatile, Help: "failed accepts and datagram reads, each followed by a backoff (depends on kernel resource limits)"},
 	{Name: "blast/sent", Kind: KindCounter, Class: ClassVolatile, Help: "rootblast queries sent"},

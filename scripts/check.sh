@@ -110,9 +110,9 @@ go test -run 'TestChaos|TestSeal|TestWorker|TestResume|TestTornTail|TestCorruptB
 	./internal/measure ./internal/dataset ./internal/qlog ./internal/segment ./internal/checkpoint
 
 # Adversarial transport: the netem fate engine, RRL verdict determinism
-# (including the forced-drop and forced-shed failpoints), truncation
-# fallback and AXFR retry under seeded loss/cuts, and blast-under-loss
-# accounting (sent == received + lost with no goroutine leaks).
+# (including the forced-drop failpoint), truncation fallback and AXFR retry
+# under seeded loss/cuts, and blast-under-loss accounting (sent == received +
+# lost with no goroutine leaks).
 echo "== adversarial transport tests =="
 go test -count=1 ./internal/netem
 go test -count=1 \
