@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/seeded"
@@ -56,20 +57,42 @@ type Site struct {
 // Deployment is one anycast service: a letter's set of sites.
 type Deployment struct {
 	// Name labels the deployment (e.g. "b" for b.root).
-	Name  string
+	//rootlint:immutable-after-start
+	Name string
+	//rootlint:allow lockcheck: appended to by whoever builds the deployment (rss.Build, control.New, tests) on one goroutine before it is shared, read-only from then on
 	Sites []Site
 	// InstabilityV4/V6 are per-interval probabilities that a client's
 	// best-path tie-break re-rolls (route flap), producing site changes.
 	// Calibrated per letter from the paper's Fig. 3 medians.
+	//rootlint:immutable-after-start
 	InstabilityV4, InstabilityV6 float64
+
+	// index is SiteByID's table, built by the first lookup and again by the
+	// first after Sites has grown; concurrent builders publish equal copies.
+	index atomic.Pointer[siteIndex]
 }
 
-// SiteByID returns the site with the given ID.
+// siteIndex maps a site ID to its first position among Sites' first n.
+type siteIndex struct {
+	n    int
+	byID map[string]int
+}
+
+// SiteByID returns the site with the given ID (the first, if it repeats),
+// from an index: the campaign asks per probe and f.root has hundreds.
+//
+//rootlint:hotpath
 func (d *Deployment) SiteByID(id string) (Site, bool) {
-	for _, s := range d.Sites {
-		if s.ID == id {
-			return s, true
+	idx := d.index.Load()
+	if idx == nil || idx.n != len(d.Sites) {
+		idx = &siteIndex{len(d.Sites), make(map[string]int, len(d.Sites))}
+		for i := len(d.Sites) - 1; i >= 0; i-- { // downwards: the first of a repeated ID wins
+			idx.byID[d.Sites[i].ID] = i
 		}
+		d.index.Store(idx)
+	}
+	if i, ok := idx.byID[id]; ok {
+		return d.Sites[i], true
 	}
 	return Site{}, false
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/netip"
 	"time"
 
 	"repro/internal/dnssec"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/rss"
 	"repro/internal/segment"
+	"repro/internal/topology"
 	"repro/internal/vantage"
 	"repro/internal/zonemd"
 )
@@ -258,25 +260,32 @@ func rebuildErr(class int) error {
 	}
 }
 
-// targetKey encodes a service target compactly ("b4o" = b.root IPv4 old).
-func targetKey(t rss.ServiceAddr) string {
-	fam := byte('4')
-	if t.Family == 1 {
-		fam = '6'
-	}
-	if t.Old {
-		return string(t.Letter) + string(fam) + "o"
-	}
-	return string(t.Letter) + string(fam)
-}
-
-var targetsByKey = func() map[string]rss.ServiceAddr {
-	m := make(map[string]rss.ServiceAddr)
+// targetKeys and targetsByKey are the two directions of the key table ("b4o"
+// = b.root IPv4 old), built once: the writer looks one up per event.
+var targetKeys, targetsByKey = func() (map[rss.ServiceAddr]string, map[string]rss.ServiceAddr) {
+	keys := make(map[rss.ServiceAddr]string)
+	byKey := make(map[string]rss.ServiceAddr)
 	for _, t := range rss.AllServiceAddrs() {
-		m[targetKey(t)] = t
+		key := string(t.Letter) + "4"
+		if t.Family == topology.IPv6 {
+			key = string(t.Letter) + "6"
+		}
+		if t.Old {
+			key += "o"
+		}
+		byKey[key] = t
+		t.Addr = netip.Addr{}
+		keys[t] = key
 	}
-	return m
+	return keys, byKey
 }()
+
+// targetKey is a target's compact key: letter, family and era, whatever the
+// address. A target outside rss.AllServiceAddrs gets "", which replay refuses.
+func targetKey(t rss.ServiceAddr) string {
+	t.Addr = netip.Addr{}
+	return targetKeys[t]
+}
 
 // Reader replays a dataset into handlers, tolerating a torn trailing block.
 // Decoding is block-at-a-time: the segment framing makes every sealed block

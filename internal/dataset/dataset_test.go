@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -476,5 +477,35 @@ func TestTargetKeyBijective(t *testing.T) {
 		if !ok || back != tgt {
 			t.Fatalf("key %q does not round trip", k)
 		}
+	}
+}
+
+// TestWriterEncodesWithoutAllocating: on a warm block — its buffer grown, the
+// event's strings already in the block dictionary — encoding a probe or a
+// transfer allocates nothing. The campaign delivers every event through
+// these two calls on one goroutine.
+func TestWriterEncodesWithoutAllocating(t *testing.T) {
+	w, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := measure.Tick{Index: 7, Time: time.Date(2023, 10, 2, 21, 0, 0, 0, time.UTC)}
+	target := rss.AllServiceAddrs()[3]
+	probe := measure.ProbeEvent{
+		Tick: tick, VPIdx: 11, Target: target,
+		SiteID: "b-ams1", Identifier: "ams", Facility: "ix-ams", SiteCity: geo.Cities()[0],
+		RTTms: 12.5, ASPath: []int{64512, 3356, 64999}, SecondToLast: "r2.as3356", STLOK: true,
+	}
+	transfer := measure.TransferEvent{
+		Tick: tick, VPIdx: 11, Target: target, Serial: 2023100201,
+		Fault: faults.ClockSkew, DNSSECErr: dnssec.ErrSignatureNotIncepted,
+	}
+	w.HandleProbe(probe)
+	w.HandleTransfer(transfer)
+	if allocs := testing.AllocsPerRun(1000, func() { w.HandleProbe(probe) }); allocs != 0 {
+		t.Errorf("HandleProbe on a warm block: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { w.HandleTransfer(transfer) }); allocs != 0 {
+		t.Errorf("HandleTransfer on a warm block: %v allocs/op, want 0", allocs)
 	}
 }

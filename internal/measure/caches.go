@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -44,4 +45,12 @@ func (fc *flightCache[K, V]) get(key K, build func() V) V {
 	fc.mu.Unlock()
 	e.once.Do(func() { e.v = build() })
 	return e.v
+}
+
+// forget drops the entries whose key the caller knows will not be asked for
+// again; one that is, is simply built — and counted as a miss — again.
+func (fc *flightCache[K, V]) forget(stale func(K) bool) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	maps.DeleteFunc(fc.entries, func(k K, _ *flightEntry[V]) bool { return stale(k) })
 }

@@ -77,8 +77,9 @@ type TransferEvent struct {
 	Bitflip *faults.Bitflip
 }
 
-// Handler consumes campaign events. Implementations must be cheap: they run
-// inline with the campaign loop.
+// Handler consumes campaign events, on the goroutine that called Run, one at
+// a time in serial order. The next tick is computed meanwhile but delivered
+// after this one, so a slow handler still bounds the campaign: be cheap.
 type Handler interface {
 	HandleProbe(ProbeEvent)
 	HandleTransfer(TransferEvent)
@@ -300,7 +301,7 @@ type Campaign struct {
 	traceCfg traceroute.Config
 	// signedZones caches fully signed+digested zones by (serial, state,
 	// staleness); single-flight, so concurrent workers never sign the same
-	// zone twice.
+	// zone twice. produce forgets the serials the schedule has left behind.
 	signedZones *flightCache[zoneKey, signedResult]
 	// validations caches fault classifications, also single-flight.
 	validations *flightCache[valKey, valResult]
@@ -312,7 +313,7 @@ type Campaign struct {
 	battery    *Battery
 
 	// WireQueries and WireFailures accumulate the wire-check results when
-	// Config.WireCheck is enabled.
+	// Config.WireCheck is enabled, tick by delivered tick.
 	WireQueries  int
 	WireFailures []string
 
@@ -368,14 +369,14 @@ func NewCampaign(cfg Config, w *World) *Campaign {
 }
 
 // Run is implemented in pool.go: the tick×VP×target walk is sharded across
-// a worker pool with a deterministic ordered drain into the handlers.
+// a worker pool, a tick ahead of a deterministic ordered drain into handlers.
 
-// runWireCheck executes the Appendix-F battery against the current zone
-// version through an in-process server and accumulates any failures. It runs
-// serially on the campaign goroutine, once per tick, before the VP fan-out.
-func (c *Campaign) runWireCheck(tick Tick) error {
+// runWireCheck executes the Appendix-F battery against the tick's zone
+// version through an in-process server and returns what it found, for
+// deliver to accumulate. Only the goroutine producing the tick runs it.
+func (c *Campaign) runWireCheck(tick Tick) (BatteryResult, error) {
 	timer := telemetry.StartTimer()
-	span := telemetry.StartSpan("campaign", "wirecheck", tick.Index, 0)
+	span := telemetry.StartSpan("campaign", "wirecheck", tick.Index, 1)
 	defer func() {
 		span.End()
 		timer.ObserveInto(mWirecheckDur)
@@ -389,25 +390,17 @@ func (c *Campaign) runWireCheck(tick Tick) error {
 		mBatteryMisses.Inc()
 		z, err := c.signedZone(serial, state, SerialPublishedAt(tick.Time), false)
 		if err != nil {
-			return err
+			return BatteryResult{}, err
 		}
 		battery, err := NewBattery(z, dnsserver.Identity{
 			Hostname: "wirecheck.local", Version: "repro-campaign",
 		})
 		if err != nil {
-			return err
+			return BatteryResult{}, err
 		}
 		c.batteryKey, c.battery = key, battery
 	}
-	res := c.battery.Run(rss.ServiceAddr{Letter: "a", Family: topology.IPv4}, "wirecheck.local")
-	c.WireQueries += res.Queries
-	mWireQueries.Add(int64(res.Queries))
-	if len(res.Failures) > 0 && len(c.WireFailures) < 100 {
-		for _, f := range res.Failures {
-			c.WireFailures = append(c.WireFailures, fmt.Sprintf("%s: %s", tick.Time.Format(time.RFC3339), f))
-		}
-	}
-	return nil
+	return c.battery.Run(rss.ServiceAddr{Letter: "a", Family: topology.IPv4}, "wirecheck.local"), nil
 }
 
 // probe performs the traceroute+query battery for one (tick, VP, target).

@@ -134,53 +134,78 @@ func resumeFromCheckpoint(t *testing.T, w *measure.World, cfg measure.Config, da
 	return c
 }
 
-// TestChaosKillResumeMatrix is the acceptance matrix: three distinct kill
-// sites × worker counts {1, 4}, each killed mid-campaign, restarted from
-// the checkpoint, and compared byte-for-byte against an uninterrupted
-// reference recording with the same checkpoint cadence.
+// TestChaosKillResumeMatrix is the acceptance matrix: kill sites × worker
+// counts {1, 4}, each killed mid-campaign, restarted from the checkpoint, and
+// compared byte-for-byte against an uninterrupted reference recording with
+// the same checkpoint cadence. At 4 workers the tick after the kill has been
+// computed ahead of its delivery, so the rows also pin that nothing of it
+// outlives the run: not in the dataset, not in the wire accumulator, not in
+// the stream counters the resume restores.
 func TestChaosKillResumeMatrix(t *testing.T) {
 	w := chaosWorld(t)
 	dir := t.TempDir()
 
-	// Uninterrupted reference (checkpointing on: seal boundaries are part
-	// of the byte stream).
-	telemetry.Reset()
-	refCfg := chaosConfig()
-	refCfg.Workers = 1
-	refCfg.CheckpointPath = filepath.Join(dir, "ref.ckpt")
-	refData := filepath.Join(dir, "ref.dat")
-	refCampaign, err := runToFile(t, w, refCfg, refData)
-	if err != nil {
-		t.Fatal(err)
+	// Uninterrupted references, one per cadence (checkpointing on: seal
+	// boundaries are part of the byte stream).
+	type reference struct {
+		bytes       []byte
+		wireQueries int
+		// tel is the stream-class counter state an uninterrupted run ends
+		// with; every kill/resume cycle must reconstruct exactly these totals
+		// from the checkpoint.
+		tel []byte
 	}
-	refBytes, err := os.ReadFile(refData)
-	if err != nil {
-		t.Fatal(err)
+	refs := map[int]reference{}
+	for _, every := range []int{1, 3} {
+		telemetry.Reset()
+		refCfg := chaosConfig()
+		refCfg.Workers = 1
+		refCfg.CheckpointEvery = every
+		refCfg.CheckpointPath = filepath.Join(dir, "ref"+string(rune('0'+every))+".ckpt")
+		refData := filepath.Join(dir, "ref"+string(rune('0'+every))+".dat")
+		refCampaign, err := runToFile(t, w, refCfg, refData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refBytes, err := os.ReadFile(refData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[every] = reference{refBytes, refCampaign.WireQueries, streamState(t)}
 	}
-	// Stream-class counter state an uninterrupted run ends with; every
-	// kill/resume cycle below must reconstruct exactly these totals from the
-	// checkpoint.
-	refTel := streamState(t)
 
-	kills := []struct{ name, spec string }{
-		// SIGKILL at a tick boundary, after two checkpoints have landed.
-		{"tick", "campaign/tick=kill@5"},
+	kills := []struct {
+		name, spec string
+		every      int
+	}{
+		// SIGKILL at a tick boundary, after a checkpoint has landed and one
+		// tick past it has been delivered.
+		{"tick", "campaign/tick=kill@5", 3},
+		// SIGKILL at the first tick after a checkpoint: the pipeline has just
+		// started again behind the boundary.
+		{"tick-after-checkpoint", "campaign/tick=kill@4", 3},
 		// SIGKILL after the dataset seal but before the checkpoint write:
 		// resume must discard the sealed-but-uncheckpointed block.
-		{"checkpoint", "campaign/checkpoint=kill@2"},
+		{"checkpoint", "campaign/checkpoint=kill@2", 3},
 		// SIGKILL mid-frame: the dataset gains a torn tail that resume
 		// truncates.
-		{"seal-partial", "dataset/seal/partial=kill@2"},
+		{"seal-partial", "dataset/seal/partial=kill@2", 3},
 		// SIGKILL at the seal entry, before any bytes move: the pending
 		// block stays buffered (never written), and resume replays it.
-		{"seal", "dataset/seal=kill@2"},
+		{"seal", "dataset/seal=kill@2", 3},
+		// A checkpoint after every tick: every tick is the first after a
+		// boundary and nothing may be computed ahead at all.
+		{"tick-every-1", "campaign/tick=kill@5", 1},
+		{"checkpoint-every-1", "campaign/checkpoint=kill@4", 1},
 	}
 	for _, workers := range []int{1, 4} {
 		for _, kill := range kills {
 			t.Run(kill.name+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
+				ref := refs[kill.every]
 				telemetry.Reset()
 				cfg := chaosConfig()
 				cfg.Workers = workers
+				cfg.CheckpointEvery = kill.every
 				base := strings.ReplaceAll(t.Name(), "/", "_")
 				cfg.CheckpointPath = filepath.Join(dir, base+".ckpt")
 				dataPath := filepath.Join(dir, base+".dat")
@@ -199,7 +224,7 @@ func TestChaosKillResumeMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if bytes.Equal(killed, refBytes) {
+				if bytes.Equal(killed, ref.bytes) {
 					t.Fatal("kill left a complete dataset; failpoint did not interrupt")
 				}
 				resumed := resumeFromCheckpoint(t, w, cfg, dataPath)
@@ -207,17 +232,17 @@ func TestChaosKillResumeMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, refBytes) {
-					t.Errorf("resumed dataset differs from reference: %d vs %d bytes", len(got), len(refBytes))
+				if !bytes.Equal(got, ref.bytes) {
+					t.Errorf("resumed dataset differs from reference: %d vs %d bytes", len(got), len(ref.bytes))
 				}
-				if resumed.WireQueries != refCampaign.WireQueries {
-					t.Errorf("wire accumulator after resume = %d, want %d", resumed.WireQueries, refCampaign.WireQueries)
+				if resumed.WireQueries != ref.wireQueries {
+					t.Errorf("wire accumulator after resume = %d, want %d", resumed.WireQueries, ref.wireQueries)
 				}
 				// Counter reconstruction: the killed run polluted the stream
 				// counters past the checkpoint; the resume must have restored
 				// them and finished with the uninterrupted run's exact totals.
-				if gotTel := streamState(t); !bytes.Equal(gotTel, refTel) {
-					t.Errorf("stream counters after kill/resume differ from uninterrupted run:\nwant %s\ngot  %s", refTel, gotTel)
+				if gotTel := streamState(t); !bytes.Equal(gotTel, ref.tel) {
+					t.Errorf("stream counters after kill/resume differ from uninterrupted run:\nwant %s\ngot  %s", ref.tel, gotTel)
 				}
 			})
 		}

@@ -309,20 +309,24 @@ func TestTransferEventTargetsIncludeOldB(t *testing.T) {
 	}
 }
 
-// runShortCampaignWorkers runs a short campaign with an explicit worker
-// count over a fault-rich window (covering a bitflip plan entry) so the
-// parallel path exercises the zone, validation, and battery caches.
-func runShortCampaignWorkers(t *testing.T, w *World, workers int) *collector {
-	t.Helper()
+// faultRichConfig is a short window with an explicit worker count that
+// covers a planned bitflip and the ZONEMD placeholder state (2023-09-26), so
+// the parallel path exercises the zone, validation, and battery caches.
+func faultRichConfig(workers int) Config {
 	cfg := DefaultConfig()
-	// 2023-09-26 covers a planned bitflip and the ZONEMD placeholder state.
 	cfg.Start = time.Date(2023, 9, 26, 9, 0, 0, 0, time.UTC)
 	cfg.End = cfg.Start.Add(3 * time.Hour)
 	cfg.Scale = 1
 	cfg.TLDCount = 15
 	cfg.Workers = workers
 	cfg.WireCheck = true
-	c := NewCampaign(cfg, w)
+	return cfg
+}
+
+// runShortCampaignWorkers runs the fault-rich window to completion.
+func runShortCampaignWorkers(t *testing.T, w *World, workers int) *collector {
+	t.Helper()
+	c := NewCampaign(faultRichConfig(workers), w)
 	col := &collector{}
 	if err := c.Run(col); err != nil {
 		t.Fatal(err)

@@ -5,12 +5,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The campaign's telemetry claims. Logical counters are counted either at
-// the serial tick-drain barrier (event outcomes), under a cache's own mutex
-// (hits/misses), or via per-worker shards (campaign/pairs), so their sums
-// are deterministic across worker counts; the wallclock histograms are the
-// explicitly nondeterministic namespace and only record when telemetry is
-// enabled. See DESIGN.md §11 for the class contract.
+// The campaign's telemetry claims. Logical counters are counted either when
+// a tick is delivered, on the goroutine that called Run (every campaign/*
+// counter), or under a cache's own mutex while a tick is produced
+// (hits/misses), so their sums are deterministic across worker counts; the
+// wallclock histograms are the explicitly nondeterministic namespace and
+// only record when telemetry is enabled. See DESIGN.md §11.
 var (
 	mTicks         = telemetry.NewCounter("campaign/ticks")
 	mPairs         = telemetry.NewCounter("campaign/pairs")
@@ -41,8 +41,8 @@ var (
 	mCheckpointDur = telemetry.NewHistogram("wallclock/checkpoint_us")
 )
 
-// recordPairMetrics tallies one drained pair's outcomes. It runs on the
-// campaign goroutine at the ordered drain barrier, so the counts are a pure
+// recordPairMetrics tallies one delivered pair's outcomes. It runs on the
+// campaign goroutine in the ordered drain, so the counts are a pure
 // function of the event stream — the same aggregation point that makes the
 // handler order deterministic makes these sums deterministic.
 func recordPairMetrics(p *eventPair) {

@@ -14,14 +14,16 @@ import (
 	"repro/internal/vantage"
 )
 
-// The parallel campaign engine shards each tick's VP loop across a bounded
-// worker pool. Workers only *compute* events — every probe and transfer is
-// a pure function of (seed, tick, vp, target) plus the single-flight zone
-// and validation caches — while handler delivery happens on the calling
-// goroutine in exactly the serial engine's order (tick, then VP index, then
-// target index, probe before transfer). Analyses therefore never see
-// concurrency, need no merge step, and the same seed produces byte-identical
-// reports at any worker count.
+// The campaign engine is a two-stage pipeline with a lookahead of one tick
+// (DESIGN.md §7): produce computes tick t+1 — the wire check, then the VP
+// loop across Config.Workers goroutines — while deliver, on the goroutine
+// that called Run, commits tick t and calls the handlers in exactly the
+// serial order (tick, VP index, target index, probe before transfer).
+// Producing only computes, as a pure function of (seed, tick, vp, target)
+// plus the single-flight caches; what it leaves that the campaign owns rides
+// in the tick's tickResult. Analyses therefore never see concurrency, and
+// the same seed produces byte-identical reports at any worker count. With
+// one worker there is no goroutine: each tick is produced, then delivered.
 //
 // Each worker is supervised: a panic or injected fault while computing one
 // (tick, VP, target) pair is recovered in place and replaced with a
@@ -40,10 +42,28 @@ type eventPair struct {
 	hasTransfer bool
 }
 
-// vpShard buffers one VP's events for the current tick. Shards are owned by
-// exactly one worker while a tick is in flight and re-used across ticks.
+// vpShard buffers one VP's events for a tick and the degraded outcomes behind
+// them. One worker owns it while the tick is produced; ticks re-use it.
 type vpShard struct {
 	pairs []eventPair
+	notes []degradedNote
+}
+
+// degradedNote is one degraded outcome on its way to Campaign.noteDegraded.
+type degradedNote struct {
+	kind degKind
+	desc string
+}
+
+// tickResult is everything producing one tick leaves behind that the
+// campaign owns. None of it reaches Campaign's accumulators, the error budget
+// or a campaign/* counter until deliver commits it: a tick computed ahead of
+// a kill or an abort leaves no trace.
+type tickResult struct {
+	tick   Tick
+	shards []vpShard
+	wire   BatteryResult // the tick's wire check
+	err    error         // a wire check that could not be set up ends the run at this tick
 }
 
 // workerCount resolves Config.Workers: 0 (or negative) means one worker per
@@ -55,9 +75,10 @@ func (c *Campaign) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run walks the schedule, emitting events to the handlers. The tick×VP×target
-// loop is sharded across Config.Workers goroutines; handlers receive events
-// in deterministic serial order regardless of the worker count.
+// Run walks the schedule, emitting events to the handlers. Each tick's VP
+// loop is sharded across Config.Workers goroutines, a tick ahead of the
+// handlers, which are called on the calling goroutine in deterministic
+// serial order regardless of the worker count.
 //
 // With Config.CheckpointPath set, Run seals every handler that is a
 // checkpoint.Part and writes a progress checkpoint every CheckpointEvery
@@ -68,115 +89,197 @@ func (c *Campaign) workerCount() int {
 // checkpoint settings.
 func (c *Campaign) Run(handlers ...Handler) error {
 	ticks := Ticks(c.Cfg.Start, c.Cfg.End, c.Cfg.Scale)
-	targets := rss.AllServiceAddrs()
 	nVPs := len(c.World.Population.VPs)
-	workers := c.workerCount()
-	if workers > nVPs {
-		workers = nVPs
-	}
+	workers := max(1, min(c.workerCount(), nVPs))
 	every := c.Cfg.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
 	ckptOn := c.Cfg.CheckpointPath != ""
 	parts, sig := checkpointParts(handlers), c.checkpointSig(every)
-	startPos := 0
+	pos := 0
 	if c.Cfg.Resume {
 		if !ckptOn {
 			return errors.New("measure: Config.Resume requires Config.CheckpointPath")
 		}
-		pos, err := c.loadResume(parts, sig, len(ticks))
-		if err != nil {
+		var err error
+		if pos, err = c.loadResume(parts, sig, len(ticks)); err != nil {
 			return err
 		}
-		startPos = pos
 	}
 	mWorkers.Set(int64(workers))
-	shards := make([]vpShard, nVPs)
-	for ti := startPos; ti < len(ticks); ti++ {
-		// Chaos kill-point at the tick boundary: a kill here simulates
-		// SIGKILL before any of this tick's work, the cleanest crash window.
+	// One buffer is delivered while the other is produced; serially, one.
+	bufs := make([]tickResult, min(workers, 2))
+	for i := range bufs {
+		bufs[i].shards = make([]vpShard, nVPs)
+	}
+	// One checkpoint interval at a time: a checkpoint snapshots state that
+	// producing a tick moves (dns/queries in the battery's server, cache/*),
+	// so no tick past it may be computed before saveCheckpoint has returned.
+	for pos < len(ticks) {
+		end := len(ticks)
+		if ckptOn {
+			end = min(end, (pos/every+1)*every)
+		}
+		if err := c.runTicks(ticks[pos:end], bufs, workers, handlers); err != nil {
+			return err
+		}
+		if ckptOn {
+			if err := c.saveCheckpoint(parts, sig, end, len(ticks)); err != nil {
+				return err
+			}
+		}
+		pos = end
+	}
+	return nil
+}
+
+// runTicks produces and delivers ticks in order. With one buffer each tick
+// is produced inline when its turn comes. With two, a producer goroutine
+// works one tick ahead: tick i+1 is ordered — into the buffer tick i-1 was
+// delivered from — the moment tick i is taken, so neither channel ever holds
+// more than one buffer and neither side blocks sending. The producer is
+// joined on every return path: nothing computes or counts after the return.
+func (c *Campaign) runTicks(ticks []Tick, bufs []tickResult, workers int, handlers []Handler) error {
+	take := func(i int) *tickResult {
+		bufs[0].tick = ticks[i]
+		c.produce(&bufs[0], workers)
+		return &bufs[0]
+	}
+	if len(bufs) > 1 {
+		orders, ready := make(chan *tickResult, 1), make(chan *tickResult, 1)
+		go func() {
+			defer close(ready)
+			for res := range orders {
+				c.produce(res, workers)
+				ready <- res
+			}
+		}()
+		defer func() {
+			close(orders)
+			for range ready {
+			}
+		}()
+		order := func(i int) {
+			bufs[i%2].tick = ticks[i]
+			orders <- &bufs[i%2]
+		}
+		order(0)
+		take = func(i int) *tickResult {
+			res := <-ready
+			if res.err == nil && i+1 < len(ticks) {
+				order(i + 1)
+			}
+			return res
+		}
+	}
+	for i := range ticks {
+		// A tick's span and timer run from the end of the last delivery to
+		// the end of this one, the wait for the producer included.
+		tickTimer := telemetry.StartTimer()
+		tickSpan := telemetry.StartSpan("campaign", "tick", ticks[i].Index, 0)
+		// Chaos kill-point at the tick boundary: a kill here simulates SIGKILL
+		// before any of this tick is delivered, the cleanest crash window.
 		if err := failpoint.Eval("campaign/tick"); err != nil {
 			return err
 		}
-		tick := ticks[ti]
-		tickTimer := telemetry.StartTimer()
-		tickSpan := telemetry.StartSpan("campaign", "tick", tick.Index, 0)
-		if c.Cfg.WireCheck {
-			if err := c.runWireCheck(tick); err != nil {
-				return err
-			}
-		}
-		// The queue-depth gauge counts VP shards still owed to the tick; a
-		// live /metrics poll watches it fall from nVPs to 0 as workers drain
-		// the index counter.
-		mTickQueue.Set(int64(nVPs))
-		if workers <= 1 {
-			for i := 0; i < nVPs; i++ {
-				c.collectVP(tick, i, targets, &shards[i], 0)
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= nVPs {
-							return
-						}
-						c.collectVP(tick, i, targets, &shards[i], w)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-		drainSpan := telemetry.StartSpan("campaign", "record", tick.Index, 0)
-		for i := range shards {
-			for pi := range shards[i].pairs {
-				p := &shards[i].pairs[pi]
-				recordPairMetrics(p)
-				for _, h := range handlers {
-					h.HandleProbe(p.probe)
-				}
-				if p.hasTransfer {
-					for _, h := range handlers {
-						h.HandleTransfer(p.transfer)
-					}
-				}
-			}
-		}
-		drainSpan.End()
-		mTicks.Inc()
+		err := c.deliver(take(i), handlers)
 		tickSpan.End()
 		tickTimer.ObserveInto(mTickDur)
-		// The tick is fully drained before the budget verdict, so an abort
-		// never leaves a handler with a partial tick.
-		if err := c.budgetAbort(); err != nil {
+		if err != nil {
 			return err
-		}
-		if ckptOn && ((ti+1)%every == 0 || ti == len(ticks)-1) {
-			if err := c.saveCheckpoint(parts, sig, ti+1, len(ticks)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
+// produce computes res.tick into res: the wire check, then the VP loop. The
+// calling goroutine is the first worker and starts the others (none, with
+// one worker); they split the VPs through a shared index. Trace lanes
+// 1..workers are theirs, lane 0 is delivery's.
+func (c *Campaign) produce(res *tickResult, workers int) {
+	tick := res.tick
+	// Ticks walk time forwards and a zone version's serial moves forwards
+	// with it, so no key of an earlier serial is asked for again.
+	serial := SerialAt(tick.Time)
+	c.signedZones.forget(func(k zoneKey) bool { return k.serial < serial })
+	c.validations.forget(func(k valKey) bool { return k.serial < serial })
+	targets := rss.AllServiceAddrs()
+	nVPs := len(res.shards)
+	// The queue-depth gauge counts VP shards still owed to the tick: a live
+	// /metrics poll watches it fall from nVPs to 0.
+	mTickQueue.Set(int64(nVPs))
+	var next atomic.Int64
+	collect := func(wid int) {
+		for i := int(next.Add(1)) - 1; i < nVPs; i = int(next.Add(1)) - 1 {
+			c.collectVP(tick, i, targets, &res.shards[i], wid)
+		}
+	}
+	var wg sync.WaitGroup
+	for wid := 2; wid <= workers; wid++ {
+		wg.Add(1)
+		go func(wid int) {
+			defer wg.Done()
+			collect(wid)
+		}(wid)
+	}
+	res.wire, res.err = BatteryResult{}, nil
+	if c.Cfg.WireCheck {
+		res.wire, res.err = c.runWireCheck(tick)
+	}
+	collect(1)
+	wg.Wait()
+}
+
+// deliver commits one produced tick and hands it to the handlers in serial
+// order, on the goroutine that called Run: the only one to write WireQueries,
+// WireFailures and the degraded accounting. The budget verdict follows the
+// whole tick, so an abort never leaves a handler with a partial tick.
+func (c *Campaign) deliver(res *tickResult, handlers []Handler) error {
+	if res.err != nil {
+		return res.err
+	}
+	c.WireQueries += res.wire.Queries
+	mWireQueries.Add(int64(res.wire.Queries))
+	if len(res.wire.Failures) > 0 && len(c.WireFailures) < 100 {
+		for _, f := range res.wire.Failures {
+			c.WireFailures = append(c.WireFailures, fmt.Sprintf("%s: %s", res.tick.Time.Format(time.RFC3339), f))
+		}
+	}
+	drainSpan := telemetry.StartSpan("campaign", "record", res.tick.Index, 0)
+	for i := range res.shards {
+		shard := &res.shards[i]
+		for _, n := range shard.notes {
+			c.noteDegraded(n.kind, n.desc)
+		}
+		mPairs.Add(int64(len(shard.pairs)))
+		for pi := range shard.pairs {
+			p := &shard.pairs[pi]
+			recordPairMetrics(p)
+			for _, h := range handlers {
+				h.HandleProbe(p.probe)
+			}
+			if p.hasTransfer {
+				for _, h := range handlers {
+					h.HandleTransfer(p.transfer)
+				}
+			}
+		}
+	}
+	drainSpan.End()
+	mTicks.Inc()
+	return c.budgetAbort()
+}
+
 // collectVP computes one VP's full probe+transfer battery for the tick into
 // out, preserving the serial engine's per-target event order. wid is the
-// computing worker's index: pair counts shard by it (contention-free, and
-// the sum is worker-count-independent), and spans lane by it.
+// computing worker's trace lane.
 func (c *Campaign) collectVP(tick Tick, vpIdx int, targets []rss.ServiceAddr, out *vpShard, wid int) {
-	out.pairs = out.pairs[:0]
+	out.pairs, out.notes = out.pairs[:0], out.notes[:0]
 	vp := &c.World.Population.VPs[vpIdx]
 	axfr := !tick.Time.Before(AXFRStart)
 	for tIdx, target := range targets {
-		out.pairs = append(out.pairs, c.collectPair(tick, vp, vpIdx, tIdx, target, axfr, wid))
-		mPairs.ShardInc(wid)
+		out.pairs = append(out.pairs, c.collectPair(tick, vp, vpIdx, tIdx, target, axfr, wid, out))
 	}
 	mTickQueue.Add(-1)
 }
@@ -185,8 +288,9 @@ func (c *Campaign) collectVP(tick Tick, vpIdx int, targets []rss.ServiceAddr, ou
 // panic in either stage is recovered and classified; an injected failpoint
 // error is converted in place. Both yield Lost+Degraded events for the
 // stages they spoiled (a transfer-stage fault keeps the good probe) and
-// count against the error budget.
-func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr, axfr bool, wid int) (pair eventPair) {
+// leave a note in out, which counts against the error budget when the tick
+// is delivered.
+func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr, axfr bool, wid int, out *vpShard) (pair eventPair) {
 	stage := "probe"
 	defer func() {
 		if r := recover(); r != nil {
@@ -194,8 +298,8 @@ func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, targe
 			if stage == "transfer" {
 				kind = degTransferPanic
 			}
-			c.noteDegraded(kind, fmt.Sprintf("recovered %s panic at %s vp=%d target=%d: %v",
-				stage, tick.Time.Format(time.RFC3339), vpIdx, tIdx, r))
+			out.notes = append(out.notes, degradedNote{kind, fmt.Sprintf("recovered %s panic at %s vp=%d target=%d: %v",
+				stage, tick.Time.Format(time.RFC3339), vpIdx, tIdx, r)})
 			if stage == "probe" {
 				pair.probe = degradedProbe(tick, vp, vpIdx, target)
 			}
@@ -206,8 +310,8 @@ func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, targe
 		}
 	}()
 	if err := failpoint.Eval("measure/worker/probe"); err != nil {
-		c.noteDegraded(degProbeError, fmt.Sprintf("probe error at %s vp=%d target=%d: %v",
-			tick.Time.Format(time.RFC3339), vpIdx, tIdx, err))
+		out.notes = append(out.notes, degradedNote{degProbeError, fmt.Sprintf("probe error at %s vp=%d target=%d: %v",
+			tick.Time.Format(time.RFC3339), vpIdx, tIdx, err)})
 		pair.probe = degradedProbe(tick, vp, vpIdx, target)
 		if axfr {
 			pair.transfer = degradedTransfer(tick, vp, vpIdx, target)
@@ -226,8 +330,8 @@ func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, targe
 	}
 	stage = "transfer"
 	if err := failpoint.Eval("measure/worker/transfer"); err != nil {
-		c.noteDegraded(degTransferError, fmt.Sprintf("transfer error at %s vp=%d target=%d: %v",
-			tick.Time.Format(time.RFC3339), vpIdx, tIdx, err))
+		out.notes = append(out.notes, degradedNote{degTransferError, fmt.Sprintf("transfer error at %s vp=%d target=%d: %v",
+			tick.Time.Format(time.RFC3339), vpIdx, tIdx, err)})
 		pair.transfer = degradedTransfer(tick, vp, vpIdx, target)
 		pair.hasTransfer = true
 		return pair

@@ -83,8 +83,9 @@ func (c *Campaign) Degraded() DegradedStats {
 
 // noteDegraded records one classified degraded outcome. It returns nil while
 // the error budget holds; once the budget is exceeded it returns (and pins,
-// for budgetAbort) a summarized abort error. Safe for concurrent use by
-// workers.
+// for budgetAbort) a summarized abort error. Only the goroutine that called
+// Run calls it (deliver and saveCheckpoint), so outcomes count in schedule
+// order; the mutex is for Degraded, which anyone may call meanwhile.
 func (c *Campaign) noteDegraded(kind degKind, desc string) error {
 	d := &c.deg
 	d.mu.Lock()

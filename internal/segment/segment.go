@@ -73,13 +73,17 @@ type Writer struct {
 
 	blockRecords uint32
 	sealed       int64 // bytes durably framed, header included
+
+	// comp and frame are Seal's compressor (hundreds of KB; Reset is documented
+	// to leave it as NewWriter would) and frame buffer, kept across blocks.
+	comp  *flate.Writer
+	frame bytes.Buffer
 }
 
 // NewWriter starts a segment stream on out, writing the magic + version
 // header immediately.
 func NewWriter(out io.Writer, magic string, version uint64) (*Writer, error) {
-	w := &Writer{out: out, magic: magic}
-	w.resetDict()
+	w := &Writer{out: out, magic: magic, dict: make(map[string]uint64), next: 1}
 	hdr := make([]byte, 0, len(magic)+binary.MaxVarintLen64)
 	hdr = append(hdr, magic...)
 	hdr = binary.AppendUvarint(hdr, version)
@@ -133,7 +137,7 @@ func (w *Writer) Rewind(offset int64) error {
 }
 
 func (w *Writer) resetDict() {
-	w.dict = make(map[string]uint64)
+	clear(w.dict)
 	w.next = 1
 }
 
@@ -186,28 +190,32 @@ func (w *Writer) Seal() error {
 	if w.blockRecords == 0 {
 		return nil
 	}
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
-	if err != nil {
+	// The header is reserved first and filled in once the payload's length
+	// and checksum are known: the payload is written where it is sent from.
+	var hdr [FrameHeaderLen]byte
+	w.frame.Reset()
+	w.frame.Write(hdr[:])
+	if w.comp == nil {
+		// NewWriter fails on an invalid level only, and this one is valid.
+		w.comp, _ = flate.NewWriter(nil, flate.DefaultCompression)
+	}
+	w.comp.Reset(&w.frame)
+	if _, err := w.comp.Write(w.buf.Bytes()); err != nil {
 		w.err = err
 		return err
 	}
-	if _, err := fw.Write(w.buf.Bytes()); err != nil {
+	if err := w.comp.Close(); err != nil {
 		w.err = err
 		return err
 	}
-	if err := fw.Close(); err != nil {
-		w.err = err
-		return err
-	}
-	frame := make([]byte, FrameHeaderLen+comp.Len())
-	binary.BigEndian.PutUint32(frame[0:], uint32(comp.Len()))
-	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(comp.Bytes(), crcTable))
+	frame := w.frame.Bytes()
+	payload := frame[FrameHeaderLen:]
+	binary.BigEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
 	binary.BigEndian.PutUint32(frame[8:], w.blockRecords)
-	copy(frame[FrameHeaderLen:], comp.Bytes())
 	if w.CrashHook != nil {
 		if ferr := w.CrashHook(); ferr != nil {
-			w.out.Write(frame[:FrameHeaderLen+comp.Len()/2])
+			w.out.Write(frame[:FrameHeaderLen+len(payload)/2])
 			w.err = ferr
 			return ferr
 		}

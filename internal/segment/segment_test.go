@@ -347,6 +347,106 @@ func TestCrashHookTearsFrame(t *testing.T) {
 	}
 }
 
+// TestSealReusesItsCompressor: Seal keeps one compressor, one frame buffer
+// and one dictionary map from block to block, and what they held must not
+// leak into the next frame. Every block a long-lived writer seals — the
+// second and third in a row, the one after a Rewind, the one after a seal
+// torn by CrashHook — is byte-identical to that block from a writer that has
+// sealed nothing before; and a warm writer seals without allocating, however
+// large the block.
+func TestSealReusesItsCompressor(t *testing.T) {
+	const perBlock = 300
+	block := func(w *Writer, b int) {
+		for i := b * perBlock; i < (b+1)*perBlock; i++ {
+			writeRecord(w, i)
+		}
+	}
+	// fresh is block b as the first and only frame of a new writer.
+	fresh := func(b int) []byte {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, testMagic, testVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block(w, b)
+		if err := w.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()[headerLen:]
+	}
+
+	path := filepath.Join(t.TempDir(), "reused.seg")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := NewWriter(f, testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sealAndCompare seals block b and compares the frame just appended.
+	sealAndCompare := func(what string, b int) {
+		t.Helper()
+		from := w.SealedBytes()
+		block(w, b)
+		if err := w.Seal(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := file[from:], fresh(b); !bytes.Equal(got, want) {
+			t.Errorf("%s: block %d is %d bytes from the reused writer, %d from a fresh one, or differs in content", what, b, len(got), len(want))
+		}
+	}
+	sealAndCompare("first block", 0)
+	afterFirst := w.SealedBytes()
+	sealAndCompare("second block", 1)
+	sealAndCompare("third block", 2)
+
+	if err := w.Rewind(afterFirst); err != nil {
+		t.Fatal(err)
+	}
+	sealAndCompare("block after a Rewind", 3)
+
+	crash := errors.New("killed")
+	w.CrashHook = func() error { return crash }
+	block(w, 4)
+	if err := w.Seal(); !errors.Is(err, crash) {
+		t.Fatalf("Seal = %v, want the injected crash", err)
+	}
+	w.CrashHook = nil
+	if err := w.Rewind(w.SealedBytes()); err != nil {
+		t.Fatal(err)
+	}
+	sealAndCompare("block after a torn seal", 5)
+
+	blob := bytes.Repeat([]byte("payload "), 16)
+	for _, records := range []int{64, 4096} {
+		d, err := NewWriter(io.Discard, testMagic, testVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			for i := 0; i < records; i++ {
+				d.Uvarint(uint64(i))
+				d.Intern("site")
+				d.Raw(blob)
+				d.EndRecord()
+			}
+			if err := d.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // the first seal builds the compressor and sizes the buffers
+		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+			t.Errorf("a warm writer sealing %d records: %v allocs per block, want 0", records, allocs)
+		}
+	}
+}
+
 // FuzzScanFrame feeds arbitrary bytes behind a valid header to the frame
 // scanner, the verifier and the record reader: nothing may panic, a scanned
 // frame must be exactly as long as its header says and within the size

@@ -91,9 +91,9 @@ type Def struct {
 // byte-comparable. Histogram values are microseconds unless the name says
 // otherwise.
 var Registry = []Def{
-	// Campaign event stream (drain-barrier counts; see measure/pool.go).
+	// Campaign event stream (counted at delivery; see measure/pool.go).
 	{Name: "campaign/ticks", Kind: KindCounter, Class: ClassStream, Help: "ticks fully drained to handlers"},
-	{Name: "campaign/pairs", Kind: KindCounter, Class: ClassStream, Help: "(tick, VP, target) pairs computed by workers"},
+	{Name: "campaign/pairs", Kind: KindCounter, Class: ClassStream, Help: "(tick, VP, target) pairs computed by workers and delivered"},
 	{Name: "campaign/probes", Kind: KindCounter, Class: ClassStream, Help: "probe events delivered"},
 	{Name: "campaign/probes_lost", Kind: KindCounter, Class: ClassStream, Help: "probes lost (no route or packet loss)"},
 	{Name: "campaign/transfers", Kind: KindCounter, Class: ClassStream, Help: "AXFR transfer events delivered"},
@@ -158,7 +158,7 @@ var Registry = []Def{
 	{Name: "qlog/events", Kind: KindCounter, Class: ClassVolatile, Help: "flight-recorder events emitted (count follows offered traffic; the log itself is the determinism-checked artifact)"},
 	{Name: "qlog/blackbox_dumps", Kind: KindCounter, Class: ClassVolatile, Help: "black-box ring dumps written (panic, budget abort, or failpoint kill)"},
 	{Name: "wallclock/blast_rtt_us", Kind: KindHistogram, Class: ClassVolatile, Help: "rootblast query round-trip time"},
-	{Name: "wallclock/tick_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per tick (compute + drain)"},
+	{Name: "wallclock/tick_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time from one tick's delivery to the next (with two or more workers the tick after is computed meanwhile)"},
 	{Name: "wallclock/wirecheck_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per wire-check battery"},
 	{Name: "wallclock/probe_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per probe stage"},
 	{Name: "wallclock/transfer_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per transfer+validate stage"},

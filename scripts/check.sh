@@ -136,6 +136,30 @@ go build -o "$tmp/rootanalyze" ./cmd/rootanalyze
 	-metrics "$tmp/parallel.json" >/dev/null
 "$tmp/rootanalyze" -diff "$tmp/serial.json" "$tmp/parallel.json"
 
+# Recording byte-identity with the shipping binary: the serial engine, the
+# pipelined one (4 workers computing a tick ahead of its delivery), and the
+# pipelined one killed at the second tick after a checkpoint and resumed,
+# must write the same dataset at the same checkpoint cadence. The kill finds
+# the tick after it already computed; none of it may reach the file.
+echo "== recording identity (workers 1 vs 4 vs 4 killed and resumed) =="
+record() {
+	name=$1
+	shift
+	"$tmp/rootmeasure" -scale 512 -vpscale 8 -tlds 20 -checkpoint-every 4 \
+		-out "$tmp/$name.rgds" -checkpoint "$tmp/$name.ckpt" "$@" >/dev/null
+}
+record serial -workers 1
+record pipelined -workers 4
+status=0
+record resumed -workers 4 -chaos campaign/tick=kill@6 2>/dev/null || status=$?
+if [ "$status" -ne 3 ]; then
+	echo "rootmeasure -chaos campaign/tick=kill@6 exited $status, want 3" >&2
+	exit 1
+fi
+record resumed -workers 4 -resume
+cmp "$tmp/serial.rgds" "$tmp/pipelined.rgds"
+cmp "$tmp/serial.rgds" "$tmp/resumed.rgds"
+
 # Blast under loss with RRL on, serve-workers 1 vs 4: the PR-8 acceptance
 # check. A serial retrying blast drives a server whose emulated link drops
 # and corrupts packets and whose rate limiter suppresses repeats, all

@@ -1,14 +1,18 @@
 #!/bin/sh
-# CI race step: exercise the parallel campaign engine (worker pool,
-# single-flight zone/validation caches, ordered drain), the analysis
+# CI race step: exercise the pipelined campaign engine — the producer that
+# computes tick t+1 (wire check, worker pool, single-flight zone/validation
+# caches and their forgetting) while the calling goroutine delivers tick t,
+# the two buffers that pass between them over the order and ready channels,
+# and the join on a kill or a budget abort — together with the analysis
 # accumulators it feeds, and everything that rides a checkpoint — the
 # dataset's block-parallel replay, the flight recorder, the segment
 # container, the sidecar writer and the telemetry shards — under the Go race
-# detector, along with the two per-probe models its workers call on shared
-# read-only state (Catchment.SelectAt, traceroute.Run), and the DNS server,
-# whose read loops, TCP connections and SetZone meet only through lock-free
-# publication (the atomically swapped serve state and the compare-and-swapped
-# cells of the answer table).
+# detector, along with the per-probe models its workers call on shared
+# read-only state (Catchment.SelectAt, Deployment.SiteByID's lazily
+# published index, traceroute.Run), and the DNS server, whose read loops, TCP
+# connections and SetZone meet only through lock-free publication (the
+# atomically swapped serve state and the compare-and-swapped cells of the
+# answer table).
 set -eu
 cd "$(dirname "$0")/.."
 exec go test -race \
