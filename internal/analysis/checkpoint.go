@@ -3,63 +3,17 @@
 // which is what lets rootanalyze ride the replay checkpoint/resume machinery
 // (dataset.ReplayWith). Determinism matters more than compactness here: the
 // same logical state must always seal to the same bytes, so that
-// resumed-vs-uninterrupted comparisons are byte-exact. encoding/json already
-// orders maps keyed by strings or integers; the struct-keyed maps go through
-// sorted, the one helper below. An accumulator's seal is then nothing but
-// the list of its fields.
+// resumed-vs-uninterrupted comparisons are byte-exact. The dense tables seal
+// as plain JSON arrays, which are ordered by construction, and encoding/json
+// already orders maps keyed by strings or integers, so an accumulator's seal
+// is nothing but the list of its fields; the one struct-keyed map left,
+// Integrity's sparse rows, seals as its sorted row list.
 package analysis
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 )
-
-// sorted is a struct-keyed map that seals as a JSON array of {k, v} entries.
-// Entries are ordered by their encoding, and since every entry opens with
-// its key and keys are distinct, that is the order of the keys' own
-// encodings: a total order that depends on the map's content alone, never on
-// iteration order. (A set is a sorted[K, bool].)
-type sorted[K comparable, V any] map[K]V
-
-type entry[K comparable, V any] struct {
-	K K `json:"k"`
-	V V `json:"v"`
-}
-
-// sortedMap views an accumulator's map field as a sorted, for both sealing
-// and restoring in place.
-func sortedMap[K comparable, V any](m *map[K]V) *sorted[K, V] { return (*sorted[K, V])(m) }
-
-// MarshalJSON implements json.Marshaler.
-func (m sorted[K, V]) MarshalJSON() ([]byte, error) {
-	entries := make([][]byte, 0, len(m))
-	for k, v := range m {
-		b, err := json.Marshal(entry[K, V]{k, v})
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, b)
-	}
-	sort.Slice(entries, func(a, b int) bool { return bytes.Compare(entries[a], entries[b]) < 0 })
-	out := append([]byte{'['}, bytes.Join(entries, []byte{','})...)
-	return append(out, ']'), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler; it always leaves a fresh,
-// non-nil map behind.
-func (m *sorted[K, V]) UnmarshalJSON(data []byte) error {
-	var entries []entry[K, V]
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return err
-	}
-	*m = make(sorted[K, V], len(entries))
-	for _, e := range entries {
-		(*m)[e.K] = e.V
-	}
-	return nil
-}
 
 // restore decodes a blob sealed as json.Marshal(fields) back into the same
 // field pointers, refusing a blob with another field count.
@@ -87,9 +41,7 @@ func (c *Coverage) CheckpointSeal() ([]byte, error) { return json.Marshal(c.seal
 // RestoreCheckpoint implements checkpoint.Part.
 func (c *Coverage) RestoreCheckpoint(state []byte) error { return restore(state, c.sealed()) }
 
-func (s *Stability) sealed() []any {
-	return []any{sortedMap(&s.last), sortedMap(&s.changes), sortedMap(&s.seen)}
-}
+func (s *Stability) sealed() []any { return []any{&s.cells} }
 
 // CheckpointSeal implements checkpoint.Part.
 func (s *Stability) CheckpointSeal() ([]byte, error) { return json.Marshal(s.sealed()) }
@@ -100,9 +52,7 @@ func (s *Stability) RestoreCheckpoint(state []byte) error { return restore(state
 // The in-progress tick state (current) is part of the snapshot: a checkpoint
 // can land mid-tick, and the resumed run must fold that tick exactly as the
 // uninterrupted one would.
-func (c *Colocation) sealed() []any {
-	return []any{sortedMap(&c.current), sortedMap(&c.series)}
-}
+func (c *Colocation) sealed() []any { return []any{&c.current, &c.series} }
 
 // CheckpointSeal implements checkpoint.Part.
 func (c *Colocation) CheckpointSeal() ([]byte, error) { return json.Marshal(c.sealed()) }
@@ -113,9 +63,7 @@ func (c *Colocation) RestoreCheckpoint(state []byte) error { return restore(stat
 // The closest-global-site cache is deliberately excluded: it is a pure
 // function of the system and population the accumulator was constructed
 // with, and rebuilds on demand.
-func (d *Distance) sealed() []any {
-	return []any{sortedMap(&d.samples), sortedMap(&d.extraSum), sortedMap(&d.extraCount)}
-}
+func (d *Distance) sealed() []any { return []any{&d.samples, &d.extra} }
 
 // CheckpointSeal implements checkpoint.Part.
 func (d *Distance) CheckpointSeal() ([]byte, error) { return json.Marshal(d.sealed()) }
@@ -124,7 +72,7 @@ func (d *Distance) CheckpointSeal() ([]byte, error) { return json.Marshal(d.seal
 func (d *Distance) RestoreCheckpoint(state []byte) error { return restore(state, d.sealed()) }
 
 func (r *RTT) sealed() []any {
-	return []any{sortedMap(&r.samples), sortedMap(&r.viaCarrier), sortedMap(&r.carrierCount), sortedMap(&r.totalCount)}
+	return []any{&r.samples, &r.viaCarrier, &r.carrierCount, &r.totalCount}
 }
 
 // CheckpointSeal implements checkpoint.Part.
@@ -133,14 +81,22 @@ func (r *RTT) CheckpointSeal() ([]byte, error) { return json.Marshal(r.sealed())
 // RestoreCheckpoint implements checkpoint.Part.
 func (r *RTT) RestoreCheckpoint(state []byte) error { return restore(state, r.sealed()) }
 
-// The retained bitflip is order-sensitive (first observed wins), so it rides
-// the snapshot verbatim.
-func (i *Integrity) sealed() []any {
-	return []any{sortedMap(&i.rows), &i.flip, &i.Transfers, &i.Failures}
+// The rows seal as Rows(), ordered by reason and VP, and a row names its own
+// key. The retained bitflip is order-sensitive (first observed wins), so it
+// rides the snapshot verbatim.
+func (i *Integrity) CheckpointSeal() ([]byte, error) {
+	return json.Marshal([]any{i.Rows(), i.flip, i.Transfers, i.Failures})
 }
 
-// CheckpointSeal implements checkpoint.Part.
-func (i *Integrity) CheckpointSeal() ([]byte, error) { return json.Marshal(i.sealed()) }
-
 // RestoreCheckpoint implements checkpoint.Part.
-func (i *Integrity) RestoreCheckpoint(state []byte) error { return restore(state, i.sealed()) }
+func (i *Integrity) RestoreCheckpoint(state []byte) error {
+	var rows []*IntegrityRow
+	if err := restore(state, []any{&rows, &i.flip, &i.Transfers, &i.Failures}); err != nil {
+		return err
+	}
+	i.rows = make(map[integrityKey]*IntegrityRow, len(rows))
+	for _, r := range rows {
+		i.rows[integrityKey{r.Reason, r.VPIdx}] = r
+	}
+	return nil
+}

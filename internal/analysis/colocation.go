@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/measure"
@@ -20,38 +21,37 @@ import (
 type Colocation struct {
 	pop *vantage.Population
 	// current accumulates the in-progress tick's second-to-last hops per
-	// (vp, family); when a new tick starts for that vp, the previous one is
-	// folded into the per-VP series.
-	current map[colocKey]*tickHops
+	// vp·2 + family; when a new tick starts for that vp, the previous one is
+	// folded into the per-VP series. Both tables grow to the largest VP seen.
+	current []tickHops
 	// series holds the per-tick reduced-redundancy observations per
-	// (vp, family). Co-location is a property of the typical routing, so
+	// vp·2 + family. Co-location is a property of the typical routing, so
 	// per-VP reporting uses the median over ticks; the campaign-wide
 	// maximum backs the "up to N co-located servers" observation.
-	series map[colocKey][]float64
+	series [][]float64
 }
 
-type colocKey struct {
-	VP     int
-	Family topology.Family
-}
-
+// tickHops is one (VP, family)'s tick in progress; Total is zero between
+// ticks. Its fields are exported because the checkpoint seal encodes it as
+// JSON (see checkpoint.go).
 type tickHops struct {
-	Tick    int
-	Total   int
-	Hops    map[string]bool
-	Uniques int // unresponsive hops, each counted unique
+	Tick  int `json:"t,omitempty"`
+	Total int `json:"n,omitempty"`
+	// Hops lists the distinct responsive hops: 13 at most in a campaign's
+	// tick, so it is searched linearly, and its backing array is reused from
+	// tick to tick.
+	Hops    []string `json:"h,omitempty"`
+	Uniques int      `json:"u,omitempty"` // unresponsive hops, each counted unique
 }
 
 // NewColocation creates the accumulator.
 func NewColocation(pop *vantage.Population) *Colocation {
-	return &Colocation{
-		pop:     pop,
-		current: make(map[colocKey]*tickHops),
-		series:  make(map[colocKey][]float64),
-	}
+	return &Colocation{pop: pop}
 }
 
 // HandleProbe implements measure.Handler.
+//
+//rootlint:hotpath
 func (c *Colocation) HandleProbe(e measure.ProbeEvent) {
 	if e.Lost || e.Target.Old {
 		return // 13 letters, one probe each; skip b.root's old duplicate
@@ -64,41 +64,59 @@ func (c *Colocation) HandleProbe(e measure.ProbeEvent) {
 			return
 		}
 	}
-	k := colocKey{e.VPIdx, e.Target.Family}
-	th := c.current[k]
-	if th == nil || th.Tick != e.Tick.Index {
-		if th != nil {
-			c.fold(k, th)
-		}
-		th = &tickHops{Tick: e.Tick.Index, Hops: make(map[string]bool)}
-		c.current[k] = th
+	if _, ok := e.Target.Slot(); !ok || e.VPIdx < 0 {
+		return
 	}
+	k := e.VPIdx*2 + int(e.Target.Family)
+	c.current = growTo(c.current, k+1)
+	th := &c.current[k]
+	if th.Total > 0 && th.Tick != e.Tick.Index {
+		c.fold(k)
+	}
+	th.Tick = e.Tick.Index
 	th.Total++
-	if e.STLOK {
-		th.Hops[e.SecondToLast] = true
-	} else {
+	if !e.STLOK {
 		th.Uniques++
+	} else if !slices.Contains(th.Hops, e.SecondToLast) {
+		th.Hops = append(th.Hops, e.SecondToLast)
 	}
 }
 
 // HandleTransfer implements measure.Handler.
+//
+//rootlint:hotpath
 func (c *Colocation) HandleTransfer(measure.TransferEvent) {}
 
-func (c *Colocation) fold(k colocKey, th *tickHops) {
+// fold appends the in-progress tick of k to its series and clears it.
+func (c *Colocation) fold(k int) {
+	th := &c.current[k]
 	distinct := len(th.Hops) + th.Uniques
 	rr := th.Total - distinct
 	if rr < 0 {
 		rr = 0
 	}
+	c.series = growTo(c.series, k+1)
 	c.series[k] = append(c.series[k], float64(rr))
+	clear(th.Hops) // do not pin the tick's strings
+	*th = tickHops{Hops: th.Hops[:0]}
 }
 
 // finish folds any in-progress ticks.
 func (c *Colocation) finish() {
-	for k, th := range c.current {
-		c.fold(k, th)
-		delete(c.current, k)
+	for k := range c.current {
+		if c.current[k].Total > 0 {
+			c.fold(k)
+		}
 	}
+}
+
+// seriesOf returns the observations of one (VP, family), nil when there are
+// none.
+func (c *Colocation) seriesOf(vpIdx int, f topology.Family) []float64 {
+	if k := vpIdx*2 + int(f); uint(f) <= 1 && k < len(c.series) {
+		return c.series[k]
+	}
+	return nil
 }
 
 // ReducedRedundancy returns the per-VP typical (median-over-ticks) reduced
@@ -111,7 +129,7 @@ func (c *Colocation) ReducedRedundancy(f topology.Family, region *geo.Region) []
 		if region != nil && vp.Region != *region {
 			continue
 		}
-		if s := c.series[colocKey{vpIdx, f}]; len(s) > 0 {
+		if s := c.seriesOf(vpIdx, f); len(s) > 0 {
 			out = append(out, stats.Median(s))
 		}
 	}
@@ -128,7 +146,7 @@ func (c *Colocation) ShareWithColocation() float64 {
 		any := false
 		found := false
 		for _, f := range topology.Families() {
-			if s := c.series[colocKey{vpIdx, f}]; len(s) > 0 {
+			if s := c.seriesOf(vpIdx, f); len(s) > 0 {
 				found = true
 				if stats.Median(s) >= 1 {
 					any = true

@@ -34,12 +34,15 @@ func NewCoverage(sys *rss.System) *Coverage {
 }
 
 // HandleProbe implements measure.Handler.
+//
+//rootlint:hotpath
 func (c *Coverage) HandleProbe(e measure.ProbeEvent) {
 	if e.Lost || e.Identifier == "" {
 		return
 	}
 	set := c.observedIdentifiers[e.Target.Letter]
 	if set == nil {
+		//rootlint:allow hotpath: once per letter, thirteen times a run
 		set = make(map[string]bool)
 		c.observedIdentifiers[e.Target.Letter] = set
 	}
@@ -47,6 +50,8 @@ func (c *Coverage) HandleProbe(e measure.ProbeEvent) {
 }
 
 // HandleTransfer implements measure.Handler.
+//
+//rootlint:hotpath
 func (c *Coverage) HandleTransfer(measure.TransferEvent) {}
 
 // Row is one coverage table row: published vs covered site counts.

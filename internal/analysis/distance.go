@@ -23,31 +23,29 @@ import (
 type Distance struct {
 	sys *rss.System
 	pop *vantage.Population
-	// closestGlobal caches the per-(vp, letter) closest global site
-	// distance.
-	closestGlobal map[distKey]float64
+	// globals[letter] holds the points of the letter's global sites, resolved
+	// once; closest caches, per vp·13 + letter, the distance from the VP to
+	// the nearest of them (rebuilt on demand, never sealed).
+	globals [13][]geo.Point
+	closest []closestCell
 
-	// Samples per (letter, family): pairs of (closest, actual) distances.
-	samples map[sampleKey]*distSamples
-	// perVP accumulates mean extra distance per VP per letter+family.
-	extraSum   map[vpTarget]float64
-	extraCount map[vpTarget]int
+	// samples holds, per slot, pairs of (closest, actual) distances.
+	samples [rss.Slots]distSamples
+	// extra accumulates extra distance per vp·rss.Slots + slot, for the
+	// per-VP means.
+	extra []extraCell
 }
 
-type distKey struct {
-	vpIdx  int
-	letter rss.Letter
+type closestCell struct {
+	km    float64
+	known bool
 }
 
-type sampleKey struct {
-	Letter rss.Letter
-	Family topology.Family
-}
-
-type vpTarget struct {
-	VP     int
-	Letter rss.Letter
-	Family topology.Family
+// extraCell and distSamples carry exported fields because the checkpoint
+// seal encodes them as JSON (see checkpoint.go).
+type extraCell struct {
+	Sum float64 `json:"s,omitempty"`
+	N   int     `json:"n,omitempty"`
 }
 
 type distSamples struct {
@@ -56,65 +54,79 @@ type distSamples struct {
 
 // NewDistance creates the accumulator.
 func NewDistance(sys *rss.System, pop *vantage.Population) *Distance {
-	return &Distance{
-		sys:           sys,
-		pop:           pop,
-		closestGlobal: make(map[distKey]float64),
-		samples:       make(map[sampleKey]*distSamples),
-		extraSum:      make(map[vpTarget]float64),
-		extraCount:    make(map[vpTarget]int),
+	d := &Distance{sys: sys, pop: pop}
+	for _, l := range rss.Letters() {
+		if dep := sys.Deployments[l]; dep != nil {
+			for _, s := range dep.Sites {
+				if s.Kind == anycast.Global {
+					d.globals[l.Index()] = append(d.globals[l.Index()], s.City.Point)
+				}
+			}
+		}
 	}
+	return d
 }
 
 // HandleProbe implements measure.Handler.
+//
+//rootlint:hotpath
 func (d *Distance) HandleProbe(e measure.ProbeEvent) {
-	if e.Lost || e.SiteID == "" || e.Target.Old {
+	slot, ok := e.Target.Slot()
+	if e.Lost || e.SiteID == "" || e.Target.Old || !ok || e.VPIdx < 0 {
 		return
 	}
-	ck := distKey{e.VPIdx, e.Target.Letter}
-	closest, ok := d.closestGlobal[ck]
-	if !ok {
-		closest = d.computeClosest(e.VP, e.Target.Letter)
-		d.closestGlobal[ck] = closest
+	d.closest = growTo(d.closest, (e.VPIdx+1)*len(d.globals))
+	cc := &d.closest[e.VPIdx*len(d.globals)+slot/2]
+	if !cc.known {
+		*cc = closestCell{d.computeClosest(e.VP, slot/2), true}
 	}
+	closest := cc.km
 	actual := geo.DistanceKm(e.VP.City.Point, e.SiteCity.Point)
 
-	sk := sampleKey{e.Target.Letter, e.Target.Family}
-	s := d.samples[sk]
-	if s == nil {
-		s = &distSamples{}
-		d.samples[sk] = s
-	}
+	s := &d.samples[slot]
 	s.Closest = append(s.Closest, closest)
 	s.Actual = append(s.Actual, actual)
 
-	vk := vpTarget{e.VPIdx, e.Target.Letter, e.Target.Family}
 	extra := actual - closest
 	if extra < 0 {
 		extra = 0 // landed on a closer local site
 	}
-	d.extraSum[vk] += extra
-	d.extraCount[vk]++
+	d.extra = growTo(d.extra, (e.VPIdx+1)*rss.Slots)
+	x := &d.extra[e.VPIdx*rss.Slots+slot]
+	x.Sum += extra
+	x.N++
 }
 
 // HandleTransfer implements measure.Handler.
+//
+//rootlint:hotpath
 func (d *Distance) HandleTransfer(measure.TransferEvent) {}
 
-func (d *Distance) computeClosest(vp *vantage.VP, l rss.Letter) float64 {
+func (d *Distance) computeClosest(vp *vantage.VP, letter int) float64 {
 	minKm := math.Inf(1)
-	for _, s := range d.sys.Deployments[l].GlobalSites() {
-		if km := geo.DistanceKm(vp.City.Point, s.City.Point); km < minKm {
+	for _, p := range d.globals[letter] {
+		if km := geo.DistanceKm(vp.City.Point, p); km < minKm {
 			minKm = km
 		}
 	}
 	return minKm
 }
 
+// samplesFor returns the samples of one current (not old) target, nil for a
+// target that has no slot.
+func (d *Distance) samplesFor(l rss.Letter, f topology.Family) *distSamples {
+	slot, ok := rss.ServiceAddr{Letter: l, Family: f}.Slot()
+	if !ok {
+		return nil
+	}
+	return &d.samples[slot]
+}
+
 // OptimalShare returns the fraction of requests routed to their closest
 // global site or closer (the paper: 78.2%/82.2% for b.root v4/v6, ~80% for
 // m.root), using a tolerance of tolKm for "same distance".
 func (d *Distance) OptimalShare(l rss.Letter, f topology.Family, tolKm float64) float64 {
-	s := d.samples[sampleKey{l, f}]
+	s := d.samplesFor(l, f)
 	if s == nil || len(s.Actual) == 0 {
 		return math.NaN()
 	}
@@ -128,13 +140,17 @@ func (d *Distance) OptimalShare(l rss.Letter, f topology.Family, tolKm float64) 
 }
 
 // ExtraDistancePerVP returns each VP's mean additional distance for the
-// target (paper §6: 79.5% of b.root clients under 1,000 km extra; 21.5% up
-// to 15,000 km).
+// target, in VP order (paper §6: 79.5% of b.root clients under 1,000 km
+// extra; 21.5% up to 15,000 km).
 func (d *Distance) ExtraDistancePerVP(l rss.Letter, f topology.Family) []float64 {
+	slot, ok := rss.ServiceAddr{Letter: l, Family: f}.Slot()
+	if !ok {
+		return nil
+	}
 	var out []float64
-	for vk, sum := range d.extraSum {
-		if vk.Letter == l && vk.Family == f && d.extraCount[vk] > 0 {
-			out = append(out, sum/float64(d.extraCount[vk]))
+	for i := slot; i < len(d.extra); i += rss.Slots {
+		if x := d.extra[i]; x.N > 0 {
+			out = append(out, x.Sum/float64(x.N))
 		}
 	}
 	return out
@@ -173,7 +189,7 @@ func (d *Distance) WriteFigure5(w io.Writer) {
 // closerLocalShare returns the fraction of requests that landed on a local
 // site closer than the closest global site (below-diagonal mass in Fig. 5).
 func (d *Distance) closerLocalShare(l rss.Letter, f topology.Family) float64 {
-	s := d.samples[sampleKey{l, f}]
+	s := d.samplesFor(l, f)
 	if s == nil || len(s.Actual) == 0 {
 		return math.NaN()
 	}

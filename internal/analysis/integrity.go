@@ -50,9 +50,13 @@ func NewIntegrity() *Integrity {
 }
 
 // HandleProbe implements measure.Handler.
+//
+//rootlint:hotpath
 func (i *Integrity) HandleProbe(measure.ProbeEvent) {}
 
 // HandleTransfer implements measure.Handler.
+//
+//rootlint:hotpath
 func (i *Integrity) HandleTransfer(e measure.TransferEvent) {
 	if e.Lost {
 		return
@@ -71,6 +75,7 @@ func (i *Integrity) HandleTransfer(e measure.TransferEvent) {
 	if row == nil {
 		row = &IntegrityRow{
 			Reason: reason, VPID: e.VP.ID, VPIdx: e.VPIdx,
+			//rootlint:allow hotpath: once per (reason, VP) among failed transfers, a few dozen rows a campaign
 			SOAs: make(map[uint32]bool), Servers: make(map[string]bool),
 			FirstObs: e.Tick.Time,
 		}

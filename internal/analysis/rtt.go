@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/measure"
@@ -16,61 +17,47 @@ import (
 // RTT attribution for the paper's §6 path observations (e.g. AS6939
 // carrying IPv6 out of continent).
 type RTT struct {
-	samples map[rttKey][]float64
-	// viaCarrier tracks RTTs of probes whose AS path traverses the given
-	// special carrier, per (region, letter, family).
-	viaCarrier map[rttCarrierKey][]float64
-	// carrierCount counts probes through each carrier per (region, family).
-	carrierCount map[carrierCountKey]int
-	totalCount   map[carrierCountKey]int
+	// samples is indexed region·rss.Slots + slot.
+	samples [geo.RegionCount * rss.Slots][]float64
+	// viaCarrier tracks RTTs of probes whose AS path traverses a special
+	// carrier, per (region, letter, family): b.root's old and new addresses
+	// share a row, that of the new one.
+	viaCarrier [geo.RegionCount * rss.Slots][len(carriers)][]float64
+	// carrierCount counts probes through each carrier per region·2 + family,
+	// of the totalCount probes seen there.
+	carrierCount [geo.RegionCount * 2][len(carriers)]int
+	totalCount   [geo.RegionCount * 2]int
 }
 
-type rttKey struct {
-	Region geo.Region
-	Letter rss.Letter
-	Family topology.Family
-	Old    bool
-}
-
-type rttCarrierKey struct {
-	Region  geo.Region
-	Letter  rss.Letter
-	Family  topology.Family
-	Carrier int
-}
-
-type carrierCountKey struct {
-	Region  geo.Region
-	Family  topology.Family
-	Carrier int
-}
+// carriers are the special transit ASes of the paper's §6.
+var carriers = [...]int{topology.ASNOpenV6, topology.ASNCarrierV4}
 
 // NewRTT creates the accumulator.
-func NewRTT() *RTT {
-	return &RTT{
-		samples:      make(map[rttKey][]float64),
-		viaCarrier:   make(map[rttCarrierKey][]float64),
-		carrierCount: make(map[carrierCountKey]int),
-		totalCount:   make(map[carrierCountKey]int),
-	}
-}
+func NewRTT() *RTT { return &RTT{} }
 
 // HandleProbe implements measure.Handler.
+//
+//rootlint:hotpath
 func (r *RTT) HandleProbe(e measure.ProbeEvent) {
 	if e.Lost || e.RTTms <= 0 {
 		return
 	}
-	k := rttKey{e.VP.Region, e.Target.Letter, e.Target.Family, e.Target.Old}
-	r.samples[k] = append(r.samples[k], e.RTTms)
+	target := e.Target
+	i, ok := cell(e.VP.Region, target)
+	if !ok {
+		return
+	}
+	r.samples[i] = append(r.samples[i], e.RTTms)
 
-	for _, carrier := range []int{topology.ASNOpenV6, topology.ASNCarrierV4} {
-		ck := carrierCountKey{e.VP.Region, e.Target.Family, carrier}
-		r.totalCount[ck]++
+	fam := int(e.VP.Region)*2 + int(target.Family)
+	r.totalCount[fam]++
+	target.Old = false // b.root's old address shares the new one's carrier row
+	via, _ := cell(e.VP.Region, target)
+	for c, carrier := range carriers {
 		for _, asn := range e.ASPath {
 			if asn == carrier {
-				r.carrierCount[ck]++
-				rk := rttCarrierKey{e.VP.Region, e.Target.Letter, e.Target.Family, carrier}
-				r.viaCarrier[rk] = append(r.viaCarrier[rk], e.RTTms)
+				r.carrierCount[fam][c]++
+				r.viaCarrier[via][c] = append(r.viaCarrier[via][c], e.RTTms)
 				break
 			}
 		}
@@ -78,11 +65,27 @@ func (r *RTT) HandleProbe(e measure.ProbeEvent) {
 }
 
 // HandleTransfer implements measure.Handler.
+//
+//rootlint:hotpath
 func (r *RTT) HandleTransfer(measure.TransferEvent) {}
+
+// cell returns the table index of (region, target), false for a region or
+// target outside the tables.
+func cell(region geo.Region, target rss.ServiceAddr) (int, bool) {
+	slot, ok := target.Slot()
+	if !ok || uint(region) >= uint(geo.RegionCount) {
+		return 0, false
+	}
+	return int(region)*rss.Slots + slot, true
+}
 
 // Samples returns the RTT samples for one cell.
 func (r *RTT) Samples(region geo.Region, l rss.Letter, f topology.Family, old bool) []float64 {
-	return r.samples[rttKey{region, l, f, old}]
+	i, ok := cell(region, rss.ServiceAddr{Letter: l, Family: f, Old: old})
+	if !ok {
+		return nil
+	}
+	return r.samples[i]
 }
 
 // Summary summarizes one cell.
@@ -93,16 +96,25 @@ func (r *RTT) Summary(region geo.Region, l rss.Letter, f topology.Family, old bo
 // CarrierShare returns the fraction of probes in (region, family) whose
 // path traverses the carrier AS.
 func (r *RTT) CarrierShare(region geo.Region, f topology.Family, carrier int) float64 {
-	ck := carrierCountKey{region, f, carrier}
-	if r.totalCount[ck] == 0 {
+	c := slices.Index(carriers[:], carrier)
+	if c < 0 || uint(region) >= uint(geo.RegionCount) || uint(f) > 1 {
 		return 0
 	}
-	return float64(r.carrierCount[ck]) / float64(r.totalCount[ck])
+	fam := int(region)*2 + int(f)
+	if r.totalCount[fam] == 0 {
+		return 0
+	}
+	return float64(r.carrierCount[fam][c]) / float64(r.totalCount[fam])
 }
 
 // CarrierRTT summarizes RTTs of probes through the carrier for one letter.
 func (r *RTT) CarrierRTT(region geo.Region, l rss.Letter, f topology.Family, carrier int) stats.Summary {
-	return stats.Summarize(r.viaCarrier[rttCarrierKey{region, l, f, carrier}])
+	c := slices.Index(carriers[:], carrier)
+	i, ok := cell(region, rss.ServiceAddr{Letter: l, Family: f})
+	if c < 0 || !ok {
+		return stats.Summary{}
+	}
+	return stats.Summarize(r.viaCarrier[i][c])
 }
 
 // WriteFigure6 renders the RTT violins for the four regions of Fig. 6;
@@ -190,7 +202,7 @@ func (r *RTT) WriteCarrierEffects(w io.Writer) {
 	fmt.Fprintln(w, "Section 6: transit-carrier effects (AS6939-like open-v6, AS12956-like v4)")
 	for _, region := range geo.Regions() {
 		for _, f := range topology.Families() {
-			for _, carrier := range []int{topology.ASNOpenV6, topology.ASNCarrierV4} {
+			for _, carrier := range carriers {
 				share := r.CarrierShare(region, f, carrier)
 				if share == 0 {
 					continue

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/measure"
 	"repro/internal/rss"
@@ -15,54 +16,62 @@ import (
 // §4.2). b.root's old/new targets are tracked separately, like the paper's
 // IPv4old/IPv4new/IPv6old/IPv6new curves.
 type Stability struct {
-	// last[key] is the previously observed site.
-	last map[stabKey]string
-	// changes[key] counts transitions.
-	changes map[stabKey]int
-	// seen[key] marks a VP/target pair that produced at least one sample.
-	seen map[stabKey]bool
+	// cells is indexed vp·rss.Slots + slot. The constructor is given no
+	// population, so the table grows to the largest VP index seen.
+	cells []stabCell
 }
 
-// stabKey and the other map keys below carry exported fields because the
-// checkpoint seals encode them as JSON (see checkpoint.go).
-type stabKey struct {
-	VP     int
-	Letter rss.Letter
-	Family topology.Family
-	Old    bool
+// stabCell is one (VP, target) pair. Its fields are exported because the
+// checkpoint seal encodes it as JSON (see checkpoint.go).
+type stabCell struct {
+	Last    string `json:"l,omitempty"` // the previously observed site; "" until the pair's first sample
+	Changes int    `json:"c,omitempty"` // transitions so far
 }
 
 // NewStability creates the accumulator.
-func NewStability() *Stability {
-	return &Stability{
-		last:    make(map[stabKey]string),
-		changes: make(map[stabKey]int),
-		seen:    make(map[stabKey]bool),
+func NewStability() *Stability { return &Stability{} }
+
+// growTo returns s extended with zero values to hold at least n elements,
+// amortised like append. The per-VP tables grow through it: an index past the
+// end is a larger population than seen so far, never a panic.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
 	}
+	return slices.Grow(s, n-len(s))[:n]
 }
 
 // HandleProbe implements measure.Handler.
+//
+//rootlint:hotpath
 func (s *Stability) HandleProbe(e measure.ProbeEvent) {
-	if e.Lost || e.SiteID == "" {
+	slot, ok := e.Target.Slot()
+	if e.Lost || e.SiteID == "" || !ok || e.VPIdx < 0 {
 		return
 	}
-	k := stabKey{e.VPIdx, e.Target.Letter, e.Target.Family, e.Target.Old}
-	s.seen[k] = true
-	if prev, ok := s.last[k]; ok && prev != e.SiteID {
-		s.changes[k]++
+	s.cells = growTo(s.cells, (e.VPIdx+1)*rss.Slots)
+	c := &s.cells[e.VPIdx*rss.Slots+slot]
+	if c.Last != "" && c.Last != e.SiteID {
+		c.Changes++
 	}
-	s.last[k] = e.SiteID
+	c.Last = e.SiteID
 }
 
 // HandleTransfer implements measure.Handler.
+//
+//rootlint:hotpath
 func (s *Stability) HandleTransfer(measure.TransferEvent) {}
 
-// Changes returns the per-VP change counts for one target.
+// Changes returns the per-VP change counts for one target, in VP order.
 func (s *Stability) Changes(letter rss.Letter, family topology.Family, old bool) []float64 {
+	slot, ok := rss.ServiceAddr{Letter: letter, Family: family, Old: old}.Slot()
+	if !ok {
+		return nil
+	}
 	var out []float64
-	for k := range s.seen {
-		if k.Letter == letter && k.Family == family && k.Old == old {
-			out = append(out, float64(s.changes[k]))
+	for i := slot; i < len(s.cells); i += rss.Slots {
+		if s.cells[i].Last != "" {
+			out = append(out, float64(s.cells[i].Changes))
 		}
 	}
 	return out

@@ -85,6 +85,7 @@ type siteIndex struct {
 func (d *Deployment) SiteByID(id string) (Site, bool) {
 	idx := d.index.Load()
 	if idx == nil || idx.n != len(d.Sites) {
+		//rootlint:allow hotpath: built once per deployment, on the first lookup after its sites change
 		idx = &siteIndex{len(d.Sites), make(map[string]int, len(d.Sites))}
 		for i := len(d.Sites) - 1; i >= 0; i-- { // downwards: the first of a repeated ID wins
 			idx.byID[d.Sites[i].ID] = i

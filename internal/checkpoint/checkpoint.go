@@ -19,14 +19,16 @@ import (
 )
 
 // Version gates the sidecar schema. A sidecar is an artefact of one run, so
-// an older one is refused rather than migrated.
-const Version = 2
+// an older one is refused rather than migrated. Version 3: the analysis
+// accumulators seal dense tables as JSON arrays, where version 2 sealed
+// struct-keyed maps as sorted entry lists.
+const Version = 3
 
 // Part is one piece of state that rides a checkpoint. CheckpointSeal makes
 // everything the part has absorbed so far durable and returns the blob from
 // which RestoreCheckpoint puts a freshly constructed part back into exactly
 // that state: a part with an output file (dataset writer, flight log)
-// rewinds it to the sealed offset, an accumulator replaces its maps.
+// rewinds it to the sealed offset, an accumulator replaces its tables.
 type Part interface {
 	CheckpointSeal() ([]byte, error)
 	RestoreCheckpoint(state []byte) error

@@ -256,15 +256,16 @@ func rebuildErr(class int) error {
 	case errZonemdDigest:
 		return zonemd.ErrDigestMismatch
 	default:
-		return errors.New("dataset: unclassified validation error")
+		return errUnclassified
 	}
 }
 
-// targetKeys and targetsByKey are the two directions of the key table ("b4o"
-// = b.root IPv4 old), built once: the writer looks one up per event.
-var targetKeys, targetsByKey = func() (map[rss.ServiceAddr]string, map[string]rss.ServiceAddr) {
+// targetKeys maps a target to its compact key ("b4o" = b.root IPv4 old) and
+// targets lists the targets by slot, both built once: the writer looks one
+// up per event, the reader the other.
+var targetKeys, targets = func() (map[rss.ServiceAddr]string, [rss.Slots]rss.ServiceAddr) {
 	keys := make(map[rss.ServiceAddr]string)
-	byKey := make(map[string]rss.ServiceAddr)
+	var bySlot [rss.Slots]rss.ServiceAddr
 	for _, t := range rss.AllServiceAddrs() {
 		key := string(t.Letter) + "4"
 		if t.Family == topology.IPv6 {
@@ -273,11 +274,12 @@ var targetKeys, targetsByKey = func() (map[rss.ServiceAddr]string, map[string]rs
 		if t.Old {
 			key += "o"
 		}
-		byKey[key] = t
+		slot, _ := t.Slot()
+		bySlot[slot] = t
 		t.Addr = netip.Addr{}
 		keys[t] = key
 	}
-	return keys, byKey
+	return keys, bySlot
 }()
 
 // targetKey is a target's compact key: letter, family and era, whatever the
@@ -285,6 +287,20 @@ var targetKeys, targetsByKey = func() (map[rss.ServiceAddr]string, map[string]rs
 func targetKey(t rss.ServiceAddr) string {
 	t.Addr = netip.Addr{}
 	return targetKeys[t]
+}
+
+// targetOf is targetKey's inverse, read off the key's characters.
+func targetOf(key string) (rss.ServiceAddr, bool) {
+	t := rss.ServiceAddr{Family: topology.IPv4, Old: len(key) == 3}
+	if len(key) < 2 || len(key) > 3 || (t.Old && key[2] != 'o') || (key[1] != '4' && key[1] != '6') {
+		return t, false
+	}
+	if key[1] == '6' {
+		t.Family = topology.IPv6
+	}
+	t.Letter = rss.Letter(key[:1])
+	slot, ok := t.Slot()
+	return targets[slot], ok
 }
 
 // Reader replays a dataset into handlers, tolerating a torn trailing block.
@@ -322,92 +338,113 @@ func NewReader(in io.Reader, pop *vantage.Population) (*Reader, error) {
 	return &Reader{Reader: segment.NewReaderAt(raw), pop: pop, cities: cities}, nil
 }
 
-// replayEvent is one decoded record, tagged with its kind.
-type replayEvent struct {
-	kind     uint64
-	probe    measure.ProbeEvent
-	transfer measure.TransferEvent
-}
-
-// blockResult is the outcome of decoding one block. events always holds the
-// successfully decoded prefix; exactly one of the error fields may be set.
-// tearErr means the block's bytes are corrupt (CRC or DEFLATE) — replay
-// truncates there, delivering nothing from this block. decodeErr is a real
-// format error inside verified bytes — replay delivers the prefix, then
-// fails, exactly as the old record-interleaved loop did.
-type blockResult struct {
-	events    []replayEvent
+// block is one decoded block: the events as typed runs, and the order their
+// records came in. kinds describes the successfully decoded prefix; at most
+// one error is set. tearErr means the block's bytes are corrupt (CRC or
+// DEFLATE) — replay truncates there, delivering nothing from this block.
+// decodeErr is a real format error inside verified bytes — replay delivers
+// the prefix, then fails, exactly as the old record-interleaved loop did.
+//
+// The slices are slabs, decoded into over whatever the last block left. What
+// events point to is never reused (see blockDecoder): handlers receive events
+// by value and may keep any string, AS path or Bitflip.
+type block struct {
+	probes    []measure.ProbeEvent
+	transfers []measure.TransferEvent
+	kinds     []byte // recProbe or recTransfer per record, in record order
 	tearErr   error
 	decodeErr error
 }
 
-// decodeBlock verifies and decodes one sealed block. It is a pure function
-// of the frame plus the shared read-only population/city tables, so any
-// worker can run it for any block.
-func (d *Reader) decodeBlock(f segment.Frame) blockResult {
-	payload, err := segment.Decompress(f)
-	if err != nil {
-		return blockResult{tearErr: err}
-	}
-	dec := blockDecoder{
-		rr:  segment.NewRecordReader(payload),
-		pop: d.pop, cities: d.cities,
-	}
-	return dec.decodeAll(f.Count)
-}
+const (
+	// minRecordBytes is the least a recorded event takes: kind, tick index,
+	// a five-byte Unix time, VP index, target reference, flags.
+	minRecordBytes = 10
+	// asPathChunk AS numbers are allocated at once: a few allocations per
+	// block instead of one per probe.
+	asPathChunk = 8192
+)
 
-// blockDecoder decodes the records of a single decompressed block.
+// blockDecoder verifies and decodes sealed blocks one after another on one
+// goroutine, keeping its inflater, record reader and dictionary backing. What
+// it gives an event to point to is allocated fresh and handed out once:
+// strings own their bytes, an AS path is a capacity-clipped cut of a chunk no
+// other path shares a word of, a Bitflip is its own allocation.
 type blockDecoder struct {
-	rr     *segment.RecordReader
 	pop    *vantage.Population
 	cities map[string]geo.City
+	inf    segment.Inflater
+	rr     segment.RecordReader
+	asns   []int // what is left of the current AS-path chunk
+}
+
+func (d *Reader) newDecoder() *blockDecoder {
+	return &blockDecoder{pop: d.pop, cities: d.cities}
+}
+
+// decode verifies f and decodes it into b, over whatever b held.
+func (d *blockDecoder) decode(f segment.Frame, b *block) {
+	b.probes, b.transfers, b.kinds = b.probes[:0], b.transfers[:0], b.kinds[:0]
+	b.tearErr, b.decodeErr = nil, nil
+	payload, err := d.inf.Decompress(f)
+	if err != nil {
+		b.tearErr = err
+		return
+	}
+	d.rr.Reset(payload)
+	if cap(b.kinds) == 0 {
+		// A first use sizes the slabs. The header's count sits outside the
+		// CRC, so it is believed no further than the payload could bear out;
+		// each run gets a good half, and append covers a lopsided mix.
+		n := min(int(f.Count), len(payload)/minRecordBytes)
+		b.kinds = make([]byte, 0, n)
+		b.probes = make([]measure.ProbeEvent, 0, n/2+n/16)
+		b.transfers = make([]measure.TransferEvent, 0, n/2+n/16)
+	}
+	b.decodeErr = d.decodeAll(f.Count, b)
 }
 
 // decodeAll decodes records until the payload is exhausted, enforcing the
 // declared record count in both directions.
-func (d *blockDecoder) decodeAll(count uint32) blockResult {
-	res := blockResult{events: make([]replayEvent, 0, count)}
+//
+//rootlint:hotpath
+func (d *blockDecoder) decodeAll(count uint32, b *block) error {
 	left := count
 	for d.rr.Len() > 0 {
-		kind, err := d.uvarint()
+		kind, err := d.rr.Uvarint()
 		if err != nil {
-			res.decodeErr = fmt.Errorf("dataset: record kind: %w", err)
-			return res
+			//rootlint:allow hotpath: cold error return, ends the replay
+			return fmt.Errorf("dataset: record kind: %w", err)
 		}
 		if left == 0 {
-			res.decodeErr = errors.New("dataset: more records than block header declared")
-			return res
+			return errors.New("dataset: more records than block header declared")
 		}
 		left--
 		switch kind {
 		case recProbe:
-			e, err := d.readProbe()
-			if err != nil {
-				res.decodeErr = err
-				return res
+			b.probes = append(b.probes, measure.ProbeEvent{})
+			if err := d.readProbe(&b.probes[len(b.probes)-1]); err != nil {
+				b.probes = b.probes[:len(b.probes)-1]
+				return err
 			}
-			res.events = append(res.events, replayEvent{kind: recProbe, probe: e})
 		case recTransfer:
-			e, err := d.readTransfer()
-			if err != nil {
-				res.decodeErr = err
-				return res
+			b.transfers = append(b.transfers, measure.TransferEvent{})
+			if err := d.readTransfer(&b.transfers[len(b.transfers)-1]); err != nil {
+				b.transfers = b.transfers[:len(b.transfers)-1]
+				return err
 			}
-			res.events = append(res.events, replayEvent{kind: recTransfer, transfer: e})
 		default:
-			res.decodeErr = fmt.Errorf("dataset: unknown record kind %d", kind)
-			return res
+			//rootlint:allow hotpath: cold error return, ends the replay
+			return fmt.Errorf("dataset: unknown record kind %d", kind)
 		}
+		b.kinds = append(b.kinds, byte(kind))
 	}
 	if left != 0 {
-		res.decodeErr = fmt.Errorf("dataset: block ended with %d records unread", left)
+		//rootlint:allow hotpath: cold error return, ends the replay
+		return fmt.Errorf("dataset: block ended with %d records unread", left)
 	}
-	return res
+	return nil
 }
-
-func (d *blockDecoder) uvarint() (uint64, error) { return d.rr.Uvarint() }
-
-func (d *blockDecoder) str() (string, error) { return d.rr.Str() }
 
 // Replay streams every event into the handlers, returning the counts. A
 // torn trailing block (crash mid-write) is truncated, not an error; check
@@ -418,140 +455,150 @@ func (d *Reader) Replay(handlers ...measure.Handler) (probes, transfers int, err
 	return d.ReplayWith(ReplayOptions{}, handlers...)
 }
 
-func (d *blockDecoder) readCommon() (measure.Tick, int, rss.ServiceAddr, uint64, error) {
-	idx, err := d.uvarint()
+// readCommon decodes the fields every record opens with, and returns its flags.
+//
+//rootlint:hotpath
+func (d *blockDecoder) readCommon(tick *measure.Tick, vp **vantage.VP, vpIdx *int, target *rss.ServiceAddr) (flags uint64, err error) {
+	idx, err := d.rr.Uvarint()
 	if err != nil {
-		return measure.Tick{}, 0, rss.ServiceAddr{}, 0, err
+		return 0, err
 	}
-	unix, err := d.uvarint()
+	unix, err := d.rr.Uvarint()
 	if err != nil {
-		return measure.Tick{}, 0, rss.ServiceAddr{}, 0, err
+		return 0, err
 	}
-	vpIdx, err := d.uvarint()
+	v, err := d.rr.Uvarint()
 	if err != nil {
-		return measure.Tick{}, 0, rss.ServiceAddr{}, 0, err
+		return 0, err
 	}
-	if int(vpIdx) >= len(d.pop.VPs) {
-		return measure.Tick{}, 0, rss.ServiceAddr{}, 0, errors.New("dataset: VP index out of range")
+	if v >= uint64(len(d.pop.VPs)) {
+		return 0, errors.New("dataset: VP index out of range")
 	}
-	tk, err := d.str()
+	tk, err := d.rr.Str()
 	if err != nil {
-		return measure.Tick{}, 0, rss.ServiceAddr{}, 0, err
+		return 0, err
 	}
-	target, ok := targetsByKey[tk]
+	t, ok := targetOf(tk)
 	if !ok {
-		return measure.Tick{}, 0, rss.ServiceAddr{}, 0, fmt.Errorf("dataset: unknown target %q", tk)
+		//rootlint:allow hotpath: cold error return, ends the replay
+		return 0, fmt.Errorf("dataset: unknown target %q", tk)
 	}
-	flags, err := d.uvarint()
-	if err != nil {
-		return measure.Tick{}, 0, rss.ServiceAddr{}, 0, err
+	if flags, err = d.rr.Uvarint(); err != nil {
+		return 0, err
 	}
-	tick := measure.Tick{Index: int(idx), Time: time.Unix(int64(unix), 0).UTC()}
-	return tick, int(vpIdx), target, flags, nil
+	*tick = measure.Tick{Index: int(idx), Time: time.Unix(int64(unix), 0).UTC()}
+	*vp, *vpIdx, *target = &d.pop.VPs[v], int(v), t
+	return flags, nil
 }
 
-func (d *blockDecoder) readProbe() (measure.ProbeEvent, error) {
-	tick, vpIdx, target, flags, err := d.readCommon()
+// readProbe decodes one probe record into e, which arrives zeroed.
+//
+//rootlint:hotpath
+func (d *blockDecoder) readProbe(e *measure.ProbeEvent) error {
+	flags, err := d.readCommon(&e.Tick, &e.VP, &e.VPIdx, &e.Target)
 	if err != nil {
-		return measure.ProbeEvent{}, err
+		return err
 	}
-	e := measure.ProbeEvent{
-		Tick: tick, VP: &d.pop.VPs[vpIdx], VPIdx: vpIdx, Target: target,
-		Lost:     flags&1 != 0,
-		STLOK:    flags&2 != 0,
-		Degraded: flags&8 != 0,
-	}
+	e.Lost = flags&1 != 0
+	e.STLOK = flags&2 != 0
+	e.Degraded = flags&8 != 0
 	if flags&4 != 0 {
 		e.SiteKind = 1
 	}
 	if e.Lost {
-		return e, nil
+		return nil
 	}
-	if e.SiteID, err = d.str(); err != nil {
-		return e, err
+	if e.SiteID, err = d.rr.Str(); err != nil {
+		return err
 	}
-	if e.Identifier, err = d.str(); err != nil {
-		return e, err
+	if e.Identifier, err = d.rr.Str(); err != nil {
+		return err
 	}
-	if e.Facility, err = d.str(); err != nil {
-		return e, err
+	if e.Facility, err = d.rr.Str(); err != nil {
+		return err
 	}
-	iata, err := d.str()
+	iata, err := d.rr.Str()
 	if err != nil {
-		return e, err
+		return err
 	}
 	e.SiteCity = d.cities[iata]
-	rtt, err := d.uvarint()
+	rtt, err := d.rr.Uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
 	e.RTTms = float64(rtt) / 100
-	n, err := d.uvarint()
+	n, err := d.rr.Uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
 	if n > 64 {
-		return e, errors.New("dataset: implausible AS path length")
+		return errors.New("dataset: implausible AS path length")
 	}
-	e.ASPath = make([]int, n)
+	if uint64(len(d.asns)) < n {
+		d.asns = make([]int, asPathChunk)
+	}
+	e.ASPath, d.asns = d.asns[:n:n], d.asns[n:]
 	for i := range e.ASPath {
-		asn, err := d.uvarint()
+		asn, err := d.rr.Uvarint()
 		if err != nil {
-			return e, err
+			return err
 		}
 		e.ASPath[i] = int(asn)
 	}
-	if e.SecondToLast, err = d.str(); err != nil {
-		return e, err
+	if e.SecondToLast, err = d.rr.Str(); err != nil {
+		return err
 	}
-	return e, nil
+	return nil
 }
 
-func (d *blockDecoder) readTransfer() (measure.TransferEvent, error) {
-	tick, vpIdx, target, flags, err := d.readCommon()
+// errUnclassified replays a validation error outside the recorded classes.
+var errUnclassified = errors.New("dataset: unclassified validation error")
+
+// readTransfer decodes one transfer record into e, which arrives zeroed.
+//
+//rootlint:hotpath
+func (d *blockDecoder) readTransfer(e *measure.TransferEvent) error {
+	flags, err := d.readCommon(&e.Tick, &e.VP, &e.VPIdx, &e.Target)
 	if err != nil {
-		return measure.TransferEvent{}, err
+		return err
 	}
-	e := measure.TransferEvent{
-		Tick: tick, VP: &d.pop.VPs[vpIdx], VPIdx: vpIdx, Target: target,
-		Lost:               flags&1 != 0,
-		ComparisonMismatch: flags&2 != 0,
-		Degraded:           flags&8 != 0,
-	}
+	e.Lost = flags&1 != 0
+	e.ComparisonMismatch = flags&2 != 0
+	e.Degraded = flags&8 != 0
 	if e.Lost {
-		return e, nil
+		return nil
 	}
-	serial, err := d.uvarint()
+	serial, err := d.rr.Uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
 	e.Serial = uint32(serial)
-	fault, err := d.uvarint()
+	fault, err := d.rr.Uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
 	e.Fault = faults.Kind(fault)
-	dclass, err := d.uvarint()
+	dclass, err := d.rr.Uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
 	e.DNSSECErr = rebuildErr(int(dclass))
-	zclass, err := d.uvarint()
+	zclass, err := d.rr.Uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
 	e.ZonemdErr = rebuildErr(int(zclass))
 	if flags&4 != 0 {
-		var flip faults.Bitflip
-		if flip.Before, err = d.str(); err != nil {
-			return e, err
+		flip := new(faults.Bitflip) // a handler may keep it: never recycled
+		if flip.Before, err = d.rr.Str(); err != nil {
+			return err
 		}
-		if flip.After, err = d.str(); err != nil {
-			return e, err
+		if flip.After, err = d.rr.Str(); err != nil {
+			return err
 		}
-		e.Bitflip = &flip
+		e.Bitflip = flip
 	}
-	return e, nil
+	return nil
 }
 
 // Close releases the reader (nothing to release in the block format; kept

@@ -473,9 +473,14 @@ func TestTargetKeyBijective(t *testing.T) {
 			t.Fatalf("duplicate key %q", k)
 		}
 		seen[k] = true
-		back, ok := targetsByKey[k]
+		back, ok := targetOf(k)
 		if !ok || back != tgt {
 			t.Fatalf("key %q does not round trip", k)
+		}
+	}
+	for _, k := range []string{"", "b", "b4x", "b4oo", "n4", "a4o", "b5", "B4", "\xff6"} {
+		if got, ok := targetOf(k); ok {
+			t.Errorf("key %q, which no target has, reads as %+v", k, got)
 		}
 	}
 }

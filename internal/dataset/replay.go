@@ -113,31 +113,32 @@ type replayState struct {
 // counters, fingerprint, checkpoint cadence. A torn block converts to a
 // clean end-of-stream (io.EOF) after marking the Reader torn — nothing from
 // the torn block, or after it, is ever delivered.
-func (st *replayState) drainBlock(f segment.Frame, res blockResult) error {
-	if res.tearErr != nil {
-		return st.d.Tear(res.tearErr)
+func (st *replayState) drainBlock(f *segment.Frame, b *block) error {
+	if b.tearErr != nil {
+		return st.d.Tear(b.tearErr)
 	}
-	for i := range res.events {
-		ev := &res.events[i]
-		switch ev.kind {
-		case recProbe:
-			st.pos.Probes++
-			mReplayed.Inc()
+	probes, transfers := b.probes, b.transfers
+	for _, kind := range b.kinds {
+		if kind == recProbe {
 			for _, h := range st.handlers {
-				h.HandleProbe(ev.probe)
+				h.HandleProbe(probes[0])
 			}
-		case recTransfer:
-			st.pos.Transfers++
-			mReplayed.Inc()
+			probes = probes[1:]
+		} else {
 			for _, h := range st.handlers {
-				h.HandleTransfer(ev.transfer)
+				h.HandleTransfer(transfers[0])
 			}
+			transfers = transfers[1:]
 		}
 	}
-	if res.decodeErr != nil {
+	// Counted per block: checkpoints fall on block boundaries.
+	st.pos.Probes += len(b.probes)
+	st.pos.Transfers += len(b.transfers)
+	mReplayed.Add(int64(len(b.kinds)))
+	if b.decodeErr != nil {
 		// Real format error inside CRC-verified bytes: the prefix was
 		// delivered (matching the old record-interleaved loop), now fail.
-		return res.decodeErr
+		return b.decodeErr
 	}
 	st.pos.Blocks++
 	st.sig.Write(f.Hdr[:])
@@ -150,7 +151,10 @@ func (st *replayState) drainBlock(f segment.Frame, res blockResult) error {
 	return nil
 }
 
+// runSerial is runParallel with no goroutine: one decoder, one block.
 func (st *replayState) runSerial() error {
+	dec := st.d.newDecoder()
+	var b block
 	for {
 		f, err := st.d.NextFrame()
 		if err != nil {
@@ -159,7 +163,8 @@ func (st *replayState) runSerial() error {
 			}
 			return err
 		}
-		if err := st.drainBlock(f, st.d.decodeBlock(f)); err != nil {
+		dec.decode(f, &b)
+		if err := st.drainBlock(&f, &b); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // torn block: truncated cleanly
 			}
@@ -168,12 +173,14 @@ func (st *replayState) runSerial() error {
 	}
 }
 
-// replayJob carries one scanned frame to a decode worker and its result
-// back to the drain. scanErr marks the scanner's terminal tear, delivered
-// in order like any block so truncation lands at the right position.
+// replayJob carries one scanned frame to a decode worker and its decoded
+// block to the drain, then goes back on the free list with its slabs.
+// scanErr marks the scanner's terminal tear, delivered in order like any
+// block so truncation lands at the right position.
 type replayJob struct {
 	f       segment.Frame
-	res     chan blockResult
+	b       block
+	decoded chan struct{} // one token per trip, sent by the worker that decoded b
 	scanErr error
 }
 
@@ -181,10 +188,20 @@ type replayJob struct {
 // (frame reads must happen in file order), a bounded worker pool doing the
 // CPU work (CRC, DEFLATE, record decode), and a serial ordered drain in the
 // calling goroutine so handler delivery is byte-identical to runSerial.
+//
+// The jobs are made once and go round: free list → scanner → work and
+// pending → a worker and the drain → free list. Their number is the window
+// (two queued per worker, one in each worker's hands, one being drained), so
+// every channel has room for all of them and only the scanner ever waits for
+// a job — in a select that stop() ends.
 func (st *replayState) runParallel() error {
-	window := st.opts.Workers * 2
+	window := st.opts.Workers*3 + 1
+	free := make(chan *replayJob, window)
 	work := make(chan *replayJob, window)
 	pending := make(chan *replayJob, window)
+	for i := 0; i < window; i++ {
+		free <- &replayJob{decoded: make(chan struct{}, 1)}
+	}
 	quit := make(chan struct{})
 	var quitOnce sync.Once
 	stop := func() { quitOnce.Do(func() { close(quit) }) }
@@ -192,8 +209,8 @@ func (st *replayState) runParallel() error {
 	// caller owns the Reader (byte stream and tear state) the moment this
 	// function returns, so no scanner or worker may outlive it. stop() is
 	// registered after wg.Wait so it runs first and unblocks the scanner's
-	// quit selects; workers then drain `work` (closed by the scanner) and
-	// exit — their result sends never block because res is buffered.
+	// wait for a free job; workers then drain `work` (closed by the scanner)
+	// and exit — their token sends never block because decoded is buffered.
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer stop()
@@ -206,35 +223,31 @@ func (st *replayState) runParallel() error {
 		defer close(work)
 		defer close(pending)
 		for {
-			f, err := st.d.ScanFrame()
-			if err != nil {
-				if !errors.Is(err, io.EOF) {
-					select {
-					case pending <- &replayJob{scanErr: err}:
-					case <-quit:
-					}
-				}
-				return
-			}
-			j := &replayJob{f: f, res: make(chan blockResult, 1)}
+			var j *replayJob
 			select {
-			case pending <- j:
+			case j = <-free:
 			case <-quit:
 				return
 			}
-			select {
-			case work <- j:
-			case <-quit:
+			j.f, j.scanErr = st.d.ScanFrame()
+			if errors.Is(j.scanErr, io.EOF) {
 				return
 			}
+			pending <- j
+			if j.scanErr != nil {
+				return
+			}
+			work <- j
 		}
 	}()
 	for i := 0; i < st.opts.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			dec := st.d.newDecoder()
 			for j := range work {
-				j.res <- st.d.decodeBlock(j.f)
+				dec.decode(j.f, &j.b)
+				j.decoded <- struct{}{}
 			}
 		}()
 	}
@@ -243,13 +256,14 @@ func (st *replayState) runParallel() error {
 			st.d.Tear(j.scanErr)
 			return nil
 		}
-		if err := st.drainBlock(j.f, <-j.res); err != nil {
-			stop()
+		<-j.decoded
+		if err := st.drainBlock(&j.f, &j.b); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // torn block: truncated cleanly
 			}
 			return err
 		}
+		free <- j
 	}
 	return nil
 }

@@ -388,6 +388,38 @@ func TestReplayResumeGuards(t *testing.T) {
 			t.Errorf("resume at another cadence: err = %v, want checkpoint.ErrSig", err)
 		}
 	})
+	t.Run("older-sidecar", func(t *testing.T) {
+		// The same sidecar as a version-2 build would have stamped it: its
+		// accumulator seals are struct-keyed entry lists, which the dense
+		// tables must never be handed.
+		blob, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamp := []byte(fmt.Sprintf(`"version":%d`, checkpoint.Version))
+		if !bytes.Contains(blob, stamp) {
+			t.Fatalf("sidecar carries no %s", stamp)
+		}
+		old := filepath.Join(dir, "v2.ckpt")
+		if err := os.WriteFile(old, bytes.Replace(blob, stamp, []byte(`"version":2`), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(data), pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers := replayHandlers(t)
+		fresh := sealAll(t, handlers)
+		_, _, err = r.ReplayWith(ReplayOptions{CheckpointPath: old, CheckpointEvery: 2, Resume: true}, handlers...)
+		if !errors.Is(err, checkpoint.ErrVersion) {
+			t.Errorf("resume from a version-2 sidecar: err = %v, want checkpoint.ErrVersion", err)
+		}
+		for i, state := range sealAll(t, handlers) {
+			if !bytes.Equal(state, fresh[i]) {
+				t.Errorf("handler %d was touched by a refused sidecar", i)
+			}
+		}
+	})
 	t.Run("resume-without-path", func(t *testing.T) {
 		r, err := NewReader(bytes.NewReader(data), pop)
 		if err != nil {

@@ -156,6 +156,7 @@ func (s *Server) serveUDPLoop(conn *net.UDPConn, shard int) {
 		// the client's send order and the index is worker-count-invariant.
 		// A netem duplicate shares its original's index (one offered
 		// datagram, one index).
+		//rootlint:allow hotpath: built once per read loop, before the first datagram
 		flowCounts = make(map[uint64]uint64)
 	}
 	var pace errorPace

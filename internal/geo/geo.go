@@ -21,8 +21,11 @@ const (
 	NorthAmerica
 	SouthAmerica
 	Oceania
-	regionCount
 )
+
+// RegionCount is the number of regions, and the length of a table indexed by
+// Region.
+const RegionCount = int(Oceania) + 1
 
 // Regions lists all regions in canonical report order.
 func Regions() []Region {

@@ -117,4 +117,12 @@ func TestRegionStrings(t *testing.T) {
 	if len(Regions()) != 6 {
 		t.Errorf("Regions() = %d entries", len(Regions()))
 	}
+	for i, r := range Regions() {
+		if int(r) != i {
+			t.Errorf("Regions()[%d] = %d: a Region must index a table", i, r)
+		}
+	}
+	if RegionCount != len(Regions()) {
+		t.Errorf("RegionCount = %d, Regions() has %d", RegionCount, len(Regions()))
+	}
 }

@@ -17,6 +17,10 @@ import (
 //   - rand.New / rand.NewSource (and math/rand/v2's New, NewPCG,
 //     NewChaCha8) — allocate a generator and seed its whole state to draw a
 //     handful of numbers; a per-call draw is seeded.Draw over (key, index);
+//   - make(map...) and map composite literals — a table built per call, then
+//     hashed into; a small dense key space (a VP index, one of 28 targets)
+//     is a slice indexed by it, and a handful of entries a reused slice
+//     searched linearly;
 //   - string concatenation inside a loop — each + re-allocates the
 //     accumulated string;
 //   - a closure that captures enclosing variables and escapes (assigned,
@@ -91,6 +95,10 @@ func checkHotFunc(pass *Pass, allows *Allows, fd *ast.FuncDecl) {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			checkHotCall(pass, report, fd, x)
+		case *ast.CompositeLit:
+			if isMapType(pass.Info, x) {
+				report(x.Pos(), "%s: map literal allocates a hash table per call; index a dense table or search a reused slice", fd.Name.Name)
+			}
 		case *ast.BinaryExpr:
 			if x.Op == token.ADD && inLoop() && isStringExpr(pass.Info, x) {
 				report(x.OpPos, "%s: string concatenation in a loop allocates per iteration; use a preallocated buffer", fd.Name.Name)
@@ -135,14 +143,32 @@ func checkHotCall(pass *Pass, report func(token.Pos, string, ...any), fd *ast.Fu
 			}
 		}
 	}
-	// append onto a freshly allocated slice.
+	// append onto a freshly allocated slice, and make of a map.
 	if ident, ok := call.Fun.(*ast.Ident); ok && len(call.Args) > 0 {
-		if obj, isBuiltin := pass.Info.Uses[ident].(*types.Builtin); isBuiltin && obj.Name() == "append" {
-			if reason, fresh := freshSliceExpr(pass.Info, call.Args[0]); fresh {
-				report(call.Pos(), "%s: append onto %s allocates a fresh backing array per call; reuse a pooled or caller-provided slice", fd.Name.Name, reason)
+		if obj, isBuiltin := pass.Info.Uses[ident].(*types.Builtin); isBuiltin {
+			switch obj.Name() {
+			case "append":
+				if reason, fresh := freshSliceExpr(pass.Info, call.Args[0]); fresh {
+					report(call.Pos(), "%s: append onto %s allocates a fresh backing array per call; reuse a pooled or caller-provided slice", fd.Name.Name, reason)
+				}
+			case "make":
+				if isMapType(pass.Info, call.Args[0]) {
+					report(call.Pos(), "%s: make(map) allocates a hash table per call; index a dense table or search a reused slice", fd.Name.Name)
+				}
 			}
 		}
 	}
+}
+
+// isMapType reports whether e — a composite literal, or make's type operand —
+// has a map type.
+func isMapType(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 // freshSliceExpr reports whether e unavoidably allocates a new slice right at

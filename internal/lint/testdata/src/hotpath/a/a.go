@@ -135,3 +135,35 @@ func flapsV2(seed uint64, p float64) bool {
 	cha := randv2.New(randv2.NewChaCha8([32]byte{1})) // want "rand.New allocates and seeds" "rand.NewChaCha8 allocates and seeds"
 	return pcg.Float64() < p && cha.Float64() < p
 }
+
+// A table built per call to hold a handful of entries, then hashed into.
+//
+//rootlint:hotpath
+func distinct(hops []string) int {
+	seen := make(map[string]bool) // want "make\(map\) allocates a hash table per call"
+	for _, h := range hops {
+		seen[h] = true
+	}
+	return len(seen)
+}
+
+type hopSet map[string]bool
+
+//rootlint:hotpath
+func distinctNamed(hops []string) int {
+	seen := make(hopSet, len(hops)) // want "make\(map\) allocates a hash table per call"
+	for _, h := range hops {
+		seen[h] = true
+	}
+	return len(seen)
+}
+
+//rootlint:hotpath
+func carrierOf(asn int) string {
+	return map[int]string{6939: "open-v6", 12956: "carrier-v4"}[asn] // want "map literal allocates a hash table per call"
+}
+
+//rootlint:hotpath
+func emptySet() hopSet {
+	return hopSet{} // want "map literal allocates a hash table per call"
+}

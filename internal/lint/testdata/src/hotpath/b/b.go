@@ -87,3 +87,45 @@ func newRng(seed int64) *rand.Rand {
 func drawFrom(rng *rand.Rand, p float64) bool {
 	return rng.Float64() < p // drawing from a generator someone else owns seeds nothing
 }
+
+// A table someone else built is only read and written here, and a dense key
+// space is a slice: neither builds a hash table per call.
+//
+//rootlint:hotpath
+func countInto(seen map[string]int, byVP []int, hop string, vp int) {
+	seen[hop]++
+	byVP[vp]++
+}
+
+//rootlint:hotpath
+func distinct(scratch, hops []string) []string {
+	scratch = scratch[:0] // a handful of entries: a reused slice, searched linearly
+outer:
+	for _, h := range hops {
+		for _, s := range scratch {
+			if s == h {
+				continue outer
+			}
+		}
+		scratch = append(scratch, h)
+	}
+	return scratch
+}
+
+// A first sight that builds its table once is a reasoned allow.
+//
+//rootlint:hotpath
+func firstSight(sets map[string]map[string]bool, letter, id string) {
+	set := sets[letter]
+	if set == nil {
+		//rootlint:allow hotpath: once per letter, thirteen times a run
+		set = make(map[string]bool)
+		sets[letter] = set
+	}
+	set[id] = true
+}
+
+// Building a table off the hot path is construction.
+func newSets() map[string]map[string]bool {
+	return make(map[string]map[string]bool)
+}

@@ -6,6 +6,9 @@ package qlog_test
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,6 +142,49 @@ func TestTornTailTruncates(t *testing.T) {
 		if len(evs) != 10 {
 			t.Fatalf("chop %d: decoded %d events, want the 10 sealed ones", chop, len(evs))
 		}
+	}
+}
+
+// TestOversizeBlockTruncates: a frame with a valid CRC whose few KB inflate
+// past segment.MaxBlockBytes is a tear, as in a dataset: the events of the
+// blocks before it, a reported tear, no error, and no gigabyte allocated on
+// the word of a crafted file.
+func TestOversizeBlockTruncates(t *testing.T) {
+	var good bytes.Buffer
+	rec, err := qlog.New(&good, qlog.Sampler{Every: 1}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitN(t, rec, 0, 10)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var comp bytes.Buffer
+	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(make([]byte, segment.MaxBlockBytes+1))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [segment.FrameHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:], uint32(comp.Len()))
+	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(comp.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	binary.BigEndian.PutUint32(hdr[8:], 1)
+	bomb := append(append(good.Bytes(), hdr[:]...), comp.Bytes()...)
+
+	r, err := qlog.NewReader(bytes.NewReader(bomb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := r.Events()
+	if err != nil || !r.Torn() || !strings.Contains(r.TornReason().Error(), "inflates past") {
+		t.Fatalf("err %v, torn %v (%v); want a clean truncation at the oversize frame", err, r.Torn(), r.TornReason())
+	}
+	if len(evs) != 10 {
+		t.Errorf("decoded %d events, want the 10 before the oversize frame", len(evs))
 	}
 }
 

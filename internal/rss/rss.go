@@ -118,6 +118,25 @@ type ServiceAddr struct {
 	Old bool
 }
 
+// Slots is the number of service addresses the battery probes, and the
+// length of a table indexed by ServiceAddr.Slot.
+const Slots = 28
+
+// Slot returns the address's dense ordinal over AllServiceAddrs, whatever its
+// Addr: 2·letter + family for the 26 current addresses (so a slot below 26
+// halves to its letter's index), then b.root's old pair. An address outside
+// that list — a letter other than a–m, an unknown family, Old on any letter
+// but b — has no slot: ok is false and the caller skips the event.
+func (s ServiceAddr) Slot() (slot int, ok bool) {
+	if len(s.Letter) != 1 || s.Letter[0] < 'a' || s.Letter[0] > 'm' || uint(s.Family) > 1 {
+		return 0, false
+	}
+	if s.Old {
+		return Slots - 2 + int(s.Family), s.Letter == "b"
+	}
+	return 2*s.Letter.Index() + int(s.Family), true
+}
+
 // v4Addrs are the IPv4 service addresses (b.root listed new, then old).
 var v4Addrs = map[Letter]string{
 	"a": "198.41.0.4", "b": "170.247.170.2", "c": "192.33.4.12",

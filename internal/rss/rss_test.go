@@ -250,3 +250,42 @@ func TestColocationEmerges(t *testing.T) {
 		t.Errorf("max letters per facility = %d, want >= 5", maxShared)
 	}
 }
+
+// TestSlotsAreDense: the 28 service addresses take the 28 slots, once each,
+// whatever their Addr; a current address's slot halves to its letter; and
+// anything outside the list has none.
+func TestSlotsAreDense(t *testing.T) {
+	all := AllServiceAddrs()
+	if len(all) != Slots {
+		t.Fatalf("%d service addresses, Slots = %d", len(all), Slots)
+	}
+	taken := make([]bool, Slots)
+	for _, a := range all {
+		slot, ok := a.Slot()
+		if !ok || slot < 0 || slot >= Slots || taken[slot] {
+			t.Fatalf("%+v: slot %d, ok %v, taken %v", a, slot, ok, ok && taken[slot])
+		}
+		taken[slot] = true
+		if !a.Old && (slot >= 2*len(Letters()) || slot/2 != a.Letter.Index() || slot%2 != int(a.Family)) {
+			t.Errorf("%+v: slot %d is not 2·letter + family", a, slot)
+		}
+		bare := ServiceAddr{Letter: a.Letter, Family: a.Family, Old: a.Old}
+		if got, _ := bare.Slot(); got != slot {
+			t.Errorf("%+v: slot %d without its address, %d with", a, got, slot)
+		}
+	}
+	for _, a := range []ServiceAddr{
+		{Letter: "", Family: topology.IPv4},
+		{Letter: "n", Family: topology.IPv4},
+		{Letter: "A", Family: topology.IPv6},
+		{Letter: "ab", Family: topology.IPv4},
+		{Letter: "a", Family: 2},
+		{Letter: "a", Family: -1},
+		{Letter: "a", Family: topology.IPv4, Old: true},
+		{Letter: "m", Family: topology.IPv6, Old: true},
+	} {
+		if slot, ok := a.Slot(); ok {
+			t.Errorf("%+v, which the battery never probes, has slot %d", a, slot)
+		}
+	}
+}

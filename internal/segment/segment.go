@@ -41,6 +41,12 @@ const FrameHeaderLen = 12
 // larger is treated as a torn/corrupt tail rather than allocated.
 const MaxCompressedBlock = 64 << 20
 
+// MaxBlockBytes bounds what a frame may inflate to: 32 default blocks, and a
+// Writer's BlockBytes must stay below it. DEFLATE expands a thousandfold, so
+// without it a crafted frame is an allocation of gigabytes. Inflating past
+// it is tear-class, like a bad CRC.
+const MaxBlockBytes = 16 << 20
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer records framed blocks of records. Record bytes accumulate in an
@@ -361,41 +367,93 @@ func (r *Reader) Tear(reason error) error {
 	return io.EOF
 }
 
-// Decompress verifies a frame's CRC and inflates its payload. It is a pure
-// function of the frame, safe to run on any worker; an error is tear-class
-// (the block's bytes are corrupt) and the caller should truncate there.
-func Decompress(f Frame) ([]byte, error) {
+// Inflater verifies and inflates frames one after another, keeping one DEFLATE
+// reader and one output buffer between calls. The zero value is ready; an
+// Inflater belongs to one goroutine.
+type Inflater struct {
+	src bytes.Reader
+	fr  io.Reader // a flate reader, built on first use; also a flate.Resetter
+	out bytes.Buffer
+}
+
+// Decompress verifies f's CRC, then inflates its payload. The returned slice
+// is the Inflater's own buffer, valid until the next call. An error is
+// tear-class (the block's bytes are corrupt, or inflate past MaxBlockBytes)
+// and the caller should truncate there.
+func (in *Inflater) Decompress(f Frame) ([]byte, error) {
 	sum := binary.BigEndian.Uint32(f.Hdr[4:])
 	if crc32.Checksum(f.Comp, crcTable) != sum {
 		return nil, errors.New("segment: block CRC mismatch")
 	}
-	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(f.Comp)))
+	in.src.Reset(f.Comp)
+	if in.fr == nil {
+		in.fr = flate.NewReader(&in.src)
+	} else if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, fmt.Errorf("segment: corrupt block stream: %w", err)
+	}
+	in.out.Reset()
+	in.out.Grow(min(4*len(f.Comp), MaxBlockBytes)) // these records deflate to a quarter or so
+	n, err := in.out.ReadFrom(&io.LimitedReader{R: in.fr, N: MaxBlockBytes + 1})
 	if err != nil {
 		return nil, fmt.Errorf("segment: corrupt block stream: %w", err)
 	}
-	return payload, nil
+	if n > MaxBlockBytes {
+		in.out = bytes.Buffer{} // not a buffer to keep
+		return nil, fmt.Errorf("segment: block inflates past %d bytes", MaxBlockBytes)
+	}
+	return in.out.Bytes(), nil
 }
 
-// RecordReader decodes the records of a single decompressed block. The
+// Decompress is the one-shot form of Inflater.Decompress: a pure function of
+// the frame whose result the caller owns.
+func Decompress(f Frame) ([]byte, error) {
+	return new(Inflater).Decompress(f)
+}
+
+// RecordReader decodes the records of one decompressed block at a time. The
 // dictionary is block-scoped (reset at every seal), which is precisely what
-// makes blocks independently decodable.
+// makes blocks independently decodable. Strings it returns own their bytes;
+// nothing it hands out aliases the payload.
 type RecordReader struct {
-	blk  *bytes.Reader
+	buf  []byte
+	off  int
 	dict []string
 }
 
 // NewRecordReader wraps one block's decompressed payload.
 func NewRecordReader(payload []byte) *RecordReader {
-	return &RecordReader{blk: bytes.NewReader(payload), dict: []string{""}}
+	return &RecordReader{buf: payload, dict: []string{""}}
+}
+
+// Reset points the reader at another block's payload and empties the
+// dictionary, keeping its backing array.
+func (r *RecordReader) Reset(payload []byte) {
+	r.buf, r.off = payload, 0
+	clear(r.dict) // do not pin the last block's strings
+	r.dict = append(r.dict[:0], "")
 }
 
 // Len reports the unread payload bytes.
-func (r *RecordReader) Len() int { return r.blk.Len() }
+func (r *RecordReader) Len() int { return len(r.buf) - r.off }
 
 // Uvarint reads one varint.
-func (r *RecordReader) Uvarint() (uint64, error) { return binary.ReadUvarint(r.blk) }
+//
+//rootlint:hotpath
+func (r *RecordReader) Uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n < 0 {
+		return 0, errors.New("segment: varint overflows a 64-bit integer")
+	}
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF // the payload ends inside the varint
+	}
+	r.off += n
+	return v, nil
+}
 
 // Str reads one interned string reference.
+//
+//rootlint:hotpath
 func (r *RecordReader) Str() (string, error) {
 	v, err := r.Uvarint()
 	if err != nil {
@@ -408,31 +466,35 @@ func (r *RecordReader) Str() (string, error) {
 		}
 		return r.dict[id], nil
 	}
-	if v>>1 > uint64(r.blk.Len()) {
-		return "", io.ErrUnexpectedEOF
-	}
-	buf := make([]byte, v>>1)
-	if _, err := io.ReadFull(r.blk, buf); err != nil {
+	raw, err := r.take(v >> 1)
+	if err != nil {
 		return "", err
 	}
-	s := string(buf)
+	s := string(raw)
 	r.dict = append(r.dict, s)
 	return s, nil
 }
 
+// take consumes the next n payload bytes, refusing a length past the end.
+func (r *RecordReader) take(n uint64) ([]byte, error) {
+	if n > uint64(r.Len()) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	raw := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
+	return raw, nil
+}
+
 // Bytes reads one length-prefixed byte string (written as Uvarint(len) +
-// Raw(bytes)).
+// Raw(bytes)) into a slice the caller owns.
 func (r *RecordReader) Bytes() ([]byte, error) {
 	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(r.blk.Len()) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.blk, buf); err != nil {
+	raw, err := r.take(n)
+	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return append(make([]byte, 0, len(raw)), raw...), nil
 }

@@ -2,12 +2,15 @@ package segment
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -498,4 +501,180 @@ func FuzzScanFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// frames scans every frame of a stream.
+func frames(t testing.TB, stream []byte) []Frame {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(stream), testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Frame
+	for {
+		f, err := r.NextFrame()
+		if errors.Is(err, io.EOF) {
+			if r.Torn() {
+				t.Fatalf("stream reads as torn: %v", r.TornReason())
+			}
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, f)
+	}
+}
+
+// TestInflaterReusesItsBuffer: one Inflater over a run of blocks returns what
+// the one-shot Decompress returns, in a buffer it owns (valid until the next
+// call, the same one on every call once it has grown to the blocks' size),
+// and checks the CRC before it inflates anything.
+func TestInflaterReusesItsBuffer(t *testing.T) {
+	stream, _ := buildStream(t, 6, 40)
+	fs := frames(t, stream)
+	var in Inflater
+	var last []byte
+	for round := 0; round < 2; round++ {
+		for i, f := range fs {
+			want, err := Decompress(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := in.Decompress(f)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("block %d: inflater gave %d bytes (err %v), Decompress %d", i, len(got), err, len(want))
+			}
+			if round > 0 && &got[0] != &last[0] {
+				t.Errorf("block %d, second time round: inflated into a new buffer", i)
+			}
+			last = got
+		}
+	}
+
+	held, err := in.Decompress(fs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := append([]byte(nil), held...)
+	bad := fs[1]
+	bad.Comp = append([]byte(nil), bad.Comp...)
+	bad.Comp[len(bad.Comp)/2] ^= 1
+	if _, err := in.Decompress(bad); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("flipped payload bit: err = %v, want the CRC check", err)
+	}
+	if !bytes.Equal(held, keep) {
+		t.Error("a frame refused by its CRC overwrote the previous payload: it was inflated before it was checked")
+	}
+}
+
+// zerosFrame is a well-formed frame (its CRC holds) that inflates to n zeros.
+func zerosFrame(t testing.TB, n int) Frame {
+	t.Helper()
+	var comp bytes.Buffer
+	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f := Frame{Comp: comp.Bytes(), Count: 1}
+	binary.BigEndian.PutUint32(f.Hdr[0:], uint32(len(f.Comp)))
+	binary.BigEndian.PutUint32(f.Hdr[4:], crc32.Checksum(f.Comp, crcTable))
+	binary.BigEndian.PutUint32(f.Hdr[8:], f.Count)
+	return f
+}
+
+// TestInflateBound: a frame may inflate to MaxBlockBytes and no further. A few
+// KB that deflate a run of zeros just past it are refused as a tear-class
+// error, having cost a small multiple of the bound, and the Inflater keeps
+// nothing of that size; it goes on to inflate the next frame.
+func TestInflateBound(t *testing.T) {
+	atBound, past := zerosFrame(t, MaxBlockBytes), zerosFrame(t, MaxBlockBytes+1)
+	if len(past.Comp) > 64<<10 {
+		t.Fatalf("the bomb takes %d compressed bytes", len(past.Comp))
+	}
+	if p, err := Decompress(atBound); err != nil || len(p) != MaxBlockBytes {
+		t.Fatalf("a frame of exactly MaxBlockBytes: %d bytes, err %v", len(p), err)
+	}
+	var in Inflater
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := in.Decompress(past)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "inflates past") {
+		t.Fatalf("a frame one byte past MaxBlockBytes: err = %v", err)
+	}
+	// The output buffer doubles on its way to the bound: a few times the
+	// bound in all, not the gigabytes a frame of MaxCompressedBlock could hold.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*MaxBlockBytes {
+		t.Errorf("refusing it allocated %d bytes, want under %d", got, 8*MaxBlockBytes)
+	}
+	if in.out.Cap() != 0 {
+		t.Errorf("the Inflater kept a buffer of %d bytes after the refusal", in.out.Cap())
+	}
+	stream, _ := buildStream(t, 1, 4)
+	if _, err := in.Decompress(frames(t, stream)[0]); err != nil {
+		t.Errorf("the frame after the refusal: %v", err)
+	}
+}
+
+// TestRecordReaderRefusals: every malformed-record case the reader refuses —
+// payload ending inside a varint, a varint that overflows 64 bits, a
+// dictionary reference past the dictionary, a string or blob length past the
+// end of the block — and Reset: the dictionary is per block, and a string
+// handed out owns its bytes.
+func TestRecordReaderRefusals(t *testing.T) {
+	overflow := bytes.Repeat([]byte{0xff}, 11)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		read    func(*RecordReader) error
+		want    string
+	}{
+		{"empty", nil, func(r *RecordReader) error { _, err := r.Uvarint(); return err }, "unexpected EOF"},
+		{"short varint", []byte{0x80, 0x80}, func(r *RecordReader) error { _, err := r.Uvarint(); return err }, "unexpected EOF"},
+		{"varint overflow", overflow, func(r *RecordReader) error { _, err := r.Uvarint(); return err }, "overflows"},
+		{"string ref overflow", overflow, func(r *RecordReader) error { _, err := r.Str(); return err }, "overflows"},
+		{"dictionary ref out of range", []byte{2 << 1}, func(r *RecordReader) error { _, err := r.Str(); return err }, "bad dictionary reference"},
+		{"string past the end", []byte{5<<1 | 1, 'a', 'b'}, func(r *RecordReader) error { _, err := r.Str(); return err }, "unexpected EOF"},
+		{"string length 2^63", append(binary.AppendUvarint(nil, 1<<63|1), 'a'), func(r *RecordReader) error { _, err := r.Str(); return err }, "unexpected EOF"},
+		{"blob past the end", []byte{9, 1, 2, 3}, func(r *RecordReader) error { _, err := r.Bytes(); return err }, "unexpected EOF"},
+		{"blob length 2^64-1", append(binary.AppendUvarint(nil, 1<<64-1), 1), func(r *RecordReader) error { _, err := r.Bytes(); return err }, "unexpected EOF"},
+	} {
+		if err := tc.read(NewRecordReader(tc.payload)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	first := []byte{2<<1 | 1, 'h', 'i', 1 << 1, 3, 7, 8, 9}
+	rr := NewRecordReader(first)
+	s1, err1 := rr.Str()
+	s2, err2 := rr.Str()
+	blob, err3 := rr.Bytes()
+	if err1 != nil || err2 != nil || err3 != nil || s1 != "hi" || s2 != "hi" || !bytes.Equal(blob, []byte{7, 8, 9}) || rr.Len() != 0 {
+		t.Fatalf("block one: %q %q %v, errs %v %v %v, %d bytes left", s1, s2, blob, err1, err2, err3, rr.Len())
+	}
+	for i := range first {
+		first[i] = 'x' // the inflate buffer is reused under the next block
+	}
+	if s1 != "hi" || !bytes.Equal(blob, []byte{7, 8, 9}) {
+		t.Errorf("after the payload was overwritten the string reads %q and the blob %v", s1, blob)
+	}
+	rr.Reset([]byte{1 << 1})
+	if _, err := rr.Str(); err == nil || !strings.Contains(err.Error(), "bad dictionary reference") {
+		t.Errorf("reference 1 in a block that defined no string: err = %v; the dictionary outlived its block", err)
+	}
+	rr.Reset([]byte{0, 3<<1 | 1, 'a', 'b', 'c', 1 << 1})
+	if s, err := rr.Str(); err != nil || s != "" {
+		t.Errorf("reference 0: %q, %v, want the empty string", s, err)
+	}
+	rr.Str()
+	if s, err := rr.Str(); err != nil || s != "abc" {
+		t.Errorf("reference 1 after Reset: %q, %v", s, err)
+	}
 }

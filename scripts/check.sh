@@ -120,21 +120,28 @@ go test -count=1 \
 	./internal/dnsserver ./internal/blast
 
 # Snapshot-diff self-check: record a small campaign dataset, replay it
-# serially and with a 4-worker decode pool, and require the telemetry
-# snapshots to agree on every logical metric. This exercises the shipping
-# binaries end to end and is the standing demonstration that block-parallel
-# replay changes wall-clock, not behavior.
-echo "== snapshot-diff self-check (serial vs parallel replay) =="
+# serially, with a 4-worker decode pool, and with the pool checkpointing as it
+# goes, and require what the user reads to agree, not only the counters: the
+# three reports (every table and figure rootanalyze prints) must be
+# cmp-identical, and the telemetry snapshots of the first two must agree on
+# every logical metric. This exercises the shipping binaries end to end and
+# is the standing demonstration that block-parallel replay, its recycled
+# blocks and its checkpoints change wall-clock, not behavior.
+echo "== snapshot-diff self-check (serial vs parallel vs checkpointed replay) =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 go build -o "$tmp/rootmeasure" ./cmd/rootmeasure
 go build -o "$tmp/rootanalyze" ./cmd/rootanalyze
 "$tmp/rootmeasure" -scale 512 -vpscale 8 -tlds 20 -out "$tmp/study.rgds" >/dev/null
 "$tmp/rootanalyze" -in "$tmp/study.rgds" -vpscale 8 -tlds 20 \
-	-metrics "$tmp/serial.json" >/dev/null
+	-metrics "$tmp/serial.json" >"$tmp/serial.txt"
 "$tmp/rootanalyze" -in "$tmp/study.rgds" -vpscale 8 -tlds 20 -workers 4 \
-	-metrics "$tmp/parallel.json" >/dev/null
+	-metrics "$tmp/parallel.json" >"$tmp/parallel.txt"
+"$tmp/rootanalyze" -in "$tmp/study.rgds" -vpscale 8 -tlds 20 -workers 4 \
+	-checkpoint "$tmp/replay.ckpt" >"$tmp/checkpointed.txt"
 "$tmp/rootanalyze" -diff "$tmp/serial.json" "$tmp/parallel.json"
+cmp "$tmp/serial.txt" "$tmp/parallel.txt"
+cmp "$tmp/serial.txt" "$tmp/checkpointed.txt"
 
 # Recording byte-identity with the shipping binary: the serial engine, the
 # pipelined one (4 workers computing a tick ahead of its delivery), and the

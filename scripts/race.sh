@@ -5,7 +5,12 @@
 # the two buffers that pass between them over the order and ready channels,
 # and the join on a kill or a budget abort — together with the analysis
 # accumulators it feeds, and everything that rides a checkpoint — the
-# dataset's block-parallel replay, the flight recorder, the segment
+# dataset's block-parallel replay (a fixed set of jobs going round from the
+# free list through the scanner, a decode worker and the ordered drain and
+# back, each handing its recycled event slabs to the next over a channel; the
+# per-worker decoders, whose inflate buffer and AS-path chunks are touched by
+# the drain only through the events cut from them; the join on a torn block,
+# a decode error and a failed checkpoint), the flight recorder, the segment
 # container, the sidecar writer and the telemetry shards — under the Go race
 # detector, along with the per-probe models its workers call on shared
 # read-only state (Catchment.SelectAt, Deployment.SiteByID's lazily
