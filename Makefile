@@ -20,7 +20,8 @@ lint:
 
 # Race coverage for the parallel campaign engine, the analyses it feeds,
 # everything a checkpoint touches (dataset, flight log, segment container,
-# sidecar writer, telemetry) and the DNS server. See scripts/race.sh.
+# sidecar writer, telemetry), the zone sidecar and the signing chain over it,
+# and the DNS server. See scripts/race.sh.
 race:
 	sh scripts/race.sh
 

@@ -150,42 +150,72 @@ func (c *Catchment) Site(asn int) (Site, bool) {
 // Alternates returns the candidate routes from asn, best first.
 func (c *Catchment) Alternates(asn int) []topology.Route { return c.table.Alternates(asn) }
 
-// SelectAt returns the route asn uses at measurement interval tick, modeling
-// route flaps: with the deployment's per-family instability probability the
-// client re-rolls its tie-break among near-equal alternates. The selection
-// is deterministic in (asn, tick, seed): draw 0 of the key decides whether
-// the interval flaps, draw 1 picks the alternate. scale is the measurement
-// schedule's thinning factor: the per-interval flap probability compounds
-// over the skipped intervals (1-(1-p)^scale), so observed change counts stay
-// comparable to the paper's full-fidelity schedule.
+// Choices is what a client AS chooses between in one catchment at one
+// schedule thinning: everything about a selection that no tick changes.
+// SelectAt and the campaign's probe plan are both built on it, so they cannot
+// disagree on what a flap is.
+type Choices struct {
+	// Routes are the candidate routes, best first: the routing table's own
+	// slice, shared and not to be written. Empty when unreachable.
+	Routes []topology.Route
+	// Usable counts the near-equal prefix of Routes a flap re-rolls among:
+	// the best route and the alternates within one AS hop of it.
+	Usable int
+	// Instability is the probability that an interval flaps: the
+	// deployment's per-interval probability compounded over the intervals a
+	// thinned schedule skips (1-(1-p)^scale), so observed change counts stay
+	// comparable to the paper's full-fidelity schedule.
+	Instability float64
+}
+
+// Choices resolves what asn chooses between; scale is the measurement
+// schedule's thinning factor.
+//
+//rootlint:hotpath
+func (c *Catchment) Choices(asn, scale int) Choices {
+	ch := Choices{Routes: c.table.Candidates(asn), Instability: c.Deployment.InstabilityV4}
+	if c.Family == topology.IPv6 {
+		ch.Instability = c.Deployment.InstabilityV6
+	}
+	if scale > 1 && ch.Instability > 0 {
+		ch.Instability = 1 - pow1p(1-ch.Instability, scale)
+	}
+	for ch.Usable < len(ch.Routes) && ch.Routes[ch.Usable].Hops() <= ch.Routes[0].Hops()+1 {
+		ch.Usable++
+	}
+	return ch
+}
+
+// Pick returns the index in Routes of the route asn uses at measurement
+// interval tick (0 when there is none to choose), modeling route flaps: with
+// probability Instability the client re-rolls its tie-break among the Usable
+// near-equal routes for this interval; the following stable interval returns
+// to the best route, so one flap surfaces as up to two observed site changes.
+// The pick is deterministic in (asn, tick, seed): draw 0 of the key decides
+// whether the interval flaps, draw 1 picks the alternate.
+//
+//rootlint:hotpath
+func (ch Choices) Pick(asn, tick int, seed int64) int {
+	if ch.Usable < 2 || ch.Instability == 0 {
+		return 0
+	}
+	key := uint64(seed ^ int64(asn)<<20 ^ int64(tick))
+	if seeded.Unit(seeded.Draw(key, 0)) >= ch.Instability {
+		return 0
+	}
+	return int(seeded.Draw(key, 1) % uint64(ch.Usable))
+}
+
+// SelectAt returns the route asn uses at measurement interval tick on a
+// schedule thinned by scale: Choices, then Pick.
 //
 //rootlint:hotpath
 func (c *Catchment) SelectAt(asn, tick int, seed int64, scale int) (topology.Route, bool) {
-	alts := c.table.Candidates(asn)
-	if len(alts) == 0 {
+	ch := c.Choices(asn, scale)
+	if len(ch.Routes) == 0 {
 		return topology.Route{}, false
 	}
-	instability := c.Deployment.InstabilityV4
-	if c.Family == topology.IPv6 {
-		instability = c.Deployment.InstabilityV6
-	}
-	if scale > 1 && instability > 0 {
-		instability = 1 - pow1p(1-instability, scale)
-	}
-	key := uint64(seed ^ int64(asn)<<20 ^ int64(tick))
-	if len(alts) == 1 || instability == 0 || seeded.Unit(seeded.Draw(key, 0)) >= instability {
-		// Stable interval: the best route carries the traffic.
-		return alts[0], true
-	}
-	// Transient flap: the tie-break re-rolls among the near-equal alternates
-	// (same relationship class and path length within one hop of the best)
-	// for this interval; the following stable interval returns to the best
-	// route, so one flap surfaces as up to two observed site changes.
-	usable := 1
-	for usable < len(alts) && alts[usable].Hops() <= alts[0].Hops()+1 {
-		usable++
-	}
-	return alts[seeded.Draw(key, 1)%uint64(usable)], true
+	return ch.Routes[ch.Pick(asn, tick, seed)], true
 }
 
 // pow1p computes base^n for small integer n without importing math.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/seeded"
 	"repro/internal/topology"
 )
 
@@ -332,4 +333,76 @@ func TestSelectAtConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// selectAtReference is SelectAt as it was before Choices and Pick were cut out
+// of it, kept as their oracle: the same candidates, the same compounding, the
+// same two draws.
+func selectAtReference(c *Catchment, asn, tick int, seed int64, scale int) (topology.Route, bool) {
+	alts := c.table.Candidates(asn)
+	if len(alts) == 0 {
+		return topology.Route{}, false
+	}
+	instability := c.Deployment.InstabilityV4
+	if c.Family == topology.IPv6 {
+		instability = c.Deployment.InstabilityV6
+	}
+	if scale > 1 && instability > 0 {
+		instability = 1 - pow1p(1-instability, scale)
+	}
+	key := uint64(seed ^ int64(asn)<<20 ^ int64(tick))
+	if len(alts) == 1 || instability == 0 || seeded.Unit(seeded.Draw(key, 0)) >= instability {
+		return alts[0], true
+	}
+	usable := 1
+	for usable < len(alts) && alts[usable].Hops() <= alts[0].Hops()+1 {
+		usable++
+	}
+	return alts[seeded.Draw(key, 1)%uint64(usable)], true
+}
+
+// TestChoicesMatchSelectAtReference holds SelectAt, and Choices + Pick as the
+// campaign's probe plan uses them (resolved once, picked per tick), to the
+// reference: every AS of the topology and one outside it, both families, a
+// stable deployment among them, 1,000 ticks, unthinned and at scale 192.
+func TestChoicesMatchSelectAtReference(t *testing.T) {
+	topo := testTopo()
+	d := testDeployment(topo)
+	d.InstabilityV6 = 0 // a family that never flaps
+	asns := []int{999999}
+	for asn := range topo.ASes {
+		asns = append(asns, asn)
+	}
+	flaps, checked := 0, 0
+	for _, f := range topology.Families() {
+		c := ComputeCatchment(topo, d, f)
+		for _, scale := range []int{1, 192} {
+			for _, asn := range asns {
+				ch := c.Choices(asn, scale)
+				for tick := 0; tick < 1000; tick++ {
+					want, wantOK := selectAtReference(c, asn, tick, 11, scale)
+					got, ok := c.SelectAt(asn, tick, 11, scale)
+					if ok != wantOK || ok != (len(ch.Routes) > 0) {
+						t.Fatalf("AS%d %s: reachable %v by SelectAt, %v by Choices, want %v", asn, f, ok, len(ch.Routes) > 0, wantOK)
+					}
+					if !ok {
+						continue
+					}
+					picked := ch.Routes[ch.Pick(asn, tick, 11)]
+					// Copies of a route share the table's AS path.
+					if &got.ASPath[0] != &want.ASPath[0] || &picked.ASPath[0] != &want.ASPath[0] {
+						t.Fatalf("AS%d %s scale %d tick %d: SelectAt %v, Pick %v, want %v",
+							asn, f, scale, tick, got.Origin, picked.Origin, want.Origin)
+					}
+					if &want.ASPath[0] != &ch.Routes[0].ASPath[0] {
+						flaps++
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if flaps < 1000 || checked < 100000 {
+		t.Fatalf("%d flaps in %d selections: too few to tell the implementations apart", flaps, checked)
+	}
 }

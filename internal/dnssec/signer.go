@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/dnswire"
@@ -105,7 +105,9 @@ func (s *Signer) Sign(z *zone.Zone, now time.Time) (*zone.Zone, error) {
 	}
 	minTTL := soa.Data.(dnswire.SOARecord).Minimum
 
-	out := z.Clone()
+	// Copy-on-write: z's sidecar is shared, and the records added below are
+	// merged into its canonical order, not the zone re-sorted around them.
+	out := z.CloneCOW()
 	const dnskeyTTL = 172800
 	out.Add(s.KSK.DNSKEY(z.Apex, dnskeyTTL), s.ZSK.DNSKEY(z.Apex, dnskeyTTL))
 	out.Add(s.nsecChain(out, minTTL)...)
@@ -190,9 +192,7 @@ func (s *Signer) nsecChain(z *zone.Zone, ttl uint32) []dnswire.RR {
 	for n := range typesAt {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool {
-		return dnswire.CompareCanonical(names[i], names[j]) < 0
-	})
+	slices.SortFunc(names, dnswire.CompareCanonical)
 	chain := make([]dnswire.RR, 0, len(names))
 	for i, n := range names {
 		next := names[(i+1)%len(names)]
@@ -201,7 +201,7 @@ func (s *Signer) nsecChain(z *zone.Zone, ttl uint32) []dnswire.RR {
 			types = append(types, t)
 		}
 		types = append(types, dnswire.TypeNSEC, dnswire.TypeRRSIG)
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
+		slices.Sort(types)
 		chain = append(chain, dnswire.RR{
 			Name: n, Class: dnswire.ClassINET, TTL: ttl,
 			Data: dnswire.NSECRecord{NextName: next, Types: types},

@@ -299,6 +299,8 @@ type Campaign struct {
 	Plan  FaultPlan
 
 	traceCfg traceroute.Config
+	// probes is the probe plan of the Run in progress (plan.go).
+	probes *probePlan
 	// signedZones caches fully signed+digested zones by (serial, state,
 	// staleness); single-flight, so concurrent workers never sign the same
 	// zone twice. produce forgets the serials the schedule has left behind.
@@ -403,31 +405,33 @@ func (c *Campaign) runWireCheck(tick Tick) (BatteryResult, error) {
 	return c.battery.Run(rss.ServiceAddr{Letter: "a", Family: topology.IPv4}, "wirecheck.local"), nil
 }
 
-// probe performs the traceroute+query battery for one (tick, VP, target).
-func (c *Campaign) probe(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr) (ProbeEvent, topology.Route, bool) {
-	pe := ProbeEvent{Tick: tick, VP: vp, VPIdx: vpIdx, Target: target}
-	catch := c.World.Catchments[target.Letter][target.Family]
-	route, ok := catch.SelectAt(vp.ASN, tick.Index, c.Cfg.Seed, c.Cfg.Scale)
-	if !ok || c.Plan.Loss.Lost(vpIdx, tIdx, tick.Index, 0) {
+// probe performs the traceroute+query battery for one (tick, VP, target):
+// it looks the pair up in the plan, draws which candidate route the tick uses
+// and whether the probe is lost, copies what the plan resolved for that
+// candidate, and draws the jitter and whether the facility edge — all a
+// ProbeEvent keeps of a traceroute — answers.
+//
+//rootlint:hotpath
+func (c *Campaign) probe(tick Tick, vp *vantage.VP, vpIdx, tIdx int) ProbeEvent {
+	pe := ProbeEvent{Tick: tick, VP: vp, VPIdx: vpIdx, Target: c.probes.targets[tIdx]}
+	e := c.probes.entries[vpIdx*len(c.probes.targets)+tIdx]
+	if len(e.cands) == 0 || c.Plan.Loss.Lost(vpIdx, tIdx, tick.Index, 0) {
 		pe.Lost = true
-		return pe, route, ok
+		return pe
 	}
-	site, _ := c.World.System.Deployments[target.Letter].SiteByID(route.Origin.SiteID)
-	pe.SiteID = site.ID
-	pe.Identifier = site.Identifier
-	pe.Facility = site.Facility
-	pe.SiteCity = site.City
-	pe.SiteKind = site.Kind
-	pe.ASPath = route.ASPath
-
-	jitter := rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index)
-	pe.RTTms = rttFor(route, target.Family) + jitter
-
-	if tick.Index%c.Cfg.TraceEvery == 0 {
-		tr := traceroute.Run(c.World.Topo, route, site, target.Family, c.traceCfg, c.Cfg.Seed, tick.Index)
-		pe.SecondToLast, pe.STLOK = tr.SecondToLast()
+	cand := &e.cands[e.choices.Pick(vp.ASN, tick.Index, c.Cfg.Seed)]
+	pe.SiteID = cand.siteID
+	pe.Identifier = cand.identifier
+	pe.Facility = cand.facility
+	pe.SiteCity = cand.city
+	pe.SiteKind = cand.kind
+	pe.ASPath = cand.asPath
+	pe.RTTms = cand.rtt + rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index)
+	if tick.Index%c.Cfg.TraceEvery == 0 &&
+		traceroute.EdgeAnswers(c.traceCfg, c.Cfg.Seed, tick.Index, cand.originASN, len(cand.asPath)) {
+		pe.SecondToLast, pe.STLOK = cand.edge, true
 	}
-	return pe, route, true
+	return pe
 }
 
 // rttFor computes the path RTT, adding the open-v6 carrier's poor IPv4
@@ -464,9 +468,11 @@ func rttJitter(seed int64, vpIdx, tIdx, tick int) float64 {
 }
 
 // transfer performs the AXFR step and classifies its validation outcome.
-func (c *Campaign) transfer(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr, route topology.Route, routed bool) TransferEvent {
+// siteID is the site the probe reached; a lost probe (reached false) leaves
+// nothing to transfer from.
+func (c *Campaign) transfer(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr, siteID string, reached bool) TransferEvent {
 	te := TransferEvent{Tick: tick, VP: vp, VPIdx: vpIdx, Target: target}
-	if !routed || c.Plan.Loss.Lost(vpIdx, tIdx, tick.Index, 1) {
+	if !reached || c.Plan.Loss.Lost(vpIdx, tIdx, tick.Index, 1) {
 		te.Lost = true
 		return te
 	}
@@ -474,7 +480,7 @@ func (c *Campaign) transfer(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target r
 	te.Serial = serial
 	state := zonemd.StateAt(tick.Time)
 
-	fault, stale, skew := c.classifyFault(tick, vpIdx, target, route)
+	fault, stale, skew := c.classifyFault(tick, vpIdx, target, siteID)
 	te.Fault = fault
 	switch fault {
 	case faults.None:
@@ -500,7 +506,7 @@ func (c *Campaign) transfer(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target r
 // classifyFault decides which planned fault (if any) hits this transfer.
 // The returned StaleWindow pointer carries staleness parameters; the
 // returned duration is the clock skew for ClockSkew faults.
-func (c *Campaign) classifyFault(tick Tick, vpIdx int, target rss.ServiceAddr, route topology.Route) (faults.Kind, *StaleWindow, time.Duration) {
+func (c *Campaign) classifyFault(tick Tick, vpIdx int, target rss.ServiceAddr, siteID string) (faults.Kind, *StaleWindow, time.Duration) {
 	interval := BaseInterval(tick.Time) * time.Duration(c.Cfg.Scale)
 	for _, b := range c.Plan.Bitflips {
 		if b.VPIdx == vpIdx && b.Letter == target.Letter && b.Family == target.Family &&
@@ -528,7 +534,7 @@ func (c *Campaign) classifyFault(tick Tick, vpIdx int, target rss.ServiceAddr, r
 			continue
 		}
 		for _, id := range s.SiteIDs {
-			if id == route.Origin.SiteID {
+			if id == siteID {
 				return faults.StaleZone, s, 0
 			}
 		}

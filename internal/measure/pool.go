@@ -88,8 +88,12 @@ func (c *Campaign) workerCount() int {
 // byte-identical handler output to an uninterrupted run with the same
 // checkpoint settings.
 func (c *Campaign) Run(handlers ...Handler) error {
+	var err error
+	if c.probes, err = c.buildPlan(); err != nil {
+		return err
+	}
 	ticks := Ticks(c.Cfg.Start, c.Cfg.End, c.Cfg.Scale)
-	nVPs := len(c.World.Population.VPs)
+	nVPs, nTargets := len(c.World.Population.VPs), len(c.probes.targets)
 	workers := max(1, min(c.workerCount(), nVPs))
 	every := c.Cfg.CheckpointEvery
 	if every <= 0 {
@@ -102,7 +106,6 @@ func (c *Campaign) Run(handlers ...Handler) error {
 		if !ckptOn {
 			return errors.New("measure: Config.Resume requires Config.CheckpointPath")
 		}
-		var err error
 		if pos, err = c.loadResume(parts, sig, len(ticks)); err != nil {
 			return err
 		}
@@ -112,6 +115,11 @@ func (c *Campaign) Run(handlers ...Handler) error {
 	bufs := make([]tickResult, min(workers, 2))
 	for i := range bufs {
 		bufs[i].shards = make([]vpShard, nVPs)
+		// A VP fills one pair per target every tick: cut them from one array.
+		pairs := make([]eventPair, nVPs*nTargets)
+		for j := range bufs[i].shards {
+			bufs[i].shards[j].pairs = pairs[j*nTargets : j*nTargets : (j+1)*nTargets]
+		}
 	}
 	// One checkpoint interval at a time: a checkpoint snapshots state that
 	// producing a tick moves (dns/queries in the battery's server, cache/*),
@@ -204,7 +212,7 @@ func (c *Campaign) produce(res *tickResult, workers int) {
 	serial := SerialAt(tick.Time)
 	c.signedZones.forget(func(k zoneKey) bool { return k.serial < serial })
 	c.validations.forget(func(k valKey) bool { return k.serial < serial })
-	targets := rss.AllServiceAddrs()
+	targets := c.probes.targets
 	nVPs := len(res.shards)
 	// The queue-depth gauge counts VP shards still owed to the tick: a live
 	// /metrics poll watches it fall from nVPs to 0.
@@ -321,7 +329,7 @@ func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, targe
 	}
 	probeTimer := telemetry.StartTimer()
 	probeSpan := telemetry.StartSpan("worker", "probe", tick.Index, wid)
-	pe, route, ok := c.probe(tick, vp, vpIdx, tIdx, target)
+	pe := c.probe(tick, vp, vpIdx, tIdx)
 	probeSpan.End()
 	probeTimer.ObserveInto(mProbeDur)
 	pair.probe = pe
@@ -338,7 +346,7 @@ func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, targe
 	}
 	transferTimer := telemetry.StartTimer()
 	transferSpan := telemetry.StartSpan("worker", "transfer", tick.Index, wid)
-	pair.transfer = c.transfer(tick, vp, vpIdx, tIdx, target, route, ok && !pe.Lost)
+	pair.transfer = c.transfer(tick, vp, vpIdx, tIdx, target, pe.SiteID, !pe.Lost)
 	transferSpan.End()
 	transferTimer.ObserveInto(mTransferDur)
 	pair.hasTransfer = true

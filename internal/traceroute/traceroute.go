@@ -61,13 +61,51 @@ func DefaultConfig() Config {
 	return Config{RoutersPerAS: 2, MissProb: 0.08, PerHopMs: 0.25}
 }
 
-// Run expands route (from a client in srcASN) into a Trace. The last hop is
-// the destination itself; the second-to-last is the facility edge router of
-// the destination site, shared by every deployment at that facility. The
-// expansion is deterministic in (srcASN, route, seed, tick): draw k of the
-// key decides whether hop k answers.
+// drawKey keys the hop draws of one trace — draw k decides whether hop k
+// answers — by the tick, the origin AS and the AS-path length, not the client.
+func drawKey(seed int64, tick, originASN, pathLen int) uint64 {
+	return uint64(seed ^ int64(tick)<<32 ^ int64(originASN)<<8 ^ int64(pathLen))
+}
+
+// EdgeAnswers reports whether the facility edge router — the second-to-last
+// hop, the one the co-location analysis keys on — answers the trace at tick
+// over a path of pathLen ASes ending in originASN. It follows the interior
+// hops (RoutersPerAS per transit AS, one in the destination AS), so its draw
+// is RoutersPerAS·(pathLen−1)+1 — 0 on an empty path — and it is missed half
+// as often as they are.
+//
+//rootlint:hotpath
+func EdgeAnswers(cfg Config, seed int64, tick, originASN, pathLen int) bool {
+	k := 0
+	if pathLen > 0 {
+		k = cfg.RoutersPerAS*(pathLen-1) + 1
+	}
+	return seeded.Unit(seeded.Draw(drawKey(seed, tick, originASN, pathLen), k)) >= cfg.MissProb/2
+}
+
+// EdgeName is the identity of a facility's edge router in family f, shared by
+// every deployment with a site at the facility.
+func EdgeName(facility string, f topology.Family) string {
+	return string(appendEdgeName(nil, facility, f.String()))
+}
+
+func appendEdgeName(dst []byte, facility, fam string) []byte {
+	dst = append(append(dst, "fac-"...), facility...)
+	return append(append(dst, "-edge-"...), fam...)
+}
+
+// Run expands route into a Trace. The last hop is the destination itself;
+// the second-to-last is the facility edge router of the destination site
+// (EdgeName, answering when EdgeAnswers). The expansion is deterministic in
+// (route, seed, tick) and does not depend on the client AS: draw k of the
+// trace's key decides whether hop k answers.
+//
+// The campaign no longer calls Run: of a trace it records only SecondToLast,
+// and expanding every hop to read one was a quarter of a probe. Run stays as
+// the definition the two edge functions are held to
+// (TestEdgeFunctionsMatchRun), and for callers that want every hop.
 func Run(topo *topology.Topology, route topology.Route, site anycast.Site, f topology.Family, cfg Config, seed int64, tick int) Trace {
-	key := uint64(seed ^ int64(tick)<<32 ^ int64(route.Origin.ASN)<<8 ^ int64(len(route.ASPath)))
+	key := drawKey(seed, tick, route.Origin.ASN, len(route.ASPath))
 	n := len(route.ASPath)
 	hops := make([]Hop, 0, cfg.RoutersPerAS*max(n-1, 0)+3)
 	// Router names are rendered into one buffer that becomes the one string
@@ -111,9 +149,8 @@ func Run(topo *topology.Topology, route topology.Route, site anycast.Site, f top
 
 	// Facility edge router: shared across deployments at the facility, and
 	// rarely missed.
-	if answers(cfg.MissProb / 2) {
-		names = append(append(names, "fac-"...), site.Facility...)
-		names = append(append(names, "-edge-"...), fam...)
+	if EdgeAnswers(cfg, seed, tick, route.Origin.ASN, n) {
+		names = appendEdgeName(names, site.Facility, fam)
 	}
 	add(route.Origin.ASN, route.PathKm)
 

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/anycast"
 	"repro/internal/geo"
+	"repro/internal/rss"
+	"repro/internal/seeded"
 	"repro/internal/topology"
 )
 
@@ -296,5 +298,79 @@ func TestMissDistribution(t *testing.T) {
 	}
 	if differ == 0 {
 		t.Error("seeds 1 and 2 miss the same hops")
+	}
+}
+
+// The campaign records of a trace only its second-to-last hop, and reads it
+// off EdgeName and EdgeAnswers without expanding the trace; Run is what the
+// two must equal. Every candidate route of every letter and family of a built
+// system, 200 ticks, three trace shapes; the draw itself is restated here
+// (hop index = position in Run's output, key and threshold as documented), so
+// moving either side moves the test.
+func TestEdgeFunctionsMatchRun(t *testing.T) {
+	topo, _, _ := setup(t)
+	sys := rss.Build(topo, 3)
+	type trace struct {
+		route topology.Route
+		site  anycast.Site
+		f     topology.Family
+	}
+	// An empty path and the origin's own one-AS path, then the system's.
+	traces := []trace{
+		{topology.Route{Origin: topology.Origin{ASN: 7}}, anycast.Site{ID: "x-1", Facility: "F0"}, topology.IPv6},
+		{topology.Route{Origin: topology.Origin{ASN: 7}, ASPath: []int{7}}, anycast.Site{ID: "x-1", Facility: "F1"}, topology.IPv4},
+	}
+	for l, byFamily := range sys.Catchments() {
+		for f, c := range byFamily {
+			for _, asn := range topo.StubASNs(nil) {
+				for _, route := range c.Alternates(asn) {
+					site, ok := sys.Deployments[l].SiteByID(route.Origin.SiteID)
+					if !ok {
+						t.Fatalf("%s.root: no site %q", l, route.Origin.SiteID)
+					}
+					traces = append(traces, trace{route, site, f})
+				}
+			}
+		}
+	}
+	if len(traces) < 1000 {
+		t.Fatalf("only %d routes", len(traces))
+	}
+	answered, missed := 0, 0
+	for _, routers := range []int{1, 2, 3} {
+		cfg := Config{RoutersPerAS: routers, MissProb: 0.3, PerHopMs: 0.25}
+		for _, tr := range traces {
+			n := len(tr.route.ASPath)
+			name := EdgeName(tr.site.Facility, tr.f)
+			if want := fmt.Sprintf("fac-%s-edge-%s", tr.site.Facility, tr.f); name != want {
+				t.Fatalf("EdgeName = %q, want %q", name, want)
+			}
+			k := 0
+			if n > 0 {
+				k = routers*(n-1) + 1
+			}
+			for tick := 0; tick < 200; tick++ {
+				run := Run(topo, tr.route, tr.site, tr.f, cfg, 5, tick)
+				if len(run.Hops)-2 != k {
+					t.Fatalf("%d-AS path, %d routers per AS: the edge is hop %d, want %d", n, routers, len(run.Hops)-2, k)
+				}
+				key := uint64(5 ^ int64(tick)<<32 ^ int64(tr.route.Origin.ASN)<<8 ^ int64(n))
+				want := seeded.Unit(seeded.Draw(key, k)) >= cfg.MissProb/2
+				got := EdgeAnswers(cfg, 5, tick, tr.route.Origin.ASN, n)
+				stl, ok := run.SecondToLast()
+				if got != want || ok != want || (ok && stl != name) || (!ok && stl != "") {
+					t.Fatalf("%d-AS path into AS%d, tick %d: Run says (%q, %v), EdgeAnswers %v, the draw %v",
+						n, tr.route.Origin.ASN, tick, stl, ok, got, want)
+				}
+				if ok {
+					answered++
+				} else {
+					missed++
+				}
+			}
+		}
+	}
+	if share := float64(missed) / float64(answered+missed); math.Abs(share-0.15) > 0.01 {
+		t.Errorf("edge missed on %.3f of traces, want 0.15", share)
 	}
 }

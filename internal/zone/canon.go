@@ -2,7 +2,8 @@ package zone
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,9 +16,14 @@ import (
 // signing, ZONEMD digesting, full validation, and AXFR size estimation all
 // share one encode instead of re-deriving it.
 //
+// The sidecar follows the zone through the edits signing makes (DESIGN.md
+// §8): Add leaves it covering the records it covered and the next reader
+// encodes, sorts and merges in only the ones past them; WithoutType filters
+// it; BumpSerial and CloneCOW copy it; Canonicalize permutes it.
+//
 // Thread safety: a zone served by the campaign engine is read by many workers
 // at once. The sidecar pointer is installed with a CAS; wires and ordering
-// are built once under mu with done flags checked lock-free on the fast path;
+// are built under mu with done flags checked lock-free on the fast path;
 // signature verdicts are plain atomics so concurrent validators can share
 // them without serializing.
 type canonState struct {
@@ -26,20 +32,23 @@ type canonState struct {
 	orderDone atomic.Bool
 
 	// wire[i] is Records[i] in canonical form at its own TTL; rd[i] is the
-	// offset of the RDATA octets within wire[i]. Both are immutable once
-	// published (mutation replaces the slot wholesale under mu). Lock-free
-	// reads behind the wiresDone flag carry per-site allows: the atomic
-	// flag's store-release/load-acquire pair publishes the slices.
+	// offset of the RDATA octets within wire[i]. They cover the first
+	// len(wire) records — all of them once wiresDone. Each zone has its own
+	// (clones copy them), and a slot is immutable once published (mutation
+	// replaces it wholesale under mu). Lock-free reads behind the wiresDone
+	// flag carry per-site allows: the atomic flag's store-release/load-acquire
+	// pair publishes the slices.
 	//rootlint:guardedby mu
 	wire [][]byte
 	//rootlint:guardedby mu
 	rd []int
 
-	// order is the canonical permutation of record indices (stable sort by
-	// canonical owner, class, type, then RDATA octets); groups partitions
-	// order into RRset runs. Both are rebuilt from scratch on invalidation,
-	// never edited in place, so clones may share them. Same lock-free read
-	// discipline as wire, behind orderDone.
+	// order is the canonical permutation of the first len(order) record
+	// indices (what a stable sort by canonical owner, class, type, then RDATA
+	// octets gives); groups partitions order into RRset runs. Both are
+	// replaced when records are added or one is mutated, never edited in
+	// place, so clones may share them. Same lock-free read discipline as
+	// wire, behind orderDone.
 	//rootlint:guardedby mu
 	order []int
 	//rootlint:guardedby mu
@@ -49,9 +58,11 @@ type canonState struct {
 	// verified against the zone's DNSKEY RRset. Only positive verdicts are
 	// cached: bogus signatures must re-verify so callers get exact error
 	// detail, and they only occur on (rare) fault-injected zones. Accessed
-	// atomically.
+	// atomically. judged is set with the first of them, so that editing a
+	// zone nobody has validated does not go looking for verdicts to clear.
 	//rootlint:atomic
-	sigOK []uint32
+	sigOK  []uint32
+	judged atomic.Bool
 
 	// index is the owner-name index over order and groups (see index.go),
 	// built on first use and dropped whenever they are.
@@ -70,9 +81,10 @@ func (z *Zone) state() *canonState {
 	return z.canon.Load()
 }
 
-// ensureWires builds the per-record canonical wires once; after the first
-// call the fast path is a single atomic load, shared by every digest,
-// signing, and AXFR size estimate over the zone.
+// ensureWires encodes the canonical wire of every record the sidecar does not
+// cover yet — all of them the first time, the ones Add appended after that;
+// the fast path is a single atomic load, shared by every digest, signing, and
+// AXFR size estimate over the zone.
 //
 //rootlint:hotpath
 func (cs *canonState) ensureWires(z *Zone) {
@@ -84,20 +96,41 @@ func (cs *canonState) ensureWires(z *Zone) {
 	if cs.wiresDone.Load() {
 		return
 	}
-	n := len(z.Records)
-	wire := make([][]byte, n)
-	rd := make([]int, n)
-	for i, rr := range z.Records {
-		wire[i], rd[i] = dnswire.CanonicalRR(rr, rr.TTL)
+	n, m := len(z.Records), len(cs.wire)
+	wire, rd := slices.Grow(cs.wire, n-m), slices.Grow(cs.rd, n-m)
+	for _, rr := range z.Records[m:] {
+		w, off := dnswire.CanonicalRR(rr, rr.TTL)
+		wire, rd = append(wire, w), append(rd, off)
 	}
 	cs.wire, cs.rd = wire, rd
-	//rootlint:allow lockcheck: whole-slice install under mu before wiresDone publishes it; no concurrent element access can exist yet
-	cs.sigOK = make([]uint32, n)
+	//rootlint:allow lockcheck: the slice grows under mu before wiresDone publishes it, on a zone still being built: no concurrent element access can exist yet
+	cs.sigOK = append(cs.sigOK, make([]uint32, n-m)...)
 	cs.wiresDone.Store(true)
 }
 
-// ensureOrder derives the canonical permutation and RRset grouping once;
-// the steady-state cost is one atomic load.
+// compareRecords orders records ia and ib canonically: dnswire.CanonicalRRLess's
+// order, tie-breaking on the cached RDATA octets instead of re-encoding.
+func compareRecords(recs []dnswire.RR, wire [][]byte, rd []int, ia, ib int) int {
+	ra, rb := recs[ia], recs[ib]
+	if c := dnswire.CompareCanonical(ra.Name, rb.Name); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ra.Class, rb.Class); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ra.Type(), rb.Type()); c != 0 {
+		return c
+	}
+	return bytes.Compare(wire[ia][rd[ia]:], wire[ib][rd[ib]:])
+}
+
+// ensureOrder brings the canonical permutation and RRset grouping up to the
+// records: the ones order does not cover yet are stable-sorted among
+// themselves and merged into it, equal keys keeping the covered (lower)
+// index first. That is the permutation a stable sort of all of them gives —
+// it has to be, ZONEMD's duplicate suppression reads adjacent wires — and the
+// first build is the case where order covers nothing. The steady-state cost
+// is one atomic load.
 //
 //rootlint:hotpath
 func (cs *canonState) ensureOrder(z *Zone) {
@@ -110,36 +143,40 @@ func (cs *canonState) ensureOrder(z *Zone) {
 	if cs.orderDone.Load() {
 		return
 	}
-	n := len(z.Records)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	n, old := len(z.Records), cs.order
+	added := make([]int, n-len(old))
+	for i := range added {
+		added[i] = len(old) + i
 	}
-	// Same comparator as dnswire.CanonicalRRLess, but tie-breaking on the
-	// cached RDATA octets instead of re-encoding; a stable sort of indices
-	// therefore yields the identical permutation.
-	//rootlint:allow hotpath: build-once path behind the orderDone flag; the sort closure escapes exactly once per zone
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		ra, rb := z.Records[ia], z.Records[ib]
-		if c := dnswire.CompareCanonical(ra.Name, rb.Name); c != 0 {
-			return c < 0
+	wire, rd := cs.wire, cs.rd
+	//rootlint:allow hotpath: build path behind the orderDone flag; the comparator closure is made once per batch of added records
+	compare := func(a, b int) int { return compareRecords(z.Records, wire, rd, a, b) }
+	slices.SortStableFunc(added, compare)
+	order := added
+	if len(old) > 0 {
+		order = make([]int, 0, n)
+		for len(old) > 0 && len(added) > 0 {
+			if compare(added[0], old[0]) < 0 {
+				order, added = append(order, added[0]), added[1:]
+			} else {
+				order, old = append(order, old[0]), old[1:]
+			}
 		}
-		if ra.Class != rb.Class {
-			return ra.Class < rb.Class
-		}
-		if ra.Type() != rb.Type() {
-			return ra.Type() < rb.Type()
-		}
-		//rootlint:allow lockcheck: the sort closure runs synchronously inside ensureOrder's mu critical section
-		return bytes.Compare(cs.wire[ia][cs.rd[ia]:], cs.wire[ib][cs.rd[ib]:]) < 0
-	})
+		order = append(append(order, old...), added...)
+	}
+	cs.order, cs.groups = order, rrsetRuns(z.Records, order)
+	cs.orderDone.Store(true)
+}
+
+// rrsetRuns cuts a canonical permutation of recs into its RRsets: the runs of
+// one (canonical owner, class, type).
+func rrsetRuns(recs []dnswire.RR, order []int) [][]int {
 	var groups [][]int
-	for i := 0; i < n; {
+	for i, n := 0, len(order); i < n; {
 		j := i + 1
-		ri := z.Records[order[i]]
+		ri := recs[order[i]]
 		for j < n {
-			rj := z.Records[order[j]]
+			rj := recs[order[j]]
 			if dnswire.CompareCanonical(ri.Name, rj.Name) != 0 ||
 				ri.Class != rj.Class || ri.Type() != rj.Type() {
 				break
@@ -149,8 +186,7 @@ func (cs *canonState) ensureOrder(z *Zone) {
 		groups = append(groups, order[i:j:j])
 		i = j
 	}
-	cs.order, cs.groups = order, groups
-	cs.orderDone.Store(true)
+	return groups
 }
 
 // CanonicalWire returns the canonical wire form (RFC 4034 §6.2) of
@@ -200,14 +236,38 @@ func (z *Zone) SetSigVerdict(i int, ok bool) {
 	}
 	cs := z.state()
 	cs.ensureWires(z)
+	cs.judged.Store(true)
 	atomic.StoreUint32(&cs.sigOK[i], 1)
 }
 
+// forgetVerdicts clears the cached verdicts that a record of type typ coming
+// to, leaving or changing at owner (in canonical spelling) could falsify:
+// every one when it is a DNSKEY — the key set feeds every verification —
+// and otherwise those of the RRSIGs covering the RRset (owner, typ).
+func (cs *canonState) forgetVerdicts(z *Zone, owner dnswire.Name, typ dnswire.Type) {
+	if !cs.judged.Load() {
+		return
+	}
+	//rootlint:allow lockcheck: reads only the slice header, which changes only while the zone is being built; elements are cleared atomically
+	judged := z.Records[:len(cs.sigOK)]
+	for j, rr := range judged {
+		if typ != dnswire.TypeDNSKEY {
+			sig, ok := rr.Data.(dnswire.RRSIGRecord)
+			if !ok || sig.TypeCovered != typ || rr.Name.Canonical() != owner {
+				continue
+			}
+		}
+		atomic.StoreUint32(&cs.sigOK[j], 0)
+	}
+}
+
 // MutateRecord applies fn to z.Records[i] and incrementally invalidates the
-// sidecar: only the touched record's canonical form is re-encoded, the cached
-// permutation is dropped (a flip can reorder the record among its siblings),
-// and cached signature verdicts affected by the change are cleared. This is
-// what makes bitflip fault injection cheap on copy-on-write clones.
+// sidecar: only the touched record's canonical form is re-encoded, and cached
+// signature verdicts affected by the change are cleared. The cached
+// permutation is dropped, because a flip can reorder the record among its
+// siblings — unless it has none and kept its owner, class and type: an RRset
+// of one record cannot move. This is what makes bitflip fault injection cheap
+// on copy-on-write clones, and a serial bump free of any sort.
 func (z *Zone) MutateRecord(i int, fn func(*dnswire.RR)) {
 	cs := z.canon.Load()
 	if cs == nil || !cs.wiresDone.Load() {
@@ -223,31 +283,17 @@ func (z *Zone) MutateRecord(i int, fn func(*dnswire.RR)) {
 	fn(&z.Records[i])
 	post := z.Records[i]
 	cs.wire[i], cs.rd[i] = dnswire.CanonicalRR(post, post.TTL)
-	cs.orderDone.Store(false)
-	cs.order, cs.groups = nil, nil
-	cs.index.Store(nil)
-
-	preName, preType := pre.Name.Canonical(), pre.Type()
-	postName, postType := post.Name.Canonical(), post.Type()
-	if preType == dnswire.TypeDNSKEY || postType == dnswire.TypeDNSKEY {
-		// The key set feeds every verification; drop all verdicts.
-		//rootlint:allow lockcheck: range reads only the slice header, which is stable once wiresDone is set; elements are cleared atomically
-		for j := range cs.sigOK {
-			atomic.StoreUint32(&cs.sigOK[j], 0)
-		}
-		return
+	preName, postName := pre.Name.Canonical(), post.Name.Canonical()
+	stays := cs.orderDone.Load() && preName == postName && pre.Class == post.Class && pre.Type() == post.Type() &&
+		slices.ContainsFunc(cs.groups, func(g []int) bool { return len(g) == 1 && g[0] == i })
+	if !stays {
+		cs.orderDone.Store(false)
+		cs.order, cs.groups = nil, nil
+		cs.index.Store(nil)
 	}
 	atomic.StoreUint32(&cs.sigOK[i], 0)
-	for j, rr := range z.Records {
-		sig, ok := rr.Data.(dnswire.RRSIGRecord)
-		if !ok {
-			continue
-		}
-		if (sig.TypeCovered == preType && rr.Name.Canonical() == preName) ||
-			(sig.TypeCovered == postType && rr.Name.Canonical() == postName) {
-			atomic.StoreUint32(&cs.sigOK[j], 0)
-		}
-	}
+	cs.forgetVerdicts(z, preName, pre.Type())
+	cs.forgetVerdicts(z, postName, post.Type())
 }
 
 // CloneCOW returns a copy of z that shares the (immutable) cached canonical
@@ -271,6 +317,7 @@ func (z *Zone) CloneCOW() *Zone {
 	for j := range cs.sigOK {
 		nc.sigOK[j] = atomic.LoadUint32(&cs.sigOK[j])
 	}
+	nc.judged.Store(cs.judged.Load())
 	if cs.orderDone.Load() {
 		nc.order, nc.groups = cs.order, cs.groups
 		nc.orderDone.Store(true)

@@ -36,11 +36,25 @@ func New(apex dnswire.Name) *Zone {
 	return &Zone{Apex: apex}
 }
 
-// Add appends records to the zone and invalidates the canonical sidecar.
+// Add appends records to the zone. A built sidecar is kept: it goes on
+// covering the records it covered, and its next reader encodes, sorts and
+// merges in the appended ones (canon.go) — lazily, not here, because builders
+// add one record at a time and a merge per call would be quadratic. What the
+// new records can falsify is forgotten now: the owner index, and the cached
+// verdicts of the signatures over the RRsets they join.
 func (z *Zone) Add(rrs ...dnswire.RR) {
 	//rootlint:allow lockcheck: documented mutation API; zones are built single-goroutine and frozen before they are shared
 	z.Records = append(z.Records, rrs...)
-	z.canon.Store(nil)
+	cs := z.canon.Load()
+	if cs == nil {
+		return
+	}
+	cs.wiresDone.Store(false)
+	cs.orderDone.Store(false)
+	cs.index.Store(nil)
+	for _, rr := range rrs {
+		cs.forgetVerdicts(z, rr.Name.Canonical(), rr.Type())
+	}
 }
 
 // SOA returns the zone's SOA record. The second return is false when the
@@ -121,27 +135,51 @@ func (z *Zone) Clone() *Zone {
 	return &Zone{Apex: z.Apex, Records: append([]dnswire.RR(nil), z.Records...)}
 }
 
-// WithoutType returns a copy of z with all records of type t removed.
+// WithoutType returns a copy of z with all records of type t removed. The
+// copy's sidecar is z's, filtered: the surviving records keep their wires and
+// their relative canonical order, so nothing is encoded or sorted again.
+// Verdicts are not carried: a removed RRset may have been what they were
+// verdicts on.
 func (z *Zone) WithoutType(t dnswire.Type) *Zone {
-	out := New(z.Apex)
-	for _, rr := range z.Records {
+	cs := z.state()
+	cs.ensureOrder(z)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	n := len(z.Records)
+	recs, wire, rd := make([]dnswire.RR, 0, n), make([][]byte, 0, n), make([]int, 0, n)
+	moved := make([]int, n) // where each surviving record went
+	for i, rr := range z.Records {
 		if rr.Type() != t {
-			out.Add(rr)
+			moved[i] = len(recs)
+			recs, wire, rd = append(recs, rr), append(wire, cs.wire[i]), append(rd, cs.rd[i])
 		}
 	}
+	order := make([]int, 0, len(recs))
+	for _, i := range cs.order {
+		if z.Records[i].Type() != t {
+			order = append(order, moved[i])
+		}
+	}
+	out := &Zone{Apex: z.Apex, Records: recs}
+	nc := &canonState{wire: wire, rd: rd, order: order, groups: rrsetRuns(recs, order), sigOK: make([]uint32, len(recs))}
+	nc.wiresDone.Store(true)
+	nc.orderDone.Store(true)
+	out.canon.Store(nc)
 	return out
 }
 
-// BumpSerial returns a copy of z with the SOA serial replaced.
+// BumpSerial returns a copy of z with the SOA serial replaced. The copy
+// carries z's sidecar (built here if z has none yet, once for every serial
+// bumped off it): only the SOA's wire is encoded again, and the canonical
+// order is shared, a serial being unable to move an RRset of one record.
 func (z *Zone) BumpSerial(serial uint32) *Zone {
-	out := New(z.Apex)
-	for _, rr := range z.Records {
-		if rr.Type() == dnswire.TypeSOA {
-			soa := rr.Data.(dnswire.SOARecord)
+	z.state().ensureOrder(z)
+	out := z.CloneCOW()
+	for i, rr := range out.Records {
+		if soa, ok := rr.Data.(dnswire.SOARecord); ok {
 			soa.Serial = serial
-			rr.Data = soa
+			out.MutateRecord(i, func(rr *dnswire.RR) { rr.Data = soa })
 		}
-		out.Add(rr)
 	}
 	return out
 }

@@ -111,6 +111,16 @@ func Digest(z *zone.Zone) ([]byte, error) {
 // digest; StateVerifiable writes SIMPLE/SHA-384 with the true digest;
 // StateAbsent returns an unmodified copy.
 func Attach(z *zone.Zone, state RolloutState) (*zone.Zone, error) {
+	out, err := attach(z, state)
+	if err != nil || state == StateAbsent {
+		return out, err
+	}
+	return out.Canonicalize(), nil
+}
+
+// attach is Attach short of putting the copy in canonical order: the ZONEMD
+// record, when state has one, is the copy's last.
+func attach(z *zone.Zone, state RolloutState) (*zone.Zone, error) {
 	out := z.WithoutType(dnswire.TypeZONEMD)
 	if state == StateAbsent {
 		return out, nil
@@ -139,22 +149,20 @@ func Attach(z *zone.Zone, state RolloutState) (*zone.Zone, error) {
 	out.Add(dnswire.RR{
 		Name: out.Apex, Class: dnswire.ClassINET, TTL: soa.TTL, Data: rec,
 	})
-	return out.Canonicalize(), nil
+	return out, nil
 }
 
 // AttachAndSign attaches a ZONEMD record to an already-signed zone and signs
 // the new ZONEMD RRset with the signer's ZSK, mirroring deployment order in
 // the real root zone (the digest excludes the apex ZONEMD RRset and its
-// RRSIGs, so signing after digesting is sound).
+// RRSIGs, so signing after digesting is sound). The record and its signature
+// are placed in canonical order together, once.
 func AttachAndSign(z *zone.Zone, s *dnssec.Signer, state RolloutState, now time.Time) (*zone.Zone, error) {
-	out, err := Attach(z, state)
-	if err != nil {
-		return nil, err
+	out, err := attach(z, state)
+	if err != nil || state == StateAbsent {
+		return out, err
 	}
-	if state == StateAbsent {
-		return out, nil
-	}
-	zmdSet := out.Lookup(out.Apex, dnswire.TypeZONEMD)
+	zmdSet := out.Records[len(out.Records)-1:]
 	sig, err := dnssec.SignRRset(s.ZSK, zmdSet, out.Apex,
 		now.Add(-s.InceptionSkew), now.Add(s.SignatureValidity))
 	if err != nil {

@@ -14,10 +14,15 @@
 # container, the sidecar writer and the telemetry shards — under the Go race
 # detector, along with the per-probe models its workers call on shared
 # read-only state (Catchment.SelectAt, Deployment.SiteByID's lazily
-# published index, traceroute.Run), and the DNS server, whose read loops, TCP
-# connections and SetZone meet only through lock-free publication (the
-# atomically swapped serve state and the compare-and-swapped cells of the
-# answer table).
+# published index, traceroute.EdgeAnswers and Run), the zone sidecar and the
+# signing chain over it — the campaign's producer and its workers bump, sign
+# and digest serials off one shared base zone at once (BumpSerial builds the
+# base's sidecar once under its mutex and copies it; Sign and AttachAndSign
+# grow their own copy) while others read the base's canonical order
+# (zonemd's TestSharedBaseSignedConcurrently) — and the DNS server, whose
+# read loops, TCP connections and SetZone meet only through lock-free
+# publication (the atomically swapped serve state and the compare-and-swapped
+# cells of the answer table).
 set -eu
 cd "$(dirname "$0")/.."
 exec go test -race \
@@ -25,4 +30,5 @@ exec go test -race \
 	./internal/dataset/... ./internal/qlog/... ./internal/segment/... \
 	./internal/checkpoint/... ./internal/telemetry/... \
 	./internal/anycast/... ./internal/traceroute/... \
+	./internal/zone/... ./internal/dnssec/... ./internal/zonemd/... \
 	./internal/dnsserver/...
