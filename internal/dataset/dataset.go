@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/netip"
 	"time"
 
 	"repro/internal/dnssec"
@@ -81,7 +80,9 @@ type Writer struct {
 // hook wires the dataset-owned failpoint site and seal metrics into a
 // segment writer. The mid-frame crash site tears the frame on the output
 // and parks the error so no later write can extend the torn tail, while
-// the recorded sealed offset still ends at the previous block.
+// the recorded sealed offset still ends at the previous block. Both run on
+// whichever goroutine seals the block: the writer's own for a block handed
+// off at BlockBytes, the caller's at a fence. Blocks seal in order either way.
 func hook(w *segment.Writer) {
 	w.CrashHook = func() error { return failpoint.Eval("dataset/seal/partial") }
 	w.OnSeal = func(frameBytes int) {
@@ -260,12 +261,10 @@ func rebuildErr(class int) error {
 	}
 }
 
-// targetKeys maps a target to its compact key ("b4o" = b.root IPv4 old) and
-// targets lists the targets by slot, both built once: the writer looks one
-// up per event, the reader the other.
-var targetKeys, targets = func() (map[rss.ServiceAddr]string, [rss.Slots]rss.ServiceAddr) {
-	keys := make(map[rss.ServiceAddr]string)
-	var bySlot [rss.Slots]rss.ServiceAddr
+// slotKeys holds each target's compact key ("b4o" = b.root IPv4 old) and
+// targets the targets themselves, both by slot and built once: the writer
+// reads one per event, the reader the other.
+var slotKeys, targets = func() (keys [rss.Slots]string, bySlot [rss.Slots]rss.ServiceAddr) {
 	for _, t := range rss.AllServiceAddrs() {
 		key := string(t.Letter) + "4"
 		if t.Family == topology.IPv6 {
@@ -275,9 +274,7 @@ var targetKeys, targets = func() (map[rss.ServiceAddr]string, [rss.Slots]rss.Ser
 			key += "o"
 		}
 		slot, _ := t.Slot()
-		bySlot[slot] = t
-		t.Addr = netip.Addr{}
-		keys[t] = key
+		keys[slot], bySlot[slot] = key, t
 	}
 	return keys, bySlot
 }()
@@ -285,8 +282,10 @@ var targetKeys, targets = func() (map[rss.ServiceAddr]string, [rss.Slots]rss.Ser
 // targetKey is a target's compact key: letter, family and era, whatever the
 // address. A target outside rss.AllServiceAddrs gets "", which replay refuses.
 func targetKey(t rss.ServiceAddr) string {
-	t.Addr = netip.Addr{}
-	return targetKeys[t]
+	if slot, ok := t.Slot(); ok {
+		return slotKeys[slot]
+	}
+	return ""
 }
 
 // targetOf is targetKey's inverse, read off the key's characters.

@@ -22,7 +22,7 @@ import (
 	"repro/internal/vantage"
 )
 
-func testWorld(t *testing.T) *measure.World {
+func testWorld(t testing.TB) *measure.World {
 	t.Helper()
 	cfg := measure.DefaultConfig()
 	cfg.TLDCount = 10

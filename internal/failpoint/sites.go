@@ -38,7 +38,9 @@ var Sites = []Site{
 	// the pending block still buffered (never written).
 	{Name: "dataset/seal", Kill: true},
 	// Mid-frame during a block seal: a kill tears the frame on disk, and
-	// resume detects and truncates the torn tail.
+	// resume detects and truncates the torn tail. Hit once per frame, in
+	// block order, on the goroutine sealing it (the writer's own for a block
+	// handed off at BlockBytes).
 	{Name: "dataset/seal/partial", Kill: true},
 	// Replay checkpoint, between sealing handler state and writing the
 	// sidecar: a kill proves resume trusts the previous sidecar, not the

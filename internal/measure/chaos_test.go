@@ -12,6 +12,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/measure"
 	"repro/internal/qlog"
+	"repro/internal/segment"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/vantage"
@@ -68,6 +71,12 @@ func chaosConfig() measure.Config {
 // campaign (for accumulator assertions) and the run error.
 func runToFile(t *testing.T, w *measure.World, cfg measure.Config, dataPath string) (*measure.Campaign, error) {
 	t.Helper()
+	return runToFileBlocks(t, w, cfg, dataPath, 0)
+}
+
+// runToFileBlocks is runToFile with the dataset writer's BlockBytes set.
+func runToFileBlocks(t *testing.T, w *measure.World, cfg measure.Config, dataPath string, blockBytes int) (*measure.Campaign, error) {
+	t.Helper()
 	f, err := os.Create(dataPath)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +86,7 @@ func runToFile(t *testing.T, w *measure.World, cfg measure.Config, dataPath stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	wr.BlockBytes = blockBytes
 	c := measure.NewCampaign(cfg, w)
 	runErr := c.Run(wr)
 	if runErr == nil {
@@ -85,7 +95,9 @@ func runToFile(t *testing.T, w *measure.World, cfg measure.Config, dataPath stri
 		}
 	}
 	// On a simulated kill the writer is abandoned un-closed, as SIGKILL
-	// would leave it.
+	// would leave it — and as SIGKILL would have stopped the goroutine sealing
+	// the block in flight, that block is waited for, sealing nothing more.
+	wr.Wait()
 	return c, runErr
 }
 
@@ -105,6 +117,13 @@ func streamState(t *testing.T) []byte {
 // offset its checkpoint recorded.
 func resumeFromCheckpoint(t *testing.T, w *measure.World, cfg measure.Config, dataPath string) *measure.Campaign {
 	t.Helper()
+	return resumeFromCheckpointBlocks(t, w, cfg, dataPath, 0)
+}
+
+// resumeFromCheckpointBlocks is resumeFromCheckpoint with the dataset
+// writer's BlockBytes set, as the killed run had it.
+func resumeFromCheckpointBlocks(t *testing.T, w *measure.World, cfg measure.Config, dataPath string, blockBytes int) *measure.Campaign {
+	t.Helper()
 	var progress struct {
 		TickPos int `json:"tick_pos"`
 	}
@@ -123,6 +142,7 @@ func resumeFromCheckpoint(t *testing.T, w *measure.World, cfg measure.Config, da
 	if err != nil {
 		t.Fatal(err)
 	}
+	wr.BlockBytes = blockBytes
 	cfg.Resume = true
 	c := measure.NewCampaign(cfg, w)
 	if err := c.Run(wr); err != nil {
@@ -264,6 +284,120 @@ func firedAtLeastOneKill(snap []telemetry.MetricValue) bool {
 	return fired >= 1 && kills >= 1
 }
 
+// metricValue reads one metric out of a full telemetry snapshot.
+func metricValue(name string) int64 {
+	for _, mv := range telemetry.Snapshot(telemetry.ScopeAll) {
+		if mv.Name == name {
+			return mv.Value
+		}
+	}
+	return -1
+}
+
+// TestChaosKillWithBlockInFlight is the kill matrix over a dataset writer
+// whose blocks are small enough that most seals are not checkpoint fences but
+// hand-offs: a goroutine is deflating and writing block k while the campaign
+// delivers into block k+1. A kill at a tick boundary finds one in flight; a
+// kill inside the seal tears a frame on that goroutine and surfaces at the
+// next checkpoint. Either way, once the run has returned and the block in
+// flight has been waited for, neither the file nor dataset/blocks_sealed
+// moves, and the resume is byte-identical with the uninterrupted run's stream
+// counters.
+func TestChaosKillWithBlockInFlight(t *testing.T) {
+	const blockBytes = 16 << 10
+	const tornFrame = 20
+	w := chaosWorld(t)
+	dir := t.TempDir()
+
+	telemetry.Reset()
+	refCfg := chaosConfig()
+	refCfg.Workers = 1
+	refCfg.CheckpointPath = filepath.Join(dir, "ref.ckpt")
+	refData := filepath.Join(dir, "ref.dat")
+	if _, err := runToFileBlocks(t, w, refCfg, refData, blockBytes); err != nil {
+		t.Fatal(err)
+	}
+	refBytes, err := os.ReadFile(refData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refTel := streamState(t)
+	// A frame that inflates to blockBytes or more was sealed by the hand-off:
+	// a checkpoint fence seals what is pending, which is less. The frame the
+	// seal-partial rows tear must be one, behind the first checkpoint.
+	sr, err := segment.NewReader(bytes.NewReader(refBytes), "RGDS", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fences := 0
+	for i := 1; i <= tornFrame; i++ {
+		fr, err := sr.NextFrame()
+		if err != nil {
+			t.Fatalf("reference frame %d: %v", i, err)
+		}
+		payload, err := segment.Decompress(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) < blockBytes {
+			fences++
+		}
+		if i == tornFrame && (len(payload) < blockBytes || fences == 0) {
+			t.Fatalf("frame %d inflates to %d bytes after %d checkpoint fences: not a hand-off behind a checkpoint", i, len(payload), fences)
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		for _, spec := range []string{"campaign/tick=kill@5", "dataset/seal/partial=kill@" + strconv.Itoa(tornFrame)} {
+			t.Run(strings.ReplaceAll(spec, "/", "_")+"/workers="+strconv.Itoa(workers), func(t *testing.T) {
+				telemetry.Reset()
+				cfg := chaosConfig()
+				cfg.Workers = workers
+				base := strings.ReplaceAll(t.Name(), "/", "_")
+				cfg.CheckpointPath = filepath.Join(dir, base+".ckpt")
+				dataPath := filepath.Join(dir, base+".dat")
+				if err := failpoint.Enable(spec); err != nil {
+					t.Fatal(err)
+				}
+				_, runErr := runToFileBlocks(t, w, cfg, dataPath, blockBytes)
+				failpoint.Disable()
+				if !errors.Is(runErr, failpoint.ErrKilled) {
+					t.Fatalf("run error = %v, want ErrKilled", runErr)
+				}
+				killed, err := os.ReadFile(dataPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sealed := metricValue("dataset/blocks_sealed")
+				for i := 0; i < 1000; i++ {
+					runtime.Gosched()
+				}
+				later, err := os.ReadFile(dataPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if now := metricValue("dataset/blocks_sealed"); now != sealed || !bytes.Equal(later, killed) {
+					t.Errorf("after the killed run returned: dataset/blocks_sealed %d → %d, file %d → %d bytes", sealed, now, len(killed), len(later))
+				}
+				if bytes.Equal(killed, refBytes) {
+					t.Fatal("kill left a complete dataset; failpoint did not interrupt")
+				}
+				resumeFromCheckpointBlocks(t, w, cfg, dataPath, blockBytes)
+				got, err := os.ReadFile(dataPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, refBytes) {
+					t.Errorf("resumed dataset differs from reference: %d vs %d bytes", len(got), len(refBytes))
+				}
+				if gotTel := streamState(t); !bytes.Equal(gotTel, refTel) {
+					t.Errorf("stream counters after kill/resume differ from uninterrupted run:\nwant %s\ngot  %s", refTel, gotTel)
+				}
+			})
+		}
+	}
+}
+
 // qlogRunToFile executes a fresh campaign recording the dataset into dataPath
 // and a full-rate flight log into qlogPath, with the black-box ring dumping
 // to blackboxPath on a kill. Like runToFile, a killed run abandons both
@@ -298,6 +432,8 @@ func qlogRunToFile(t *testing.T, w *measure.World, cfg measure.Config, dataPath,
 			t.Fatal(err)
 		}
 	}
+	wr.Wait() // see runToFileBlocks
+	rec.Wait()
 	return runErr
 }
 

@@ -305,6 +305,18 @@ func (r *Recorder) RestoreCheckpoint(state []byte) error {
 	return nil
 }
 
+// Wait joins the block the recorder's writer is still sealing, if any, and
+// seals nothing: what a caller abandoning a recorder un-closed, as a kill
+// would, needs before it looks at the file. Nil-safe.
+func (r *Recorder) Wait() error {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seg.Wait()
+}
+
 // Close seals any pending block and flushes the recorder. Nil-safe so CLI
 // shutdown paths need no recorder-enabled branch.
 func (r *Recorder) Close() error {

@@ -13,6 +13,13 @@
 // interrupted recording rewinds to its last checkpointed block (Rewind) and
 // appends from there byte-identically.
 //
+// Because a block stands alone, a Writer seals one block behind its encoder:
+// the block EndRecord finds full is compressed, checksummed and written by a
+// goroutine of its own while the caller fills the next (see EndRecord), in
+// block order and with the same bytes as a Seal at that record. Everything a
+// caller can observe is a fence that first joins that block (Wait): Seal,
+// Close, Sync, SealedBytes, Rewind. Nothing turns this on or off.
+//
 // The package is deliberately policy-free: record encodings, failpoint
 // sites, and metrics belong to the owning layer (dataset, qlog), which hook
 // in via CrashHook and OnSeal.
@@ -42,21 +49,24 @@ const FrameHeaderLen = 12
 const MaxCompressedBlock = 64 << 20
 
 // MaxBlockBytes bounds what a frame may inflate to: 32 default blocks, and a
-// Writer's BlockBytes must stay below it. DEFLATE expands a thousandfold, so
-// without it a crafted frame is an allocation of gigabytes. Inflating past
-// it is tear-class, like a bad CRC.
+// Writer refuses to frame a block past it (ErrBlockTooLarge). DEFLATE expands
+// a thousandfold, so without it a crafted frame is an allocation of
+// gigabytes. Inflating past it is tear-class, like a bad CRC.
 const MaxBlockBytes = 16 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer records framed blocks of records. Record bytes accumulate in an
 // in-memory block via Uvarint/Intern/Raw; EndRecord marks a record boundary
-// and auto-seals past BlockBytes, so seal points are a pure function of the
-// record stream and interrupted runs frame their blocks identically.
+// and past BlockBytes hands the block off to be sealed, so seal points are a
+// pure function of the record stream and interrupted runs frame their blocks
+// identically. A Writer belongs to one goroutine; CrashHook, OnSeal and the
+// output are also called from the goroutine sealing a handed-off block, so
+// they are set before the first record or right after a fence.
 type Writer struct {
 	out   io.Writer
 	magic string
-	buf   bytes.Buffer // current (unsealed) block's records
+	buf   []byte // current (unsealed) block's records
 	dict  map[string]uint64
 	next  uint64
 	err   error
@@ -80,16 +90,34 @@ type Writer struct {
 	blockRecords uint32
 	sealed       int64 // bytes durably framed, header included
 
-	// comp and frame are Seal's compressor (hundreds of KB; Reset is documented
-	// to leave it as NewWriter would) and frame buffer, kept across blocks.
+	// The block in flight: EndRecord swaps a full block into flying and starts
+	// sealFlying on it. Until Wait has received from done, that goroutine owns
+	// flying, flyingRecords, sealed, comp, frame and the output, and the
+	// caller encodes the next block into the other buffer. Idle, flying is
+	// the spare buffer.
+	flying        []byte
+	flyingRecords uint32
+	inFlight      bool
+	done          chan error // one slot: the goroutine never waits to be joined
+	sealFlying    func()     // built once: a go statement on it allocates nothing
+
+	// comp and frame are writeFrame's compressor (hundreds of KB; Reset is
+	// documented to leave it as NewWriter would) and frame buffer, kept across
+	// blocks.
 	comp  *flate.Writer
 	frame bytes.Buffer
 }
 
+// ErrBlockTooLarge is what a Writer parks when its pending block has outgrown
+// MaxBlockBytes: a Reader would take the frame for a torn tail and truncate
+// the stream there, so it is not written.
+var ErrBlockTooLarge = errors.New("segment: pending block exceeds MaxBlockBytes")
+
 // NewWriter starts a segment stream on out, writing the magic + version
 // header immediately.
 func NewWriter(out io.Writer, magic string, version uint64) (*Writer, error) {
-	w := &Writer{out: out, magic: magic, dict: make(map[string]uint64), next: 1}
+	w := &Writer{out: out, magic: magic, dict: make(map[string]uint64), next: 1, done: make(chan error, 1)}
+	w.sealFlying = func() { w.done <- w.writeFrame(w.flying, w.flyingRecords) }
 	hdr := make([]byte, 0, len(magic)+binary.MaxVarintLen64)
 	hdr = append(hdr, magic...)
 	hdr = binary.AppendUvarint(hdr, version)
@@ -114,6 +142,7 @@ type truncater interface {
 // block with a fresh dictionary — exactly the state an uninterrupted run
 // had at that boundary, so the resumed file is byte-identical.
 func (w *Writer) Rewind(offset int64) error {
+	w.Wait() // what it wrote or parked is about to be cut off
 	if offset < int64(len(w.magic))+1 {
 		return fmt.Errorf("segment: resume offset %d precedes header", offset)
 	}
@@ -134,24 +163,22 @@ func (w *Writer) Rewind(offset int64) error {
 	if _, err := tr.Seek(offset, io.SeekStart); err != nil {
 		return err
 	}
-	w.buf.Reset()
-	w.blockRecords = 0
 	w.err = nil
 	w.sealed = offset
-	w.resetDict()
+	w.startBlock()
 	return nil
 }
 
-func (w *Writer) resetDict() {
+// startBlock empties the pending block and its dictionary: blocks stand alone.
+func (w *Writer) startBlock() {
+	w.buf, w.blockRecords = w.buf[:0], 0
 	clear(w.dict)
 	w.next = 1
 }
 
 // Uvarint appends a varint to the current record.
 func (w *Writer) Uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.buf.Write(buf[:n])
+	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
 // Intern appends a string reference: known strings cost one varint; new ones
@@ -164,38 +191,83 @@ func (w *Writer) Intern(s string) {
 	w.dict[s] = w.next
 	w.next++
 	w.Uvarint(uint64(len(s))<<1 | 1)
-	w.buf.WriteString(s)
+	w.buf = append(w.buf, s...)
 }
 
 // Raw appends pre-encoded record bytes verbatim. Callers that encode whole
 // records into pooled buffers (qlog) land them here in one copy.
 func (w *Writer) Raw(p []byte) {
-	w.buf.Write(p)
+	w.buf = append(w.buf, p...)
 }
 
-// EndRecord marks the end of one record, auto-sealing when the pending
-// block exceeds the size threshold.
+// EndRecord marks the end of one record. Once the pending block exceeds the
+// size threshold it is handed off: a goroutine deflates, checksums and writes
+// block k while the caller encodes block k+1 into the other buffer. At most
+// one block is in flight — a second buys nothing once the slower side is
+// always busy, and is one more to lose at a kill — and the goroutine lives
+// for that block only, so an idle or abandoned Writer holds none. A failed
+// or torn seal parks its error at the next hand-off or fence.
 func (w *Writer) EndRecord() {
 	w.blockRecords++
 	limit := w.BlockBytes
 	if limit <= 0 {
 		limit = DefaultBlockBytes
 	}
-	if w.buf.Len() >= limit {
-		w.Seal() // a failed seal parks the error in w.err
+	if len(w.buf) < limit {
+		if cap(w.buf) < limit {
+			// A buffer's first record: size it once, for a block and the
+			// record that crosses the threshold, instead of by doubling.
+			w.buf = append(make([]byte, 0, limit+limit/8), w.buf...)
+		}
+		return
 	}
+	if w.ready() != nil {
+		return
+	}
+	w.buf, w.flying, w.flyingRecords = w.flying, w.buf, w.blockRecords
+	w.startBlock()
+	w.inFlight = true
+	go w.sealFlying()
+}
+
+// Wait joins the block in flight, if there is one, and returns the writer's
+// parked error. It seals nothing: the pending block stays pending. Every
+// fence — Seal, Close, Sync, SealedBytes, Rewind — starts here, and so does a
+// caller that abandons a Writer un-closed and needs its output to stand still.
+func (w *Writer) Wait() error {
+	if w.inFlight {
+		w.inFlight = false
+		w.err = <-w.done // nil until now: nothing is handed off past an error
+	}
+	return w.err
+}
+
+// ready joins the block in flight and reports whether the pending block may
+// be framed: no error parked, and no larger than a Reader accepts.
+func (w *Writer) ready() error {
+	if w.Wait() == nil && len(w.buf) > MaxBlockBytes {
+		w.err = fmt.Errorf("%w: %d bytes", ErrBlockTooLarge, len(w.buf))
+	}
+	return w.err
 }
 
 // Seal compresses and frames the current block, making every record so far
 // durable on the underlying writer. Sealing an empty block is a no-op.
 // After a seal the dictionary resets, so blocks stand alone.
 func (w *Writer) Seal() error {
-	if w.err != nil {
+	if err := w.ready(); err != nil || w.blockRecords == 0 {
+		return err
+	}
+	if w.err = w.writeFrame(w.buf, w.blockRecords); w.err != nil {
 		return w.err
 	}
-	if w.blockRecords == 0 {
-		return nil
-	}
+	w.startBlock()
+	return nil
+}
+
+// writeFrame is the one seal path: it compresses block, frames it and writes
+// it, on the calling goroutine for Seal and on its own for a hand-off.
+func (w *Writer) writeFrame(block []byte, records uint32) error {
 	// The header is reserved first and filled in once the payload's length
 	// and checksum are known: the payload is written where it is sent from.
 	var hdr [FrameHeaderLen]byte
@@ -206,49 +278,50 @@ func (w *Writer) Seal() error {
 		w.comp, _ = flate.NewWriter(nil, flate.DefaultCompression)
 	}
 	w.comp.Reset(&w.frame)
-	if _, err := w.comp.Write(w.buf.Bytes()); err != nil {
-		w.err = err
+	if _, err := w.comp.Write(block); err != nil {
 		return err
 	}
 	if err := w.comp.Close(); err != nil {
-		w.err = err
 		return err
 	}
 	frame := w.frame.Bytes()
 	payload := frame[FrameHeaderLen:]
 	binary.BigEndian.PutUint32(frame[0:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	binary.BigEndian.PutUint32(frame[8:], w.blockRecords)
+	binary.BigEndian.PutUint32(frame[8:], records)
 	if w.CrashHook != nil {
 		if ferr := w.CrashHook(); ferr != nil {
 			w.out.Write(frame[:FrameHeaderLen+len(payload)/2])
-			w.err = ferr
 			return ferr
 		}
 	}
 	if _, err := w.out.Write(frame); err != nil {
-		w.err = err
 		return err
 	}
 	w.sealed += int64(len(frame))
 	if w.OnSeal != nil {
 		w.OnSeal(len(frame))
 	}
-	w.buf.Reset()
-	w.blockRecords = 0
-	w.resetDict()
 	return nil
 }
 
 // SealedBytes reports how many bytes of the output are covered by sealed
-// blocks (the crash-recoverable prefix).
-func (w *Writer) SealedBytes() int64 { return w.sealed }
+// blocks (the crash-recoverable prefix), the block in flight included.
+func (w *Writer) SealedBytes() int64 {
+	w.Wait()
+	return w.sealed
+}
 
-// Err returns the writer's parked error, if any.
+// Err returns the writer's parked error, if any, as of the last join: cheap
+// enough to ask before every record.
 func (w *Writer) Err() error { return w.err }
 
-// Sync flushes the underlying file when it supports it.
+// Sync joins the block in flight and flushes the underlying file when it
+// supports it.
 func (w *Writer) Sync() error {
+	if err := w.Wait(); err != nil {
+		return err
+	}
 	if s, ok := w.out.(interface{ Sync() error }); ok {
 		return s.Sync()
 	}
@@ -257,10 +330,7 @@ func (w *Writer) Sync() error {
 
 // Close seals any pending block and flushes the stream.
 func (w *Writer) Close() error {
-	if err := w.Seal(); err != nil {
-		return err
-	}
-	return w.err
+	return w.Seal()
 }
 
 // Frame is one sealed block as scanned off the wire, CRC unverified: the

@@ -356,7 +356,7 @@ func TestCrashHookTearsFrame(t *testing.T) {
 // second and third in a row, the one after a Rewind, the one after a seal
 // torn by CrashHook — is byte-identical to that block from a writer that has
 // sealed nothing before; and a warm writer seals without allocating, however
-// large the block.
+// large the block and whether or not a cycle hands one off on the way.
 func TestSealReusesItsCompressor(t *testing.T) {
 	const perBlock = 300
 	block := func(w *Writer, b int) {
@@ -443,7 +443,12 @@ func TestSealReusesItsCompressor(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		frames := 0
+		d.OnSeal = func(int) { frames++ }
 		cycle() // the first seal builds the compressor and sizes the buffers
+		if want := 1 + records/4096; frames != want {
+			t.Fatalf("%d records sealed %d frames, want %d: the long cycle is there to cross a hand-off", records, frames, want)
+		}
 		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 			t.Errorf("a warm writer sealing %d records: %v allocs per block, want 0", records, allocs)
 		}

@@ -107,20 +107,25 @@ func (r rib) insert(asn int, route Route) bool {
 			return false
 		}
 	}
-	routes = append(routes, route)
-	sort.SliceStable(routes, func(i, j int) bool { return better(routes[i], routes[j]) })
-	if len(routes) > maxAlternates {
-		routes = routes[:maxAlternates]
-	}
-	r[asn] = routes
-	// Report whether the inserted route survived the cap.
-	for _, kept := range r[asn] {
-		if kept.Origin == route.Origin && kept.relType == route.relType &&
-			len(kept.ASPath) == len(route.ASPath) {
-			return true
+	// routes is sorted, best first: the new route goes in front of the first
+	// one it beats, and survives if that is inside the cap.
+	pos := len(routes)
+	for i, kept := range routes {
+		if better(route, kept) {
+			pos = i
+			break
 		}
 	}
-	return false
+	if pos >= maxAlternates {
+		return false
+	}
+	if len(routes) < maxAlternates {
+		routes = append(routes, Route{})
+	}
+	copy(routes[pos+1:], routes[pos:])
+	routes[pos] = route
+	r[asn] = routes
+	return true
 }
 
 // RoutingTable holds, for every AS, its candidate routes to one anycast

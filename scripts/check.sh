@@ -106,7 +106,7 @@ for target in FuzzShapeAgreement FuzzCompiledAgreement; do
 done
 
 echo "== chaos matrix =="
-go test -run 'TestChaos|TestSeal|TestWorker|TestResume|TestTornTail|TestCorruptBlock|TestReplay|TestRewind|TestSingleBit|TestCrash|TestRefusals' \
+go test -run 'TestChaos|TestSeal|TestWorker|TestResume|TestTorn|TestCorruptBlock|TestReplay|TestRewind|TestSingleBit|TestCrash|TestRefusals|TestHandOff|TestEveryFence|TestFailingOutput' \
 	./internal/measure ./internal/dataset ./internal/qlog ./internal/segment ./internal/checkpoint
 
 # Adversarial transport: the netem fate engine, RRL verdict determinism
@@ -149,23 +149,48 @@ cmp "$tmp/serial.txt" "$tmp/checkpointed.txt"
 # must write the same dataset at the same checkpoint cadence. The kill finds
 # the tick after it already computed; none of it may reach the file.
 echo "== recording identity (workers 1 vs 4 vs 4 killed and resumed) =="
+every=4
 record() {
 	name=$1
 	shift
-	"$tmp/rootmeasure" -scale 512 -vpscale 8 -tlds 20 -checkpoint-every 4 \
+	"$tmp/rootmeasure" -scale 512 -vpscale 8 -tlds 20 -checkpoint-every "$every" \
 		-out "$tmp/$name.rgds" -checkpoint "$tmp/$name.ckpt" "$@" >/dev/null
 }
-record serial -workers 1
-record pipelined -workers 4
-status=0
-record resumed -workers 4 -chaos campaign/tick=kill@6 2>/dev/null || status=$?
-if [ "$status" -ne 3 ]; then
-	echo "rootmeasure -chaos campaign/tick=kill@6 exited $status, want 3" >&2
+# identity <chaos spec>: serial vs pipelined vs pipelined killed and resumed.
+identity() {
+	record serial -workers 1 -metrics "$tmp/serial.json" 2>"$tmp/serial.telemetry" ||
+		{ cat "$tmp/serial.telemetry" >&2; exit 1; }
+	record pipelined -workers 4
+	status=0
+	record resumed -workers 4 -chaos "$1" 2>/dev/null || status=$?
+	if [ "$status" -ne 3 ]; then
+		echo "rootmeasure -chaos $1 exited $status, want 3" >&2
+		exit 1
+	fi
+	record resumed -workers 4 -resume
+	cmp "$tmp/serial.rgds" "$tmp/pipelined.rgds"
+	cmp "$tmp/serial.rgds" "$tmp/resumed.rgds"
+}
+identity campaign/tick=kill@6
+
+# At that cadence a checkpoint interval is under one block (512 KB), so every
+# seal above was a checkpoint fence. Every 12 ticks, blocks fill between
+# checkpoints and are handed off to the seal goroutine while the next is
+# encoded (dataset/blocks_sealed must say so); frame 4 is such a block, behind
+# the first checkpoint, and the kill tears it on that goroutine.
+echo "== recording identity across auto-seals (checkpoint every 12; frame 4 torn and resumed) =="
+every=12
+identity dataset/seal/partial=kill@4
+# -metrics also prints the summary table to stderr; metric reads that.
+metric() {
+	awk -v name="$1" '$1 == name { print $2 }' "$tmp/serial.telemetry"
+}
+blocks=$(metric dataset/blocks_sealed)
+checkpoints=$(metric campaign/checkpoints)
+if [ "$blocks" -le "$((checkpoints + 1))" ]; then
+	echo "recording identity: $blocks blocks sealed over $checkpoints checkpoints: no auto-seal fell between them" >&2
 	exit 1
 fi
-record resumed -workers 4 -resume
-cmp "$tmp/serial.rgds" "$tmp/pipelined.rgds"
-cmp "$tmp/serial.rgds" "$tmp/resumed.rgds"
 
 # Blast under loss with RRL on, serve-workers 1 vs 4: the PR-8 acceptance
 # check. A serial retrying blast drives a server whose emulated link drops
