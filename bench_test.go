@@ -26,6 +26,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/geo"
 	"repro/internal/measure"
+	"repro/internal/passive"
 	"repro/internal/propagation"
 	"repro/internal/rss"
 	"repro/internal/telemetry"
@@ -129,7 +130,7 @@ func BenchmarkFigure2Timeline(b *testing.B) {
 		fmt.Fprintf(w, "ZONEMD placeholder %s, verifiable %s, b.root change %s\n",
 			zonemd.PlaceholderDate.Format("2006-01-02"),
 			zonemd.VerifiableDate.Format("2006-01-02"),
-			measure.BRootChange.Format("2006-01-02"))
+			passive.BRootChange.Format("2006-01-02"))
 	})
 }
 
@@ -561,14 +562,14 @@ func BenchmarkAblationCatchmentCache(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Site(stubs[i%len(stubs)])
+			c.Choices(stubs[i%len(stubs)], 1)
 		}
 	})
 	b.Run("recompute", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := anycast.ComputeCatchment(topo, d, topology.IPv4)
-			c.Site(stubs[i%len(stubs)])
+			c.Choices(stubs[i%len(stubs)], 1)
 		}
 	})
 }
@@ -600,13 +601,12 @@ func BenchmarkAblationPolicyWeights(b *testing.B) {
 	shortest := topo.ComputeRoutesShortest(origins, topology.IPv4)
 	inflated, total := 0, 0
 	for _, asn := range topo.StubASNs(nil) {
-		p, okP := policy.Best(asn)
-		s, okS := shortest.Best(asn)
-		if !okP || !okS {
+		p, s := policy.Candidates(asn), shortest.Candidates(asn)
+		if len(p) == 0 || len(s) == 0 {
 			continue
 		}
 		total++
-		if p.PathKm > s.PathKm+250 {
+		if p[0].PathKm > s[0].PathKm+250 {
 			inflated++
 		}
 	}

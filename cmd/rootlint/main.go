@@ -1,10 +1,8 @@
 // Command rootlint runs the repository's static-analysis suite
-// (internal/lint) over the module: detrand (no wall clock / global
-// randomness in simulation packages), hotpath (zero-alloc contract on
-// //rootlint:hotpath functions), failpointsite (chaos-site registry and
-// coverage cross-check), orderedmap (no map-iteration writes into ordered
-// sinks), and directive (annotation grammar). Any finding is a build
-// failure: the invariants these analyzers enforce are the ones the
+// (internal/lint) over the module; `rootlint -list` names the analyzers,
+// from detrand (no wall clock or global randomness in simulation packages)
+// to deadcode (no declaration that no binary reaches). Any finding is a
+// build failure: the invariants these analyzers enforce are the ones the
 // campaign's byte-identical-output guarantees rest on.
 //
 // Usage:

@@ -153,10 +153,6 @@ func TestStabilityCountsChanges(t *testing.T) {
 	if gMed6 < gMed4 {
 		t.Errorf("g.root v6 median %.0f < v4 median %.0f; v6 must flap more", gMed6, gMed4)
 	}
-	ccdf := st.CCDF("g", topology.IPv6, false)
-	if len(ccdf) == 0 {
-		t.Error("empty CCDF")
-	}
 	var sb strings.Builder
 	st.WriteFigure3(&sb)
 	if !strings.Contains(sb.String(), "g.root IPv6") {
@@ -210,10 +206,6 @@ func TestDistanceInflation(t *testing.T) {
 				t.Fatalf("negative extra distance %f", e)
 			}
 		}
-	}
-	// m.root local sites can put requests below the diagonal.
-	if ls := d.LocalSiteShare("m", topology.IPv4); ls < 0 || ls > 1 {
-		t.Errorf("local-site share = %f", ls)
 	}
 	var sb strings.Builder
 	d.WriteFigure5(&sb)

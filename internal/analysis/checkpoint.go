@@ -61,8 +61,8 @@ func (c *Colocation) CheckpointSeal() ([]byte, error) { return json.Marshal(c.se
 func (c *Colocation) RestoreCheckpoint(state []byte) error { return restore(state, c.sealed()) }
 
 // The closest-global-site cache is deliberately excluded: it is a pure
-// function of the system and population the accumulator was constructed
-// with, and rebuilds on demand.
+// function of the system the accumulator was constructed with and of the
+// VPs its events name, and rebuilds on demand.
 func (d *Distance) sealed() []any { return []any{&d.samples, &d.extra} }
 
 // CheckpointSeal implements checkpoint.Part.
@@ -71,9 +71,7 @@ func (d *Distance) CheckpointSeal() ([]byte, error) { return json.Marshal(d.seal
 // RestoreCheckpoint implements checkpoint.Part.
 func (d *Distance) RestoreCheckpoint(state []byte) error { return restore(state, d.sealed()) }
 
-func (r *RTT) sealed() []any {
-	return []any{&r.samples, &r.viaCarrier, &r.carrierCount, &r.totalCount}
-}
+func (r *RTT) sealed() []any { return []any{&r.samples, &r.carrierCount, &r.totalCount} }
 
 // CheckpointSeal implements checkpoint.Part.
 func (r *RTT) CheckpointSeal() ([]byte, error) { return json.Marshal(r.sealed()) }

@@ -57,9 +57,8 @@ func (c *Colocation) HandleProbe(e measure.ProbeEvent) {
 		return // 13 letters, one probe each; skip b.root's old duplicate
 	}
 	if e.SecondToLast == "" && !e.STLOK {
-		// Either the traceroute was skipped this tick (TraceEvery) or the
-		// hop was missed; a skipped traceroute has no hop data at all and
-		// is indistinguishable here, so both count as unique/absent.
+		// The facility edge did not answer the traceroute: the hop counts
+		// as unique/absent.
 		if e.SiteID == "" {
 			return
 		}

@@ -21,8 +21,6 @@ import (
 // below the diagonal; requests routed past their closest global site fall
 // above it.
 type Distance struct {
-	sys *rss.System
-	pop *vantage.Population
 	// globals[letter] holds the points of the letter's global sites, resolved
 	// once; closest caches, per vp·13 + letter, the distance from the VP to
 	// the nearest of them (rebuilt on demand, never sealed).
@@ -52,9 +50,10 @@ type distSamples struct {
 	Closest, Actual []float64
 }
 
-// NewDistance creates the accumulator.
-func NewDistance(sys *rss.System, pop *vantage.Population) *Distance {
-	d := &Distance{sys: sys, pop: pop}
+// NewDistance creates the accumulator. The population is not consulted
+// (events carry their VP); bench/replay.go pins the signature.
+func NewDistance(sys *rss.System, _ *vantage.Population) *Distance {
+	d := &Distance{}
 	for _, l := range rss.Letters() {
 		if dep := sys.Deployments[l]; dep != nil {
 			for _, s := range dep.Sites {
@@ -184,31 +183,4 @@ func (d *Distance) WriteFigure5(w io.Writer) {
 		fmt.Fprintf(w, "%-18s optimal-or-closer=%.1f%%  VPs<1000km extra=%.1f%%  extra-dist %s\n",
 			sel.label, share*100, frac*100, stats.Summarize(extras))
 	}
-}
-
-// closerLocalShare returns the fraction of requests that landed on a local
-// site closer than the closest global site (below-diagonal mass in Fig. 5).
-func (d *Distance) closerLocalShare(l rss.Letter, f topology.Family) float64 {
-	s := d.samplesFor(l, f)
-	if s == nil || len(s.Actual) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for i := range s.Actual {
-		if s.Actual[i] < s.Closest[i]-100 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Actual))
-}
-
-// LocalSiteShare exposes closerLocalShare for reports and tests.
-func (d *Distance) LocalSiteShare(l rss.Letter, f topology.Family) float64 {
-	return d.closerLocalShare(l, f)
-}
-
-// ObservedDeployment ties the accumulator to its system for callers that
-// need per-letter deployment context.
-func (d *Distance) ObservedDeployment(l rss.Letter) *anycast.Deployment {
-	return d.sys.Deployments[l]
 }

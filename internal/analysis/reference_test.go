@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/anycast"
 	"repro/internal/geo"
 	"repro/internal/measure"
 	"repro/internal/rss"
@@ -80,12 +81,6 @@ func (s *refStability) Changes(letter rss.Letter, family topology.Family, old bo
 // MedianChanges returns the median per-VP change count for one target.
 func (s *refStability) MedianChanges(letter rss.Letter, family topology.Family, old bool) float64 {
 	return stats.Median(s.Changes(letter, family, old))
-}
-
-// CCDF returns the complementary CDF of per-VP change counts for the target
-// (Fig. 3's "1 - Prop. VPs" curves).
-func (s *refStability) CCDF(letter rss.Letter, family topology.Family, old bool) []stats.ECDFPoint {
-	return stats.CCDF(s.Changes(letter, family, old))
 }
 
 // WriteFigure3 renders the paper's Fig. 3: CCDFs for b.root (all four
@@ -212,7 +207,10 @@ func (d *refDistance) HandleTransfer(measure.TransferEvent) {}
 
 func (d *refDistance) computeClosest(vp *vantage.VP, l rss.Letter) float64 {
 	minKm := math.Inf(1)
-	for _, s := range d.sys.Deployments[l].GlobalSites() {
+	for _, s := range d.sys.Deployments[l].Sites {
+		if s.Kind != anycast.Global {
+			continue
+		}
 		if km := geo.DistanceKm(vp.City.Point, s.City.Point); km < minKm {
 			minKm = km
 		}
@@ -280,36 +278,12 @@ func (d *refDistance) WriteFigure5(w io.Writer) {
 	}
 }
 
-// closerLocalShare returns the fraction of requests that landed on a local
-// site closer than the closest global site (below-diagonal mass in Fig. 5).
-func (d *refDistance) closerLocalShare(l rss.Letter, f topology.Family) float64 {
-	s := d.samples[sampleKey{l, f}]
-	if s == nil || len(s.Actual) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for i := range s.Actual {
-		if s.Actual[i] < s.Closest[i]-100 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Actual))
-}
-
-// LocalSiteShare exposes closerLocalShare for reports and tests.
-func (d *refDistance) LocalSiteShare(l rss.Letter, f topology.Family) float64 {
-	return d.closerLocalShare(l, f)
-}
-
 // refRTT accumulates query round-trip times per (region, letter, family,
 // old-b) for the violin/box figures (Figs. 6, 14, 15), plus per-transit-AS
 // RTT attribution for the paper's §6 path observations (e.g. AS6939
 // carrying IPv6 out of continent).
 type refRTT struct {
 	samples map[rttKey][]float64
-	// viaCarrier tracks RTTs of probes whose AS path traverses the given
-	// special carrier, per (region, letter, family).
-	viaCarrier map[rttCarrierKey][]float64
 	// carrierCount counts probes through each carrier per (region, family).
 	carrierCount map[carrierCountKey]int
 	totalCount   map[carrierCountKey]int
@@ -322,13 +296,6 @@ type rttKey struct {
 	Old    bool
 }
 
-type rttCarrierKey struct {
-	Region  geo.Region
-	Letter  rss.Letter
-	Family  topology.Family
-	Carrier int
-}
-
 type carrierCountKey struct {
 	Region  geo.Region
 	Family  topology.Family
@@ -339,7 +306,6 @@ type carrierCountKey struct {
 func newRefRTT() *refRTT {
 	return &refRTT{
 		samples:      make(map[rttKey][]float64),
-		viaCarrier:   make(map[rttCarrierKey][]float64),
 		carrierCount: make(map[carrierCountKey]int),
 		totalCount:   make(map[carrierCountKey]int),
 	}
@@ -359,8 +325,6 @@ func (r *refRTT) HandleProbe(e measure.ProbeEvent) {
 		for _, asn := range e.ASPath {
 			if asn == carrier {
 				r.carrierCount[ck]++
-				rk := rttCarrierKey{e.VP.Region, e.Target.Letter, e.Target.Family, carrier}
-				r.viaCarrier[rk] = append(r.viaCarrier[rk], e.RTTms)
 				break
 			}
 		}
@@ -388,11 +352,6 @@ func (r *refRTT) CarrierShare(region geo.Region, f topology.Family, carrier int)
 		return 0
 	}
 	return float64(r.carrierCount[ck]) / float64(r.totalCount[ck])
-}
-
-// CarrierRTT summarizes RTTs of probes through the carrier for one letter.
-func (r *refRTT) CarrierRTT(region geo.Region, l rss.Letter, f topology.Family, carrier int) stats.Summary {
-	return stats.Summarize(r.viaCarrier[rttCarrierKey{region, l, f, carrier}])
 }
 
 // WriteFigure6 renders the RTT violins for the four regions of Fig. 6;
@@ -536,9 +495,8 @@ func (c *refColocation) HandleProbe(e measure.ProbeEvent) {
 		return // 13 letters, one probe each; skip b.root's old duplicate
 	}
 	if e.SecondToLast == "" && !e.STLOK {
-		// Either the traceroute was skipped this tick (TraceEvery) or the
-		// hop was missed; a skipped traceroute has no hop data at all and
-		// is indistinguishable here, so both count as unique/absent.
+		// The facility edge did not answer the traceroute: the hop counts
+		// as unique/absent.
 		if e.SiteID == "" {
 			return
 		}

@@ -19,10 +19,6 @@ import (
 type RTT struct {
 	// samples is indexed region·rss.Slots + slot.
 	samples [geo.RegionCount * rss.Slots][]float64
-	// viaCarrier tracks RTTs of probes whose AS path traverses a special
-	// carrier, per (region, letter, family): b.root's old and new addresses
-	// share a row, that of the new one.
-	viaCarrier [geo.RegionCount * rss.Slots][len(carriers)][]float64
 	// carrierCount counts probes through each carrier per region·2 + family,
 	// of the totalCount probes seen there.
 	carrierCount [geo.RegionCount * 2][len(carriers)]int
@@ -51,13 +47,10 @@ func (r *RTT) HandleProbe(e measure.ProbeEvent) {
 
 	fam := int(e.VP.Region)*2 + int(target.Family)
 	r.totalCount[fam]++
-	target.Old = false // b.root's old address shares the new one's carrier row
-	via, _ := cell(e.VP.Region, target)
 	for c, carrier := range carriers {
 		for _, asn := range e.ASPath {
 			if asn == carrier {
 				r.carrierCount[fam][c]++
-				r.viaCarrier[via][c] = append(r.viaCarrier[via][c], e.RTTms)
 				break
 			}
 		}
@@ -105,16 +98,6 @@ func (r *RTT) CarrierShare(region geo.Region, f topology.Family, carrier int) fl
 		return 0
 	}
 	return float64(r.carrierCount[fam][c]) / float64(r.totalCount[fam])
-}
-
-// CarrierRTT summarizes RTTs of probes through the carrier for one letter.
-func (r *RTT) CarrierRTT(region geo.Region, l rss.Letter, f topology.Family, carrier int) stats.Summary {
-	c := slices.Index(carriers[:], carrier)
-	i, ok := cell(region, rss.ServiceAddr{Letter: l, Family: f})
-	if c < 0 || !ok {
-		return stats.Summary{}
-	}
-	return stats.Summarize(r.viaCarrier[i][c])
 }
 
 // WriteFigure6 renders the RTT violins for the four regions of Fig. 6;

@@ -82,12 +82,6 @@ func (s *Stability) MedianChanges(letter rss.Letter, family topology.Family, old
 	return stats.Median(s.Changes(letter, family, old))
 }
 
-// CCDF returns the complementary CDF of per-VP change counts for the target
-// (Fig. 3's "1 - Prop. VPs" curves).
-func (s *Stability) CCDF(letter rss.Letter, family topology.Family, old bool) []stats.ECDFPoint {
-	return stats.CCDF(s.Changes(letter, family, old))
-}
-
 // WriteFigure3 renders the paper's Fig. 3: CCDFs for b.root (all four
 // address curves) and g.root (both families), plus the §4.2 medians for all
 // letters.

@@ -10,7 +10,6 @@ package anycast
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/geo"
@@ -98,17 +97,6 @@ func (d *Deployment) SiteByID(id string) (Site, bool) {
 	return Site{}, false
 }
 
-// GlobalSites returns the deployment's global sites.
-func (d *Deployment) GlobalSites() []Site {
-	var out []Site
-	for _, s := range d.Sites {
-		if s.Kind == Global {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Origins converts the deployment's sites into routing origins.
 func (d *Deployment) Origins() []topology.Origin {
 	out := make([]topology.Origin, len(d.Sites))
@@ -134,21 +122,6 @@ func ComputeCatchment(topo *topology.Topology, d *Deployment, f topology.Family)
 		table:      topo.ComputeRoutes(d.Origins(), f),
 	}
 }
-
-// Route returns the best route from asn, if it has one.
-func (c *Catchment) Route(asn int) (topology.Route, bool) { return c.table.Best(asn) }
-
-// Site returns the site serving asn, if reachable.
-func (c *Catchment) Site(asn int) (Site, bool) {
-	r, ok := c.table.Best(asn)
-	if !ok {
-		return Site{}, false
-	}
-	return c.Deployment.SiteByID(r.Origin.SiteID)
-}
-
-// Alternates returns the candidate routes from asn, best first.
-func (c *Catchment) Alternates(asn int) []topology.Route { return c.table.Alternates(asn) }
 
 // Choices is what a client AS chooses between in one catchment at one
 // schedule thinning: everything about a selection that no tick changes.
@@ -234,11 +207,6 @@ func pow1p(base float64, n int) float64 {
 type Builder struct {
 	Topo *topology.Topology
 	Rng  *rand.Rand
-	// facilityLoad tracks preferential attachment: busy facilities attract
-	// more deployments, creating the co-location the paper observes.
-	facilityLoad map[string]int
-	// facilityCity remembers each facility's metro.
-	facilityCity map[string]geo.City
 	// hostFor remembers which AS hosts each facility.
 	hostFor map[string]int
 	// siteSeq numbers sites per (letter, metro) so IDs stay unique across
@@ -249,12 +217,10 @@ type Builder struct {
 // NewBuilder creates a site builder over topo with a deterministic rng.
 func NewBuilder(topo *topology.Topology, seed int64) *Builder {
 	return &Builder{
-		Topo:         topo,
-		Rng:          rand.New(rand.NewSource(seed)),
-		facilityLoad: make(map[string]int),
-		facilityCity: make(map[string]geo.City),
-		hostFor:      make(map[string]int),
-		siteSeq:      make(map[string]int),
+		Topo:    topo,
+		Rng:     rand.New(rand.NewSource(seed)),
+		hostFor: make(map[string]int),
+		siteSeq: make(map[string]int),
 	}
 }
 
@@ -277,7 +243,6 @@ func (b *Builder) PlaceSites(letter string, kind SiteKind, region geo.Region, n 
 			Facility:   fac,
 			Identifier: id,
 		})
-		b.facilityLoad[fac]++
 	}
 	return sites
 }
@@ -334,7 +299,6 @@ func (b *Builder) pickFacility(letter string, city geo.City, kind SiteKind) (str
 			host = ix.Members[b.Rng.Intn(len(ix.Members))]
 			b.hostFor[fac] = host
 		}
-		b.facilityCity[fac] = city
 		return fac, host
 	}
 	// Otherwise an operator facility in the metro, hosted by a regional AS.
@@ -359,35 +323,7 @@ func (b *Builder) pickFacility(letter string, city geo.City, kind SiteKind) (str
 	} else {
 		b.hostFor[fac] = host
 	}
-	b.facilityCity[fac] = city
 	return fac, host
-}
-
-// FacilityCity returns the metro of a facility created by this builder.
-func (b *Builder) FacilityCity(fac string) (geo.City, bool) {
-	c, ok := b.facilityCity[fac]
-	return c, ok
-}
-
-// FacilityLoads returns facility→deployment-site counts, sorted by name.
-func (b *Builder) FacilityLoads() []struct {
-	Facility string
-	Sites    int
-} {
-	names := make([]string, 0, len(b.facilityLoad))
-	for f := range b.facilityLoad {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	out := make([]struct {
-		Facility string
-		Sites    int
-	}, len(names))
-	for i, f := range names {
-		out[i].Facility = f
-		out[i].Sites = b.facilityLoad[f]
-	}
-	return out
 }
 
 func lower(s string) string {

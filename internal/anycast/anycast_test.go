@@ -40,11 +40,12 @@ func TestPlaceSites(t *testing.T) {
 	if len(d.Sites) != 9 {
 		t.Fatalf("placed %d sites", len(d.Sites))
 	}
-	if len(d.GlobalSites()) != 7 {
-		t.Errorf("global sites = %d", len(d.GlobalSites()))
-	}
 	ids := map[string]bool{}
+	globals := 0
 	for _, s := range d.Sites {
+		if s.Kind == Global {
+			globals++
+		}
 		if ids[s.ID] {
 			t.Errorf("duplicate site ID %s", s.ID)
 		}
@@ -52,6 +53,9 @@ func TestPlaceSites(t *testing.T) {
 		if s.HostASN == 0 || s.Facility == "" {
 			t.Errorf("incomplete site %+v", s)
 		}
+	}
+	if globals != 7 {
+		t.Errorf("global sites = %d", globals)
 	}
 	if _, ok := d.SiteByID(d.Sites[0].ID); !ok {
 		t.Error("SiteByID failed")
@@ -68,10 +72,10 @@ func TestCatchmentResolves(t *testing.T) {
 	stubs := topo.StubASNs(nil)
 	resolved := 0
 	for _, asn := range stubs {
-		if site, ok := c.Site(asn); ok {
+		if rs := c.Choices(asn, 1).Routes; len(rs) > 0 {
 			resolved++
-			if _, found := d.SiteByID(site.ID); !found {
-				t.Errorf("catchment returned unknown site %s", site.ID)
+			if _, found := d.SiteByID(rs[0].Origin.SiteID); !found {
+				t.Errorf("catchment returned unknown site %s", rs[0].Origin.SiteID)
 			}
 		}
 	}
@@ -100,7 +104,7 @@ func TestSelectAtProducesChanges(t *testing.T) {
 	// Find a stub with at least two near-equal alternates.
 	var asn int
 	for _, s := range topo.StubASNs(nil) {
-		alts := c.Alternates(s)
+		alts := c.Choices(s, 1).Routes
 		if len(alts) >= 2 && alts[1].Hops() <= alts[0].Hops()+1 {
 			asn = s
 			break
@@ -164,14 +168,6 @@ func TestFacilitySharing(t *testing.T) {
 	if shared == 0 {
 		t.Error("no facility sharing between co-regional deployments")
 	}
-	if len(b.FacilityLoads()) == 0 {
-		t.Error("no facility loads recorded")
-	}
-	for _, fl := range b.FacilityLoads() {
-		if _, ok := b.FacilityCity(fl.Facility); !ok {
-			t.Errorf("facility %s has no city", fl.Facility)
-		}
-	}
 }
 
 func TestSiteKindString(t *testing.T) {
@@ -183,7 +179,7 @@ func TestSiteKindString(t *testing.T) {
 // nearEqual returns how many of asn's alternates are within one hop of the
 // best — the set a flap re-rolls over.
 func nearEqual(c *Catchment, asn int) int {
-	alts := c.Alternates(asn)
+	alts := c.Choices(asn, 1).Routes
 	n := 0
 	for n < len(alts) && alts[n].Hops() <= alts[0].Hops()+1 {
 		n++
@@ -235,7 +231,7 @@ func TestFlapDistribution(t *testing.T) {
 		picks := map[int][]float64{} // near-equal set size → count per alternate
 		for _, asn := range stubs {
 			u := nearEqual(c, asn)
-			alts := c.Alternates(asn)
+			alts := c.Choices(asn, 1).Routes
 			if picks[u] == nil {
 				picks[u] = make([]float64, u)
 			}

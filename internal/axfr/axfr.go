@@ -238,7 +238,7 @@ func cutErr(records int, err error) error {
 // values are materialized unless the visitor asks. visit is called once per
 // zone record in stream order (the opening SOA included, the closing SOA
 // excluded); a nil visit just counts. It returns the number of zone records
-// seen. Receive, ReceiveCount and ReceiveCompare are its three visitors.
+// seen. Receive and ReceiveCompare are its two visitors.
 func ReceiveLazy(r io.Reader, id uint16, visit func(v *dnswire.View, rr *dnswire.RawRR) error) (int, error) {
 	bp := framePool.Get().(*[]byte)
 	defer framePool.Put(bp)
@@ -295,13 +295,6 @@ func ReceiveLazy(r io.Reader, id uint16, visit func(v *dnswire.View, rr *dnswire
 		}
 	}
 	return records, nil
-}
-
-// ReceiveCount reassembles and bracket-checks an AXFR stream without
-// decoding a single record, returning the zone record count — the counting
-// consumer (the battery's transfer-completeness check) on the lazy path.
-func ReceiveCount(r io.Reader, id uint16) (int, error) {
-	return ReceiveLazy(r, id, nil)
 }
 
 // ReceiveCompare reads an AXFR stream and compares every record's

@@ -93,7 +93,7 @@ func TestReceiveCompareDetectsMismatch(t *testing.T) {
 func TestReceiveCountSemantics(t *testing.T) {
 	t.Run("count", func(t *testing.T) {
 		buf, want := serveToBuffer(t, 40, 5)
-		n, err := ReceiveCount(buf, 5)
+		n, err := ReceiveLazy(buf, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestReceiveCountSemantics(t *testing.T) {
 	})
 	t.Run("id-mismatch", func(t *testing.T) {
 		buf, _ := serveToBuffer(t, 40, 5)
-		if _, err := ReceiveCount(buf, 6); err == nil {
+		if _, err := ReceiveLazy(buf, 6, nil); err == nil {
 			t.Fatal("accepted mismatched ID")
 		}
 	})
@@ -112,20 +112,20 @@ func TestReceiveCountSemantics(t *testing.T) {
 		if err := Refuse(&buf, axfrQuery(5)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReceiveCount(&buf, 5); !errors.Is(err, ErrRefused) {
+		if _, err := ReceiveLazy(&buf, 5, nil); !errors.Is(err, ErrRefused) {
 			t.Fatalf("got %v, want ErrRefused", err)
 		}
 	})
 	t.Run("mid-transfer-disconnect", func(t *testing.T) {
 		buf, _ := serveToBuffer(t, 200, 5)
 		cut := buf.Bytes()[:buf.Len()*2/3]
-		_, err := ReceiveCount(bytes.NewBuffer(cut), 5)
+		_, err := ReceiveLazy(bytes.NewBuffer(cut), 5, nil)
 		if !errors.Is(err, ErrTruncatedTransfer) {
 			t.Fatalf("got %v, want ErrTruncatedTransfer", err)
 		}
 	})
 	t.Run("dead-server", func(t *testing.T) {
-		_, err := ReceiveCount(&bytes.Buffer{}, 5)
+		_, err := ReceiveLazy(&bytes.Buffer{}, 5, nil)
 		if err == nil || errors.Is(err, ErrTruncatedTransfer) {
 			t.Fatalf("got %v, want a plain read error", err)
 		}

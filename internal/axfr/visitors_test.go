@@ -95,12 +95,12 @@ func TestVisitorsAgreeOnErrorClass(t *testing.T) {
 	}
 	for _, c := range cases {
 		_, recvErr := Receive(bytes.NewReader(c.stream), id)
-		_, countErr := ReceiveCount(bytes.NewReader(c.stream), id)
+		_, countErr := ReceiveLazy(bytes.NewReader(c.stream), id, nil)
 		_, cmpErr := ReceiveCompare(bytes.NewReader(c.stream), id, z)
 		for _, got := range []struct {
 			consumer string
 			err      error
-		}{{"Receive", recvErr}, {"ReceiveCount", countErr}, {"ReceiveCompare", cmpErr}} {
+		}{{"Receive", recvErr}, {"ReceiveLazy(nil)", countErr}, {"ReceiveCompare", cmpErr}} {
 			if class := errClass(got.err); class != c.want {
 				t.Errorf("%s: %s is %q, want %q", c.name, got.consumer, class, c.want)
 			}

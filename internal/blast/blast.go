@@ -83,6 +83,8 @@ func (c *Corpus) Len() int { return len(c.wires) }
 
 // Wire returns the i-th packed query. The slice is shared; callers must
 // copy before patching the ID.
+//
+//rootlint:allow deadcode: bench/corpus.go builds its hot set from the blast corpus
 func (c *Corpus) Wire(i int) []byte { return c.wires[i] }
 
 // rng is a tiny seeded stream over seeded.Mix.

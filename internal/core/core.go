@@ -13,7 +13,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/geo"
 	"repro/internal/measure"
-	"repro/internal/rss"
 	"repro/internal/topology"
 	"repro/internal/vantage"
 )
@@ -66,8 +65,13 @@ func QuickConfig() Config {
 
 // Study is a configured, runnable reproduction.
 type Study struct {
+	// Cfg is the configuration NewStudy was given, floors applied; it is
+	// read-only afterwards (Run runs mCfg).
 	Cfg   Config
 	World *measure.World
+	// mCfg is Cfg expanded into the campaign's configuration, once: the
+	// world is built from it and Run runs it.
+	mCfg measure.Config
 
 	Coverage   *analysis.Coverage
 	Stability  *analysis.Stability
@@ -93,9 +97,10 @@ func NewStudy(cfg Config) (*Study, error) {
 		cfg.VPScale = 1
 	}
 	mCfg := measure.DefaultConfig()
-	mCfg.Seed = cfg.Seed
-	mCfg.Scale = cfg.Scale
-	mCfg.TLDCount = cfg.TLDCount
+	mCfg.Seed, mCfg.Scale, mCfg.TLDCount = cfg.Seed, cfg.Scale, cfg.TLDCount
+	mCfg.Start, mCfg.End = cfg.Start, cfg.End // zero takes the paper's dates
+	mCfg.WireCheck = true
+	mCfg.Workers, mCfg.ErrorBudget = cfg.Workers, cfg.ErrorBudget
 	topoCfg := topology.DefaultConfig()
 	topoCfg.Seed = cfg.Seed
 	vpCfg := vantage.DefaultConfig()
@@ -109,6 +114,7 @@ func NewStudy(cfg Config) (*Study, error) {
 	return &Study{
 		Cfg:        cfg,
 		World:      w,
+		mCfg:       mCfg,
 		Coverage:   analysis.NewCoverage(w.System),
 		Stability:  analysis.NewStability(),
 		Colocation: analysis.NewColocation(w.Population),
@@ -122,20 +128,7 @@ func NewStudy(cfg Config) (*Study, error) {
 // Run executes the active campaign (streaming into all analyses); the
 // passive models are computed lazily by their figure writers.
 func (s *Study) Run() error {
-	mCfg := measure.DefaultConfig()
-	mCfg.Seed = s.Cfg.Seed
-	mCfg.Scale = s.Cfg.Scale
-	mCfg.TLDCount = s.Cfg.TLDCount
-	mCfg.WireCheck = true
-	mCfg.Workers = s.Cfg.Workers
-	mCfg.ErrorBudget = s.Cfg.ErrorBudget
-	if !s.Cfg.Start.IsZero() {
-		mCfg.Start = s.Cfg.Start
-	}
-	if !s.Cfg.End.IsZero() {
-		mCfg.End = s.Cfg.End
-	}
-	campaign := measure.NewCampaign(mCfg, s.World)
+	campaign := measure.NewCampaign(s.mCfg, s.World)
 	err := campaign.Run(s.Coverage, s.Stability, s.Colocation, s.Distance, s.RTT, s.Integrity)
 	s.WireQueries = campaign.WireQueries
 	s.WireFailures = campaign.WireFailures
@@ -214,6 +207,3 @@ func (s *Study) WriteTable3(w io.Writer) {
 		fmt.Fprintf(w, "%-15s %4d  %10d  %9d\n", region, len(vps), len(countries), len(networks))
 	}
 }
-
-// Letters re-exports the 13 root letters for binaries built on core.
-func Letters() []rss.Letter { return rss.Letters() }

@@ -55,12 +55,6 @@ func TestTable3MatchesPopulation(t *testing.T) {
 	}
 }
 
-func TestLettersExported(t *testing.T) {
-	if len(Letters()) != 13 {
-		t.Errorf("Letters() = %d", len(Letters()))
-	}
-}
-
 func TestStudyDeterministicReportSections(t *testing.T) {
 	// Two studies with the same config must render identical deterministic
 	// sections (Table 3, coverage); signature bytes differ but do not

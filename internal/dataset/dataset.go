@@ -62,13 +62,6 @@ const (
 	errOther
 )
 
-// DefaultBlockBytes is the uncompressed block size at which a Writer seals
-// automatically (segment's default; re-exported for callers and docs).
-const DefaultBlockBytes = segment.DefaultBlockBytes
-
-// frameHeaderLen is the fixed per-block frame: length, CRC, record count.
-const frameHeaderLen = segment.FrameHeaderLen
-
 // Writer records campaign events into sealed blocks.
 type Writer struct {
 	*segment.Writer
@@ -450,6 +443,8 @@ func (d *blockDecoder) decodeAll(count uint32, b *block) error {
 // Torn() to distinguish a clean end from a recovered one. Replay is the
 // serial form of ReplayWith — see there for parallel decode, checkpoints,
 // and resume.
+//
+//rootlint:allow deadcode: bench/layers.go and bench/traced.go replay through it
 func (d *Reader) Replay(handlers ...measure.Handler) (probes, transfers int, err error) {
 	return d.ReplayWith(ReplayOptions{}, handlers...)
 }

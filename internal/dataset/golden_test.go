@@ -32,11 +32,11 @@ func TestRecordingGoldenDigest(t *testing.T) {
 	// small world's VPs reach, so that the window holds a stale transfer.
 	catch := w.Catchments["d"][0]
 	for i := range c.Plan.Stales {
-		route, ok := catch.Route(w.Population.VPs[i].ASN)
-		if !ok {
+		routes := catch.Choices(w.Population.VPs[i].ASN, 1).Routes
+		if len(routes) == 0 {
 			t.Fatalf("VP %d has no route to d.root", i)
 		}
-		c.Plan.Stales[i].SiteIDs = []string{route.Origin.SiteID}
+		c.Plan.Stales[i].SiteIDs = []string{routes[0].Origin.SiteID}
 	}
 	var buf bytes.Buffer
 	writer, err := NewWriter(&buf)

@@ -24,6 +24,9 @@ import (
 	"repro/internal/vantage"
 )
 
+// frameHeaderLen is the fixed per-block frame: length, CRC, record count.
+const frameHeaderLen = segment.FrameHeaderLen
+
 // keeper keeps every event by value, as a handler may.
 type keeper struct {
 	probes    []measure.ProbeEvent

@@ -48,8 +48,10 @@ type Client struct {
 	// retry immediately, like dig — is the battery default; see Backoff.
 	//rootlint:immutable-after-start
 	Backoff Backoff
-	// qlog, when set via SetQLog, records one client/query flight-recorder
-	// event per sampled Exchange.
+	// qlog, when set, records one client/query flight-recorder event per
+	// sampled Exchange. Nothing sets it; the emitter stays because a kind's
+	// index in qlog.Registry is the on-disk format, so dropping client/query
+	// is a qlog.Version bump.
 	//rootlint:immutable-after-start
 	qlog *qlog.Recorder
 
@@ -97,12 +99,6 @@ func (c *Client) SetTimeout(d time.Duration) { c.Timeout = d }
 // this payload size with the DO bit set (0 disables EDNS). Call before the
 // first query.
 func (c *Client) SetEDNSSize(n uint16) { c.EDNSSize = n }
-
-// SetQLog attaches a flight recorder: every sampled Exchange emits one
-// client/query event at its terminal outcome. Give it the same sampler seed
-// and rate as the server's so `rootanalyze -qlog join` can pair both sides'
-// records. Call before the first query; nil is off.
-func (c *Client) SetQLog(r *qlog.Recorder) { c.qlog = r }
 
 // evClientQuery is the Exchange-side flight-recorder event. Claimed once;
 // the qlogfield analyzer cross-checks the field list against the registry.

@@ -429,15 +429,6 @@ func TestMixedAlgorithmZone(t *testing.T) {
 	}
 }
 
-func TestAlgorithmName(t *testing.T) {
-	if AlgorithmName(8) != "RSASHA256" || AlgorithmName(13) != "ECDSAP256SHA256" {
-		t.Error("algorithm names")
-	}
-	if AlgorithmName(99) != "ALG99" {
-		t.Error("unknown algorithm name")
-	}
-}
-
 func TestUnsupportedAlgorithmRejected(t *testing.T) {
 	s := newTestSigner(t)
 	rrset := testRRset()

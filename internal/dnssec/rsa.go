@@ -3,12 +3,9 @@ package dnssec
 import (
 	"crypto/rand"
 	"crypto/rsa"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/big"
-
-	"repro/internal/dnswire"
 )
 
 // The real root zone signs with RSA/SHA-256 (algorithm 8); this file adds
@@ -86,21 +83,4 @@ func verifyRSA(keyData, digest, sig []byte) error {
 		return ErrBogusSignature
 	}
 	return nil
-}
-
-// sha256Digest is a helper shared by both algorithms.
-func sha256Digest(data []byte) []byte {
-	sum := sha256.Sum256(data)
-	return sum[:]
-}
-
-// AlgorithmName returns the mnemonic for the supported algorithms.
-func AlgorithmName(alg uint8) string {
-	switch alg {
-	case dnswire.AlgRSASHA256:
-		return "RSASHA256"
-	case dnswire.AlgECDSAP256SHA256:
-		return "ECDSAP256SHA256"
-	}
-	return fmt.Sprintf("ALG%d", alg)
 }

@@ -19,7 +19,6 @@
 package dnsserver
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -161,6 +160,8 @@ func New(cfg Config) (*Server, error) {
 // SetZone atomically replaces the served zone (zone updates mid-study). The
 // swap starts from an empty answer table, so no answer compiled from the old
 // zone can be served afterwards.
+//
+//rootlint:allow deadcode: bench/layers.go times the swap as dnsserver.setzone_us
 func (s *Server) SetZone(z *zone.Zone) {
 	s.state.Store(&serveState{zone: z})
 }
@@ -427,6 +428,8 @@ func (s *Server) answerWire(shard int, fn *foldedName, dst, pkt []byte, sh query
 // answer is made by and checked against. tcp is accepted for the callers
 // that have it; no answer depends on the transport (AXFR is served by the
 // TCP listener itself, and refused here). A nil return means "drop".
+//
+//rootlint:allow deadcode: bench/layers.go times the oracle as dnsserver.handle_{hot,junk}_ns
 func (s *Server) Handle(query *dnswire.Message, tcp bool) *dnswire.Message {
 	return s.handleState(s.state.Load(), query)
 }
@@ -614,20 +617,6 @@ func coveringSigs(z *zone.Zone, name dnswire.Name, typ dnswire.Type) []dnswire.R
 		}
 	}
 	return out
-}
-
-// Run is a convenience for examples: start on addr, block until ctx is done,
-// then close.
-func (s *Server) Run(ctx context.Context, addr string) (net.Addr, error) {
-	bound, err := s.Start(addr)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		<-ctx.Done()
-		s.Close()
-	}()
-	return bound, nil
 }
 
 // errorPace spaces out a serve loop's retries after a failed accept or read.

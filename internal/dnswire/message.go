@@ -100,8 +100,9 @@ func (m *Message) AppendPackTraced(buf []byte, tr *PackTrace) ([]byte, error) {
 	return out, err
 }
 
-// PackUncompressed encodes m without compression pointers, as used by the
-// ablation benchmarks and by consumers that need position-independent RRs.
+// PackUncompressed encodes m without compression pointers.
+//
+//rootlint:allow deadcode: the reference TestCompressionShrinksMessage, TestViewCursorMatchesUnpack and FuzzViewAgreement hold Pack to, and BenchmarkAblationCompression's baseline (bench_test.go)
 func (m *Message) PackUncompressed() ([]byte, error) { return m.pack(nil, nil) }
 
 // pack appends the encoded message to dst; the message starts at len(dst),

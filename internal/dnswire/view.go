@@ -38,12 +38,6 @@ func (v *View) ID() uint16 { return binary.BigEndian.Uint16(v.msg[0:]) }
 // Rcode returns the response code from the header flags.
 func (v *View) Rcode() Rcode { return Rcode(binary.BigEndian.Uint16(v.msg[2:]) & 0xF) }
 
-// Response reports whether the QR bit is set.
-func (v *View) Response() bool { return binary.BigEndian.Uint16(v.msg[2:])&(1<<15) != 0 }
-
-// Truncated reports whether the TC bit is set.
-func (v *View) Truncated() bool { return binary.BigEndian.Uint16(v.msg[2:])&(1<<9) != 0 }
-
 // Counts returns the four header section counts.
 func (v *View) Counts() (qd, an, ns, ar int) {
 	return int(binary.BigEndian.Uint16(v.msg[4:])),
@@ -153,12 +147,6 @@ func (c *Cursor) Err() error { return c.err }
 func (v *View) Unpack(rr *RawRR) (RR, error) {
 	full, _, err := decodeRR(v.msg, rr.NameOff, nil)
 	return full, err
-}
-
-// Name decodes just the owner name of rr.
-func (v *View) Name(rr *RawRR) (Name, error) {
-	n, _, err := decodeName(v.msg, rr.NameOff)
-	return n, err
 }
 
 // skipName advances past the name starting at off without validating

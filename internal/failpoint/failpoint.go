@@ -18,6 +18,7 @@ package failpoint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -87,7 +88,10 @@ func newSite(actName, atStr string, hasAt bool, part string) (*site, error) {
 	return s, nil
 }
 
-// Enable parses spec and activates it, replacing any previous plan.
+// Enable parses spec and activates it, replacing any previous plan. A site
+// that is not in Sites is refused, as is a kill on a site that is not
+// kill-capable: neither could ever fire as asked, and a chaos run that armed
+// nothing looks like a run that survived.
 func Enable(spec string) error {
 	p := &plan{sites: make(map[string]*site)}
 	for _, part := range strings.Split(spec, ",") {
@@ -104,17 +108,32 @@ func Enable(spec string) error {
 		if err != nil {
 			return err
 		}
+		i := slices.IndexFunc(Sites, func(r Site) bool { return r.Name == name })
+		if i < 0 {
+			return fmt.Errorf("failpoint: no site %q in %q (registered: %s)", name, part, siteNames())
+		}
+		if s.act == actKill && !Sites[i].Kill {
+			return fmt.Errorf("failpoint: site %q is not kill-capable in %q: its errors are absorbed, not unwound", name, part)
+		}
 		p.sites[name] = s
 	}
 	active.Store(p)
 	return nil
 }
 
-// Disable deactivates all failpoints.
-func Disable() { active.Store(nil) }
+// siteNames lists the registered sites for Enable's refusal.
+func siteNames() string {
+	names := make([]string, len(Sites))
+	for i, r := range Sites {
+		names[i] = r.Name
+	}
+	return strings.Join(names, ", ")
+}
 
-// Active reports whether a chaos plan is loaded.
-func Active() bool { return active.Load() != nil }
+// Disable deactivates all failpoints.
+//
+//rootlint:allow deadcode: the hook measure/chaos_test.go and the dataset, dnsserver and netem tests disarm a plan with
+func Disable() { active.Store(nil) }
 
 // Eval evaluates the named site against the active plan. It returns nil when
 // chaos mode is off or the site is not armed; otherwise, on the configured

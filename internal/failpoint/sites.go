@@ -4,6 +4,8 @@ package failpoint
 // source of truth for which sites exist in the tree; it is kept in sync
 // mechanically, not by convention:
 //
+//   - Enable refuses a spec that names a site missing here, or asks a kill
+//     of a site whose Kill is false;
 //   - rootlint's failpointsite analyzer cross-checks every
 //     failpoint.Eval("…") literal in the module against this list (and
 //     this list against the tree), so an unregistered site, a dead entry,

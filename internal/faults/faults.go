@@ -146,20 +146,3 @@ func (l LossModel) Lost(vpIdx, targetIdx, tick, step int) bool {
 	}
 	return seeded.Unit(h) < l.Prob
 }
-
-// StaleSitePlan marks sites that serve a stale (expired-signature) zone
-// copy during a time window, as the paper found for two d.root sites
-// (Tokyo and Leeds).
-type StaleSitePlan struct {
-	// Letter is the deployment ("d" in the paper).
-	Letter string
-	// SiteIDs are the stale sites.
-	SiteIDs map[string]bool
-	// StaleSerialAge is how many serial revisions behind the stale copy is.
-	StaleSerialAge uint32
-}
-
-// IsStale reports whether the given deployment site serves stale data.
-func (p StaleSitePlan) IsStale(letter, siteID string) bool {
-	return p.Letter == letter && p.SiteIDs[siteID]
-}

@@ -150,23 +150,6 @@ func TestLossModelSeedSensitivity(t *testing.T) {
 	}
 }
 
-func TestStaleSitePlan(t *testing.T) {
-	p := StaleSitePlan{
-		Letter:         "d",
-		SiteIDs:        map[string]bool{"d-nrt1": true, "d-lhr2": true},
-		StaleSerialAge: 30,
-	}
-	if !p.IsStale("d", "d-nrt1") {
-		t.Error("Tokyo site not stale")
-	}
-	if p.IsStale("d", "d-fra1") {
-		t.Error("wrong site stale")
-	}
-	if p.IsStale("e", "d-nrt1") {
-		t.Error("wrong letter stale")
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		None:             "none",

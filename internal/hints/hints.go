@@ -1,16 +1,13 @@
-// Package hints models the root hints file (the named.cache/named.root
-// format shipped with resolvers) and the RFC 8109 priming exchange built on
-// it. Priming is load-bearing for the paper's RQ2: resolvers that prime on
-// startup learn b.root's new address quickly, while resolvers running from
-// stale hints keep querying the old address for years.
+// Package hints models the root hints a resolver ships with and the RFC 8109
+// priming exchange built on them. Priming is load-bearing for the paper's
+// RQ2: resolvers that prime on startup learn b.root's new address quickly,
+// while resolvers running from stale hints keep querying the old address for
+// years.
 package hints
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net/netip"
-	"sort"
 	"strings"
 
 	"repro/internal/dnswire"
@@ -75,60 +72,6 @@ func (f *File) Lookup(host dnswire.Name) (Hint, bool) {
 		}
 	}
 	return Hint{}, false
-}
-
-// Print writes the hints in named.root master-file format.
-func (f *File) Print(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "; root hints (named.cache format)")
-	hints := append([]Hint(nil), f.Hints...)
-	sort.Slice(hints, func(i, j int) bool { return hints[i].Host < hints[j].Host })
-	for _, h := range hints {
-		fmt.Fprintf(bw, ".\t3600000\tIN\tNS\t%s\n", h.Host)
-	}
-	for _, h := range hints {
-		fmt.Fprintf(bw, "%s\t3600000\tIN\tA\t%s\n", h.Host, h.V4)
-		fmt.Fprintf(bw, "%s\t3600000\tIN\tAAAA\t%s\n", h.Host, h.V6)
-	}
-	return bw.Flush()
-}
-
-// Parse reads a named.root-format hints file.
-func Parse(r io.Reader) (*File, error) {
-	z, err := zone.Parse(r, dnswire.Root)
-	if err != nil {
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	byHost := make(map[dnswire.Name]*Hint)
-	var order []dnswire.Name
-	for _, rr := range z.Lookup(dnswire.Root, dnswire.TypeNS) {
-		host := rr.Data.(dnswire.NSRecord).Host.Canonical()
-		if byHost[host] == nil {
-			byHost[host] = &Hint{Host: host}
-			order = append(order, host)
-		}
-	}
-	for _, rr := range z.Records {
-		host := rr.Name.Canonical()
-		h := byHost[host]
-		if h == nil {
-			continue
-		}
-		switch d := rr.Data.(type) {
-		case dnswire.ARecord:
-			h.V4 = d.Addr
-		case dnswire.AAAARecord:
-			h.V6 = d.Addr
-		}
-	}
-	f := &File{}
-	for _, host := range order {
-		f.Hints = append(f.Hints, *byHost[host])
-	}
-	if len(f.Hints) == 0 {
-		return nil, fmt.Errorf("hints: no root NS entries found")
-	}
-	return f, nil
 }
 
 // PrimingQuery builds the RFC 8109 priming query: "./IN/NS" with EDNS0.

@@ -1,9 +1,7 @@
 package hints
 
 import (
-	"bytes"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -59,33 +57,6 @@ func TestAddrs(t *testing.T) {
 		if !v4[i].Is4() || !v6[i].Is6() {
 			t.Errorf("entry %d: %v %v", i, v4[i], v6[i])
 		}
-	}
-}
-
-func TestPrintParseRoundTrip(t *testing.T) {
-	f := Default()
-	var buf bytes.Buffer
-	if err := f.Print(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Hints) != 13 {
-		t.Fatalf("parsed %d hints", len(got.Hints))
-	}
-	for _, h := range f.Hints {
-		g, ok := got.Lookup(h.Host)
-		if !ok || g.V4 != h.V4 || g.V6 != h.V6 {
-			t.Errorf("%s: round trip %+v vs %+v", h.Host, g, h)
-		}
-	}
-}
-
-func TestParseRejectsEmpty(t *testing.T) {
-	if _, err := Parse(strings.NewReader("; nothing here\n")); err == nil {
-		t.Error("empty hints accepted")
 	}
 }
 

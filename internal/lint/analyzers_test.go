@@ -33,6 +33,10 @@ func TestLockcheck(t *testing.T) { linttest.Run(t, lint.Lockcheck, "lockcheck") 
 
 func TestLeakcheck(t *testing.T) { linttest.Run(t, lint.Leakcheck, "leakcheck") }
 
+// The deadcode fixture is a whole module: a root package, a binary, a bench
+// and a library with one declaration per rule.
+func TestDeadcode(t *testing.T) { linttest.Run(t, lint.Deadcode, "deadcode") }
+
 // TestSuiteCleanOnRepo is the same gate as `make lint`: the full analyzer
 // suite over the whole module must report nothing. Keeping it as a test
 // means plain `go test ./...` catches a new violation even when the lint
@@ -41,12 +45,15 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type check")
 	}
-	prog := linttest.MustLoadModule(t)
+	prog, err := lint.LoadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	diags, err := lint.RunAnalyzers(prog, lint.Suite())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
-		t.Errorf("rootlint suite is not clean on the repo:\n%s", linttest.Format(prog.Fset, diags))
+	for _, d := range diags {
+		t.Errorf("%s: [%s] %s", prog.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 }

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -100,6 +101,81 @@ func TestDirectiveCoverage(t *testing.T) {
 		t.Fatal("found no sync-carrying structs in the covered packages; the scanner is broken")
 	}
 	t.Logf("directive coverage verified on %d sync-carrying structs", checked)
+}
+
+// keeperRE picks out what a deadcode allow's reason may name as the keeper:
+// a file under bench/, a _test.go file, or a Test/Benchmark/Fuzz function.
+var keeperRE = regexp.MustCompile(`\bbench/\w+\.go\b|[\w/]*\w_test\.go\b|\b(?:Test|Benchmark|Fuzz)\w+`)
+
+// TestDeadcodeAllowsNameTheirKeeper is TestDirectiveCoverage's counterpart
+// for the deadcode analyzer, again a plain scan independent of it: every
+// //rootlint:allow deadcode in the module names at least one keeper, and
+// every keeper it names exists, so an annotation cannot outlive the bench
+// file or the test that justified it.
+func TestDeadcodeAllowsNameTheirKeeper(t *testing.T) {
+	root := lintModuleRoot(t)
+	keepers := make(map[string]bool) // module-relative file paths and test function names
+	type allow struct{ at, reason string }
+	var allows []allow
+	testFuncRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		switch {
+		case strings.HasSuffix(rel, "_test.go"):
+			keepers[rel] = true
+			for _, m := range testFuncRE.FindAllSubmatch(src, -1) {
+				keepers[string(m[1])] = true
+			}
+			return nil
+		case strings.HasPrefix(rel, "bench/"):
+			keepers[rel] = true
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if reason, ok := strings.CutPrefix(strings.TrimSpace(line), "//rootlint:allow deadcode:"); ok {
+				allows = append(allows, allow{fmt.Sprintf("%s:%d", rel, i+1), reason})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(allows) == 0 {
+		t.Fatal("found no deadcode allows; the scanner is broken")
+	}
+	for _, a := range allows {
+		named := keeperRE.FindAllString(a.reason, -1)
+		if len(named) == 0 {
+			t.Errorf("%s: reason names no keeper (a bench/ file, a _test.go file or a test function):%s", a.at, a.reason)
+		}
+		for _, k := range named {
+			found := keepers[k]
+			for have := range keepers {
+				found = found || strings.HasSuffix(have, "/"+k)
+			}
+			if !found {
+				t.Errorf("%s: keeper %s does not exist", a.at, k)
+			}
+		}
+	}
+	t.Logf("%d deadcode allows, every keeper found", len(allows))
 }
 
 // lintModuleRoot walks up from the test's directory to go.mod.

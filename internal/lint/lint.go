@@ -25,7 +25,7 @@
 //	    trailing code) or on the line directly below (when standing alone).
 //	    The reason is mandatory: an allow without a justification is itself
 //	    a finding. Categories: wallclock, globalrand, hotpath, maporder,
-//	    lockcheck, leakcheck.
+//	    lockcheck, leakcheck, deadcode.
 //
 //	//rootlint:guardedby <mutexField>
 //	    On a struct field (or package var): every access must happen while
@@ -78,19 +78,14 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Path is the package's import path ("repro/internal/zone").
-	Path string
 	// Pkg and Info hold the type-checker's results for Files.
 	Pkg  *types.Package
 	Info *types.Info
 	// Files are the package's non-test files.
 	Files []*ast.File
-	// TestFiles are the package directory's _test.go files, parsed but not
-	// type-checked (they may belong to the external _test package). Only
-	// syntactic checks — like failpoint chaos coverage — may use them.
-	TestFiles []*ast.File
 
-	prog *Program
+	loaded *PackageInfo
+	prog   *Program
 }
 
 // Reportf records a finding at pos.
@@ -100,10 +95,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // PackageInfo is one loaded package within a Program.
 type PackageInfo struct {
-	Path      string
-	Pkg       *types.Package
-	Info      *types.Info
-	Files     []*ast.File
+	Path  string
+	Pkg   *types.Package
+	Info  *types.Info
+	Files []*ast.File
+	// TestFiles are the directory's _test.go files, parsed but not
+	// type-checked (they may belong to the external _test package): only
+	// syntactic checks, like failpoint chaos coverage, may use them.
 	TestFiles []*ast.File
 	// Allows holds the package's parsed //rootlint:allow directives.
 	Allows *Allows
@@ -114,8 +112,8 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*PackageInfo
 
-	diags    []Diagnostic
-	reporter string // analyzer currently reporting via RunProgram
+	module string // import path of the module's root package
+	diags  []Diagnostic
 }
 
 func (prog *Program) report(d Diagnostic) { prog.diags = append(prog.diags, d) }
@@ -133,10 +131,9 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Run != nil {
 			for _, pkg := range prog.Packages {
 				pass := &Pass{
-					Analyzer: a, Fset: prog.Fset, Path: pkg.Path,
-					Pkg: pkg.Pkg, Info: pkg.Info,
-					Files: pkg.Files, TestFiles: pkg.TestFiles,
-					prog: prog,
+					Analyzer: a, Fset: prog.Fset,
+					Pkg: pkg.Pkg, Info: pkg.Info, Files: pkg.Files,
+					loaded: pkg, prog: prog,
 				}
 				if err := a.Run(pass); err != nil {
 					return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
@@ -155,7 +152,7 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Suite returns the full rootlint analyzer suite in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Directive, Detrand, Hotpath, Failpointsite, Metricname, Qlogfield, Orderedmap, Lockcheck, Leakcheck}
+	return []*Analyzer{Directive, Detrand, Hotpath, Failpointsite, Metricname, Qlogfield, Orderedmap, Lockcheck, Leakcheck, Deadcode}
 }
 
 // --- //rootlint: directive parsing -----------------------------------------
@@ -186,6 +183,7 @@ var knownCategories = map[string]bool{
 	"maporder":   true,
 	"lockcheck":  true,
 	"leakcheck":  true,
+	"deadcode":   true,
 }
 
 // CollectAllows parses every //rootlint:allow directive in files. Grammar
@@ -373,16 +371,8 @@ var Directive = &Analyzer{
 	},
 }
 
-// allows returns the package's parsed allow directives, caching on the
-// program's PackageInfo so every analyzer shares one parse.
-func (p *Pass) allows() *Allows {
-	for _, pkg := range p.prog.Packages {
-		if pkg.Path == p.Path {
-			return p.prog.AllowsFor(pkg)
-		}
-	}
-	return CollectAllows(p.Fset, p.Files)
-}
+// allows returns the package's parsed allow directives.
+func (p *Pass) allows() *Allows { return p.prog.AllowsFor(p.loaded) }
 
 // AllowsFor returns pkg's parsed allow directives, caching on the
 // PackageInfo so per-package passes and whole-program analyzers share one

@@ -7,7 +7,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"path/filepath"
@@ -31,6 +30,8 @@ type want struct {
 // Run loads testdata/src/<fixture> (relative to the test's working
 // directory) as one program and checks analyzer's diagnostics against the
 // fixture's want comments.
+//
+//rootlint:allow deadcode: the harness internal/lint/analyzers_test.go runs every analyzer's fixture through
 func Run(t *testing.T, analyzer *lint.Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
@@ -113,24 +114,4 @@ func collectWants(t *testing.T, fset *token.FileSet, f *ast.File) []*want {
 		}
 	}
 	return out
-}
-
-// MustLoadModule loads the enclosing module for whole-repo assertions.
-func MustLoadModule(t *testing.T) *lint.Program {
-	t.Helper()
-	prog, err := lint.LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	return prog
-}
-
-// Format renders diagnostics for failure messages.
-func Format(fset *token.FileSet, diags []lint.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		p := fset.Position(d.Pos)
-		fmt.Fprintf(&b, "%s:%d:%d: [%s] %s\n", p.Filename, p.Line, p.Column, d.Analyzer, d.Message)
-	}
-	return b.String()
 }

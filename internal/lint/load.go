@@ -60,7 +60,7 @@ func Load(cfg LoadConfig) (*Program, error) {
 		return nil, err
 	}
 
-	prog := &Program{Fset: fset}
+	prog := &Program{Fset: fset, module: importPathFor(cfg.ModulePath, ".")}
 	local := make(map[string]*types.Package)
 	fallback := importer.ForCompiler(fset, "source", nil)
 	imp := &chainImporter{local: local, fallback: fallback}

@@ -12,6 +12,8 @@ var c = 3 //rootlint:allow clockskew: fixture // want "unknown allow category"
 
 var d = 4 //rootlint:allow : because // want "allow directive names no category"
 
+var r = 17 //rootlint:allow deadcode // want "allow directive needs a reason"
+
 // Well-formed forms parse clean: a reasoned single-category allow, a
 // reasoned multi-category allow, and a bare hotpath marker.
 var e = 5 //rootlint:allow wallclock: fixture exercises the well-formed trailing form

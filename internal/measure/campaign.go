@@ -189,9 +189,6 @@ type Config struct {
 	Start, End time.Time
 	// Scale thins the measurement schedule (1 = every 30/15 minutes).
 	Scale int
-	// TraceEvery runs the traceroute expansion only on every n-th tick per
-	// VP/target (1 = always); probes in between still carry route and RTT.
-	TraceEvery int
 	// TLDCount sizes the synthesized root zone.
 	TLDCount int
 	// Seed drives all stochastic choices.
@@ -237,7 +234,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Start: StudyStart, End: StudyEnd,
-		Scale: 48, TraceEvery: 1, TLDCount: 80, Seed: 1,
+		Scale: 48, TLDCount: 80, Seed: 1,
 	}
 }
 
@@ -357,9 +354,6 @@ func NewCampaign(cfg Config, w *World) *Campaign {
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
 	}
-	if cfg.TraceEvery < 1 {
-		cfg.TraceEvery = 1
-	}
 	return &Campaign{
 		Cfg:         cfg,
 		World:       w,
@@ -427,8 +421,7 @@ func (c *Campaign) probe(tick Tick, vp *vantage.VP, vpIdx, tIdx int) ProbeEvent 
 	pe.SiteKind = cand.kind
 	pe.ASPath = cand.asPath
 	pe.RTTms = cand.rtt + rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index)
-	if tick.Index%c.Cfg.TraceEvery == 0 &&
-		traceroute.EdgeAnswers(c.traceCfg, c.Cfg.Seed, tick.Index, cand.originASN, len(cand.asPath)) {
+	if traceroute.EdgeAnswers(c.traceCfg, c.Cfg.Seed, tick.Index, cand.originASN, len(cand.asPath)) {
 		pe.SecondToLast, pe.STLOK = cand.edge, true
 	}
 	return pe

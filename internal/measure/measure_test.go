@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/anycast"
 	"repro/internal/dnssec"
 	"repro/internal/faults"
 	"repro/internal/geo"
@@ -65,6 +66,15 @@ func TestSerialAt(t *testing.T) {
 	if !SerialPublishedAt(pm).Equal(time.Date(2023, 11, 27, 12, 0, 0, 0, time.UTC)) {
 		t.Errorf("published at = %v", SerialPublishedAt(pm))
 	}
+}
+
+// bestRoute returns asn's preferred route into the catchment, if it has one.
+func bestRoute(c *anycast.Catchment, asn int) (topology.Route, bool) {
+	rs := c.Choices(asn, 1).Routes
+	if len(rs) == 0 {
+		return topology.Route{}, false
+	}
+	return rs[0], true
 }
 
 // testWorld builds a small world for campaign tests.
@@ -212,7 +222,7 @@ func TestStaleSiteProducesExpiredErrors(t *testing.T) {
 	// Make the stale window's site one that some VP actually reaches:
 	// pick the d.root site serving the first VP on IPv4.
 	catch := w.Catchments["d"][topology.IPv4]
-	route, ok := catch.Route(w.Population.VPs[0].ASN)
+	route, ok := bestRoute(catch, w.Population.VPs[0].ASN)
 	if !ok {
 		t.Skip("first VP unroutable to d.root")
 	}

@@ -182,7 +182,7 @@ func TestCachesForgetOnlyTheUnaskedFor(t *testing.T) {
 		c, col := NewCampaign(cfg, w), &collector{}
 		// Some VP reaches this d.root site, so the plan's stale window (moved
 		// into this run) is seen.
-		route, ok := w.Catchments["d"][topology.IPv4].Route(w.Population.VPs[0].ASN)
+		route, ok := bestRoute(w.Catchments["d"][topology.IPv4], w.Population.VPs[0].ASN)
 		if !ok {
 			t.Skip("first VP unroutable to d.root")
 		}

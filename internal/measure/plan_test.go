@@ -33,23 +33,20 @@ func probeReference(c *Campaign, tick Tick, vp *vantage.VP, vpIdx, tIdx int, tar
 	pe.SiteKind = site.Kind
 	pe.ASPath = route.ASPath
 	pe.RTTms = rttFor(route, target.Family) + rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index)
-	if tick.Index%c.Cfg.TraceEvery == 0 {
-		tr := traceroute.Run(c.World.Topo, route, site, target.Family, c.traceCfg, c.Cfg.Seed, tick.Index)
-		pe.SecondToLast, pe.STLOK = tr.SecondToLast()
-	}
+	tr := traceroute.Run(c.World.Topo, route, site, target.Family, c.traceCfg, c.Cfg.Seed, tick.Index)
+	pe.SecondToLast, pe.STLOK = tr.SecondToLast()
 	return pe
 }
 
 // TestProbeMatchesReference compares the planned probe with the reference,
 // field for field, over every VP (and one in an AS no route reaches) and
-// every target for 200 ticks, unthinned and at the benchmark's thinning, with
-// the traceroute on every tick and on every third.
+// every target for 200 ticks, unthinned and at the benchmark's thinning.
 func TestProbeMatchesReference(t *testing.T) {
 	w := testWorld(t)
 	w.Population.VPs = append(w.Population.VPs, vantage.VP{ID: "nowhere", ASN: 999999})
-	for _, shape := range []struct{ scale, traceEvery int }{{1, 1}, {192, 1}, {192, 3}} {
+	for _, scale := range []int{1, 192} {
 		cfg := DefaultConfig()
-		cfg.Scale, cfg.TraceEvery, cfg.Seed = shape.scale, shape.traceEvery, 5
+		cfg.Scale, cfg.Seed = scale, 5
 		c := NewCampaign(cfg, w)
 		c.Plan.Loss.Prob = 0.05
 		var err error
@@ -65,11 +62,11 @@ func TestProbeMatchesReference(t *testing.T) {
 					want := probeReference(c, tick, vp, vpIdx, tIdx, target)
 					got := c.probe(tick, vp, vpIdx, tIdx)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("scale %d, trace every %d, tick %d, VP %d, target %d:\n got %+v\nwant %+v",
-							shape.scale, shape.traceEvery, i, vpIdx, tIdx, got, want)
+						t.Fatalf("scale %d, tick %d, VP %d, target %d:\n got %+v\nwant %+v",
+							scale, i, vpIdx, tIdx, got, want)
 					}
 					n++
-					if best, ok := w.Catchments[target.Letter][target.Family].Route(vp.ASN); want.Lost {
+					if best, ok := bestRoute(w.Catchments[target.Letter][target.Family], vp.ASN); want.Lost {
 						lost++
 					} else if ok && want.SiteID != best.Origin.SiteID {
 						flapped++
@@ -83,8 +80,8 @@ func TestProbeMatchesReference(t *testing.T) {
 			t.Error("a VP no route reaches was answered")
 		}
 		if lost < n/100 || flapped < 20 || missed < n/100 {
-			t.Errorf("scale %d, trace every %d: %d lost, %d flapped, %d missed edges in %d probes: too few to tell",
-				shape.scale, shape.traceEvery, lost, flapped, missed, n)
+			t.Errorf("scale %d: %d lost, %d flapped, %d missed edges in %d probes: too few to tell",
+				scale, lost, flapped, missed, n)
 		}
 	}
 }
@@ -143,7 +140,7 @@ func TestPlanReadsWhatRunReads(t *testing.T) {
 	}
 	flapped := 0
 	for _, p := range a.probes {
-		if best, ok := w.Catchments[p.Target.Letter][p.Target.Family].Route(p.VP.ASN); ok && !p.Lost && p.SiteID != best.Origin.SiteID {
+		if best, ok := bestRoute(w.Catchments[p.Target.Letter][p.Target.Family], p.VP.ASN); ok && !p.Lost && p.SiteID != best.Origin.SiteID {
 			flapped++
 		}
 	}
@@ -159,7 +156,7 @@ func TestPlanReadsWhatRunReads(t *testing.T) {
 func TestRunRefusesRouteToMissingSite(t *testing.T) {
 	w := testWorld(t)
 	vp := w.Population.VPs[0]
-	route, ok := w.Catchments["d"][topology.IPv4].Route(vp.ASN)
+	route, ok := bestRoute(w.Catchments["d"][topology.IPv4], vp.ASN)
 	if !ok {
 		t.Fatal("first VP has no route to d.root")
 	}

@@ -17,8 +17,6 @@ var (
 	StudyEnd   = time.Date(2023, 12, 24, 0, 0, 0, 0, time.UTC)
 	// AXFRStart is when ZONEMD and AXFR queries were added (2023-07-31).
 	AXFRStart = time.Date(2023, 7, 31, 0, 0, 0, 0, time.UTC)
-	// BRootChange is b.root's renumbering date (2023-11-27).
-	BRootChange = time.Date(2023, 11, 27, 0, 0, 0, 0, time.UTC)
 )
 
 // fastWindow is a period measured at 15-minute instead of 30-minute

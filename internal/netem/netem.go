@@ -204,14 +204,6 @@ func NewLink(p Profile) *Link {
 	return &Link{prof: p, flows: make(map[uint64]*flowState)}
 }
 
-// Profile returns the link's profile (zero for a nil link).
-func (l *Link) Profile() Profile {
-	if l == nil {
-		return Profile{}
-	}
-	return l.prof
-}
-
 // FlowAddr derives a flow key from the stable address of the peer. Only
 // the IP participates: ephemeral source ports differ run to run and would
 // break decision determinism.

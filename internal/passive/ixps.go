@@ -59,7 +59,6 @@ func NewMultiIXP(baseClients int, seed int64) *MultiIXP {
 		} else {
 			cfg = IXPConfigNA(int(float64(baseClients)*entry.size), seed+int64(i))
 		}
-		cfg.Name = entry.name
 		m.Sites = append(m.Sites, IXPSite{
 			Name:   entry.name,
 			Region: entry.region,

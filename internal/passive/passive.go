@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/rss"
 	"repro/internal/topology"
 )
@@ -33,7 +32,6 @@ var (
 	ISPWindow2  = [2]time.Time{time.Date(2024, 2, 5, 0, 0, 0, 0, time.UTC), time.Date(2024, 3, 4, 0, 0, 0, 0, time.UTC)}
 	ISPWindow3  = [2]time.Time{time.Date(2024, 4, 22, 0, 0, 0, 0, time.UTC), time.Date(2024, 4, 29, 0, 0, 0, 0, time.UTC)}
 	IXPWindow1  = [2]time.Time{time.Date(2023, 10, 26, 0, 0, 0, 0, time.UTC), time.Date(2023, 12, 28, 0, 0, 0, 0, time.UTC)}
-	IXPWindow2  = ISPWindow3
 	ARootDipDay = time.Date(2024, 2, 26, 0, 0, 0, 0, time.UTC)
 )
 
@@ -85,27 +83,16 @@ var ixpLetterShare = map[rss.Letter]float64{
 
 // Model is one passive vantage (the ISP, or one IXP region).
 type Model struct {
-	// Name labels the vantage ("ISP", "IXP-EU", "IXP-NA").
-	Name string
-	// Region colors regional behavior for IXP vantages.
-	Region geo.Region
 	// Clients is the resolver population.
 	Clients []Client
-	// V4Mix is the fraction of total b.root traffic on IPv4 before the
-	// change (the paper: 76.1-88.9% v4, 10.0-21.0% v6 at the ISP).
-	V4Mix float64
 	// LetterShare is the per-letter traffic mix.
 	LetterShare map[rss.Letter]float64
 	// SampleRate is the flow sampling factor applied to emitted volumes.
 	SampleRate float64
-
-	seed int64
 }
 
 // ModelConfig parameterizes population generation.
 type ModelConfig struct {
-	Name    string
-	Region  geo.Region
 	Clients int
 	Seed    int64
 	// SwitchedV4 and SwitchedV6 are the fractions of in-family traffic that
@@ -121,7 +108,7 @@ type ModelConfig struct {
 // ratios of 87.1% (IPv4) and 96.3% (IPv6).
 func ISPConfig(clients int, seed int64) ModelConfig {
 	return ModelConfig{
-		Name: "ISP", Region: geo.Europe, Clients: clients, Seed: seed,
+		Clients: clients, Seed: seed,
 		// Targets slightly above the paper's measured in-family shift
 		// ratios (87.1% / 96.3%): the priming trickle to the old prefix
 		// drags the measured ratio down to those values.
@@ -134,7 +121,7 @@ func ISPConfig(clients int, seed int64) ModelConfig {
 // IXPConfigEU mirrors the European exchanges: 60.8% of IPv6 traffic shifts.
 func IXPConfigEU(clients int, seed int64) ModelConfig {
 	return ModelConfig{
-		Name: "IXP-EU", Region: geo.Europe, Clients: clients, Seed: seed,
+		Clients: clients, Seed: seed,
 		SwitchedV4: 0.75, SwitchedV6: 0.608,
 		V6ClientFraction: 0.55, V4Mix: 0.35,
 		LetterShare: ixpLetterShare,
@@ -145,7 +132,7 @@ func IXPConfigEU(clients int, seed int64) ModelConfig {
 // traffic shifts.
 func IXPConfigNA(clients int, seed int64) ModelConfig {
 	return ModelConfig{
-		Name: "IXP-NA", Region: geo.NorthAmerica, Clients: clients, Seed: seed,
+		Clients: clients, Seed: seed,
 		SwitchedV4: 0.70, SwitchedV6: 0.165,
 		V6ClientFraction: 0.50, V4Mix: 0.35,
 		LetterShare: ixpLetterShare,
@@ -159,12 +146,8 @@ func IXPConfigNA(clients int, seed int64) ModelConfig {
 func NewModel(cfg ModelConfig) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{
-		Name:        cfg.Name,
-		Region:      cfg.Region,
-		V4Mix:       cfg.V4Mix,
 		LetterShare: cfg.LetterShare,
 		SampleRate:  1.0 / 1024,
-		seed:        cfg.Seed,
 	}
 	if m.LetterShare == nil {
 		m.LetterShare = ispLetterShare

@@ -103,4 +103,6 @@ func DumpOnPanic(path string) {
 }
 
 // ResetBlackbox empties the ring; tests isolating dump contents call this.
+//
+//rootlint:allow deadcode: the hook measure/chaos_test.go isolates each kill's black-box dump with
 func ResetBlackbox() { blackbox.reset() }

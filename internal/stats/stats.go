@@ -1,13 +1,12 @@
 // Package stats provides the descriptive statistics the analyses print:
-// empirical CDFs and complementary CDFs, quantiles, distribution summaries
-// for violin/box plots, histograms, and time-series bucketing.
+// quantiles, complementary-CDF points, distribution summaries for violin/box
+// plots, and histograms.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs by linear
@@ -61,41 +60,6 @@ func StdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// ECDFPoint is one step of an empirical CDF.
-type ECDFPoint struct {
-	X float64
-	P float64 // P(value <= X)
-}
-
-// ECDF returns the empirical CDF of xs as step points at distinct values.
-func ECDF(xs []float64) []ECDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var out []ECDFPoint
-	n := float64(len(s))
-	for i := 0; i < len(s); i++ {
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, ECDFPoint{X: s[i], P: float64(i+1) / n})
-	}
-	return out
-}
-
-// CCDF returns the complementary CDF P(value > X) at distinct values —
-// the form of the paper's Fig. 3 ("1 - Prop. VPs").
-func CCDF(xs []float64) []ECDFPoint {
-	cdf := ECDF(xs)
-	out := make([]ECDFPoint, len(cdf))
-	for i, p := range cdf {
-		out[i] = ECDFPoint{X: p.X, P: 1 - p.P}
-	}
-	return out
 }
 
 // CCDFAt evaluates the CCDF at x: the fraction of samples strictly greater
@@ -162,55 +126,6 @@ func Histogram(xs []float64, w float64, bins int) []int {
 			b = bins - 1
 		}
 		out[b]++
-	}
-	return out
-}
-
-// Bucket is one time-series bucket.
-type Bucket struct {
-	Start time.Time
-	Sum   float64
-	N     int
-}
-
-// TimeBuckets aggregates (t, v) samples into fixed-width buckets between
-// start and end. Samples outside the window are dropped.
-func TimeBuckets(start, end time.Time, width time.Duration, ts []time.Time, vs []float64) []Bucket {
-	if width <= 0 || !end.After(start) || len(ts) != len(vs) {
-		return nil
-	}
-	n := int(end.Sub(start)/width) + 1
-	out := make([]Bucket, n)
-	for i := range out {
-		out[i].Start = start.Add(time.Duration(i) * width)
-	}
-	for i, t := range ts {
-		if t.Before(start) || t.After(end) {
-			continue
-		}
-		b := int(t.Sub(start) / width)
-		if b >= 0 && b < n {
-			out[b].Sum += vs[i]
-			out[b].N++
-		}
-	}
-	return out
-}
-
-// Normalize scales xs so the maximum is 1 (no-op on empty or all-zero).
-func Normalize(xs []float64) []float64 {
-	var maxV float64
-	for _, x := range xs {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	out := make([]float64, len(xs))
-	if maxV == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / maxV
 	}
 	return out
 }

@@ -87,6 +87,8 @@ func WriteJSON(w io.Writer, scope Scope) error {
 
 // MarshalLogical returns the canonical bytes of the logical namespace — the
 // value the determinism tests compare across worker counts.
+//
+//rootlint:allow deadcode: the bytes measure/telemetry_test.go and dnsserver/serve_adversity_test.go compare across worker counts
 func MarshalLogical() []byte {
 	data, err := json.Marshal(Snapshot(ScopeLogical))
 	if err != nil {

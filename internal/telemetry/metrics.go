@@ -24,11 +24,9 @@ type paddedInt64 struct {
 
 // Counter is a monotone sharded counter. Inc/Add touch shard 0 (fine for
 // serial call sites: the drain barrier, caches under their own mutex);
-// worker loops use ShardInc/ShardAdd with their worker id so concurrent
+// worker loops use ShardInc with their worker id so concurrent
 // increments never contend on one cache line.
 type Counter struct {
-	//rootlint:immutable-after-start
-	def    *Def
 	shards [NumShards]paddedInt64
 }
 
@@ -40,9 +38,6 @@ func (c *Counter) Add(n int64) { c.shards[0].v.Add(n) }
 
 // ShardInc adds 1 on the worker's shard.
 func (c *Counter) ShardInc(worker int) { c.shards[worker&shardMask].v.Add(1) }
-
-// ShardAdd adds n on the worker's shard.
-func (c *Counter) ShardAdd(worker int, n int64) { c.shards[worker&shardMask].v.Add(n) }
 
 // Value sums the shards. The sum is commutative, so it is independent of
 // which worker incremented which shard.
@@ -70,9 +65,7 @@ func (c *Counter) setTotal(v int64) {
 
 // Gauge is a single settable value.
 type Gauge struct {
-	//rootlint:immutable-after-start
-	def *Def
-	v   atomic.Int64
+	v atomic.Int64
 }
 
 // Set stores v.
@@ -95,8 +88,6 @@ const histBuckets = 48
 // Histograms back the wall-clock namespace: Observe is only called behind
 // the Enabled gate, so a run without telemetry flags never pays for it.
 type Histogram struct {
-	//rootlint:immutable-after-start
-	def     *Def
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
@@ -203,14 +194,11 @@ var (
 // one uncontended atomic add and feed the determinism tests.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether the wall-clock layer is recording.
-func Enabled() bool { return enabled.Load() }
-
 // claim registers a metric instance for name, panicking on any misuse: a
 // name missing from the registry, a kind mismatch, or a second claim. These
 // are programming errors the metricname analyzer catches statically; the
 // panic keeps a dynamically constructed bypass from shipping.
-func claim(name string, kind Kind, m any) *Def {
+func claim(name string, kind Kind, m any) {
 	def := lookupDef(name)
 	if def == nil {
 		panic(fmt.Sprintf("telemetry: metric %q is not in the registry", name))
@@ -224,27 +212,26 @@ func claim(name string, kind Kind, m any) *Def {
 		panic(fmt.Sprintf("telemetry: metric %q constructed twice", name))
 	}
 	claimed[name] = m
-	return def
 }
 
 // NewCounter claims the named counter. Call once, from a package-level var.
 func NewCounter(name string) *Counter {
 	c := &Counter{}
-	c.def = claim(name, KindCounter, c)
+	claim(name, KindCounter, c)
 	return c
 }
 
 // NewGauge claims the named gauge.
 func NewGauge(name string) *Gauge {
 	g := &Gauge{}
-	g.def = claim(name, KindGauge, g)
+	claim(name, KindGauge, g)
 	return g
 }
 
 // NewHistogram claims the named histogram.
 func NewHistogram(name string) *Histogram {
 	h := &Histogram{}
-	h.def = claim(name, KindHistogram, h)
+	claim(name, KindHistogram, h)
 	return h
 }
 
@@ -261,6 +248,8 @@ func claimedMetric(name string) (any, bool) {
 
 // Reset zeroes every claimed metric and drops all recorded spans. Tests use
 // it to run several campaigns in one process against a clean slate.
+//
+//rootlint:allow deadcode: the hook measure/chaos_test.go and the blast, core, dataset and dnsserver tests start from zeroed metrics with
 func Reset() {
 	claimMu.Lock()
 	for _, m := range claimed {

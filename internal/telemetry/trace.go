@@ -62,11 +62,10 @@ func EnableTracing(capacity int) {
 	tracing.Store(true)
 }
 
-// Tracing reports whether spans are being recorded.
-func Tracing() bool { return tracing.Load() }
-
 // DisableTracing turns span recording off (recorded spans stay readable
 // until the next EnableTracing or Reset).
+//
+//rootlint:allow deadcode: the hook core/determinism_test.go ends its traced run with
 func DisableTracing() { tracing.Store(false) }
 
 // resetSpans drops recorded spans (keeps the tracing mode as-is).

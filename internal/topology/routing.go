@@ -131,9 +131,7 @@ func (r rib) insert(asn int, route Route) bool {
 // RoutingTable holds, for every AS, its candidate routes to one anycast
 // deployment in one family.
 type RoutingTable struct {
-	Family Family
 	routes rib
-	topo   *Topology
 }
 
 // ComputeRoutes propagates the origins' announcements through the topology
@@ -242,7 +240,7 @@ func (t *Topology) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 		}
 	}
 
-	return &RoutingTable{Family: f, routes: routes, topo: t}
+	return &RoutingTable{routes: routes}
 }
 
 // extend prepends nextASN to route (the receiver's view).
@@ -257,27 +255,11 @@ func extend(t *Topology, r Route, from, to int, learned localRel) Route {
 	return Route{Origin: r.Origin, ASPath: path, PathKm: km, relType: learned}
 }
 
-// Best returns the preferred route from asn, if any.
-func (rt *RoutingTable) Best(asn int) (Route, bool) {
-	rs := rt.routes[asn]
-	if len(rs) == 0 {
-		return Route{}, false
-	}
-	return rs[0], true
-}
-
-// Alternates returns all candidate routes from asn, best first.
-func (rt *RoutingTable) Alternates(asn int) []Route {
-	return append([]Route(nil), rt.routes[asn]...)
-}
-
-// Candidates is Alternates without the copy, for per-probe readers: the
-// slice is the table's own, shared by every campaign worker, and must not be
-// written. Its capacity is clipped so that an append reallocates.
+// Candidates returns the candidate routes from asn, best first, empty when
+// asn has none. The slice is the table's own, shared by every campaign
+// worker, and must not be written; its capacity is clipped so that an append
+// reallocates.
 func (rt *RoutingTable) Candidates(asn int) []Route {
 	rs := rt.routes[asn]
 	return rs[:len(rs):len(rs)]
 }
-
-// Reachable reports whether asn has any route.
-func (rt *RoutingTable) Reachable(asn int) bool { return len(rt.routes[asn]) > 0 }

@@ -11,6 +11,8 @@ import "container/heap"
 //
 // Local origins keep their one-hop announcement scope: scope is a property
 // of the announcement, not of path selection.
+//
+//rootlint:allow deadcode: the reference TestShortestNeverLongerThanPolicy and BenchmarkAblationPolicyWeights (bench_test.go) compare policy routing against
 func (t *Topology) ComputeRoutesShortest(origins []Origin, f Family) *RoutingTable {
 	routes := make(rib)
 	pq := &routeQueue{}
@@ -36,7 +38,7 @@ func (t *Topology) ComputeRoutesShortest(origins []Origin, f Family) *RoutingTab
 			}
 		}
 	}
-	return &RoutingTable{Family: f, routes: routes, topo: t}
+	return &RoutingTable{routes: routes}
 }
 
 // queuedRoute is one pending expansion of the classless search.

@@ -11,7 +11,7 @@ func TestShortestPathRoutesReachEverything(t *testing.T) {
 	origin := Origin{SiteID: "s", ASN: 100}
 	rt := topo.ComputeRoutesShortest([]Origin{origin}, IPv4)
 	for _, asn := range topo.StubASNs(nil) {
-		if !rt.Reachable(asn) {
+		if len(rt.Candidates(asn)) == 0 {
 			t.Errorf("stub %d unreachable under shortest-path routing", asn)
 		}
 	}
@@ -23,8 +23,8 @@ func TestShortestNeverLongerThanPolicy(t *testing.T) {
 	policy := topo.ComputeRoutes(origins, IPv4)
 	shortest := topo.ComputeRoutesShortest(origins, IPv4)
 	for _, asn := range topo.StubASNs(nil) {
-		p, okP := policy.Best(asn)
-		s, okS := shortest.Best(asn)
+		p, okP := best(policy, asn)
+		s, okS := best(shortest, asn)
 		if !okP || !okS {
 			continue
 		}
@@ -39,14 +39,14 @@ func TestShortestRespectsLocalScope(t *testing.T) {
 	topo := buildSmall(t)
 	var host int
 	for _, asn := range topo.StubASNs(nil) {
-		if len(topo.Neighbors(asn, IPv4)) > 0 {
+		if len(topo.adj[IPv4][asn]) > 0 {
 			host = asn
 			break
 		}
 	}
 	rt := topo.ComputeRoutesShortest([]Origin{{SiteID: "l", ASN: host, Local: true}}, IPv4)
 	for asn := range topo.ASes {
-		if r, ok := rt.Best(asn); ok && len(r.ASPath) > 2 {
+		if r, ok := best(rt, asn); ok && len(r.ASPath) > 2 {
 			t.Errorf("local origin leaked to %d via %v", asn, r.ASPath)
 		}
 	}
@@ -59,8 +59,8 @@ func TestShortestDeterministic(t *testing.T) {
 	b := topo.ComputeRoutesShortest(origins, IPv6)
 	region := geo.Europe
 	for _, asn := range topo.StubASNs(&region) {
-		ra, okA := a.Best(asn)
-		rb, okB := b.Best(asn)
+		ra, okA := best(a, asn)
+		rb, okB := best(b, asn)
 		if okA != okB {
 			t.Fatalf("AS %d reachability differs", asn)
 		}

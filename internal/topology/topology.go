@@ -64,12 +64,6 @@ type AS struct {
 	Tier   Tier
 	Region geo.Region
 	City   geo.City
-	// OpenPeeringV6 marks the HE-like carrier: it peers openly on IPv6,
-	// making IPv6 paths through it short and plentiful.
-	OpenPeeringV6 bool
-	// CarrierV4 marks the Telxius-like carrier with a strong IPv4 footprint
-	// in South America.
-	CarrierV4 bool
 }
 
 // Special ASNs used by the study's analyses, named after their real-world
@@ -85,8 +79,6 @@ type Edge struct {
 	A, B   int // ASNs
 	Rel    Relationship
 	V4, V6 bool
-	// IXP, for IXPPeering edges, names the exchange where A and B meet.
-	IXP string
 }
 
 // Available reports whether the edge carries family f.
@@ -120,7 +112,6 @@ type neighbor struct {
 	// rel is the relationship from the owning AS's perspective:
 	// relCustomer means the neighbor is my customer, etc.
 	rel localRel
-	ixp string
 }
 
 type localRel int
@@ -174,9 +165,9 @@ func Build(cfg Config) *Topology {
 	}
 	// The HE-like open-v6 carrier and the Telxius-like v4 carrier.
 	sjc, _ := geo.CityByIATA("SJC")
-	t.ASes[ASNOpenV6] = &AS{ASN: ASNOpenV6, Tier: Tier1, Region: sjc.Region, City: sjc, OpenPeeringV6: true}
+	t.ASes[ASNOpenV6] = &AS{ASN: ASNOpenV6, Tier: Tier1, Region: sjc.Region, City: sjc}
 	mad, _ := geo.CityByIATA("MAD")
-	t.ASes[ASNCarrierV4] = &AS{ASN: ASNCarrierV4, Tier: Tier1, Region: mad.Region, City: mad, CarrierV4: true}
+	t.ASes[ASNCarrierV4] = &AS{ASN: ASNCarrierV4, Tier: Tier1, Region: mad.Region, City: mad}
 	tier1 = append(tier1, ASNOpenV6, ASNCarrierV4)
 
 	// Full(ish) mesh peering among tier-1s; a few v4-only gaps.
@@ -289,7 +280,7 @@ func Build(cfg Config) *Topology {
 			for b := a + 1; b < len(m); b++ {
 				if rng.Float64() < 0.7 {
 					t.Edges = append(t.Edges, Edge{A: m[a], B: m[b], Rel: IXPPeering,
-						V4: true, V6: rng.Float64() > 0.04, IXP: t.IXPs[i].Name})
+						V4: true, V6: rng.Float64() > 0.04})
 				}
 			}
 		}
@@ -328,8 +319,8 @@ func (t *Topology) buildAdjacency() {
 				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relCustomer})
 				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relProvider})
 			case Peering, IXPPeering:
-				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relPeer, ixp: e.IXP})
-				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relPeer, ixp: e.IXP})
+				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relPeer})
+				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relPeer})
 			}
 		}
 	}
@@ -340,16 +331,6 @@ func (t *Topology) buildAdjacency() {
 			sort.Slice(ns, func(i, j int) bool { return ns[i].asn < ns[j].asn })
 		}
 	}
-}
-
-// Neighbors returns asn's neighbors for family f (ASN order).
-func (t *Topology) Neighbors(asn int, f Family) []int {
-	ns := t.adj[f][asn]
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = n.asn
-	}
-	return out
 }
 
 // StubASNs returns all stub ASNs, sorted, optionally filtered by region.

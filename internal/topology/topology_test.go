@@ -6,6 +6,15 @@ import (
 	"repro/internal/geo"
 )
 
+// best returns asn's preferred route, if it has one.
+func best(rt *RoutingTable, asn int) (Route, bool) {
+	rs := rt.Candidates(asn)
+	if len(rs) == 0 {
+		return Route{}, false
+	}
+	return rs[0], true
+}
+
 func buildSmall(t *testing.T) *Topology {
 	t.Helper()
 	cfg := Config{
@@ -62,10 +71,10 @@ func TestBuildShape(t *testing.T) {
 	if stub < 500 {
 		t.Errorf("stub count = %d, want >= 500 (Table 3 has 523 networks)", stub)
 	}
-	if topo.ASes[ASNOpenV6] == nil || !topo.ASes[ASNOpenV6].OpenPeeringV6 {
+	if topo.ASes[ASNOpenV6] == nil {
 		t.Error("open-v6 carrier missing")
 	}
-	if topo.ASes[ASNCarrierV4] == nil || !topo.ASes[ASNCarrierV4].CarrierV4 {
+	if topo.ASes[ASNCarrierV4] == nil {
 		t.Error("v4 carrier missing")
 	}
 	if len(topo.IXPs) < 20 {
@@ -83,7 +92,7 @@ func TestAllStubsReachGlobalOrigin(t *testing.T) {
 	// connectivity, as on the real Internet; require >= 95%.
 	rt4 := topo.ComputeRoutes([]Origin{origin}, IPv4)
 	for _, asn := range topo.StubASNs(nil) {
-		if !rt4.Reachable(asn) {
+		if len(rt4.Candidates(asn)) == 0 {
 			t.Errorf("IPv4: stub %d cannot reach origin", asn)
 		}
 	}
@@ -91,7 +100,7 @@ func TestAllStubsReachGlobalOrigin(t *testing.T) {
 	stubs := topo.StubASNs(nil)
 	reach := 0
 	for _, asn := range stubs {
-		if rt6.Reachable(asn) {
+		if len(rt6.Candidates(asn)) > 0 {
 			reach++
 		}
 	}
@@ -122,7 +131,7 @@ func TestValleyFreePaths(t *testing.T) {
 		}
 	}
 	for _, asn := range topo.StubASNs(nil) {
-		r, ok := rt.Best(asn)
+		r, ok := best(rt, asn)
 		if !ok {
 			continue
 		}
@@ -158,7 +167,7 @@ func TestLocalOriginScope(t *testing.T) {
 	// Pick a stub AS with at least one neighbor to host a local site.
 	var host int
 	for _, asn := range topo.StubASNs(nil) {
-		if len(topo.Neighbors(asn, IPv4)) > 0 {
+		if len(topo.adj[IPv4][asn]) > 0 {
 			host = asn
 			break
 		}
@@ -167,16 +176,16 @@ func TestLocalOriginScope(t *testing.T) {
 	rt := topo.ComputeRoutes([]Origin{origin}, IPv4)
 	reachable := 0
 	for asn := range topo.ASes {
-		if !rt.Reachable(asn) {
+		if len(rt.Candidates(asn)) == 0 {
 			continue
 		}
 		reachable++
-		r, _ := rt.Best(asn)
+		r, _ := best(rt, asn)
 		if len(r.ASPath) > 2 {
 			t.Errorf("local origin leaked beyond one hop: %v", r.ASPath)
 		}
 	}
-	directNeighbors := len(topo.Neighbors(host, IPv4))
+	directNeighbors := len(topo.adj[IPv4][host])
 	if reachable > directNeighbors+1 {
 		t.Errorf("local origin reachable from %d ASes, host has %d neighbors",
 			reachable, directNeighbors)
@@ -199,7 +208,7 @@ func TestAnycastPrefersCloserOrigin(t *testing.T) {
 	region := geo.Europe
 	euWins, total := 0, 0
 	for _, asn := range topo.StubASNs(&region) {
-		r, ok := rt.Best(asn)
+		r, ok := best(rt, asn)
 		if !ok {
 			continue
 		}
@@ -221,7 +230,7 @@ func TestRouteAlternatesOrdered(t *testing.T) {
 	origins := []Origin{{SiteID: "a", ASN: 100}, {SiteID: "b", ASN: 105}}
 	rt := topo.ComputeRoutes(origins, IPv6)
 	for _, asn := range topo.StubASNs(nil) {
-		alts := rt.Alternates(asn)
+		alts := rt.Candidates(asn)
 		for i := 0; i+1 < len(alts); i++ {
 			if better(alts[i+1], alts[i]) {
 				t.Fatalf("alternates for %d out of order", asn)
@@ -237,7 +246,7 @@ func TestPathKmPositive(t *testing.T) {
 	topo := buildSmall(t)
 	rt := topo.ComputeRoutes([]Origin{{SiteID: "s", ASN: 100}}, IPv4)
 	for _, asn := range topo.StubASNs(nil) {
-		r, ok := rt.Best(asn)
+		r, ok := best(rt, asn)
 		if !ok {
 			continue
 		}
@@ -253,8 +262,8 @@ func TestPathKmPositive(t *testing.T) {
 func TestFamilyAsymmetry(t *testing.T) {
 	topo := Build(DefaultConfig())
 	// The open-v6 carrier must have many more v6 peer edges than v4.
-	v4n := len(topo.Neighbors(ASNOpenV6, IPv4))
-	v6n := len(topo.Neighbors(ASNOpenV6, IPv6))
+	v4n := len(topo.adj[IPv4][ASNOpenV6])
+	v6n := len(topo.adj[IPv6][ASNOpenV6])
 	if v6n <= v4n {
 		t.Errorf("open-v6 carrier: %d v6 neighbors vs %d v4", v6n, v4n)
 	}

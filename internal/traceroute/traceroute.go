@@ -38,6 +38,8 @@ type Trace struct {
 // the facility-edge router in front of the destination. The second return
 // is false when the hop was unresponsive (missed by traceroute), in which
 // case the co-location analysis counts it as unique.
+//
+//rootlint:allow deadcode: the reading of Run that TestEdgeFunctionsMatchRun holds the edge functions, and measure's TestProbeMatchesReference the planned probe, to
 func (t Trace) SecondToLast() (string, bool) {
 	if len(t.Hops) < 2 {
 		return "", false
@@ -104,6 +106,8 @@ func appendEdgeName(dst []byte, facility, fam string) []byte {
 // and expanding every hop to read one was a quarter of a probe. Run stays as
 // the definition the two edge functions are held to
 // (TestEdgeFunctionsMatchRun), and for callers that want every hop.
+//
+//rootlint:allow deadcode: bench/layers.go times it as traceroute.run_ns
 func Run(topo *topology.Topology, route topology.Route, site anycast.Site, f topology.Family, cfg Config, seed int64, tick int) Trace {
 	key := drawKey(seed, tick, route.Origin.ASN, len(route.ASPath))
 	n := len(route.ASPath)
@@ -173,12 +177,4 @@ func segKm(totalKm float64, nASes int) float64 {
 		return 0
 	}
 	return totalKm / float64(nASes-1)
-}
-
-// DestRTT returns the RTT to the destination (the last hop).
-func (t Trace) DestRTT() float64 {
-	if len(t.Hops) == 0 {
-		return 0
-	}
-	return t.Hops[len(t.Hops)-1].RTTms
 }

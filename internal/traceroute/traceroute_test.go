@@ -35,11 +35,20 @@ func setup(t *testing.T) (*topology.Topology, *anycast.Deployment, *anycast.Depl
 	return topo, d1, d2
 }
 
+// bestRoute returns asn's preferred route into the catchment, if it has one.
+func bestRoute(c *anycast.Catchment, asn int) (topology.Route, bool) {
+	rs := c.Choices(asn, 1).Routes
+	if len(rs) == 0 {
+		return topology.Route{}, false
+	}
+	return rs[0], true
+}
+
 func TestRunShape(t *testing.T) {
 	topo, d, _ := setup(t)
 	c := anycast.ComputeCatchment(topo, d, topology.IPv4)
 	asn := topo.StubASNs(nil)[0]
-	route, ok := c.Route(asn)
+	route, ok := bestRoute(c, asn)
 	if !ok {
 		t.Fatal("unroutable")
 	}
@@ -54,7 +63,7 @@ func TestRunShape(t *testing.T) {
 		t.Errorf("last hop %q is not the site", last.Router)
 	}
 	// RTT must be monotonically plausible: final >= first.
-	if tr.DestRTT() < tr.Hops[0].RTTms {
+	if last.RTTms < tr.Hops[0].RTTms {
 		t.Error("destination RTT below first hop RTT")
 	}
 	// Second-to-last identifies the facility when responsive.
@@ -111,7 +120,7 @@ func TestFamiliesDistinctRouters(t *testing.T) {
 	topo, d, _ := setup(t)
 	c4 := anycast.ComputeCatchment(topo, d, topology.IPv4)
 	asn := topo.StubASNs(nil)[0]
-	route, ok := c4.Route(asn)
+	route, ok := bestRoute(c4, asn)
 	if !ok {
 		t.Fatal("unroutable")
 	}
@@ -134,7 +143,7 @@ func TestMissedHops(t *testing.T) {
 	cfg.MissProb = 0.5
 	missed, total := 0, 0
 	for i, asn := range topo.StubASNs(nil) {
-		route, ok := c.Route(asn)
+		route, ok := bestRoute(c, asn)
 		if !ok {
 			continue
 		}
@@ -160,9 +169,6 @@ func TestShortTraceSecondToLast(t *testing.T) {
 	if _, ok := tr.SecondToLast(); ok {
 		t.Error("single-hop trace has a second-to-last")
 	}
-	if (Trace{}).DestRTT() != 0 {
-		t.Error("empty trace RTT")
-	}
 }
 
 func TestRunAllocatesTwice(t *testing.T) {
@@ -170,7 +176,7 @@ func TestRunAllocatesTwice(t *testing.T) {
 	c := anycast.ComputeCatchment(topo, d, topology.IPv4)
 	var route topology.Route
 	for _, asn := range topo.StubASNs(nil) {
-		if r, ok := c.Route(asn); ok && len(r.ASPath) > len(route.ASPath) {
+		if r, ok := bestRoute(c, asn); ok && len(r.ASPath) > len(route.ASPath) {
 			route = r
 		}
 	}
@@ -194,7 +200,7 @@ func TestRouterNamesMatchSprintf(t *testing.T) {
 	for _, f := range topology.Families() {
 		c := anycast.ComputeCatchment(topo, d, f)
 		for _, asn := range topo.StubASNs(nil) {
-			for _, route := range c.Alternates(asn) {
+			for _, route := range c.Choices(asn, 1).Routes {
 				site, _ := d.SiteByID(route.Origin.SiteID)
 				var want []string
 				for i, hopASN := range route.ASPath {
@@ -323,7 +329,7 @@ func TestEdgeFunctionsMatchRun(t *testing.T) {
 	for l, byFamily := range sys.Catchments() {
 		for f, c := range byFamily {
 			for _, asn := range topo.StubASNs(nil) {
-				for _, route := range c.Alternates(asn) {
+				for _, route := range c.Choices(asn, 1).Routes {
 					site, ok := sys.Deployments[l].SiteByID(route.Origin.SiteID)
 					if !ok {
 						t.Fatalf("%s.root: no site %q", l, route.Origin.SiteID)

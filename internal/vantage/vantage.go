@@ -8,7 +8,6 @@ package vantage
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -176,16 +175,4 @@ func (p *Population) Countries() int {
 		seen[v.Country] = true
 	}
 	return len(seen)
-}
-
-// Skewed returns the VPs with non-zero clock skew, sorted by ID.
-func (p *Population) Skewed() []VP {
-	var out []VP
-	for _, v := range p.VPs {
-		if v.ClockSkew != 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -31,9 +31,20 @@ func TestGenerateFullPopulation(t *testing.T) {
 	if c := p.Countries(); c < 40 || c > 62 {
 		t.Errorf("countries = %d, want near 62", c)
 	}
-	if got := len(p.Skewed()); got != 2 {
+	if got := len(skewed(p)); got != 2 {
 		t.Errorf("skewed VPs = %d, want 2", got)
 	}
+}
+
+// skewed returns the VPs with non-zero clock skew.
+func skewed(p *Population) []VP {
+	var out []VP
+	for _, v := range p.VPs {
+		if v.ClockSkew != 0 {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func TestGenerateScaled(t *testing.T) {
@@ -90,7 +101,7 @@ func TestClockSkew(t *testing.T) {
 	cfg.SkewedVPs = 3
 	cfg.SkewAmount = -2 * time.Hour
 	p := Generate(topo, cfg)
-	skewed := p.Skewed()
+	skewed := skewed(p)
 	if len(skewed) != 3 {
 		t.Fatalf("skewed = %d", len(skewed))
 	}

@@ -105,21 +105,11 @@ func Digest(z *zone.Zone) ([]byte, error) {
 	return h.Sum(nil), nil
 }
 
-// Attach computes the digest of z and returns a copy carrying the matching
-// ZONEMD record at the apex. state selects the record's form:
-// StatePlaceholder writes a private-use hash algorithm with an all-zero
-// digest; StateVerifiable writes SIMPLE/SHA-384 with the true digest;
-// StateAbsent returns an unmodified copy.
-func Attach(z *zone.Zone, state RolloutState) (*zone.Zone, error) {
-	out, err := attach(z, state)
-	if err != nil || state == StateAbsent {
-		return out, err
-	}
-	return out.Canonicalize(), nil
-}
-
-// attach is Attach short of putting the copy in canonical order: the ZONEMD
-// record, when state has one, is the copy's last.
+// attach computes the digest of z and returns a copy carrying the matching
+// ZONEMD record at the apex, as the copy's last record (not yet in canonical
+// order). state selects the record's form: StatePlaceholder writes a
+// private-use hash algorithm with an all-zero digest; StateVerifiable writes
+// SIMPLE/SHA-384 with the true digest; StateAbsent returns an unmodified copy.
 func attach(z *zone.Zone, state RolloutState) (*zone.Zone, error) {
 	out := z.WithoutType(dnswire.TypeZONEMD)
 	if state == StateAbsent {

@@ -29,7 +29,7 @@ func smallZone(t *testing.T) *zone.Zone {
 }
 
 func TestAttachVerify(t *testing.T) {
-	z, err := Attach(smallZone(t), StateVerifiable)
+	z, err := attach(smallZone(t), StateVerifiable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestVerifyNoRecord(t *testing.T) {
 }
 
 func TestVerifyPlaceholderUnsupported(t *testing.T) {
-	z, err := Attach(smallZone(t), StatePlaceholder)
+	z, err := attach(smallZone(t), StatePlaceholder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestVerifyPlaceholderUnsupported(t *testing.T) {
 }
 
 func TestVerifySerialMismatch(t *testing.T) {
-	z, err := Attach(smallZone(t), StateVerifiable)
+	z, err := attach(smallZone(t), StateVerifiable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestVerifySerialMismatch(t *testing.T) {
 }
 
 func TestVerifyDetectsMutation(t *testing.T) {
-	z, err := Attach(smallZone(t), StateVerifiable)
+	z, err := attach(smallZone(t), StateVerifiable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDigestIgnoresDuplicates(t *testing.T) {
 }
 
 func TestDigestExcludesApexZONEMD(t *testing.T) {
-	z, err := Attach(smallZone(t), StateVerifiable)
+	z, err := attach(smallZone(t), StateVerifiable)
 	if err != nil {
 		t.Fatal(err)
 	}
