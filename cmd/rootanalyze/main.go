@@ -2,16 +2,14 @@
 // full analysis suite and prints every active-measurement table and figure.
 // The world is reconstructed from the same seed flags used when recording.
 //
-// Usage:
-//
-//	rootanalyze -in study.rgds [-seed 1] [-vpscale 1] [-workers 4]
-//	            [-checkpoint replay.ckpt [-resume]]
-//	            [-metrics out.json] [-trace out.json] [-telemetry-addr host:port]
+//	rootanalyze -in study.rgds [-seed 1] [-vpscale 1] [-tlds 80] [-workers 4] [-checkpoint replay.ckpt [-resume]]
 //	rootanalyze -diff a.json b.json
-//	rootanalyze -qlog show [-filter kind=...,class=...,rcode=...] flight.qlog
-//	rootanalyze -qlog compose flight.qlog
+//	rootanalyze [-filter kind=...,class=...,rcode=...] -qlog show|compose flight.qlog
 //	rootanalyze -qlog diff a.qlog b.qlog
 //	rootanalyze -qlog join server.qlog client.qlog
+//
+// Flags come before the mode's arguments. -h lists them; the groups shared
+// with the other binaries and the exit codes are README.md's "Front door".
 //
 // With -workers > 1 the sealed blocks of the dataset are decoded by a
 // bounded worker pool while an ordered drain keeps every analysis output
@@ -23,7 +21,7 @@
 // -diff compares two -metrics snapshots on their logical (deterministic)
 // namespace and prints a one-line verdict: "behavior unchanged" when every
 // stream- and process-class metric matches, "behavior changed" otherwise.
-// Exit status 0 means unchanged, 1 changed, 2 usage or I/O error.
+// Like cmp: exit 0 means unchanged, 1 changed, 2 a file it cannot compare.
 //
 // -qlog switches to flight-log mode (see runQlog): decode and filter a
 // per-query flight recording, print composition tables, diff two logs in
@@ -32,73 +30,66 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/measure"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
-	"repro/internal/vantage"
 )
 
-func main() {
-	in := flag.String("in", "study.rgds", "dataset input file")
-	seed := flag.Int64("seed", 1, "world seed used when recording")
-	vpScale := flag.Int("vpscale", 1, "VP population divisor used when recording")
-	tlds := flag.Int("tlds", 80, "TLD count used when recording")
-	workers := flag.Int("workers", 1, "block-decode workers (output is identical at any count)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint sidecar path (enables crash-safe replay)")
-	resume := flag.Bool("resume", false, "resume from -checkpoint if it exists")
-	diff := flag.Bool("diff", false, "compare two -metrics snapshots: rootanalyze -diff a.json b.json")
-	qlogMode := flag.Bool("qlog", false, "flight-log mode: rootanalyze -qlog <show|compose|diff|join> file...")
-	qlogFilterFlag := flag.String("filter", "", "event filter for -qlog show/compose (kind=...,class=...,rcode=...)")
-	telemetry.RegisterFlags()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *diff {
-		os.Exit(runDiff(flag.Args()))
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rootanalyze", stderr)
+	cfg := core.DefaultConfig()
+	core.WorldFlags(fs, &cfg)
+	in := fs.String("in", "study.rgds", "dataset input file")
+	workers := fs.Int("workers", 1, "block-decode workers (output is identical at any count)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint sidecar path (enables crash-safe replay)")
+	resume := fs.Bool("resume", false, "resume from -checkpoint if it exists")
+	diff := fs.Bool("diff", false, "compare two -metrics snapshots: rootanalyze -diff a.json b.json")
+	qlogMode := fs.Bool("qlog", false, "flight-log mode: rootanalyze -qlog <show|compose|diff|join> file...")
+	var filter qlogFilter
+	fs.Var(&filter, "filter", "event filter `spec` for -qlog show/compose (kind=...,class=...,rcode=...)")
+	startTel := telemetry.RegisterFlags(fs)
+	if code, done := cli.Parse(fs, args); done {
+		return code
 	}
-	if *qlogMode {
-		os.Exit(runQlog(flag.Args(), *qlogFilterFlag))
-	}
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "rootanalyze: unexpected arguments %q\n", flag.Args())
-		os.Exit(2)
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "rootanalyze: -resume requires -checkpoint")
-		os.Exit(2)
+	switch {
+	case *diff:
+		return runDiff(fs, stdout)
+	case *qlogMode:
+		return runQlog(fs, stdout, filter)
+	case fs.NArg() != 0:
+		return cli.Usage(fs, "unexpected arguments %q", fs.Args())
+	case *resume && *checkpoint == "":
+		return cli.Usage(fs, "-resume requires -checkpoint")
 	}
 
-	stopTel, err := telemetry.Start()
+	stopTel, err := startTel()
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	defer stopTel()
 
-	mCfg := measure.DefaultConfig()
-	mCfg.Seed, mCfg.TLDCount = *seed, *tlds
-	topoCfg := topology.DefaultConfig()
-	topoCfg.Seed = *seed
-	vpCfg := vantage.DefaultConfig()
-	vpCfg.Seed = *seed
-	vpCfg.Scale = *vpScale
-	world, err := measure.NewWorld(mCfg, topoCfg, vpCfg)
+	_, world, err := core.NewWorld(cfg)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
-
 	f, err := os.Open(*in)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	defer f.Close()
 	reader, err := dataset.NewReader(f, world.Population)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	defer reader.Close()
 
@@ -117,64 +108,44 @@ func main() {
 	probes, transfers, err := reader.ReplayWith(opts,
 		coverage, stability, colocation, distance, rtt, integrity)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	if reader.Torn() {
-		fmt.Fprintf(os.Stderr, "rootanalyze: warning: dataset has a torn trailing block (%v); "+
+		fmt.Fprintf(stderr, "rootanalyze: warning: dataset has a torn trailing block (%v); "+
 			"replayed the sealed prefix only — the recording was likely interrupted "+
 			"and can be completed with rootmeasure -resume\n", reader.TornReason())
 	}
-	fmt.Printf("replayed %d probes, %d transfers from %s\n\n", probes, transfers, *in)
-
-	coverage.WriteTable1(os.Stdout)
-	fmt.Println()
-	coverage.WriteTable4(os.Stdout)
-	fmt.Println()
-	stability.WriteFigure3(os.Stdout)
-	fmt.Println()
-	colocation.WriteFigure4(os.Stdout)
-	fmt.Println()
-	distance.WriteFigure5(os.Stdout)
-	fmt.Println()
-	rtt.WriteFigure6(os.Stdout)
-	fmt.Println()
-	rtt.WriteFigure14(os.Stdout)
-	fmt.Println()
-	integrity.WriteTable2(os.Stdout)
-	fmt.Println()
-	integrity.WriteFigure10(os.Stdout)
+	fmt.Fprintf(stdout, "replayed %d probes, %d transfers from %s\n", probes, transfers, *in)
+	for _, write := range []func(io.Writer){
+		coverage.WriteTable1, coverage.WriteTable4, stability.WriteFigure3,
+		colocation.WriteFigure4, distance.WriteFigure5, rtt.WriteFigure6,
+		rtt.WriteFigure14, integrity.WriteTable2, integrity.WriteFigure10,
+	} {
+		fmt.Fprintln(stdout)
+		write(stdout)
+	}
+	return cli.ExitOK
 }
 
 // runDiff implements -diff: load two snapshots, compare the logical
-// namespace, print the verdict. Returns the process exit code.
-func runDiff(args []string) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "rootanalyze: -diff wants exactly two snapshot files")
-		return 2
+// namespace, print the verdict. Like cmp, it answers 0 for no difference, 1
+// for a difference and 2 for a file it cannot compare.
+func runDiff(fs *flag.FlagSet, stdout io.Writer) int {
+	if fs.NArg() != 2 {
+		return cli.Usage(fs, "-diff wants exactly two snapshot files")
 	}
-	a, err := os.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootanalyze: %v\n", err)
-		return 2
-	}
-	b, err := os.ReadFile(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootanalyze: %v\n", err)
-		return 2
+	a, errA := os.ReadFile(fs.Arg(0))
+	b, errB := os.ReadFile(fs.Arg(1))
+	if err := errors.Join(errA, errB); err != nil {
+		return cli.Usage(fs, "%v", err)
 	}
 	res, err := telemetry.DiffSnapshots(a, b)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootanalyze: %v\n", err)
-		return 2
+		return cli.Usage(fs, "%v", err)
 	}
-	res.WriteDiff(os.Stdout)
+	res.WriteDiff(stdout)
 	if res.Identical() {
-		return 0
+		return cli.ExitOK
 	}
-	return 1
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rootanalyze: %v\n", err)
-	os.Exit(1)
+	return cli.ExitFailed
 }

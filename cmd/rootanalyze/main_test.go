@@ -1,0 +1,148 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/measure"
+	"repro/internal/qlog"
+	"repro/internal/telemetry"
+)
+
+// runCLI calls run as main would and returns what it wrote. Runs share the
+// process: each starts from zeroed telemetry.
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	telemetry.Reset()
+	t.Cleanup(func() { telemetry.SetEnabled(false) })
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+func TestFrontDoor(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string // must appear on stderr
+	}{
+		{[]string{"-h"}, 0, "-filter"},
+		{[]string{"-scale", "96"}, 2, "flag provided but not defined"}, // a replay has no schedule
+		{[]string{"-filter", "kind"}, 2, "flag -filter"},
+		{[]string{"-filter", "colour=red"}, 2, "flag -filter"},
+		{[]string{"-filter", "rcode=NXDOMAIN"}, 2, "flag -filter"},
+		{[]string{"-in", missing, "stray"}, 2, "unexpected arguments"},
+		{[]string{"-resume"}, 2, "-resume requires -checkpoint"},
+		{[]string{"-diff", missing}, 2, "two snapshot files"},
+		{[]string{"-diff", missing, missing}, 2, "no such file"},
+		{[]string{"-qlog"}, 2, "unknown -qlog verb"},
+		{[]string{"-qlog", "show"}, 2, "wants 1 flight-log"},
+		{[]string{"-qlog", "join", missing, missing}, 2, "no such file"},
+	} {
+		code, stdout, stderr := runCLI(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.stderr) || stdout != "" {
+			t.Errorf("rootanalyze %q: exit %d, stdout %q, stderr %q; want exit %d and %q on stderr",
+				tc.args, code, stdout, stderr, tc.code, tc.stderr)
+		}
+	}
+}
+
+// A replay that cannot start still says what the process counted: the
+// telemetry stop used to be skipped by the exit.
+func TestMissingInputLeavesMetrics(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.json")
+	code, stdout, stderr := runCLI(t, "-in", filepath.Join(dir, "missing.rgds"), "-vpscale", "40", "-tlds", "20", "-metrics", metrics)
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "no such file") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want 1 and the open error", code, stdout, stderr)
+	}
+	data, err := os.ReadFile(metrics)
+	var snap struct{ Metrics []struct{ Name string } }
+	if err == nil {
+		err = json.Unmarshal(data, &snap)
+	}
+	if err != nil || len(snap.Metrics) == 0 {
+		t.Errorf("-metrics after a failed run: %v, %d metrics", err, len(snap.Metrics))
+	}
+}
+
+// record writes what `rootmeasure -scale 512 -vpscale 8 -tlds 20` writes,
+// with an every-fourth-event flight log next to it.
+func record(t *testing.T, dir string) (rgds, flight string) {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Scale, cfg.VPScale, cfg.TLDCount = 512, 8, 20
+	mCfg, world, err := core.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgds, flight = filepath.Join(dir, "study.rgds"), filepath.Join(dir, "flight.qlog")
+	f, err := os.Create(rgds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	qf, err := os.Create(flight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qf.Close()
+	w, err := dataset.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := qlog.New(qf, qlog.Sampler{Every: 4, Seed: 3}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := measure.NewCampaign(mCfg, world).Run(w, measure.NewFlightLog(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rgds, flight
+}
+
+// The round trip check.sh drives with the built binaries: every table and
+// figure of the replay, the same bytes at any -workers. Re-record after a
+// declared seed-compat break:
+//
+//	rootmeasure -scale 512 -vpscale 8 -tlds 20 -out study.rgds
+//	rootanalyze -in study.rgds -vpscale 8 -tlds 20 >cmd/rootanalyze/testdata/replay.golden
+func TestReplayGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "replay.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgds, flight := record(t, t.TempDir())
+	for _, workers := range []string{"1", "4"} {
+		code, stdout, stderr := runCLI(t, "-in", rgds, "-vpscale", "8", "-tlds", "20", "-workers", workers)
+		if code != 0 || stderr != "" {
+			t.Fatalf("-workers %s: exit %d, stderr %q", workers, code, stderr)
+		}
+		if got := strings.Replace(stdout, rgds, "study.rgds", 1); got != string(want) {
+			t.Errorf("-workers %s no longer prints testdata/replay.golden (%d bytes against %d)", workers, len(got), len(want))
+		}
+	}
+
+	// The flight-log modes over the same recording.
+	code, stdout, _ := runCLI(t, "-qlog", "diff", flight, flight)
+	if code != 0 || stdout != "flight logs identical: 21091 events\n" {
+		t.Errorf("-qlog diff of a log with itself: exit %d, %q", code, stdout)
+	}
+	code, stdout, _ = runCLI(t, "-filter", "kind=measure/transfer", "-qlog", "show", flight)
+	if code != 0 || !strings.HasSuffix(stdout, "\n9713 events\n") || strings.Contains(stdout, "measure/probe") {
+		t.Errorf("-qlog show of the transfers: exit %d, ends %q", code, stdout[max(0, len(stdout)-80):])
+	}
+}

@@ -1,19 +1,21 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/qlog"
 )
 
 // runQlog implements the -qlog flight-log mode:
 //
-//	rootanalyze -qlog show [-filter kind=...,class=...,rcode=...] flight.qlog
-//	rootanalyze -qlog compose [-filter ...] flight.qlog
+//	rootanalyze [-filter kind=...,class=...,rcode=...] -qlog show flight.qlog
+//	rootanalyze [-filter ...] -qlog compose flight.qlog
 //	rootanalyze -qlog diff a.qlog b.qlog
 //	rootanalyze -qlog join server.qlog client.qlog
 //
@@ -21,111 +23,90 @@ import (
 // tables; diff compares two logs in canonical order and reports the first
 // diverging event (exit 0 identical, 1 different); join pairs client-side
 // events against server-side events by key and checks the loss accounting
-// balances (exit 0 balanced, 1 not). Exit 2 is usage or I/O error.
-func runQlog(args []string, filter string) int {
-	if len(args) < 1 {
-		fmt.Fprintln(os.Stderr, "rootanalyze: -qlog wants a verb: show, compose, diff, join")
-		return 2
+// balances (exit 0 balanced, 1 not). Exit 2 is a bad command line or, as
+// with cmp, a log that cannot be read.
+func runQlog(fs *flag.FlagSet, stdout io.Writer, flt qlogFilter) int {
+	verb, files := fs.Arg(0), fs.Args()
+	if len(files) > 0 {
+		files = files[1:]
 	}
-	verb, rest := args[0], args[1:]
+	want := map[string]int{"show": 1, "compose": 1, "diff": 2, "join": 2}[verb]
+	switch {
+	case want == 0:
+		return cli.Usage(fs, "unknown -qlog verb %q (want show, compose, diff, join)", verb)
+	case len(files) != want:
+		return cli.Usage(fs, "-qlog %s wants %d flight-log file(s)", verb, want)
+	}
+	var logs [2][]qlog.Event
+	for i, path := range files {
+		var ok bool
+		if logs[i], ok = loadQlog(fs, path); !ok {
+			return cli.ExitUsage
+		}
+	}
 	switch verb {
-	case "show", "compose":
-		if len(rest) != 1 {
-			fmt.Fprintf(os.Stderr, "rootanalyze: -qlog %s wants one flight-log file\n", verb)
-			return 2
-		}
-		flt, err := parseQlogFilter(filter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rootanalyze: %v\n", err)
-			return 2
-		}
-		evs, code := loadQlog(rest[0])
-		if code != 0 {
-			return code
-		}
-		evs = flt.apply(evs)
-		if verb == "show" {
-			return qlogShow(evs)
-		}
-		return qlogCompose(evs)
+	case "show":
+		return qlogShow(stdout, flt.apply(logs[0]))
+	case "compose":
+		return qlogCompose(stdout, flt.apply(logs[0]))
 	case "diff":
-		if len(rest) != 2 {
-			fmt.Fprintln(os.Stderr, "rootanalyze: -qlog diff wants two flight-log files")
-			return 2
-		}
-		return qlogDiff(rest[0], rest[1])
-	case "join":
-		if len(rest) != 2 {
-			fmt.Fprintln(os.Stderr, "rootanalyze: -qlog join wants server.qlog client.qlog")
-			return 2
-		}
-		return qlogJoin(rest[0], rest[1])
-	default:
-		fmt.Fprintf(os.Stderr, "rootanalyze: unknown -qlog verb %q (want show, compose, diff, join)\n", verb)
-		return 2
+		return qlogDiff(stdout, files, logs[0], logs[1])
 	}
+	return qlogJoin(stdout, logs[0], logs[1])
 }
 
 // loadQlog decodes one flight log, warning (not failing) on a torn tail —
-// same stance as the dataset replayer.
-func loadQlog(path string) ([]qlog.Event, int) {
+// same stance as the dataset replayer. A log it cannot decode it reports.
+func loadQlog(fs *flag.FlagSet, path string) ([]qlog.Event, bool) {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootanalyze: %v\n", err)
-		return nil, 2
+		cli.Usage(fs, "%v", err)
+		return nil, false
 	}
 	defer f.Close()
 	r, err := qlog.NewReader(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootanalyze: %s: %v\n", path, err)
-		return nil, 2
+	var evs []qlog.Event
+	if err == nil {
+		evs, err = r.Events()
 	}
-	evs, err := r.Events()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootanalyze: %s: %v\n", path, err)
-		return nil, 2
+		cli.Usage(fs, "%s: %v", path, err)
+		return nil, false
 	}
 	if r.Torn() {
-		fmt.Fprintf(os.Stderr, "rootanalyze: warning: %s has a torn trailing block (%v); "+
+		fmt.Fprintf(fs.Output(), "rootanalyze: warning: %s has a torn trailing block (%v); "+
 			"decoded the sealed prefix only\n", path, r.TornReason())
 	}
-	return evs, 0
+	return evs, true
 }
 
-// qlogFilter selects events by kind name, class enum name, and rcode value.
-// Zero fields match everything.
+// qlogFilter is the -filter flag.Value: it selects events by kind name, class
+// enum name, and rcode value. Unset fields match everything.
 type qlogFilter struct {
 	kind  string
 	class string
-	rcode int64 // -1 = any
+	rcode *uint64
 }
 
-func parseQlogFilter(s string) (qlogFilter, error) {
-	f := qlogFilter{rcode: -1}
-	if s == "" {
-		return f, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return f, fmt.Errorf("bad -filter term %q (want key=value)", part)
-		}
+func (f *qlogFilter) String() string { return "" }
+
+func (f *qlogFilter) Set(s string) error {
+	*f = qlogFilter{}
+	return cli.Walk(s, func(k, v string) error {
 		switch k {
 		case "kind":
 			f.kind = v
 		case "class":
 			f.class = v
 		case "rcode":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return f, fmt.Errorf("bad -filter rcode %q", v)
-			}
-			f.rcode = n
+			n, err := strconv.ParseUint(v, 10, 64)
+			f.rcode = &n
+			return err
 		default:
-			return f, fmt.Errorf("unknown -filter key %q (want kind, class, rcode)", k)
+			return cli.Unknown(k, "kind, class, rcode")
 		}
-	}
-	return f, nil
+		return nil
+	})
 }
 
 func (f qlogFilter) apply(evs []qlog.Event) []qlog.Event {
@@ -138,7 +119,7 @@ func (f qlogFilter) apply(evs []qlog.Event) []qlog.Event {
 		if f.class != "" && !fieldHasEnumValue(e, "class", f.class) {
 			continue
 		}
-		if f.rcode >= 0 && !fieldHasNumValue(e, "rcode", uint64(f.rcode)) {
+		if f.rcode != nil && !fieldHasNumValue(e, "rcode", *f.rcode) {
 			continue
 		}
 		out = append(out, e)
@@ -169,12 +150,12 @@ func fieldHasNumValue(e qlog.Event, field string, want uint64) bool {
 }
 
 // qlogShow prints events in canonical order, one per line.
-func qlogShow(evs []qlog.Event) int {
+func qlogShow(w io.Writer, evs []qlog.Event) int {
 	qlog.SortCanonical(evs)
 	for _, e := range evs {
-		fmt.Println(e.String())
+		fmt.Fprintln(w, e.String())
 	}
-	fmt.Printf("%d events\n", len(evs))
+	fmt.Fprintf(w, "%d events\n", len(evs))
 	return 0
 }
 
@@ -187,9 +168,9 @@ const composeMaxDistinct = 8
 // query-composition study: for every field that behaves like a category
 // (declared enum, or few distinct observed values), the share of events per
 // value.
-func qlogCompose(evs []qlog.Event) int {
+func qlogCompose(w io.Writer, evs []qlog.Event) int {
 	total := len(evs)
-	fmt.Printf("%d events\n", total)
+	fmt.Fprintf(w, "%d events\n", total)
 	for kind := range qlog.Registry {
 		d := &qlog.Registry[kind]
 		var kindEvs []qlog.Event
@@ -201,7 +182,7 @@ func qlogCompose(evs []qlog.Event) int {
 		if len(kindEvs) == 0 {
 			continue
 		}
-		fmt.Printf("\n%s: %d events\n", d.Kind, len(kindEvs))
+		fmt.Fprintf(w, "\n%s: %d events\n", d.Kind, len(kindEvs))
 		for fi, fd := range d.Fields {
 			counts := make(map[uint64]int)
 			for _, e := range kindEvs {
@@ -221,7 +202,7 @@ func qlogCompose(evs []qlog.Event) int {
 					label = fd.Enum[v]
 				}
 				n := counts[v]
-				fmt.Printf("  %-10s %-10s %6d  %5.1f%%\n",
+				fmt.Fprintf(w, "  %-10s %-10s %6d  %5.1f%%\n",
 					fd.Name, label, n, 100*float64(n)/float64(len(kindEvs)))
 			}
 		}
@@ -232,15 +213,7 @@ func qlogCompose(evs []qlog.Event) int {
 // qlogDiff compares two flight logs in canonical order: the logical event
 // streams must carry identical content, whatever append order shard
 // scheduling produced. Prints the first diverging event when they differ.
-func qlogDiff(pathA, pathB string) int {
-	a, code := loadQlog(pathA)
-	if code != 0 {
-		return code
-	}
-	b, code := loadQlog(pathB)
-	if code != 0 {
-		return code
-	}
+func qlogDiff(w io.Writer, paths []string, a, b []qlog.Event) int {
 	qlog.SortCanonical(a)
 	qlog.SortCanonical(b)
 	n := len(a)
@@ -249,21 +222,21 @@ func qlogDiff(pathA, pathB string) int {
 	}
 	for i := 0; i < n; i++ {
 		if qlog.Compare(a[i], b[i]) != 0 {
-			fmt.Printf("flight logs differ: first divergence at event %d\n  a: %s\n  b: %s\n",
+			fmt.Fprintf(w, "flight logs differ: first divergence at event %d\n  a: %s\n  b: %s\n",
 				i, a[i], b[i])
 			return 1
 		}
 	}
 	if len(a) != len(b) {
-		longer, path := a, pathA
+		longer, path := a, paths[0]
 		if len(b) > len(a) {
-			longer, path = b, pathB
+			longer, path = b, paths[1]
 		}
-		fmt.Printf("flight logs differ: %s has %d extra events, first extra:\n  %s\n",
+		fmt.Fprintf(w, "flight logs differ: %s has %d extra events, first extra:\n  %s\n",
 			path, len(longer)-n, longer[n])
 		return 1
 	}
-	fmt.Printf("flight logs identical: %d events\n", n)
+	fmt.Fprintf(w, "flight logs identical: %d events\n", n)
 	return 0
 }
 
@@ -290,15 +263,7 @@ func serverServed(e qlog.Event) bool {
 // select the same queries) and checks the accounting balances: every sampled
 // query the client sent is either matched to a served response or accounted
 // lost with a server-side explanation.
-func qlogJoin(serverPath, clientPath string) int {
-	sevs, code := loadQlog(serverPath)
-	if code != 0 {
-		return code
-	}
-	cevs, code := loadQlog(clientPath)
-	if code != 0 {
-		return code
-	}
+func qlogJoin(w io.Writer, sevs, cevs []qlog.Event) int {
 	server := make(map[uint64][]qlog.Event)
 	for _, e := range sevs {
 		if e.Def().Kind == "serve/query" {
@@ -336,11 +301,11 @@ func qlogJoin(serverPath, clientPath string) int {
 			unmatched++
 		}
 	}
-	fmt.Printf("join: client=%d server=%d sent=%d matched=%d lost=%d unmatched=%d\n",
+	fmt.Fprintf(w, "join: client=%d server=%d sent=%d matched=%d lost=%d unmatched=%d\n",
 		len(cevs), len(sevs), sent, matched, lost, unmatched)
 	for _, why := range []string{"egress-lost", "rrl-drop", "ingress-drop", "no-server-event"} {
 		if n := lostWhy[why]; n > 0 {
-			fmt.Printf("  lost by server outcome: %-15s %d\n", why, n)
+			fmt.Fprintf(w, "  lost by server outcome: %-15s %d\n", why, n)
 		}
 	}
 	keys := make([]uint64, 0, len(attempts))
@@ -349,14 +314,14 @@ func qlogJoin(serverPath, clientPath string) int {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, a := range keys {
-		fmt.Printf("  attempts=%d: %d\n", a, attempts[a])
+		fmt.Fprintf(w, "  attempts=%d: %d\n", a, attempts[a])
 	}
-	fmt.Printf("  backoff waited: %dus total\n", waitUs)
+	fmt.Fprintf(w, "  backoff waited: %dus total\n", waitUs)
 	if sent == matched+lost {
-		fmt.Println("balance: sent == matched + lost")
+		fmt.Fprintln(w, "balance: sent == matched + lost")
 		return 0
 	}
-	fmt.Printf("balance BROKEN: sent=%d != matched=%d + lost=%d (%d ok-but-unmatched)\n",
+	fmt.Fprintf(w, "balance BROKEN: sent=%d != matched=%d + lost=%d (%d ok-but-unmatched)\n",
 		sent, matched, lost, unmatched)
 	return 1
 }

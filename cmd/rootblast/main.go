@@ -6,15 +6,11 @@
 // latency distribution read from the telemetry layer's per-bucket
 // histograms.
 //
-// Usage:
+//	rootblast [-server 127.0.0.1:5353] [-duration 5s | -count N] [flags]
 //
-//	rootblast [-server 127.0.0.1:5353] [-duration 5s | -count N]
-//	          [-blast-workers 4] [-window 64] [-tlds 120] [-seed 1]
-//	          [-junk 0.45] [-aaaa 0.18] [-do 0.72] [-skew 1.0]
-//	          [-retry 0] [-backoff 0s] [-backoff-cap 0s]
-//	          [-netem loss=0.1,seed=7]
-//	          [-qlog flight.qlog] [-qlog-sample every=64,seed=7]
-//	          [-report out.json] [-metrics out.json]
+// -h lists the flags (the mix, the window, retry and backoff, a client-side
+// -netem); the groups it shares with the other binaries and the exit codes
+// are README.md's "Front door".
 //
 // -qlog records one blast/query flight-recorder event per sampled query at
 // its terminal outcome (decode with `rootanalyze -qlog`); a panic dumps the
@@ -24,126 +20,91 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/blast"
-	"repro/internal/dnsclient"
-	"repro/internal/netem"
+	"repro/internal/cli"
 	"repro/internal/prof"
 	"repro/internal/qlog"
 	"repro/internal/telemetry"
 )
 
-func main() {
-	server := flag.String("server", "127.0.0.1:5353", "target server address (UDP)")
-	duration := flag.Duration("duration", 5*time.Second, "how long to blast (ignored when -count is set)")
-	count := flag.Int64("count", 0, "total queries to send instead of a duration")
-	workers := flag.Int("blast-workers", 4, "independent client sockets, each with its own pipeline")
-	window := flag.Int("window", 64, "outstanding (pipelined) queries per socket")
-	timeout := flag.Duration("timeout", 250*time.Millisecond, "reap outstanding queries older than this")
-	tlds := flag.Int("tlds", 120, "TLD delegation count of the target zone (must match rootserve -tlds)")
-	seed := flag.Uint64("seed", 1, "query-composition seed")
-	corpusSize := flag.Int("corpus", 8192, "distinct queries to pregenerate")
-	junk := flag.Float64("junk", blast.DefaultMix().Junk, "fraction of A/AAAA qnames naming a nonexistent TLD")
-	aaaa := flag.Float64("aaaa", blast.DefaultMix().AAAA, "AAAA fraction of all queries")
-	dobit := flag.Float64("do", blast.DefaultMix().DO, "fraction of queries with EDNS0 and the DO bit")
-	skew := flag.Float64("skew", blast.DefaultMix().Skew, "heavy-hitter Zipf exponent over existing TLDs")
-	retries := flag.Int("retry", 0, "re-sends per query after its attempt deadline expires (same ID, same wire)")
-	backoff := flag.Duration("backoff", 0, "base delay folded into each retry's deadline; 0 = immediate, like dig")
-	backoffCap := flag.Duration("backoff-cap", 0, "cap on the exponential backoff; 0 = 8x base")
-	netemSpec := flag.String("netem", "", "client-side adverse-network profile, e.g. loss=0.1,seed=7 (see internal/netem)")
-	qlogPath := flag.String("qlog", "", "record a per-query flight log to this file (empty = off)")
-	qlogSample := flag.String("qlog-sample", "", "flight-log sampler, e.g. every=64,seed=7 (empty = every query)")
-	report := flag.String("report", "", "write the run report as JSON to `file`")
-	telemetry.RegisterFlags()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	netemProf, err := netem.ParseProfile(*netemSpec)
-	if err != nil {
-		fatal(err)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rootblast", stderr)
+	mix := blast.DefaultMix()
+	cfg := blast.Config{}
+	fs.StringVar(&cfg.Addr, "server", "127.0.0.1:5353", "target server address (UDP)")
+	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "how long to blast (ignored when -count is set)")
+	fs.Int64Var(&cfg.Count, "count", 0, "total queries to send instead of a duration")
+	fs.IntVar(&cfg.Workers, "blast-workers", 4, "independent client sockets, each with its own pipeline")
+	fs.IntVar(&cfg.Window, "window", 64, "outstanding (pipelined) queries per socket")
+	fs.DurationVar(&cfg.Timeout, "timeout", 250*time.Millisecond, "reap outstanding queries older than this")
+	tlds := fs.Int("tlds", 120, "TLD delegation count of the target zone (must match rootserve -tlds)")
+	seed := fs.Uint64("seed", 1, "query-composition seed")
+	corpusSize := fs.Int("corpus", 8192, "distinct queries to pregenerate")
+	fs.Float64Var(&mix.Junk, "junk", mix.Junk, "fraction of A/AAAA qnames naming a nonexistent TLD")
+	fs.Float64Var(&mix.AAAA, "aaaa", mix.AAAA, "AAAA fraction of all queries")
+	fs.Float64Var(&mix.DO, "do", mix.DO, "fraction of queries with EDNS0 and the DO bit")
+	fs.Float64Var(&mix.Skew, "skew", mix.Skew, "heavy-hitter Zipf exponent over existing TLDs")
+	fs.IntVar(&cfg.Retries, "retry", 0, "re-sends per query after its attempt deadline expires (same ID, same wire)")
+	fs.DurationVar(&cfg.Backoff.Base, "backoff", 0, "base delay folded into each retry's deadline; 0 = immediate, like dig")
+	fs.DurationVar(&cfg.Backoff.Cap, "backoff-cap", 0, "cap on the exponential backoff; 0 = 8x base")
+	fs.Var(&cfg.Netem, "netem", "client-side adverse-network profile `spec`, e.g. loss=0.1,seed=7 (see internal/netem)")
+	flight := qlog.RegisterFlags(fs)
+	report := fs.String("report", "", "write the run report as JSON to `file`")
+	startProf := prof.RegisterFlags(fs)
+	startTel := telemetry.RegisterFlags(fs)
+	if code, done := cli.Parse(fs, args); done {
+		return code
 	}
 
-	stopProf, err := prof.Start()
+	stopProf, err := startProf()
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	defer stopProf()
-	stopTel, err := telemetry.Start()
+	stopTel, err := startTel()
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	defer stopTel()
 	// The RTT histogram is the tool's primary output; record it whether or
 	// not a telemetry flag was given.
 	telemetry.SetEnabled(true)
 
-	mix := blast.DefaultMix()
-	mix.Junk = *junk
-	mix.AAAA = *aaaa
-	mix.DO = *dobit
-	mix.Skew = *skew
-	corpus, err := blast.BuildCorpus(mix, *tlds, *corpusSize, *seed)
-	if err != nil {
-		fatal(err)
+	if cfg.Corpus, err = blast.BuildCorpus(mix, *tlds, *corpusSize, *seed); err != nil {
+		return cli.Fail(fs, err)
 	}
-
-	var rec *qlog.Recorder
-	if *qlogPath != "" {
-		sampler, err := qlog.ParseSampler(*qlogSample)
-		if err != nil {
-			fatal(err)
-		}
-		qf, err := os.Create(*qlogPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer qf.Close()
-		if rec, err = qlog.New(qf, sampler, *qlogPath+".blackbox"); err != nil {
-			fatal(err)
-		}
-		defer rec.Close()
-		defer qlog.DumpOnPanic(*qlogPath + ".blackbox")
+	if cfg.QLog, err = flight.Open(false); err != nil {
+		return cli.Fail(fs, err)
 	}
-
-	cfg := blast.Config{
-		Addr:     *server,
-		Workers:  *workers,
-		Window:   *window,
-		Duration: *duration,
-		Count:    *count,
-		Timeout:  *timeout,
-		Retries:  *retries,
-		Backoff:  dnsclient.Backoff{Base: *backoff, Cap: *backoffCap, Seed: *seed},
-		Netem:    netemProf,
-		QLog:     rec,
-		Corpus:   corpus,
-	}
-	if *count > 0 {
+	defer cfg.QLog.Close()
+	defer qlog.DumpOnPanic(flight.Blackbox())
+	cfg.Backoff.Seed = *seed
+	if cfg.Count > 0 {
 		cfg.Duration = 0
 	}
 	res, err := blast.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
-	if err := rec.Close(); err != nil {
-		fatal(err)
+	if err := cfg.QLog.Close(); err != nil {
+		return cli.Fail(fs, err)
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	if *report != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
 		if err := os.WriteFile(*report, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rootblast: %v\n", err)
-	os.Exit(1)
+	return cli.ExitOK
 }

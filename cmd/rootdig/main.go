@@ -9,20 +9,26 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 )
 
-func main() {
-	server := flag.String("server", "127.0.0.1:5353", "server address")
-	dnssec := flag.Bool("dnssec", false, "set the DO bit (EDNS0, 4096 bytes)")
-	chaos := flag.String("chaos", "", "CH TXT identity query (hostname.bind, id.server, ...)")
-	axfr := flag.Bool("axfr", false, "request a full zone transfer")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rootdig", stderr)
+	server := fs.String("server", "127.0.0.1:5353", "server address")
+	dnssec := fs.Bool("dnssec", false, "set the DO bit (EDNS0, 4096 bytes)")
+	chaos := fs.String("chaos", "", "CH TXT identity query (hostname.bind, id.server, ...)")
+	axfr := fs.Bool("axfr", false, "request a full zone transfer")
+	if code, done := cli.Parse(fs, args); done {
+		return code
+	}
 
 	c := dnsclient.New(*server)
 	if *dnssec {
@@ -33,47 +39,48 @@ func main() {
 	case *chaos != "":
 		txt, err := c.QueryChaosTXT(dnswire.MustName(*chaos))
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("%s. CH TXT %q\n", *chaos, txt)
+		fmt.Fprintf(stdout, "%s. CH TXT %q\n", *chaos, txt)
 	case *axfr:
 		z, err := c.TransferZone()
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
-		if err := z.Canonicalize().Print(os.Stdout); err != nil {
-			fatal(err)
+		if err := z.Canonicalize().Print(stdout); err != nil {
+			return cli.Fail(fs, err)
 		}
 	default:
 		name, typ := ".", "NS"
-		if flag.NArg() > 0 {
-			name = flag.Arg(0)
+		if fs.NArg() > 0 {
+			name = fs.Arg(0)
 		}
-		if flag.NArg() > 1 {
-			typ = flag.Arg(1)
+		if fs.NArg() > 1 {
+			typ = fs.Arg(1)
 		}
 		qname, err := dnswire.NewName(name)
 		if err != nil {
-			fatal(err)
+			return cli.Usage(fs, "%v", err)
 		}
 		qtype, err := dnswire.TypeFromString(typ)
 		if err != nil {
-			fatal(err)
+			return cli.Usage(fs, "%v", err)
 		}
 		resp, err := c.Query(qname, qtype)
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
-		printResponse(resp)
+		printResponse(stdout, resp)
 	}
+	return cli.ExitOK
 }
 
-func printResponse(m *dnswire.Message) {
-	fmt.Printf(";; status: %s, id: %d, aa: %v\n",
+func printResponse(w io.Writer, m *dnswire.Message) {
+	fmt.Fprintf(w, ";; status: %s, id: %d, aa: %v\n",
 		m.Header.Rcode, m.Header.ID, m.Header.Authoritative)
-	fmt.Println(";; QUESTION")
+	fmt.Fprintln(w, ";; QUESTION")
 	for _, q := range m.Questions {
-		fmt.Printf(";%s\n", q)
+		fmt.Fprintf(w, ";%s\n", q)
 	}
 	sections := []struct {
 		label string
@@ -83,17 +90,12 @@ func printResponse(m *dnswire.Message) {
 		if len(sec.rrs) == 0 {
 			continue
 		}
-		fmt.Printf(";; %s\n", sec.label)
+		fmt.Fprintf(w, ";; %s\n", sec.label)
 		for _, rr := range sec.rrs {
 			if rr.Type() == dnswire.TypeOPT {
 				continue
 			}
-			fmt.Println(rr)
+			fmt.Fprintln(w, rr)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rootdig: %v\n", err)
-	os.Exit(1)
 }

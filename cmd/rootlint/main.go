@@ -17,69 +17,76 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/lint"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	timing := flag.Bool("time", false, "print per-analyzer wall time to stderr")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rootlint [-list] [-time] [packages]\n\nAnalyzers:\n")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rootlint", stderr)
+	list := fs.Bool("list", false, "list analyzers and exit")
+	timing := fs.Bool("time", false, "print per-analyzer wall time to stderr")
+	listTo := func(w io.Writer, indent string) {
 		for _, a := range lint.Suite() {
-			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(w, "%s%-14s %s\n", indent, a.Name, a.Doc)
 		}
 	}
-	flag.Parse()
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: rootlint [-list] [-time] [packages]\n\nAnalyzers:\n")
+		listTo(stderr, "  ")
+	}
+	if code, done := cli.Parse(fs, args); done {
+		return code
+	}
 	if *list {
-		for _, a := range lint.Suite() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+		listTo(stdout, "")
+		return cli.ExitOK
+	}
+	// Every analyzer runs in a call of its own, so that -time can give each
+	// its line; the findings are put back in position order below.
+	timed := func(what string, step func() error) error {
+		t0 := time.Now()
+		err := step()
+		if *timing {
+			fmt.Fprintf(stderr, "rootlint: %-14s %8.0fms\n", what, time.Since(t0).Seconds()*1000)
 		}
-		return
+		return err
 	}
 
-	t0 := time.Now()
-	prog, err := lint.LoadModule(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rootlint:", err)
-		os.Exit(2)
-	}
-	if *timing {
-		fmt.Fprintf(os.Stderr, "rootlint: %-14s %8.0fms\n", "load+typecheck", time.Since(t0).Seconds()*1000)
-	}
-
+	var prog *lint.Program
+	err := timed("load+typecheck", func() (err error) {
+		prog, err = lint.LoadModule(".")
+		return err
+	})
 	var diags []lint.Diagnostic
-	if *timing {
-		// Run analyzers one at a time so each gets its own wall-time line;
-		// RunAnalyzers sorts within each call and the final report re-sorts
-		// nothing, so ordering per analyzer stays deterministic.
-		for _, a := range lint.Suite() {
-			ta := time.Now()
-			ds, err := lint.RunAnalyzers(prog, []*lint.Analyzer{a})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rootlint:", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "rootlint: %-14s %8.0fms\n", a.Name, time.Since(ta).Seconds()*1000)
-			diags = append(diags, ds...)
-		}
-	} else {
-		diags, err = lint.RunAnalyzers(prog, lint.Suite())
+	for _, a := range lint.Suite() {
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rootlint:", err)
-			os.Exit(2)
+			break
 		}
+		err = timed(a.Name, func() error {
+			ds, err := lint.RunAnalyzers(prog, []*lint.Analyzer{a})
+			diags = append(diags, ds...)
+			return err
+		})
 	}
+	if err != nil {
+		return cli.Usage(fs, "%v", err)
+	}
+	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	for _, d := range diags {
 		p := prog.Fset.Position(d.Pos)
-		fmt.Printf("%s:%d:%d: [%s] %s\n", p.Filename, p.Line, p.Column, d.Analyzer, d.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", p.Filename, p.Line, p.Column, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "rootlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "rootlint: %d finding(s)\n", len(diags))
+		return cli.ExitFailed
 	}
+	return cli.ExitOK
 }

@@ -3,14 +3,11 @@
 // It prints the trust anchor DS record so clients (rootdig, zonemdcheck) can
 // validate what they receive.
 //
-// Usage:
+//	rootserve [-addr 127.0.0.1:5353] [-netem loss=0.1,seed=7] [-rrl rate=0.5,slip=2] [flags]
 //
-//	rootserve [-addr 127.0.0.1:5353] [-tlds 120] [-hostname id] [-no-axfr]
-//	          [-serve-workers N]
-//	          [-netem loss=0.1,seed=7] [-rrl rate=0.5,slip=2]
-//	          [-qlog flight.qlog] [-qlog-sample every=64,seed=7]
-//	          [-tcp-timeout 2m] [-max-tcp-conns 64]
-//	          [-metrics out.json] [-telemetry-addr host:port]
+// It serves until interrupted (SIGINT), then writes what -metrics and -qlog
+// asked for. -h lists the flags; the spec grammar of -netem and -rrl and the
+// exit codes are README.md's "Front door".
 //
 // -qlog records one flight-recorder event per sampled query (decode with
 // `rootanalyze -qlog`); a panic dumps the in-memory black-box ring to
@@ -19,12 +16,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/dnssec"
 	"repro/internal/dnsserver"
 	"repro/internal/netem"
@@ -34,55 +32,40 @@ import (
 	"repro/internal/zonemd"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:5353", "listen address (UDP and TCP)")
-	tlds := flag.Int("tlds", 120, "number of TLD delegations to synthesize")
-	hostname := flag.String("hostname", "local1.root.example", "CHAOS hostname.bind/id.server answer")
-	version := flag.String("version", "repro-rootserve-1.0", "CHAOS version.bind answer")
-	noAXFR := flag.Bool("no-axfr", false, "refuse zone transfers")
-	useRSA := flag.Bool("rsa", false, "sign with RSA/SHA-256 (algorithm 8, like the real root) instead of ECDSA-P256")
-	serveWorkers := flag.Int("serve-workers", 0, "UDP read loops (SO_REUSEPORT sockets on linux); 0 = GOMAXPROCS")
-	netemSpec := flag.String("netem", "", "adverse-network profile, e.g. loss=0.1,corrupt=0.05,seed=7 (see internal/netem)")
-	rrlSpec := flag.String("rrl", "", "response-rate-limiting, e.g. rate=0.5,burst=8,slip=2,seed=7 (empty = off)")
-	qlogPath := flag.String("qlog", "", "record a per-query flight log to this file (empty = off)")
-	qlogSample := flag.String("qlog-sample", "", "flight-log sampler, e.g. every=64,seed=7 (empty = every query)")
-	tcpTimeout := flag.Duration("tcp-timeout", 0, "per-connection TCP idle deadline; 0 = 2m default, negative = no deadline")
-	maxTCP := flag.Int("max-tcp-conns", 0, "concurrent TCP connection cap; 0 = 64 default, negative = unlimited")
-	telemetry.RegisterFlags()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	netemProf, err := netem.ParseProfile(*netemSpec)
-	if err != nil {
-		fatal(err)
-	}
-	rrlCfg, err := dnsserver.ParseRRL(*rrlSpec)
-	if err != nil {
-		fatal(err)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rootserve", stderr)
+	addr := fs.String("addr", "127.0.0.1:5353", "listen address (UDP and TCP)")
+	tlds := fs.Int("tlds", 120, "number of TLD delegations to synthesize")
+	hostname := fs.String("hostname", "local1.root.example", "CHAOS hostname.bind/id.server answer")
+	version := fs.String("version", "repro-rootserve-1.0", "CHAOS version.bind answer")
+	noAXFR := fs.Bool("no-axfr", false, "refuse zone transfers")
+	useRSA := fs.Bool("rsa", false, "sign with RSA/SHA-256 (algorithm 8, like the real root) instead of ECDSA-P256")
+	serveWorkers := fs.Int("serve-workers", 0, "UDP read loops (SO_REUSEPORT sockets on linux); 0 = GOMAXPROCS")
+	var netemProf netem.Profile
+	fs.Var(&netemProf, "netem", "adverse-network profile `spec`, e.g. loss=0.1,corrupt=0.05,seed=7 (see internal/netem)")
+	var rrlCfg dnsserver.RRLConfig
+	fs.Var(&rrlCfg, "rrl", "response-rate-limiting `spec`, e.g. rate=0.5,burst=8,slip=2,seed=7 (empty = off)")
+	flight := qlog.RegisterFlags(fs)
+	tcpTimeout := fs.Duration("tcp-timeout", 0, "per-connection TCP idle deadline; 0 = 2m default, negative = no deadline")
+	maxTCP := fs.Int("max-tcp-conns", 0, "concurrent TCP connection cap; 0 = 64 default, negative = unlimited")
+	startTel := telemetry.RegisterFlags(fs)
+	if code, done := cli.Parse(fs, args); done {
+		return code
 	}
 
-	stopTel, err := telemetry.Start()
+	stopTel, err := startTel()
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	defer stopTel()
-
-	var rec *qlog.Recorder
-	if *qlogPath != "" {
-		sampler, err := qlog.ParseSampler(*qlogSample)
-		if err != nil {
-			fatal(err)
-		}
-		qf, err := os.Create(*qlogPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer qf.Close()
-		if rec, err = qlog.New(qf, sampler, *qlogPath+".blackbox"); err != nil {
-			fatal(err)
-		}
-		defer rec.Close()
-		defer qlog.DumpOnPanic(*qlogPath + ".blackbox")
+	rec, err := flight.Open(false)
+	if err != nil {
+		return cli.Fail(fs, err)
 	}
+	defer rec.Close()
+	defer qlog.DumpOnPanic(flight.Blackbox())
 
 	var signer *dnssec.Signer
 	if *useRSA {
@@ -91,7 +74,7 @@ func main() {
 		signer, err = dnssec.NewSigner(nil)
 	}
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	cfg := zone.DefaultRootConfig()
 	cfg.TLDCount = *tlds
@@ -99,11 +82,11 @@ func main() {
 	cfg.Serial = zone.SerialForDate(now.Year(), int(now.Month()), now.Day(), 0)
 	signed, err := signer.Sign(zone.SynthesizeRoot(cfg), now)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	z, err := zonemd.AttachAndSign(signed, signer, zonemd.StateVerifiable, now)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 
 	srv, err := dnsserver.New(dnsserver.Config{
@@ -119,32 +102,31 @@ func main() {
 		MaxTCPConns:  *maxTCP,
 	})
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
-	bound, err := srv.Start(*addr)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("serving root zone serial %d (%d records) on %s (udp+tcp)\n",
-		z.Serial(), len(z.Records), bound)
-	fmt.Printf("trust anchor: %s\n", signer.TrustAnchor())
-	if *netemSpec != "" {
-		fmt.Printf("netem: %s\n", netemProf)
-	}
-	if rrlCfg.Rate > 0 {
-		fmt.Printf("rrl: %s\n", *rrlSpec)
-	}
-	if rec != nil {
-		fmt.Printf("qlog: recording to %s\n", *qlogPath)
-	}
-
+	// Ask for the signal before saying the server is up: whoever reads the
+	// bind line may send it at once.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
+	defer signal.Stop(sig)
+	bound, err := srv.Start(*addr)
+	if err != nil {
+		return cli.Fail(fs, err)
+	}
+	fmt.Fprintf(stdout, "serving root zone serial %d (%d records) on %s (udp+tcp)\n",
+		z.Serial(), len(z.Records), bound)
+	fmt.Fprintf(stdout, "trust anchor: %s\n", signer.TrustAnchor())
+	if netemProf != (netem.Profile{}) {
+		fmt.Fprintf(stdout, "netem: %s\n", netemProf)
+	}
+	if rrlCfg.Rate > 0 {
+		fmt.Fprintf(stdout, "rrl: %s\n", rrlCfg)
+	}
+	if rec != nil {
+		fmt.Fprintf(stdout, "qlog: recording to %s\n", flight.Path)
+	}
+
 	<-sig
 	_ = srv.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rootserve: %v\n", err)
-	os.Exit(1)
+	return cli.ExitOK
 }

@@ -1,21 +1,22 @@
 // Command rootstudy runs the full reproduction study and prints every table
 // and figure of the paper.
 //
-// Usage:
+//	rootstudy [-quick] [-extensions] [flags]
 //
-//	rootstudy [-quick] [-seed N] [-workers N] [-scale N] [-vpscale N] [-start YYYY-MM-DD] [-end YYYY-MM-DD]
-//	          [-errbudget N] [-chaos spec] [-cpuprofile prof.out] [-memprofile mem.out]
-//	          [-metrics out.json] [-trace out.json] [-telemetry-addr host:port]
+// -h lists the flags; the groups it shares with the other binaries and the
+// exit codes are README.md's "Front door".
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/control"
+	"repro/internal/core"
 	"repro/internal/failpoint"
 	"repro/internal/prof"
 	"repro/internal/propagation"
@@ -23,90 +24,64 @@ import (
 	"repro/internal/topology"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "use the fast smoke-test configuration")
-	extensions := flag.Bool("extensions", false, "also run the Appendix-E extensions (control group, per-second SOA propagation)")
-	seed := flag.Int64("seed", 1, "deterministic seed")
-	workers := flag.Int("workers", 0, "campaign worker goroutines (0 = one per CPU, 1 = serial; output is identical either way)")
-	scale := flag.Int("scale", 0, "measurement-schedule thinning factor (0 = config default)")
-	vpScale := flag.Int("vpscale", 0, "vantage-point population divisor (0 = config default)")
-	start := flag.String("start", "", "campaign start date (YYYY-MM-DD, default paper start)")
-	end := flag.String("end", "", "campaign end date (YYYY-MM-DD, default paper end)")
-	errBudget := flag.Int("errbudget", 0, "degraded outcomes tolerated before aborting the campaign (negative = unlimited)")
-	chaos := flag.String("chaos", "", "failpoint spec site=action[@N][,...] for chaos testing")
-	telemetry.RegisterFlags()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *chaos != "" {
-		if err := failpoint.Enable(*chaos); err != nil {
-			fmt.Fprintf(os.Stderr, "rootstudy: bad -chaos: %v\n", err)
-			os.Exit(2)
-		}
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rootstudy", stderr)
+	quick := fs.Bool("quick", false, "use the fast smoke-test preset instead of the full one")
+	extensions := fs.Bool("extensions", false, "also run the Appendix-E extensions (control group, per-second SOA propagation)")
+	// What -scale and -vpscale leave at 0 the preset fills in below, with the
+	// zone and passive-population sizes it alone decides.
+	cfg := repro.Config{Seed: 1}
+	core.WorldFlags(fs, &cfg)
+	core.ScheduleFlags(fs, &cfg)
+	failpoint.RegisterFlag(fs)
+	startProf := prof.RegisterFlags(fs)
+	startTel := telemetry.RegisterFlags(fs)
+	if code, done := cli.Parse(fs, args); done {
+		return code
 	}
 
-	stopProf, err := prof.Start()
+	stopProf, err := startProf()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootstudy: %v\n", err)
-		os.Exit(2)
+		return cli.Fail(fs, err)
 	}
 	defer stopProf()
-
-	stopTel, err := telemetry.Start()
+	stopTel, err := startTel()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootstudy: %v\n", err)
-		os.Exit(2)
+		return cli.Fail(fs, err)
 	}
 	defer stopTel()
 
-	cfg := repro.DefaultConfig()
+	preset := repro.DefaultConfig()
 	if *quick {
-		cfg = repro.QuickConfig()
+		preset = repro.QuickConfig()
 	}
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.ErrorBudget = *errBudget
-	if *scale > 0 {
-		cfg.Scale = *scale
+	if cfg.Scale <= 0 {
+		cfg.Scale = preset.Scale
 	}
-	if *vpScale > 0 {
-		cfg.VPScale = *vpScale
+	if cfg.VPScale <= 0 {
+		cfg.VPScale = preset.VPScale
 	}
-	if *start != "" {
-		t, err := time.Parse("2006-01-02", *start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rootstudy: bad -start: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Start = t
-	}
-	if *end != "" {
-		t, err := time.Parse("2006-01-02", *end)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rootstudy: bad -end: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.End = t
-	}
+	cfg.TLDCount, cfg.PassiveClients = preset.TLDCount, preset.PassiveClients
 
 	study, err := repro.NewStudy(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootstudy: %v\n", err)
-		os.Exit(1)
+		return cli.Fail(fs, err)
 	}
 	began := time.Now()
 	if err := study.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "rootstudy: campaign: %v\n", err)
-		os.Exit(1)
+		return cli.Fail(fs, fmt.Errorf("campaign: %w", err))
 	}
-	study.WriteReport(os.Stdout)
+	study.WriteReport(stdout)
 
 	if *extensions {
-		fmt.Println("\n== Extensions (Appendix E future work) ==")
+		fmt.Fprintln(stdout, "\n== Extensions (Appendix E future work) ==")
 		ctrlCfg := control.DefaultConfig()
 		ctrlCfg.Ticks = 100
 		exp := control.New(ctrlCfg, study.World.Topo, study.World.System, study.World.Population)
-		exp.Run("h", topology.IPv4).Write(os.Stdout)
-		fmt.Println()
+		exp.Run("h", topology.IPv4).Write(stdout)
+		fmt.Fprintln(stdout)
 		prop := &propagation.Experiment{
 			Topo:       study.World.Topo,
 			System:     study.World.System,
@@ -115,8 +90,9 @@ func main() {
 			Window:     2 * time.Minute,
 			Seed:       cfg.Seed,
 		}
-		propagation.Write(os.Stdout, prop.Run(topology.IPv4))
+		propagation.Write(stdout, prop.Run(topology.IPv4))
 	}
 
-	fmt.Printf("\ncampaign wall time: %s\n", time.Since(began).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\ncampaign wall time: %s\n", time.Since(began).Round(time.Millisecond))
+	return cli.ExitOK
 }

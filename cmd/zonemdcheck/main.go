@@ -10,11 +10,12 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/dnsclient"
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
@@ -22,71 +23,64 @@ import (
 	"repro/internal/zonemd"
 )
 
-func main() {
-	file := flag.String("file", "", "master-format zone file to validate")
-	axfrAddr := flag.String("axfr", "", "fetch the zone via AXFR from this address instead")
-	anchor := flag.String("anchor", "", "trust anchor DS record (master-file format) for DNSSEC validation")
-	at := flag.String("at", "", "validation time (RFC 3339; default now)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("zonemdcheck", stderr)
+	file := fs.String("file", "", "master-format zone file to validate")
+	axfrAddr := fs.String("axfr", "", "fetch the zone via AXFR from this address instead")
+	var ds *dnswire.DSRecord
+	fs.Func("anchor", "trust anchor `DS record` (master-file format) for DNSSEC validation", func(s string) error {
+		rr, err := zone.ParseRR(s)
+		if err != nil {
+			return err
+		}
+		rec, ok := rr.Data.(dnswire.DSRecord)
+		if !ok {
+			return fmt.Errorf("a %s record, want DS", rr.Type())
+		}
+		ds = &rec
+		return nil
+	})
+	now := time.Now().UTC()
+	fs.Func("at", "validation `time` (RFC 3339; default now)", func(s string) (err error) {
+		now, err = time.Parse(time.RFC3339, s)
+		return err
+	})
+	if code, done := cli.Parse(fs, args); done {
+		return code
+	}
 
 	var z *zone.Zone
+	var err error
 	switch {
 	case *file != "":
-		f, err := os.Open(*file)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		z, err = zone.Parse(f, dnswire.Root)
-		if err != nil {
-			fatal(err)
+		var f *os.File
+		if f, err = os.Open(*file); err == nil {
+			defer f.Close()
+			z, err = zone.Parse(f, dnswire.Root)
 		}
 	case *axfrAddr != "":
-		var err error
 		z, err = dnsclient.New(*axfrAddr).TransferZone()
-		if err != nil {
-			fatal(err)
-		}
 	default:
-		fmt.Fprintln(os.Stderr, "zonemdcheck: need -file or -axfr")
-		os.Exit(2)
+		return cli.Usage(fs, "need -file or -axfr")
+	}
+	if err != nil {
+		return cli.Fail(fs, err)
 	}
 
-	now := time.Now().UTC()
-	if *at != "" {
-		t, err := time.Parse(time.RFC3339, *at)
-		if err != nil {
-			fatal(err)
-		}
-		now = t
-	}
-
-	fmt.Printf("zone: serial %d, %d records\n", z.Serial(), len(z.Records))
-
+	fmt.Fprintf(stdout, "zone: serial %d, %d records\n", z.Serial(), len(z.Records))
 	if err := zonemd.Verify(z); err != nil {
-		fmt.Printf("ZONEMD: FAIL: %v\n", err)
+		fmt.Fprintf(stdout, "ZONEMD: FAIL: %v\n", err)
 	} else {
-		fmt.Println("ZONEMD: ok")
+		fmt.Fprintln(stdout, "ZONEMD: ok")
 	}
-
-	if *anchor != "" {
-		rr, err := zone.ParseRR(*anchor)
-		if err != nil {
-			fatal(fmt.Errorf("bad -anchor: %w", err))
+	if ds != nil {
+		if err := dnssec.ValidateZone(z, *ds, now); err != nil {
+			fmt.Fprintf(stdout, "DNSSEC: FAIL: %v\n", err)
+			return cli.ExitFailed
 		}
-		ds, ok := rr.Data.(dnswire.DSRecord)
-		if !ok {
-			fatal(fmt.Errorf("-anchor is a %s record, want DS", rr.Type()))
-		}
-		if err := dnssec.ValidateZone(z, ds, now); err != nil {
-			fmt.Printf("DNSSEC: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("DNSSEC: ok")
+		fmt.Fprintln(stdout, "DNSSEC: ok")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "zonemdcheck: %v\n", err)
-	os.Exit(1)
+	return cli.ExitOK
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"repro/internal/anycast"
 	"repro/internal/geo"
@@ -86,7 +87,7 @@ func (c *Coverage) siteObserved(l rss.Letter, s anycast.Site) bool {
 		return false
 	}
 	if rss.IATAOnly(l) {
-		return set[lowerIATA(s.City.IATA)]
+		return set[strings.ToLower(s.City.IATA)]
 	}
 	return set[s.Identifier]
 }
@@ -143,7 +144,7 @@ func (c *Coverage) UnmappedIdentifiers() map[rss.Letter]int {
 		known := make(map[string]bool)
 		for _, s := range c.System.Deployments[l].Sites {
 			if rss.IATAOnly(l) {
-				known[lowerIATA(s.City.IATA)] = true
+				known[strings.ToLower(s.City.IATA)] = true
 			} else {
 				known[s.Identifier] = true
 			}
@@ -237,14 +238,4 @@ func (c *Coverage) Figure11(w io.Writer) {
 		sort.Strings(unobs)
 		fmt.Fprintf(w, "%s.root: %d observed, %d not observed\n", l, len(obs), len(unobs))
 	}
-}
-
-func lowerIATA(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
 }

@@ -10,6 +10,7 @@ package anycast
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/geo"
@@ -234,7 +235,7 @@ func (b *Builder) PlaceSites(letter string, kind SiteKind, region geo.Region, n 
 		fac, host := b.pickFacility(letter, city, kind)
 		seqKey := letter + city.IATA
 		b.siteSeq[seqKey]++
-		id := fmt.Sprintf("%s-%s%d", letter, lower(city.IATA), b.siteSeq[seqKey])
+		id := fmt.Sprintf("%s-%s%d", letter, strings.ToLower(city.IATA), b.siteSeq[seqKey])
 		sites = append(sites, Site{
 			ID:         id,
 			Kind:       kind,
@@ -324,14 +325,4 @@ func (b *Builder) pickFacility(letter string, city geo.City, kind SiteKind) (str
 		b.hostFor[fac] = host
 	}
 	return fac, host
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
 }

@@ -88,29 +88,34 @@ type Study struct {
 	WireFailures []string
 }
 
-// NewStudy builds the world and wires all analyses.
-func NewStudy(cfg Config) (*Study, error) {
-	if cfg.Scale < 1 {
-		cfg.Scale = 1
-	}
-	if cfg.VPScale < 1 {
-		cfg.VPScale = 1
-	}
+// NewWorld expands a run description into the campaign's configuration and
+// builds the world it names: the one place a seed, a VP divisor and a zone
+// size become a topology, a population and a signed root. Zero Start and End
+// take the paper's dates; Scale and VPScale below 1 mean 1.
+func NewWorld(cfg Config) (measure.Config, *measure.World, error) {
 	mCfg := measure.DefaultConfig()
 	mCfg.Seed, mCfg.Scale, mCfg.TLDCount = cfg.Seed, cfg.Scale, cfg.TLDCount
-	mCfg.Start, mCfg.End = cfg.Start, cfg.End // zero takes the paper's dates
-	mCfg.WireCheck = true
+	mCfg.Start, mCfg.End = cfg.Start, cfg.End
 	mCfg.Workers, mCfg.ErrorBudget = cfg.Workers, cfg.ErrorBudget
 	topoCfg := topology.DefaultConfig()
 	topoCfg.Seed = cfg.Seed
 	vpCfg := vantage.DefaultConfig()
-	vpCfg.Seed = cfg.Seed
-	vpCfg.Scale = cfg.VPScale
-
+	vpCfg.Seed, vpCfg.Scale = cfg.Seed, cfg.VPScale
 	w, err := measure.NewWorld(mCfg, topoCfg, vpCfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: building world: %w", err)
+		return mCfg, nil, fmt.Errorf("core: building world: %w", err)
 	}
+	return mCfg, w, nil
+}
+
+// NewStudy builds the world and wires all analyses.
+func NewStudy(cfg Config) (*Study, error) {
+	cfg.Scale, cfg.VPScale = max(cfg.Scale, 1), max(cfg.VPScale, 1)
+	mCfg, w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mCfg.WireCheck = true
 	return &Study{
 		Cfg:        cfg,
 		World:      w,

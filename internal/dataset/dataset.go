@@ -17,8 +17,6 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,7 +143,7 @@ func (d *Writer) HandleProbe(e measure.ProbeEvent) {
 	d.Uvarint(uint64(e.Tick.Index))
 	d.Uvarint(uint64(e.Tick.Time.Unix()))
 	d.Uvarint(uint64(e.VPIdx))
-	d.Intern(targetKey(e.Target))
+	d.Intern(e.Target.Key())
 	flags := uint64(0)
 	if e.Lost {
 		flags |= 1
@@ -188,7 +186,7 @@ func (d *Writer) HandleTransfer(e measure.TransferEvent) {
 	d.Uvarint(uint64(e.Tick.Index))
 	d.Uvarint(uint64(e.Tick.Time.Unix()))
 	d.Uvarint(uint64(e.VPIdx))
-	d.Intern(targetKey(e.Target))
+	d.Intern(e.Target.Key())
 	flags := uint64(0)
 	if e.Lost {
 		flags |= 1
@@ -254,34 +252,17 @@ func rebuildErr(class int) error {
 	}
 }
 
-// slotKeys holds each target's compact key ("b4o" = b.root IPv4 old) and
-// targets the targets themselves, both by slot and built once: the writer
-// reads one per event, the reader the other.
-var slotKeys, targets = func() (keys [rss.Slots]string, bySlot [rss.Slots]rss.ServiceAddr) {
+// targets holds the targets by slot, built once for targetOf.
+var targets = func() (bySlot [rss.Slots]rss.ServiceAddr) {
 	for _, t := range rss.AllServiceAddrs() {
-		key := string(t.Letter) + "4"
-		if t.Family == topology.IPv6 {
-			key = string(t.Letter) + "6"
-		}
-		if t.Old {
-			key += "o"
-		}
 		slot, _ := t.Slot()
-		keys[slot], bySlot[slot] = key, t
+		bySlot[slot] = t
 	}
-	return keys, bySlot
+	return bySlot
 }()
 
-// targetKey is a target's compact key: letter, family and era, whatever the
-// address. A target outside rss.AllServiceAddrs gets "", which replay refuses.
-func targetKey(t rss.ServiceAddr) string {
-	if slot, ok := t.Slot(); ok {
-		return slotKeys[slot]
-	}
-	return ""
-}
-
-// targetOf is targetKey's inverse, read off the key's characters.
+// targetOf is the inverse of rss.ServiceAddr.Key, read off the key's
+// characters. Replay refuses the "" a target outside rss.AllServiceAddrs got.
 func targetOf(key string) (rss.ServiceAddr, bool) {
 	t := rss.ServiceAddr{Family: topology.IPv4, Old: len(key) == 3}
 	if len(key) < 2 || len(key) > 3 || (t.Old && key[2] != 'o') || (key[1] != '4' && key[1] != '6') {
@@ -308,26 +289,17 @@ type Reader struct {
 }
 
 // NewReader opens a dataset. The population must be the one the recording
-// campaign used (the same world seed reproduces it). The header parse stays
-// here (not in segment) for the legacy-format diagnostic.
+// campaign used (the same world seed reproduces it).
 func NewReader(in io.Reader, pop *vantage.Population) (*Reader, error) {
-	raw := bufio.NewReader(in)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(raw, head); err != nil || string(head) != magic {
-		if len(head) >= 2 && head[0] == 0x1f && head[1] == 0x8b {
-			return nil, errors.New("dataset: legacy v1 (gzip) format; re-record with this version")
-		}
-		return nil, errors.New("dataset: bad magic")
-	}
-	v, err := binary.ReadUvarint(raw)
-	if err != nil || v != version {
-		return nil, fmt.Errorf("dataset: unsupported version %d", v)
+	seg, err := segment.NewReader(in, magic, version)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	cities := make(map[string]geo.City)
 	for _, c := range geo.Cities() {
 		cities[c.IATA] = c
 	}
-	return &Reader{Reader: segment.NewReaderAt(raw), pop: pop, cities: cities}, nil
+	return &Reader{Reader: seg, pop: pop, cities: cities}, nil
 }
 
 // block is one decoded block: the events as typed runs, and the order their

@@ -18,6 +18,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/measure"
 	"repro/internal/rss"
+	"repro/internal/segment"
 	"repro/internal/topology"
 	"repro/internal/vantage"
 )
@@ -189,15 +190,14 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("not a dataset")), pop); err == nil {
 		t.Error("garbage accepted")
 	}
-	// A legacy v1 recording (single gzip stream) must be rejected with a
-	// recognizable message, not a generic magic failure.
+	// A v1 recording (one gzip stream; no writer since PR 3) is refused like
+	// any other file that is not a dataset.
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
 	gz.Write([]byte("XXXX"))
 	gz.Close()
-	_, err := NewReader(&buf, pop)
-	if err == nil || !strings.Contains(err.Error(), "legacy v1") {
-		t.Errorf("legacy gzip: err = %v, want legacy-v1 rejection", err)
+	if _, err := NewReader(&buf, pop); !errors.Is(err, segment.ErrBadMagic) {
+		t.Errorf("v1 gzip: err = %v, want segment.ErrBadMagic", err)
 	}
 	// Right magic, future version.
 	future := append([]byte(magic), 0x7f)
@@ -468,7 +468,7 @@ func TestResumeWriterByteIdentical(t *testing.T) {
 func TestTargetKeyBijective(t *testing.T) {
 	seen := map[string]bool{}
 	for _, tgt := range rss.AllServiceAddrs() {
-		k := targetKey(tgt)
+		k := tgt.Key()
 		if seen[k] {
 			t.Fatalf("duplicate key %q", k)
 		}

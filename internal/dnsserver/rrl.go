@@ -2,12 +2,12 @@ package dnsserver
 
 import (
 	"fmt"
-	"math"
 	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/cli"
 	"repro/internal/failpoint"
 	"repro/internal/seeded"
 )
@@ -65,29 +65,17 @@ func (c RRLConfig) withDefaults() RRLConfig {
 	return c
 }
 
-// ParseRRL parses the -rrl flag syntax, e.g.
+// Set parses the -rrl flag syntax (RRLConfig is a flag.Value): key=value
+// terms as internal/cli walks them, e.g.
 // "rate=0.5,burst=50,slip=2,prefix4=24,prefix6=56,tablebytes=1048576,seed=7".
-// An empty spec returns the zero (disabled) config.
-func ParseRRL(spec string) (RRLConfig, error) {
-	var c RRLConfig
-	if strings.TrimSpace(spec) == "" {
-		return c, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return c, fmt.Errorf("rrl: bad pair %q (want key=value)", kv)
-		}
-		var err error
+// A spec replaces the whole config, so an empty one is the zero (disabled)
+// config.
+func (c *RRLConfig) Set(s string) error {
+	*c = RRLConfig{}
+	return cli.Walk(s, func(k, v string) (err error) {
 		switch k {
 		case "rate":
-			var f float64
-			if f, err = strconv.ParseFloat(v, 64); err == nil {
-				if f < 0 || f > 1 || math.IsNaN(f) {
-					err = fmt.Errorf("out of [0,1]")
-				}
-			}
-			c.Rate = f
+			c.Rate, err = cli.Prob(v)
 		case "burst":
 			c.Burst, err = strconv.Atoi(v)
 		case "slip":
@@ -101,13 +89,28 @@ func ParseRRL(spec string) (RRLConfig, error) {
 		case "seed":
 			c.Seed, err = strconv.ParseUint(v, 10, 64)
 		default:
-			return c, fmt.Errorf("rrl: unknown key %q", k)
+			err = cli.Unknown(k, "rate, burst, slip, prefix4, prefix6, tablebytes, seed")
 		}
-		if err != nil {
-			return c, fmt.Errorf("rrl: bad %s=%q: %v", k, v, err)
+		return err
+	})
+}
+
+// String renders the config in the syntax Set parses (only non-zero keys).
+func (c RRLConfig) String() string {
+	var parts []string
+	add := func(k string, v any, set bool) {
+		if set {
+			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
 		}
 	}
-	return c, nil
+	add("rate", c.Rate, c.Rate != 0)
+	add("burst", c.Burst, c.Burst != 0)
+	add("slip", c.Slip, c.Slip != 0)
+	add("prefix4", c.Prefix4, c.Prefix4 != 0)
+	add("prefix6", c.Prefix6, c.Prefix6 != 0)
+	add("tablebytes", c.TableBytes, c.TableBytes != 0)
+	add("seed", c.Seed, c.Seed != 0)
+	return strings.Join(parts, ",")
 }
 
 // rrlVerdict is the limiter's decision for one about-to-be-sent response.

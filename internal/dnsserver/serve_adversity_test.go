@@ -210,14 +210,18 @@ func TestRRLDecideDeterministic(t *testing.T) {
 
 // TestRRLParseErrors pins the -rrl flag grammar's failure modes.
 func TestRRLParseErrors(t *testing.T) {
-	for _, spec := range []string{"rate", "rate=2", "rate=x", "bogus=1", "burst=x"} {
-		if _, err := ParseRRL(spec); err == nil {
-			t.Errorf("ParseRRL(%q) accepted", spec)
+	var c, back RRLConfig
+	for _, spec := range []string{"rate", "rate=2", "rate=x", "bogus=1", "burst=x", "rate=0.5,"} {
+		if err := c.Set(spec); err == nil {
+			t.Errorf("Set(%q) accepted", spec)
 		}
 	}
-	c, err := ParseRRL("rate=0.5,burst=50,slip=2,prefix4=28,tablebytes=4096,seed=3")
-	if err != nil {
+	const spec = "rate=0.5,burst=50,slip=2,prefix4=28,tablebytes=4096,seed=3"
+	if err := c.Set(spec); err != nil {
 		t.Fatal(err)
+	}
+	if err := back.Set(c.String()); err != nil || back != c || c.String() != spec {
+		t.Errorf("round trip of %q: %q, %+v (%v)", spec, c.String(), back, err)
 	}
 	if c.Rate != 0.5 || c.Burst != 50 || c.Slip != 2 || c.Prefix4 != 28 || c.TableBytes != 4096 || c.Seed != 3 {
 		t.Errorf("parsed config = %+v", c)

@@ -9,14 +9,7 @@ import "encoding/binary"
 // original TTL from the RRSIG. The canonical form is the byte stream over
 // which both RRSIG signatures and ZONEMD digests are computed.
 func AppendCanonicalRR(buf []byte, rr RR, ttl uint32) []byte {
-	buf = appendName(buf, rr.Name.Canonical(), 0, nil)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Type()))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Class))
-	buf = binary.BigEndian.AppendUint32(buf, ttl)
-	lenOff := len(buf)
-	buf = append(buf, 0, 0)
-	buf = canonicalData(rr.Data).appendTo(buf, 0, nil)
-	binary.BigEndian.PutUint16(buf[lenOff:], uint16(len(buf)-lenOff-2))
+	buf, _ = appendCanonicalRR(buf, rr, ttl)
 	return buf
 }
 
@@ -24,7 +17,13 @@ func AppendCanonicalRR(buf []byte, rr RR, ttl uint32) []byte {
 // of the RDATA octets within it. Zone sidecars cache both so canonical sorts
 // can tie-break on RDATA bytes without re-encoding.
 func CanonicalRR(rr RR, ttl uint32) (wire []byte, rdataOff int) {
-	buf := appendName(nil, rr.Name.Canonical(), 0, nil)
+	return appendCanonicalRR(nil, rr, ttl)
+}
+
+// appendCanonicalRR is both of the above: the form appended to buf, and
+// where in buf its RDATA starts.
+func appendCanonicalRR(buf []byte, rr RR, ttl uint32) ([]byte, int) {
+	buf = appendName(buf, rr.Name.Canonical(), 0, nil)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Type()))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Class))
 	buf = binary.BigEndian.AppendUint32(buf, ttl)

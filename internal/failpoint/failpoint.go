@@ -5,7 +5,7 @@
 // Tests and the CLIs' -chaos flag activate a plan that makes specific hits of
 // specific sites panic, return an injected error, or simulate a process kill.
 //
-// Spec grammar (comma-separated):
+// Spec grammar (comma-separated key=value terms, see internal/cli):
 //
 //	site=action[@N]
 //
@@ -17,11 +17,14 @@ package failpoint
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/cli"
 )
 
 // Sentinel errors surfaced by Eval.
@@ -63,10 +66,10 @@ type plan struct{ sites map[string]*site }
 // active holds the current plan; nil when chaos mode is off.
 var active atomic.Pointer[plan]
 
-// newSite parses one action[@N] clause; part is the full clause for error
-// text. Sites are fully built before the plan is published, so act and at
-// never change after construction.
-func newSite(actName, atStr string, hasAt bool, part string) (*site, error) {
+// newSite parses one action[@N] value. Sites are fully built before the plan
+// is published, so act and at never change after construction.
+func newSite(value string) (*site, error) {
+	actName, atStr, hasAt := strings.Cut(value, "@")
 	s := &site{at: 1}
 	switch actName {
 	case "panic":
@@ -76,49 +79,51 @@ func newSite(actName, atStr string, hasAt bool, part string) (*site, error) {
 	case "kill":
 		s.act = actKill
 	default:
-		return nil, fmt.Errorf("failpoint: unknown action %q in %q", actName, part)
+		return nil, fmt.Errorf("unknown action %q (want panic, error, kill)", actName)
 	}
 	if hasAt {
 		n, err := strconv.ParseInt(atStr, 10, 64)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("failpoint: bad hit count in %q", part)
+			return nil, fmt.Errorf("bad hit count %q", atStr)
 		}
 		s.at = n
 	}
 	return s, nil
 }
 
-// Enable parses spec and activates it, replacing any previous plan. A site
-// that is not in Sites is refused, as is a kill on a site that is not
-// kill-capable: neither could ever fire as asked, and a chaos run that armed
-// nothing looks like a run that survived.
-func Enable(spec string) error {
+// Enable parses a spec (site=action[@N] terms, as internal/cli walks them)
+// and activates it, replacing any previous plan. A site that is not in Sites
+// is refused, as is a kill on a site that is not kill-capable: neither could
+// ever fire as asked, and a chaos run that armed nothing looks like a run
+// that survived.
+func Enable(sp string) error {
 	p := &plan{sites: make(map[string]*site)}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rest, ok := strings.Cut(part, "=")
-		if !ok || name == "" {
-			return fmt.Errorf("failpoint: bad spec %q (want site=action[@N])", part)
-		}
-		actName, atStr, hasAt := strings.Cut(rest, "@")
-		s, err := newSite(actName, atStr, hasAt, part)
+	err := cli.Walk(sp, func(name, value string) error {
+		s, err := newSite(value)
 		if err != nil {
 			return err
 		}
 		i := slices.IndexFunc(Sites, func(r Site) bool { return r.Name == name })
 		if i < 0 {
-			return fmt.Errorf("failpoint: no site %q in %q (registered: %s)", name, part, siteNames())
+			return fmt.Errorf("no site %q (registered: %s)", name, siteNames())
 		}
 		if s.act == actKill && !Sites[i].Kill {
-			return fmt.Errorf("failpoint: site %q is not kill-capable in %q: its errors are absorbed, not unwound", name, part)
+			return fmt.Errorf("site %q is not kill-capable: its errors are absorbed, not unwound", name)
 		}
 		p.sites[name] = s
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("failpoint: %w", err)
 	}
 	active.Store(p)
 	return nil
+}
+
+// RegisterFlag declares -chaos on fs: the spec is checked and armed as the
+// flag is parsed, so a site that could never fire is a usage error.
+func RegisterFlag(fs *flag.FlagSet) {
+	fs.Func("chaos", "failpoint `spec` site=action[@N][,...] with action panic|error|kill, e.g. campaign/tick=kill@5", Enable)
 }
 
 // siteNames lists the registered sites for Enable's refusal.

@@ -9,9 +9,10 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -25,75 +26,113 @@ type LoadConfig struct {
 	ModulePath string
 }
 
-// Load walks cfg.Dir, parses every package, and type-checks them in
-// dependency order. Standard-library imports resolve through the compiler's
-// source importer, so loading works offline in a zero-dependency module.
-// Test files are parsed into PackageInfo.TestFiles but not type-checked.
+// Load walks cfg.Dir, lets go/build say what each directory holds for the host
+// platform (build constraints, the _test.go split, one package a directory),
+// parses it, and type-checks every package. Standard-library imports resolve
+// through the compiler's source importer, so loading works offline in a
+// zero-dependency module. Test files are parsed into PackageInfo.TestFiles
+// but not type-checked.
 func Load(cfg LoadConfig) (*Program, error) {
-	fset := token.NewFileSet()
-	dirs, err := packageDirs(cfg.Dir)
-	if err != nil {
-		return nil, err
+	l := &loader{
+		prog:   &Program{Fset: token.NewFileSet(), module: importPathFor(cfg.ModulePath, ".")},
+		parsed: make(map[string]*PackageInfo),
 	}
-	raw := make(map[string]*rawPackage)
-	var order []string
-	for _, dir := range dirs {
-		rp, err := parseDir(fset, dir)
-		if err != nil {
-			return nil, err
+	l.std = importer.ForCompiler(l.prog.Fset, "source", nil)
+	// Everything is parsed before anything is checked, in walk order: token
+	// positions, and with them the order of a report, follow the tree.
+	var paths []string
+	err := filepath.WalkDir(cfg.Dir, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
-		if rp == nil {
-			continue
+		// Not testdata trees, hidden directories or vendored code.
+		if name := d.Name(); dir != cfg.Dir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if _, empty := err.(*build.NoGoError); empty {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("lint: %w", err)
 		}
 		rel, err := filepath.Rel(cfg.Dir, dir)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rp.path = importPathFor(cfg.ModulePath, rel)
-		raw[rp.path] = rp
-		order = append(order, rp.path)
-	}
-	sort.Strings(order)
-
-	sorted, err := topoSort(raw, order)
+		pkg := &PackageInfo{Path: importPathFor(cfg.ModulePath, rel)}
+		names := slices.Concat(bp.GoFiles, bp.TestGoFiles, bp.XTestGoFiles)
+		sort.Strings(names)
+		for _, name := range names {
+			f, err := parser.ParseFile(l.prog.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			if strings.HasSuffix(name, "_test.go") {
+				pkg.TestFiles = append(pkg.TestFiles, f)
+			} else {
+				pkg.Files = append(pkg.Files, f)
+			}
+		}
+		l.parsed[pkg.Path] = pkg
+		paths = append(paths, pkg.Path)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	prog := &Program{Fset: fset, module: importPathFor(cfg.ModulePath, ".")}
-	local := make(map[string]*types.Package)
-	fallback := importer.ForCompiler(fset, "source", nil)
-	imp := &chainImporter{local: local, fallback: fallback}
-	for _, path := range sorted {
-		rp := raw[path]
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Scopes:     make(map[ast.Node]*types.Scope),
-			Implicits:  make(map[ast.Node]types.Object),
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := l.Import(path); err != nil {
+			return nil, err
 		}
-		var typeErrs []string
-		conf := types.Config{
-			Importer: imp,
-			Error: func(err error) {
-				if len(typeErrs) < 10 {
-					typeErrs = append(typeErrs, err.Error())
-				}
-			},
-		}
-		pkg, _ := conf.Check(path, fset, rp.files, info)
-		if len(typeErrs) > 0 {
-			return nil, fmt.Errorf("lint: type-checking %s:\n\t%s", path, strings.Join(typeErrs, "\n\t"))
-		}
-		local[path] = pkg
-		prog.Packages = append(prog.Packages, &PackageInfo{
-			Path: path, Pkg: pkg, Info: info,
-			Files: rp.files, TestFiles: rp.testFiles,
-		})
 	}
-	return prog, nil
+	return l.prog, nil
+}
+
+// loader is the types.Importer of a Load: a package of the tree is
+// type-checked the first time something imports it, so Program.Packages
+// fills in dependency order with no sort; anything else is the standard
+// library's.
+type loader struct {
+	prog   *Program
+	parsed map[string]*PackageInfo // by import path; Pkg is set once checked
+	std    types.Importer
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	pkg, local := l.parsed[path]
+	switch {
+	case !local:
+		return l.std.Import(path)
+	case pkg.Pkg != nil:
+		return pkg.Pkg, nil
+	case pkg.Info != nil:
+		return nil, fmt.Errorf("lint: import cycle through %s", path)
+	}
+	pkg.Info = &types.Info{ // and marks the package as in progress
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Implicits:  make(map[ast.Node]types.Object),
+	}
+	var typeErrs []string
+	conf := types.Config{
+		Importer: l,
+		Error: func(err error) {
+			if len(typeErrs) < 10 {
+				typeErrs = append(typeErrs, err.Error())
+			}
+		},
+	}
+	checked, _ := conf.Check(path, l.prog.Fset, pkg.Files, pkg.Info)
+	if len(typeErrs) > 0 {
+		return nil, fmt.Errorf("lint: type-checking %s:\n\t%s", path, strings.Join(typeErrs, "\n\t"))
+	}
+	pkg.Pkg = checked
+	l.prog.Packages = append(l.prog.Packages, pkg)
+	return checked, nil
 }
 
 // LoadModule locates the enclosing go.mod starting at dir and loads the
@@ -136,158 +175,9 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: %s has no module directive", gomod)
 }
 
+// importPathFor maps a directory, given relative to the tree's root, to its
+// import path: under the module path when there is one, the relative path
+// itself for a fixture tree.
 func importPathFor(modulePath, rel string) string {
-	rel = filepath.ToSlash(rel)
-	switch {
-	case rel == "." && modulePath != "":
-		return modulePath
-	case rel == ".":
-		return "."
-	case modulePath != "":
-		return modulePath + "/" + rel
-	default:
-		return rel
-	}
-}
-
-// packageDirs lists every directory under root that may hold a package,
-// skipping testdata trees, hidden directories, and vendored code.
-func packageDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	return dirs, err
-}
-
-// rawPackage is one parsed-but-unchecked package directory.
-type rawPackage struct {
-	path      string
-	name      string
-	files     []*ast.File
-	testFiles []*ast.File
-	imports   map[string]bool
-}
-
-// parseDir parses dir's Go files. Returns nil when dir holds no Go files.
-// A directory must hold exactly one non-test package (plus optionally its
-// external _test package, which lands in testFiles).
-func parseDir(fset *token.FileSet, dir string) (*rawPackage, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	rp := &rawPackage{imports: make(map[string]bool)}
-	buildCtx := build.Default
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		// Honor build constraints (//go:build lines and _GOOS/_GOARCH file
-		// suffixes) for the host platform, exactly as the compiler would —
-		// otherwise platform-variant files (e.g. reuseport_linux.go and its
-		// !linux fallback) type-check as duplicate declarations.
-		if match, err := buildCtx.MatchFile(dir, e.Name()); err != nil {
-			return nil, err
-		} else if !match {
-			continue
-		}
-		full := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasSuffix(e.Name(), "_test.go") {
-			rp.testFiles = append(rp.testFiles, f)
-			continue
-		}
-		if rp.name == "" {
-			rp.name = f.Name.Name
-		} else if rp.name != f.Name.Name {
-			return nil, fmt.Errorf("lint: %s holds two packages: %s and %s", dir, rp.name, f.Name.Name)
-		}
-		rp.files = append(rp.files, f)
-		for _, spec := range f.Imports {
-			p, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				return nil, err
-			}
-			rp.imports[p] = true
-		}
-	}
-	if len(rp.files) == 0 && len(rp.testFiles) == 0 {
-		return nil, nil
-	}
-	return rp, nil
-}
-
-// topoSort orders paths so every package is checked after its local imports.
-func topoSort(raw map[string]*rawPackage, order []string) ([]string, error) {
-	const (
-		unvisited = iota
-		visiting
-		done
-	)
-	state := make(map[string]int)
-	var sorted []string
-	var visit func(path string, stack []string) error
-	visit = func(path string, stack []string) error {
-		switch state[path] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("lint: import cycle: %s", strings.Join(append(stack, path), " -> "))
-		}
-		state[path] = visiting
-		rp := raw[path]
-		var deps []string
-		for imp := range rp.imports {
-			if _, ok := raw[imp]; ok {
-				deps = append(deps, imp)
-			}
-		}
-		sort.Strings(deps)
-		for _, dep := range deps {
-			if err := visit(dep, append(stack, path)); err != nil {
-				return err
-			}
-		}
-		state[path] = done
-		sorted = append(sorted, path)
-		return nil
-	}
-	for _, path := range order {
-		if err := visit(path, nil); err != nil {
-			return nil, err
-		}
-	}
-	return sorted, nil
-}
-
-// chainImporter resolves module-local packages from the in-progress load and
-// everything else (the standard library) through the source importer.
-type chainImporter struct {
-	local    map[string]*types.Package
-	fallback types.Importer
-}
-
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := c.local[path]; ok {
-		if pkg == nil {
-			return nil, fmt.Errorf("lint: import %q failed to type-check", path)
-		}
-		return pkg, nil
-	}
-	return c.fallback.Import(path)
+	return path.Join(modulePath, filepath.ToSlash(rel))
 }

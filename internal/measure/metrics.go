@@ -36,8 +36,7 @@ var (
 
 	mTickDur       = telemetry.NewHistogram("wallclock/tick_us")
 	mWirecheckDur  = telemetry.NewHistogram("wallclock/wirecheck_us")
-	mProbeDur      = telemetry.NewHistogram("wallclock/probe_us")
-	mTransferDur   = telemetry.NewHistogram("wallclock/transfer_us")
+	mVPLoopDur     = telemetry.NewHistogram("wallclock/vploop_us")
 	mCheckpointDur = telemetry.NewHistogram("wallclock/checkpoint_us")
 )
 

@@ -218,10 +218,16 @@ func (c *Campaign) produce(res *tickResult, workers int) {
 	// /metrics poll watches it fall from nVPs to 0.
 	mTickQueue.Set(int64(nVPs))
 	var next atomic.Int64
+	// One span and one timing per (tick, lane): a probe is some 100 ns, too
+	// short to time on its own and too many to trace.
 	collect := func(wid int) {
+		timer := telemetry.StartTimer()
+		span := telemetry.StartSpan("worker", "vploop", tick.Index, wid)
 		for i := int(next.Add(1)) - 1; i < nVPs; i = int(next.Add(1)) - 1 {
-			c.collectVP(tick, i, targets, &res.shards[i], wid)
+			c.collectVP(tick, i, targets, &res.shards[i])
 		}
+		span.End()
+		timer.ObserveInto(mVPLoopDur)
 	}
 	var wg sync.WaitGroup
 	for wid := 2; wid <= workers; wid++ {
@@ -280,14 +286,13 @@ func (c *Campaign) deliver(res *tickResult, handlers []Handler) error {
 }
 
 // collectVP computes one VP's full probe+transfer battery for the tick into
-// out, preserving the serial engine's per-target event order. wid is the
-// computing worker's trace lane.
-func (c *Campaign) collectVP(tick Tick, vpIdx int, targets []rss.ServiceAddr, out *vpShard, wid int) {
+// out, preserving the serial engine's per-target event order.
+func (c *Campaign) collectVP(tick Tick, vpIdx int, targets []rss.ServiceAddr, out *vpShard) {
 	out.pairs, out.notes = out.pairs[:0], out.notes[:0]
 	vp := &c.World.Population.VPs[vpIdx]
 	axfr := !tick.Time.Before(AXFRStart)
 	for tIdx, target := range targets {
-		out.pairs = append(out.pairs, c.collectPair(tick, vp, vpIdx, tIdx, target, axfr, wid, out))
+		out.pairs = append(out.pairs, c.collectPair(tick, vp, vpIdx, tIdx, target, axfr, out))
 	}
 	mTickQueue.Add(-1)
 }
@@ -298,7 +303,7 @@ func (c *Campaign) collectVP(tick Tick, vpIdx int, targets []rss.ServiceAddr, ou
 // stages they spoiled (a transfer-stage fault keeps the good probe) and
 // leave a note in out, which counts against the error budget when the tick
 // is delivered.
-func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr, axfr bool, wid int, out *vpShard) (pair eventPair) {
+func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr, axfr bool, out *vpShard) (pair eventPair) {
 	stage := "probe"
 	defer func() {
 		if r := recover(); r != nil {
@@ -327,11 +332,7 @@ func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, targe
 		}
 		return pair
 	}
-	probeTimer := telemetry.StartTimer()
-	probeSpan := telemetry.StartSpan("worker", "probe", tick.Index, wid)
 	pe := c.probe(tick, vp, vpIdx, tIdx)
-	probeSpan.End()
-	probeTimer.ObserveInto(mProbeDur)
 	pair.probe = pe
 	if !axfr {
 		return pair
@@ -344,11 +345,7 @@ func (c *Campaign) collectPair(tick Tick, vp *vantage.VP, vpIdx, tIdx int, targe
 		pair.hasTransfer = true
 		return pair
 	}
-	transferTimer := telemetry.StartTimer()
-	transferSpan := telemetry.StartSpan("worker", "transfer", tick.Index, wid)
 	pair.transfer = c.transfer(tick, vp, vpIdx, tIdx, target, pe.SiteID, !pe.Lost)
-	transferSpan.End()
-	transferTimer.ObserveInto(mTransferDur)
 	pair.hasTransfer = true
 	return pair
 }

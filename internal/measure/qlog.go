@@ -2,7 +2,6 @@ package measure
 
 import (
 	"repro/internal/qlog"
-	"repro/internal/rss"
 )
 
 // FlightLog adapts a qlog.Recorder to the campaign Handler interface: one
@@ -30,21 +29,6 @@ var (
 		"tick", "vp", "lost", "degraded", "fault", "serial", "mismatch")
 )
 
-// qlogTarget renders the event subject for a service target, matching the
-// dataset's compact key ("b4o" = b.root IPv4 old) so `rootanalyze -qlog`
-// output reads like the dataset tooling's.
-func qlogTarget(t rss.ServiceAddr) []byte {
-	fam := byte('4')
-	if t.Family == 1 {
-		fam = '6'
-	}
-	b := append([]byte(t.Letter), fam)
-	if t.Old {
-		b = append(b, 'o')
-	}
-	return b
-}
-
 // qlogKey folds the pair identity (tick, VP, target) into the sampling key.
 // Campaign events have no wire bytes, so the key is built from the logical
 // coordinates every run shares.
@@ -54,7 +38,7 @@ func qlogKey(tick, vp int, subject []byte) uint64 {
 
 // HandleProbe implements Handler.
 func (f *FlightLog) HandleProbe(e ProbeEvent) {
-	subject := qlogTarget(e.Target)
+	subject := []byte(e.Target.Key()) // the dataset's compact key, "b4o"
 	key := qlogKey(e.Tick.Index, e.VPIdx, subject)
 	if !f.Sampled(key) {
 		return
@@ -74,7 +58,7 @@ func (f *FlightLog) HandleProbe(e ProbeEvent) {
 
 // HandleTransfer implements Handler.
 func (f *FlightLog) HandleTransfer(e TransferEvent) {
-	subject := qlogTarget(e.Target)
+	subject := []byte(e.Target.Key()) // the dataset's compact key, "b4o"
 	key := qlogKey(e.Tick.Index, e.VPIdx, subject)
 	if !f.Sampled(key) {
 		return

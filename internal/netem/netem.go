@@ -18,14 +18,13 @@
 package netem
 
 import (
-	"fmt"
-	"math"
 	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/failpoint"
 	"repro/internal/seeded"
 )
@@ -82,44 +81,17 @@ func (p Profile) zero() bool {
 		p.Blackhole == 0 && p.Cut == 0 && p.Delay == 0 && p.Jitter == 0
 }
 
-// ParseProfile parses the -netem flag syntax: a comma-separated list of
-// key=value pairs, e.g. "loss=0.1,dup=0.01,reorder=0.05,seed=7". Keys:
-// loss, dup, reorder, corrupt, blackhole, cut (probabilities), cutbytes
-// (int), delay, jitter (durations), seed (uint64). An empty spec is the
-// zero profile.
-func ParseProfile(spec string) (Profile, error) {
-	var p Profile
-	if strings.TrimSpace(spec) == "" {
-		return p, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return p, fmt.Errorf("netem: bad pair %q (want key=value)", kv)
-		}
-		var err error
+// Set parses the -netem flag syntax (Profile is a flag.Value): key=value
+// terms as internal/cli walks them, e.g. "loss=0.1,dup=0.01,reorder=0.05,seed=7".
+// Keys: loss, dup, reorder, corrupt, blackhole, cut (probabilities), cutbytes
+// (int), delay, jitter (durations), seed (uint64). A spec replaces the whole
+// profile, so an empty one is the zero profile.
+func (p *Profile) Set(s string) error {
+	*p = Profile{}
+	probs := map[string]*float64{"loss": &p.Loss, "dup": &p.Dup, "reorder": &p.Reorder,
+		"corrupt": &p.Corrupt, "blackhole": &p.Blackhole, "cut": &p.Cut}
+	return cli.Walk(s, func(k, v string) (err error) {
 		switch k {
-		case "loss", "dup", "reorder", "corrupt", "blackhole", "cut":
-			var f float64
-			if f, err = strconv.ParseFloat(v, 64); err == nil {
-				if f < 0 || f > 1 || math.IsNaN(f) {
-					err = fmt.Errorf("out of [0,1]")
-				}
-			}
-			switch k {
-			case "loss":
-				p.Loss = f
-			case "dup":
-				p.Dup = f
-			case "reorder":
-				p.Reorder = f
-			case "corrupt":
-				p.Corrupt = f
-			case "blackhole":
-				p.Blackhole = f
-			case "cut":
-				p.Cut = f
-			}
 		case "cutbytes":
 			p.CutBytes, err = strconv.Atoi(v)
 		case "delay":
@@ -129,16 +101,18 @@ func ParseProfile(spec string) (Profile, error) {
 		case "seed":
 			p.Seed, err = strconv.ParseUint(v, 10, 64)
 		default:
-			return p, fmt.Errorf("netem: unknown key %q", k)
+			f := probs[k]
+			if f == nil {
+				return cli.Unknown(k, "loss, dup, reorder, corrupt, blackhole, cut, cutbytes, delay, jitter, seed")
+			}
+			*f, err = cli.Prob(v)
 		}
-		if err != nil {
-			return p, fmt.Errorf("netem: bad %s=%q: %v", k, v, err)
-		}
-	}
-	return p, nil
+		return err
+	})
 }
 
-// String renders the profile in ParseProfile syntax (only non-zero keys).
+// String renders the profile in the syntax Set parses (only non-zero keys,
+// and always the seed).
 func (p Profile) String() string {
 	var parts []string
 	add := func(k string, f float64) {

@@ -244,8 +244,8 @@ func TestWrapConnCutsMidStream(t *testing.T) {
 
 func TestParseProfileRoundTrip(t *testing.T) {
 	spec := "loss=0.1,dup=0.02,reorder=0.05,corrupt=0.01,blackhole=0.3,cut=0.5,cutbytes=512,delay=1ms,jitter=500us,seed=99"
-	p, err := ParseProfile(spec)
-	if err != nil {
+	var p, back, z Profile
+	if err := p.Set(spec); err != nil {
 		t.Fatal(err)
 	}
 	if p.Loss != 0.1 || p.Dup != 0.02 || p.Reorder != 0.05 || p.Corrupt != 0.01 ||
@@ -253,16 +253,15 @@ func TestParseProfileRoundTrip(t *testing.T) {
 		p.Delay != time.Millisecond || p.Jitter != 500*time.Microsecond || p.Seed != 99 {
 		t.Fatalf("parsed %+v", p)
 	}
-	back, err := ParseProfile(p.String())
-	if err != nil || back != p {
+	if err := back.Set(p.String()); err != nil || back != p {
 		t.Fatalf("round trip %+v != %+v (%v)", back, p, err)
 	}
-	if z, err := ParseProfile(" "); err != nil || !z.zero() {
+	if err := z.Set(" "); err != nil || !z.zero() {
 		t.Fatalf("blank spec: %+v, %v", z, err)
 	}
-	for _, bad := range []string{"loss", "loss=2", "loss=x", "wat=1", "delay=fast", "seed=-1"} {
-		if _, err := ParseProfile(bad); err == nil {
-			t.Fatalf("ParseProfile(%q) accepted", bad)
+	for _, bad := range []string{"loss", "loss=2", "loss=x", "wat=1", "delay=fast", "seed=-1", "loss=0.1,"} {
+		if err := z.Set(bad); err == nil {
+			t.Fatalf("Set(%q) accepted", bad)
 		}
 	}
 }

@@ -94,8 +94,12 @@ func DumpBlackbox(path string) error {
 
 // DumpOnPanic is the crash hook for CLI mains: deferred early, it dumps the
 // black-box ring to path when the goroutine is unwinding from a panic, then
-// re-panics so the crash still reports. A normal return dumps nothing.
+// re-panics so the crash still reports. A normal return dumps nothing, and
+// neither does an empty path (Flags.Blackbox with recording off).
 func DumpOnPanic(path string) {
+	if path == "" {
+		return
+	}
 	if v := recover(); v != nil {
 		DumpBlackbox(path) // best-effort: the process is dying
 		panic(v)

@@ -3,12 +3,14 @@ package qlog
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
-	"strings"
 	"sync"
 
+	"repro/internal/cli"
 	"repro/internal/failpoint"
 	"repro/internal/seeded"
 	"repro/internal/segment"
@@ -76,34 +78,27 @@ type Sampler struct {
 	Every uint64
 }
 
-// ParseSampler parses a CLI sampler spec like "every=64,seed=7". The empty
-// spec records every query with seed 0. Client and server record the same
-// query subset exactly when their specs agree.
-func ParseSampler(spec string) (Sampler, error) {
-	out := Sampler{Every: 1}
-	if spec == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return out, fmt.Errorf("qlog: bad sampler term %q (want key=value)", part)
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return out, fmt.Errorf("qlog: bad sampler value %q: %v", part, err)
-		}
+// Set parses the -qlog-sample flag syntax (Sampler is a flag.Value): key=value
+// terms as internal/cli walks them, e.g. "every=64,seed=7". A spec starts
+// from every=1,seed=0, so the empty spec records every query. Client and
+// server record the same query subset exactly when their specs agree.
+func (s *Sampler) Set(sp string) error {
+	*s = Sampler{Every: 1}
+	return cli.Walk(sp, func(k, v string) (err error) {
 		switch k {
 		case "every":
-			out.Every = n
+			s.Every, err = strconv.ParseUint(v, 10, 64)
 		case "seed":
-			out.Seed = n
+			s.Seed, err = strconv.ParseUint(v, 10, 64)
 		default:
-			return out, fmt.Errorf("qlog: unknown sampler key %q (want every, seed)", k)
+			err = cli.Unknown(k, "every, seed")
 		}
-	}
-	return out, nil
+		return err
+	})
 }
+
+// String renders the sampler in the syntax Set parses.
+func (s Sampler) String() string { return fmt.Sprintf("every=%d,seed=%d", s.Every, s.Seed) }
 
 // Sampled reports whether the key is in the recorded subset.
 func (s Sampler) Sampled(key uint64) bool {
@@ -170,6 +165,9 @@ type Recorder struct {
 	sampler Sampler
 	//rootlint:immutable-after-start
 	blackboxPath string
+	// file is the log Flags.Open opened under the recorder, closed with it.
+	//rootlint:immutable-after-start
+	file *os.File
 
 	mu sync.Mutex
 	//rootlint:guardedby mu
@@ -308,13 +306,18 @@ func (r *Recorder) Wait() error {
 	return r.seg.Wait()
 }
 
-// Close seals any pending block and flushes the recorder. Nil-safe so CLI
-// shutdown paths need no recorder-enabled branch.
+// Close seals any pending block, flushes the recorder and closes the file
+// Flags.Open gave it, if any. Nil-safe so CLI shutdown paths need no
+// recorder-enabled branch, and harmless to repeat.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seg.Close()
+	err := r.seg.Close()
+	if r.file != nil {
+		err = errors.Join(err, r.file.Close())
+	}
+	return err
 }

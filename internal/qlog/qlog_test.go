@@ -402,17 +402,20 @@ func TestParseSampler(t *testing.T) {
 		{"seed=3", qlog.Sampler{Seed: 3, Every: 1}},
 		{"every=0", qlog.Sampler{Every: 0}},
 	} {
-		got, err := qlog.ParseSampler(tc.spec)
-		if err != nil {
-			t.Fatalf("ParseSampler(%q): %v", tc.spec, err)
+		var got, back qlog.Sampler
+		if err := got.Set(tc.spec); err != nil {
+			t.Fatalf("Set(%q): %v", tc.spec, err)
 		}
 		if got != tc.want {
-			t.Fatalf("ParseSampler(%q) = %+v, want %+v", tc.spec, got, tc.want)
+			t.Fatalf("Set(%q) = %+v, want %+v", tc.spec, got, tc.want)
+		}
+		if err := back.Set(got.String()); err != nil || back != got {
+			t.Fatalf("round trip of %q through %q: %+v (%v)", tc.spec, got, back, err)
 		}
 	}
 	for _, bad := range []string{"bogus", "every=x", "rate=2", "every=1,"} {
-		if _, err := qlog.ParseSampler(bad); err == nil {
-			t.Fatalf("ParseSampler(%q) accepted", bad)
+		if err := new(qlog.Sampler).Set(bad); err == nil {
+			t.Fatalf("Set(%q) accepted", bad)
 		}
 	}
 }

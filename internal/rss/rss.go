@@ -10,6 +10,7 @@ package rss
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 
 	"repro/internal/anycast"
 	"repro/internal/geo"
@@ -136,6 +137,33 @@ func (s ServiceAddr) Slot() (slot int, ok bool) {
 	return 2*s.Letter.Index() + int(s.Family), true
 }
 
+// keys holds each target's compact key by slot, built once: the dataset
+// writer and the flight log read one per event.
+var keys = func() (keys [Slots]string) {
+	for _, t := range AllServiceAddrs() {
+		key := string(t.Letter) + "4"
+		if t.Family == topology.IPv6 {
+			key = string(t.Letter) + "6"
+		}
+		if t.Old {
+			key += "o"
+		}
+		slot, _ := t.Slot()
+		keys[slot] = key
+	}
+	return keys
+}()
+
+// Key is the target's compact key — letter, family and era, whatever the
+// address: "b4o" is b.root's old IPv4 target. A target outside
+// AllServiceAddrs gets "".
+func (s ServiceAddr) Key() string {
+	if slot, ok := s.Slot(); ok {
+		return keys[slot]
+	}
+	return ""
+}
+
 // v4Addrs are the IPv4 service addresses (b.root listed new, then old).
 var v4Addrs = map[Letter]string{
 	"a": "198.41.0.4", "b": "170.247.170.2", "c": "192.33.4.12",
@@ -225,7 +253,7 @@ func Build(topo *topology.Topology, seed int64) *System {
 			case l == "j" && s.Kind == anycast.Local && i%2 == 0:
 				s.Identifier = fmt.Sprintf("opaque-%s-%03d", l, i)
 			case IATAOnly(l):
-				s.Identifier = lowerIATA(s.City.IATA)
+				s.Identifier = strings.ToLower(s.City.IATA)
 			}
 		}
 		sys.Deployments[l] = d
@@ -251,14 +279,4 @@ func (s *System) Catchments() map[Letter]map[topology.Family]*anycast.Catchment 
 // 1,604 identifiers mapped; unmappable ones are mostly from j.root).
 func IdentifierMappable(l Letter, identifier string) bool {
 	return len(identifier) < 7 || identifier[:6] != "opaque"
-}
-
-func lowerIATA(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
 }

@@ -375,13 +375,6 @@ func NewReader(in io.Reader, magic string, version uint64) (*Reader, error) {
 	return &Reader{raw: raw}, nil
 }
 
-// NewReaderAt wraps a stream whose header the caller has already consumed
-// and validated (dataset does its own header parse for legacy-format
-// detection).
-func NewReaderAt(raw *bufio.Reader) *Reader {
-	return &Reader{raw: raw}
-}
-
 // Torn reports whether the stream ended in a torn (incomplete or corrupt)
 // trailing block, which scanning silently truncated at the last sealed
 // boundary — the expected state after a crash mid-recording.

@@ -3,84 +3,67 @@ package telemetry
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 )
 
-// CLI wiring, mirroring internal/prof: the CLIs call RegisterFlags before
-// flag.Parse and Start after it, deferring the returned stop. Registration
-// is explicit (not import-time) so library consumers of telemetry never grow
-// surprise flags.
-
-var (
-	metricsOut    *string
-	traceOut      *string
-	telemetryAddr *string
-)
-
-// RegisterFlags installs -metrics, -trace, and -telemetry-addr on the
-// default flag set. Safe to call once per process, before flag.Parse.
-func RegisterFlags() {
-	if metricsOut != nil {
-		return
-	}
-	metricsOut = flag.String("metrics", "", "write a JSON metrics snapshot to `file` on exit")
-	traceOut = flag.String("trace", "", "record stage spans and write a Chrome trace_event JSON to `file` on exit")
-	telemetryAddr = flag.String("telemetry-addr", "", "serve live /metrics JSON and /debug/pprof on `host:port`")
-}
-
-// Start applies the registered flags: any of them enables the wall-clock
-// layer, -trace turns on span recording, and -telemetry-addr starts the
-// introspection listener. The returned stop writes the -metrics and -trace
-// files, prints the summary table to stderr, and shuts the listener down;
-// call it exactly once, before process exit. With no flags set (or
-// RegisterFlags never called) both Start and stop are no-ops.
-func Start() (stop func(), err error) {
-	metrics, trace, addr := "", "", ""
-	if metricsOut != nil {
-		metrics, trace, addr = *metricsOut, *traceOut, *telemetryAddr
-	}
-	if metrics == "" && trace == "" && addr == "" {
-		return func() {}, nil
-	}
-	SetEnabled(true)
-	if trace != "" {
-		EnableTracing(0)
-	}
-	var ln net.Listener
-	if addr != "" {
-		ln, err = net.Listen("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
+// RegisterFlags declares -metrics, -trace and -telemetry-addr on fs and
+// returns the start to call once fs is parsed. Registration is explicit (not
+// import-time) so library consumers of telemetry never grow surprise flags.
+//
+// start applies the flags: any of them enables the wall-clock layer, -trace
+// turns on span recording, and -telemetry-addr starts the introspection
+// listener. The stop it returns writes the -metrics and -trace files, prints
+// the summary table to fs.Output() (the binary's stderr), and shuts the
+// listener down; defer it, so it runs on every way out of the run. With no
+// flag set both start and stop are no-ops.
+func RegisterFlags(fs *flag.FlagSet) (start func() (stop func(), err error)) {
+	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to `file` on exit")
+	trace := fs.String("trace", "", "record stage spans and write a Chrome trace_event JSON to `file` on exit")
+	addr := fs.String("telemetry-addr", "", "serve live /metrics JSON and /debug/pprof on `host:port`")
+	return func() (func(), error) {
+		if *metrics == "" && *trace == "" && *addr == "" {
+			return func() {}, nil
 		}
-		srv := &http.Server{Handler: Handler()}
-		go srv.Serve(ln)
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/pprof on http://%s\n", ln.Addr())
-	}
-	return func() {
-		if ln != nil {
-			ln.Close()
+		stderr := fs.Output()
+		SetEnabled(true)
+		if *trace != "" {
+			EnableTracing(0)
 		}
-		if metrics != "" {
-			if err := writeFileWith(metrics, func(f *os.File) error { return WriteJSON(f, ScopeAll) }); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: metrics: %v\n", err)
+		var ln net.Listener
+		if *addr != "" {
+			var err error
+			ln, err = net.Listen("tcp", *addr)
+			if err != nil {
+				return nil, fmt.Errorf("telemetry: listen %s: %w", *addr, err)
 			}
+			srv := &http.Server{Handler: Handler()}
+			go srv.Serve(ln)
+			fmt.Fprintf(stderr, "telemetry: serving /metrics and /debug/pprof on http://%s\n", ln.Addr())
 		}
-		if trace != "" {
-			if err := writeFileWith(trace, WriteTraceTo); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: trace: %v\n", err)
+		return func() {
+			if ln != nil {
+				ln.Close()
 			}
-		}
-		WriteSummary(os.Stderr)
-	}, nil
+			if *metrics != "" {
+				if err := writeFileWith(*metrics, func(w io.Writer) error { return WriteJSON(w, ScopeAll) }); err != nil {
+					fmt.Fprintf(stderr, "telemetry: metrics: %v\n", err)
+				}
+			}
+			if *trace != "" {
+				if err := writeFileWith(*trace, WriteTrace); err != nil {
+					fmt.Fprintf(stderr, "telemetry: trace: %v\n", err)
+				}
+			}
+			WriteSummary(stderr)
+		}, nil
+	}
 }
-
-// WriteTraceTo adapts WriteTrace to the writeFileWith shape.
-func WriteTraceTo(f *os.File) error { return WriteTrace(f) }
 
 // writeFileWith creates path and runs write against it.
-func writeFileWith(path string, write func(*os.File) error) error {
+func writeFileWith(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -160,8 +160,7 @@ var Registry = []Def{
 	{Name: "wallclock/blast_rtt_us", Kind: KindHistogram, Class: ClassVolatile, Help: "rootblast query round-trip time"},
 	{Name: "wallclock/tick_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time from one tick's delivery to the next (with two or more workers the tick after is computed meanwhile)"},
 	{Name: "wallclock/wirecheck_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per wire-check battery"},
-	{Name: "wallclock/probe_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per probe stage"},
-	{Name: "wallclock/transfer_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per transfer+validate stage"},
+	{Name: "wallclock/vploop_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time one worker lane spends in a tick's VP loop (probe, transfer and validate for the VPs it took)"},
 	{Name: "wallclock/checkpoint_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per checkpoint (seal + write)"},
 	{Name: "wallclock/dns_query_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per served DNS query"},
 	{Name: "wallclock/axfr_serve_us", Kind: KindHistogram, Class: ClassVolatile, Help: "wall time per served zone transfer"},

@@ -43,6 +43,19 @@ if grep -rIil --include='*.go' --exclude='*_test.go' \
 	exit 1
 fi
 
+# One way out of a binary: under cmd/, os.Exit belongs to the one-line main
+# that hands run's code to the process, and to rootmeasure's simulated kill,
+# which must skip what run deferred as a SIGKILL would. Anywhere else it
+# leaves past the deferred stops and closes, and a failed run loses its
+# -metrics, -trace and profile files.
+echo "== exit guard =="
+if grep -rn --include='*.go' -e 'os\.Exit(' -e 'log\.Fatal' cmd |
+	grep -v -e 'func main() { os\.Exit(run(os\.Args\[1:\], os\.Stdout, os\.Stderr)) }$' \
+		-e '// exit-guard: the simulated kill$'; then
+	echo "exit guard: the lines above leave a binary from below main; return a code from run" >&2
+	exit 1
+fi
+
 # rootlint runs before the fuzz smoke: a determinism or hot-path violation
 # is cheaper to surface than a fuzz crash, and the suite doubles as a type
 # check of the whole tree. The suite includes metricname, which cross-checks
@@ -85,6 +98,11 @@ for target in FuzzUnpack FuzzDecodeName FuzzViewAgreement; do
 	echo "== fuzz $target (5s) =="
 	go test -run "^$target$" -fuzz "^$target$" -fuzztime 5s ./internal/dnswire
 done
+# The front door's key=value walker and everything that parses a flag with it
+# (-netem, -rrl, -qlog-sample, -chaos): no spec panics, and an accepted one
+# renders to a spec that sets the same value.
+echo "== fuzz FuzzSpec (5s) =="
+go test -run '^FuzzSpec$' -fuzz '^FuzzSpec$' -fuzztime 5s ./internal/cli
 # The flight-log frame decoder gets the same treatment: arbitrary bytes must
 # never panic the reader, and whatever decodes must satisfy the envelope
 # invariants (registered kind, full field list).
