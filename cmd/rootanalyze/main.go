@@ -1,8 +1,9 @@
 // Command rootanalyze replays a dataset recorded by rootmeasure through the
 // full analysis suite and prints every active-measurement table and figure.
-// The world is reconstructed from the same seed flags used when recording.
+// The world is rebuilt from the description of its run the recording opens
+// with: no flag here can name another.
 //
-//	rootanalyze -in study.rgds [-seed 1] [-vpscale 1] [-tlds 80] [-workers 4] [-checkpoint replay.ckpt [-resume]]
+//	rootanalyze -in study.rgds [-workers 4] [-checkpoint replay.ckpt [-resume]]
 //	rootanalyze -diff a.json b.json
 //	rootanalyze [-filter kind=...,class=...,rcode=...] -qlog show|compose flight.qlog
 //	rootanalyze -qlog diff a.qlog b.qlog
@@ -47,8 +48,6 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.NewFlagSet("rootanalyze", stderr)
-	cfg := core.DefaultConfig()
-	core.WorldFlags(fs, &cfg)
 	in := fs.String("in", "study.rgds", "dataset input file")
 	workers := fs.Int("workers", 1, "block-decode workers (output is identical at any count)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint sidecar path (enables crash-safe replay)")
@@ -78,15 +77,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopTel()
 
-	_, world, err := core.NewWorld(cfg)
-	if err != nil {
-		return cli.Fail(fs, err)
-	}
 	f, err := os.Open(*in)
 	if err != nil {
 		return cli.Fail(fs, err)
 	}
 	defer f.Close()
+	var cfg core.Config
+	if err := dataset.ReadDescription(f, &cfg.Run); err != nil {
+		return cli.Fail(fs, err)
+	}
+	_, world, err := core.NewWorld(cfg)
+	if err != nil {
+		return cli.Fail(fs, err)
+	}
 	reader, err := dataset.NewReader(f, world.Population)
 	if err != nil {
 		return cli.Fail(fs, err)

@@ -35,6 +35,9 @@ func TestFrontDoor(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "-filter"},
 		{[]string{"-scale", "96"}, 2, "flag provided but not defined"}, // a replay has no schedule
+		{[]string{"-seed", "1"}, 2, "flag provided but not defined"},   // nor a world but the recording's
+		{[]string{"-vpscale", "8"}, 2, "flag provided but not defined"},
+		{[]string{"-tlds", "20"}, 2, "flag provided but not defined"},
 		{[]string{"-filter", "kind"}, 2, "flag -filter"},
 		{[]string{"-filter", "colour=red"}, 2, "flag -filter"},
 		{[]string{"-filter", "rcode=NXDOMAIN"}, 2, "flag -filter"},
@@ -59,7 +62,7 @@ func TestFrontDoor(t *testing.T) {
 func TestMissingInputLeavesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.json")
-	code, stdout, stderr := runCLI(t, "-in", filepath.Join(dir, "missing.rgds"), "-vpscale", "40", "-tlds", "20", "-metrics", metrics)
+	code, stdout, stderr := runCLI(t, "-in", filepath.Join(dir, "missing.rgds"), "-metrics", metrics)
 	if code != 1 || stdout != "" || !strings.Contains(stderr, "no such file") {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want 1 and the open error", code, stdout, stderr)
 	}
@@ -73,12 +76,13 @@ func TestMissingInputLeavesMetrics(t *testing.T) {
 	}
 }
 
-// record writes what `rootmeasure -scale 512 -vpscale 8 -tlds 20` writes,
-// with an every-fourth-event flight log next to it.
+// record writes what `rootmeasure -seed 2 -scale 512 -vpscale 8 -tlds 20`
+// writes, with an every-fourth-event flight log next to it. Nothing about the
+// world is a default: a replay that printed the golden read it in the file.
 func record(t *testing.T, dir string) (rgds, flight string) {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	cfg.Scale, cfg.VPScale, cfg.TLDCount = 512, 8, 20
+	cfg.Seed, cfg.Scale, cfg.VPScale, cfg.TLDCount = 2, 512, 8, 20
 	mCfg, world, err := core.NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +99,9 @@ func record(t *testing.T, dir string) (rgds, flight string) {
 	}
 	defer qf.Close()
 	w, err := dataset.NewWriter(f)
+	if err == nil {
+		err = w.Describe(cfg.Run)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +122,11 @@ func record(t *testing.T, dir string) (rgds, flight string) {
 }
 
 // The round trip check.sh drives with the built binaries: every table and
-// figure of the replay, the same bytes at any -workers. Re-record after a
-// declared seed-compat break:
+// figure of the replay, the same bytes at any -workers, of the world the
+// recording names. Re-record after a declared seed-compat break:
 //
-//	rootmeasure -scale 512 -vpscale 8 -tlds 20 -out study.rgds
-//	rootanalyze -in study.rgds -vpscale 8 -tlds 20 >cmd/rootanalyze/testdata/replay.golden
+//	rootmeasure -seed 2 -scale 512 -vpscale 8 -tlds 20 -out study.rgds
+//	rootanalyze -in study.rgds >cmd/rootanalyze/testdata/replay.golden
 func TestReplayGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "replay.golden"))
 	if err != nil {
@@ -127,7 +134,7 @@ func TestReplayGolden(t *testing.T) {
 	}
 	rgds, flight := record(t, t.TempDir())
 	for _, workers := range []string{"1", "4"} {
-		code, stdout, stderr := runCLI(t, "-in", rgds, "-vpscale", "8", "-tlds", "20", "-workers", workers)
+		code, stdout, stderr := runCLI(t, "-in", rgds, "-workers", workers)
 		if code != 0 || stderr != "" {
 			t.Fatalf("-workers %s: exit %d, stderr %q", workers, code, stderr)
 		}
@@ -144,5 +151,32 @@ func TestReplayGolden(t *testing.T) {
 	code, stdout, _ = runCLI(t, "-filter", "kind=measure/transfer", "-qlog", "show", flight)
 	if code != 0 || !strings.HasSuffix(stdout, "\n9713 events\n") || strings.Contains(stdout, "measure/probe") {
 		t.Errorf("-qlog show of the transfers: exit %d, ends %q", code, stdout[max(0, len(stdout)-80):])
+	}
+}
+
+// A recording that does not say what run made it is not replayed against a
+// guess: one a library caller wrote without Describe, and one of version 2,
+// which had no description to read.
+func TestRefusesUndescribedRecording(t *testing.T) {
+	dir := t.TempDir()
+	var undescribed bytes.Buffer
+	if _, err := dataset.NewWriter(&undescribed); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		file   []byte
+		stderr string
+	}{
+		"undescribed.rgds": {undescribed.Bytes(), "does not open with a description of its run"},
+		"v2.rgds":          {[]byte("RGDS\x02"), "unsupported version 2"},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, tc.file, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runCLI(t, "-in", path)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 1 and %q", name, code, stdout, stderr, tc.stderr)
+		}
 	}
 }

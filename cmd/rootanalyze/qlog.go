@@ -240,18 +240,6 @@ func qlogDiff(w io.Writer, paths []string, a, b []qlog.Event) int {
 	return 0
 }
 
-// clientLost reports whether a client-side event's terminal outcome is a
-// loss (blast/query outcome=lost, client/query outcome=error).
-func clientLost(e qlog.Event) bool {
-	switch e.Def().Kind {
-	case "blast/query":
-		return e.Val("outcome") == 1
-	case "client/query":
-		return e.Val("outcome") == 2
-	}
-	return false
-}
-
 // serverServed reports whether a server-side event shows a response leaving
 // the egress funnel (fate ok, verdict none/send/slip).
 func serverServed(e qlog.Event) bool {
@@ -276,14 +264,13 @@ func qlogJoin(w io.Writer, sevs, cevs []qlog.Event) int {
 	var waitUs uint64
 	qlog.SortCanonical(cevs)
 	for _, e := range cevs {
-		k := e.Def().Kind
-		if k != "blast/query" && k != "client/query" {
+		if e.Def().Kind != "blast/query" {
 			continue
 		}
 		sent++
 		attempts[e.Val("attempts")]++
 		waitUs += e.Val("wait_us")
-		if clientLost(e) {
+		if e.Val("outcome") == 1 { // lost
 			lost++
 			lostWhy[explainLoss(server[e.Key])]++
 			continue

@@ -1,10 +1,10 @@
 // Command rootmeasure runs the active measurement campaign and records the
 // event stream to a compressed dataset file, the equivalent of the paper's
-// published NLNOG-DNS-1 data. Analyze the recording with rootanalyze using
-// the same seed and scale flags (the world is reconstructed
-// deterministically from them).
+// published NLNOG-DNS-1 data. The recording opens with a description of its
+// run, from which rootanalyze rebuilds the world deterministically.
 //
-//	rootmeasure -out study.rgds [-checkpoint study.ckpt [-resume]] [flags]
+//	rootmeasure -out study.rgds [-checkpoint study.ckpt] [flags]
+//	rootmeasure -out study.rgds -checkpoint study.ckpt -resume
 //
 // -h lists the flags; the groups it shares with the other binaries and the
 // exit codes (3: a -chaos kill fired, restart with -resume) are README.md's
@@ -12,7 +12,10 @@
 //
 // With -checkpoint, the recording is crash-safe: progress is checkpointed
 // every -checkpoint-every ticks, and a killed run restarted with -resume
-// continues from the checkpoint and produces a byte-identical dataset.
+// continues from the checkpoint and produces a byte-identical dataset. The
+// resumed run is the one the recording describes: a flag that would describe
+// another (-seed, -vpscale, -tlds, -scale, -start, -end, -checkpoint-every)
+// is a usage error next to -resume.
 //
 // -qlog additionally records one flight-recorder event per campaign probe
 // and transfer (decode with `rootanalyze -qlog`). The flight log rides the
@@ -23,9 +26,11 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -47,8 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	core.ScheduleFlags(fs, &cfg)
 	out := fs.String("out", "study.rgds", "dataset output file")
 	checkpoint := fs.String("checkpoint", "", "checkpoint sidecar file (enables crash-safe, resumable recording)")
-	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint cadence in ticks (0 = 32; must match between a run and its resume)")
-	resume := fs.Bool("resume", false, "resume an interrupted recording from -checkpoint")
+	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in ticks (0 = 32)")
+	resume := fs.Bool("resume", false, "resume the interrupted recording -out from -checkpoint, as the run -out describes")
 	failpoint.RegisterFlag(fs)
 	flight := qlog.RegisterFlags(fs)
 	startProf := prof.RegisterFlags(fs)
@@ -56,8 +61,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code, done := cli.Parse(fs, args); done {
 		return code
 	}
-	if *resume && *checkpoint == "" {
-		return cli.Usage(fs, "-resume requires -checkpoint")
+	if *resume {
+		if *checkpoint == "" {
+			return cli.Usage(fs, "-resume requires -checkpoint")
+		}
+		var retyped []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "seed", "vpscale", "tlds", "scale", "start", "end", "checkpoint-every":
+				retyped = append(retyped, "-"+f.Name)
+			}
+		})
+		if retyped != nil {
+			return cli.Usage(fs, "-resume continues the run %s describes: drop %s", *out, strings.Join(retyped, " "))
+		}
 	}
 
 	stopProf, err := startProf()
@@ -71,14 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopTel()
 
-	mCfg, world, err := core.NewWorld(cfg)
-	if err != nil {
-		return cli.Fail(fs, err)
-	}
-	mCfg.CheckpointPath, mCfg.CheckpointEvery, mCfg.Resume = *checkpoint, *ckptEvery, *resume
 	// A resumed run reopens the interrupted recording instead of truncating
-	// it, and builds the same handlers over it: Campaign.Run rewinds each to
-	// the offset the checkpoint recorded.
+	// it, takes its description from it, and builds the same handlers over
+	// it: Campaign.Run rewinds each to the offset the checkpoint recorded.
 	openFlags := os.O_RDWR | os.O_CREATE | os.O_TRUNC
 	if *resume {
 		openFlags = os.O_RDWR
@@ -88,7 +100,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Fail(fs, err)
 	}
 	defer f.Close()
+	if *resume {
+		if err := dataset.ReadDescription(f, &cfg.Run); err != nil {
+			return cli.Fail(fs, err)
+		}
+	}
+	mCfg, world, err := core.NewWorld(cfg)
+	if err != nil {
+		return cli.Fail(fs, err)
+	}
+	mCfg.CheckpointPath, mCfg.Resume = *checkpoint, *resume
 	writer, err := dataset.NewWriter(f)
+	if err == nil && !*resume {
+		err = writer.Describe(cfg.Run)
+	}
 	if err != nil {
 		return cli.Fail(fs, err)
 	}

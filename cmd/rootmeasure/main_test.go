@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -42,6 +44,14 @@ func TestFrontDoor(t *testing.T) {
 		{[]string{"-qlog-sample", "every=often"}, 2, "flag -qlog-sample"},
 		{[]string{"-start", "tomorrow"}, 2, "flag -start"},
 		{[]string{"-resume"}, 2, "-resume requires -checkpoint"},
+		// The recording says what run to resume; -out is not even opened.
+		{[]string{"-resume", "-checkpoint", "no.ckpt", "-out", "no.rgds", "-seed", "2"}, 2, "drop -seed"},
+		{[]string{"-resume", "-checkpoint", "no.ckpt", "-out", "no.rgds", "-vpscale", "8"}, 2, "drop -vpscale"},
+		{[]string{"-resume", "-checkpoint", "no.ckpt", "-out", "no.rgds", "-tlds", "20"}, 2, "drop -tlds"},
+		{[]string{"-resume", "-checkpoint", "no.ckpt", "-out", "no.rgds", "-scale", "512"}, 2, "drop -scale"},
+		{[]string{"-resume", "-checkpoint", "no.ckpt", "-out", "no.rgds", "-start", "2023-10-01", "-end", "2023-10-20"}, 2, "drop -end -start"},
+		{[]string{"-resume", "-checkpoint", "no.ckpt", "-out", "no.rgds", "-checkpoint-every", "4"}, 2, "drop -checkpoint-every"},
+		{[]string{"-resume", "-checkpoint", "no.ckpt", "-out", "no.rgds"}, 1, "no such file"},
 		{[]string{"-out", filepath.Join(t.TempDir(), "no", "such", "dir.rgds"), "-vpscale", "40", "-tlds", "20"}, 1, "no such file"},
 	} {
 		code, stdout, stderr := runCLI(t, tc.args...)
@@ -156,7 +166,7 @@ func metricOnStderr(t *testing.T, stderr, name string) int {
 // the stopwatch and the path.
 func TestRecordingIdenticalAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
-	said := regexp.MustCompile(`^recorded 45920 probes and 39032 transfers from 82 VPs in \d+s \(607913 bytes, 7\.2 B/event\)\nflight log: 21091 events in .*\.qlog\n$`)
+	said := regexp.MustCompile(`^recorded 45920 probes and 39032 transfers from 82 VPs in \d+s \(608004 bytes, 7\.2 B/event\)\nflight log: 21091 events in .*\.qlog\n$`)
 	var files [2][2][]byte
 	for i, workers := range []string{"1", "4"} {
 		out, qlog := filepath.Join(dir, workers+".rgds"), filepath.Join(dir, workers+".qlog")
@@ -174,5 +184,41 @@ func TestRecordingIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(files[0][0], files[1][0]) || !bytes.Equal(files[0][1], files[1][1]) {
 		t.Error("-workers 1 and -workers 4 recorded different bytes")
+	}
+}
+
+// TestKilledChild is rootmeasure being killed when the test binary is run
+// with a command line after "--", and nothing otherwise: the simulated kill
+// leaves through os.Exit, which a test survives only in a process of its own.
+func TestKilledChild(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		t.Fatalf("rootmeasure %q was not killed: exit %d", args, run(args, os.Stdout, os.Stderr))
+	}
+}
+
+// A killed recording is resumed from -out and -checkpoint alone: the seed,
+// the world, the schedule and the cadence — none of them a default here — are
+// read from the recording, and the file ends up the uninterrupted run's.
+func TestResumeReadsItsRunFromTheRecording(t *testing.T) {
+	dir := t.TempDir()
+	described := []string{"-seed", "2", "-scale", "512", "-vpscale", "8", "-tlds", "20",
+		"-start", "2023-10-01", "-end", "2023-12-01", "-checkpoint-every", "4"}
+	for _, workers := range []string{"1", "4"} {
+		ref, out := filepath.Join(dir, workers+"ref.rgds"), filepath.Join(dir, workers+".rgds")
+		if code, _, stderr := runCLI(t, append(described, "-workers", workers, "-out", ref, "-checkpoint", ref+".ckpt")...); code != 0 {
+			t.Fatalf("-workers %s uninterrupted: exit %d: %s", workers, code, stderr)
+		}
+		child := exec.Command(os.Args[0], append([]string{"-test.run=^TestKilledChild$", "--", "-workers", workers,
+			"-out", out, "-checkpoint", out + ".ckpt", "-chaos", "campaign/tick=kill@6"}, described...)...)
+		if msg, err := child.CombinedOutput(); child.ProcessState.ExitCode() != 3 {
+			t.Fatalf("-workers %s killed at tick 6: %v, %s; want exit 3", workers, err, msg)
+		}
+		if code, _, stderr := runCLI(t, "-resume", "-out", out, "-checkpoint", out+".ckpt", "-workers", workers); code != 0 {
+			t.Fatalf("-workers %s resume: exit %d: %s", workers, code, stderr)
+		}
+		want, _ := os.ReadFile(ref)
+		if got, _ := os.ReadFile(out); len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("-workers %s: killed and resumed recording is %d bytes, uninterrupted %d, not the same", workers, len(got), len(want))
+		}
 	}
 }

@@ -32,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	extensions := fs.Bool("extensions", false, "also run the Appendix-E extensions (control group, per-second SOA propagation)")
 	// What -scale and -vpscale leave at 0 the preset fills in below, with the
 	// zone and passive-population sizes it alone decides.
-	cfg := repro.Config{Seed: 1}
+	cfg := repro.Config{Run: core.Run{Seed: 1}}
 	core.WorldFlags(fs, &cfg)
 	core.ScheduleFlags(fs, &cfg)
 	failpoint.RegisterFlag(fs)

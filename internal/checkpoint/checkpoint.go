@@ -138,7 +138,7 @@ func Load(path string, progress any) (*File, error) {
 // both checks pass.
 func (f *File) Restore(sig string, parts []Part) error {
 	if f.Sig != sig {
-		return fmt.Errorf("%w (sig %s, want %s)", ErrSig, f.Sig, sig)
+		return fmt.Errorf("%w: sidecar %s vs run %s", ErrSig, f.Sig, sig)
 	}
 	if len(f.Parts) != len(parts) {
 		return fmt.Errorf("%w: sidecar has %d, run has %d", ErrParts, len(f.Parts), len(parts))

@@ -17,21 +17,33 @@ import (
 	"repro/internal/vantage"
 )
 
-// Config parameterizes a study run.
-type Config struct {
+// Run describes a run: the values that shape recorded bytes. rootmeasure
+// writes it as the first frame of a recording (dataset.Writer.Describe), and
+// rootanalyze and rootmeasure -resume build the world from what they read
+// there, so no one types these twice.
+type Run struct {
 	// Seed drives every stochastic component.
-	Seed int64
+	Seed int64 `json:"seed"`
+	// VPScale divides the 675-VP population.
+	VPScale int `json:"vpscale"`
+	// TLDCount sizes the synthesized root zone.
+	TLDCount int `json:"tlds"`
 	// Scale thins the measurement schedule (1 = the paper's 30/15-minute
 	// cadence; the default keeps runtime in benchmark range).
-	Scale int
-	// VPScale divides the 675-VP population.
-	VPScale int
-	// TLDCount sizes the synthesized root zone.
-	TLDCount int
+	Scale int `json:"scale"`
+	// Start and End bound the campaign; zero values take the paper's dates.
+	Start time.Time `json:"start"`
+	End   time.Time `json:"end"`
+	// CheckpointEvery is the checkpoint cadence in ticks (0 = 32): a
+	// checkpoint also seals a dataset block.
+	CheckpointEvery int `json:"checkpoint_every"`
+}
+
+// Config parameterizes a study run.
+type Config struct {
+	Run
 	// PassiveClients sizes each passive vantage's resolver population.
 	PassiveClients int
-	// Start and End override the paper's campaign window when non-zero.
-	Start, End time.Time
 	// Workers bounds the campaign worker pool (0 = one per CPU, 1 = serial).
 	// Reports are byte-identical across worker counts for the same seed.
 	Workers int
@@ -44,10 +56,7 @@ type Config struct {
 // the shape-preserving configuration the benchmarks use.
 func DefaultConfig() Config {
 	return Config{
-		Seed:           1,
-		Scale:          96,
-		VPScale:        1,
-		TLDCount:       80,
+		Run:            Run{Seed: 1, Scale: 96, VPScale: 1, TLDCount: 80, Start: measure.StudyStart, End: measure.StudyEnd},
 		PassiveClients: 2000,
 	}
 }
@@ -55,10 +64,7 @@ func DefaultConfig() Config {
 // QuickConfig is a fast smoke-test configuration.
 func QuickConfig() Config {
 	return Config{
-		Seed:           1,
-		Scale:          512,
-		VPScale:        10,
-		TLDCount:       20,
+		Run:            Run{Seed: 1, Scale: 512, VPScale: 10, TLDCount: 20},
 		PassiveClients: 500,
 	}
 }
@@ -95,7 +101,7 @@ type Study struct {
 func NewWorld(cfg Config) (measure.Config, *measure.World, error) {
 	mCfg := measure.DefaultConfig()
 	mCfg.Seed, mCfg.Scale, mCfg.TLDCount = cfg.Seed, cfg.Scale, cfg.TLDCount
-	mCfg.Start, mCfg.End = cfg.Start, cfg.End
+	mCfg.Start, mCfg.End, mCfg.CheckpointEvery = cfg.Start, cfg.End, cfg.CheckpointEvery
 	mCfg.Workers, mCfg.ErrorBudget = cfg.Workers, cfg.ErrorBudget
 	topoCfg := topology.DefaultConfig()
 	topoCfg.Seed = cfg.Seed

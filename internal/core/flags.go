@@ -6,15 +6,15 @@ import (
 )
 
 // WorldFlags declares the flags that name a world — -seed, -vpscale and
-// -tlds: what a recording and its replay must agree on — over the Config the
-// binary starts from, which is where each default comes from; NewWorld or
-// NewStudy takes the parsed Config. -tlds is declared only where cfg names a
-// zone size to default it to: rootstudy's comes with its preset.
+// -tlds — over the Config the binary starts from, which is where each
+// default comes from; NewWorld or NewStudy takes the parsed Config. -tlds is
+// declared only where cfg names a zone size to default it to: rootstudy's
+// comes with its preset.
 func WorldFlags(fs *flag.FlagSet, cfg *Config) {
-	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "world seed; rootmeasure and rootanalyze must agree on it")
-	fs.IntVar(&cfg.VPScale, "vpscale", cfg.VPScale, "VP population divisor; rootmeasure and rootanalyze must agree on it")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "world seed")
+	fs.IntVar(&cfg.VPScale, "vpscale", cfg.VPScale, "VP population divisor")
 	if cfg.TLDCount > 0 {
-		fs.IntVar(&cfg.TLDCount, "tlds", cfg.TLDCount, "synthesized root zone TLD count; rootmeasure and rootanalyze must agree on it")
+		fs.IntVar(&cfg.TLDCount, "tlds", cfg.TLDCount, "synthesized root zone TLD count")
 	}
 }
 

@@ -47,11 +47,11 @@ func BenchmarkReplayDecodeParallel8(b *testing.B) { benchmarkReplay(b, 8) }
 
 // BenchmarkSealLevels re-deflates the blocks of a recorded campaign (about
 // 100,000 events in default-size blocks) at Huffman-only and at levels 1 to
-// 6 — 6 is flate.DefaultCompression, what segment.Writer seals at — each on
+// 6 — segment.Writer seals at 5, flate.DefaultCompression is 6 — each on
 // one reused compressor, as the writer does. B/event is what the dataset
 // would weigh and ns/event what sealing it would cost; raw-B/event is the
-// undeflated record stream. It changes no level: ROADMAP item 2 keeps the
-// table as the prediction a change of format has to beat.
+// undeflated record stream. ROADMAP item 2 keeps the table as the
+// prediction a change of format has to beat.
 func BenchmarkSealLevels(b *testing.B) {
 	cfg := measure.DefaultConfig()
 	cfg.Start = time.Date(2023, 10, 1, 0, 0, 0, 0, time.UTC)

@@ -37,16 +37,18 @@ import (
 
 // magic identifies the format; version gates incompatible changes.
 // Version 2 introduced the sealed-block framing (length + CRC + per-block
-// dictionary) that makes recordings crash-recoverable.
+// dictionary) that makes recordings crash-recoverable; version 3 the
+// description record, and blocks sealed at segment's DEFLATE level 5.
 const (
 	magic   = "RGDS"
-	version = 2
+	version = 3
 )
 
-// record kinds.
+// record kinds. A description is the only record of the first frame.
 const (
-	recProbe    = 1
-	recTransfer = 2
+	recProbe       = 1
+	recTransfer    = 2
+	recDescription = 3
 )
 
 // error classes for transfer outcomes (reconstructed on replay so
@@ -90,6 +92,53 @@ func NewWriter(out io.Writer) (*Writer, error) {
 	}
 	hook(seg)
 	return &Writer{Writer: seg}, nil
+}
+
+// Describe writes run — what a reader needs to rebuild the world these events
+// are of — as JSON in a sealed frame of its own, before the first event. A
+// writer reopened over an interrupted recording finds it there and skips it.
+func (d *Writer) Describe(run any) error {
+	desc, err := json.Marshal(run)
+	if err != nil {
+		return fmt.Errorf("dataset: description: %w", err)
+	}
+	if d.Probes+d.Transfers > 0 {
+		return errors.New("dataset: Describe after the first event")
+	}
+	d.Uvarint(recDescription)
+	d.Uvarint(uint64(len(desc)))
+	d.Raw(desc)
+	d.EndRecord()
+	return d.Seal()
+}
+
+// ReadDescription decodes the description a recording opens with into run and
+// rewinds in, for the NewReader or NewWriter that comes next. A recording
+// written without Describe replays through NewReader like any other; it just
+// cannot say what run made it, and that is an error here.
+func ReadDescription(in io.ReadSeeker, run any) error {
+	seg, err := segment.NewReader(in, magic, version)
+	if err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
+	var desc []byte
+	f, err := seg.ScanFrame()
+	if err == nil {
+		desc, err = segment.Decompress(f)
+	}
+	if err == nil {
+		rr := segment.NewRecordReader(desc)
+		if kind, _ := rr.Uvarint(); kind != recDescription {
+			err = fmt.Errorf("first record is of kind %d", kind)
+		} else if desc, err = rr.Bytes(); err == nil {
+			err = json.Unmarshal(desc, run)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("dataset: recording does not open with a description of its run: %w", err)
+	}
+	_, err = in.Seek(0, io.SeekStart)
+	return err
 }
 
 // writerState is the opaque blob stored in campaign checkpoints.
@@ -289,7 +338,7 @@ type Reader struct {
 }
 
 // NewReader opens a dataset. The population must be the one the recording
-// campaign used (the same world seed reproduces it).
+// campaign used: that of the world ReadDescription names.
 func NewReader(in io.Reader, pop *vantage.Population) (*Reader, error) {
 	seg, err := segment.NewReader(in, magic, version)
 	if err != nil {
@@ -397,6 +446,12 @@ func (d *blockDecoder) decodeAll(count uint32, b *block) error {
 				b.transfers = b.transfers[:len(b.transfers)-1]
 				return err
 			}
+		case recDescription:
+			// For ReadDescription: a replay was given the world it names.
+			if _, err := d.rr.Bytes(); err != nil {
+				return err
+			}
+			continue
 		default:
 			//rootlint:allow hotpath: cold error return, ends the replay
 			return fmt.Errorf("dataset: unknown record kind %d", kind)

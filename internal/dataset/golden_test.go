@@ -68,7 +68,7 @@ func TestRecordingGoldenDigest(t *testing.T) {
 		t.Fatalf("window too thin for a golden: faults %v, transfers before/after the renumbering %d/%d", seen, pre, post)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	const want = "150efc0add83c4f4f3ffe2ae3324e79fe6c895aea0690d085dd6298f09cd009e"
+	const want = "591e2d7daa097f540f9784fb32d325c8c13b323e859217661ded2ec31d7d0d19"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("recording drifted: %d events in %d bytes\n got %s\nwant %s",
 			writer.Probes+writer.Transfers, buf.Len(), got, want)

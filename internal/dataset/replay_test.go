@@ -51,11 +51,21 @@ func synthTransfer(i int) measure.TransferEvent {
 }
 
 // writeMixedFile interleaves probes and transfers with a small block size so
-// replays span many sealed blocks.
+// replays span many sealed blocks. It carries no description: what a library
+// caller writes through NewWriter alone replays all the same.
 func writeMixedFile(t testing.TB, n, blockBytes int) []byte {
+	return writeDescribedFile(t, nil, n, blockBytes)
+}
+
+// writeDescribedFile is writeMixedFile behind a description of run, when
+// there is one.
+func writeDescribedFile(t testing.TB, run any, n, blockBytes int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
+	if err == nil && run != nil {
+		err = w.Describe(run)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/axfr"
 	"repro/internal/dnswire"
-	"repro/internal/qlog"
 	"repro/internal/seeded"
 	"repro/internal/zone"
 )
@@ -48,12 +47,6 @@ type Client struct {
 	// retry immediately, like dig — is the battery default; see Backoff.
 	//rootlint:immutable-after-start
 	Backoff Backoff
-	// qlog, when set, records one client/query flight-recorder event per
-	// sampled Exchange. Nothing sets it; the emitter stays because a kind's
-	// index in qlog.Registry is the on-disk format, so dropping client/query
-	// is a qlog.Version bump.
-	//rootlint:immutable-after-start
-	qlog *qlog.Recorder
 
 	mu sync.Mutex
 	//rootlint:guardedby mu
@@ -99,43 +92,6 @@ func (c *Client) SetTimeout(d time.Duration) { c.Timeout = d }
 // this payload size with the DO bit set (0 disables EDNS). Call before the
 // first query.
 func (c *Client) SetEDNSSize(n uint16) { c.EDNSSize = n }
-
-// evClientQuery is the Exchange-side flight-recorder event. Claimed once;
-// the qlogfield analyzer cross-checks the field list against the registry.
-var evClientQuery = qlog.NewEvent("client/query",
-	"attempts", "outcome", "rcode", "wait_us")
-
-// client/query outcome enum values, in registry order.
-const (
-	qcOutcomeUDP   = 0
-	qcOutcomeTCP   = 1
-	qcOutcomeError = 2
-)
-
-// emitExchange records the terminal client/query event for one Exchange. The
-// join subject is the packed query prefix (ID + flags + question) — the same
-// bytes the server's recorder keys on, so equal samplers select the same
-// queries on both sides.
-func (c *Client) emitExchange(q *dnswire.Message, attempts int, waitNs int64, outcome, rcode uint64) {
-	if c.qlog == nil {
-		return
-	}
-	wire, err := q.Pack()
-	if err != nil {
-		return
-	}
-	qe := qlog.QuestionEnd(wire)
-	if qe < 0 {
-		return
-	}
-	subject := wire[:qe]
-	key := qlog.Key(subject)
-	if !c.qlog.Sampled(key) {
-		return
-	}
-	c.qlog.Emit(evClientQuery, key, subject,
-		uint64(attempts), outcome, rcode, uint64(waitNs/1000))
-}
 
 func (c *Client) nextID() uint16 {
 	c.mu.Lock()
@@ -184,16 +140,12 @@ func (c *Client) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
 		timeout = time.Second
 	}
 	var lastErr error
-	var attempts int
-	var waitNs int64 // logical backoff scheduled, for the flight recorder
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if attempt > 0 {
 			if d := c.Backoff.Delay(attempt - 1); d > 0 {
-				waitNs += d.Nanoseconds()
 				time.Sleep(d)
 			}
 		}
-		attempts = attempt + 1
 		resp, err := c.exchangeUDP(q, timeout)
 		if err != nil {
 			lastErr = err
@@ -202,7 +154,6 @@ func (c *Client) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
 		if resp.Header.Truncated {
 			full, err := c.ExchangeTCP(q)
 			if err == nil {
-				c.emitExchange(q, attempts, waitNs, qcOutcomeTCP, uint64(full.Header.Rcode))
 				return full, nil
 			}
 			// A cut or stalled fallback connection burns this attempt and
@@ -210,13 +161,11 @@ func (c *Client) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
 			lastErr = err
 			continue
 		}
-		c.emitExchange(q, attempts, waitNs, qcOutcomeUDP, uint64(resp.Header.Rcode))
 		return resp, nil
 	}
 	if lastErr == nil {
 		lastErr = ErrTimeout
 	}
-	c.emitExchange(q, attempts, waitNs, qcOutcomeError, 0)
 	return nil, lastErr
 }
 

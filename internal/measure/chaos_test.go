@@ -325,7 +325,7 @@ func TestChaosKillWithBlockInFlight(t *testing.T) {
 	// A frame that inflates to blockBytes or more was sealed by the hand-off:
 	// a checkpoint fence seals what is pending, which is less. The frame the
 	// seal-partial rows tear must be one, behind the first checkpoint.
-	sr, err := segment.NewReader(bytes.NewReader(refBytes), "RGDS", 2)
+	sr, err := segment.NewReader(bytes.NewReader(refBytes), "RGDS", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -754,8 +754,8 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	bad.Resume = true
 	bad.CheckpointEvery++
 	err = measure.NewCampaign(bad, w).Run(&collectorT{})
-	if !errors.Is(err, checkpoint.ErrSig) {
-		t.Fatalf("cadence-mismatched resume error = %v, want checkpoint.ErrSig", err)
+	if !errors.Is(err, checkpoint.ErrSig) || !strings.Contains(err.Error(), "every=3 vs run ") || !strings.HasSuffix(err.Error(), "every=4") {
+		t.Fatalf("cadence-mismatched resume error = %v, want checkpoint.ErrSig naming both cadences", err)
 	}
 	// And another handler list: the checkpoint carries the dataset writer's
 	// state, which a run without a writer cannot restore.

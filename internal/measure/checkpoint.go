@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -46,20 +45,17 @@ func checkpointParts(handlers []Handler) []checkpoint.Part {
 	return append(parts, telemetry.StreamState{})
 }
 
-// checkpointSig fingerprints everything that shapes the campaign's output
+// checkpointSig spells out everything that shapes the campaign's output
 // bytes: schedule, seed, zone size, world population size, and the effective
 // checkpoint cadence (every checkpoint also seals a dataset block). Worker
 // count and error budget are deliberately excluded: both may change across
-// restarts without affecting output bytes. trace=1 is what the removed
-// Config.TraceEvery always was; it stays so that sidecars written with it
-// still resume.
+// restarts without affecting output bytes. It is kept in the clear, so a
+// refused resume shows which value differs.
 func (c *Campaign) checkpointSig(every int) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf(
-		"seed=%d|scale=%d|trace=1|tld=%d|start=%s|end=%s|wire=%t|vps=%d|every=%d",
+	return fmt.Sprintf("seed=%d|scale=%d|tld=%d|start=%s|end=%s|wire=%t|vps=%d|every=%d",
 		c.Cfg.Seed, c.Cfg.Scale, c.Cfg.TLDCount,
 		c.Cfg.Start.UTC().Format(time.RFC3339), c.Cfg.End.UTC().Format(time.RFC3339),
-		c.Cfg.WireCheck, len(c.World.Population.VPs), every)))
-	return fmt.Sprintf("%x", h[:8])
+		c.Cfg.WireCheck, len(c.World.Population.VPs), every)
 }
 
 // loadResume validates the checkpoint against this campaign (sig), restores

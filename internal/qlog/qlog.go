@@ -17,11 +17,12 @@ import (
 )
 
 // Magic and Version identify the flight-recorder segment stream. The block
-// framing is segment's; only the record encoding is qlog's. Version 2
-// dropped serve/query's shed field; a version-1 log is refused at open.
+// framing is segment's; only the record encoding is qlog's. Version 3
+// dropped the client/query kind, as 2 did serve/query's shed field; an older
+// log is refused at open.
 const (
 	Magic   = "RGQL"
-	Version = 2
+	Version = 3
 )
 
 // Key hashes a query's identifying bytes (message ID + flags + question

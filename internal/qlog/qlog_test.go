@@ -11,6 +11,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -340,17 +341,18 @@ func TestResumeRejectsBadState(t *testing.T) {
 	}
 }
 
-// TestReaderRefusesOldVersion pins the format break of version 2, which
-// dropped serve/query's shed field: a version-1 log would decode with every
-// later field shifted by one, so it is refused at open with a version error.
+// TestReaderRefusesOldVersion pins the format breaks: version 2 dropped
+// serve/query's shed field and version 3 the client/query kind, so an older
+// log would decode with fields or kinds shifted by one. It is refused at open
+// with a version error.
 func TestReaderRefusesOldVersion(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := segment.NewWriter(&buf, qlog.Magic, qlog.Version-1); err != nil {
 		t.Fatal(err)
 	}
 	_, err := qlog.NewReader(bytes.NewReader(buf.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("version-1 log opened with err = %v, want an unsupported-version error", err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version "+strconv.Itoa(qlog.Version-1)) {
+		t.Fatalf("version-%d log opened with err = %v, want an unsupported-version error", qlog.Version-1, err)
 	}
 }
 

@@ -2,7 +2,7 @@
 // per query carrying the full decision chain the aggregate telemetry layer
 // collapses — netem fate, RRL verdict, compiled-path answer and EDNS bucket,
 // truncation, response class on the server; attempt count and logical
-// backoff latency on the client; probe/transfer outcomes in the campaign
+// backoff latency in rootblast; probe/transfer outcomes in the campaign
 // engine. It is the per-query evidence trail that query-composition studies
 // (B-Root) and high-rate measurement tools expose as per-query result rows.
 //
@@ -71,16 +71,6 @@ var Registry = []Def{
 			{Name: "rcode", Help: "response rcode (ok only)"},
 			{Name: "tc", Help: "response had TC set (RRL slip stub)"},
 			{Name: "wait_us", Help: "logical backoff waited across retries, microseconds"},
-		},
-	},
-	{
-		Kind: "client/query",
-		Help: "one dnsclient.Exchange lifecycle",
-		Fields: []Field{
-			{Name: "attempts", Help: "UDP send attempts"},
-			{Name: "outcome", Help: "how the exchange resolved", Enum: []string{"udp", "tcp", "error"}},
-			{Name: "rcode", Help: "response rcode (success only)"},
-			{Name: "wait_us", Help: "logical backoff scheduled across retries, microseconds"},
 		},
 	},
 	{

@@ -13,6 +13,8 @@
 #   unit      top-53-bits-to-[0,1) idioms      (one, in internal/seeded)
 #   rename    tmp-file + os.Rename writers     (one, in internal/checkpoint)
 #   seal      seal/restore interface types     (one, in internal/checkpoint)
+#   flags     for a cmd/ row, the options its -h lists: the count to take
+#             before and after a change next to the line count
 #
 # The fingerprint columns count non-test files only and skip the analyzers'
 # fixtures under testdata. Run it before and after a change and diff the two
@@ -32,7 +34,7 @@ count() { # count <regex> <files...>: matching lines across the files
 	cat "$@" | grep -Eic -e "$pattern" || true
 }
 
-printf '%-28s %6s %6s %4s %4s %4s %4s %5s %7s %5s\n' package code test imp dead mix fnv unit rename seal
+printf '%-28s %6s %6s %4s %4s %4s %4s %5s %7s %5s %5s\n' package code test imp dead mix fnv unit rename seal flags
 go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do
 	code_files=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
 	test_files=$(find "$dir" -maxdepth 1 -name '*_test.go' | sort)
@@ -57,7 +59,11 @@ go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do
 	tests=0
 	[ $# -gt 0 ] && tests=$(cat "$@" | wc -l)
 	imp=$(awk -v p="$pkg" '{ for (i = 2; i <= NF; i++) if ($i == p) { n++; break } } END { print n + 0 }' "$imports")
-	printf '%-28s %6d %6d %4d %4d %4d %4d %5d %7d %5d\n' "${pkg#"$mod"/}" "$code" "$tests" "$imp" "$dead" "$mix" "$fnv" "$unit" "$rename" "$seal"
+	flags=-
+	case $pkg in
+	"$mod"/cmd/*) flags=$(go run "$pkg" -h 2>&1 | grep -c '^  -' || true) ;;
+	esac
+	printf '%-28s %6d %6d %4d %4d %4d %4d %5d %7d %5d %5s\n' "${pkg#"$mod"/}" "$code" "$tests" "$imp" "$dead" "$mix" "$fnv" "$unit" "$rename" "$seal" "$flags"
 done | awk '
 	{ print; for (i = 2; i <= NF; i++) sum[i] += $i }
-	END { printf "%-28s %6d %6d %4s %4d %4d %4d %5d %7d %5d\n", "TOTAL", sum[2], sum[3], "-", sum[5], sum[6], sum[7], sum[8], sum[9], sum[10] }'
+	END { printf "%-28s %6d %6d %4s %4d %4d %4d %5d %7d %5d %5d\n", "TOTAL", sum[2], sum[3], "-", sum[5], sum[6], sum[7], sum[8], sum[9], sum[10], sum[11] }'

@@ -144,18 +144,19 @@ go test -count=1 \
 # cmp-identical, and the telemetry snapshots of the first two must agree on
 # every logical metric. This exercises the shipping binaries end to end and
 # is the standing demonstration that block-parallel replay, its recycled
-# blocks and its checkpoints change wall-clock, not behavior.
+# blocks and its checkpoints change wall-clock, not behavior. The world is not
+# the default one and no replay is told so: the recording names its run.
 echo "== snapshot-diff self-check (serial vs parallel vs checkpointed replay) =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 go build -o "$tmp/rootmeasure" ./cmd/rootmeasure
 go build -o "$tmp/rootanalyze" ./cmd/rootanalyze
 "$tmp/rootmeasure" -scale 512 -vpscale 8 -tlds 20 -out "$tmp/study.rgds" >/dev/null
-"$tmp/rootanalyze" -in "$tmp/study.rgds" -vpscale 8 -tlds 20 \
+"$tmp/rootanalyze" -in "$tmp/study.rgds" \
 	-metrics "$tmp/serial.json" >"$tmp/serial.txt"
-"$tmp/rootanalyze" -in "$tmp/study.rgds" -vpscale 8 -tlds 20 -workers 4 \
+"$tmp/rootanalyze" -in "$tmp/study.rgds" -workers 4 \
 	-metrics "$tmp/parallel.json" >"$tmp/parallel.txt"
-"$tmp/rootanalyze" -in "$tmp/study.rgds" -vpscale 8 -tlds 20 -workers 4 \
+"$tmp/rootanalyze" -in "$tmp/study.rgds" -workers 4 \
 	-checkpoint "$tmp/replay.ckpt" >"$tmp/checkpointed.txt"
 "$tmp/rootanalyze" -diff "$tmp/serial.json" "$tmp/parallel.json"
 cmp "$tmp/serial.txt" "$tmp/parallel.txt"
@@ -165,7 +166,9 @@ cmp "$tmp/serial.txt" "$tmp/checkpointed.txt"
 # pipelined one (4 workers computing a tick ahead of its delivery), and the
 # pipelined one killed at the second tick after a checkpoint and resumed,
 # must write the same dataset at the same checkpoint cadence. The kill finds
-# the tick after it already computed; none of it may reach the file.
+# the tick after it already computed; none of it may reach the file. The
+# resume is given the two files and nothing else about the run: seed, world,
+# schedule and cadence are what the interrupted recording says they were.
 echo "== recording identity (workers 1 vs 4 vs 4 killed and resumed) =="
 every=4
 record() {
@@ -185,7 +188,7 @@ identity() {
 		echo "rootmeasure -chaos $1 exited $status, want 3" >&2
 		exit 1
 	fi
-	record resumed -workers 4 -resume
+	"$tmp/rootmeasure" -out "$tmp/resumed.rgds" -checkpoint "$tmp/resumed.ckpt" -workers 4 -resume >/dev/null
 	cmp "$tmp/serial.rgds" "$tmp/pipelined.rgds"
 	cmp "$tmp/serial.rgds" "$tmp/resumed.rgds"
 }
@@ -194,18 +197,19 @@ identity campaign/tick=kill@6
 # At that cadence a checkpoint interval is under one block (512 KB), so every
 # seal above was a checkpoint fence. Every 12 ticks, blocks fill between
 # checkpoints and are handed off to the seal goroutine while the next is
-# encoded (dataset/blocks_sealed must say so); frame 4 is such a block, behind
-# the first checkpoint, and the kill tears it on that goroutine.
-echo "== recording identity across auto-seals (checkpoint every 12; frame 4 torn and resumed) =="
+# encoded (dataset/blocks_sealed must say so); frame 5, counting the
+# description, is such a block, behind the first checkpoint, and the kill
+# tears it on that goroutine.
+echo "== recording identity across auto-seals (checkpoint every 12; frame 5 torn and resumed) =="
 every=12
-identity dataset/seal/partial=kill@4
+identity dataset/seal/partial=kill@5
 # -metrics also prints the summary table to stderr; metric reads that.
 metric() {
 	awk -v name="$1" '$1 == name { print $2 }' "$tmp/serial.telemetry"
 }
 blocks=$(metric dataset/blocks_sealed)
 checkpoints=$(metric campaign/checkpoints)
-if [ "$blocks" -le "$((checkpoints + 1))" ]; then
+if [ "$blocks" -le "$((checkpoints + 2))" ]; then # the description, the close
 	echo "recording identity: $blocks blocks sealed over $checkpoints checkpoints: no auto-seal fell between them" >&2
 	exit 1
 fi
