@@ -65,7 +65,8 @@ type Result struct {
 	// Rcode is the final response code (NXDOMAIN surfaces here).
 	Rcode dnswire.Rcode
 	// Delegation is the deepest referral reached when no server for the
-	// next zone could be contacted (its NS RRset).
+	// next zone could be contacted (its NS RRset); a server that answers
+	// only SERVFAIL or REFUSED counts as not contacted.
 	Delegation []dnswire.RR
 	// Chain lists the zones traversed (".", "com.", ...).
 	Chain []dnswire.Name
@@ -158,6 +159,13 @@ func (r *Resolver) Prime() error {
 }
 
 // Resolve iteratively resolves (name, type) starting from the root.
+//
+// A delegated zone with no usable server ends the resolution at its
+// referral: when the referral carries no glue, or every glue address fails
+// to answer or answers only SERVFAIL or REFUSED, Resolve returns the
+// deepest referral reached (Result.Delegation and Result.Chain) and a nil
+// error. When the root itself cannot be reached there is no referral, and
+// Resolve returns the error with a nil Result.
 func (r *Resolver) Resolve(name dnswire.Name, typ dnswire.Type) (*Result, error) {
 	if r.PrimeOnStart && !r.primed {
 		if err := r.Prime(); err != nil {
@@ -173,7 +181,12 @@ func (r *Resolver) Resolve(name dnswire.Name, typ dnswire.Type) (*Result, error)
 	for step := 0; step < maxSteps; step++ {
 		resp, err := r.queryAny(servers, name, typ)
 		if err != nil {
-			return nil, err
+			if step == 0 {
+				return nil, err
+			}
+			// No server for the delegated zone answered usably: stop at
+			// the referral already recorded.
+			return res, nil
 		}
 		res.Rcode = resp.Header.Rcode
 		if resp.Header.Rcode == dnswire.RcodeNXDomain {
@@ -204,8 +217,9 @@ func (r *Resolver) Resolve(name dnswire.Name, typ dnswire.Type) (*Result, error)
 		res.Chain = append(res.Chain, next)
 		servers = glueServers(resp, nsset, r.UseIPv6)
 		if len(servers) == 0 {
-			// Glueless delegation: we stop at the referral (the study's
-			// synthetic TLD servers are not instantiated).
+			// Glueless delegation: we stop at the referral, as we do when
+			// the glue's servers cannot be reached (the study's synthetic
+			// TLD servers are not instantiated).
 			return res, nil
 		}
 	}
@@ -222,7 +236,9 @@ func (r *Resolver) rootServers() []netip.Addr {
 	return out
 }
 
-// queryAny tries servers in order until one answers.
+// queryAny tries servers in order until one answers with an rcode other
+// than SERVFAIL or REFUSED; those answers are treated like an unreachable
+// server.
 func (r *Resolver) queryAny(servers []netip.Addr, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {
 	var lastErr error = ErrNoServers
 	// The DO bit requests DNSSEC records; needed when denial proofs are

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -46,6 +47,32 @@ func testRoot(t *testing.T) (*hints.File, *NetExchanger) {
 		ex.AddrMap[hint.V6] = addr.String()
 	}
 	return h, ex
+}
+
+// mappedOnly refuses every address that has no AddrMap entry and hands the
+// rest to the NetExchanger, so a test never dials a real address on port 53
+// (the synthetic root zone's glue lies in publicly routed space).
+type mappedOnly struct{ *NetExchanger }
+
+func (m mappedOnly) Exchange(addr netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	if _, ok := m.AddrMap[addr]; !ok {
+		return nil, fmt.Errorf("test: no server mapped for %s", addr)
+	}
+	return m.NetExchanger.Exchange(addr, q)
+}
+
+// servfailUnmapped answers SERVFAIL for every address that has no AddrMap
+// entry and hands the rest to the NetExchanger.
+type servfailUnmapped struct{ *NetExchanger }
+
+func (s servfailUnmapped) Exchange(addr netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	if _, ok := s.AddrMap[addr]; !ok {
+		return &dnswire.Message{
+			Header:    dnswire.Header{ID: q.Header.ID, Response: true, Rcode: dnswire.RcodeServFail},
+			Questions: q.Questions,
+		}, nil
+	}
+	return s.NetExchanger.Exchange(addr, q)
 }
 
 func TestPrimeRefreshesHints(t *testing.T) {
@@ -95,7 +122,7 @@ func TestResolveNXDomain(t *testing.T) {
 
 func TestResolveStopsAtGluelessReferral(t *testing.T) {
 	h, ex := testRoot(t)
-	r := New(h, ex)
+	r := New(h, mappedOnly{ex})
 	// com.'s delegation glue points at synthetic addresses with no mapped
 	// server; the resolver must return the deepest referral, not an error.
 	res, err := r.Resolve(dnswire.MustName("www.example.com."), dnswire.TypeA)
@@ -113,6 +140,34 @@ func TestResolveStopsAtGluelessReferral(t *testing.T) {
 	}
 	if len(res.Chain) < 2 || res.Chain[1] != "com." {
 		t.Errorf("chain = %v", res.Chain)
+	}
+}
+
+func TestResolveStopsAtServfailReferral(t *testing.T) {
+	// Every com. server answers SERVFAIL: like unreachable glue, that ends
+	// the resolution at the com. referral.
+	h, ex := testRoot(t)
+	r := New(h, servfailUnmapped{ex})
+	res, err := r.Resolve(dnswire.MustName("www.example.com."), dnswire.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) != 0 || len(res.Delegation) == 0 || res.Delegation[0].Name != "com." {
+		t.Errorf("answers = %v, delegation = %v", res.Answers, res.Delegation)
+	}
+	if len(res.Chain) != 2 || res.Chain[1] != "com." {
+		t.Errorf("chain = %v", res.Chain)
+	}
+}
+
+func TestResolveUnreachableRootFails(t *testing.T) {
+	// No hint address is mapped: the root itself cannot be reached, so
+	// there is no referral to return and the error must surface.
+	ex := mappedOnly{&NetExchanger{AddrMap: map[netip.Addr]string{}, Timeout: 2 * time.Second}}
+	r := New(hints.Default(), ex)
+	res, err := r.Resolve(dnswire.MustName("www.example.com."), dnswire.TypeA)
+	if err == nil || res != nil {
+		t.Errorf("unreachable root: res = %+v, err = %v; want nil result and an error", res, err)
 	}
 }
 

@@ -192,7 +192,10 @@ func WellKnownRootAddr(i int) (netip.Addr, netip.Addr) {
 }
 
 func randomV4(rng *rand.Rand) netip.Addr {
-	// Documentation-adjacent space to avoid colliding with service addrs.
+	// 100-199.x.x.x: publicly routed space, kept only because the zone's
+	// pinned digests depend on this draw. These glue addresses belong to
+	// strangers' hosts and must never be dialled; a test that follows a
+	// referral maps them to a local server or refuses them.
 	return netip.AddrFrom4([4]byte{
 		byte(100 + rng.Intn(100)), byte(rng.Intn(256)),
 		byte(rng.Intn(256)), byte(1 + rng.Intn(254)),
