@@ -60,9 +60,10 @@ func (c *Colocation) CheckpointSeal() ([]byte, error) { return json.Marshal(c.se
 // RestoreCheckpoint implements checkpoint.Part.
 func (c *Colocation) RestoreCheckpoint(state []byte) error { return restore(state, c.sealed()) }
 
-// The closest-global-site cache is deliberately excluded: it is a pure
-// function of the system the accumulator was constructed with and of the
-// VPs its events name, and rebuilds on demand.
+// The closest-global-site cache and the last-site memo are deliberately
+// excluded: they are pure functions of the system the accumulator was
+// constructed with and of the VPs and sites its events name, and rebuild on
+// demand.
 func (d *Distance) sealed() []any { return []any{&d.samples, &d.extra} }
 
 // CheckpointSeal implements checkpoint.Part.

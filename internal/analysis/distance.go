@@ -26,6 +26,10 @@ type Distance struct {
 	// the nearest of them (rebuilt on demand, never sealed).
 	globals [13][]geo.Point
 	closest []closestCell
+	// actual caches, per vp·rss.Slots + slot, the last site the VP reached on
+	// the target and the distance to it: sites change rarely, so a probe
+	// mostly skips the haversine (rebuilt on demand, never sealed).
+	actual []actualCell
 
 	// samples holds, per slot, pairs of (closest, actual) distances.
 	samples [rss.Slots]distSamples
@@ -35,6 +39,12 @@ type Distance struct {
 }
 
 type closestCell struct {
+	km    float64
+	known bool
+}
+
+type actualCell struct {
+	site  geo.Point
 	km    float64
 	known bool
 }
@@ -80,7 +90,12 @@ func (d *Distance) HandleProbe(e measure.ProbeEvent) {
 		*cc = closestCell{d.computeClosest(e.VP, slot/2), true}
 	}
 	closest := cc.km
-	actual := geo.DistanceKm(e.VP.City.Point, e.SiteCity.Point)
+	d.actual = growTo(d.actual, (e.VPIdx+1)*rss.Slots)
+	ac := &d.actual[e.VPIdx*rss.Slots+slot]
+	if !ac.known || ac.site != e.SiteCity.Point {
+		*ac = actualCell{e.SiteCity.Point, geo.DistanceKm(e.VP.City.Point, e.SiteCity.Point), true}
+	}
+	actual := ac.km
 
 	s := &d.samples[slot]
 	s.Closest = append(s.Closest, closest)

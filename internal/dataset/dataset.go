@@ -301,7 +301,7 @@ func rebuildErr(class int) error {
 	}
 }
 
-// targets holds the targets by slot, built once for targetOf.
+// targets holds the targets by slot, built once: a replayed event's Target.
 var targets = func() (bySlot [rss.Slots]rss.ServiceAddr) {
 	for _, t := range rss.AllServiceAddrs() {
 		slot, _ := t.Slot()
@@ -310,19 +310,18 @@ var targets = func() (bySlot [rss.Slots]rss.ServiceAddr) {
 	return bySlot
 }()
 
-// targetOf is the inverse of rss.ServiceAddr.Key, read off the key's
+// slotOf is the inverse of rss.ServiceAddr.Key, read off the key's
 // characters. Replay refuses the "" a target outside rss.AllServiceAddrs got.
-func targetOf(key string) (rss.ServiceAddr, bool) {
+func slotOf(key string) (int, bool) {
 	t := rss.ServiceAddr{Family: topology.IPv4, Old: len(key) == 3}
 	if len(key) < 2 || len(key) > 3 || (t.Old && key[2] != 'o') || (key[1] != '4' && key[1] != '6') {
-		return t, false
+		return 0, false
 	}
 	if key[1] == '6' {
 		t.Family = topology.IPv6
 	}
 	t.Letter = rss.Letter(key[:1])
-	slot, ok := t.Slot()
-	return targets[slot], ok
+	return t.Slot()
 }
 
 // Reader replays a dataset into handlers, tolerating a torn trailing block.
@@ -333,8 +332,10 @@ func targetOf(key string) (rss.ServiceAddr, bool) {
 type Reader struct {
 	*segment.Reader
 	pop *vantage.Population
-	// cities resolves metro codes back to geo.City.
-	cities map[string]geo.City
+	// cities is geo.Cities() behind the zero City, which a metro code outside
+	// the catalog replays as; cityOf maps a metro code to its index there.
+	cities []geo.City
+	cityOf map[string]uint16
 }
 
 // NewReader opens a dataset. The population must be the one the recording
@@ -344,77 +345,108 @@ func NewReader(in io.Reader, pop *vantage.Population) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	cities := make(map[string]geo.City)
-	for _, c := range geo.Cities() {
-		cities[c.IATA] = c
+	cities := append([]geo.City{{}}, geo.Cities()...)
+	cityOf := make(map[string]uint16, len(cities))
+	for i := 1; i < len(cities); i++ {
+		cityOf[cities[i].IATA] = uint16(i)
 	}
-	return &Reader{Reader: seg, pop: pop, cities: cities}, nil
+	return &Reader{Reader: seg, pop: pop, cities: cities, cityOf: cityOf}, nil
 }
 
-// block is one decoded block: the events as typed runs, and the order their
-// records came in. kinds describes the successfully decoded prefix; at most
-// one error is set. tearErr means the block's bytes are corrupt (CRC or
-// DEFLATE) — replay truncates there, delivering nothing from this block.
-// decodeErr is a real format error inside verified bytes — replay delivers
-// the prefix, then fails, exactly as the old record-interleaved loop did.
+// rec is one decoded record, held until the drain builds its event from it:
+// 64 bytes and no pointer, so a window of decoded blocks is small and the
+// collector never scans it. What the event points to lives in the record's
+// block and is named here by index. A field whose comment names a probe or a
+// transfer is set for that kind of record only.
+type rec struct {
+	tick, unix uint64
+	// num is a probe's RTT in centi-milliseconds, a transfer's fault kind.
+	num uint64
+	vp  uint32
+	// A probe's site, identifier, facility and second-to-last hop, as
+	// indices into block.dict.
+	site, ident, fac, stl uint32
+	// A probe's AS path is block.asns[asOff : asOff+asLen].
+	asOff uint32
+	// A transfer's serial, and its Bitflip: block.flips[flip-1], none at 0.
+	serial, flip uint32
+	// A probe's site city, an index into Reader.cities.
+	city                     uint16
+	kind, flags, slot, asLen uint8
+	// A transfer's error classes, errOther for any class past it.
+	dclass, zclass uint8
+}
+
+// block is one decoded block: its records in order, and what their events
+// point to. The records describe the successfully decoded prefix; at most one
+// error is set. tearErr means the block's bytes are corrupt (CRC or DEFLATE) —
+// replay truncates there, delivering nothing from this block. decodeErr is a
+// real format error inside verified bytes — replay delivers the prefix, then
+// fails, exactly as a record-at-a-time loop would.
 //
-// The slices are slabs, decoded into over whatever the last block left. What
-// events point to is never reused (see blockDecoder): handlers receive events
-// by value and may keep any string, AS path or Bitflip.
+// recs and the backing of dict and flips are decoded into over whatever the
+// last block left. What an event points to is never reused: the strings and
+// Bitflips are allocated fresh for each block and asns is a new arena, since
+// handlers receive events by value and may keep any string, AS path or
+// Bitflip.
 type block struct {
-	probes    []measure.ProbeEvent
-	transfers []measure.TransferEvent
-	kinds     []byte // recProbe or recTransfer per record, in record order
+	recs      []rec
+	dict      []string // the block's dictionary, entry 0 ""
+	asns      []int
+	flips     []*faults.Bitflip
 	tearErr   error
 	decodeErr error
 }
 
-const (
-	// minRecordBytes is the least a recorded event takes: kind, tick index,
-	// a five-byte Unix time, VP index, target reference, flags.
-	minRecordBytes = 10
-	// asPathChunk AS numbers are allocated at once: a few allocations per
-	// block instead of one per probe.
-	asPathChunk = 8192
-)
+// minRecordBytes is the least a recorded event takes: kind, tick index, a
+// five-byte Unix time, VP index, target reference, flags.
+const minRecordBytes = 10
 
 // blockDecoder verifies and decodes sealed blocks one after another on one
-// goroutine, keeping its inflater, record reader and dictionary backing. What
-// it gives an event to point to is allocated fresh and handed out once:
-// strings own their bytes, an AS path is a capacity-clipped cut of a chunk no
-// other path shares a word of, a Bitflip is its own allocation.
+// goroutine, keeping its inflater and record reader between blocks.
 type blockDecoder struct {
-	pop    *vantage.Population
-	cities map[string]geo.City
+	vps    int // the population's size, which a VP index must stay under
+	cityOf map[string]uint16
 	inf    segment.Inflater
 	rr     segment.RecordReader
-	asns   []int // what is left of the current AS-path chunk
+	// asHint is how many AS numbers the last block held: the next arena is
+	// made that size, and a little over, at once.
+	asHint int
 }
 
 func (d *Reader) newDecoder() *blockDecoder {
-	return &blockDecoder{pop: d.pop, cities: d.cities}
+	return &blockDecoder{vps: len(d.pop.VPs), cityOf: d.cityOf}
 }
 
 // decode verifies f and decodes it into b, over whatever b held.
 func (d *blockDecoder) decode(f segment.Frame, b *block) {
-	b.probes, b.transfers, b.kinds = b.probes[:0], b.transfers[:0], b.kinds[:0]
-	b.tearErr, b.decodeErr = nil, nil
 	payload, err := d.inf.Decompress(f)
 	if err != nil {
-		b.tearErr = err
+		b.recs, b.tearErr, b.decodeErr = b.recs[:0], err, nil
 		return
 	}
+	d.decodePayload(payload, f.Count, b)
+}
+
+// decodePayload decodes a verified block's payload, declared to hold count
+// records, into b.
+func (d *blockDecoder) decodePayload(payload []byte, count uint32, b *block) {
+	clear(b.dict) // do not pin the last block's strings
+	clear(b.flips)
+	b.recs, b.dict, b.flips, b.asns = b.recs[:0], b.dict[:0], b.flips[:0], nil
+	b.tearErr = nil
 	d.rr.Reset(payload)
-	if cap(b.kinds) == 0 {
-		// A first use sizes the slabs. The header's count sits outside the
-		// CRC, so it is believed no further than the payload could bear out;
-		// each run gets a good half, and append covers a lopsided mix.
-		n := min(int(f.Count), len(payload)/minRecordBytes)
-		b.kinds = make([]byte, 0, n)
-		b.probes = make([]measure.ProbeEvent, 0, n/2+n/16)
-		b.transfers = make([]measure.TransferEvent, 0, n/2+n/16)
+	// The header's count sits outside the CRC, so it is believed no further
+	// than the payload could bear out.
+	if n := min(int(count), len(payload)/minRecordBytes); cap(b.recs) < n {
+		b.recs = make([]rec, 0, n)
 	}
-	b.decodeErr = d.decodeAll(f.Count, b)
+	if d.asHint > 0 {
+		b.asns = make([]int, 0, d.asHint+d.asHint/8)
+	}
+	b.decodeErr = d.decodeAll(count, b)
+	b.dict = append(b.dict, d.rr.Dict()...)
+	d.asHint = len(b.asns)
 }
 
 // decodeAll decodes records until the payload is exhausted, enforcing the
@@ -434,18 +466,7 @@ func (d *blockDecoder) decodeAll(count uint32, b *block) error {
 		}
 		left--
 		switch kind {
-		case recProbe:
-			b.probes = append(b.probes, measure.ProbeEvent{})
-			if err := d.readProbe(&b.probes[len(b.probes)-1]); err != nil {
-				b.probes = b.probes[:len(b.probes)-1]
-				return err
-			}
-		case recTransfer:
-			b.transfers = append(b.transfers, measure.TransferEvent{})
-			if err := d.readTransfer(&b.transfers[len(b.transfers)-1]); err != nil {
-				b.transfers = b.transfers[:len(b.transfers)-1]
-				return err
-			}
+		case recProbe, recTransfer:
 		case recDescription:
 			// For ReadDescription: a replay was given the world it names.
 			if _, err := d.rr.Bytes(); err != nil {
@@ -456,7 +477,17 @@ func (d *blockDecoder) decodeAll(count uint32, b *block) error {
 			//rootlint:allow hotpath: cold error return, ends the replay
 			return fmt.Errorf("dataset: unknown record kind %d", kind)
 		}
-		b.kinds = append(b.kinds, byte(kind))
+		b.recs = append(b.recs, rec{kind: uint8(kind)})
+		r := &b.recs[len(b.recs)-1]
+		if kind == recProbe {
+			err = d.readProbe(r, b)
+		} else {
+			err = d.readTransfer(r, b)
+		}
+		if err != nil {
+			b.recs = b.recs[:len(b.recs)-1]
+			return err
+		}
 	}
 	if left != 0 {
 		//rootlint:allow hotpath: cold error return, ends the replay
@@ -476,30 +507,29 @@ func (d *Reader) Replay(handlers ...measure.Handler) (probes, transfers int, err
 	return d.ReplayWith(ReplayOptions{}, handlers...)
 }
 
-// readCommon decodes the fields every record opens with, and returns its flags.
+// readCommon decodes the fields every record opens with into r, and returns
+// its flags.
 //
 //rootlint:hotpath
-func (d *blockDecoder) readCommon(tick *measure.Tick, vp **vantage.VP, vpIdx *int, target *rss.ServiceAddr) (flags uint64, err error) {
-	idx, err := d.rr.Uvarint()
-	if err != nil {
+func (d *blockDecoder) readCommon(r *rec) (flags uint64, err error) {
+	if r.tick, err = d.rr.Uvarint(); err != nil {
 		return 0, err
 	}
-	unix, err := d.rr.Uvarint()
-	if err != nil {
+	if r.unix, err = d.rr.Uvarint(); err != nil {
 		return 0, err
 	}
 	v, err := d.rr.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v >= uint64(len(d.pop.VPs)) {
+	if v >= uint64(d.vps) {
 		return 0, errors.New("dataset: VP index out of range")
 	}
 	tk, err := d.rr.Str()
 	if err != nil {
 		return 0, err
 	}
-	t, ok := targetOf(tk)
+	slot, ok := slotOf(tk)
 	if !ok {
 		//rootlint:allow hotpath: cold error return, ends the replay
 		return 0, fmt.Errorf("dataset: unknown target %q", tk)
@@ -507,47 +537,37 @@ func (d *blockDecoder) readCommon(tick *measure.Tick, vp **vantage.VP, vpIdx *in
 	if flags, err = d.rr.Uvarint(); err != nil {
 		return 0, err
 	}
-	*tick = measure.Tick{Index: int(idx), Time: time.Unix(int64(unix), 0).UTC()}
-	*vp, *vpIdx, *target = &d.pop.VPs[v], int(v), t
+	// Only the low four bits of the flags mean anything.
+	r.vp, r.slot, r.flags = uint32(v), uint8(slot), uint8(flags)
 	return flags, nil
 }
 
-// readProbe decodes one probe record into e, which arrives zeroed.
+// readProbe decodes the rest of a probe record into r, appending its AS path
+// to b's arena.
 //
 //rootlint:hotpath
-func (d *blockDecoder) readProbe(e *measure.ProbeEvent) error {
-	flags, err := d.readCommon(&e.Tick, &e.VP, &e.VPIdx, &e.Target)
-	if err != nil {
+func (d *blockDecoder) readProbe(r *rec, b *block) error {
+	flags, err := d.readCommon(r)
+	if err != nil || flags&1 != 0 { // a lost probe records nothing more
 		return err
 	}
-	e.Lost = flags&1 != 0
-	e.STLOK = flags&2 != 0
-	e.Degraded = flags&8 != 0
-	if flags&4 != 0 {
-		e.SiteKind = 1
-	}
-	if e.Lost {
-		return nil
-	}
-	if e.SiteID, err = d.rr.Str(); err != nil {
+	if r.site, err = d.rr.Ref(); err != nil {
 		return err
 	}
-	if e.Identifier, err = d.rr.Str(); err != nil {
+	if r.ident, err = d.rr.Ref(); err != nil {
 		return err
 	}
-	if e.Facility, err = d.rr.Str(); err != nil {
+	if r.fac, err = d.rr.Ref(); err != nil {
 		return err
 	}
 	iata, err := d.rr.Str()
 	if err != nil {
 		return err
 	}
-	e.SiteCity = d.cities[iata]
-	rtt, err := d.rr.Uvarint()
-	if err != nil {
+	r.city = d.cityOf[iata]
+	if r.num, err = d.rr.Uvarint(); err != nil {
 		return err
 	}
-	e.RTTms = float64(rtt) / 100
 	n, err := d.rr.Uvarint()
 	if err != nil {
 		return err
@@ -555,71 +575,113 @@ func (d *blockDecoder) readProbe(e *measure.ProbeEvent) error {
 	if n > 64 {
 		return errors.New("dataset: implausible AS path length")
 	}
-	if uint64(len(d.asns)) < n {
-		d.asns = make([]int, asPathChunk)
-	}
-	e.ASPath, d.asns = d.asns[:n:n], d.asns[n:]
-	for i := range e.ASPath {
+	// The arena never outgrows the payload, nor a uint32: every AS number
+	// takes a byte of it at least.
+	r.asOff, r.asLen = uint32(len(b.asns)), uint8(n)
+	for range n {
 		asn, err := d.rr.Uvarint()
 		if err != nil {
 			return err
 		}
-		e.ASPath[i] = int(asn)
+		b.asns = append(b.asns, int(asn))
 	}
-	if e.SecondToLast, err = d.rr.Str(); err != nil {
-		return err
-	}
-	return nil
+	r.stl, err = d.rr.Ref()
+	return err
 }
 
 // errUnclassified replays a validation error outside the recorded classes.
 var errUnclassified = errors.New("dataset: unclassified validation error")
 
-// readTransfer decodes one transfer record into e, which arrives zeroed.
+// readTransfer decodes the rest of a transfer record into r, appending its
+// Bitflip to b's.
 //
 //rootlint:hotpath
-func (d *blockDecoder) readTransfer(e *measure.TransferEvent) error {
-	flags, err := d.readCommon(&e.Tick, &e.VP, &e.VPIdx, &e.Target)
-	if err != nil {
+func (d *blockDecoder) readTransfer(r *rec, b *block) error {
+	flags, err := d.readCommon(r)
+	if err != nil || flags&1 != 0 { // a lost transfer records nothing more
 		return err
-	}
-	e.Lost = flags&1 != 0
-	e.ComparisonMismatch = flags&2 != 0
-	e.Degraded = flags&8 != 0
-	if e.Lost {
-		return nil
 	}
 	serial, err := d.rr.Uvarint()
 	if err != nil {
 		return err
 	}
-	e.Serial = uint32(serial)
-	fault, err := d.rr.Uvarint()
-	if err != nil {
+	r.serial = uint32(serial)
+	if r.num, err = d.rr.Uvarint(); err != nil {
 		return err
 	}
-	e.Fault = faults.Kind(fault)
 	dclass, err := d.rr.Uvarint()
 	if err != nil {
 		return err
 	}
-	e.DNSSECErr = rebuildErr(int(dclass))
 	zclass, err := d.rr.Uvarint()
 	if err != nil {
 		return err
 	}
-	e.ZonemdErr = rebuildErr(int(zclass))
+	r.dclass, r.zclass = uint8(min(dclass, errOther)), uint8(min(zclass, errOther))
 	if flags&4 != 0 {
-		flip := new(faults.Bitflip) // a handler may keep it: never recycled
-		if flip.Before, err = d.rr.Str(); err != nil {
+		before, err := d.rr.Str()
+		if err != nil {
 			return err
 		}
-		if flip.After, err = d.rr.Str(); err != nil {
+		after, err := d.rr.Str()
+		if err != nil {
 			return err
 		}
-		e.Bitflip = flip
+		// A handler may keep it: never reused.
+		b.flips = append(b.flips, &faults.Bitflip{Before: before, After: after})
+		r.flip = uint32(len(b.flips))
 	}
 	return nil
+}
+
+// probe builds the event r records; the drain hands it to every handler.
+func (d *Reader) probe(b *block, r *rec) measure.ProbeEvent {
+	e := measure.ProbeEvent{
+		Tick:     measure.Tick{Index: int(r.tick), Time: time.Unix(int64(r.unix), 0).UTC()},
+		VP:       &d.pop.VPs[r.vp],
+		VPIdx:    int(r.vp),
+		Target:   targets[r.slot],
+		Lost:     r.flags&1 != 0,
+		STLOK:    r.flags&2 != 0,
+		Degraded: r.flags&8 != 0,
+	}
+	if r.flags&4 != 0 {
+		e.SiteKind = 1
+	}
+	if e.Lost {
+		return e
+	}
+	e.SiteID, e.Identifier, e.Facility = b.dict[r.site], b.dict[r.ident], b.dict[r.fac]
+	e.SiteCity = d.cities[r.city]
+	e.RTTms = float64(r.num) / 100
+	end := r.asOff + uint32(r.asLen)
+	e.ASPath = b.asns[r.asOff:end:end]
+	e.SecondToLast = b.dict[r.stl]
+	return e
+}
+
+// transfer builds the event r records; the drain hands it to every handler.
+func (d *Reader) transfer(b *block, r *rec) measure.TransferEvent {
+	e := measure.TransferEvent{
+		Tick:               measure.Tick{Index: int(r.tick), Time: time.Unix(int64(r.unix), 0).UTC()},
+		VP:                 &d.pop.VPs[r.vp],
+		VPIdx:              int(r.vp),
+		Target:             targets[r.slot],
+		Lost:               r.flags&1 != 0,
+		ComparisonMismatch: r.flags&2 != 0,
+		Degraded:           r.flags&8 != 0,
+	}
+	if e.Lost {
+		return e
+	}
+	e.Serial = r.serial
+	e.Fault = faults.Kind(r.num)
+	e.DNSSECErr = rebuildErr(int(r.dclass))
+	e.ZonemdErr = rebuildErr(int(r.zclass))
+	if r.flip != 0 {
+		e.Bitflip = b.flips[r.flip-1]
+	}
+	return e
 }
 
 // Close releases the reader (nothing to release in the block format; kept

@@ -225,7 +225,7 @@ func synthProbe(i int) measure.ProbeEvent {
 
 // writeSynthFile records n synthetic probes with a small block size and
 // returns the raw bytes.
-func writeSynthFile(t *testing.T, n, blockBytes int) []byte {
+func writeSynthFile(t testing.TB, n, blockBytes int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -473,14 +473,14 @@ func TestTargetKeyBijective(t *testing.T) {
 			t.Fatalf("duplicate key %q", k)
 		}
 		seen[k] = true
-		back, ok := targetOf(k)
-		if !ok || back != tgt {
+		slot, ok := slotOf(k)
+		if !ok || targets[slot] != tgt {
 			t.Fatalf("key %q does not round trip", k)
 		}
 	}
 	for _, k := range []string{"", "b", "b4x", "b4oo", "n4", "a4o", "b5", "B4", "\xff6"} {
-		if got, ok := targetOf(k); ok {
-			t.Errorf("key %q, which no target has, reads as %+v", k, got)
+		if slot, ok := slotOf(k); ok {
+			t.Errorf("key %q, which no target has, reads as %+v", k, targets[slot])
 		}
 	}
 }

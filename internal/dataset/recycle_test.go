@@ -1,9 +1,11 @@
 package dataset
 
 // What makes recycling safe, pinned. The decoder reuses its inflater, its
-// record reader and the slabs events are decoded into; what an event points
-// to is never reused, nothing is sized from the frame header beyond what the
-// payload could bear out, and every goroutine is joined on every return.
+// record reader and the records a block decodes into, and the drain builds
+// each event from its record as it delivers it; what an event points to (a
+// string, an AS path, a Bitflip) is never reused, nothing is sized from the
+// frame header beyond what the payload could bear out, and every goroutine
+// is joined on every return.
 
 import (
 	"bytes"
@@ -131,9 +133,9 @@ func TestReplayedEventsOutliveTheirBlocks(t *testing.T) {
 
 // TestWarmDecoderAllocatesPerStringNotPerRecord: a warm decoder, decoding
 // into a block it has filled before, allocates for the block's new dictionary
-// strings, its AS-path chunks and what the inflater's Huffman tables take —
-// tens — and nothing per record: a block of twenty times the records costs
-// about the same.
+// strings, its AS arena and what the inflater's Huffman tables take — tens —
+// and nothing per record: a block of twenty times the records costs about
+// the same.
 func TestWarmDecoderAllocatesPerStringNotPerRecord(t *testing.T) {
 	allocs := func(blockBytes int) (records int, perBlock float64) {
 		data := writeSynthFile(t, 6000, blockBytes)
@@ -149,8 +151,8 @@ func TestWarmDecoderAllocatesPerStringNotPerRecord(t *testing.T) {
 		var b block
 		decode := func() {
 			dec.decode(f, &b)
-			if b.tearErr != nil || b.decodeErr != nil || len(b.probes) != int(f.Count) {
-				t.Fatalf("decoded %d of %d records: %v %v", len(b.probes), f.Count, b.tearErr, b.decodeErr)
+			if b.tearErr != nil || b.decodeErr != nil || len(b.recs) != int(f.Count) {
+				t.Fatalf("decoded %d of %d records: %v %v", len(b.recs), f.Count, b.tearErr, b.decodeErr)
 			}
 		}
 		decode()

@@ -110,31 +110,34 @@ type replayState struct {
 }
 
 // drainBlock delivers one decoded block in order: events to handlers,
-// counters, fingerprint, checkpoint cadence. A torn block converts to a
-// clean end-of-stream (io.EOF) after marking the Reader torn — nothing from
-// the torn block, or after it, is ever delivered.
+// counters, fingerprint, checkpoint cadence. Each event is built from its
+// record as it is delivered, and handed to every handler by value. A torn
+// block converts to a clean end-of-stream (io.EOF) after marking the Reader
+// torn — nothing from the torn block, or after it, is ever delivered.
 func (st *replayState) drainBlock(f *segment.Frame, b *block) error {
 	if b.tearErr != nil {
 		return st.d.Tear(b.tearErr)
 	}
-	probes, transfers := b.probes, b.transfers
-	for _, kind := range b.kinds {
-		if kind == recProbe {
+	probes := 0
+	for i := range b.recs {
+		r := &b.recs[i]
+		if r.kind == recProbe {
+			e := st.d.probe(b, r)
 			for _, h := range st.handlers {
-				h.HandleProbe(probes[0])
+				h.HandleProbe(e)
 			}
-			probes = probes[1:]
+			probes++
 		} else {
+			e := st.d.transfer(b, r)
 			for _, h := range st.handlers {
-				h.HandleTransfer(transfers[0])
+				h.HandleTransfer(e)
 			}
-			transfers = transfers[1:]
 		}
 	}
 	// Counted per block: checkpoints fall on block boundaries.
-	st.pos.Probes += len(b.probes)
-	st.pos.Transfers += len(b.transfers)
-	mReplayed.Add(int64(len(b.kinds)))
+	st.pos.Probes += probes
+	st.pos.Transfers += len(b.recs) - probes
+	mReplayed.Add(int64(len(b.recs)))
 	if b.decodeErr != nil {
 		// Real format error inside CRC-verified bytes: the prefix was
 		// delivered (matching the old record-interleaved loop), now fail.
@@ -174,7 +177,7 @@ func (st *replayState) runSerial() error {
 }
 
 // replayJob carries one scanned frame to a decode worker and its decoded
-// block to the drain, then goes back on the free list with its slabs.
+// block to the drain, then goes back on the free list with its records.
 // scanErr marks the scanner's terminal tear, delivered in order like any
 // block so truncation lands at the right position.
 type replayJob struct {

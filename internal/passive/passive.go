@@ -221,9 +221,21 @@ func NewModel(cfg ModelConfig) *Model {
 
 // diurnal scales traffic by hour of day (UTC) with a mild day/night swing.
 func diurnal(t time.Time) float64 {
-	h := float64(t.Hour()) + float64(t.Minute())/60
-	return 1 + 0.35*math.Sin((h-9)*math.Pi/12)
+	hour, minute, _ := t.Clock()
+	return diurnalByMinute[hour][minute]
 }
+
+// diurnalByMinute holds diurnal's swing for every minute of the day, built
+// once: FlowVolume asks for it per (client, target, hour).
+var diurnalByMinute = func() (swing [24][60]float64) {
+	for hour := range swing {
+		for minute := range swing[hour] {
+			h := float64(hour) + float64(minute)/60
+			swing[hour][minute] = 1 + 0.35*math.Sin((h-9)*math.Pi/12)
+		}
+	}
+	return swing
+}()
 
 // FlowVolume returns the sampled flow volume from client cl to target in the
 // hour starting at t. b.root's old/new split follows the client's switch

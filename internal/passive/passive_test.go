@@ -205,3 +205,18 @@ func TestOldPrefixOnlyForB(t *testing.T) {
 		t.Error("non-b letter has old-prefix traffic")
 	}
 }
+
+// TestDiurnalTableIsTheSwing: the table diurnal reads gives, bit for bit, the
+// swing computed from the time of day, at every minute and whatever the
+// seconds or the date.
+func TestDiurnalTableIsTheSwing(t *testing.T) {
+	day := time.Date(2023, 10, 2, 0, 0, 0, 0, time.UTC)
+	for m := 0; m < 24*60; m++ {
+		at := day.Add(time.Duration(m)*time.Minute + time.Duration(m%60)*time.Second)
+		h := float64(at.Hour()) + float64(at.Minute())/60
+		want := 1 + 0.35*math.Sin((h-9)*math.Pi/12)
+		if got := diurnal(at); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: diurnal = %v, want %v", at.Format("15:04:05"), got, want)
+		}
+	}
+}

@@ -520,25 +520,42 @@ func (r *RecordReader) Uvarint() (uint64, error) {
 //
 //rootlint:hotpath
 func (r *RecordReader) Str() (string, error) {
-	v, err := r.Uvarint()
+	id, err := r.Ref()
 	if err != nil {
 		return "", err
+	}
+	return r.dict[id], nil
+}
+
+// Ref reads one interned string reference like Str and returns where the
+// string sits in Dict instead of the string.
+//
+//rootlint:hotpath
+func (r *RecordReader) Ref() (uint32, error) {
+	v, err := r.Uvarint()
+	if err != nil {
+		return 0, err
 	}
 	if v&1 == 0 {
 		id := v >> 1
 		if id >= uint64(len(r.dict)) {
-			return "", errors.New("segment: bad dictionary reference")
+			return 0, errors.New("segment: bad dictionary reference")
 		}
-		return r.dict[id], nil
+		return uint32(id), nil
 	}
 	raw, err := r.take(v >> 1)
 	if err != nil {
-		return "", err
+		return 0, err
 	}
-	s := string(raw)
-	r.dict = append(r.dict, s)
-	return s, nil
+	// Every new string costs at least its length varint, so a block's
+	// dictionary never outgrows its payload, nor a uint32.
+	r.dict = append(r.dict, string(raw))
+	return uint32(len(r.dict) - 1), nil
 }
+
+// Dict is the block's dictionary as read so far, indexed by Ref; entry 0 is
+// "". It is the reader's own, valid until the next Reset.
+func (r *RecordReader) Dict() []string { return r.dict }
 
 // take consumes the next n payload bytes, refusing a length past the end.
 func (r *RecordReader) take(n uint64) ([]byte, error) {

@@ -17,6 +17,11 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return quantileSorted(s, q)
+}
+
+// quantileSorted is Quantile of a non-empty, sorted slice.
+func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}
@@ -85,22 +90,26 @@ type Summary struct {
 	P90, P99, Max      float64
 }
 
-// Summarize computes a Summary (zero value on empty input, with N=0).
+// Summarize computes a Summary (zero value on empty input, with N=0). It
+// sorts one copy of xs for all seven quantiles; the mean and deviation sum xs
+// in its own order.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
 	return Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
 		StdDev: StdDev(xs),
-		Min:    Quantile(xs, 0),
-		P25:    Quantile(xs, 0.25),
-		P50:    Quantile(xs, 0.5),
-		P75:    Quantile(xs, 0.75),
-		P90:    Quantile(xs, 0.90),
-		P99:    Quantile(xs, 0.99),
-		Max:    Quantile(xs, 1),
+		Min:    quantileSorted(s, 0),
+		P25:    quantileSorted(s, 0.25),
+		P50:    quantileSorted(s, 0.5),
+		P75:    quantileSorted(s, 0.75),
+		P90:    quantileSorted(s, 0.90),
+		P99:    quantileSorted(s, 0.99),
+		Max:    quantileSorted(s, 1),
 	}
 }
 

@@ -114,6 +114,12 @@ go test -run '^FuzzQlogDecode$' -fuzz '^FuzzQlogDecode$' -fuzztime 5s ./internal
 # as its header says.
 echo "== fuzz FuzzScanFrame (5s) =="
 go test -run '^FuzzScanFrame$' -fuzz '^FuzzScanFrame$' -fuzztime 5s ./internal/segment
+# The dataset's record decoder on top of it: for any block payload and
+# declared count, the replay's compact decode and the events its drain builds
+# must equal what the slow field-by-field oracle decodes, stop at the same
+# record, and fail or not alike.
+echo "== fuzz FuzzBlockDecode (5s) =="
+go test -run '^FuzzBlockDecode$' -fuzz '^FuzzBlockDecode$' -fuzztime 5s ./internal/dataset
 # The serve path's two byte-level decisions against their oracles: the fast
 # parser must agree with the full decoder on everything it accepts, and a
 # compiled answer must equal decode + Handle + pack + truncate byte for byte
