@@ -2,9 +2,9 @@ package repro
 
 // The benchmark harness regenerates every table and figure of the paper
 // (see DESIGN.md §4 for the experiment index). The expensive part — the
-// simulated world and the active campaign — runs once and is shared; each
-// benchmark then measures regenerating its artifact from the accumulated
-// state, and prints the artifact once so `go test -bench` output doubles as
+// simulated world and the active campaign — runs once and is shared;
+// BenchmarkArtefacts then measures regenerating each artefact from the
+// accumulated state, and prints it once so `go test -bench` output doubles as
 // the reproduction report. Micro-benchmarks for the substrates and the
 // ablation benches live at the bottom.
 
@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/anycast"
 	"repro/internal/axfr"
 	"repro/internal/control"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/geo"
 	"repro/internal/measure"
-	"repro/internal/passive"
 	"repro/internal/propagation"
 	"repro/internal/rss"
 	"repro/internal/telemetry"
@@ -66,158 +66,25 @@ func benchStudy(b *testing.B) *core.Study {
 	return study
 }
 
-// printOnce emits the artifact once per benchmark so the bench log is the
-// report.
+// printedArtifacts makes each artefact print once, however often its
+// benchmark runs, so the bench log is the report.
 var printedArtifacts sync.Map
 
-func artifact(b *testing.B, name string, render func(io.Writer)) {
-	if _, loaded := printedArtifacts.LoadOrStore(name, true); !loaded {
-		render(os.Stderr)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(io.Discard)
-	}
-}
-
-func BenchmarkTable1SiteCoverage(b *testing.B) {
+// BenchmarkArtefacts regenerates every artefact of analysis.Artefacts from the
+// shared campaign, one sub-benchmark per paper ID (BenchmarkArtefacts/T1).
+func BenchmarkArtefacts(b *testing.B) {
 	s := benchStudy(b)
-	artifact(b, "table1", s.Coverage.WriteTable1)
-}
-
-func BenchmarkTable2ZonemdErrors(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "table2", s.Integrity.WriteTable2)
-}
-
-func BenchmarkTable3VantagePoints(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "table3", s.WriteTable3)
-}
-
-func BenchmarkTable4RegionalCoverage(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "table4", s.Coverage.WriteTable4)
-}
-
-func BenchmarkFigure1Coverage(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure1", func(w io.Writer) {
-		// Fig. 1 is the VP map plus f.root coverage; render the textual
-		// equivalents.
-		fmt.Fprintf(w, "Figure 1a: %d VPs in %d networks, %d countries\n",
-			len(s.World.Population.VPs), s.World.Population.Networks(),
-			s.World.Population.Countries())
-		for _, r := range s.Coverage.Table1() {
-			if r.Letter == "f" {
-				fmt.Fprintf(w, "Figure 1b: f.root %d/%d global, %d/%d local sites observed\n",
-					r.GlobalCov, r.GlobalSites, r.LocalCov, r.LocalSites)
+	for _, a := range analysis.Artefacts {
+		b.Run(a.ID, func(b *testing.B) {
+			if _, loaded := printedArtifacts.LoadOrStore(a.ID, true); !loaded {
+				a.Write(s.Suite, os.Stderr)
 			}
-		}
-	})
-}
-
-func BenchmarkFigure2Timeline(b *testing.B) {
-	artifact(b, "figure2", func(w io.Writer) {
-		ticks := measure.Ticks(measure.StudyStart, measure.StudyEnd, 1)
-		fast := 0
-		for _, t := range ticks {
-			if measure.BaseInterval(t.Time) == 15*time.Minute {
-				fast++
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Write(s.Suite, io.Discard)
 			}
-		}
-		fmt.Fprintf(w, "Figure 2: %d measurement rounds (%d at 15-min cadence); ", len(ticks), fast)
-		fmt.Fprintf(w, "ZONEMD placeholder %s, verifiable %s, b.root change %s\n",
-			zonemd.PlaceholderDate.Format("2006-01-02"),
-			zonemd.VerifiableDate.Format("2006-01-02"),
-			passive.BRootChange.Format("2006-01-02"))
-	})
-}
-
-func BenchmarkFigure3ChangeCCDF(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure3", s.Stability.WriteFigure3)
-}
-
-func BenchmarkFigure4ReducedRedundancy(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure4", s.Colocation.WriteFigure4)
-}
-
-func BenchmarkSection5Colocation(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "section5", func(w io.Writer) {
-		fmt.Fprintf(w, "Section 5: %.1f%% of VPs observe >=2 co-located roots (max %d)\n",
-			s.Colocation.ShareWithColocation()*100, s.Colocation.MaxReducedRedundancy())
-	})
-}
-
-func BenchmarkFigure5Distance(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure5", s.Distance.WriteFigure5)
-}
-
-func BenchmarkFigure6RTT(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure6", s.RTT.WriteFigure6)
-}
-
-func BenchmarkFigure14RTTAllRegions(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure14", s.RTT.WriteFigure14)
-}
-
-func BenchmarkSection6CarrierEffects(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "section6carrier", s.RTT.WriteCarrierEffects)
-}
-
-func BenchmarkFigure7ISPTraffic(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure7", s.Traffic.WriteFigure7)
-}
-
-func BenchmarkFigure8ClientsPerDay(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure8", s.Traffic.WriteFigure8)
-}
-
-func BenchmarkFigure9IXPTraffic(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure9", s.Traffic.WriteFigure9)
-}
-
-func BenchmarkFigure10Bitflip(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure10", s.Integrity.WriteFigure10)
-}
-
-func BenchmarkFigure11CoverageMaps(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure11", s.Coverage.Figure11)
-}
-
-func BenchmarkFigure12ISPAllRoots(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure12", s.Traffic.WriteFigure12)
-}
-
-func BenchmarkFigure13IXPAllRoots(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "figure13", s.Traffic.WriteFigure13)
-}
-
-func BenchmarkSection6ShiftRatios(b *testing.B) {
-	s := benchStudy(b)
-	artifact(b, "section6shift", func(w io.Writer) {
-		w2 := [2]time.Time{
-			time.Date(2024, 2, 5, 0, 0, 0, 0, time.UTC),
-			time.Date(2024, 3, 4, 0, 0, 0, 0, time.UTC),
-		}
-		fmt.Fprintf(w, "Section 6: ISP in-family shift v4=%.1f%% v6=%.1f%% (paper: 87.1%% / 96.3%%)\n",
-			s.Traffic.ISP.ShiftRatio(topology.IPv4, w2[0], w2[1])*100,
-			s.Traffic.ISP.ShiftRatio(topology.IPv6, w2[0], w2[1])*100)
-	})
+		})
+	}
 }
 
 // --- Campaign engine scaling ----------------------------------------------

@@ -1,5 +1,6 @@
 // Command rootanalyze replays a dataset recorded by rootmeasure through the
-// full analysis suite and prints every active-measurement table and figure.
+// six accumulators and prints every artefact of analysis.Artefacts but those
+// that read the passive models, which a recording does not hold.
 // The world is rebuilt from the description of its run the recording opens
 // with: no flag here can name another.
 //
@@ -96,20 +97,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer reader.Close()
 
-	coverage := analysis.NewCoverage(world.System)
-	stability := analysis.NewStability()
-	colocation := analysis.NewColocation(world.Population)
-	distance := analysis.NewDistance(world.System, world.Population)
-	rtt := analysis.NewRTT()
-	integrity := analysis.NewIntegrity()
-
+	suite := analysis.NewSuite(world.System, world.Population)
 	opts := dataset.ReplayOptions{
 		Workers:        *workers,
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 	}
-	probes, transfers, err := reader.ReplayWith(opts,
-		coverage, stability, colocation, distance, rtt, integrity)
+	probes, transfers, err := reader.ReplayWith(opts, suite.Handlers()...)
 	if err != nil {
 		return cli.Fail(fs, err)
 	}
@@ -119,13 +113,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"and can be completed with rootmeasure -resume\n", reader.TornReason())
 	}
 	fmt.Fprintf(stdout, "replayed %d probes, %d transfers from %s\n", probes, transfers, *in)
-	for _, write := range []func(io.Writer){
-		coverage.WriteTable1, coverage.WriteTable4, stability.WriteFigure3,
-		colocation.WriteFigure4, distance.WriteFigure5, rtt.WriteFigure6,
-		rtt.WriteFigure14, integrity.WriteTable2, integrity.WriteFigure10,
-	} {
-		fmt.Fprintln(stdout)
-		write(stdout)
+	for _, a := range analysis.Artefacts {
+		if a.Reads != analysis.Passive {
+			fmt.Fprintln(stdout)
+			a.Write(suite, stdout)
+		}
 	}
 	return cli.ExitOK
 }

@@ -193,7 +193,7 @@ func TestDistanceInflation(t *testing.T) {
 	runCampaign(t, w, start, 4*time.Hour, 2, d)
 
 	for _, f := range topology.Families() {
-		share := d.OptimalShare("b", f, 100)
+		share := d.OptimalShare("b", f)
 		if share < 0.2 || share > 1.0 {
 			t.Errorf("b.root %s optimal share = %.2f", f, share)
 		}
@@ -360,7 +360,7 @@ func TestSection6Callouts(t *testing.T) {
 func TestIXPDetailWriter(t *testing.T) {
 	tr := NewTraffic(400, 11)
 	var sb strings.Builder
-	tr.WriteIXPDetail(&sb)
+	tr.WriteFigure9(&sb)
 	out := sb.String()
 	if !strings.Contains(out, "IX-FRA") || !strings.Contains(out, "aggregate") {
 		t.Errorf("IXP detail incomplete: %q", out)

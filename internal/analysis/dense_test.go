@@ -163,7 +163,7 @@ func TestDenseAccumulatorsMatchReference(t *testing.T) {
 		}
 		sameFloats(t, "ExtraDistancePerVP "+name, dist.ExtraDistancePerVP(l, f), refDist.ExtraDistancePerVP(l, f), true)
 		sameFloats(t, "OptimalShare "+name,
-			[]float64{dist.OptimalShare(l, f, 100)}, []float64{refDist.OptimalShare(l, f, 100)}, false)
+			[]float64{dist.OptimalShare(l, f)}, []float64{refDist.OptimalShare(l, f, sameDistanceKm)}, false)
 	}
 	if got := stab.Changes("b", topology.IPv4, true); len(got) == 0 || stats.Quantile(got, 1) == 0 {
 		t.Errorf("b.root old IPv4 change counts %v: the stream never moved a site", head(got))

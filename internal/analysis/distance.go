@@ -136,17 +136,21 @@ func (d *Distance) samplesFor(l rss.Letter, f topology.Family) *distSamples {
 	return &d.samples[slot]
 }
 
+// sameDistanceKm is how much farther than the closest global site a request's
+// site may be and still count as the closest.
+const sameDistanceKm = 100
+
 // OptimalShare returns the fraction of requests routed to their closest
 // global site or closer (the paper: 78.2%/82.2% for b.root v4/v6, ~80% for
-// m.root), using a tolerance of tolKm for "same distance".
-func (d *Distance) OptimalShare(l rss.Letter, f topology.Family, tolKm float64) float64 {
+// m.root), within sameDistanceKm.
+func (d *Distance) OptimalShare(l rss.Letter, f topology.Family) float64 {
 	s := d.samplesFor(l, f)
 	if s == nil || len(s.Actual) == 0 {
 		return math.NaN()
 	}
 	n := 0
 	for i := range s.Actual {
-		if s.Actual[i] <= s.Closest[i]+tolKm {
+		if s.Actual[i] <= s.Closest[i]+sameDistanceKm {
 			n++
 		}
 	}
@@ -183,7 +187,7 @@ func (d *Distance) WriteFigure5(w io.Writer) {
 		{"m", topology.IPv4, "m.root (IPv4)"},
 		{"m", topology.IPv6, "m.root (IPv6)"},
 	} {
-		share := d.OptimalShare(sel.letter, sel.family, 100)
+		share := d.OptimalShare(sel.letter, sel.family)
 		extras := d.ExtraDistancePerVP(sel.letter, sel.family)
 		under1k := 0
 		for _, e := range extras {

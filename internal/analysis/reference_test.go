@@ -261,7 +261,7 @@ func (d *refDistance) WriteFigure5(w io.Writer) {
 		{"m", topology.IPv4, "m.root (IPv4)"},
 		{"m", topology.IPv6, "m.root (IPv6)"},
 	} {
-		share := d.OptimalShare(sel.letter, sel.family, 100)
+		share := d.OptimalShare(sel.letter, sel.family, sameDistanceKm)
 		extras := d.ExtraDistancePerVP(sel.letter, sel.family)
 		under1k := 0
 		for _, e := range extras {

@@ -34,12 +34,6 @@ func NewTraffic(clients int, seed int64) *Traffic {
 	}
 }
 
-// WriteIXPDetail renders the per-exchange adoption table behind Fig. 9.
-func (t *Traffic) WriteIXPDetail(w io.Writer) {
-	start := passive.BRootChange.Add(72 * time.Hour)
-	t.IXPs.WriteDetail(w, topology.IPv6, start, passive.IXPWindow1[1])
-}
-
 // normSeries computes each target's share of the window's total b.root
 // traffic.
 func normSeries(m *passive.Model, start, end time.Time) map[string]float64 {
@@ -145,7 +139,8 @@ func (t *Traffic) WriteFigure8(w io.Writer) {
 	}
 }
 
-// WriteFigure9 renders the IXP IPv6 b.root adoption per region.
+// WriteFigure9 renders the IXP IPv6 b.root adoption per region, and the
+// per-exchange adoption table behind it.
 func (t *Traffic) WriteFigure9(w io.Writer) {
 	fmt.Fprintln(w, "Figure 9: IXP IPv6 traffic to b.root (share on new prefix after change)")
 	start := passive.BRootChange.Add(72 * time.Hour)
@@ -160,6 +155,8 @@ func (t *Traffic) WriteFigure9(w io.Writer) {
 		shift := sel.m.ShiftRatio(topology.IPv6, start, end)
 		fmt.Fprintf(w, "%-14s v6 shifted to new prefix: %.1f%%\n", sel.label, shift*100)
 	}
+	fmt.Fprintln(w)
+	t.IXPs.WriteDetail(w, topology.IPv6, start, end)
 }
 
 // WriteFigure12 renders the ISP all-letters traffic shares (Fig. 12),

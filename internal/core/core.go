@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/geo"
 	"repro/internal/measure"
 	"repro/internal/topology"
 	"repro/internal/vantage"
@@ -79,13 +78,8 @@ type Study struct {
 	// world is built from it and Run runs it.
 	mCfg measure.Config
 
-	Coverage   *analysis.Coverage
-	Stability  *analysis.Stability
-	Colocation *analysis.Colocation
-	Distance   *analysis.Distance
-	RTT        *analysis.RTT
-	Integrity  *analysis.Integrity
-	Traffic    *analysis.Traffic
+	// Suite holds the six accumulators Run feeds, and the passive models.
+	*analysis.Suite
 
 	// WireQueries and WireFailures report the campaign's built-in
 	// end-to-end self-check (the Appendix-F battery run through a real
@@ -122,25 +116,16 @@ func NewStudy(cfg Config) (*Study, error) {
 		return nil, err
 	}
 	mCfg.WireCheck = true
-	return &Study{
-		Cfg:        cfg,
-		World:      w,
-		mCfg:       mCfg,
-		Coverage:   analysis.NewCoverage(w.System),
-		Stability:  analysis.NewStability(),
-		Colocation: analysis.NewColocation(w.Population),
-		Distance:   analysis.NewDistance(w.System, w.Population),
-		RTT:        analysis.NewRTT(),
-		Integrity:  analysis.NewIntegrity(),
-		Traffic:    analysis.NewTraffic(cfg.PassiveClients, cfg.Seed),
-	}, nil
+	suite := analysis.NewSuite(w.System, w.Population)
+	suite.Traffic = analysis.NewTraffic(cfg.PassiveClients, cfg.Seed)
+	return &Study{Cfg: cfg, World: w, mCfg: mCfg, Suite: suite}, nil
 }
 
 // Run executes the active campaign (streaming into all analyses); the
 // passive models are computed lazily by their figure writers.
 func (s *Study) Run() error {
 	campaign := measure.NewCampaign(s.mCfg, s.World)
-	err := campaign.Run(s.Coverage, s.Stability, s.Colocation, s.Distance, s.RTT, s.Integrity)
+	err := campaign.Run(s.Handlers()...)
 	s.WireQueries = campaign.WireQueries
 	s.WireFailures = campaign.WireFailures
 	if err == nil && len(s.WireFailures) > 0 {
@@ -150,71 +135,16 @@ func (s *Study) Run() error {
 	return err
 }
 
-// WriteReport renders every table and figure to w, in paper order.
+// WriteReport renders a header and then every entry of analysis.Artefacts.
 func (s *Study) WriteReport(w io.Writer) {
 	fmt.Fprintln(w, "== The Roots Go Deep: reproduction report ==")
 	fmt.Fprintf(w, "seed=%d scale=%d vps=%d networks=%d countries=%d\n",
 		s.Cfg.Seed, s.Cfg.Scale, len(s.World.Population.VPs),
 		s.World.Population.Networks(), s.World.Population.Countries())
-	fmt.Fprintf(w, "wire self-check: %d queries, %d failures\n\n",
+	fmt.Fprintf(w, "wire self-check: %d queries, %d failures\n",
 		s.WireQueries, len(s.WireFailures))
-
-	s.WriteTable3(w)
-	fmt.Fprintln(w)
-	s.Coverage.WriteTable1(w)
-	fmt.Fprintln(w)
-	s.Coverage.WriteTable4(w)
-	fmt.Fprintln(w)
-	s.Coverage.Figure11(w)
-	fmt.Fprintln(w)
-	s.Coverage.WriteValidation(w)
-	fmt.Fprintln(w)
-	s.Stability.WriteFigure3(w)
-	fmt.Fprintln(w)
-	s.Colocation.WriteFigure4(w)
-	fmt.Fprintln(w)
-	s.Distance.WriteFigure5(w)
-	fmt.Fprintln(w)
-	s.RTT.WriteFigure6(w)
-	fmt.Fprintln(w)
-	s.RTT.WriteFigure14(w)
-	fmt.Fprintln(w)
-	s.RTT.WriteCarrierEffects(w)
-	fmt.Fprintln(w)
-	s.RTT.WriteSection6Callouts(w)
-	fmt.Fprintln(w)
-	s.Traffic.WriteFigure7(w)
-	fmt.Fprintln(w)
-	s.Traffic.WriteFigure8(w)
-	fmt.Fprintln(w)
-	s.Traffic.WriteFigure9(w)
-	fmt.Fprintln(w)
-	s.Traffic.WriteIXPDetail(w)
-	fmt.Fprintln(w)
-	s.Traffic.WriteFigure12(w)
-	fmt.Fprintln(w)
-	s.Traffic.WriteFigure13(w)
-	fmt.Fprintln(w)
-	s.Integrity.WriteTable2(w)
-	fmt.Fprintln(w)
-	s.Integrity.WriteFigure10(w)
-	fmt.Fprintln(w)
-	measure.ComputeLoad(len(s.World.Population.VPs), measure.StudyStart).Write(w)
-}
-
-// WriteTable3 renders the VP distribution per region (paper's Table 3).
-func (s *Study) WriteTable3(w io.Writer) {
-	fmt.Fprintln(w, "Table 3: distribution of vantage points per region")
-	fmt.Fprintln(w, "Region          #VPs  #Countries  #Networks")
-	byRegion := s.World.Population.ByRegion()
-	for _, region := range geo.Regions() {
-		vps := byRegion[region]
-		countries := map[string]bool{}
-		networks := map[int]bool{}
-		for _, vp := range vps {
-			countries[vp.Country] = true
-			networks[vp.ASN] = true
-		}
-		fmt.Fprintf(w, "%-15s %4d  %10d  %9d\n", region, len(vps), len(countries), len(networks))
+	for _, a := range analysis.Artefacts {
+		fmt.Fprintln(w)
+		a.Write(s.Suite, w)
 	}
 }

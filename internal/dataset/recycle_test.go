@@ -67,10 +67,11 @@ func transferAsReplayed(pop *vantage.Population, e measure.TransferEvent) measur
 
 // TestReplayedEventsOutliveTheirBlocks: a handler that keeps every event
 // replays a file of several times more blocks than there are jobs to decode
-// them into, and after ReplayWith has returned — every slab overwritten many
-// times, every inflate buffer too — what it kept still equals what was
-// recorded. A string that aliased the inflate buffer, an AS path cut from a
-// recycled arena or a recycled Bitflip shows here.
+// them into, and after ReplayWith has returned — every block's records,
+// dictionary and AS arena overwritten many times, every inflate buffer too —
+// what it kept still equals what was recorded. A string that aliased the
+// inflate buffer, an AS path cut from a recycled arena or a recycled Bitflip
+// shows here.
 func TestReplayedEventsOutliveTheirBlocks(t *testing.T) {
 	pop := synthPop()
 	var want keeper

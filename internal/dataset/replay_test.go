@@ -95,20 +95,11 @@ func replaySys(t *testing.T) *rss.System {
 }
 
 // replayHandlers builds the full rootanalyze accumulator set over the synth
-// population — the same six handlers the CLI wires up, so the determinism
-// matrix tests exactly what production replays.
+// population — the same suite the CLI replays into, so the determinism matrix
+// tests exactly what production replays.
 func replayHandlers(t *testing.T) []measure.Handler {
 	t.Helper()
-	sys := replaySys(t)
-	pop := synthPop()
-	return []measure.Handler{
-		analysis.NewCoverage(sys),
-		analysis.NewStability(),
-		analysis.NewColocation(pop),
-		analysis.NewDistance(sys, pop),
-		analysis.NewRTT(),
-		analysis.NewIntegrity(),
-	}
+	return analysis.NewSuite(replaySys(t), synthPop()).Handlers()
 }
 
 // streamState seals the stream-class telemetry, the blob a checkpoint carries.

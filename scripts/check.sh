@@ -168,6 +168,17 @@ go build -o "$tmp/rootanalyze" ./cmd/rootanalyze
 cmp "$tmp/serial.txt" "$tmp/parallel.txt"
 cmp "$tmp/serial.txt" "$tmp/checkpointed.txt"
 
+# Every artefact of analysis.Artefacts, once each, from the full 675-VP
+# population on the coarsest schedule: the root benchmarks build and run, and
+# the README's bench command names one that exists. go test interleaves the
+# rendered artefacts with the timings, so the log is shown only on failure.
+echo "== artefact benchmarks (BENCH_SCALE=512, once each) =="
+if ! BENCH_SCALE=512 go test -run '^$' -bench '^BenchmarkArtefacts$' -benchtime 1x . >"$tmp/artefacts.txt" 2>&1; then
+	cat "$tmp/artefacts.txt" >&2
+	exit 1
+fi
+grep -c '^BenchmarkArtefacts/' "$tmp/artefacts.txt" | sed 's/$/ artefacts rendered/'
+
 # Recording byte-identity with the shipping binary: the serial engine, the
 # pipelined one (4 workers computing a tick ahead of its delivery), and the
 # pipelined one killed at the second tick after a checkpoint and resumed,
