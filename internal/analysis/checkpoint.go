@@ -52,7 +52,7 @@ func (s *Stability) RestoreCheckpoint(state []byte) error { return restore(state
 // The in-progress tick state (current) is part of the snapshot: a checkpoint
 // can land mid-tick, and the resumed run must fold that tick exactly as the
 // uninterrupted one would.
-func (c *Colocation) sealed() []any { return []any{&c.current, &c.series} }
+func (c *Colocation) sealed() []any { return []any{&c.current, &c.counts} }
 
 // CheckpointSeal implements checkpoint.Part.
 func (c *Colocation) CheckpointSeal() ([]byte, error) { return json.Marshal(c.sealed()) }
@@ -64,7 +64,7 @@ func (c *Colocation) RestoreCheckpoint(state []byte) error { return restore(stat
 // excluded: they are pure functions of the system the accumulator was
 // constructed with and of the VPs and sites its events name, and rebuild on
 // demand.
-func (d *Distance) sealed() []any { return []any{&d.samples, &d.extra} }
+func (d *Distance) sealed() []any { return []any{&d.optimal, &d.extra} }
 
 // CheckpointSeal implements checkpoint.Part.
 func (d *Distance) CheckpointSeal() ([]byte, error) { return json.Marshal(d.sealed()) }

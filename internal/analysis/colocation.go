@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"repro/internal/geo"
@@ -22,13 +23,14 @@ type Colocation struct {
 	pop *vantage.Population
 	// current accumulates the in-progress tick's second-to-last hops per
 	// vp·2 + family; when a new tick starts for that vp, the previous one is
-	// folded into the per-VP series. Both tables grow to the largest VP seen.
+	// folded into its counts. Both tables grow to the largest VP seen.
 	current []tickHops
-	// series holds the per-tick reduced-redundancy observations per
-	// vp·2 + family. Co-location is a property of the typical routing, so
-	// per-VP reporting uses the median over ticks; the campaign-wide
-	// maximum backs the "up to N co-located servers" observation.
-	series [][]float64
+	// counts[vp·2 + family][rr] is the number of ticks whose reduced
+	// redundancy was rr, grown to the largest rr counted (≤ 12 in a campaign,
+	// more after a crafted repeat of a tick): a last bucket is never empty.
+	// Co-location is a property of the typical routing, so per-VP reporting
+	// uses the median over ticks; the maximum backs "up to N co-located".
+	counts [][]int
 }
 
 // tickHops is one (VP, family)'s tick in progress; Total is zero between
@@ -56,12 +58,8 @@ func (c *Colocation) HandleProbe(e measure.ProbeEvent) {
 	if e.Lost || e.Target.Old {
 		return // 13 letters, one probe each; skip b.root's old duplicate
 	}
-	if e.SecondToLast == "" && !e.STLOK {
-		// The facility edge did not answer the traceroute: the hop counts
-		// as unique/absent.
-		if e.SiteID == "" {
-			return
-		}
+	if e.SecondToLast == "" && !e.STLOK && e.SiteID == "" {
+		return // no hop and no site; a site without a hop counts as unique
 	}
 	if _, ok := e.Target.Slot(); !ok || e.VPIdx < 0 {
 		return
@@ -86,7 +84,7 @@ func (c *Colocation) HandleProbe(e measure.ProbeEvent) {
 //rootlint:hotpath
 func (c *Colocation) HandleTransfer(measure.TransferEvent) {}
 
-// fold appends the in-progress tick of k to its series and clears it.
+// fold counts the in-progress tick of k and clears it.
 func (c *Colocation) fold(k int) {
 	th := &c.current[k]
 	distinct := len(th.Hops) + th.Uniques
@@ -94,8 +92,9 @@ func (c *Colocation) fold(k int) {
 	if rr < 0 {
 		rr = 0
 	}
-	c.series = growTo(c.series, k+1)
-	c.series[k] = append(c.series[k], float64(rr))
+	c.counts = growTo(c.counts, k+1)
+	c.counts[k] = growTo(c.counts[k], rr+1)
+	c.counts[k][rr]++
 	clear(th.Hops) // do not pin the tick's strings
 	*th = tickHops{Hops: th.Hops[:0]}
 }
@@ -109,13 +108,35 @@ func (c *Colocation) finish() {
 	}
 }
 
-// seriesOf returns the observations of one (VP, family), nil when there are
-// none.
-func (c *Colocation) seriesOf(vpIdx int, f topology.Family) []float64 {
-	if k := vpIdx*2 + int(f); uint(f) <= 1 && k < len(c.series) {
-		return c.series[k]
+// countsOf returns the per-value tick counts of one (VP, family), nil when
+// it has none.
+func (c *Colocation) countsOf(vpIdx int, f topology.Family) []int {
+	if k := vpIdx*2 + int(f); uint(f) <= 1 && k < len(c.counts) {
+		return c.counts[k]
 	}
 	return nil
+}
+
+// medianOfCounts is stats.Median, bit for bit, of the series in which value
+// v occurs counts[v] times (NaN when it is empty): its two middle order
+// statistics, one and the same at an odd length, weighted ·0.5 each as
+// stats.quantileSorted interpolates.
+func medianOfCounts(counts []int) float64 {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return orderStat(counts, (n-1)/2)*0.5 + orderStat(counts, n/2)*0.5
+}
+
+// orderStat returns the i-th smallest value, from 0, of that series.
+func orderStat(counts []int, i int) float64 {
+	for v, c := range counts {
+		if i -= c; i < 0 {
+			return float64(v)
+		}
+	}
+	return math.NaN()
 }
 
 // ReducedRedundancy returns the per-VP typical (median-over-ticks) reduced
@@ -128,8 +149,8 @@ func (c *Colocation) ReducedRedundancy(f topology.Family, region *geo.Region) []
 		if region != nil && vp.Region != *region {
 			continue
 		}
-		if s := c.seriesOf(vpIdx, f); len(s) > 0 {
-			out = append(out, stats.Median(s))
+		if s := c.countsOf(vpIdx, f); len(s) > 0 {
+			out = append(out, medianOfCounts(s))
 		}
 	}
 	return out
@@ -142,14 +163,11 @@ func (c *Colocation) ShareWithColocation() float64 {
 	c.finish()
 	seen, hit := 0, 0
 	for vpIdx := range c.pop.VPs {
-		any := false
-		found := false
+		found, any := false, false
 		for _, f := range topology.Families() {
-			if s := c.seriesOf(vpIdx, f); len(s) > 0 {
+			if s := c.countsOf(vpIdx, f); len(s) > 0 {
 				found = true
-				if stats.Median(s) >= 1 {
-					any = true
-				}
+				any = any || medianOfCounts(s) >= 1
 			}
 		}
 		if found {
@@ -169,15 +187,11 @@ func (c *Colocation) ShareWithColocation() float64 {
 // anywhere (paper: up to 12 co-located servers).
 func (c *Colocation) MaxReducedRedundancy() int {
 	c.finish()
-	maxV := 0.0
-	for _, s := range c.series {
-		for _, v := range s {
-			if v > maxV {
-				maxV = v
-			}
-		}
+	maxV := 0
+	for _, s := range c.counts {
+		maxV = max(maxV, len(s)-1)
 	}
-	return int(maxV)
+	return maxV
 }
 
 // WriteFigure4 renders the per-continent reduced-redundancy histograms with
@@ -185,7 +199,6 @@ func (c *Colocation) MaxReducedRedundancy() int {
 func (c *Colocation) WriteFigure4(w io.Writer) {
 	fmt.Fprintln(w, "Figure 4: reduced redundancy due to shared last hop, per continent")
 	for _, region := range geo.Regions() {
-		region := region
 		v4 := c.ReducedRedundancy(topology.IPv4, &region)
 		v6 := c.ReducedRedundancy(topology.IPv6, &region)
 		fmt.Fprintf(w, "-- %s -- avg(v4)=%.2f avg(v6)=%.2f (VPs=%d)\n",

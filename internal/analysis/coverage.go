@@ -81,14 +81,15 @@ func Pct(cov, total int) string {
 // metro code was observed (sites in one metro are indistinguishable,
 // paper §4.2 footnote 2).
 func (c *Coverage) siteObserved(l rss.Letter, s anycast.Site) bool {
-	set := c.observedIdentifiers[l]
-	if set == nil {
-		return false
-	}
+	return c.observedIdentifiers[l][siteKey(l, s)]
+}
+
+// siteKey is the identifier that names site s in an answer.
+func siteKey(l rss.Letter, s anycast.Site) string {
 	if rss.IATAOnly(l) {
-		return set[strings.ToLower(s.City.IATA)]
+		return strings.ToLower(s.City.IATA)
 	}
-	return set[s.Identifier]
+	return s.Identifier
 }
 
 // Table1 returns the worldwide coverage rows, one per letter.
@@ -105,7 +106,6 @@ func (c *Coverage) Table1() []Row {
 func (c *Coverage) Table4() map[geo.Region][]Row {
 	out := make(map[geo.Region][]Row)
 	for _, region := range geo.Regions() {
-		region := region
 		for _, l := range rss.Letters() {
 			out[region] = append(out[region], c.row(l, &region))
 		}
@@ -142,11 +142,7 @@ func (c *Coverage) UnmappedIdentifiers() map[rss.Letter]int {
 	for _, l := range rss.Letters() {
 		known := make(map[string]bool)
 		for _, s := range c.System.Deployments[l].Sites {
-			if rss.IATAOnly(l) {
-				known[strings.ToLower(s.City.IATA)] = true
-			} else {
-				known[s.Identifier] = true
-			}
+			known[siteKey(l, s)] = true
 		}
 		for id := range c.observedIdentifiers[l] {
 			if !known[id] || !rss.IdentifierMappable(l, id) {
@@ -222,7 +218,7 @@ func (c *Coverage) WriteValidation(w io.Writer) {
 // Figure11 counts, per letter, the observed and unobserved sites (the
 // textual form of the paper's coverage maps).
 func (c *Coverage) Figure11(w io.Writer) {
-	fmt.Fprintln(w, "Figure 11: per-letter site coverage (o = observed, x = not observed)")
+	fmt.Fprintln(w, "Figure 11: per-letter site coverage (sites observed / not observed)")
 	for _, l := range rss.Letters() {
 		sites, observed := c.System.Deployments[l].Sites, 0
 		for _, s := range sites {

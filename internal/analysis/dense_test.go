@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -263,37 +264,122 @@ func TestNoSlotNoPanic(t *testing.T) {
 	}
 }
 
+// passes returns a function that feeds events to h once more each call,
+// their ticks moved on by 10 a call, as a campaign's next ticks would be.
+func passes(h measure.Handler, events []measure.ProbeEvent) func() {
+	tick := 0
+	return func() {
+		tick += 10
+		for i := range events {
+			e := events[i]
+			e.Tick.Index += tick
+			h.HandleProbe(e)
+		}
+	}
+}
+
 // TestWarmHandleProbeDoesNotAllocate: once a (VP, target) has been seen, a
-// probe costs the dense accumulators no allocation beyond the amortised
-// growth of their sample slices: a few hundred slices that each double now
-// and then, against thousands of probes a pass. Colocation is fed whole
-// ticks, so every fold is inside the count.
+// probe costs Distance and Colocation no allocation at all. Stability and
+// RTT keep a bound that leaves room for the amortised growth of RTT's sample
+// slices: a few hundred slices that each double now and then, against
+// thousands of probes a pass. Colocation is fed whole ticks, so every fold
+// is inside the count.
 func TestWarmHandleProbeDoesNotAllocate(t *testing.T) {
 	w := testWorld(t)
 	events := syntheticProbes(w.Population, 2)
 	for _, tc := range []struct {
-		name string
-		h    measure.Handler
+		name   string
+		h      measure.Handler
+		budget float64
 	}{
-		{"Stability", NewStability()},
-		{"Distance", NewDistance(w.System, w.Population)},
-		{"RTT", NewRTT()},
-		{"Colocation", NewColocation(w.Population)},
+		{"Stability", NewStability(), float64(len(events)) / 20},
+		{"Distance", NewDistance(w.System, w.Population), 0},
+		{"RTT", NewRTT(), float64(len(events)) / 20},
+		{"Colocation", NewColocation(w.Population), 0},
 	} {
-		tick := 0
-		pass := func() {
-			tick += 10
-			for i := range events {
-				e := events[i]
-				e.Tick.Index += tick
-				tc.h.HandleProbe(e)
-			}
-		}
+		pass := passes(tc.h, events)
 		for i := 0; i < 4; i++ {
 			pass() // tables grown, hop lists sized
 		}
-		if allocs := testing.AllocsPerRun(20, pass); allocs > float64(len(events))/20 {
-			t.Errorf("%s: %v allocations per pass of %d warm probes, want amortised sample growth only", tc.name, allocs, len(events))
+		if allocs := testing.AllocsPerRun(20, pass); allocs > tc.budget {
+			t.Errorf("%s: %v allocations per pass of %d warm probes, want at most %v", tc.name, allocs, len(events), tc.budget)
+		}
+	}
+}
+
+// sealedValues counts the JSON tokens other than brackets and braces in a
+// checkpoint seal: the size of the state it holds. The seal's byte length
+// is no such measure, since counters and sums gain digits as they grow.
+func sealedValues(t *testing.T, p interface{ CheckpointSeal() ([]byte, error) }) int {
+	t.Helper()
+	blob, err := p.CheckpointSeal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	for n := 0; ; {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			return n
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, delim := tok.(json.Delim); !delim {
+			n++
+		}
+	}
+}
+
+// TestAccumulatorStateIsBoundedInTicks: Distance and Colocation hold counts
+// per cell, not observations, so 40 passes of the same probes leave them
+// holding as many values as 10 did.
+func TestAccumulatorStateIsBoundedInTicks(t *testing.T) {
+	w := testWorld(t)
+	events := syntheticProbes(w.Population, 2)
+	for _, tc := range []struct {
+		name string
+		h    interface {
+			measure.Handler
+			CheckpointSeal() ([]byte, error)
+		}
+	}{
+		{"Distance", NewDistance(w.System, w.Population)},
+		{"Colocation", NewColocation(w.Population)},
+	} {
+		pass := passes(tc.h, events)
+		for i := 0; i < 10; i++ {
+			pass()
+		}
+		at10 := sealedValues(t, tc.h)
+		for i := 10; i < 40; i++ {
+			pass()
+		}
+		if at40 := sealedValues(t, tc.h); at40 != at10 || at10 == 0 {
+			t.Errorf("%s seals %d values after 10 passes and %d after 40, want the same, above zero", tc.name, at10, at40)
+		}
+	}
+}
+
+// TestMedianOfCountsMatchesMedian: the median read from per-value counts is
+// stats.Median of the series those counts stand for, bit for bit, at odd
+// and even lengths alike.
+func TestMedianOfCountsMatchesMedian(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	if got := medianOfCounts(nil); !math.IsNaN(got) {
+		t.Errorf("median of no counts = %v, want NaN", got)
+	}
+	for i := 0; i < 600; i++ {
+		series := make([]float64, 1+i%200) // every length, three times
+		var counts []int
+		for j := range series {
+			v := rng.Intn(16)
+			series[j] = float64(v)
+			counts = growTo(counts, v+1)
+			counts[v]++
+		}
+		if got, want := medianOfCounts(counts), stats.Median(series); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("length %d, counts %v: median %v, stats.Median %v", len(series), counts, got, want)
 		}
 	}
 }

@@ -31,8 +31,9 @@ type Distance struct {
 	// mostly skips the haversine (rebuilt on demand, never sealed).
 	actual []actualCell
 
-	// samples holds, per slot, pairs of (closest, actual) distances.
-	samples [rss.Slots]distSamples
+	// optimal counts, per slot, the requests seen and those that reached
+	// their closest global site or closer.
+	optimal [rss.Slots]optimalCell
 	// extra accumulates extra distance per vp·rss.Slots + slot, for the
 	// per-VP means.
 	extra []extraCell
@@ -49,15 +50,16 @@ type actualCell struct {
 	known bool
 }
 
-// extraCell and distSamples carry exported fields because the checkpoint
+// extraCell and optimalCell carry exported fields because the checkpoint
 // seal encodes them as JSON (see checkpoint.go).
 type extraCell struct {
 	Sum float64 `json:"s,omitempty"`
 	N   int     `json:"n,omitempty"`
 }
 
-type distSamples struct {
-	Closest, Actual []float64
+type optimalCell struct {
+	N       int `json:"n,omitempty"`
+	Optimal int `json:"o,omitempty"`
 }
 
 // NewDistance creates the accumulator. The population is not consulted
@@ -97,17 +99,15 @@ func (d *Distance) HandleProbe(e measure.ProbeEvent) {
 	}
 	actual := ac.km
 
-	s := &d.samples[slot]
-	s.Closest = append(s.Closest, closest)
-	s.Actual = append(s.Actual, actual)
-
-	extra := actual - closest
-	if extra < 0 {
-		extra = 0 // landed on a closer local site
+	o := &d.optimal[slot]
+	o.N++
+	if actual <= closest+sameDistanceKm {
+		o.Optimal++
 	}
+
 	d.extra = growTo(d.extra, (e.VPIdx+1)*rss.Slots)
 	x := &d.extra[e.VPIdx*rss.Slots+slot]
-	x.Sum += extra
+	x.Sum += max(actual-closest, 0) // 0: landed on a closer local site
 	x.N++
 }
 
@@ -126,16 +126,6 @@ func (d *Distance) computeClosest(vp *vantage.VP, letter int) float64 {
 	return minKm
 }
 
-// samplesFor returns the samples of one current (not old) target, nil for a
-// target that has no slot.
-func (d *Distance) samplesFor(l rss.Letter, f topology.Family) *distSamples {
-	slot, ok := rss.ServiceAddr{Letter: l, Family: f}.Slot()
-	if !ok {
-		return nil
-	}
-	return &d.samples[slot]
-}
-
 // sameDistanceKm is how much farther than the closest global site a request's
 // site may be and still count as the closest.
 const sameDistanceKm = 100
@@ -144,17 +134,14 @@ const sameDistanceKm = 100
 // global site or closer (the paper: 78.2%/82.2% for b.root v4/v6, ~80% for
 // m.root), within sameDistanceKm.
 func (d *Distance) OptimalShare(l rss.Letter, f topology.Family) float64 {
-	s := d.samplesFor(l, f)
-	if s == nil || len(s.Actual) == 0 {
+	slot, ok := rss.ServiceAddr{Letter: l, Family: f}.Slot()
+	if !ok {
 		return math.NaN()
 	}
-	n := 0
-	for i := range s.Actual {
-		if s.Actual[i] <= s.Closest[i]+sameDistanceKm {
-			n++
-		}
+	if o := d.optimal[slot]; o.N > 0 {
+		return float64(o.Optimal) / float64(o.N)
 	}
-	return float64(n) / float64(len(s.Actual))
+	return math.NaN()
 }
 
 // ExtraDistancePerVP returns each VP's mean additional distance for the

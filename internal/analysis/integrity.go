@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/dnssec"
@@ -124,11 +126,8 @@ func (i *Integrity) Rows() []*IntegrityRow {
 	for _, r := range i.rows {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Reason != out[b].Reason {
-			return out[a].Reason < out[b].Reason
-		}
-		return out[a].VPIdx < out[b].VPIdx
+	slices.SortFunc(out, func(a, b *IntegrityRow) int {
+		return cmp.Or(strings.Compare(a.Reason, b.Reason), cmp.Compare(a.VPIdx, b.VPIdx))
 	})
 	return out
 }
@@ -152,7 +151,7 @@ func (i *Integrity) WriteTable2(w io.Writer) {
 		for s := range r.Servers {
 			servers = append(servers, s)
 		}
-		sort.Strings(servers)
+		slices.Sort(servers)
 		label := servers[0]
 		if len(servers) > 10 {
 			label = "all"

@@ -120,25 +120,17 @@ func (r *RTT) writeRegions(w io.Writer, title string, regions []geo.Region) {
 		fmt.Fprintln(w, "target             fam   n     mean    sd     p25    p50    p75")
 		for _, l := range rss.Letters() {
 			for _, f := range topology.Families() {
-				variants := []bool{false}
+				variants := []string{""} // indexed by old
 				if l == "b" {
-					variants = []bool{false, true}
+					variants = []string{" (new)", " (old)"}
 				}
-				for _, old := range variants {
-					s := r.Summary(region, l, f, old)
+				for i, suffix := range variants {
+					s := r.Summary(region, l, f, i == 1)
 					if s.N == 0 {
 						continue
 					}
-					label := string(l) + ".root"
-					if l == "b" {
-						if old {
-							label += " (old)"
-						} else {
-							label += " (new)"
-						}
-					}
 					fmt.Fprintf(w, "%-18s %-4s %5d %7.1f %6.1f %6.1f %6.1f %6.1f\n",
-						label, f, s.N, s.Mean, s.StdDev, s.P25, s.P50, s.P75)
+						string(l)+".root"+suffix, f, s.N, s.Mean, s.StdDev, s.P25, s.P50, s.P75)
 				}
 			}
 		}

@@ -19,10 +19,10 @@ import (
 )
 
 // Version gates the sidecar schema. A sidecar is an artefact of one run, so
-// an older one is refused rather than migrated. Version 3: the analysis
-// accumulators seal dense tables as JSON arrays, where version 2 sealed
-// struct-keyed maps as sorted entry lists.
-const Version = 3
+// an older one is refused rather than migrated. Version 4: Distance and
+// Colocation seal counts, where version 3 sealed every probe's distances and
+// every tick's value (and version 2 struct-keyed maps, not dense tables).
+const Version = 4
 
 // Part is one piece of state that rides a checkpoint. CheckpointSeal makes
 // everything the part has absorbed so far durable and returns the blob from

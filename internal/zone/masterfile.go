@@ -39,7 +39,8 @@ func (z *Zone) Print(w io.Writer) error {
 //     previous owner),
 //   - omitted TTL and/or class (defaulting to $TTL and IN).
 //
-// Multi-line parentheses and escapes are not supported.
+// A quoted TXT string is read with Go's escapes, as Print writes it. Other
+// escapes and multi-line parentheses are not supported.
 func Parse(r io.Reader, apex dnswire.Name) (*Zone, error) {
 	z := New(apex)
 	st := parseState{origin: apex, defaultTTL: 86400}
@@ -134,6 +135,9 @@ func (st *parseState) parseLine(raw string) (dnswire.RR, error) {
 		n, err := st.qualify(fields[0])
 		if err != nil {
 			return dnswire.RR{}, err
+		}
+		if strings.HasPrefix(string(n), "$") { // Print's line would be a directive
+			return dnswire.RR{}, fmt.Errorf("owner %s would read as a directive", n)
 		}
 		owner = n
 		fields = fields[1:]
@@ -303,7 +307,16 @@ func parseRData(typ dnswire.Type, f []string) (dnswire.RData, error) {
 		}
 		var strs []string
 		for _, s := range f {
-			strs = append(strs, strings.Trim(s, `"`))
+			u, err := strconv.Unquote(s) // Print writes it Go-quoted
+			if err != nil {
+				u = strings.Trim(s, `"`)
+			}
+			// Print leaves a space and a ';' unescaped: a line would split
+			// or end there.
+			if strings.ContainsAny(u, " ;") {
+				return nil, fmt.Errorf("TXT string %q holds a space or ';'", u)
+			}
+			strs = append(strs, u)
 		}
 		return dnswire.TXTRecord{Strings: strs}, nil
 	case dnswire.TypeDNSKEY:

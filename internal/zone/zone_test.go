@@ -224,8 +224,9 @@ func TestWellKnownRootAddrAll(t *testing.T) {
 	}
 }
 
-func TestParseMasterFileConveniences(t *testing.T) {
-	input := `; a hand-written fragment
+// conveniences is a hand-written zone that uses every convenience Parse
+// supports beyond what Print emits.
+const conveniences = `; a hand-written fragment
 $ORIGIN example.
 $TTL 3600
 @   IN SOA ns1 hostmaster 7 1800 900 604800 300
@@ -234,7 +235,9 @@ ns1 300 IN A 192.0.2.1
 www     A 192.0.2.80 ; trailing comment
 alias   CNAME www
 `
-	z, err := Parse(strings.NewReader(input), dnswire.MustName("example."))
+
+func TestParseMasterFileConveniences(t *testing.T) {
+	z, err := Parse(strings.NewReader(conveniences), dnswire.MustName("example."))
 	if err != nil {
 		t.Fatal(err)
 	}
