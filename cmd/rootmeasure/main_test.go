@@ -166,7 +166,7 @@ func metricOnStderr(t *testing.T, stderr, name string) int {
 // the stopwatch and the path.
 func TestRecordingIdenticalAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
-	said := regexp.MustCompile(`^recorded 45920 probes and 39032 transfers from 82 VPs in \d+s \(608004 bytes, 7\.2 B/event\)\nflight log: 21091 events in .*\.qlog\n$`)
+	said := regexp.MustCompile(`^recorded 45920 probes and 39032 transfers from 82 VPs in \d+s \(506586 bytes, 6\.0 B/event\)\nflight log: 21091 events in .*\.qlog\n$`)
 	var files [2][2][]byte
 	for i, workers := range []string{"1", "4"} {
 		out, qlog := filepath.Join(dir, workers+".rgds"), filepath.Join(dir, workers+".qlog")

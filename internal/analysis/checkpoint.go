@@ -38,8 +38,12 @@ func (c *Coverage) sealed() []any { return []any{&c.observedIdentifiers} }
 // CheckpointSeal implements checkpoint.Part.
 func (c *Coverage) CheckpointSeal() ([]byte, error) { return json.Marshal(c.sealed()) }
 
-// RestoreCheckpoint implements checkpoint.Part.
-func (c *Coverage) RestoreCheckpoint(state []byte) error { return restore(state, c.sealed()) }
+// RestoreCheckpoint implements checkpoint.Part. The memo goes with the state
+// it stood for.
+func (c *Coverage) RestoreCheckpoint(state []byte) error {
+	c.last = nil
+	return restore(state, c.sealed())
+}
 
 func (s *Stability) sealed() []any { return []any{&s.cells} }
 

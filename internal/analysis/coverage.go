@@ -23,6 +23,11 @@ type Coverage struct {
 	// observedIdentifiers[letter] is the set of identifiers seen in
 	// hostname.bind/id.server answers.
 	observedIdentifiers map[rss.Letter]map[string]bool
+	// last memoises, per vp·rss.Slots + slot, the identifier the VP last
+	// saw on the target, which its letter's set holds already: sites change
+	// rarely, so a probe mostly skips the set (rebuilt on demand, never
+	// sealed).
+	last []string
 }
 
 // NewCoverage creates a coverage accumulator for the system under study.
@@ -40,6 +45,13 @@ func (c *Coverage) HandleProbe(e measure.ProbeEvent) {
 	if e.Lost || e.Identifier == "" {
 		return
 	}
+	var memo *string
+	if slot, ok := e.Target.Slot(); ok && e.VPIdx >= 0 {
+		c.last = growTo(c.last, (e.VPIdx+1)*rss.Slots)
+		if memo = &c.last[e.VPIdx*rss.Slots+slot]; *memo == e.Identifier {
+			return
+		}
+	}
 	set := c.observedIdentifiers[e.Target.Letter]
 	if set == nil {
 		//rootlint:allow hotpath: once per letter, thirteen times a run
@@ -47,6 +59,9 @@ func (c *Coverage) HandleProbe(e measure.ProbeEvent) {
 		c.observedIdentifiers[e.Target.Letter] = set
 	}
 	set[e.Identifier] = true
+	if memo != nil {
+		*memo = e.Identifier
+	}
 }
 
 // HandleTransfer implements measure.Handler.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -122,8 +123,9 @@ func TestDenseAccumulatorsMatchReference(t *testing.T) {
 	dist, refDist := NewDistance(w.System, w.Population), newRefDistance(w.System, w.Population)
 	rtt, refRtt := NewRTT(), newRefRTT()
 	col, refCol := NewColocation(w.Population), newRefColocation(w.Population)
+	cov, refCov := NewCoverage(w.System), newRefCoverage(w.System)
 	for _, e := range events {
-		for _, h := range []measure.Handler{stab, refStab, dist, refDist, rtt, refRtt, col, refCol} {
+		for _, h := range []measure.Handler{stab, refStab, dist, refDist, rtt, refRtt, col, refCol, cov, refCov} {
 			h.HandleProbe(e)
 		}
 	}
@@ -139,6 +141,10 @@ func TestDenseAccumulatorsMatchReference(t *testing.T) {
 		{"WriteFigure14", rtt.WriteFigure14, refRtt.WriteFigure14},
 		{"WriteSection6Callouts", rtt.WriteSection6Callouts, refRtt.WriteSection6Callouts},
 		{"WriteCarrierEffects", rtt.WriteCarrierEffects, refRtt.WriteCarrierEffects},
+		{"WriteTable1", cov.WriteTable1, refCov.WriteTable1},
+		{"WriteTable4", cov.WriteTable4, refCov.WriteTable4},
+		{"Figure11", cov.Figure11, refCov.Figure11},
+		{"WriteValidation", cov.WriteValidation, refCov.WriteValidation},
 	} {
 		var got, want bytes.Buffer
 		wr.got(&got)
@@ -187,6 +193,41 @@ func TestDenseAccumulatorsMatchReference(t *testing.T) {
 	}
 	if got, want := col.ShareWithColocation(), refCol.ShareWithColocation(); got != want {
 		t.Errorf("ShareWithColocation = %v, reference %v", got, want)
+	}
+	if !reflect.DeepEqual(cov.observedIdentifiers, refCov.observedIdentifiers) || refCov.ObservedIdentifiers() == 0 {
+		t.Errorf("Coverage observed %d identifiers, the reference %d, want the same sets and more than none",
+			cov.ObservedIdentifiers(), refCov.ObservedIdentifiers())
+	}
+}
+
+// TestCoverageMemo: the memo skips the set insert only for the identifier
+// the same VP last saw on the same target. An identifier two letters share
+// (the IATA-only letters name a site by its metro code) goes into both
+// letters' sets, and a checkpoint restored over a used accumulator takes the
+// memo with the identifiers it forgets.
+func TestCoverageMemo(t *testing.T) {
+	w := testWorld(t)
+	probe := func(l rss.Letter, ident string) measure.ProbeEvent {
+		return measure.ProbeEvent{VP: &w.Population.VPs[0], Target: rss.ServiceAddr{Letter: l}, SiteID: ident, Identifier: ident}
+	}
+	c := NewCoverage(w.System)
+	c.HandleProbe(probe("a", "ams"))
+	c.HandleProbe(probe("b", "ams"))
+	if !c.observedIdentifiers["a"]["ams"] || !c.observedIdentifiers["b"]["ams"] {
+		t.Errorf("an identifier a.root and b.root share: observed %v", c.observedIdentifiers)
+	}
+	c.HandleProbe(probe("a", "fra"))
+	sealed, err := c.CheckpointSeal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.HandleProbe(probe("a", "lhr"))
+	if err := c.RestoreCheckpoint(sealed); err != nil {
+		t.Fatal(err)
+	}
+	c.HandleProbe(probe("a", "lhr"))
+	if !c.observedIdentifiers["a"]["lhr"] {
+		t.Errorf("an identifier seen after the checkpoint, restored over, then seen again: observed %v", c.observedIdentifiers)
 	}
 }
 

@@ -5,6 +5,8 @@ package analysis
 // (TestDenseAccumulatorsMatchReference): same events in, same bytes out of
 // every writer, equal results from every accessor. Only the type names
 // changed (ref prefix); nothing here is reachable from non-test code.
+// Coverage kept its sets, so its reference is only its HandleProbe without
+// the memo.
 
 import (
 	"fmt"
@@ -19,6 +21,24 @@ import (
 	"repro/internal/topology"
 	"repro/internal/vantage"
 )
+
+// refCoverage is Coverage as it stood before its memo: every probe's
+// identifier goes into its letter's set.
+type refCoverage struct{ *Coverage }
+
+func newRefCoverage(sys *rss.System) refCoverage { return refCoverage{NewCoverage(sys)} }
+
+func (c refCoverage) HandleProbe(e measure.ProbeEvent) {
+	if e.Lost || e.Identifier == "" {
+		return
+	}
+	set := c.observedIdentifiers[e.Target.Letter]
+	if set == nil {
+		set = make(map[string]bool)
+		c.observedIdentifiers[e.Target.Letter] = set
+	}
+	set[e.Identifier] = true
+}
 
 // refStability counts site-change events per (VP, letter, family): two
 // subsequent measurements on the same VP reaching different sites (Fig. 3,

@@ -4,7 +4,11 @@
 //
 // The container is the sealed-segment format (internal/segment): a raw
 // "RGDS" magic and varint version, then length+CRC framed DEFLATE blocks
-// with per-block string interning. Each block is self-contained, so a crash
+// with per-block string interning. A record says what changed since the
+// block's earlier records: the tick once per tick, the target by slot, and a
+// probe's site and AS path, or a transfer's serial, only where they differ
+// from the block's last (see HandleProbe). That state starts over with each
+// block, as the dictionary does, so each block is self-contained: a crash
 // can at worst tear the trailing block, which Reader detects and cleanly
 // truncates instead of erroring mid-stream. This package owns the record
 // encodings (probe/transfer events), the failpoint sites, and the metrics;
@@ -21,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/dnssec"
@@ -30,7 +35,6 @@ import (
 	"repro/internal/measure"
 	"repro/internal/rss"
 	"repro/internal/segment"
-	"repro/internal/topology"
 	"repro/internal/vantage"
 	"repro/internal/zonemd"
 )
@@ -38,17 +42,50 @@ import (
 // magic identifies the format; version gates incompatible changes.
 // Version 2 introduced the sealed-block framing (length + CRC + per-block
 // dictionary) that makes recordings crash-recoverable; version 3 the
-// description record, and blocks sealed at segment's DEFLATE level 5.
+// description record; version 4 records what changed: a tick once, a target
+// by its slot, and a probe's site and AS path or a transfer's serial only
+// where the block has not said them already. A reader refuses any other.
 const (
 	magic   = "RGDS"
-	version = 3
+	version = 4
 )
+
+// blockBytes is where a dataset block is handed off to be sealed: about as
+// many version-4 events as 512 KB held in version 3, so a block, and replay's
+// window of decoded blocks, holds what it did.
+const blockBytes = 256 << 10
+
+// Every record opens with one varint: its kind in the low kindBits bits, its
+// flags above them.
+const kindBits = 2
 
 // record kinds. A description is the only record of the first frame.
 const (
 	recProbe       = 1
 	recTransfer    = 2
 	recDescription = 3
+)
+
+// Record flags. Those a common record sets come first, so that its header
+// fits in one byte. The two "same" flags name what a record leaves out
+// because its block has said it already.
+const (
+	// flagSTL is a probe's STLOK, a transfer's ComparisonMismatch.
+	flagSTL = 1 << iota
+	// flagKind is a probe's SiteKind 1; on a transfer, a Bitflip follows.
+	flagKind
+	// flagSameSite: the probe's site tuple is the one its (VP, slot) last
+	// recorded in the block.
+	flagSameSite
+	// flagSamePath: the probe's AS path is the one its (VP, slot) last
+	// recorded in the block; the transfer's serial is the block's last.
+	flagSamePath
+	flagLost
+	flagDegraded
+	// flagTick: a tick index and Unix time follow, and the records after this
+	// one in the block are of that tick until the next that carries it.
+	flagTick
+	flagsKnown = 1<<iota - 1
 )
 
 // error classes for transfer outcomes (reconstructed on replay so
@@ -68,7 +105,31 @@ type Writer struct {
 
 	// Probes and Transfers count written events.
 	Probes, Transfers int
+
+	// What the pending block has said, which its later records leave out.
+	// begin starts it over where a block opens. block numbers the blocks
+	// opened; a cell of another block's number is stale.
+	block              uint32
+	tickIdx            int
+	tickUnix           int64
+	serial             uint32
+	tickSet, serialSet bool
+	// cells holds per vp·rss.Slots + slot what the VP's last probe of the
+	// target in the block recorded; paths holds the AS paths they name, a
+	// copy of the caller's.
+	cells []cell
+	paths []int
 }
+
+// cell is what a (VP, slot)'s last probe with a site recorded in a block.
+type cell struct {
+	block        uint32
+	site         site
+	asOff, asLen int
+}
+
+// site is a probe's site tuple: where it landed and through which last hop.
+type site struct{ id, ident, fac, iata, stl string }
 
 // hook wires the dataset-owned failpoint site and seal metrics into a
 // segment writer. The mid-frame crash site tears the frame on the output
@@ -91,6 +152,7 @@ func NewWriter(out io.Writer) (*Writer, error) {
 		return nil, err
 	}
 	hook(seg)
+	seg.BlockBytes = blockBytes
 	return &Writer{Writer: seg}, nil
 }
 
@@ -128,8 +190,8 @@ func ReadDescription(in io.ReadSeeker, run any) error {
 	}
 	if err == nil {
 		rr := segment.NewRecordReader(desc)
-		if kind, _ := rr.Uvarint(); kind != recDescription {
-			err = fmt.Errorf("first record is of kind %d", kind)
+		if h, _ := rr.Uvarint(); h != recDescription {
+			err = fmt.Errorf("first record is of kind %d", h&(1<<kindBits-1))
 		} else if desc, err = rr.Bytes(); err == nil {
 			err = json.Unmarshal(desc, run)
 		}
@@ -183,80 +245,156 @@ func (d *Writer) RestoreCheckpoint(state []byte) error {
 	return nil
 }
 
-// HandleProbe implements measure.Handler.
+// begin opens a record of tick t. It starts the block's state over when
+// the record opens a block, and returns flagTick when t is not the block's
+// current tick, which it then becomes.
+func (d *Writer) begin(t measure.Tick) uint64 {
+	if d.Fresh() {
+		d.block++
+		d.tickSet, d.serialSet = false, false
+		d.paths = d.paths[:0]
+	}
+	unix := t.Time.Unix()
+	if d.tickSet && t.Index == d.tickIdx && unix == d.tickUnix {
+		return 0
+	}
+	d.tickSet, d.tickIdx, d.tickUnix = true, t.Index, unix
+	return flagTick
+}
+
+// head writes what every event record opens with: kind and flags, the tick
+// when the flags say it changes, the VP index and the target's slot. A
+// target outside rss.AllServiceAddrs is written as slot rss.Slots, which
+// replay refuses.
+func (d *Writer) head(kind, flags uint64, vp, slot int) {
+	d.Uvarint(kind | flags<<kindBits)
+	if flags&flagTick != 0 {
+		d.Uvarint(uint64(d.tickIdx))
+		d.Uvarint(uint64(d.tickUnix))
+	}
+	d.Uvarint(uint64(vp))
+	d.Uvarint(uint64(slot))
+}
+
+// slotFor is the slot a record names target by.
+func slotFor(target rss.ServiceAddr) int {
+	if slot, ok := target.Slot(); ok {
+		return slot
+	}
+	return rss.Slots
+}
+
+// cell returns the pending block's cell for (vp, slot), stale or not, and
+// nil where no table row fits: a probe there records in full.
+func (d *Writer) cell(vp, slot int) *cell {
+	if vp < 0 || slot >= rss.Slots {
+		return nil
+	}
+	i := vp*rss.Slots + slot
+	if i >= len(d.cells) {
+		d.cells = slices.Grow(d.cells, i+1-len(d.cells))[:i+1]
+	}
+	return &d.cells[i]
+}
+
+// HandleProbe implements measure.Handler. A probe record is the header
+// (kind, flags), the tick if it changes, VP index and slot; then, unless
+// lost, the RTT, and the site tuple and the AS path unless the flags say
+// they are the ones its (VP, slot) last recorded in the block. Paths are
+// compared with the writer's own copy, not with the slice of an earlier
+// event, which the caller may reuse.
 func (d *Writer) HandleProbe(e measure.ProbeEvent) {
 	if d.Err() != nil {
 		return
 	}
-	d.Uvarint(recProbe)
-	d.Uvarint(uint64(e.Tick.Index))
-	d.Uvarint(uint64(e.Tick.Time.Unix()))
-	d.Uvarint(uint64(e.VPIdx))
-	d.Intern(e.Target.Key())
-	flags := uint64(0)
-	if e.Lost {
-		flags |= 1
-	}
+	flags := d.begin(e.Tick)
 	if e.STLOK {
-		flags |= 2
+		flags |= flagSTL
 	}
 	if e.SiteKind == 1 {
-		flags |= 4
+		flags |= flagKind
 	}
 	if e.Degraded {
-		flags |= 8
+		flags |= flagDegraded
 	}
-	d.Uvarint(flags)
+	slot := slotFor(e.Target)
+	var c *cell
+	st := site{e.SiteID, e.Identifier, e.Facility, e.SiteCity.IATA, e.SecondToLast}
+	if e.Lost {
+		flags |= flagLost
+	} else if c = d.cell(e.VPIdx, slot); c != nil && c.block == d.block {
+		if c.site == st {
+			flags |= flagSameSite
+		}
+		if slices.Equal(d.paths[c.asOff:c.asOff+c.asLen], e.ASPath) {
+			flags |= flagSamePath
+		}
+	}
+	d.head(recProbe, flags, e.VPIdx, slot)
 	d.Probes++
 	mRecords.Inc()
 	if e.Lost {
 		d.EndRecord()
 		return
 	}
-	d.Intern(e.SiteID)
-	d.Intern(e.Identifier)
-	d.Intern(e.Facility)
-	d.Intern(e.SiteCity.IATA)
 	d.Uvarint(uint64(e.RTTms * 100)) // centi-milliseconds
-	d.Uvarint(uint64(len(e.ASPath)))
-	for _, asn := range e.ASPath {
-		d.Uvarint(uint64(asn))
+	if flags&flagSameSite == 0 {
+		d.Intern(st.id)
+		d.Intern(st.ident)
+		d.Intern(st.fac)
+		d.Intern(st.iata)
+		d.Intern(st.stl)
 	}
-	d.Intern(e.SecondToLast)
+	if flags&flagSamePath == 0 {
+		d.Uvarint(uint64(len(e.ASPath)))
+		for _, asn := range e.ASPath {
+			d.Uvarint(uint64(asn))
+		}
+	}
 	d.EndRecord()
+	if c != nil {
+		if flags&flagSamePath == 0 {
+			c.asOff, c.asLen = len(d.paths), len(e.ASPath)
+			d.paths = append(d.paths, e.ASPath...)
+		}
+		c.block, c.site = d.block, st
+	}
 }
 
-// HandleTransfer implements measure.Handler.
+// HandleTransfer implements measure.Handler. A transfer record is the
+// header, the tick if it changes, VP index and slot; then, unless lost, the
+// serial unless it is the block's last, fault kind, error classes and a
+// bitflip's strings.
 func (d *Writer) HandleTransfer(e measure.TransferEvent) {
 	if d.Err() != nil {
 		return
 	}
-	d.Uvarint(recTransfer)
-	d.Uvarint(uint64(e.Tick.Index))
-	d.Uvarint(uint64(e.Tick.Time.Unix()))
-	d.Uvarint(uint64(e.VPIdx))
-	d.Intern(e.Target.Key())
-	flags := uint64(0)
-	if e.Lost {
-		flags |= 1
-	}
+	flags := d.begin(e.Tick)
 	if e.ComparisonMismatch {
-		flags |= 2
+		flags |= flagSTL
 	}
 	if e.Bitflip != nil {
-		flags |= 4
+		flags |= flagKind
 	}
 	if e.Degraded {
-		flags |= 8
+		flags |= flagDegraded
 	}
-	d.Uvarint(flags)
+	if e.Lost {
+		flags |= flagLost
+	} else if d.serialSet && e.Serial == d.serial {
+		flags |= flagSamePath
+	}
+	d.head(recTransfer, flags, e.VPIdx, slotFor(e.Target))
 	d.Transfers++
 	mRecords.Inc()
 	if e.Lost {
 		d.EndRecord()
 		return
 	}
-	d.Uvarint(uint64(e.Serial))
+	if flags&flagSamePath == 0 {
+		d.Uvarint(uint64(e.Serial))
+		d.serial, d.serialSet = e.Serial, true
+	}
 	d.Uvarint(uint64(e.Fault))
 	d.Uvarint(uint64(classifyErr(e.DNSSECErr)))
 	d.Uvarint(uint64(classifyErr(e.ZonemdErr)))
@@ -309,20 +447,6 @@ var targets = func() (bySlot [rss.Slots]rss.ServiceAddr) {
 	}
 	return bySlot
 }()
-
-// slotOf is the inverse of rss.ServiceAddr.Key, read off the key's
-// characters. Replay refuses the "" a target outside rss.AllServiceAddrs got.
-func slotOf(key string) (int, bool) {
-	t := rss.ServiceAddr{Family: topology.IPv4, Old: len(key) == 3}
-	if len(key) < 2 || len(key) > 3 || (t.Old && key[2] != 'o') || (key[1] != '4' && key[1] != '6') {
-		return 0, false
-	}
-	if key[1] == '6' {
-		t.Family = topology.IPv6
-	}
-	t.Letter = rss.Letter(key[:1])
-	return t.Slot()
-}
 
 // Reader replays a dataset into handlers, tolerating a torn trailing block.
 // Decoding is block-at-a-time: the segment framing makes every sealed block
@@ -398,9 +522,9 @@ type block struct {
 	decodeErr error
 }
 
-// minRecordBytes is the least a recorded event takes: kind, tick index, a
-// five-byte Unix time, VP index, target reference, flags.
-const minRecordBytes = 10
+// minRecordBytes is the least a recorded event takes: header, VP index and
+// slot, for a lost event of its block's current tick.
+const minRecordBytes = 3
 
 // blockDecoder verifies and decodes sealed blocks one after another on one
 // goroutine, keeping its inflater and record reader between blocks.
@@ -412,7 +536,20 @@ type blockDecoder struct {
 	// asHint is how many AS numbers the last block held: the next arena is
 	// made that size, and a little over, at once.
 	asHint int
+
+	// What the block being decoded has said, as its writer kept it. block
+	// numbers the blocks begun; last holds per vp·rss.Slots + slot the
+	// block's last probe record with a site, stale when of another block.
+	block              uint32
+	last               []lastProbe
+	tick, unix         uint64
+	serial             uint32
+	tickSet, serialSet bool
 }
+
+// lastProbe names a probe record: the block it is of and its index in
+// block.recs.
+type lastProbe struct{ block, rec uint32 }
 
 func (d *Reader) newDecoder() *blockDecoder {
 	return &blockDecoder{vps: len(d.pop.VPs), cityOf: d.cityOf}
@@ -433,6 +570,11 @@ func (d *blockDecoder) decode(f segment.Frame, b *block) {
 func (d *blockDecoder) decodePayload(payload []byte, count uint32, b *block) {
 	clear(b.dict) // do not pin the last block's strings
 	clear(b.flips)
+	if d.last == nil {
+		d.last = make([]lastProbe, d.vps*rss.Slots)
+	}
+	d.block++
+	d.tickSet, d.serialSet = false, false
 	b.recs, b.dict, b.flips, b.asns = b.recs[:0], b.dict[:0], b.flips[:0], nil
 	b.tearErr = nil
 	d.rr.Reset(payload)
@@ -456,15 +598,19 @@ func (d *blockDecoder) decodePayload(payload []byte, count uint32, b *block) {
 func (d *blockDecoder) decodeAll(count uint32, b *block) error {
 	left := count
 	for d.rr.Len() > 0 {
-		kind, err := d.rr.Uvarint()
+		h, err := d.rr.Uvarint()
 		if err != nil {
 			//rootlint:allow hotpath: cold error return, ends the replay
-			return fmt.Errorf("dataset: record kind: %w", err)
+			return fmt.Errorf("dataset: record header: %w", err)
 		}
 		if left == 0 {
 			return errors.New("dataset: more records than block header declared")
 		}
 		left--
+		kind, flags := h&(1<<kindBits-1), h>>kindBits
+		if flags&^flagsKnown != 0 {
+			return errors.New("dataset: unknown record flags")
+		}
 		switch kind {
 		case recProbe, recTransfer:
 		case recDescription:
@@ -477,12 +623,14 @@ func (d *blockDecoder) decodeAll(count uint32, b *block) error {
 			//rootlint:allow hotpath: cold error return, ends the replay
 			return fmt.Errorf("dataset: unknown record kind %d", kind)
 		}
-		b.recs = append(b.recs, rec{kind: uint8(kind)})
+		b.recs = append(b.recs, rec{kind: uint8(kind), flags: uint8(flags)})
 		r := &b.recs[len(b.recs)-1]
-		if kind == recProbe {
-			err = d.readProbe(r, b)
-		} else {
-			err = d.readTransfer(r, b)
+		if err = d.readCommon(r); err == nil && flags&flagLost == 0 { // a lost event records nothing more
+			if kind == recProbe {
+				err = d.readProbe(r, b)
+			} else {
+				err = d.readTransfer(r, b)
+			}
 		}
 		if err != nil {
 			b.recs = b.recs[:len(b.recs)-1]
@@ -507,50 +655,84 @@ func (d *Reader) Replay(handlers ...measure.Handler) (probes, transfers int, err
 	return d.ReplayWith(ReplayOptions{}, handlers...)
 }
 
-// readCommon decodes the fields every record opens with into r, and returns
-// its flags.
+// readCommon decodes into r what every event record has after its header:
+// the tick, when the record changes it, the VP index and the slot.
 //
 //rootlint:hotpath
-func (d *blockDecoder) readCommon(r *rec) (flags uint64, err error) {
-	if r.tick, err = d.rr.Uvarint(); err != nil {
-		return 0, err
+func (d *blockDecoder) readCommon(r *rec) (err error) {
+	if r.flags&flagTick != 0 {
+		if d.tick, err = d.rr.Uvarint(); err != nil {
+			return err
+		}
+		if d.unix, err = d.rr.Uvarint(); err != nil {
+			return err
+		}
+		d.tickSet = true
+	} else if !d.tickSet {
+		return errors.New("dataset: record before its block's first tick")
 	}
-	if r.unix, err = d.rr.Uvarint(); err != nil {
-		return 0, err
-	}
+	r.tick, r.unix = d.tick, d.unix
 	v, err := d.rr.Uvarint()
 	if err != nil {
-		return 0, err
-	}
-	if v >= uint64(d.vps) {
-		return 0, errors.New("dataset: VP index out of range")
-	}
-	tk, err := d.rr.Str()
-	if err != nil {
-		return 0, err
-	}
-	slot, ok := slotOf(tk)
-	if !ok {
-		//rootlint:allow hotpath: cold error return, ends the replay
-		return 0, fmt.Errorf("dataset: unknown target %q", tk)
-	}
-	if flags, err = d.rr.Uvarint(); err != nil {
-		return 0, err
-	}
-	// Only the low four bits of the flags mean anything.
-	r.vp, r.slot, r.flags = uint32(v), uint8(slot), uint8(flags)
-	return flags, nil
-}
-
-// readProbe decodes the rest of a probe record into r, appending its AS path
-// to b's arena.
-//
-//rootlint:hotpath
-func (d *blockDecoder) readProbe(r *rec, b *block) error {
-	flags, err := d.readCommon(r)
-	if err != nil || flags&1 != 0 { // a lost probe records nothing more
 		return err
 	}
+	if v >= uint64(d.vps) {
+		return errors.New("dataset: VP index out of range")
+	}
+	slot, err := d.rr.Uvarint()
+	if err != nil {
+		return err
+	}
+	if slot >= rss.Slots {
+		return errors.New("dataset: target slot out of range")
+	}
+	r.vp, r.slot = uint32(v), uint8(slot)
+	return nil
+}
+
+// errNoEarlier is a probe that repeats what its (VP, slot) has not recorded
+// in the block.
+var errNoEarlier = errors.New("dataset: a probe repeats its VP and target's last in the block, and there is none")
+
+// readProbe decodes the rest of a probe record into r: the RTT, then the
+// site tuple and AS path, read or taken from its (VP, slot)'s last probe in
+// the block. A new path goes into b's arena; a repeated one names the
+// earlier.
+//
+//rootlint:hotpath
+func (d *blockDecoder) readProbe(r *rec, b *block) (err error) {
+	if r.num, err = d.rr.Uvarint(); err != nil {
+		return err
+	}
+	cell := &d.last[int(r.vp)*rss.Slots+int(r.slot)]
+	var prev *rec
+	if cell.block == d.block {
+		prev = &b.recs[cell.rec]
+	}
+	if r.flags&flagSameSite != 0 {
+		if prev == nil {
+			return errNoEarlier
+		}
+		r.site, r.ident, r.fac, r.city, r.stl = prev.site, prev.ident, prev.fac, prev.city, prev.stl
+	} else if err = d.readSite(r); err != nil {
+		return err
+	}
+	if r.flags&flagSamePath != 0 {
+		if prev == nil {
+			return errNoEarlier
+		}
+		r.asOff, r.asLen = prev.asOff, prev.asLen
+	} else if err = d.readPath(r, b); err != nil {
+		return err
+	}
+	*cell = lastProbe{d.block, uint32(len(b.recs) - 1)}
+	return nil
+}
+
+// readSite decodes a probe's site tuple into r.
+//
+//rootlint:hotpath
+func (d *blockDecoder) readSite(r *rec) (err error) {
 	if r.site, err = d.rr.Ref(); err != nil {
 		return err
 	}
@@ -565,9 +747,14 @@ func (d *blockDecoder) readProbe(r *rec, b *block) error {
 		return err
 	}
 	r.city = d.cityOf[iata]
-	if r.num, err = d.rr.Uvarint(); err != nil {
-		return err
-	}
+	r.stl, err = d.rr.Ref()
+	return err
+}
+
+// readPath decodes a probe's AS path onto the end of b's arena.
+//
+//rootlint:hotpath
+func (d *blockDecoder) readPath(r *rec, b *block) error {
 	n, err := d.rr.Uvarint()
 	if err != nil {
 		return err
@@ -576,7 +763,7 @@ func (d *blockDecoder) readProbe(r *rec, b *block) error {
 		return errors.New("dataset: implausible AS path length")
 	}
 	// The arena never outgrows the payload, nor a uint32: every AS number
-	// takes a byte of it at least.
+	// it holds took a byte of it at least.
 	r.asOff, r.asLen = uint32(len(b.asns)), uint8(n)
 	for range n {
 		asn, err := d.rr.Uvarint()
@@ -585,8 +772,7 @@ func (d *blockDecoder) readProbe(r *rec, b *block) error {
 		}
 		b.asns = append(b.asns, int(asn))
 	}
-	r.stl, err = d.rr.Ref()
-	return err
+	return nil
 }
 
 // errUnclassified replays a validation error outside the recorded classes.
@@ -597,15 +783,17 @@ var errUnclassified = errors.New("dataset: unclassified validation error")
 //
 //rootlint:hotpath
 func (d *blockDecoder) readTransfer(r *rec, b *block) error {
-	flags, err := d.readCommon(r)
-	if err != nil || flags&1 != 0 { // a lost transfer records nothing more
-		return err
+	if r.flags&flagSamePath == 0 {
+		serial, err := d.rr.Uvarint()
+		if err != nil {
+			return err
+		}
+		d.serial, d.serialSet = uint32(serial), true
+	} else if !d.serialSet {
+		return errors.New("dataset: a transfer repeats its block's last serial, and there is none")
 	}
-	serial, err := d.rr.Uvarint()
-	if err != nil {
-		return err
-	}
-	r.serial = uint32(serial)
+	r.serial = d.serial
+	var err error
 	if r.num, err = d.rr.Uvarint(); err != nil {
 		return err
 	}
@@ -618,7 +806,7 @@ func (d *blockDecoder) readTransfer(r *rec, b *block) error {
 		return err
 	}
 	r.dclass, r.zclass = uint8(min(dclass, errOther)), uint8(min(zclass, errOther))
-	if flags&4 != 0 {
+	if r.flags&flagKind != 0 {
 		before, err := d.rr.Str()
 		if err != nil {
 			return err
@@ -641,11 +829,11 @@ func (d *Reader) probe(b *block, r *rec) measure.ProbeEvent {
 		VP:       &d.pop.VPs[r.vp],
 		VPIdx:    int(r.vp),
 		Target:   targets[r.slot],
-		Lost:     r.flags&1 != 0,
-		STLOK:    r.flags&2 != 0,
-		Degraded: r.flags&8 != 0,
+		Lost:     r.flags&flagLost != 0,
+		STLOK:    r.flags&flagSTL != 0,
+		Degraded: r.flags&flagDegraded != 0,
 	}
-	if r.flags&4 != 0 {
+	if r.flags&flagKind != 0 {
 		e.SiteKind = 1
 	}
 	if e.Lost {
@@ -667,9 +855,9 @@ func (d *Reader) transfer(b *block, r *rec) measure.TransferEvent {
 		VP:                 &d.pop.VPs[r.vp],
 		VPIdx:              int(r.vp),
 		Target:             targets[r.slot],
-		Lost:               r.flags&1 != 0,
-		ComparisonMismatch: r.flags&2 != 0,
-		Degraded:           r.flags&8 != 0,
+		Lost:               r.flags&flagLost != 0,
+		ComparisonMismatch: r.flags&flagSTL != 0,
+		Degraded:           r.flags&flagDegraded != 0,
 	}
 	if e.Lost {
 		return e

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +55,12 @@ type collector struct {
 func (c *collector) HandleProbe(e measure.ProbeEvent)       { c.probes = append(c.probes, e) }
 func (c *collector) HandleTransfer(e measure.TransferEvent) { c.transfers = append(c.transfers, e) }
 
+// TestRecordReplayRoundTrip records one campaign into two writers, one whose
+// every record opens a block and one at the default block size, and replays
+// each: both give back exactly the events a handler beside them saw, and a
+// skewed VP's transfers keep their validation error's class. The first
+// recording proves that a block's first record carries everything; in the
+// second, most probes leave their site or path out.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	cfg := measure.DefaultConfig()
@@ -63,91 +68,84 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	cfg.End = cfg.Start.Add(3 * time.Hour)
 	cfg.Scale = 1
 	cfg.TLDCount = 10
-	campaign := measure.NewCampaign(cfg, w)
-
-	var buf bytes.Buffer
-	writer, err := NewWriter(&buf)
+	var single, whole bytes.Buffer
+	singles, err := NewWriter(&single)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := &collector{}
-	if err := campaign.Run(writer, orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := writer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if writer.Probes != len(orig.probes) || writer.Transfers != len(orig.transfers) {
-		t.Fatalf("writer counts %d/%d vs %d/%d",
-			writer.Probes, writer.Transfers, len(orig.probes), len(orig.transfers))
-	}
-
-	reader, err := NewReader(&buf, w.Population)
+	singles.BlockBytes = 1
+	wholes, err := NewWriter(&whole)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reader.Close()
-	replayed := &collector{}
-	probes, transfers, err := reader.Replay(replayed)
-	if err != nil {
+	seen := &keeper{}
+	if err := measure.NewCampaign(cfg, w).Run(singles, wholes, seen); err != nil {
 		t.Fatal(err)
 	}
-	if probes != len(orig.probes) || transfers != len(orig.transfers) {
-		t.Fatalf("replayed %d/%d, want %d/%d", probes, transfers,
-			len(orig.probes), len(orig.transfers))
+	events := len(seen.probes) + len(seen.transfers)
+	for _, wr := range []*Writer{singles, wholes} {
+		if err := wr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if wr.Probes != len(seen.probes) || wr.Transfers != len(seen.transfers) {
+			t.Fatalf("writer counts %d/%d vs %d/%d", wr.Probes, wr.Transfers, len(seen.probes), len(seen.transfers))
+		}
+	}
+	var want decoded
+	for _, e := range seen.probes {
+		want.probes = append(want.probes, asReplayed(w.Population, e))
+	}
+	for _, e := range seen.transfers {
+		want.transfers = append(want.transfers, transferAsReplayed(w.Population, e))
 	}
 
-	// Every probe field the analyses use must survive the round trip.
-	for i := range orig.probes {
-		o, r := orig.probes[i], replayed.probes[i]
-		if o.Tick.Index != r.Tick.Index || !o.Tick.Time.Equal(r.Tick.Time) {
-			t.Fatalf("probe %d tick: %+v vs %+v", i, o.Tick, r.Tick)
+	for name, data := range map[string][]byte{"a block a record": single.Bytes(), "default blocks": whole.Bytes()} {
+		r, err := NewReader(bytes.NewReader(data), w.Population)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if o.VPIdx != r.VPIdx || o.VP.ID != r.VP.ID {
-			t.Fatalf("probe %d VP mismatch", i)
+		blocks, repeats := 0, 0
+		dec := r.newDecoder()
+		for f, err := r.NextFrame(); err == nil; f, err = r.NextFrame() {
+			var b block
+			dec.decode(f, &b)
+			for _, rc := range b.recs {
+				if rc.flags&(flagSameSite|flagSamePath) != 0 {
+					repeats++
+				}
+			}
+			blocks++
 		}
-		if o.Target != r.Target || o.Lost != r.Lost {
-			t.Fatalf("probe %d target/lost mismatch", i)
+		switch {
+		case name == "a block a record" && (blocks != events || repeats != 0):
+			t.Errorf("%s: %d blocks for %d events, %d records leave something out", name, blocks, events, repeats)
+		case name == "default blocks" && repeats < len(seen.probes)/2:
+			t.Errorf("%s: %d of %d probes leave their site or path out", name, repeats, len(seen.probes))
 		}
-		if o.Lost {
-			continue
+
+		r, err = NewReader(bytes.NewReader(data), w.Population)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if o.SiteID != r.SiteID || o.Identifier != r.Identifier ||
-			o.Facility != r.Facility || o.SiteKind != r.SiteKind {
-			t.Fatalf("probe %d site fields: %+v vs %+v", i, o, r)
+		var got keeper
+		if _, _, err := r.Replay(&got); err != nil || r.Torn() {
+			t.Fatalf("%s: err %v, torn %v", name, err, r.Torn())
 		}
-		if o.SiteCity.IATA != r.SiteCity.IATA {
-			t.Fatalf("probe %d city %s vs %s", i, o.SiteCity.IATA, r.SiteCity.IATA)
+		if !sameEvents(decoded{probes: got.probes, transfers: got.transfers}, want) {
+			t.Errorf("%s: the replay differs from what the campaign delivered", name)
 		}
-		if diff := o.RTTms - r.RTTms; diff > 0.011 || diff < -0.011 {
-			t.Fatalf("probe %d RTT %.4f vs %.4f", i, o.RTTms, r.RTTms)
-		}
-		if !reflect.DeepEqual(o.ASPath, r.ASPath) {
-			t.Fatalf("probe %d path %v vs %v", i, o.ASPath, r.ASPath)
-		}
-		if o.SecondToLast != r.SecondToLast || o.STLOK != r.STLOK {
-			t.Fatalf("probe %d STL mismatch", i)
-		}
-	}
-	// Transfer classifications must survive via errors.Is.
-	skewSeen := false
-	for i := range orig.transfers {
-		o, r := orig.transfers[i], replayed.transfers[i]
-		if o.Serial != r.Serial || o.Fault != r.Fault || o.Lost != r.Lost {
-			t.Fatalf("transfer %d fields mismatch", i)
-		}
-		if o.Fault == faults.ClockSkew {
-			skewSeen = true
-			if !errors.Is(r.DNSSECErr, dnssec.ErrSignatureNotIncepted) {
-				t.Fatalf("transfer %d lost classification: %v", i, r.DNSSECErr)
+		skewSeen := false
+		for _, e := range got.transfers {
+			if e.Fault == faults.ClockSkew {
+				skewSeen = true
+				if !errors.Is(e.DNSSECErr, dnssec.ErrSignatureNotIncepted) {
+					t.Fatalf("%s: a skewed transfer replays with %v", name, e.DNSSECErr)
+				}
 			}
 		}
-		if (o.Bitflip == nil) != (r.Bitflip == nil) {
-			t.Fatalf("transfer %d bitflip presence mismatch", i)
+		if !skewSeen {
+			t.Errorf("%s: the window produced no skew faults; widen it", name)
 		}
-	}
-	if !skewSeen {
-		t.Error("test window produced no skew faults; widen it")
 	}
 }
 
@@ -199,11 +197,32 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	if _, err := NewReader(&buf, pop); !errors.Is(err, segment.ErrBadMagic) {
 		t.Errorf("v1 gzip: err = %v, want segment.ErrBadMagic", err)
 	}
-	// Right magic, future version.
+	// Right magic, future version, and the version before this one.
 	future := append([]byte(magic), 0x7f)
 	if _, err := NewReader(bytes.NewReader(future), pop); err == nil {
 		t.Error("future version accepted")
 	}
+	if _, err := NewReader(bytes.NewReader(version3File(t)), pop); err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Errorf("version 3: err = %v, want unsupported version 3", err)
+	}
+}
+
+// version3File is how a version-3 recording opens: a description frame.
+func version3File(t *testing.T) []byte {
+	var buf bytes.Buffer
+	w, err := segment.NewWriter(&buf, magic, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := []byte(`{"seed":1}`)
+	w.Uvarint(recDescription)
+	w.Uvarint(uint64(len(desc)))
+	w.Raw(desc)
+	w.EndRecord()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // synthProbe builds a deterministic probe event stream for framing tests.
@@ -465,22 +484,47 @@ func TestResumeWriterByteIdentical(t *testing.T) {
 	}
 }
 
-func TestTargetKeyBijective(t *testing.T) {
-	seen := map[string]bool{}
-	for _, tgt := range rss.AllServiceAddrs() {
-		k := tgt.Key()
-		if seen[k] {
-			t.Fatalf("duplicate key %q", k)
+// TestTargetSlotsRoundTrip: a record names its target by slot, and every
+// target the battery probes replays as itself. A target without a slot is
+// written as the slot past the last, which replay refuses.
+func TestTargetSlotsRoundTrip(t *testing.T) {
+	record := func(targets []rss.ServiceAddr) *Reader {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[k] = true
-		slot, ok := slotOf(k)
-		if !ok || targets[slot] != tgt {
-			t.Fatalf("key %q does not round trip", k)
+		for i, target := range targets {
+			p := synthProbe(i)
+			p.Target = target
+			w.HandleProbe(p)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&buf, synthPop())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	all := rss.AllServiceAddrs()
+	var got keeper
+	if _, _, err := record(all).Replay(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.probes) != len(all) {
+		t.Fatalf("replayed %d of %d targets", len(got.probes), len(all))
+	}
+	for i, p := range got.probes {
+		if p.Target != all[i] {
+			t.Errorf("target %+v replays as %+v", all[i], p.Target)
 		}
 	}
-	for _, k := range []string{"", "b", "b4x", "b4oo", "n4", "a4o", "b5", "B4", "\xff6"} {
-		if slot, ok := slotOf(k); ok {
-			t.Errorf("key %q, which no target has, reads as %+v", k, targets[slot])
+	for _, bad := range []rss.ServiceAddr{{Letter: "n"}, {Letter: "a", Old: true}, {Letter: "b", Family: 2}} {
+		var h countingHandler
+		if _, _, err := record([]rss.ServiceAddr{bad}).Replay(&h); err == nil || !strings.Contains(err.Error(), "target slot out of range") || h.probes != 0 {
+			t.Errorf("a probe of %+v: err %v, %d delivered; want it refused", bad, err, h.probes)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestDescribeAfterFirstEvent(t *testing.T) {
 }
 
 // What ReadDescription refuses: a recording without one, an empty one, one of
-// the version that had none.
+// the version that had none, one of the version before this one.
 func TestReadDescriptionRefusals(t *testing.T) {
 	var empty bytes.Buffer
 	if _, err := NewWriter(&empty); err != nil {
@@ -83,6 +83,7 @@ func TestReadDescriptionRefusals(t *testing.T) {
 		"undescribed": {writeMixedFile(t, 10, 1024), "does not open with a description of its run: first record is of kind 1"},
 		"empty":       {empty.Bytes(), "does not open with a description of its run: EOF"},
 		"version 2":   {[]byte("RGDS\x02"), "unsupported version 2"},
+		"version 3":   {version3File(t), "unsupported version 3"},
 		"not a file":  {[]byte("GIF89a"), "bad magic"},
 	} {
 		var run testRun

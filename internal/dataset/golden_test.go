@@ -68,7 +68,7 @@ func TestRecordingGoldenDigest(t *testing.T) {
 		t.Fatalf("window too thin for a golden: faults %v, transfers before/after the renumbering %d/%d", seen, pre, post)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	const want = "591e2d7daa097f540f9784fb32d325c8c13b323e859217661ded2ec31d7d0d19"
+	const want = "133cc6a19ef3b001942d1afa861c7b017cb750ac4c0dc75c12007eb3fd99e0a6"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("recording drifted: %d events in %d bytes\n got %s\nwant %s",
 			writer.Probes+writer.Transfers, buf.Len(), got, want)

@@ -25,19 +25,29 @@ import (
 )
 
 // catalog maps each metro code to its city, as the replay once did.
-func catalog() map[string]geo.City {
+var catalog = func() map[string]geo.City {
 	cities := make(map[string]geo.City)
 	for _, c := range geo.Cities() {
 		cities[c.IATA] = c
 	}
 	return cities
-}
+}()
 
-// oracle decodes one block's payload record by record into events.
+// oracle decodes one block's payload record by record into events. It keeps
+// what the block has said as the writer describes it: the current tick, the
+// last serial, and by (VP, target) the last probe that landed somewhere.
 type oracle struct {
 	pop    *vantage.Population
 	cities map[string]geo.City
 	rr     *segment.RecordReader
+	tick   *measure.Tick
+	serial *uint32
+	last   map[oracleKey]measure.ProbeEvent
+}
+
+type oracleKey struct {
+	vp     int
+	target rss.ServiceAddr
 }
 
 // decoded is what a block decodes to: its events, and the kind of each
@@ -52,11 +62,11 @@ type decoded struct {
 // enforcing the declared count in both directions: the events before the
 // failure, and the failure. cities maps a metro code to its catalog entry.
 func oracleDecode(pop *vantage.Population, cities map[string]geo.City, payload []byte, count uint32) (decoded, error) {
-	o := &oracle{pop: pop, cities: cities, rr: segment.NewRecordReader(payload)}
+	o := &oracle{pop: pop, cities: cities, rr: segment.NewRecordReader(payload), last: map[oracleKey]measure.ProbeEvent{}}
 	var out decoded
 	left := count
 	for o.rr.Len() > 0 {
-		kind, err := o.rr.Uvarint()
+		header, err := o.rr.Uvarint()
 		if err != nil {
 			return out, err
 		}
@@ -64,16 +74,20 @@ func oracleDecode(pop *vantage.Population, cities map[string]geo.City, payload [
 			return out, errors.New("more records than declared")
 		}
 		left--
+		kind, flags := header%4, header/4
+		if flags >= 128 {
+			return out, fmt.Errorf("unknown flags %#x", flags)
+		}
 		switch kind {
 		case recProbe:
 			var e measure.ProbeEvent
-			if err := o.readProbe(&e); err != nil {
+			if err := o.readProbe(&e, flags); err != nil {
 				return out, err
 			}
 			out.probes = append(out.probes, e)
 		case recTransfer:
 			var e measure.TransferEvent
-			if err := o.readTransfer(&e); err != nil {
+			if err := o.readTransfer(&e, flags); err != nil {
 				return out, err
 			}
 			out.transfers = append(out.transfers, e)
@@ -93,106 +107,137 @@ func oracleDecode(pop *vantage.Population, cities map[string]geo.City, payload [
 	return out, nil
 }
 
-func (o *oracle) readCommon(tick *measure.Tick, vp **vantage.VP, vpIdx *int, target *rss.ServiceAddr) (flags uint64, err error) {
-	idx, err := o.rr.Uvarint()
-	if err != nil {
-		return 0, err
+// readCommon reads what every event record has after its header: a tick when
+// flag 64 says one follows (the block's tick otherwise), VP index, slot.
+func (o *oracle) readCommon(flags uint64, tick *measure.Tick, vp **vantage.VP, vpIdx *int, target *rss.ServiceAddr) error {
+	if flags&64 != 0 {
+		idx, err := o.rr.Uvarint()
+		if err != nil {
+			return err
+		}
+		unix, err := o.rr.Uvarint()
+		if err != nil {
+			return err
+		}
+		o.tick = &measure.Tick{Index: int(idx), Time: time.Unix(int64(unix), 0).UTC()}
 	}
-	unix, err := o.rr.Uvarint()
-	if err != nil {
-		return 0, err
+	if o.tick == nil {
+		return errors.New("no tick yet")
 	}
 	v, err := o.rr.Uvarint()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if v >= uint64(len(o.pop.VPs)) {
-		return 0, errors.New("VP index out of range")
+		return errors.New("VP index out of range")
 	}
-	tk, err := o.rr.Str()
-	if err != nil {
-		return 0, err
-	}
-	slot, ok := slotOf(tk)
-	if !ok {
-		return 0, fmt.Errorf("unknown target %q", tk)
-	}
-	if flags, err = o.rr.Uvarint(); err != nil {
-		return 0, err
-	}
-	*tick = measure.Tick{Index: int(idx), Time: time.Unix(int64(unix), 0).UTC()}
-	*vp, *vpIdx, *target = &o.pop.VPs[v], int(v), targets[slot]
-	return flags, nil
-}
-
-func (o *oracle) readProbe(e *measure.ProbeEvent) error {
-	flags, err := o.readCommon(&e.Tick, &e.VP, &e.VPIdx, &e.Target)
+	slot, err := o.rr.Uvarint()
 	if err != nil {
 		return err
 	}
-	e.Lost = flags&1 != 0
-	e.STLOK = flags&2 != 0
-	e.Degraded = flags&8 != 0
-	if flags&4 != 0 {
+	for _, t := range rss.AllServiceAddrs() {
+		if s, _ := t.Slot(); uint64(s) == slot {
+			*tick, *vp, *vpIdx, *target = *o.tick, &o.pop.VPs[v], int(v), t
+			return nil
+		}
+	}
+	return fmt.Errorf("no target has slot %d", slot)
+}
+
+// readProbe reads a probe. Flags: 1 STLOK, 2 SiteKind 1, 4 the site as last
+// time, 8 the AS path as last time, 16 lost, 32 degraded.
+func (o *oracle) readProbe(e *measure.ProbeEvent, flags uint64) error {
+	if err := o.readCommon(flags, &e.Tick, &e.VP, &e.VPIdx, &e.Target); err != nil {
+		return err
+	}
+	e.STLOK = flags&1 != 0
+	if flags&2 != 0 {
 		e.SiteKind = 1
 	}
+	e.Lost = flags&16 != 0
+	e.Degraded = flags&32 != 0
 	if e.Lost {
 		return nil
 	}
-	if e.SiteID, err = o.rr.Str(); err != nil {
-		return err
-	}
-	if e.Identifier, err = o.rr.Str(); err != nil {
-		return err
-	}
-	if e.Facility, err = o.rr.Str(); err != nil {
-		return err
-	}
-	iata, err := o.rr.Str()
-	if err != nil {
-		return err
-	}
-	e.SiteCity = o.cities[iata]
 	rtt, err := o.rr.Uvarint()
 	if err != nil {
 		return err
 	}
 	e.RTTms = float64(rtt) / 100
-	n, err := o.rr.Uvarint()
-	if err != nil {
-		return err
+	key := oracleKey{e.VPIdx, e.Target}
+	last, ok := o.last[key]
+	if flags&(4|8) != 0 && !ok {
+		return errors.New("repeats a probe the block does not hold")
 	}
-	if n > 64 {
-		return errors.New("implausible AS path length")
-	}
-	e.ASPath = make([]int, n)
-	for i := range e.ASPath {
-		asn, err := o.rr.Uvarint()
+	if flags&4 != 0 {
+		e.SiteID, e.Identifier, e.Facility, e.SiteCity, e.SecondToLast =
+			last.SiteID, last.Identifier, last.Facility, last.SiteCity, last.SecondToLast
+	} else {
+		if e.SiteID, err = o.rr.Str(); err != nil {
+			return err
+		}
+		if e.Identifier, err = o.rr.Str(); err != nil {
+			return err
+		}
+		if e.Facility, err = o.rr.Str(); err != nil {
+			return err
+		}
+		iata, err := o.rr.Str()
 		if err != nil {
 			return err
 		}
-		e.ASPath[i] = int(asn)
+		e.SiteCity = o.cities[iata]
+		if e.SecondToLast, err = o.rr.Str(); err != nil {
+			return err
+		}
 	}
-	e.SecondToLast, err = o.rr.Str()
-	return err
+	if flags&8 != 0 {
+		e.ASPath = last.ASPath
+	} else {
+		n, err := o.rr.Uvarint()
+		if err != nil {
+			return err
+		}
+		if n > 64 {
+			return errors.New("implausible AS path length")
+		}
+		e.ASPath = make([]int, n)
+		for i := range e.ASPath {
+			asn, err := o.rr.Uvarint()
+			if err != nil {
+				return err
+			}
+			e.ASPath[i] = int(asn)
+		}
+	}
+	o.last[key] = *e
+	return nil
 }
 
-func (o *oracle) readTransfer(e *measure.TransferEvent) error {
-	flags, err := o.readCommon(&e.Tick, &e.VP, &e.VPIdx, &e.Target)
-	if err != nil {
+// readTransfer reads a transfer. Flags: 1 ComparisonMismatch, 2 a Bitflip
+// follows, 8 the serial as last time, 16 lost, 32 degraded.
+func (o *oracle) readTransfer(e *measure.TransferEvent, flags uint64) error {
+	if err := o.readCommon(flags, &e.Tick, &e.VP, &e.VPIdx, &e.Target); err != nil {
 		return err
 	}
-	e.Lost = flags&1 != 0
-	e.ComparisonMismatch = flags&2 != 0
-	e.Degraded = flags&8 != 0
+	e.ComparisonMismatch = flags&1 != 0
+	e.Lost = flags&16 != 0
+	e.Degraded = flags&32 != 0
 	if e.Lost {
 		return nil
 	}
-	serial, err := o.rr.Uvarint()
-	if err != nil {
-		return err
+	if flags&8 == 0 {
+		serial, err := o.rr.Uvarint()
+		if err != nil {
+			return err
+		}
+		o.serial = new(uint32)
+		*o.serial = uint32(serial)
 	}
-	e.Serial = uint32(serial)
+	if o.serial == nil {
+		return errors.New("repeats a serial the block does not hold")
+	}
+	e.Serial = *o.serial
 	fault, err := o.rr.Uvarint()
 	if err != nil {
 		return err
@@ -208,7 +253,7 @@ func (o *oracle) readTransfer(e *measure.TransferEvent) error {
 		return err
 	}
 	e.ZonemdErr = rebuildErr(int(zclass))
-	if flags&4 != 0 {
+	if flags&2 != 0 {
 		flip := new(faults.Bitflip)
 		if flip.Before, err = o.rr.Str(); err != nil {
 			return err
@@ -257,10 +302,11 @@ func sameEvents(got, want decoded) bool {
 // and the oracle's give the same events in the same order, stop after the
 // same record, and fail or not alike; neither panics. It is seeded with the
 // blocks of recordings that between them hold every record kind and flag:
-// synthetic probes, probes and transfers behind a description, and probes at
-// catalog cities.
+// synthetic probes, probes and transfers behind a description, probes at
+// catalog cities, and rounds of the same (VP, target) pairs whose records
+// leave out the site, the path, the serial and the tick their block said.
 func FuzzBlockDecode(f *testing.F) {
-	pop, cities := synthPop(), catalog()
+	pop, cities := synthPop(), catalog
 	var atCities bytes.Buffer
 	w, err := NewWriter(&atCities)
 	if err != nil {
@@ -277,10 +323,12 @@ func FuzzBlockDecode(f *testing.F) {
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
+	var flags [recDescription + 1]uint8 // what the seeds' records set, by kind
 	for _, data := range [][]byte{
 		writeSynthFile(f, 200, 2<<10),
 		writeDescribedFile(f, testRun{Seed: 7}, 200, 2<<10),
 		atCities.Bytes(),
+		writeRepeatsFile(f, 12, 2<<10),
 	} {
 		r, err := NewReader(bytes.NewReader(data), pop)
 		if err != nil {
@@ -301,8 +349,17 @@ func FuzzBlockDecode(f *testing.F) {
 			if err != nil {
 				f.Fatalf("seed block: %v", err)
 			}
+			var b block
+			r.newDecoder().decodePayload(payload, fr.Count, &b)
+			for _, rc := range b.recs {
+				flags[rc.kind] |= rc.flags
+			}
 			f.Add(payload, fr.Count)
 		}
+	}
+	// A transfer has no site tuple, so no flagSameSite.
+	if flags[recProbe] != flagsKnown || flags[recTransfer] != flagsKnown&^flagSameSite {
+		f.Fatalf("the seeds' probes set flags %#x and their transfers %#x, want every one", flags[recProbe], flags[recTransfer])
 	}
 	r, err := NewReader(bytes.NewReader([]byte{'R', 'G', 'D', 'S', version}), pop)
 	if err != nil {

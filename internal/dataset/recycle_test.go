@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/measure"
@@ -38,27 +39,33 @@ type keeper struct {
 func (k *keeper) HandleProbe(e measure.ProbeEvent)       { k.probes = append(k.probes, e) }
 func (k *keeper) HandleTransfer(e measure.TransferEvent) { k.transfers = append(k.transfers, e) }
 
-// asReplayed is what a recorded probe reads back as: a lost probe keeps its
-// flags and nothing else.
+// asReplayed is what a recorded probe reads back as: its tick to the second,
+// its site city by metro code, its RTT to the centi-millisecond; a lost probe
+// keeps its flags and nothing else.
 func asReplayed(pop *vantage.Population, e measure.ProbeEvent) measure.ProbeEvent {
+	e.Tick.Time = time.Unix(e.Tick.Time.Unix(), 0).UTC()
 	e.VP = &pop.VPs[e.VPIdx]
 	if e.Lost {
-		return measure.ProbeEvent{Tick: e.Tick, VP: e.VP, VPIdx: e.VPIdx, Target: e.Target, Lost: true, STLOK: e.STLOK}
+		return measure.ProbeEvent{Tick: e.Tick, VP: e.VP, VPIdx: e.VPIdx, Target: e.Target,
+			Lost: true, Degraded: e.Degraded, SiteKind: e.SiteKind, STLOK: e.STLOK}
 	}
+	e.SiteCity = catalog[e.SiteCity.IATA]
+	e.RTTms = float64(uint64(e.RTTms*100)) / 100
 	return e
 }
 
-// transferAsReplayed is what a recorded transfer reads back as: an error
-// outside the recorded classes comes back as errUnclassified, and a bitflip
-// without its record index.
+// transferAsReplayed is what a recorded transfer reads back as: its tick to
+// the second, each validation error as its class's sentinel, and a bitflip
+// without its record index; a lost transfer keeps its flags and nothing else.
 func transferAsReplayed(pop *vantage.Population, e measure.TransferEvent) measure.TransferEvent {
+	e.Tick.Time = time.Unix(e.Tick.Time.Unix(), 0).UTC()
 	e.VP = &pop.VPs[e.VPIdx]
 	if e.Lost {
-		return measure.TransferEvent{Tick: e.Tick, VP: e.VP, VPIdx: e.VPIdx, Target: e.Target, Lost: true}
+		return measure.TransferEvent{Tick: e.Tick, VP: e.VP, VPIdx: e.VPIdx, Target: e.Target,
+			Lost: true, Degraded: e.Degraded, ComparisonMismatch: e.ComparisonMismatch}
 	}
-	if e.ZonemdErr != nil {
-		e.ZonemdErr = errUnclassified
-	}
+	e.DNSSECErr = rebuildErr(classifyErr(e.DNSSECErr))
+	e.ZonemdErr = rebuildErr(classifyErr(e.ZonemdErr))
 	if e.Bitflip != nil {
 		e.Bitflip = &faults.Bitflip{Before: e.Bitflip.Before, After: e.Bitflip.After}
 	}

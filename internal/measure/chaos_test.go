@@ -9,6 +9,7 @@ package measure_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -325,7 +326,8 @@ func TestChaosKillWithBlockInFlight(t *testing.T) {
 	// A frame that inflates to blockBytes or more was sealed by the hand-off:
 	// a checkpoint fence seals what is pending, which is less. The frame the
 	// seal-partial rows tear must be one, behind the first checkpoint.
-	sr, err := segment.NewReader(bytes.NewReader(refBytes), "RGDS", 3)
+	version, _ := binary.Uvarint(refBytes[len("RGDS"):])
+	sr, err := segment.NewReader(bytes.NewReader(refBytes), "RGDS", version)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func qlogKey(tick, vp int, subject []byte) uint64 {
 
 // HandleProbe implements Handler.
 func (f *FlightLog) HandleProbe(e ProbeEvent) {
-	subject := []byte(e.Target.Key()) // the dataset's compact key, "b4o"
+	subject := []byte(e.Target.Key()) // the target's compact key, "b4o"
 	key := qlogKey(e.Tick.Index, e.VPIdx, subject)
 	if !f.Sampled(key) {
 		return
@@ -58,7 +58,7 @@ func (f *FlightLog) HandleProbe(e ProbeEvent) {
 
 // HandleTransfer implements Handler.
 func (f *FlightLog) HandleTransfer(e TransferEvent) {
-	subject := []byte(e.Target.Key()) // the dataset's compact key, "b4o"
+	subject := []byte(e.Target.Key()) // the target's compact key, "b4o"
 	key := qlogKey(e.Tick.Index, e.VPIdx, subject)
 	if !f.Sampled(key) {
 		return

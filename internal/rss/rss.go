@@ -137,8 +137,8 @@ func (s ServiceAddr) Slot() (slot int, ok bool) {
 	return 2*s.Letter.Index() + int(s.Family), true
 }
 
-// keys holds each target's compact key by slot, built once: the dataset
-// writer and the flight log read one per event.
+// keys holds each target's compact key by slot, built once: the flight log
+// reads one per event.
 var keys = func() (keys [Slots]string) {
 	for _, t := range AllServiceAddrs() {
 		key := string(t.Letter) + "4"

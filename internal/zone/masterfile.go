@@ -306,6 +306,7 @@ func parseRData(typ dnswire.Type, f []string) (dnswire.RData, error) {
 			return nil, err
 		}
 		var strs []string
+		rdlen := 0
 		for _, s := range f {
 			u, err := strconv.Unquote(s) // Print writes it Go-quoted
 			if err != nil {
@@ -315,6 +316,14 @@ func parseRData(typ dnswire.Type, f []string) (dnswire.RData, error) {
 			// or end there.
 			if strings.ContainsAny(u, " ;") {
 				return nil, fmt.Errorf("TXT string %q holds a space or ';'", u)
+			}
+			// On the wire a string is a length byte and its bytes, and the
+			// RDATA a 16-bit length (RFC 1035 §3.3.14).
+			if len(u) > 255 {
+				return nil, fmt.Errorf("TXT string of %d bytes, over 255", len(u))
+			}
+			if rdlen += 1 + len(u); rdlen > 65535 {
+				return nil, fmt.Errorf("TXT RDATA of %d bytes or more, over 65,535", rdlen)
 			}
 			strs = append(strs, u)
 		}

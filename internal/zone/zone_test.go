@@ -3,6 +3,8 @@ package zone
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,6 +124,43 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader("$GENERATE 1-10 host-$ A 10.0.0.$\n"), dnswire.Root); err == nil {
 		t.Error("unsupported directive accepted")
+	}
+}
+
+// TestParseTXTLengthLimits: a TXT string is at most 255 bytes and a TXT
+// RDATA at most 65,535 on the wire, so Parse refuses more; what it accepts
+// at the limit prints and parses back unchanged, escapes and all.
+func TestParseTXTLengthLimits(t *testing.T) {
+	apex := dnswire.MustName("example.")
+	for name, text := range map[string]string{
+		"1,100,000 bytes of \\x01": "@ TXT " + strings.Repeat("\x01", 1100000),
+		"a 256-byte string":        "@ TXT " + strings.Repeat("a", 256),
+		"257 strings of 255 bytes": "@ TXT" + strings.Repeat(" "+strings.Repeat("a", 255), 257),
+	} {
+		if _, err := Parse(strings.NewReader(text+"\n"), apex); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for name, str := range map[string]string{
+		"255 printable bytes": strings.Repeat("a", 255),
+		"255 bytes of \\x01":  strings.Repeat("\x01", 255),
+	} {
+		z, err := Parse(strings.NewReader("@ TXT "+strconv.Quote(str)+"\n"), apex)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var printed bytes.Buffer
+		if err := z.Print(&printed); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(&printed, apex)
+		if err != nil {
+			t.Fatalf("%s: the printed zone does not parse: %v", name, err)
+		}
+		txt := again.Lookup(apex, dnswire.TypeTXT)
+		if len(txt) != 1 || !slices.Equal(txt[0].Data.(dnswire.TXTRecord).Strings, []string{str}) {
+			t.Errorf("%s: reads back as %v", name, txt)
+		}
 	}
 }
 

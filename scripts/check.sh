@@ -132,6 +132,11 @@ done
 # a zone it accepts prints to text that parses and prints the same bytes.
 echo "== fuzz FuzzParse (5s) =="
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/zone
+# The transfer reader's lazy walk against its decoding visitor: a record the
+# decoder reads has the same canonical bytes through the view, and a stream
+# Receive takes whole ReceiveLazy counts and walks alike.
+echo "== fuzz FuzzReceiveLazy (5s) =="
+go test -run '^FuzzReceiveLazy$' -fuzz '^FuzzReceiveLazy$' -fuzztime 5s ./internal/axfr
 
 echo "== chaos matrix =="
 go test -run 'TestChaos|TestSeal|TestWorker|TestResume|TestTorn|TestCorruptBlock|TestReplay|TestRewind|TestSingleBit|TestCrash|TestRefusals|TestHandOff|TestEveryFence|TestFailingOutput' \
