@@ -86,6 +86,8 @@ func NewSeeded(addr string, seed int64) *Client {
 // configuration it must happen before the first query; lockcheck enforces
 // that plain writes to config fields stay inside constructors and Set*
 // swap points.
+//
+//rootlint:allow deadcode: bench/traced.go gives its loopback AXFR probe (axfr.tcp_transfer_ms) a 10 s timeout
 func (c *Client) SetTimeout(d time.Duration) { c.Timeout = d }
 
 // SetEDNSSize configures the client to attach an OPT record advertising

@@ -271,19 +271,6 @@ func appendRRSIGPreamble(buf []byte, sig dnswire.RRSIGRecord) []byte {
 	return append(buf, canonicalOwner(sig.SignerName)...)
 }
 
-// VerifyRRset checks sig over rrset against the DNSKEYs in keys at time now.
-// It returns nil on success, or one of the taxonomy errors.
-func VerifyRRset(sig dnswire.RRSIGRecord, rrset []dnswire.RR, keys []dnswire.DNSKEYRecord, now time.Time) error {
-	if err := checkTemporal(sig, now); err != nil {
-		return err
-	}
-	key := findKey(keys, sig)
-	if key == nil {
-		return fmt.Errorf("%w: tag %d", ErrUnknownKey, sig.KeyTag)
-	}
-	return verifyCrypto(sig, key, signedData(sig, rrset))
-}
-
 // checkTemporal enforces the signature validity window at time now. These
 // checks depend on the validation time and are therefore never cached.
 func checkTemporal(sig dnswire.RRSIGRecord, now time.Time) error {

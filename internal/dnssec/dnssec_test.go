@@ -2,6 +2,7 @@ package dnssec
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,20 @@ func testRRset() []dnswire.RR {
 	}
 }
 
+// verifyRRset checks sig over rrset against the DNSKEYs in keys at time now:
+// the uncached form of verifyRRsetCached, for RRsets outside a zone. It
+// returns nil on success, or one of the taxonomy errors.
+func verifyRRset(sig dnswire.RRSIGRecord, rrset []dnswire.RR, keys []dnswire.DNSKEYRecord, now time.Time) error {
+	if err := checkTemporal(sig, now); err != nil {
+		return err
+	}
+	key := findKey(keys, sig)
+	if key == nil {
+		return fmt.Errorf("%w: tag %d", ErrUnknownKey, sig.KeyTag)
+	}
+	return verifyCrypto(sig, key, signedData(sig, rrset))
+}
+
 func TestSignVerifyRRset(t *testing.T) {
 	s := newTestSigner(t)
 	rrset := testRRset()
@@ -43,7 +58,7 @@ func TestSignVerifyRRset(t *testing.T) {
 		s.ZSK.DNSKEY(dnswire.Root, 172800).Data.(dnswire.DNSKEYRecord),
 		s.KSK.DNSKEY(dnswire.Root, 172800).Data.(dnswire.DNSKEYRecord),
 	}
-	if err := VerifyRRset(sig, rrset, keys, studyTime.Add(time.Hour)); err != nil {
+	if err := verifyRRset(sig, rrset, keys, studyTime.Add(time.Hour)); err != nil {
 		t.Errorf("verify: %v", err)
 	}
 }
@@ -81,7 +96,7 @@ func TestDeterministicSignerReproducible(t *testing.T) {
 		t.Fatal("same key and RRset produced different signature bytes")
 	}
 	keys := []dnswire.DNSKEYRecord{a.ZSK.DNSKEY(dnswire.Root, 172800).Data.(dnswire.DNSKEYRecord)}
-	if err := VerifyRRset(sigA.Data.(dnswire.RRSIGRecord), rrset, keys, studyTime.Add(time.Hour)); err != nil {
+	if err := verifyRRset(sigA.Data.(dnswire.RRSIGRecord), rrset, keys, studyTime.Add(time.Hour)); err != nil {
 		t.Fatalf("deterministic signature does not verify: %v", err)
 	}
 }
@@ -96,7 +111,7 @@ func TestVerifyRRsetOrderIndependent(t *testing.T) {
 	sig := sigRR.Data.(dnswire.RRSIGRecord)
 	keys := []dnswire.DNSKEYRecord{s.ZSK.DNSKEY(dnswire.Root, 172800).Data.(dnswire.DNSKEYRecord)}
 	reversed := []dnswire.RR{rrset[1], rrset[0]}
-	if err := VerifyRRset(sig, reversed, keys, studyTime); err != nil {
+	if err := verifyRRset(sig, reversed, keys, studyTime); err != nil {
 		t.Errorf("verify reversed: %v", err)
 	}
 }
@@ -111,10 +126,10 @@ func TestVerifyTimeWindow(t *testing.T) {
 	sig := sigRR.Data.(dnswire.RRSIGRecord)
 	keys := []dnswire.DNSKEYRecord{s.ZSK.DNSKEY(dnswire.Root, 172800).Data.(dnswire.DNSKEYRecord)}
 
-	if err := VerifyRRset(sig, rrset, keys, studyTime.Add(2*time.Hour)); !errors.Is(err, ErrSignatureExpired) {
+	if err := verifyRRset(sig, rrset, keys, studyTime.Add(2*time.Hour)); !errors.Is(err, ErrSignatureExpired) {
 		t.Errorf("after expiration: %v, want ErrSignatureExpired", err)
 	}
-	if err := VerifyRRset(sig, rrset, keys, studyTime.Add(-time.Hour)); !errors.Is(err, ErrSignatureNotIncepted) {
+	if err := verifyRRset(sig, rrset, keys, studyTime.Add(-time.Hour)); !errors.Is(err, ErrSignatureNotIncepted) {
 		t.Errorf("before inception: %v, want ErrSignatureNotIncepted", err)
 	}
 }
@@ -129,7 +144,7 @@ func TestVerifyUnknownKey(t *testing.T) {
 	sig := sigRR.Data.(dnswire.RRSIGRecord)
 	// Only the KSK offered: tag will not match the ZSK's signature.
 	keys := []dnswire.DNSKEYRecord{s.KSK.DNSKEY(dnswire.Root, 172800).Data.(dnswire.DNSKEYRecord)}
-	if err := VerifyRRset(sig, rrset, keys, studyTime); !errors.Is(err, ErrUnknownKey) {
+	if err := verifyRRset(sig, rrset, keys, studyTime); !errors.Is(err, ErrUnknownKey) {
 		t.Errorf("got %v, want ErrUnknownKey", err)
 	}
 }
@@ -147,14 +162,14 @@ func TestBitflipBreaksSignature(t *testing.T) {
 	// Flip one bit in the covered data: the host name of the first NS.
 	flipped := testRRset()
 	flipped[0].Data = dnswire.NSRecord{Host: dnswire.MustName("c.root-servers.net.")}
-	if err := VerifyRRset(sig, flipped, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
+	if err := verifyRRset(sig, flipped, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
 		t.Errorf("flipped data: %v, want ErrBogusSignature", err)
 	}
 	// Flip one bit in the signature itself.
 	badSig := sig
 	badSig.Signature = append([]byte(nil), sig.Signature...)
 	badSig.Signature[10] ^= 0x01
-	if err := VerifyRRset(badSig, rrset, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
+	if err := verifyRRset(badSig, rrset, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
 		t.Errorf("flipped signature: %v, want ErrBogusSignature", err)
 	}
 }
@@ -175,7 +190,7 @@ func TestAnySingleBitflipFailsVerification(t *testing.T) {
 		bad := sig
 		bad.Signature = append([]byte(nil), sig.Signature...)
 		bad.Signature[int(pos)%len(bad.Signature)] ^= 1 << (bit % 8)
-		return errors.Is(VerifyRRset(bad, rrset, keys, studyTime), ErrBogusSignature)
+		return errors.Is(verifyRRset(bad, rrset, keys, studyTime), ErrBogusSignature)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {
 		t.Error(err)
@@ -362,20 +377,20 @@ func TestRSASignVerify(t *testing.T) {
 		t.Errorf("RRSIG algorithm = %d", sig.Algorithm)
 	}
 	keys := []dnswire.DNSKEYRecord{ksk.DNSKEY(dnswire.Root, 172800).Data.(dnswire.DNSKEYRecord)}
-	if err := VerifyRRset(sig, rrset, keys, studyTime); err != nil {
+	if err := verifyRRset(sig, rrset, keys, studyTime); err != nil {
 		t.Errorf("verify: %v", err)
 	}
 	// A single bit flip breaks it.
 	bad := sig
 	bad.Signature = append([]byte(nil), sig.Signature...)
 	bad.Signature[20] ^= 0x04
-	if err := VerifyRRset(bad, rrset, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
+	if err := verifyRRset(bad, rrset, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
 		t.Errorf("flipped RSA signature: %v", err)
 	}
 	// Covered-data change breaks it.
 	flipped := testRRset()
 	flipped[0].Data = dnswire.NSRecord{Host: dnswire.MustName("x.root-servers.net.")}
-	if err := VerifyRRset(sig, flipped, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
+	if err := verifyRRset(sig, flipped, keys, studyTime); !errors.Is(err, ErrBogusSignature) {
 		t.Errorf("flipped RSA data: %v", err)
 	}
 }
@@ -444,7 +459,7 @@ func TestUnsupportedAlgorithmRejected(t *testing.T) {
 	// with ErrUnknownKey before reaching the algorithm switch; recompute
 	// the tag so the key matches and the algorithm check is exercised.
 	sig.KeyTag = KeyTag(dk)
-	err = VerifyRRset(sig, rrset, []dnswire.DNSKEYRecord{dk}, studyTime)
+	err = verifyRRset(sig, rrset, []dnswire.DNSKEYRecord{dk}, studyTime)
 	if !errors.Is(err, ErrBogusSignature) {
 		t.Errorf("unsupported algorithm verdict: %v", err)
 	}

@@ -275,7 +275,7 @@ func ValidateZone(z *zone.Zone, anchor dnswire.DSRecord, now time.Time) error {
 	return nil
 }
 
-// verifyRRsetCached is VerifyRRset against a zone-resident RRset (set holds
+// verifyRRsetCached verifies sig over a zone-resident RRset (set holds
 // record indices, canonically ordered): temporal checks and key lookup run
 // every time, but a signature whose crypto already verified against this
 // zone's keys is accepted without redoing the ~50µs ECDSA verification —

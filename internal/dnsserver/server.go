@@ -3,7 +3,7 @@
 // priming responses (RFC 8109), NXDOMAIN, CHAOS-class server identity
 // (hostname.bind, id.server, version.bind, version.server), truncation with
 // TCP fallback, and AXFR. Each simulated root server instance in the study
-// can be backed by one of these, and the examples run them on loopback.
+// can be backed by one of these; rootserve and the tests run them on loopback.
 //
 // The root zone's answer space is small and closed — one referral per TLD,
 // one NXDOMAIN proof per NSEC span, a handful of apex and CHAOS answers — so

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dnsclient"
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
+	"repro/internal/faults"
 	"repro/internal/zone"
 	"repro/internal/zonemd"
 )
@@ -224,6 +225,14 @@ func TestAXFRAllowedAndValidates(t *testing.T) {
 	if zErr != nil || dErr != nil {
 		t.Errorf("transferred zone fails validation: zonemd=%v dnssec=%v", zErr, dErr)
 	}
+	// One flipped bit in the local copy (faulty RAM, the paper's Fig. 10)
+	// must not survive a revalidation before use.
+	if _, ok := faults.FlipSignatureBit(got, rand.New(rand.NewSource(1))); !ok {
+		t.Fatal("transferred zone has no signature to flip")
+	}
+	if zErr, dErr := zonemd.FullValidation(got, anchor, studyTime.Add(time.Hour)); zErr == nil && dErr == nil {
+		t.Error("a flipped signature bit in the transferred zone passed validation")
+	}
 }
 
 func TestAXFRRefused(t *testing.T) {
@@ -371,8 +380,8 @@ func TestNXDomainNSECProof(t *testing.T) {
 		t.Error("NSEC proof unsigned")
 	}
 	// The covering NSEC must actually cover the queried name, by the
-	// validator's own span check.
-	if kind, err := dnssec.CheckDenial(nsecs, dnswire.MustName("no-such-tld-xyz."), dnswire.TypeA); err != nil || kind != dnssec.DenialNXDomain {
+	// denial oracle's span check.
+	if kind, err := checkDenial(nsecs, dnswire.MustName("no-such-tld-xyz."), dnswire.TypeA); err != nil || kind != denialNXDomain {
 		t.Errorf("returned NSECs do not prove NXDOMAIN: kind=%v err=%v", kind, err)
 	}
 }
@@ -389,14 +398,14 @@ func TestNODataNSECProof(t *testing.T) {
 	if resp.Header.Rcode != dnswire.RcodeNoError || len(resp.Answers) != 0 {
 		t.Fatalf("rcode=%s answers=%d", resp.Header.Rcode, len(resp.Answers))
 	}
-	foundApexNSEC := false
+	var nsecs []dnswire.RR
 	for _, rr := range resp.Authority {
-		if _, ok := rr.Data.(dnswire.NSECRecord); ok && rr.Name.IsRoot() {
-			foundApexNSEC = true
+		if _, ok := rr.Data.(dnswire.NSECRecord); ok {
+			nsecs = append(nsecs, rr)
 		}
 	}
-	if !foundApexNSEC {
-		t.Error("NODATA response lacks the apex NSEC")
+	if kind, err := checkDenial(nsecs, dnswire.Root, dnswire.TypeTXT); err != nil || kind != denialNoData {
+		t.Errorf("returned NSECs do not prove NODATA: kind=%v err=%v", kind, err)
 	}
 }
 

@@ -4,38 +4,37 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 // Each fixture pairs a failing package (a, every violation form with a want
 // expectation) with a passing package (b, near-miss idioms that must stay
 // silent); the directive fixture carries both in one file.
 
-func TestDetrand(t *testing.T) { linttest.Run(t, lint.Detrand, "detrand") }
+func TestDetrand(t *testing.T) { runFixture(t, lint.Detrand, "detrand") }
 
-func TestHotpath(t *testing.T) { linttest.Run(t, lint.Hotpath, "hotpath") }
+func TestHotpath(t *testing.T) { runFixture(t, lint.Hotpath, "hotpath") }
 
-func TestOrderedmap(t *testing.T) { linttest.Run(t, lint.Orderedmap, "orderedmap") }
+func TestOrderedmap(t *testing.T) { runFixture(t, lint.Orderedmap, "orderedmap") }
 
-func TestFailpointsite(t *testing.T) { linttest.Run(t, lint.Failpointsite, "failpointsite") }
+func TestFailpointsite(t *testing.T) { runFixture(t, lint.Failpointsite, "failpointsite") }
 
-func TestMetricname(t *testing.T) { linttest.Run(t, lint.Metricname, "metricname") }
+func TestMetricname(t *testing.T) { runFixture(t, lint.Metricname, "metricname") }
 
-func TestQlogfield(t *testing.T) { linttest.Run(t, lint.Qlogfield, "qlogfield") }
+func TestQlogfield(t *testing.T) { runFixture(t, lint.Qlogfield, "qlogfield") }
 
-func TestDirective(t *testing.T) { linttest.Run(t, lint.Directive, "directive") }
+func TestDirective(t *testing.T) { runFixture(t, lint.Directive, "directive") }
 
 // The lockcheck fixture is deliberately multi-file (a/a.go + a/helper.go)
 // and multi-package (a + shard, with the confinement violation crossing the
-// package boundary): one linttest run covers wants everywhere the loader
+// package boundary): one fixture run covers wants everywhere the loader
 // finds them.
-func TestLockcheck(t *testing.T) { linttest.Run(t, lint.Lockcheck, "lockcheck") }
+func TestLockcheck(t *testing.T) { runFixture(t, lint.Lockcheck, "lockcheck") }
 
-func TestLeakcheck(t *testing.T) { linttest.Run(t, lint.Leakcheck, "leakcheck") }
+func TestLeakcheck(t *testing.T) { runFixture(t, lint.Leakcheck, "leakcheck") }
 
 // The deadcode fixture is a whole module: a root package, a binary, a bench
 // and a library with one declaration per rule.
-func TestDeadcode(t *testing.T) { linttest.Run(t, lint.Deadcode, "deadcode") }
+func TestDeadcode(t *testing.T) { runFixture(t, lint.Deadcode, "deadcode") }
 
 // TestSuiteCleanOnRepo is the same gate as `make lint`: the full analyzer
 // suite over the whole module must report nothing. Keeping it as a test

@@ -41,7 +41,7 @@ var detrandSeededConstructors = map[string]bool{
 }
 
 func runDetrand(pass *Pass) error {
-	if pass.Pkg == nil || pass.Pkg.Name() == "main" || pass.Pkg.Name() == "lint" || pass.Pkg.Name() == "linttest" {
+	if pass.Pkg == nil || pass.Pkg.Name() == "main" || pass.Pkg.Name() == "lint" {
 		return nil
 	}
 	allows := pass.allows()

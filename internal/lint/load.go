@@ -22,7 +22,7 @@ type LoadConfig struct {
 	Dir string
 	// ModulePath, when non-empty, is the import-path prefix mapped onto Dir
 	// (the module path from go.mod). When empty, packages import each other
-	// by Dir-relative paths — the layout linttest fixtures use.
+	// by Dir-relative paths — the layout the analyzer fixtures use.
 	ModulePath string
 }
 

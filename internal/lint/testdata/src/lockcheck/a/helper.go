@@ -1,4 +1,4 @@
-// A second file in the same package: the analyzer and the linttest harness
+// A second file in the same package: the analyzer and the fixture harness
 // must handle wants and bodies across files in one run.
 package a
 

@@ -359,8 +359,8 @@ func (t *Topology) IXPAt(code string) (IXP, bool) {
 	return IXP{}, false
 }
 
-// Validate checks structural invariants; it is used by tests and Build's
-// callers in examples.
+// Validate checks structural invariants; the campaign checks the topology
+// it builds before routing over it.
 func (t *Topology) Validate() error {
 	for _, e := range t.Edges {
 		if t.ASes[e.A] == nil || t.ASes[e.B] == nil {

@@ -1,9 +1,12 @@
 #!/bin/sh
-# CI robustness step: static analysis, a short fuzz smoke over the wire
-# codec, and the chaos matrix (kill/resume byte-identity at every failpoint
-# site crossed with serial and parallel workers).
+# CI robustness step: static analysis and grep guards, a short fuzz smoke
+# over every parser with a fuzz target, and the chaos matrix (kill/resume
+# byte-identity at every failpoint site crossed with serial and parallel
+# workers).
 set -eu
 cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT INT TERM
 
 # wait_for_bind <log> <what>: rootserve on 127.0.0.1:0 prints the port it
 # got; poll its log for up to 10s and leave the port in $port.
@@ -56,6 +59,18 @@ if grep -rn --include='*.go' -e 'os\.Exit(' -e 'log\.Fatal' cmd |
 	exit 1
 fi
 
+# Every program in the module is run by a test, or it goes: a main package
+# without a test file is a root that keeps code alive for deadcode while no
+# test, script or CI leg runs it.
+echo "== untested-main guard =="
+untested=$(go list -f '{{.Name}} {{len .TestGoFiles}} {{len .XTestGoFiles}} {{.ImportPath}}' ./... |
+	awk '$1 == "main" && $2 + $3 == 0 { print $4 }')
+if [ -n "$untested" ]; then
+	echo "untested-main guard: these programs have no test file; test them or delete them:" >&2
+	echo "$untested" >&2
+	exit 1
+fi
+
 # rootlint runs before the fuzz smoke: a determinism or hot-path violation
 # is cheaper to surface than a fuzz crash, and the suite doubles as a type
 # check of the whole tree. The suite includes metricname, which cross-checks
@@ -90,53 +105,55 @@ go test -race -count=1 -run 'TestTelemetryStressConcurrent' ./internal/telemetry
 echo "== serve-under-load race stress =="
 go test -race -count=1 -run 'TestSetZoneUnderLoad|TestServeWorkersSharded|TestCompiledAnswersMatchOracle|TestSetZoneDropsCompiledAnswers' ./internal/dnsserver
 
-# Short fuzz smoke: each dnswire fuzz target gets a few seconds of
-# coverage-guided input on top of its seed corpus. Crashes fail the step.
-# FuzzViewAgreement cross-checks the lazy wire view against the full decoder
-# on every input the codec fuzzers ever found interesting.
-for target in FuzzUnpack FuzzDecodeName FuzzViewAgreement; do
-	echo "== fuzz $target (5s) =="
-	go test -run "^$target$" -fuzz "^$target$" -fuzztime 5s ./internal/dnswire
-done
+# fuzz <package> <target>: a short fuzz smoke, a few seconds of
+# coverage-guided input on top of the target's seed corpus. A crash fails the
+# step. A new interesting input is minimized for at most a second, not go
+# test's 60 s default, so the leg spends its time fuzzing; its last execs:
+# line shows how much it did.
+fuzz() {
+	echo "== fuzz $2 (5s) =="
+	if ! go test -run "^$2\$" -fuzz "^$2\$" -fuzztime 5s -fuzzminimizetime 1s "$1" >"$tmp/fuzz.log" 2>&1; then
+		cat "$tmp/fuzz.log" >&2
+		exit 1
+	fi
+	grep 'execs:' "$tmp/fuzz.log" | tail -n 1
+}
+# The wire codec; FuzzViewAgreement cross-checks the lazy wire view against
+# the full decoder on every input the codec fuzzers ever found interesting.
+fuzz ./internal/dnswire FuzzUnpack
+fuzz ./internal/dnswire FuzzDecodeName
+fuzz ./internal/dnswire FuzzViewAgreement
 # The front door's key=value walker and everything that parses a flag with it
 # (-netem, -rrl, -qlog-sample, -chaos): no spec panics, and an accepted one
 # renders to a spec that sets the same value.
-echo "== fuzz FuzzSpec (5s) =="
-go test -run '^FuzzSpec$' -fuzz '^FuzzSpec$' -fuzztime 5s ./internal/cli
-# The flight-log frame decoder gets the same treatment: arbitrary bytes must
-# never panic the reader, and whatever decodes must satisfy the envelope
-# invariants (registered kind, full field list).
-echo "== fuzz FuzzQlogDecode (5s) =="
-go test -run '^FuzzQlogDecode$' -fuzz '^FuzzQlogDecode$' -fuzztime 5s ./internal/qlog
+fuzz ./internal/cli FuzzSpec
+# The flight-log frame decoder: arbitrary bytes must never panic the reader,
+# and whatever decodes must satisfy the envelope invariants (registered kind,
+# full field list).
+fuzz ./internal/qlog FuzzQlogDecode
 # The sealed-segment container under every dataset and flight log: arbitrary
 # bytes behind a valid header must never panic the frame scanner, the CRC +
 # inflate step or the record reader, and a scanned frame is exactly as long
 # as its header says.
-echo "== fuzz FuzzScanFrame (5s) =="
-go test -run '^FuzzScanFrame$' -fuzz '^FuzzScanFrame$' -fuzztime 5s ./internal/segment
+fuzz ./internal/segment FuzzScanFrame
 # The dataset's record decoder on top of it: for any block payload and
 # declared count, the replay's compact decode and the events its drain builds
 # must equal what the slow field-by-field oracle decodes, stop at the same
 # record, and fail or not alike.
-echo "== fuzz FuzzBlockDecode (5s) =="
-go test -run '^FuzzBlockDecode$' -fuzz '^FuzzBlockDecode$' -fuzztime 5s ./internal/dataset
+fuzz ./internal/dataset FuzzBlockDecode
 # The serve path's two byte-level decisions against their oracles: the fast
 # parser must agree with the full decoder on everything it accepts, and a
 # compiled answer must equal decode + Handle + pack + truncate byte for byte
 # (seeded with both compression traps: "www.CoM." and "ns1.com.").
-for target in FuzzShapeAgreement FuzzCompiledAgreement; do
-	echo "== fuzz $target (5s) =="
-	go test -run "^$target$" -fuzz "^$target$" -fuzztime 5s ./internal/dnsserver
-done
+fuzz ./internal/dnsserver FuzzShapeAgreement
+fuzz ./internal/dnsserver FuzzCompiledAgreement
 # The master-file parser zonemdcheck reads from disk: no text panics it, and
 # a zone it accepts prints to text that parses and prints the same bytes.
-echo "== fuzz FuzzParse (5s) =="
-go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/zone
+fuzz ./internal/zone FuzzParse
 # The transfer reader's lazy walk against its decoding visitor: a record the
 # decoder reads has the same canonical bytes through the view, and a stream
 # Receive takes whole ReceiveLazy counts and walks alike.
-echo "== fuzz FuzzReceiveLazy (5s) =="
-go test -run '^FuzzReceiveLazy$' -fuzz '^FuzzReceiveLazy$' -fuzztime 5s ./internal/axfr
+fuzz ./internal/axfr FuzzReceiveLazy
 
 echo "== chaos matrix =="
 go test -run 'TestChaos|TestSeal|TestWorker|TestResume|TestTorn|TestCorruptBlock|TestReplay|TestRewind|TestSingleBit|TestCrash|TestRefusals|TestHandOff|TestEveryFence|TestFailingOutput' \
@@ -162,8 +179,6 @@ go test -count=1 \
 # blocks and its checkpoints change wall-clock, not behavior. The world is not
 # the default one and no replay is told so: the recording names its run.
 echo "== snapshot-diff self-check (serial vs parallel vs checkpointed replay) =="
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT INT TERM
 go build -o "$tmp/rootmeasure" ./cmd/rootmeasure
 go build -o "$tmp/rootanalyze" ./cmd/rootanalyze
 "$tmp/rootmeasure" -scale 512 -vpscale 8 -tlds 20 -out "$tmp/study.rgds" >/dev/null
