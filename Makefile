@@ -21,7 +21,8 @@ lint:
 # Race coverage for the parallel campaign engine, the analyses it feeds,
 # everything a checkpoint touches (dataset, flight log, segment container,
 # sidecar writer, telemetry), the zone sidecar and the signing chain over it,
-# and the DNS server. See scripts/race.sh.
+# the shared AS graph and its routing tables, and the DNS server. See
+# scripts/race.sh.
 race:
 	sh scripts/race.sh
 

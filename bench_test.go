@@ -359,6 +359,23 @@ func BenchmarkRouteComputation(b *testing.B) {
 	}
 }
 
+// BenchmarkNewWorld builds the world of the bench's campaign workload
+// (schedule scale 192, VP divisor 4, 80 TLDs): the topology, the 13
+// deployments, their 26 routing tables, the VP population, the signer and
+// both base zones.
+func BenchmarkNewWorld(b *testing.B) {
+	mCfg := measure.DefaultConfig()
+	mCfg.Scale, mCfg.TLDCount = 192, 80
+	vpCfg := vantage.DefaultConfig()
+	vpCfg.Scale = 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := measure.NewWorld(mCfg, topology.DefaultConfig(), vpCfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Ablation benchmarks ---------------------------------------------------
 
 // BenchmarkAblationCompression compares packing the priming response with

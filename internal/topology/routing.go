@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"sort"
-
-	"repro/internal/geo"
-)
+import "sort"
 
 // Origin is one announcement point of an anycast prefix: the hosting AS and
 // an opaque site identifier the routing engine carries through to the
@@ -92,19 +88,23 @@ const maxAlternates = 4
 
 type rib map[int][]Route
 
-func (r rib) insert(asn int, route Route) bool {
+// insert offers route to asn's candidates and returns it as kept, or false
+// when asn refuses it. route.ASPath may be the caller's scratch: the checks
+// read the candidate where it lies, and only a route that is kept is given a
+// path of its own, so a candidate that loses costs no allocation.
+func (r rib) insert(asn int, route Route) (Route, bool) {
 	routes := r[asn]
 	// Reject loops: asn is ASPath[0] by construction; it must not reappear.
 	for _, hop := range route.ASPath[1:] {
 		if hop == asn {
-			return false
+			return Route{}, false
 		}
 	}
 	// Duplicate suppression: same origin and same path length via same class.
 	for _, existing := range routes {
 		if existing.Origin == route.Origin && len(existing.ASPath) == len(route.ASPath) &&
 			existing.relType == route.relType {
-			return false
+			return Route{}, false
 		}
 	}
 	// routes is sorted, best first: the new route goes in front of the first
@@ -117,7 +117,11 @@ func (r rib) insert(asn int, route Route) bool {
 		}
 	}
 	if pos >= maxAlternates {
-		return false
+		return Route{}, false
+	}
+	route.ASPath = append([]int(nil), route.ASPath...)
+	if routes == nil {
+		routes = make([]Route, 0, maxAlternates)
 	}
 	if len(routes) < maxAlternates {
 		routes = append(routes, Route{})
@@ -125,7 +129,7 @@ func (r rib) insert(asn int, route Route) bool {
 	copy(routes[pos+1:], routes[pos:])
 	routes[pos] = route
 	r[asn] = routes
-	return true
+	return route, true
 }
 
 // RoutingTable holds, for every AS, its candidate routes to one anycast
@@ -141,6 +145,7 @@ type RoutingTable struct {
 // (IXP) peers.
 func (t *Topology) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 	routes := make(rib)
+	var scratch []int // the candidate path extend writes and insert copies
 
 	// Seed: each origin AS has a zero-length route to itself.
 	type workItem struct {
@@ -168,9 +173,9 @@ func (t *Topology) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 			if n.rel != relProvider {
 				continue
 			}
-			ext := extend(t, item.route, item.asn, n.asn, relCustomer)
-			if routes.insert(n.asn, ext) && !ext.Origin.Local {
-				queue = append(queue, workItem{n.asn, ext})
+			kept, ok := routes.insert(n.asn, extend(&scratch, item.route, n, relCustomer))
+			if ok && !kept.Origin.Local {
+				queue = append(queue, workItem{n.asn, kept})
 			}
 		}
 	}
@@ -201,9 +206,9 @@ func (t *Topology) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 			if n.rel != relPeer {
 				continue
 			}
-			ext := extend(t, item.route, item.asn, n.asn, relPeer)
-			if routes.insert(n.asn, ext) && !ext.Origin.Local {
-				downQueue = append(downQueue, workItem{n.asn, ext})
+			kept, ok := routes.insert(n.asn, extend(&scratch, item.route, n, relPeer))
+			if ok && !kept.Origin.Local {
+				downQueue = append(downQueue, workItem{n.asn, kept})
 			}
 		}
 	}
@@ -233,9 +238,8 @@ func (t *Topology) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 			if n.rel != relCustomer {
 				continue
 			}
-			ext := extend(t, item.route, item.asn, n.asn, relProvider)
-			if routes.insert(n.asn, ext) {
-				downQueue = append(downQueue, workItem{n.asn, ext})
+			if kept, ok := routes.insert(n.asn, extend(&scratch, item.route, n, relProvider)); ok {
+				downQueue = append(downQueue, workItem{n.asn, kept})
 			}
 		}
 	}
@@ -243,16 +247,14 @@ func (t *Topology) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 	return &RoutingTable{routes: routes}
 }
 
-// extend prepends nextASN to route (the receiver's view).
-func extend(t *Topology, r Route, from, to int, learned localRel) Route {
-	path := make([]int, 0, len(r.ASPath)+1)
-	path = append(path, to)
-	path = append(path, r.ASPath...)
-	km := r.PathKm + geo.DistanceKm(t.ASes[to].City.Point, t.ASes[from].City.Point)
-	// The HE-like carrier's IPv4 capacity is poor: model the paper's
-	// observation (221 ms average v4 vs 23 ms v6 through AS6939) as a large
-	// v4 path-length penalty through that AS.
-	return Route{Origin: r.Origin, ASPath: path, PathKm: km, relType: learned}
+// extend returns r as neighbor n learns it from the AS holding r, over an
+// edge it learns as class learned. The path is written into *scratch, which
+// the next extend overwrites: rib.insert copies it only for a route it keeps.
+// r.ASPath must not be *scratch.
+func extend(scratch *[]int, r Route, n neighbor, learned localRel) Route {
+	path := append(append((*scratch)[:0], n.asn), r.ASPath...)
+	*scratch = path
+	return Route{Origin: r.Origin, ASPath: path, PathKm: r.PathKm + n.km, relType: learned}
 }
 
 // Candidates returns the candidate routes from asn, best first, empty when

@@ -16,6 +16,7 @@ import "container/heap"
 func (t *Topology) ComputeRoutesShortest(origins []Origin, f Family) *RoutingTable {
 	routes := make(rib)
 	pq := &routeQueue{}
+	var scratch []int // the candidate path extend writes and insert copies
 	for _, o := range origins {
 		if t.ASes[o.ASN] == nil {
 			continue
@@ -30,11 +31,11 @@ func (t *Topology) ComputeRoutesShortest(origins []Origin, f Family) *RoutingTab
 			continue
 		}
 		for _, n := range t.adj[f][it.asn] {
-			ext := extend(t, it.route, it.asn, n.asn, relCustomer)
 			// Classless: every learned route ranks as customer-class so only
 			// length and geography decide.
-			if routes.insert(n.asn, ext) && !ext.Origin.Local {
-				heap.Push(pq, queuedRoute{n.asn, ext})
+			kept, ok := routes.insert(n.asn, extend(&scratch, it.route, n, relCustomer))
+			if ok && !kept.Origin.Local {
+				heap.Push(pq, queuedRoute{n.asn, kept})
 			}
 		}
 	}

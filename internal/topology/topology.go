@@ -96,7 +96,8 @@ type IXP struct {
 	Members []int
 }
 
-// Topology is the immutable AS graph.
+// Topology is the immutable AS graph. Build fills it and its caches, and
+// nothing writes either afterwards, so any number of goroutines may read one.
 type Topology struct {
 	ASes  map[int]*AS
 	Edges []Edge
@@ -105,6 +106,10 @@ type Topology struct {
 	// adj caches per-family adjacency: for each ASN, the neighbors with the
 	// relationship as seen from that AS.
 	adj map[Family]map[int][]neighbor
+	// stubs and regionStubs cache StubASNs: every stub ASN, sorted, and the
+	// same per region.
+	stubs       []int
+	regionStubs [geo.RegionCount][]int
 }
 
 type neighbor struct {
@@ -112,6 +117,9 @@ type neighbor struct {
 	// rel is the relationship from the owning AS's perspective:
 	// relCustomer means the neighbor is my customer, etc.
 	rel localRel
+	// km is the great-circle distance a route crossing the edge to the
+	// neighbor adds to its PathKm.
+	km float64
 }
 
 type localRel int
@@ -287,6 +295,7 @@ func Build(cfg Config) *Topology {
 	}
 
 	t.buildAdjacency()
+	t.buildStubLists()
 	return t
 }
 
@@ -308,7 +317,14 @@ func (t *Topology) buildAdjacency() {
 		IPv4: make(map[int][]neighbor),
 		IPv6: make(map[int][]neighbor),
 	}
+	// km is what a route held by from adds to its PathKm when to learns it.
+	// The receiver's point goes first: the float is then the one
+	// TestComputeRoutesMatchesReference's oracle adds.
+	km := func(from, to int) float64 {
+		return geo.DistanceKm(t.ASes[to].City.Point, t.ASes[from].City.Point)
+	}
 	for _, e := range t.Edges {
+		ab, ba := km(e.A, e.B), km(e.B, e.A)
 		for _, f := range Families() {
 			if !e.Available(f) {
 				continue
@@ -316,11 +332,11 @@ func (t *Topology) buildAdjacency() {
 			switch e.Rel {
 			case Transit:
 				// A is provider of B.
-				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relCustomer})
-				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relProvider})
+				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relCustomer, km: ab})
+				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relProvider, km: ba})
 			case Peering, IXPPeering:
-				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relPeer})
-				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relPeer})
+				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relPeer, km: ab})
+				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relPeer, km: ba})
 			}
 		}
 	}
@@ -333,20 +349,30 @@ func (t *Topology) buildAdjacency() {
 	}
 }
 
-// StubASNs returns all stub ASNs, sorted, optionally filtered by region.
-func (t *Topology) StubASNs(region *geo.Region) []int {
-	var out []int
+// buildStubLists fills the stub lists StubASNs returns.
+func (t *Topology) buildStubLists() {
 	for asn, as := range t.ASes {
-		if as.Tier != Stub {
-			continue
+		if as.Tier == Stub {
+			t.stubs = append(t.stubs, asn)
 		}
-		if region != nil && as.Region != *region {
-			continue
-		}
-		out = append(out, asn)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(t.stubs)
+	for _, asn := range t.stubs {
+		r := t.ASes[asn].Region
+		t.regionStubs[r] = append(t.regionStubs[r], asn)
+	}
+}
+
+// StubASNs returns all stub ASNs, sorted, optionally filtered by region. The
+// slice is the topology's own, built once by Build and shared by every
+// caller, and must not be written; its capacity is clipped so that an append
+// reallocates.
+func (t *Topology) StubASNs(region *geo.Region) []int {
+	out := t.stubs
+	if region != nil {
+		out = t.regionStubs[*region]
+	}
+	return out[:len(out):len(out)]
 }
 
 // IXPAt returns the IXP in metro code, if any.

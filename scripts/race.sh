@@ -4,8 +4,9 @@
 # a checkpoint (the dataset and flight-log writers with their seal hand-off
 # in internal/segment, block-parallel replay, the sidecar, telemetry); the
 # per-probe models, the zone sidecar and the signing chain the workers share;
-# and the DNS server's lock-free serve state. Each package's tests say what
-# they pin.
+# the AS graph with its routing tables and stub lists, which every worker
+# reads at once; and the DNS server's lock-free serve state. Each package's
+# tests say what they pin.
 set -eu
 cd "$(dirname "$0")/.."
 exec go test -race \
@@ -13,5 +14,6 @@ exec go test -race \
 	./internal/dataset/... ./internal/qlog/... ./internal/segment/... \
 	./internal/checkpoint/... ./internal/telemetry/... \
 	./internal/anycast/... ./internal/traceroute/... \
+	./internal/topology/... ./internal/rss/... ./internal/vantage/... \
 	./internal/zone/... ./internal/dnssec/... ./internal/zonemd/... \
 	./internal/dnsserver/...
