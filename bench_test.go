@@ -362,17 +362,25 @@ func BenchmarkRouteComputation(b *testing.B) {
 // BenchmarkNewWorld builds the world of the bench's campaign workload
 // (schedule scale 192, VP divisor 4, 80 TLDs): the topology, the 13
 // deployments, their 26 routing tables, the VP population, the signer and
-// both base zones.
+// both base zones. "default" computes the tables on one goroutine per CPU,
+// as the campaign does; "workers=1" computes them inline.
 func BenchmarkNewWorld(b *testing.B) {
-	mCfg := measure.DefaultConfig()
-	mCfg.Scale, mCfg.TLDCount = 192, 80
-	vpCfg := vantage.DefaultConfig()
-	vpCfg.Scale = 4
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := measure.NewWorld(mCfg, topology.DefaultConfig(), vpCfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"default", 0}, {"workers=1", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			mCfg := measure.DefaultConfig()
+			mCfg.Scale, mCfg.TLDCount, mCfg.Workers = 192, 80, bc.workers
+			vpCfg := vantage.DefaultConfig()
+			vpCfg.Scale = 4
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := measure.NewWorld(mCfg, topology.DefaultConfig(), vpCfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -124,6 +124,16 @@ func ComputeCatchment(topo *topology.Topology, d *Deployment, f topology.Family)
 	}
 }
 
+// ComputeCatchmentWith is ComputeCatchment on r's scratch: a goroutine that
+// resolves many catchments over one topology keeps one Router for them all.
+func ComputeCatchmentWith(r *topology.Router, d *Deployment, f topology.Family) *Catchment {
+	return &Catchment{
+		Deployment: d,
+		Family:     f,
+		table:      r.ComputeRoutes(d.Origins(), f),
+	}
+}
+
 // Choices is what a client AS chooses between in one catchment at one
 // schedule thinning: everything about a selection that no tick changes.
 // SelectAt and the campaign's probe plan are both built on it, so they cannot

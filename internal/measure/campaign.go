@@ -254,6 +254,8 @@ type World struct {
 
 // NewWorld builds the full simulated world: topology, 13 deployments,
 // VP population, catchments, and the DNSSEC signer with its trust anchor.
+// The 26 catchments are computed on Config.Workers goroutines, resolved as
+// the campaign resolves them; the world is the same at any count.
 func NewWorld(cfg Config, topoCfg topology.Config, vpCfg vantage.Config) (*World, error) {
 	topo := topology.Build(topoCfg)
 	if err := topo.Validate(); err != nil {
@@ -281,7 +283,7 @@ func NewWorld(cfg Config, topoCfg topology.Config, vpCfg vantage.Config) (*World
 		Topo:        topo,
 		System:      sys,
 		Population:  pop,
-		Catchments:  sys.Catchments(),
+		Catchments:  sys.Catchments(cfg.workerCount()),
 		Signer:      signer,
 		BaseZone:    base,
 		BaseZonePre: basePre,

@@ -68,9 +68,9 @@ type tickResult struct {
 
 // workerCount resolves Config.Workers: 0 (or negative) means one worker per
 // available CPU.
-func (c *Campaign) workerCount() int {
-	if c.Cfg.Workers > 0 {
-		return c.Cfg.Workers
+func (cfg Config) workerCount() int {
+	if cfg.Workers > 0 {
+		return cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -94,7 +94,7 @@ func (c *Campaign) Run(handlers ...Handler) error {
 	}
 	ticks := Ticks(c.Cfg.Start, c.Cfg.End, c.Cfg.Scale)
 	nVPs, nTargets := len(c.World.Population.VPs), len(c.probes.targets)
-	workers := max(1, min(c.workerCount(), nVPs))
+	workers := max(1, min(c.Cfg.workerCount(), nVPs))
 	every := c.Cfg.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery

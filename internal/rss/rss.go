@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/anycast"
 	"repro/internal/geo"
@@ -261,14 +263,40 @@ func Build(topo *topology.Topology, seed int64) *System {
 	return sys
 }
 
-// Catchments computes the catchment of every deployment in both families.
-// The map is keyed by letter then family.
-func (s *System) Catchments() map[Letter]map[topology.Family]*anycast.Catchment {
-	out := make(map[Letter]map[topology.Family]*anycast.Catchment, 13)
-	for _, l := range Letters() {
-		out[l] = make(map[topology.Family]*anycast.Catchment, 2)
-		for _, f := range topology.Families() {
-			out[l][f] = anycast.ComputeCatchment(s.Topo, s.Deployments[l], f)
+// Catchments computes the catchment of every deployment in both families on
+// workers goroutines; at 1 (or less) it computes them inline, on the
+// caller's. Each goroutine keeps one topology.Router for the tables it
+// computes, and each table goes to its fixed (letter, family) slot whichever
+// goroutine computed it, so the result is the same at any count. The map is
+// keyed by letter then family.
+func (s *System) Catchments(workers int) map[Letter]map[topology.Family]*anycast.Catchment {
+	letters, fams := Letters(), topology.Families()
+	slots := make([]*anycast.Catchment, len(letters)*len(fams))
+	var next atomic.Int64
+	work := func() {
+		r := s.Topo.NewRouter()
+		for i := int(next.Add(1) - 1); i < len(slots); i = int(next.Add(1) - 1) {
+			slots[i] = anycast.ComputeCatchmentWith(r, s.Deployments[letters[i/len(fams)]], fams[i%len(fams)])
+		}
+	}
+	if workers = min(workers, len(slots)); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	out := make(map[Letter]map[topology.Family]*anycast.Catchment, len(letters))
+	for li, l := range letters {
+		out[l] = make(map[topology.Family]*anycast.Catchment, len(fams))
+		for fi, f := range fams {
+			out[l][f] = slots[li*len(fams)+fi]
 		}
 	}
 	return out

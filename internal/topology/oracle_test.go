@@ -12,12 +12,39 @@ import (
 )
 
 // This file keeps route propagation as it was when every candidate route got
-// a path of its own and every hop paid a great-circle distance: extend and
+// a path of its own, every hop paid a great-circle distance, the rib was a
+// map keyed by ASN and the queues held copies of routes: extend and
 // rib.insert word for word (renamed), and the two drivers around them. It is
 // the oracle TestComputeRoutesMatchesReference (reference_test.go) holds
-// ComputeRoutes and ComputeRoutesShortest to, AS by AS and bit by bit.
+// ComputeRoutes and ComputeRoutesShortest to, AS by AS and bit by bit. Its
+// only reading of the topology's caches is which neighbors an AS has, over
+// oracleAdj.
 
-func (r rib) copyingInsert(asn int, route Route) bool {
+// oracleRib is the per-AS set of candidate routes, best first, capped, keyed
+// by ASN.
+type oracleRib map[int][]Route
+
+// oracleNeighbor is a neighbor as the oracle reads it: by ASN.
+type oracleNeighbor struct {
+	asn int
+	rel localRel
+}
+
+// oracleAdj returns the topology's adjacency keyed by family and ASN.
+func (t *Topology) oracleAdj() map[Family]map[int][]oracleNeighbor {
+	out := make(map[Family]map[int][]oracleNeighbor)
+	for _, f := range Families() {
+		out[f] = make(map[int][]oracleNeighbor)
+		for o, ns := range t.adj[f] {
+			for _, n := range ns {
+				out[f][t.asns[o]] = append(out[f][t.asns[o]], oracleNeighbor{asn: t.asns[n.ord], rel: n.rel})
+			}
+		}
+	}
+	return out
+}
+
+func (r oracleRib) copyingInsert(asn int, route Route) bool {
 	routes := r[asn]
 	// Reject loops: asn is ASPath[0] by construction; it must not reappear.
 	for _, hop := range route.ASPath[1:] {
@@ -66,8 +93,9 @@ func copyingExtend(t *Topology, r Route, from, to int, learned localRel) Route {
 }
 
 // copyingRoutes is ComputeRoutes over copyingExtend and copyingInsert.
-func (t *Topology) copyingRoutes(origins []Origin, f Family) *RoutingTable {
-	routes := make(rib)
+func (t *Topology) copyingRoutes(origins []Origin, f Family) oracleRib {
+	adj := t.oracleAdj()
+	routes := make(oracleRib)
 
 	type workItem struct {
 		asn   int
@@ -88,7 +116,7 @@ func (t *Topology) copyingRoutes(origins []Origin, f Family) *RoutingTable {
 		if item.route.Origin.Local && len(item.route.ASPath) > 1 {
 			continue
 		}
-		for _, n := range t.adj[f][item.asn] {
+		for _, n := range adj[f][item.asn] {
 			if n.rel != relProvider {
 				continue
 			}
@@ -118,7 +146,7 @@ func (t *Topology) copyingRoutes(origins []Origin, f Family) *RoutingTable {
 		if item.route.Origin.Local && len(item.route.ASPath) > 1 {
 			continue
 		}
-		for _, n := range t.adj[f][item.asn] {
+		for _, n := range adj[f][item.asn] {
 			if n.rel != relPeer {
 				continue
 			}
@@ -147,7 +175,7 @@ func (t *Topology) copyingRoutes(origins []Origin, f Family) *RoutingTable {
 		if item.route.Origin.Local && len(item.route.ASPath) > 1 {
 			continue
 		}
-		for _, n := range t.adj[f][item.asn] {
+		for _, n := range adj[f][item.asn] {
 			if n.rel != relCustomer {
 				continue
 			}
@@ -158,13 +186,14 @@ func (t *Topology) copyingRoutes(origins []Origin, f Family) *RoutingTable {
 		}
 	}
 
-	return &RoutingTable{routes: routes}
+	return routes
 }
 
 // copyingRoutesShortest is ComputeRoutesShortest over copyingExtend and
 // copyingInsert.
-func (t *Topology) copyingRoutesShortest(origins []Origin, f Family) *RoutingTable {
-	routes := make(rib)
+func (t *Topology) copyingRoutesShortest(origins []Origin, f Family) oracleRib {
+	adj := t.oracleAdj()
+	routes := make(oracleRib)
 	pq := &routeQueue{}
 	for _, o := range origins {
 		if t.ASes[o.ASN] == nil {
@@ -179,32 +208,70 @@ func (t *Topology) copyingRoutesShortest(origins []Origin, f Family) *RoutingTab
 		if it.route.Origin.Local && len(it.route.ASPath) > 1 {
 			continue
 		}
-		for _, n := range t.adj[f][it.asn] {
+		for _, n := range adj[f][it.asn] {
 			ext := copyingExtend(t, it.route, it.asn, n.asn, relCustomer)
 			if routes.copyingInsert(n.asn, ext) && !ext.Origin.Local {
 				heap.Push(pq, queuedRoute{n.asn, ext})
 			}
 		}
 	}
-	return &RoutingTable{routes: routes}
+	return routes
 }
 
 // CopyingRoutes lets the external test reach the oracle: it propagates
 // origins as ComputeRoutesShortest did when shortest is set, as ComputeRoutes
 // did otherwise.
-func (t *Topology) CopyingRoutes(origins []Origin, f Family, shortest bool) *RoutingTable {
+func (t *Topology) CopyingRoutes(origins []Origin, f Family, shortest bool) oracleRib {
 	if shortest {
 		return t.copyingRoutesShortest(origins, f)
 	}
 	return t.copyingRoutes(origins, f)
 }
 
+// queuedRoute is one pending expansion of the classless search.
+type queuedRoute struct {
+	asn   int
+	route Route
+}
+
+// routeQueue orders expansion by path length then geographic length, making
+// the classless search a proper Dijkstra over (hops, km).
+type routeQueue []queuedRoute
+
+func (q routeQueue) Len() int { return len(q) }
+
+func (q routeQueue) Less(i, j int) bool {
+	a, b := q[i].route, q[j].route
+	if len(a.ASPath) != len(b.ASPath) {
+		return len(a.ASPath) < len(b.ASPath)
+	}
+	return a.PathKm < b.PathKm
+}
+
+func (q routeQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+
+func (q *routeQueue) Push(x any) { *q = append(*q, x.(queuedRoute)) }
+
+func (q *routeQueue) Pop() any {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
 // DiffRIB compares got with want over every AS of t in ASN order, route by
 // route: origin, AS path, how the first hop was learned, and the path length's
 // bits. It returns the first difference, nil when there is none.
-func (t *Topology) DiffRIB(got, want *RoutingTable) error {
-	if len(got.routes) != len(want.routes) {
-		return fmt.Errorf("%d ASes hold routes, want %d", len(got.routes), len(want.routes))
+func (t *Topology) DiffRIB(got *RoutingTable, want oracleRib) error {
+	holding := 0
+	for _, asn := range t.asns {
+		if len(got.Candidates(asn)) > 0 {
+			holding++
+		}
+	}
+	if holding != len(want) {
+		return fmt.Errorf("%d ASes hold routes, want %d", holding, len(want))
 	}
 	asns := make([]int, 0, len(t.ASes))
 	for asn := range t.ASes {
@@ -212,7 +279,7 @@ func (t *Topology) DiffRIB(got, want *RoutingTable) error {
 	}
 	sort.Ints(asns)
 	for _, asn := range asns {
-		g, w := got.routes[asn], want.routes[asn]
+		g, w := got.Candidates(asn), want[asn]
 		if len(g) != len(w) {
 			return fmt.Errorf("AS%d: %d routes, want %d", asn, len(g), len(w))
 		}
@@ -261,3 +328,6 @@ func TestStubASNsMatchesFilter(t *testing.T) {
 		}
 	}
 }
+
+// Slabs lets the external test reach a table's route and path slabs.
+func (rt *RoutingTable) Slabs() ([]Route, []int) { return rt.routes, rt.paths }

@@ -10,7 +10,7 @@ import (
 // insertReference is rib.insert as it was before it placed the route by
 // hand: append, stable-sort the whole slice, cut it at the cap, then look for
 // the survivor. It is the oracle TestRibInsertMatchesStableSort compares with.
-func (r rib) insertReference(asn int, route Route) bool {
+func (r oracleRib) insertReference(asn int, route Route) bool {
 	routes := r[asn]
 	for _, hop := range route.ASPath[1:] {
 		if hop == asn {
@@ -38,6 +38,16 @@ func (r rib) insertReference(asn int, route Route) bool {
 	return false
 }
 
+// routesOf returns the routes slot o keeps, best first, nil when it keeps
+// none.
+func (r *rib) routesOf(o int) []Route {
+	var out []Route
+	for _, i := range r.slots[o] {
+		out = append(out, r.log[i])
+	}
+	return out
+}
+
 // TestRibInsertMatchesStableSort: over seeded random route sets drawn from a
 // domain small enough to collide — loops, duplicates, and routes that tie
 // under better (they differ in Origin.Local only, which the duplicate check
@@ -48,7 +58,8 @@ func TestRibInsertMatchesStableSort(t *testing.T) {
 	ties := 0
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, want := make(rib), make(rib)
+		got := newRib(4)
+		want := make(oracleRib)
 		for i := 0; i < 60; i++ {
 			asn := 1 + rng.Intn(3)
 			path := []int{asn}
@@ -61,16 +72,16 @@ func TestRibInsertMatchesStableSort(t *testing.T) {
 				PathKm:  float64(rng.Intn(3)) * 200,
 				relType: localRel(rng.Intn(3)),
 			}
-			for _, kept := range got[asn] {
+			for _, kept := range got.routesOf(asn) {
 				if kept.Origin != route.Origin && !better(kept, route) && !better(route, kept) {
 					ties++
 				}
 			}
-			_, g := got.insert(asn, route)
+			_, g := got.insert(int32(asn), route)
 			w := want.insertReference(asn, route)
-			if g != w || !reflect.DeepEqual(got[asn], want[asn]) {
+			if g != w || !reflect.DeepEqual(got.routesOf(asn), want[asn]) {
 				t.Fatalf("seed %d, insert %d into AS %d: survived %v, kept %+v\nthe stable sort: survived %v, kept %+v",
-					seed, i, asn, g, got[asn], w, want[asn])
+					seed, i, asn, g, got.routesOf(asn), w, want[asn])
 			}
 		}
 	}

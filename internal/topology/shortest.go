@@ -1,7 +1,5 @@
 package topology
 
-import "container/heap"
-
 // ComputeRoutesShortest is the ablation counterpart of ComputeRoutes: it
 // ignores business relationships entirely and returns pure shortest-path
 // (hop count, then distance) routes, as an idealized "engineering-only"
@@ -14,62 +12,75 @@ import "container/heap"
 //
 //rootlint:allow deadcode: the reference TestShortestNeverLongerThanPolicy and BenchmarkAblationPolicyWeights (bench_test.go) compare policy routing against
 func (t *Topology) ComputeRoutesShortest(origins []Origin, f Family) *RoutingTable {
-	routes := make(rib)
-	pq := &routeQueue{}
-	var scratch []int // the candidate path extend writes and insert copies
-	for _, o := range origins {
-		if t.ASes[o.ASN] == nil {
-			continue
-		}
-		self := Route{Origin: o, ASPath: []int{o.ASN}, relType: relCustomer}
-		routes.insert(o.ASN, self)
-		heap.Push(pq, queuedRoute{o.ASN, self})
+	r := t.NewRouter()
+	adj := t.adj[f]
+	routes := &r.rib
+	pq := r.down[:0]
+	for _, item := range r.seed(origins) {
+		pq = routes.push(pq, item)
 	}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(queuedRoute)
-		if it.route.Origin.Local && len(it.route.ASPath) > 1 {
+	for len(pq) > 0 {
+		var item entry
+		pq, item = routes.pop(pq)
+		route := routes.log[item.i]
+		if route.Origin.Local && len(route.ASPath) > 1 {
 			continue
 		}
-		for _, n := range t.adj[f][it.asn] {
+		for _, n := range adj[item.o] {
 			// Classless: every learned route ranks as customer-class so only
 			// length and geography decide.
-			kept, ok := routes.insert(n.asn, extend(&scratch, it.route, n, relCustomer))
-			if ok && !kept.Origin.Local {
-				heap.Push(pq, queuedRoute{n.asn, kept})
+			if i, ok := routes.insert(n.ord, r.extend(route, n, relCustomer)); ok && !route.Origin.Local {
+				pq = routes.push(pq, entry{n.ord, i})
 			}
 		}
 	}
-	return &RoutingTable{routes: routes}
+	return routes.table(t)
 }
 
-// queuedRoute is one pending expansion of the classless search.
-type queuedRoute struct {
-	asn   int
-	route Route
-}
-
-// routeQueue orders expansion by path length then geographic length, making
-// the classless search a proper Dijkstra over (hops, km).
-type routeQueue []queuedRoute
-
-func (q routeQueue) Len() int { return len(q) }
-
-func (q routeQueue) Less(i, j int) bool {
-	a, b := q[i].route, q[j].route
-	if len(a.ASPath) != len(b.ASPath) {
-		return len(a.ASPath) < len(b.ASPath)
+// less orders the classless search's expansions by path length, then
+// geographic length, making it a proper Dijkstra over (hops, km).
+func (r *rib) less(a, b entry) bool {
+	x, y := &r.log[a.i], &r.log[b.i]
+	if len(x.ASPath) != len(y.ASPath) {
+		return len(x.ASPath) < len(y.ASPath)
 	}
-	return a.PathKm < b.PathKm
+	return x.PathKm < y.PathKm
 }
 
-func (q routeQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// push adds e to the heap h and pop takes its least entry off. They are
+// container/heap's Push and Pop step for step: expansions that tie under
+// less must come off in the order the oracle's container/heap pops them
+// (TestComputeRoutesMatchesReference), since the order decides which of two
+// duplicates a rib keeps.
+func (r *rib) push(h []entry, e entry) []entry {
+	h = append(h, e)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !r.less(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
 
-func (q *routeQueue) Push(x any) { *q = append(*q, x.(queuedRoute)) }
-
-func (q *routeQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (r *rib) pop(h []entry) ([]entry, entry) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && r.less(h[j2], h[j]) {
+			j = j2
+		}
+		if !r.less(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[:n], h[n]
 }

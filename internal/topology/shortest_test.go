@@ -39,7 +39,7 @@ func TestShortestRespectsLocalScope(t *testing.T) {
 	topo := buildSmall(t)
 	var host int
 	for _, asn := range topo.StubASNs(nil) {
-		if len(topo.adj[IPv4][asn]) > 0 {
+		if len(topo.adj[IPv4][topo.ord[asn]]) > 0 {
 			host = asn
 			break
 		}

@@ -10,8 +10,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -103,9 +105,14 @@ type Topology struct {
 	Edges []Edge
 	IXPs  []IXP
 
-	// adj caches per-family adjacency: for each ASN, the neighbors with the
-	// relationship as seen from that AS.
-	adj map[Family]map[int][]neighbor
+	// asns numbers the ASes: asns[o] is the ASN of ordinal o, in ascending
+	// order, and ord maps an ASN back to its ordinal. Route propagation and
+	// routing tables index by ordinal.
+	asns []int
+	ord  map[int]int32
+	// adj caches per-family adjacency: for each AS ordinal, the neighbors
+	// with the relationship as seen from that AS, in ordinal order.
+	adj [2][][]neighbor
 	// stubs and regionStubs cache StubASNs: every stub ASN, sorted, and the
 	// same per region.
 	stubs       []int
@@ -113,16 +120,17 @@ type Topology struct {
 }
 
 type neighbor struct {
-	asn int
-	// rel is the relationship from the owning AS's perspective:
-	// relCustomer means the neighbor is my customer, etc.
-	rel localRel
 	// km is the great-circle distance a route crossing the edge to the
 	// neighbor adds to its PathKm.
 	km float64
+	// ord is the neighbor's ordinal.
+	ord int32
+	// rel is the relationship from the owning AS's perspective:
+	// relCustomer means the neighbor is my customer, etc.
+	rel localRel
 }
 
-type localRel int
+type localRel uint8
 
 const (
 	relCustomer localRel = iota
@@ -294,6 +302,7 @@ func Build(cfg Config) *Topology {
 		}
 	}
 
+	t.buildOrdinals()
 	t.buildAdjacency()
 	t.buildStubLists()
 	return t
@@ -311,40 +320,56 @@ func pickDistinct(rng *rand.Rand, from []int, n int) []int {
 	return out
 }
 
+// buildOrdinals numbers the ASes in ascending-ASN order.
+func (t *Topology) buildOrdinals() {
+	t.asns = make([]int, 0, len(t.ASes))
+	for asn := range t.ASes {
+		t.asns = append(t.asns, asn)
+	}
+	sort.Ints(t.asns)
+	t.ord = make(map[int]int32, len(t.asns))
+	for o, asn := range t.asns {
+		t.ord[asn] = int32(o)
+	}
+}
+
 // buildAdjacency fills the per-family adjacency cache.
 func (t *Topology) buildAdjacency() {
-	t.adj = map[Family]map[int][]neighbor{
-		IPv4: make(map[int][]neighbor),
-		IPv6: make(map[int][]neighbor),
-	}
 	// km is what a route held by from adds to its PathKm when to learns it.
 	// The receiver's point goes first: the float is then the one
 	// TestComputeRoutesMatchesReference's oracle adds.
 	km := func(from, to int) float64 {
 		return geo.DistanceKm(t.ASes[to].City.Point, t.ASes[from].City.Point)
 	}
+	for _, f := range Families() {
+		t.adj[f] = make([][]neighbor, len(t.asns))
+	}
 	for _, e := range t.Edges {
+		a, b := t.ord[e.A], t.ord[e.B]
 		ab, ba := km(e.A, e.B), km(e.B, e.A)
 		for _, f := range Families() {
 			if !e.Available(f) {
 				continue
 			}
+			adj := t.adj[f]
 			switch e.Rel {
 			case Transit:
 				// A is provider of B.
-				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relCustomer, km: ab})
-				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relProvider, km: ba})
+				adj[a] = append(adj[a], neighbor{ord: b, rel: relCustomer, km: ab})
+				adj[b] = append(adj[b], neighbor{ord: a, rel: relProvider, km: ba})
 			case Peering, IXPPeering:
-				t.adj[f][e.A] = append(t.adj[f][e.A], neighbor{asn: e.B, rel: relPeer, km: ab})
-				t.adj[f][e.B] = append(t.adj[f][e.B], neighbor{asn: e.A, rel: relPeer, km: ba})
+				adj[a] = append(adj[a], neighbor{ord: b, rel: relPeer, km: ab})
+				adj[b] = append(adj[b], neighbor{ord: a, rel: relPeer, km: ba})
 			}
 		}
 	}
-	// Deterministic neighbor order.
-	for _, fam := range t.adj {
-		for asn := range fam {
-			ns := fam[asn]
-			sort.Slice(ns, func(i, j int) bool { return ns[i].asn < ns[j].asn })
+	// Deterministic neighbor order. Two entries of one list share an ordinal
+	// only when two edges join the same pair: the same relationship twice
+	// (equal entries) or two relationships, which no propagation phase reads
+	// together and which the classless search extends into equal candidates.
+	for _, adj := range t.adj {
+		for _, ns := range adj {
+			slices.SortFunc(ns, func(x, y neighbor) int { return cmp.Compare(x.ord, y.ord) })
 		}
 	}
 }

@@ -167,7 +167,7 @@ func TestLocalOriginScope(t *testing.T) {
 	// Pick a stub AS with at least one neighbor to host a local site.
 	var host int
 	for _, asn := range topo.StubASNs(nil) {
-		if len(topo.adj[IPv4][asn]) > 0 {
+		if len(topo.adj[IPv4][topo.ord[asn]]) > 0 {
 			host = asn
 			break
 		}
@@ -185,7 +185,7 @@ func TestLocalOriginScope(t *testing.T) {
 			t.Errorf("local origin leaked beyond one hop: %v", r.ASPath)
 		}
 	}
-	directNeighbors := len(topo.adj[IPv4][host])
+	directNeighbors := len(topo.adj[IPv4][topo.ord[host]])
 	if reachable > directNeighbors+1 {
 		t.Errorf("local origin reachable from %d ASes, host has %d neighbors",
 			reachable, directNeighbors)
@@ -262,8 +262,8 @@ func TestPathKmPositive(t *testing.T) {
 func TestFamilyAsymmetry(t *testing.T) {
 	topo := Build(DefaultConfig())
 	// The open-v6 carrier must have many more v6 peer edges than v4.
-	v4n := len(topo.adj[IPv4][ASNOpenV6])
-	v6n := len(topo.adj[IPv6][ASNOpenV6])
+	v4n := len(topo.adj[IPv4][topo.ord[ASNOpenV6]])
+	v6n := len(topo.adj[IPv6][topo.ord[ASNOpenV6]])
 	if v6n <= v4n {
 		t.Errorf("open-v6 carrier: %d v6 neighbors vs %d v4", v6n, v4n)
 	}

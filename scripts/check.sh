@@ -203,6 +203,16 @@ if ! BENCH_SCALE=512 go test -run '^$' -bench '^BenchmarkArtefacts$' -benchtime 
 fi
 grep -c '^BenchmarkArtefacts/' "$tmp/artefacts.txt" | sed 's/$/ artefacts rendered/'
 
+# The world build, once each: the bench-size world with its 26 routing
+# tables computed across the CPUs and inline, and one routing table. They
+# build and run; their ns/op, B/op and allocs/op lines are printed.
+echo "== world-build benchmarks (once each) =="
+if ! go test -run '^$' -bench '^(BenchmarkNewWorld|BenchmarkRouteComputation)$' -benchtime 1x -benchmem . >"$tmp/world.txt" 2>&1; then
+	cat "$tmp/world.txt" >&2
+	exit 1
+fi
+grep '^Benchmark' "$tmp/world.txt"
+
 # Recording byte-identity with the shipping binary: the serial engine, the
 # pipelined one (4 workers computing a tick ahead of its delivery), and the
 # pipelined one killed at the second tick after a checkpoint and resumed,
