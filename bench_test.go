@@ -13,6 +13,7 @@ import (
 	"io"
 	mrand "math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -363,7 +364,10 @@ func BenchmarkRouteComputation(b *testing.B) {
 // (schedule scale 192, VP divisor 4, 80 TLDs): the topology, the 13
 // deployments, their 26 routing tables, the VP population, the signer and
 // both base zones. "default" computes the tables on one goroutine per CPU,
-// as the campaign does; "workers=1" computes them inline.
+// as the campaign does; "workers=1" computes them inline. live-MB is what
+// the last world built holds for as long as it is reachable, as a campaign
+// or a replay holds it: HeapAlloc after a collection with the world live,
+// less HeapAlloc after one before the first build.
 func BenchmarkNewWorld(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -374,14 +378,29 @@ func BenchmarkNewWorld(b *testing.B) {
 			mCfg.Scale, mCfg.TLDCount, mCfg.Workers = 192, 80, bc.workers
 			vpCfg := vantage.DefaultConfig()
 			vpCfg.Scale = 4
+			before := liveHeap()
 			b.ReportAllocs()
+			b.ResetTimer()
+			var w *measure.World
 			for i := 0; i < b.N; i++ {
-				if _, err := measure.NewWorld(mCfg, topology.DefaultConfig(), vpCfg); err != nil {
+				var err error
+				if w, err = measure.NewWorld(mCfg, topology.DefaultConfig(), vpCfg); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(liveHeap()-before)/1e6, "live-MB")
+			runtime.KeepAlive(w)
 		})
 	}
+}
+
+// liveHeap collects garbage and returns the bytes of heap still in use.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // --- Ablation benchmarks ---------------------------------------------------
@@ -494,11 +513,11 @@ func BenchmarkAblationPolicyWeights(b *testing.B) {
 	inflated, total := 0, 0
 	for _, asn := range topo.StubASNs(nil) {
 		p, s := policy.Candidates(asn), shortest.Candidates(asn)
-		if len(p) == 0 || len(s) == 0 {
+		if p.Len() == 0 || s.Len() == 0 {
 			continue
 		}
 		total++
-		if p[0].PathKm > s[0].PathKm+250 {
+		if p.At(0).PathKm > s.At(0).PathKm+250 {
 			inflated++
 		}
 	}

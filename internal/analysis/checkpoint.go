@@ -41,7 +41,7 @@ func (c *Coverage) CheckpointSeal() ([]byte, error) { return json.Marshal(c.seal
 // RestoreCheckpoint implements checkpoint.Part. The memo goes with the state
 // it stood for.
 func (c *Coverage) RestoreCheckpoint(state []byte) error {
-	c.last = nil
+	c.seen = nil
 	return restore(state, c.sealed())
 }
 
@@ -64,7 +64,7 @@ func (c *Colocation) CheckpointSeal() ([]byte, error) { return json.Marshal(c.se
 // RestoreCheckpoint implements checkpoint.Part.
 func (c *Colocation) RestoreCheckpoint(state []byte) error { return restore(state, c.sealed()) }
 
-// The closest-global-site cache and the last-site memo are deliberately
+// The closest-global-site caches and the site memo are deliberately
 // excluded: they are pure functions of the system the accumulator was
 // constructed with and of the VPs and sites its events name, and rebuild on
 // demand.

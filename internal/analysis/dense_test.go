@@ -109,12 +109,57 @@ func sameFloats(t *testing.T, what string, got, want []float64, anyOrder bool) {
 
 func head(xs []float64) []float64 { return xs[:min(len(xs), 8)] }
 
-// TestDenseAccumulatorsMatchReference feeds one stream to the dense tables
-// and to the map-keyed accumulators they replaced (reference_test.go): every
-// writer must render the same bytes and every accessor return equal results.
+// flappingProbes is syntheticProbes over a copy of pop in which VP 1 lives
+// in VP 0's city, and in which VP 0's answered probes on each target reach
+// six sites in turn, each in a city of its own: more cities and identifiers
+// than a memo holds, so the memos evict.
+func flappingProbes(pop *vantage.Population, rounds int) []measure.ProbeEvent {
+	moved := &vantage.Population{VPs: slices.Clone(pop.VPs)}
+	moved.VPs[1].City = moved.VPs[0].City
+	events := syntheticProbes(moved, rounds)
+	cities := geo.Cities()
+	turns := map[rss.ServiceAddr]int{}
+	for i := range events {
+		e := &events[i]
+		if e.VPIdx != 0 || e.Lost {
+			continue
+		}
+		site := turns[e.Target] % 6
+		turns[e.Target]++
+		e.SiteCity = cities[(e.Target.Letter.Index()+5*site)%len(cities)]
+		e.Identifier = fmt.Sprintf("%s%d.%s", e.Target.Letter, site, e.SiteCity.IATA)
+		if e.SiteID != "" {
+			e.SiteID = e.Identifier
+		}
+	}
+	return events
+}
+
+// TestDenseAccumulatorsMatchReference feeds each of two streams to the dense
+// tables and to the map-keyed accumulators they replaced
+// (reference_test.go): every writer must render the same bytes and every
+// accessor return equal results. The second stream makes the memos evict
+// and has two VPs share a city.
 func TestDenseAccumulatorsMatchReference(t *testing.T) {
 	w := testWorld(t)
-	events := syntheticProbes(w.Population, 36)
+	t.Run("synthetic", func(t *testing.T) { matchReference(t, w, syntheticProbes(w.Population, 36)) })
+	t.Run("flapping", func(t *testing.T) {
+		events := flappingProbes(w.Population, 36)
+		cities := map[geo.Point]bool{}
+		for _, e := range events {
+			if e.VPIdx == 0 && !e.Lost && e.Target.Letter == "a" && e.Target.Family == topology.IPv4 {
+				cities[e.SiteCity.Point] = true
+			}
+		}
+		if len(cities) <= memoWays {
+			t.Fatalf("VP 0 reaches %d cities on a.root IPv4, want more than the %d a memo holds", len(cities), memoWays)
+		}
+		matchReference(t, w, events)
+	})
+}
+
+// matchReference is TestDenseAccumulatorsMatchReference on one stream.
+func matchReference(t *testing.T, w *measure.World, events []measure.ProbeEvent) {
 	if len(events) < 50000 {
 		t.Fatalf("stream of %d events, want at least 50,000", len(events))
 	}
@@ -200,8 +245,8 @@ func TestDenseAccumulatorsMatchReference(t *testing.T) {
 	}
 }
 
-// TestCoverageMemo: the memo skips the set insert only for the identifier
-// the same VP last saw on the same target. An identifier two letters share
+// TestCoverageMemo: the memo skips the set insert only for an identifier
+// the same VP saw on the same target lately. An identifier two letters share
 // (the IATA-only letters name a site by its metro code) goes into both
 // letters' sets, and a checkpoint restored over a used accumulator takes the
 // memo with the identifiers it forgets.
@@ -320,7 +365,7 @@ func passes(h measure.Handler, events []measure.ProbeEvent) func() {
 }
 
 // TestWarmHandleProbeDoesNotAllocate: once a (VP, target) has been seen, a
-// probe costs Distance and Colocation no allocation at all. Stability and
+// probe costs Distance, Colocation and Coverage no allocation at all. Stability and
 // RTT keep a bound that leaves room for the amortised growth of RTT's sample
 // slices: a few hundred slices that each double now and then, against
 // thousands of probes a pass. Colocation is fed whole ticks, so every fold
@@ -337,6 +382,7 @@ func TestWarmHandleProbeDoesNotAllocate(t *testing.T) {
 		{"Distance", NewDistance(w.System, w.Population), 0},
 		{"RTT", NewRTT(), float64(len(events)) / 20},
 		{"Colocation", NewColocation(w.Population), 0},
+		{"Coverage", NewCoverage(w.System), 0},
 	} {
 		pass := passes(tc.h, events)
 		for i := 0; i < 4; i++ {

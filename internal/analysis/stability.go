@@ -41,6 +41,41 @@ func growTo[T any](s []T, n int) []T {
 	return slices.Grow(s, n-len(s))[:n]
 }
 
+// memoWays is how many keys a memo holds: a (VP, target)'s site is one of
+// its AS's candidate routes, and an AS keeps at most four (the routing
+// rib's cap). The bench replay stream never shows more than four site
+// cities for one pair.
+const memoWays = 4
+
+// memo remembers the last memoWays distinct keys put into it, each with a
+// value; a put past that evicts the oldest.
+type memo[K comparable, V any] struct {
+	keys [memoWays]K
+	vals [memoWays]V
+	n    uint8 // keys held
+	next uint8 // where the next put goes
+}
+
+// get returns the value put with k, if m still holds it.
+func (m *memo[K, V]) get(k K) (V, bool) {
+	for i := range m.n {
+		if m.keys[i] == k {
+			return m.vals[i], true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// put remembers k, which m does not hold, with v.
+func (m *memo[K, V]) put(k K, v V) {
+	m.keys[m.next], m.vals[m.next] = k, v
+	m.next = (m.next + 1) % memoWays
+	if m.n < memoWays {
+		m.n++
+	}
+}
+
 // HandleProbe implements measure.Handler.
 //
 //rootlint:hotpath

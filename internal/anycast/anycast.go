@@ -139,9 +139,10 @@ func ComputeCatchmentWith(r *topology.Router, d *Deployment, f topology.Family) 
 // SelectAt and the campaign's probe plan are both built on it, so they cannot
 // disagree on what a flap is.
 type Choices struct {
-	// Routes are the candidate routes, best first: the routing table's own
-	// slice, shared and not to be written. Empty when unreachable.
-	Routes []topology.Route
+	// Routes are the candidate routes, best first: a view of the routing
+	// table, whose paths are shared and not to be written. Empty when
+	// unreachable.
+	Routes topology.Routes
 	// Usable counts the near-equal prefix of Routes a flap re-rolls among:
 	// the best route and the alternates within one AS hop of it.
 	Usable int
@@ -166,8 +167,11 @@ func (c *Catchment) Choices(asn, scale int) Choices {
 	if scale > 1 && ch.Instability > 0 {
 		ch.Instability = 1 - pow1p(1-ch.Instability, scale)
 	}
-	for ch.Usable < len(ch.Routes) && ch.Routes[ch.Usable].Hops() <= ch.Routes[0].Hops()+1 {
-		ch.Usable++
+	if n := ch.Routes.Len(); n > 0 {
+		limit := ch.Routes.Hops(0) + 1
+		for ch.Usable < n && ch.Routes.Hops(ch.Usable) <= limit {
+			ch.Usable++
+		}
 	}
 	return ch
 }
@@ -198,10 +202,10 @@ func (ch Choices) Pick(asn, tick int, seed int64) int {
 //rootlint:hotpath
 func (c *Catchment) SelectAt(asn, tick int, seed int64, scale int) (topology.Route, bool) {
 	ch := c.Choices(asn, scale)
-	if len(ch.Routes) == 0 {
+	if ch.Routes.Len() == 0 {
 		return topology.Route{}, false
 	}
-	return ch.Routes[ch.Pick(asn, tick, seed)], true
+	return ch.Routes.At(ch.Pick(asn, tick, seed)), true
 }
 
 // pow1p computes base^n for small integer n without importing math.

@@ -72,10 +72,10 @@ func TestCatchmentResolves(t *testing.T) {
 	stubs := topo.StubASNs(nil)
 	resolved := 0
 	for _, asn := range stubs {
-		if rs := c.Choices(asn, 1).Routes; len(rs) > 0 {
+		if rs := c.Choices(asn, 1).Routes; rs.Len() > 0 {
 			resolved++
-			if _, found := d.SiteByID(rs[0].Origin.SiteID); !found {
-				t.Errorf("catchment returned unknown site %s", rs[0].Origin.SiteID)
+			if _, found := d.SiteByID(rs.At(0).Origin.SiteID); !found {
+				t.Errorf("catchment returned unknown site %s", rs.At(0).Origin.SiteID)
 			}
 		}
 	}
@@ -105,7 +105,7 @@ func TestSelectAtProducesChanges(t *testing.T) {
 	var asn int
 	for _, s := range topo.StubASNs(nil) {
 		alts := c.Choices(s, 1).Routes
-		if len(alts) >= 2 && alts[1].Hops() <= alts[0].Hops()+1 {
+		if alts.Len() >= 2 && alts.At(1).Hops() <= alts.At(0).Hops()+1 {
 			asn = s
 			break
 		}
@@ -181,7 +181,7 @@ func TestSiteKindString(t *testing.T) {
 func nearEqual(c *Catchment, asn int) int {
 	alts := c.Choices(asn, 1).Routes
 	n := 0
-	for n < len(alts) && alts[n].Hops() <= alts[0].Hops()+1 {
+	for n < alts.Len() && alts.At(n).Hops() <= alts.At(0).Hops()+1 {
 		n++
 	}
 	return n
@@ -239,7 +239,7 @@ func TestFlapDistribution(t *testing.T) {
 			for tick := 0; tick < ticks; tick++ {
 				r, _ := c.SelectAt(asn, tick, 1, scale)
 				k := 0 // which alternate: the copies share the table's AS paths
-				for &alts[k].ASPath[0] != &r.ASPath[0] {
+				for &alts.At(k).ASPath[0] != &r.ASPath[0] {
 					k++
 				}
 				picks[u][k]++
@@ -336,7 +336,7 @@ func TestSelectAtConcurrent(t *testing.T) {
 // same two draws.
 func selectAtReference(c *Catchment, asn, tick int, seed int64, scale int) (topology.Route, bool) {
 	alts := c.table.Candidates(asn)
-	if len(alts) == 0 {
+	if alts.Len() == 0 {
 		return topology.Route{}, false
 	}
 	instability := c.Deployment.InstabilityV4
@@ -347,14 +347,14 @@ func selectAtReference(c *Catchment, asn, tick int, seed int64, scale int) (topo
 		instability = 1 - pow1p(1-instability, scale)
 	}
 	key := uint64(seed ^ int64(asn)<<20 ^ int64(tick))
-	if len(alts) == 1 || instability == 0 || seeded.Unit(seeded.Draw(key, 0)) >= instability {
-		return alts[0], true
+	if alts.Len() == 1 || instability == 0 || seeded.Unit(seeded.Draw(key, 0)) >= instability {
+		return alts.At(0), true
 	}
 	usable := 1
-	for usable < len(alts) && alts[usable].Hops() <= alts[0].Hops()+1 {
+	for usable < alts.Len() && alts.At(usable).Hops() <= alts.At(0).Hops()+1 {
 		usable++
 	}
-	return alts[seeded.Draw(key, 1)%uint64(usable)], true
+	return alts.At(int(seeded.Draw(key, 1) % uint64(usable))), true
 }
 
 // TestChoicesMatchSelectAtReference holds SelectAt, and Choices + Pick as the
@@ -378,19 +378,19 @@ func TestChoicesMatchSelectAtReference(t *testing.T) {
 				for tick := 0; tick < 1000; tick++ {
 					want, wantOK := selectAtReference(c, asn, tick, 11, scale)
 					got, ok := c.SelectAt(asn, tick, 11, scale)
-					if ok != wantOK || ok != (len(ch.Routes) > 0) {
-						t.Fatalf("AS%d %s: reachable %v by SelectAt, %v by Choices, want %v", asn, f, ok, len(ch.Routes) > 0, wantOK)
+					if ok != wantOK || ok != (ch.Routes.Len() > 0) {
+						t.Fatalf("AS%d %s: reachable %v by SelectAt, %v by Choices, want %v", asn, f, ok, ch.Routes.Len() > 0, wantOK)
 					}
 					if !ok {
 						continue
 					}
-					picked := ch.Routes[ch.Pick(asn, tick, 11)]
+					picked := ch.Routes.At(ch.Pick(asn, tick, 11))
 					// Copies of a route share the table's AS path.
 					if &got.ASPath[0] != &want.ASPath[0] || &picked.ASPath[0] != &want.ASPath[0] {
 						t.Fatalf("AS%d %s scale %d tick %d: SelectAt %v, Pick %v, want %v",
 							asn, f, scale, tick, got.Origin, picked.Origin, want.Origin)
 					}
-					if &want.ASPath[0] != &ch.Routes[0].ASPath[0] {
+					if &want.ASPath[0] != &ch.Routes.At(0).ASPath[0] {
 						flaps++
 					}
 					checked++

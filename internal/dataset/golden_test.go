@@ -33,10 +33,10 @@ func TestRecordingGoldenDigest(t *testing.T) {
 	catch := w.Catchments["d"][0]
 	for i := range c.Plan.Stales {
 		routes := catch.Choices(w.Population.VPs[i].ASN, 1).Routes
-		if len(routes) == 0 {
+		if routes.Len() == 0 {
 			t.Fatalf("VP %d has no route to d.root", i)
 		}
-		c.Plan.Stales[i].SiteIDs = []string{routes[0].Origin.SiteID}
+		c.Plan.Stales[i].SiteIDs = []string{routes.At(0).Origin.SiteID}
 	}
 	var buf bytes.Buffer
 	writer, err := NewWriter(&buf)

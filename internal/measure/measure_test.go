@@ -71,10 +71,10 @@ func TestSerialAt(t *testing.T) {
 // bestRoute returns asn's preferred route into the catchment, if it has one.
 func bestRoute(c *anycast.Catchment, asn int) (topology.Route, bool) {
 	rs := c.Choices(asn, 1).Routes
-	if len(rs) == 0 {
+	if rs.Len() == 0 {
 		return topology.Route{}, false
 	}
-	return rs[0], true
+	return rs.At(0), true
 }
 
 // testWorld builds a small world for campaign tests.

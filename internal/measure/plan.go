@@ -24,7 +24,7 @@ type probePlan struct {
 }
 
 // planEntry is what one AS chooses between in one catchment, and what a
-// probe records of each choice; cands[i] belongs to choices.Routes[i].
+// probe records of each choice; cands[i] belongs to choices.Routes.At(i).
 type planEntry struct {
 	choices anycast.Choices
 	cands   []planCandidate
@@ -78,8 +78,9 @@ func (c *Campaign) buildPlan() (*probePlan, error) {
 // planEntry resolves what asn chooses between in target's catchment.
 func (c *Campaign) planEntry(catch *anycast.Catchment, target rss.ServiceAddr, asn int, edges map[string]string) (*planEntry, error) {
 	e := &planEntry{choices: catch.Choices(asn, c.Cfg.Scale)}
-	e.cands = make([]planCandidate, len(e.choices.Routes))
-	for i, route := range e.choices.Routes {
+	e.cands = make([]planCandidate, e.choices.Routes.Len())
+	for i := range e.cands {
+		route := e.choices.Routes.At(i)
 		site, ok := c.World.System.Deployments[target.Letter].SiteByID(route.Origin.SiteID)
 		if !ok {
 			return nil, fmt.Errorf("measure: %s.root %s: AS%d has a route to site %q, which the deployment does not have",

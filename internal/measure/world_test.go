@@ -40,12 +40,12 @@ func TestNewWorldIdenticalAcrossWorkers(t *testing.T) {
 				}
 				for asn := range want.Topo.ASes {
 					g, w := gc.Choices(asn, 1).Routes, wc.Choices(asn, 1).Routes
-					if len(g) != len(w) {
-						t.Fatalf("workers %d, %s.root %s, AS%d: %d routes, want %d", workers, l, f, asn, len(g), len(w))
+					if g.Len() != w.Len() {
+						t.Fatalf("workers %d, %s.root %s, AS%d: %d routes, want %d", workers, l, f, asn, g.Len(), w.Len())
 					}
-					for i := range g {
-						if !sameRoute(g[i], w[i]) {
-							t.Fatalf("workers %d, %s.root %s, AS%d route %d: %+v, want %+v", workers, l, f, asn, i, g[i], w[i])
+					for i := range g.Len() {
+						if !sameRoute(g.At(i), w.At(i)) {
+							t.Fatalf("workers %d, %s.root %s, AS%d route %d: %+v, want %+v", workers, l, f, asn, i, g.At(i), w.At(i))
 						}
 					}
 				}

@@ -62,7 +62,7 @@ func TestProbeSeesTransition(t *testing.T) {
 	catch := anycast.ComputeCatchment(e.Topo, d, topology.IPv4)
 	var vp *vantage.VP
 	for i := range e.Population.VPs {
-		if len(catch.Choices(e.Population.VPs[i].ASN, 1).Routes) > 0 {
+		if catch.Choices(e.Population.VPs[i].ASN, 1).Routes.Len() > 0 {
 			vp = &e.Population.VPs[i]
 			break
 		}

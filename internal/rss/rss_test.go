@@ -205,7 +205,7 @@ func TestCatchmentsComplete(t *testing.T) {
 		c4 := catch[l][topology.IPv4]
 		reached := 0
 		for _, asn := range stubs {
-			if len(c4.Choices(asn, 1).Routes) > 0 {
+			if c4.Choices(asn, 1).Routes.Len() > 0 {
 				reached++
 			}
 		}

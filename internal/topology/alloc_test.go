@@ -10,16 +10,16 @@ import (
 
 // maxRouteAllocs bounds what one ComputeRoutes allocates, whatever the
 // deployment: the Router and its scratch (8: itself, the rib's slots, their
-// backing, log and arena, the two queues and the candidate path), the table
-// (4: itself, its offsets, routes and paths), and two growths of each
-// scratch buffer a table can outgrow (log, arena, phase-3 queue, candidate
-// path). None of it counts routes: the bench-size tables make 12 or 14.
-const maxRouteAllocs = 8 + 4 + 2*4
+// backing, log and arena, the origin ranks, the two queues), the table (5:
+// itself, its offsets, records, paths and origins), and two growths of each
+// scratch buffer a table can outgrow (log, arena, phase-3 queue). None of it
+// counts routes: the bench-size tables make 13 to 15.
+const maxRouteAllocs = 8 + 5 + 2*3
 
 // TestRoutingTablesExact: every table of the 13 deployments rss.Build
 // places, in both families, is two slabs sized to what they hold — walking
-// Candidates over every AS in ASN order visits each route of the route slab
-// once, in order, and each path of the path slab once, in order — and
+// Candidates over every AS in ASN order visits each record of the record
+// slab once, in order, and each path of the path slab once, in order — and
 // computing one allocates at most maxRouteAllocs times, however many routes
 // it keeps.
 func TestRoutingTablesExact(t *testing.T) {
@@ -36,15 +36,16 @@ func TestRoutingTablesExact(t *testing.T) {
 			table := topo.ComputeRoutes(origins, f)
 			routes, paths := table.Slabs()
 			if len(routes) != cap(routes) || len(paths) != cap(paths) {
-				t.Fatalf("%s.root %s: route slab %d of %d, path slab %d of %d", l, f, len(routes), cap(routes), len(paths), cap(paths))
+				t.Fatalf("%s.root %s: record slab %d of %d, path slab %d of %d", l, f, len(routes), cap(routes), len(paths), cap(paths))
 			}
 			r, h := 0, 0
 			for _, asn := range asns {
 				cands := table.Candidates(asn)
-				for i, c := range cands {
-					if r >= len(routes) || &cands[i] != &routes[r] {
-						t.Fatalf("%s.root %s, AS%d route %d: not route %d of the slab", l, f, asn, i, r)
-					}
+				if lo, hi := cands.Span(); cands.Len() > 0 && (lo != r || hi != r+cands.Len()) {
+					t.Fatalf("%s.root %s, AS%d: records %d to %d of the slab, want %d on", l, f, asn, lo, hi, r)
+				}
+				for i := range cands.Len() {
+					c := cands.At(i)
 					if h+len(c.ASPath) > len(paths) || &c.ASPath[0] != &paths[h] || cap(c.ASPath) != len(c.ASPath) {
 						t.Fatalf("%s.root %s, AS%d route %d: path not at %d of the slab, or not clipped", l, f, asn, i, h)
 					}

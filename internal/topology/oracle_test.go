@@ -266,7 +266,7 @@ func (q *routeQueue) Pop() any {
 func (t *Topology) DiffRIB(got *RoutingTable, want oracleRib) error {
 	holding := 0
 	for _, asn := range t.asns {
-		if len(got.Candidates(asn)) > 0 {
+		if got.Candidates(asn).Len() > 0 {
 			holding++
 		}
 	}
@@ -279,14 +279,15 @@ func (t *Topology) DiffRIB(got *RoutingTable, want oracleRib) error {
 	}
 	sort.Ints(asns)
 	for _, asn := range asns {
-		g, w := got.Candidates(asn), want[asn]
-		if len(g) != len(w) {
-			return fmt.Errorf("AS%d: %d routes, want %d", asn, len(g), len(w))
+		routes, w := got.Candidates(asn), want[asn]
+		if routes.Len() != len(w) {
+			return fmt.Errorf("AS%d: %d routes, want %d", asn, routes.Len(), len(w))
 		}
-		for i := range g {
-			if g[i].Origin != w[i].Origin || !reflect.DeepEqual(g[i].ASPath, w[i].ASPath) ||
-				g[i].relType != w[i].relType || math.Float64bits(g[i].PathKm) != math.Float64bits(w[i].PathKm) {
-				return fmt.Errorf("AS%d route %d: %+v, want %+v", asn, i, g[i], w[i])
+		for i := range w {
+			g := routes.At(i)
+			if g.Origin != w[i].Origin || !reflect.DeepEqual(g.ASPath, w[i].ASPath) ||
+				g.relType != w[i].relType || math.Float64bits(g.PathKm) != math.Float64bits(w[i].PathKm) {
+				return fmt.Errorf("AS%d route %d: %+v, want %+v", asn, i, g, w[i])
 			}
 		}
 	}
@@ -329,5 +330,8 @@ func TestStubASNsMatchesFilter(t *testing.T) {
 	}
 }
 
-// Slabs lets the external test reach a table's route and path slabs.
-func (rt *RoutingTable) Slabs() ([]Route, []int) { return rt.routes, rt.paths }
+// Slabs lets the external test reach a table's record and path slabs.
+func (rt *RoutingTable) Slabs() ([]rec, []int) { return rt.routes, rt.paths }
+
+// Span lets the external test reach which records of its table rs views.
+func (rs Routes) Span() (lo, hi int) { return int(rs.lo), int(rs.hi) }

@@ -72,15 +72,17 @@ func TestSharedGraphConcurrentReads(t *testing.T) {
 		}
 		table := topo.ComputeRoutes(sys.Deployments["k"].Origins(), topology.IPv6)
 		for _, asn := range stubs {
-			for _, route := range table.Candidates(asn) {
+			routes := table.Candidates(asn)
+			for i := range routes.Len() {
+				route := routes.At(i)
 				fmt.Fprint(h, asn, route.Origin, route.ASPath, route.PathKm)
 			}
 			for _, l := range rss.Letters() {
 				for _, f := range topology.Families() {
 					ch := catchments[l][f].Choices(asn, 1)
-					fmt.Fprint(h, ch.Usable, len(ch.Routes))
-					if len(ch.Routes) > 0 {
-						fmt.Fprint(h, ch.Routes[0].Origin.SiteID)
+					fmt.Fprint(h, ch.Usable, ch.Routes.Len())
+					if ch.Routes.Len() > 0 {
+						fmt.Fprint(h, ch.Routes.At(0).Origin.SiteID)
 					}
 				}
 			}

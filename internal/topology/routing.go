@@ -3,6 +3,7 @@ package topology
 import (
 	"cmp"
 	"slices"
+	"strings"
 )
 
 // Origin is one announcement point of an anycast prefix: the hosting AS and
@@ -43,44 +44,50 @@ func routeClass(rel localRel) int {
 // geographically equivalent in the decision process.
 const geoTieToleranceKm = 250
 
+// rec is a route as the rib's log and a finished table hold it. It holds no
+// pointer, so the collector never scans a table's routes and writing one
+// pays no write barrier: its path is arena[off:off+n] of whoever holds it,
+// and its origin is origins[origin] of the same rib or table.
+type rec struct {
+	pathKm float64
+	off, n int32
+	origin int32
+	rel    localRel // how the first hop was learned: customer/peer/provider
+}
+
 // better reports whether a is preferred over b by BGP-like decision order:
 // relationship class, then AS-path length, then shorter geographic path
 // (the IGP/hot-potato stage — real tie-breaking follows internal metrics
 // that correlate with distance, which is why ~80% of the paper's requests
 // still reach their closest global site), then deterministic ASN/site-ID
-// tie-break.
-func better(a, b Route) bool {
-	ca, cb := routeClass(a.relType), routeClass(b.relType)
+// tie-break, read off the origins' ranks.
+func (r *rib) better(a, b *rec) bool {
+	ca, cb := routeClass(a.rel), routeClass(b.rel)
 	if ca != cb {
 		return ca < cb
 	}
-	if len(a.ASPath) != len(b.ASPath) {
-		return len(a.ASPath) < len(b.ASPath)
+	if a.n != b.n {
+		return a.n < b.n
 	}
 	// Distance is compared in buckets rather than with a +-tolerance band:
 	// a band is not transitive, which would make this comparator an
 	// inconsistent ordering and let map-iteration order leak into results.
-	if ba, bb := int(a.PathKm/geoTieToleranceKm), int(b.PathKm/geoTieToleranceKm); ba != bb {
+	if ba, bb := int(a.pathKm/geoTieToleranceKm), int(b.pathKm/geoTieToleranceKm); ba != bb {
 		return ba < bb
 	}
-	if a.Origin.ASN != b.Origin.ASN {
-		return a.Origin.ASN < b.Origin.ASN
-	}
-	if a.Origin.SiteID != b.Origin.SiteID {
-		return a.Origin.SiteID < b.Origin.SiteID
+	if ra, rb := r.rank[a.origin], r.rank[b.origin]; ra != rb {
+		return ra < rb
 	}
 	// Exhaustive tie-breaks make this a total order: propagation seeds
 	// routes from map iteration, and a partial order would let that
 	// nondeterministic order leak into which alternates survive the cap.
-	if a.PathKm != b.PathKm {
-		return a.PathKm < b.PathKm
+	if a.pathKm != b.pathKm {
+		return a.pathKm < b.pathKm
 	}
-	for i := range a.ASPath {
-		if i >= len(b.ASPath) {
-			break
-		}
-		if a.ASPath[i] != b.ASPath[i] {
-			return a.ASPath[i] < b.ASPath[i]
+	pb := r.path(b)
+	for i, hop := range r.path(a) { // the paths are equally long
+		if hop != pb[i] {
+			return hop < pb[i]
 		}
 	}
 	return false
@@ -92,11 +99,17 @@ const maxAlternates = 4
 // being computed. slots[o] holds the routes AS ordinal o keeps, as indices
 // into log. The log is append-only: a route evicted from its slot stays in
 // it, so a queue entry that points at the route still propagates it. Kept
-// paths live in arena.
+// paths live in arena; a candidate's path is staged past its length.
 type rib struct {
 	slots [][]int32
-	log   []Route
+	log   []rec
 	arena []int
+	// origins are the table's origins, each once, in byValue order, so that
+	// two routes have equal origins exactly when their indices are equal.
+	// rank[i] places origins[i] in byRank order: origins that differ in
+	// Local alone share a rank, as better needs.
+	origins []Origin
+	rank    []int32
 }
 
 // newRib returns an empty rib over n ASes. Its log has room for
@@ -106,7 +119,7 @@ func newRib(n int) rib {
 	backing := make([]int32, n*maxAlternates)
 	r := rib{
 		slots: make([][]int32, n),
-		log:   make([]Route, 0, n*logPerAS),
+		log:   make([]rec, 0, n*logPerAS),
 		arena: make([]int, 0, n*logPerAS*meanHops),
 	}
 	for o := range r.slots {
@@ -123,44 +136,104 @@ const (
 	meanHops = 5
 )
 
-// reset empties r and keeps its memory.
-func (r *rib) reset() {
+// reset empties r, keeping its memory, and indexes origins afresh: the
+// origins table is new, since the last table computed still holds the old.
+func (r *rib) reset(origins []Origin) {
 	for o := range r.slots {
 		r.slots[o] = r.slots[o][:0]
 	}
 	r.log, r.arena = r.log[:0], r.arena[:0]
+	sorted := slices.Clone(origins)
+	slices.SortFunc(sorted, byValue)
+	r.origins = slices.Clip(slices.Compact(sorted))
+	r.rank = slices.Grow(r.rank[:0], len(r.origins))
+	for i, o := range r.origins {
+		rank := int32(0)
+		if i > 0 {
+			rank = r.rank[i-1]
+			if byRank(r.origins[i-1], o) != 0 {
+				rank++
+			}
+		}
+		r.rank = append(r.rank, rank)
+	}
 }
 
-// add appends route to the log, its path copied into the arena, and returns
-// its index. The arena only grows while a table is computed, so a path once
-// written is never written again.
-func (r *rib) add(route Route) int32 {
-	at := len(r.arena)
-	r.arena = append(r.arena, route.ASPath...)
-	route.ASPath = r.arena[at:len(r.arena):len(r.arena)]
+// byRank orders origins as better's last decision step does: by ASN, then
+// by site ID.
+func byRank(a, b Origin) int {
+	if c := cmp.Compare(a.ASN, b.ASN); c != 0 {
+		return c
+	}
+	return strings.Compare(a.SiteID, b.SiteID)
+}
+
+// byValue is byRank with Local after it, so that equal origins sort
+// together.
+func byValue(a, b Origin) int {
+	if c := byRank(a, b); c != 0 || a.Local == b.Local {
+		return c
+	}
+	if a.Local {
+		return 1
+	}
+	return -1
+}
+
+// find returns the index of o among r's origins, which hold it.
+func (r *rib) find(o Origin) int32 {
+	i, _ := slices.BinarySearchFunc(r.origins, o, byValue)
+	return int32(i)
+}
+
+// path returns route's path. A staged candidate's lies past the arena's
+// length, within its capacity.
+func (r *rib) path(route *rec) []int {
+	return r.arena[route.off : route.off+route.n]
+}
+
+// stage writes the path first, rest... past the arena's length, where the
+// next stage overwrites it unless add keeps it, and returns route pointing
+// at it. rest may be a path of the arena itself. Only a growth writes the
+// arena's slice header, so staging pays no write barrier.
+func (r *rib) stage(route rec, first int, rest []int) rec {
+	at, n := len(r.arena), 1+len(rest)
+	if cap(r.arena)-at < n {
+		r.arena = slices.Grow(r.arena, n)
+	}
+	path := r.arena[at : at+n]
+	path[0] = first
+	copy(path[1:], rest)
+	route.off, route.n = int32(at), int32(n)
+	return route
+}
+
+// add keeps the route stage returned last: the arena's length takes in its
+// path, and the route goes to the log. It returns the route's log index.
+// The arena only grows while a table is computed, so a path once kept is
+// never written again.
+func (r *rib) add(route rec) int32 {
+	r.arena = r.arena[:route.off+route.n]
 	r.log = append(r.log, route)
 	return int32(len(r.log) - 1)
 }
 
-// insert offers route to the candidates of AS ordinal o and returns the log
-// index it is kept at, or false when the AS refuses it. route.ASPath may be
-// the caller's scratch: the checks read the candidate where it lies, and only
-// a route that is kept is added to the log.
-func (r *rib) insert(o int32, route Route) (int32, bool) {
+// insert offers the staged route to the candidates of AS ordinal o and
+// returns the log index it is kept at, or false when the AS refuses it.
+func (r *rib) insert(o int32, route rec) (int32, bool) {
 	routes := r.slots[o]
-	// Reject loops: the receiver is ASPath[0] by construction; it must not
-	// reappear.
-	asn := route.ASPath[0]
-	for _, hop := range route.ASPath[1:] {
-		if hop == asn {
+	// Reject loops: the receiver is the path's first AS by construction; it
+	// must not reappear.
+	path := r.path(&route)
+	for _, hop := range path[1:] {
+		if hop == path[0] {
 			return 0, false
 		}
 	}
 	// Duplicate suppression: same origin and same path length via same class.
 	for _, i := range routes {
 		existing := &r.log[i]
-		if existing.Origin == route.Origin && len(existing.ASPath) == len(route.ASPath) &&
-			existing.relType == route.relType {
+		if existing.origin == route.origin && existing.n == route.n && existing.rel == route.rel {
 			return 0, false
 		}
 	}
@@ -168,7 +241,7 @@ func (r *rib) insert(o int32, route Route) (int32, bool) {
 	// one it beats, and survives if that is inside the cap.
 	pos := len(routes)
 	for i, kept := range routes {
-		if better(route, r.log[kept]) {
+		if r.better(&route, &r.log[kept]) {
 			pos = i
 			break
 		}
@@ -186,28 +259,33 @@ func (r *rib) insert(o int32, route Route) (int32, bool) {
 	return idx, true
 }
 
+// local reports whether route's origin is announced no-export.
+func (r *rib) local(route *rec) bool { return r.origins[route.origin].Local }
+
 // table compacts the slots into a routing table of their own: one slice of
-// routes and one of paths, each exactly as long as what the slots hold.
+// records and one of paths, each exactly as long as what the slots hold,
+// and the origins table.
 func (r *rib) table(t *Topology) *RoutingTable {
 	nRoutes, nHops := 0, 0
 	for _, slot := range r.slots {
 		nRoutes += len(slot)
 		for _, i := range slot {
-			nHops += len(r.log[i].ASPath)
+			nHops += int(r.log[i].n)
 		}
 	}
 	rt := &RoutingTable{
-		topo:   t,
-		start:  make([]int32, len(r.slots)+1),
-		routes: make([]Route, 0, nRoutes),
-		paths:  make([]int, 0, nHops),
+		topo:    t,
+		start:   make([]int32, len(r.slots)+1),
+		routes:  make([]rec, 0, nRoutes),
+		paths:   make([]int, 0, nHops),
+		origins: r.origins,
 	}
 	for o, slot := range r.slots {
 		for _, i := range slot {
 			route := r.log[i]
 			at := len(rt.paths)
-			rt.paths = append(rt.paths, route.ASPath...)
-			route.ASPath = rt.paths[at:len(rt.paths):len(rt.paths)]
+			rt.paths = append(rt.paths, r.path(&route)...)
+			route.off = int32(at)
 			rt.routes = append(rt.routes, route)
 		}
 		rt.start[o+1] = int32(len(rt.routes))
@@ -217,12 +295,14 @@ func (r *rib) table(t *Topology) *RoutingTable {
 
 // RoutingTable holds, for every AS, its candidate routes to one anycast
 // deployment in one family: the routes of AS ordinal o are
-// routes[start[o]:start[o+1]], and every route's path lies in paths.
+// routes[start[o]:start[o+1]], every route's path lies in paths, and its
+// origin in origins.
 type RoutingTable struct {
-	topo   *Topology
-	start  []int32
-	routes []Route
-	paths  []int
+	topo    *Topology
+	start   []int32
+	routes  []rec
+	paths   []int
+	origins []Origin
 }
 
 // entry is one queued route: the ordinal of the AS holding it and its index
@@ -232,15 +312,14 @@ type entry struct {
 }
 
 // A Router computes routing tables over one topology and keeps its scratch
-// (the rib, its log and arena, the queues and the candidate path) from one
-// table to the next, so that a goroutine building many tables allocates
-// little more than the tables. A Router is not safe for concurrent use: give
-// each goroutine its own.
+// (the rib, its log and arena, and the queues) from one table to the next,
+// so that a goroutine building many tables allocates little more than the
+// tables. A Router is not safe for concurrent use: give each goroutine its
+// own.
 type Router struct {
 	topo        *Topology
 	rib         rib
 	queue, down []entry
-	scratch     []int // the candidate path extend writes and insert copies
 }
 
 // NewRouter returns a Router over t. Its phase-1 queue has room for one
@@ -249,11 +328,10 @@ type Router struct {
 func (t *Topology) NewRouter() *Router {
 	n := len(t.asns)
 	return &Router{
-		topo:    t,
-		rib:     newRib(n),
-		queue:   make([]entry, 0, n),
-		down:    make([]entry, 0, n*logPerAS),
-		scratch: make([]int, 0, 2*meanHops),
+		topo:  t,
+		rib:   newRib(n),
+		queue: make([]entry, 0, n),
+		down:  make([]entry, 0, n*logPerAS),
 	}
 }
 
@@ -276,17 +354,19 @@ func (r *Router) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 
 	// Phase 1: propagate upward along customer→provider edges. A provider
 	// learns the route as customer-learned and may re-export it anywhere.
+	// Each loop reads its route by value: an insert may move the log.
 	for head := 0; head < len(queue); head++ {
 		item := queue[head]
 		route := routes.log[item.i]
-		if route.Origin.Local && len(route.ASPath) > 1 {
+		local := routes.local(&route)
+		if local && route.n > 1 {
 			continue // no-export: locals stop after one hop
 		}
 		for _, n := range adj[item.o] {
 			if n.rel != relProvider {
 				continue
 			}
-			if i, ok := routes.insert(n.ord, r.extend(route, n, relCustomer)); ok && !route.Origin.Local {
+			if i, ok := routes.insert(n.ord, r.extend(route, n, relCustomer)); ok && !local {
 				queue = append(queue, entry{n.ord, i})
 			}
 		}
@@ -299,7 +379,7 @@ func (r *Router) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 	snapshot := queue[:0]
 	for o, slot := range routes.slots {
 		for _, i := range slot {
-			if routes.log[i].relType == relCustomer { // includes origin self-routes
+			if routes.log[i].rel == relCustomer { // includes origin self-routes
 				snapshot = append(snapshot, entry{int32(o), i})
 			}
 		}
@@ -307,14 +387,15 @@ func (r *Router) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 	down := r.down[:0]
 	for _, item := range snapshot {
 		route := routes.log[item.i]
-		if route.Origin.Local && len(route.ASPath) > 1 {
+		local := routes.local(&route)
+		if local && route.n > 1 {
 			continue
 		}
 		for _, n := range adj[item.o] {
 			if n.rel != relPeer {
 				continue
 			}
-			if i, ok := routes.insert(n.ord, r.extend(route, n, relPeer)); ok && !route.Origin.Local {
+			if i, ok := routes.insert(n.ord, r.extend(route, n, relPeer)); ok && !local {
 				down = append(down, entry{n.ord, i})
 			}
 		}
@@ -325,7 +406,7 @@ func (r *Router) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 	// customers, who learn it as provider routes.
 	for o, slot := range routes.slots {
 		for _, i := range slot {
-			if route := &routes.log[i]; route.relType == relCustomer && !route.Origin.Local || len(route.ASPath) == 1 {
+			if route := &routes.log[i]; route.rel == relCustomer && !routes.local(route) || route.n == 1 {
 				down = append(down, entry{int32(o), i})
 			}
 		}
@@ -339,7 +420,7 @@ func (r *Router) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 	for head := 0; head < len(down); head++ {
 		item := down[head]
 		route := routes.log[item.i]
-		if route.Origin.Local && len(route.ASPath) > 1 {
+		if routes.local(&route) && route.n > 1 {
 			continue
 		}
 		for _, n := range adj[item.o] {
@@ -361,14 +442,13 @@ func (r *Router) ComputeRoutes(origins []Origin, f Family) *RoutingTable {
 // AS keeps it.
 func (r *Router) seed(origins []Origin) []entry {
 	routes, queue := &r.rib, r.queue[:0]
-	routes.reset()
+	routes.reset(origins)
 	for _, o := range origins {
 		ord, ok := r.topo.ord[o.ASN]
 		if !ok {
 			continue
 		}
-		self := Route{Origin: o, ASPath: append(r.scratch[:0], o.ASN), relType: relCustomer}
-		r.scratch = self.ASPath
+		self := routes.stage(rec{origin: routes.find(o), rel: relCustomer}, o.ASN, nil)
 		i, ok := routes.insert(ord, self)
 		if !ok {
 			i = routes.add(self)
@@ -381,36 +461,50 @@ func (r *Router) seed(origins []Origin) []entry {
 // compare orders two logged routes as better does: best first.
 func (r *rib) compare(a, b int32) int {
 	switch {
-	case better(r.log[a], r.log[b]):
+	case r.better(&r.log[a], &r.log[b]):
 		return -1
-	case better(r.log[b], r.log[a]):
+	case r.better(&r.log[b], &r.log[a]):
 		return 1
 	}
 	return 0
 }
 
-// extend returns route as neighbor n learns it from the AS holding it, over
-// an edge it learns as class learned. The path is written into r.scratch,
-// which the next extend overwrites: rib.insert copies it only for a route it
-// keeps. route.ASPath must not be r.scratch.
-func (r *Router) extend(route Route, n neighbor, learned localRel) Route {
-	path := append(append(r.scratch[:0], r.topo.asns[n.ord]), route.ASPath...)
-	r.scratch = path
-	return Route{Origin: route.Origin, ASPath: path, PathKm: route.PathKm + n.km, relType: learned}
+// extend stages route as neighbor n learns it from the AS holding it, over
+// an edge it learns as class learned.
+func (r *Router) extend(route rec, n neighbor, learned localRel) rec {
+	routes := &r.rib
+	return routes.stage(rec{pathKm: route.pathKm + n.km, origin: route.origin, rel: learned},
+		r.topo.asns[n.ord], routes.path(&route))
 }
 
-// Candidates returns the candidate routes from asn, best first, empty when
-// asn has none. The slice is the table's own, shared by every campaign
-// worker, and must not be written; its capacity is clipped so that an append
-// reallocates.
-func (rt *RoutingTable) Candidates(asn int) []Route {
+// Routes is one AS's candidate routes in a routing table, best first: a view
+// of the table's records that At turns into Routes one at a time.
+type Routes struct {
+	table  *RoutingTable
+	lo, hi int32
+}
+
+// Len returns the number of routes.
+func (rs Routes) Len() int { return int(rs.hi - rs.lo) }
+
+// At returns route i, best first. Its ASPath is the table's own, shared by
+// every campaign worker, and must not be written; its capacity is clipped so
+// that an append reallocates.
+func (rs Routes) At(i int) Route {
+	t := rs.table
+	route := &t.routes[rs.lo:rs.hi][i]
+	end := route.off + route.n
+	return Route{Origin: t.origins[route.origin], ASPath: t.paths[route.off:end:end], PathKm: route.pathKm, relType: route.rel}
+}
+
+// Hops returns At(i).Hops() without building the route.
+func (rs Routes) Hops(i int) int { return int(rs.table.routes[rs.lo:rs.hi][i].n) - 1 }
+
+// Candidates returns the candidate routes from asn, empty when asn has none.
+func (rt *RoutingTable) Candidates(asn int) Routes {
 	o, ok := rt.topo.ord[asn]
 	if !ok {
-		return nil
+		return Routes{}
 	}
-	lo, hi := rt.start[o], rt.start[o+1]
-	if lo == hi {
-		return nil
-	}
-	return rt.routes[lo:hi:hi]
+	return Routes{rt, rt.start[o], rt.start[o+1]}
 }

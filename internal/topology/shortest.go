@@ -23,13 +23,14 @@ func (t *Topology) ComputeRoutesShortest(origins []Origin, f Family) *RoutingTab
 		var item entry
 		pq, item = routes.pop(pq)
 		route := routes.log[item.i]
-		if route.Origin.Local && len(route.ASPath) > 1 {
+		local := routes.local(&route)
+		if local && route.n > 1 {
 			continue
 		}
 		for _, n := range adj[item.o] {
 			// Classless: every learned route ranks as customer-class so only
 			// length and geography decide.
-			if i, ok := routes.insert(n.ord, r.extend(route, n, relCustomer)); ok && !route.Origin.Local {
+			if i, ok := routes.insert(n.ord, r.extend(route, n, relCustomer)); ok && !local {
 				pq = routes.push(pq, entry{n.ord, i})
 			}
 		}
@@ -41,10 +42,10 @@ func (t *Topology) ComputeRoutesShortest(origins []Origin, f Family) *RoutingTab
 // geographic length, making it a proper Dijkstra over (hops, km).
 func (r *rib) less(a, b entry) bool {
 	x, y := &r.log[a.i], &r.log[b.i]
-	if len(x.ASPath) != len(y.ASPath) {
-		return len(x.ASPath) < len(y.ASPath)
+	if x.n != y.n {
+		return x.n < y.n
 	}
-	return x.PathKm < y.PathKm
+	return x.pathKm < y.pathKm
 }
 
 // push adds e to the heap h and pop takes its least entry off. They are

@@ -11,7 +11,7 @@ func TestShortestPathRoutesReachEverything(t *testing.T) {
 	origin := Origin{SiteID: "s", ASN: 100}
 	rt := topo.ComputeRoutesShortest([]Origin{origin}, IPv4)
 	for _, asn := range topo.StubASNs(nil) {
-		if len(rt.Candidates(asn)) == 0 {
+		if rt.Candidates(asn).Len() == 0 {
 			t.Errorf("stub %d unreachable under shortest-path routing", asn)
 		}
 	}

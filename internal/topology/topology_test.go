@@ -9,10 +9,10 @@ import (
 // best returns asn's preferred route, if it has one.
 func best(rt *RoutingTable, asn int) (Route, bool) {
 	rs := rt.Candidates(asn)
-	if len(rs) == 0 {
+	if rs.Len() == 0 {
 		return Route{}, false
 	}
-	return rs[0], true
+	return rs.At(0), true
 }
 
 func buildSmall(t *testing.T) *Topology {
@@ -92,7 +92,7 @@ func TestAllStubsReachGlobalOrigin(t *testing.T) {
 	// connectivity, as on the real Internet; require >= 95%.
 	rt4 := topo.ComputeRoutes([]Origin{origin}, IPv4)
 	for _, asn := range topo.StubASNs(nil) {
-		if len(rt4.Candidates(asn)) == 0 {
+		if rt4.Candidates(asn).Len() == 0 {
 			t.Errorf("IPv4: stub %d cannot reach origin", asn)
 		}
 	}
@@ -100,7 +100,7 @@ func TestAllStubsReachGlobalOrigin(t *testing.T) {
 	stubs := topo.StubASNs(nil)
 	reach := 0
 	for _, asn := range stubs {
-		if len(rt6.Candidates(asn)) > 0 {
+		if rt6.Candidates(asn).Len() > 0 {
 			reach++
 		}
 	}
@@ -176,7 +176,7 @@ func TestLocalOriginScope(t *testing.T) {
 	rt := topo.ComputeRoutes([]Origin{origin}, IPv4)
 	reachable := 0
 	for asn := range topo.ASes {
-		if len(rt.Candidates(asn)) == 0 {
+		if rt.Candidates(asn).Len() == 0 {
 			continue
 		}
 		reachable++
@@ -231,13 +231,13 @@ func TestRouteAlternatesOrdered(t *testing.T) {
 	rt := topo.ComputeRoutes(origins, IPv6)
 	for _, asn := range topo.StubASNs(nil) {
 		alts := rt.Candidates(asn)
-		for i := 0; i+1 < len(alts); i++ {
-			if better(alts[i+1], alts[i]) {
+		for i := 0; i+1 < alts.Len(); i++ {
+			if better(alts.At(i+1), alts.At(i)) {
 				t.Fatalf("alternates for %d out of order", asn)
 			}
 		}
-		if len(alts) > maxAlternates {
-			t.Fatalf("too many alternates: %d", len(alts))
+		if alts.Len() > maxAlternates {
+			t.Fatalf("too many alternates: %d", alts.Len())
 		}
 	}
 }

@@ -38,10 +38,10 @@ func setup(t *testing.T) (*topology.Topology, *anycast.Deployment, *anycast.Depl
 // bestRoute returns asn's preferred route into the catchment, if it has one.
 func bestRoute(c *anycast.Catchment, asn int) (topology.Route, bool) {
 	rs := c.Choices(asn, 1).Routes
-	if len(rs) == 0 {
+	if rs.Len() == 0 {
 		return topology.Route{}, false
 	}
-	return rs[0], true
+	return rs.At(0), true
 }
 
 func TestRunShape(t *testing.T) {
@@ -200,7 +200,9 @@ func TestRouterNamesMatchSprintf(t *testing.T) {
 	for _, f := range topology.Families() {
 		c := anycast.ComputeCatchment(topo, d, f)
 		for _, asn := range topo.StubASNs(nil) {
-			for _, route := range c.Choices(asn, 1).Routes {
+			routes := c.Choices(asn, 1).Routes
+			for i := range routes.Len() {
+				route := routes.At(i)
 				site, _ := d.SiteByID(route.Origin.SiteID)
 				var want []string
 				for i, hopASN := range route.ASPath {
@@ -329,7 +331,9 @@ func TestEdgeFunctionsMatchRun(t *testing.T) {
 	for l, byFamily := range sys.Catchments(1) {
 		for f, c := range byFamily {
 			for _, asn := range topo.StubASNs(nil) {
-				for _, route := range c.Choices(asn, 1).Routes {
+				routes := c.Choices(asn, 1).Routes
+				for i := range routes.Len() {
+					route := routes.At(i)
 					site, ok := sys.Deployments[l].SiteByID(route.Origin.SiteID)
 					if !ok {
 						t.Fatalf("%s.root: no site %q", l, route.Origin.SiteID)
