@@ -104,3 +104,21 @@ func TestBudgetAbortLeavesArtefacts(t *testing.T) {
 		t.Errorf("CPU profile: %v, %v; want a non-empty file", info, err)
 	}
 }
+
+// No golden pins the Appendix-E extensions, so pin that they print the same
+// report, above its stopwatch, on every run.
+func TestExtensionsDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 5; i++ {
+		code, stdout, stderr := runCLI(t, "-quick", "-extensions")
+		report, _, ok := strings.Cut(stdout, "\ncampaign wall time: ")
+		if code != 0 || !ok || !strings.Contains(report, "Control group") {
+			t.Fatalf("exit %d, stderr %q", code, stderr)
+		}
+		if i == 0 {
+			first = report
+		} else if report != first {
+			t.Fatalf("run %d printed another -quick -extensions report than run 1", i+1)
+		}
+	}
+}

@@ -34,30 +34,20 @@ func NewTraffic(clients int, seed int64) *Traffic {
 	}
 }
 
-// normSeries computes each target's share of the window's total b.root
-// traffic.
-func normSeries(m *passive.Model, start, end time.Time) map[string]float64 {
-	series := m.TrafficSeries(start, end, passive.BTargets())
+// bShares returns b.root's four targets' shares of the window's b.root
+// traffic: v4 new, v4 old, v6 new, v6 old.
+func bShares(m *passive.Model, start, end time.Time) (shares [4]float64) {
 	var total float64
-	for _, s := range series {
-		total += s.Total()
+	for i := range shares {
+		shares[i] = m.Volume(passive.Target{Letter: "b", Family: topology.Family(i / 2), Old: i%2 == 1}, start, end)
+		total += shares[i]
 	}
-	out := make(map[string]float64, len(series))
-	for _, s := range series {
-		label := "V4"
-		if s.Target.Family == topology.IPv6 {
-			label = "V6"
-		}
-		if s.Target.Old {
-			label += "old"
-		} else {
-			label += "new"
-		}
+	for i := range shares {
 		if total > 0 {
-			out[label] = s.Total() / total
+			shares[i] /= total
 		}
 	}
-	return out
+	return shares
 }
 
 // WriteFigure7 renders the ISP's normalized b.root traffic for the paper's
@@ -74,9 +64,8 @@ func (t *Traffic) WriteFigure7(w io.Writer) {
 		{"2024-04-22..04-29", passive.ISPWindow3[0], passive.ISPWindow3[1]},
 	}
 	for _, win := range windows {
-		shares := normSeries(t.ISP, win.start, win.end)
-		fmt.Fprintf(w, "%-20s V4new=%.3f V4old=%.3f V6new=%.3f V6old=%.3f\n",
-			win.label, shares["V4new"], shares["V4old"], shares["V6new"], shares["V6old"])
+		s := bShares(t.ISP, win.start, win.end)
+		fmt.Fprintf(w, "%-20s V4new=%.3f V4old=%.3f V6new=%.3f V6old=%.3f\n", win.label, s[0], s[1], s[2], s[3])
 	}
 	fmt.Fprintf(w, "in-family shift (2024-02): v4=%.1f%% v6=%.1f%%\n",
 		t.ISP.ShiftRatio(topology.IPv4, passive.ISPWindow2[0], passive.ISPWindow2[1])*100,
@@ -171,15 +160,10 @@ func (t *Traffic) WriteFigure12(w io.Writer) {
 		{"2024-02 window", passive.ISPWindow2[0], passive.ISPWindow2[0].Add(7 * 24 * time.Hour)},
 	}
 	for _, win := range windows {
-		shares := t.letterShares(t.ISP, win.start, win.end)
-		fmt.Fprintf(w, "%-20s", win.label)
-		for _, l := range rss.Letters() {
-			fmt.Fprintf(w, " %s=%.3f", l, shares[l])
-		}
-		fmt.Fprintln(w)
+		writeLetterShares(w, fmt.Sprintf("%-20s", win.label), t.ISP, win.start, win.end)
 	}
 	// The a.root dip day.
-	dipShares := t.letterShares(t.ISP, passive.ARootDipDay, passive.ARootDipDay.Add(24*time.Hour))
+	dipShares := letterShares(t.ISP, passive.ARootDipDay, passive.ARootDipDay.Add(24*time.Hour))
 	fmt.Fprintf(w, "a.root share on 2024-02-26 (dip day): %.3f\n", dipShares["a"])
 }
 
@@ -187,8 +171,13 @@ func (t *Traffic) WriteFigure12(w io.Writer) {
 func (t *Traffic) WriteFigure13(w io.Writer) {
 	fmt.Fprintln(w, "Figure 13: IXP traffic to all roots (letter shares)")
 	start := passive.IXPWindow1[0]
-	shares := t.letterShares(t.IXPEU, start, start.Add(7*24*time.Hour))
-	fmt.Fprint(w, "EU IXPs:")
+	writeLetterShares(w, "EU IXPs:", t.IXPEU, start, start.Add(7*24*time.Hour))
+}
+
+// writeLetterShares prints label and then each letter's share.
+func writeLetterShares(w io.Writer, label string, m *passive.Model, start, end time.Time) {
+	shares := letterShares(m, start, end)
+	fmt.Fprint(w, label)
 	for _, l := range rss.Letters() {
 		fmt.Fprintf(w, " %s=%.3f", l, shares[l])
 	}
@@ -197,16 +186,18 @@ func (t *Traffic) WriteFigure13(w io.Writer) {
 
 // letterShares sums traffic per letter (old+new, both families) and
 // normalizes to shares.
-func (t *Traffic) letterShares(m *passive.Model, start, end time.Time) map[rss.Letter]float64 {
-	targets := passive.AllLetterTargets()
-	targets = append(targets, passive.Target{Letter: "b", Family: topology.IPv4, Old: true},
-		passive.Target{Letter: "b", Family: topology.IPv6, Old: true})
-	series := m.TrafficSeries(start, end, targets)
+func letterShares(m *passive.Model, start, end time.Time) map[rss.Letter]float64 {
 	sums := make(map[rss.Letter]float64)
 	var total float64
-	for _, s := range series {
-		sums[s.Target.Letter] += s.Total()
-		total += s.Total()
+	for _, l := range rss.Letters() {
+		for _, f := range topology.Families() {
+			v := m.Volume(passive.Target{Letter: l, Family: f}, start, end)
+			if l == "b" {
+				v += m.Volume(passive.Target{Letter: l, Family: f, Old: true}, start, end)
+			}
+			sums[l] += v
+			total += v
+		}
 	}
 	if total > 0 {
 		for l := range sums {

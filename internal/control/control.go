@@ -76,8 +76,8 @@ func New(cfg Config, topo *topology.Topology, sys *rss.System, pop *vantage.Popu
 		InstabilityV4: cfg.Instability,
 		InstabilityV6: cfg.Instability,
 	}
-	for region, n := range cfg.SitesPerRegion {
-		d.Sites = append(d.Sites, b.PlaceSites("ctrl", anycast.Global, region, n)...)
+	for _, region := range geo.Regions() { // in order: each placement draws from b
+		d.Sites = append(d.Sites, b.PlaceSites("ctrl", anycast.Global, region, cfg.SitesPerRegion[region])...)
 	}
 	return &Experiment{Cfg: cfg, Topo: topo, System: sys, Population: pop, Control: d}
 }

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -97,5 +98,18 @@ func TestRegionsCovered(t *testing.T) {
 	}
 	if len(regions) < 5 {
 		t.Errorf("control covers %d regions", len(regions))
+	}
+}
+
+// TestNewIsDeterministic: one config places the same control sites every
+// time. Each placement draws from one seeded builder, so the regions must be
+// visited in a fixed order, not in map order.
+func TestNewIsDeterministic(t *testing.T) {
+	e := setup(t)
+	for i := 0; i < 20; i++ {
+		again := New(e.Cfg, e.Topo, e.System, e.Population)
+		if !reflect.DeepEqual(again.Control.Sites, e.Control.Sites) {
+			t.Fatalf("build %d placed other control sites", i+1)
+		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 
 // Orderedmap flags `range` over a map whose loop body writes into an
 // order-sensitive sink — an io.Writer, hash.Hash, encoder, string builder,
-// or one of the campaign's event handlers. Go randomizes map iteration
+// or one of the campaign's event handlers — or draws from a seeded
+// generator: a method on a *math/rand.Rand, or on a value whose struct holds
+// one (a builder placing sites from its Rng). Go randomizes map iteration
 // order per run, so such a loop produces output that differs between two
 // executions of the same binary on the same input: exactly the class of
 // bug that silently breaks the repo's byte-identical report, dataset, and
@@ -101,14 +103,33 @@ func findSinkWrite(pass *Pass, body *ast.BlockStmt) (token.Pos, string, bool) {
 			}
 		}
 		// Method calls on a sink value: w.Write, h.Sum is excluded (pure),
-		// enc.Encode, sb.WriteString, handler.HandleProbe, ...
-		if orderedSinkMethods[sel.Sel.Name] {
-			if selInfo, ok := pass.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
+		// enc.Encode, sb.WriteString, handler.HandleProbe, ...; or on a
+		// seeded generator: rng.Intn, b.PlaceSites with b.Rng, ...
+		if selInfo, ok := pass.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
+			switch {
+			case orderedSinkMethods[sel.Sel.Name]:
 				pos, desc, found = call.Pos(), "method "+sel.Sel.Name+" writes", true
-				return false
+			case holdsRand(selInfo.Recv()):
+				pos, desc, found = call.Pos(), "method "+sel.Sel.Name+" draws from a seeded generator", true
 			}
 		}
-		return true
+		return !found
 	})
 	return pos, desc, found
+}
+
+// holdsRand reports whether t is a *math/rand.Rand, or a struct (or a
+// pointer to one) with a *math/rand.Rand field.
+func holdsRand(t types.Type) bool {
+	isRand := func(t types.Type) bool { return types.TypeString(t, nil) == "*math/rand.Rand" }
+	if p, ok := t.(*types.Pointer); ok && !isRand(t) {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	for i := 0; ok && i < st.NumFields(); i++ {
+		if isRand(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return isRand(t)
 }

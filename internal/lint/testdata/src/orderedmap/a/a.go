@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math/rand"
 	"strings"
 )
 
@@ -33,4 +34,26 @@ func copyOut(w io.Writer, m map[string]string) {
 	for _, v := range m {
 		io.WriteString(w, v) // want "io.WriteString writes inside a map range"
 	}
+}
+
+// A draw from a seeded generator is order-sensitive too: which key gets which
+// number depends on the iteration order.
+func jitter(rng *rand.Rand, m map[string]float64) {
+	for k := range m {
+		m[k] += rng.Float64() // want "method Float64 draws from a seeded generator inside a map range"
+	}
+}
+
+type builder struct {
+	name string
+	rng  *rand.Rand
+}
+
+func (b *builder) place(n int) []int { return b.rng.Perm(n) }
+
+func placeAll(b *builder, perRegion map[string]int) (out [][]int) {
+	for _, n := range perRegion {
+		out = append(out, b.place(n)) // want "method place draws from a seeded generator inside a map range"
+	}
+	return out
 }

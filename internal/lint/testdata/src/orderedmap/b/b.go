@@ -6,6 +6,7 @@ package b
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 )
 
@@ -42,5 +43,23 @@ func debugDump(w io.Writer, counts map[string]int) {
 	//rootlint:allow maporder: debug-only output, never hashed or persisted
 	for k, n := range counts {
 		fmt.Fprintf(w, "%s=%d ", k, n)
+	}
+}
+
+type counter struct{ n int }
+
+func (c *counter) add(v int) { c.n += v }
+
+// Methods on values that hold no generator are not draws, and drawing over
+// sorted keys is the fix.
+func placeSorted(c *counter, rng *rand.Rand, perRegion map[string]int) {
+	keys := make([]string, 0, len(perRegion))
+	for k, n := range perRegion {
+		c.add(n)
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for range keys {
+		c.add(rng.Intn(10))
 	}
 }

@@ -76,12 +76,8 @@ func (m *MultiIXP) RegionShift(region geo.Region, f topology.Family, start, end 
 		if site.Region != region {
 			continue
 		}
-		series := site.Model.TrafficSeries(start, end, []Target{
-			{Letter: "b", Family: f, Old: false},
-			{Letter: "b", Family: f, Old: true},
-		})
-		newSum += series[0].Total()
-		oldSum += series[1].Total()
+		newSum += site.Model.Volume(Target{Letter: "b", Family: f}, start, end)
+		oldSum += site.Model.Volume(Target{Letter: "b", Family: f, Old: true}, start, end)
 	}
 	if newSum+oldSum == 0 {
 		return 0
@@ -89,33 +85,14 @@ func (m *MultiIXP) RegionShift(region geo.Region, f topology.Family, start, end 
 	return newSum / (newSum + oldSum)
 }
 
-// PerIXPShift returns each exchange's in-family shift, sorted by name.
-func (m *MultiIXP) PerIXPShift(f topology.Family, start, end time.Time) map[string]float64 {
-	out := make(map[string]float64, len(m.Sites))
-	for _, site := range m.Sites {
-		out[site.Name] = site.Model.ShiftRatio(f, start, end)
-	}
-	return out
-}
-
 // WriteDetail renders the per-exchange adoption table (the disaggregated
-// form of the paper's Fig. 9).
+// form of the paper's Fig. 9), by exchange name.
 func (m *MultiIXP) WriteDetail(w io.Writer, f topology.Family, start, end time.Time) {
 	fmt.Fprintf(w, "Per-IXP %s b.root adoption (share on new prefix)\n", f)
-	shifts := m.PerIXPShift(f, start, end)
-	names := make([]string, 0, len(shifts))
-	for n := range shifts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		var region geo.Region
-		for _, s := range m.Sites {
-			if s.Name == n {
-				region = s.Region
-			}
-		}
-		fmt.Fprintf(w, "  %-8s %-14s %5.1f%%\n", n, region, shifts[n]*100)
+	sites := append([]IXPSite(nil), m.Sites...)
+	sort.Slice(sites, func(i, j int) bool { return sites[i].Name < sites[j].Name })
+	for _, s := range sites {
+		fmt.Fprintf(w, "  %-8s %-14s %5.1f%%\n", s.Name, s.Region, s.Model.ShiftRatio(f, start, end)*100)
 	}
 	fmt.Fprintf(w, "  aggregate: Europe %.1f%%, North America %.1f%%\n",
 		m.RegionShift(geo.Europe, f, start, end)*100,

@@ -70,12 +70,9 @@ func TestPerIXPShiftVaries(t *testing.T) {
 	m := testMultiIXP()
 	start := BRootChange.Add(72 * time.Hour)
 	end := IXPWindow1[1]
-	shifts := m.PerIXPShift(topology.IPv6, start, end)
-	if len(shifts) != 14 {
-		t.Fatalf("per-IXP shifts = %d", len(shifts))
-	}
 	minV, maxV := 1.0, 0.0
-	for _, v := range shifts {
+	for _, site := range m.Sites {
+		v := site.Model.ShiftRatio(topology.IPv6, start, end)
 		if v < minV {
 			minV = v
 		}

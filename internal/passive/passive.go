@@ -13,6 +13,7 @@ package passive
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/rss"
@@ -89,6 +90,8 @@ type Model struct {
 	LetterShare map[rss.Letter]float64
 	// SampleRate is the flow sampling factor applied to emitted volumes.
 	SampleRate float64
+
+	families [2]family // by topology.Family: Clients as NewModel left them, for Volume
 }
 
 // ModelConfig parameterizes population generation.
@@ -215,6 +218,7 @@ func NewModel(cfg ModelConfig) *Model {
 			cl.Priming = fam == topology.IPv6 && rng.Float64() < 0.8 ||
 				fam == topology.IPv4 && rng.Float64() < 0.4
 		}
+		m.families[fam] = newFamily(m.Clients, fam)
 	}
 	return m
 }
@@ -226,7 +230,7 @@ func diurnal(t time.Time) float64 {
 }
 
 // diurnalByMinute holds diurnal's swing for every minute of the day, built
-// once: FlowVolume asks for it per (client, target, hour).
+// once: it is read per (target, hour).
 var diurnalByMinute = func() (swing [24][60]float64) {
 	for hour := range swing {
 		for minute := range swing[hour] {
@@ -237,121 +241,104 @@ var diurnalByMinute = func() (swing [24][60]float64) {
 	return swing
 }()
 
-// FlowVolume returns the sampled flow volume from client cl to target in the
-// hour starting at t. b.root's old/new split follows the client's switch
-// state; other letters ignore Old.
-func (m *Model) FlowVolume(cl Client, target Target, t time.Time) float64 {
-	if cl.Family != target.Family {
-		return 0
+// rates is what a client of a target's family sends to the target in one
+// hour, per unit of its RatePerDay, once it has switched to b.root's new
+// prefix and before, and what a switched priming client adds.
+type rates struct{ switched, unswitched, priming float64 }
+
+// of returns what cl, of the target's family, sends in the hour starting at t.
+func (r rates) of(cl Client, t time.Time) float64 {
+	switch {
+	case !cl.Switched(t):
+		return cl.RatePerDay * r.unswitched
+	case cl.Priming:
+		return cl.RatePerDay*r.switched + r.priming
 	}
-	share := m.LetterShare[target.Letter]
-	base := cl.RatePerDay / 24 * diurnal(t) * share * m.SampleRate * 1024
-	if target.Letter == "a" && sameDay(t, ARootDipDay) {
+	return cl.RatePerDay * r.switched
+}
+
+// hour returns target's rates in the hour starting at t. Volume and
+// ClientDayActivity both read it, so the closed form and the per-client sums
+// cannot drift apart. b.root's old/new split follows the client's switch
+// state; other letters ignore Old.
+func (m *Model) hour(target Target, t time.Time) rates {
+	base := diurnal(t) / 24 * m.LetterShare[target.Letter] * m.SampleRate * 1024
+	if target.Letter == "a" && t.Truncate(24*time.Hour).Equal(ARootDipDay) {
 		base *= 0.45 // the unexplained a.root dip of Fig. 12
 	}
-	if target.Letter != "b" {
+	switch {
+	case target.Letter != "b":
 		if target.Old {
-			return 0
+			return rates{}
 		}
-		return base
-	}
-	// b.root: apportion between old and new prefixes.
-	switched := cl.Switched(t)
-	if t.Before(BRootChange) {
+		return rates{base, base, 0}
+	case t.Before(BRootChange):
 		// Pre-change: the new prefix is operational but unannounced in the
-		// root zone; it draws a sliver of traffic (paper: 0.8%).
+		// root zone; it draws a sliver of traffic (paper: 0.8%). No client
+		// has switched yet.
 		if target.Old {
-			return base * 0.992
+			return rates{unswitched: base * 0.992}
 		}
-		return base * 0.008
+		return rates{unswitched: base * 0.008}
+	case target.Old:
+		// One priming query per day; under the traces' heavy flow sampling
+		// only a fraction of these single-packet flows surfaces.
+		return rates{unswitched: base, priming: primingDailyVolume / 24 * m.SampleRate * 1024}
 	}
-	if switched {
-		if target.Old {
-			if cl.Priming {
-				// One priming query per day; under the traces' heavy flow
-				// sampling only a fraction of these single-packet flows
-				// surfaces.
-				return primingDailyVolume / 24 * m.SampleRate * 1024
-			}
-			return 0
-		}
-		return base
-	}
-	if target.Old {
-		return base
-	}
-	return 0
+	return rates{switched: base}
 }
 
-func sameDay(a, b time.Time) bool {
-	return a.Year() == b.Year() && a.YearDay() == b.YearDay()
+// family is one family's clients in switch order, never-switchers last, with
+// running sums that give an hour's volume without a loop over clients: at k,
+// the rate and the priming clients among the first k, and the rest's rate.
+type family struct {
+	clients                       []Client
+	switched, priming, unswitched []float64
 }
 
-// Series is an hourly traffic time series for one target.
-type Series struct {
-	Target Target
-	Start  time.Time
-	Hours  []float64
-}
-
-// TrafficSeries sums hourly volumes over the population for each target
-// between start and end.
-func (m *Model) TrafficSeries(start, end time.Time, targets []Target) []Series {
-	n := int(end.Sub(start).Hours())
-	out := make([]Series, len(targets))
-	for i, tgt := range targets {
-		out[i] = Series{Target: tgt, Start: start, Hours: make([]float64, n)}
-	}
-	for h := 0; h < n; h++ {
-		t := start.Add(time.Duration(h) * time.Hour)
-		for i, tgt := range targets {
-			var sum float64
-			for _, cl := range m.Clients {
-				sum += m.FlowVolume(cl, tgt, t)
-			}
-			out[i].Hours[h] = sum
+func newFamily(all []Client, f topology.Family) (fam family) {
+	for _, cl := range all {
+		if cl.Family == f {
+			fam.clients = append(fam.clients, cl)
 		}
 	}
-	return out
-}
-
-// Total returns the series sum.
-func (s Series) Total() float64 {
-	var t float64
-	for _, v := range s.Hours {
-		t += v
-	}
-	return t
-}
-
-// BTargets returns the four b.root passive targets.
-func BTargets() []Target {
-	return []Target{
-		{Letter: "b", Family: topology.IPv4, Old: false},
-		{Letter: "b", Family: topology.IPv4, Old: true},
-		{Letter: "b", Family: topology.IPv6, Old: false},
-		{Letter: "b", Family: topology.IPv6, Old: true},
-	}
-}
-
-// AllLetterTargets returns one target per letter and family (new prefixes).
-func AllLetterTargets() []Target {
-	var out []Target
-	for _, l := range rss.Letters() {
-		for _, f := range topology.Families() {
-			out = append(out, Target{Letter: l, Family: f})
+	// A never-switcher's negative delay sorts last as unsigned.
+	sort.SliceStable(fam.clients, func(i, j int) bool {
+		return uint64(fam.clients[i].SwitchDelay) < uint64(fam.clients[j].SwitchDelay)
+	})
+	n := len(fam.clients)
+	fam.switched, fam.priming, fam.unswitched = make([]float64, n+1), make([]float64, n+1), make([]float64, n+1)
+	for i, cl := range fam.clients {
+		fam.switched[i+1] = fam.switched[i] + cl.RatePerDay
+		fam.priming[i+1] = fam.priming[i]
+		if cl.Priming {
+			fam.priming[i+1]++
 		}
+		fam.unswitched[n-1-i] = fam.unswitched[n-i] + fam.clients[n-1-i].RatePerDay
 	}
-	return out
+	return fam
+}
+
+// Volume returns the population's total volume to target over the hours
+// starting in [start, end): each hour's rates times the family's running
+// sums at the clients switched by then.
+func (m *Model) Volume(target Target, start, end time.Time) (sum float64) {
+	fam, k := &m.families[target.Family], 0
+	for t := start; t.Before(end); t = t.Add(time.Hour) {
+		for k < len(fam.clients) && fam.clients[k].Switched(t) {
+			k++
+		}
+		r := m.hour(target, t)
+		sum += r.switched*fam.switched[k] + r.unswitched*fam.unswitched[k] + r.priming*fam.priming[k]
+	}
+	return sum
 }
 
 // ShiftRatio computes the in-family fraction of b.root traffic on the new
 // prefix during [start, end): new / (new + old).
 func (m *Model) ShiftRatio(f topology.Family, start, end time.Time) float64 {
-	newT := Target{Letter: "b", Family: f, Old: false}
-	oldT := Target{Letter: "b", Family: f, Old: true}
-	series := m.TrafficSeries(start, end, []Target{newT, oldT})
-	nv, ov := series[0].Total(), series[1].Total()
+	nv := m.Volume(Target{Letter: "b", Family: f}, start, end)
+	ov := m.Volume(Target{Letter: "b", Family: f, Old: true}, start, end)
 	if nv+ov == 0 {
 		return 0
 	}
@@ -361,11 +348,18 @@ func (m *Model) ShiftRatio(f topology.Family, start, end time.Time) float64 {
 // ClientDayActivity returns, per client that contacted the target at all,
 // its expected flows per day to the target during the day starting at t.
 func (m *Model) ClientDayActivity(target Target, day time.Time) []float64 {
+	var hours [24]rates
+	for h := range hours {
+		hours[h] = m.hour(target, day.Add(time.Duration(h)*time.Hour))
+	}
 	var out []float64
 	for _, cl := range m.Clients {
+		if cl.Family != target.Family {
+			continue
+		}
 		var sum float64
-		for h := 0; h < 24; h++ {
-			sum += m.FlowVolume(cl, target, day.Add(time.Duration(h)*time.Hour))
+		for h, r := range hours {
+			sum += r.of(cl, day.Add(time.Duration(h)*time.Hour))
 		}
 		if sum > 0 {
 			out = append(out, sum)

@@ -46,20 +46,11 @@ func TestModelDeterministic(t *testing.T) {
 func TestPreChangeTrafficMix(t *testing.T) {
 	m := ispModel()
 	day := ISPPreDay
-	series := m.TrafficSeries(day, day.Add(24*time.Hour), BTargets())
-	var newV4, oldV4, newV6, oldV6 float64
-	for _, s := range series {
-		switch {
-		case s.Target.Family == topology.IPv4 && !s.Target.Old:
-			newV4 = s.Total()
-		case s.Target.Family == topology.IPv4 && s.Target.Old:
-			oldV4 = s.Total()
-		case s.Target.Family == topology.IPv6 && !s.Target.Old:
-			newV6 = s.Total()
-		default:
-			oldV6 = s.Total()
-		}
+	volume := func(f topology.Family, old bool) float64 {
+		return m.Volume(Target{Letter: "b", Family: f, Old: old}, day, day.Add(24*time.Hour))
 	}
+	newV4, oldV4 := volume(topology.IPv4, false), volume(topology.IPv4, true)
+	newV6, oldV6 := volume(topology.IPv6, false), volume(topology.IPv6, true)
 	total := newV4 + oldV4 + newV6 + oldV6
 	if total == 0 {
 		t.Fatal("no pre-change traffic")
@@ -139,30 +130,25 @@ func TestPrimingOnceADayPattern(t *testing.T) {
 }
 
 func TestLetterShares(t *testing.T) {
-	m := ispModel()
 	day := ISPWindow2[0]
-	series := m.TrafficSeries(day, day.Add(24*time.Hour), AllLetterTargets())
-	var total, b float64
-	for _, s := range series {
-		total += s.Total()
-		if s.Target.Letter == "b" {
-			b += s.Total()
+	letterVolumes := func(m *Model) (map[rss.Letter]float64, float64) {
+		out := map[rss.Letter]float64{}
+		var total float64
+		for _, tgt := range letterTargets() {
+			v := m.Volume(tgt, day, day.Add(24*time.Hour))
+			out[tgt.Letter] += v
+			total += v
 		}
+		return out, total
 	}
-	share := b / total
+	volumes, total := letterVolumes(ispModel())
+	share := volumes["b"] / total
 	// Paper: b.root 4.46-4.90% of ISP root traffic.
 	if share < 0.02 || share > 0.09 {
 		t.Errorf("b.root share = %.4f", share)
 	}
 	// IXP traffic must be dominated by k and d.
-	ixp := ixpEUModel()
-	iseries := ixp.TrafficSeries(day, day.Add(24*time.Hour), AllLetterTargets())
-	shares := map[rss.Letter]float64{}
-	var itotal float64
-	for _, s := range iseries {
-		shares[s.Target.Letter] += s.Total()
-		itotal += s.Total()
-	}
+	shares, itotal := letterVolumes(ixpEUModel())
 	if shares["k"]/itotal < 0.15 || shares["d"]/itotal < 0.12 {
 		t.Errorf("IXP k=%.3f d=%.3f; want k,d dominant",
 			shares["k"]/itotal, shares["d"]/itotal)
@@ -171,9 +157,9 @@ func TestLetterShares(t *testing.T) {
 
 func TestARootDip(t *testing.T) {
 	m := ispModel()
-	aTarget := []Target{{Letter: "a", Family: topology.IPv4}}
-	dip := m.TrafficSeries(ARootDipDay, ARootDipDay.Add(24*time.Hour), aTarget)[0].Total()
-	normal := m.TrafficSeries(ARootDipDay.AddDate(0, 0, 1), ARootDipDay.AddDate(0, 0, 2), aTarget)[0].Total()
+	aTarget := Target{Letter: "a", Family: topology.IPv4}
+	dip := m.Volume(aTarget, ARootDipDay, ARootDipDay.Add(24*time.Hour))
+	normal := m.Volume(aTarget, ARootDipDay.AddDate(0, 0, 1), ARootDipDay.AddDate(0, 0, 2))
 	if dip >= normal*0.7 {
 		t.Errorf("a.root dip day %.1f vs normal %.1f; expected a clear dip", dip, normal)
 	}
@@ -182,9 +168,10 @@ func TestARootDip(t *testing.T) {
 func TestDiurnalPattern(t *testing.T) {
 	m := ispModel()
 	day := ISPWindow2[0]
-	s := m.TrafficSeries(day, day.Add(24*time.Hour), []Target{{Letter: "k", Family: topology.IPv4}})[0]
-	minV, maxV := s.Hours[0], s.Hours[0]
-	for _, v := range s.Hours {
+	k := Target{Letter: "k", Family: topology.IPv4}
+	minV, maxV := math.Inf(1), math.Inf(-1)
+	for at := day; at.Before(day.Add(24 * time.Hour)); at = at.Add(time.Hour) {
+		v := m.Volume(k, at, at.Add(time.Hour))
 		if v < minV {
 			minV = v
 		}
@@ -200,8 +187,7 @@ func TestDiurnalPattern(t *testing.T) {
 func TestOldPrefixOnlyForB(t *testing.T) {
 	m := ispModel()
 	day := ISPWindow2[0]
-	s := m.TrafficSeries(day, day.Add(2*time.Hour), []Target{{Letter: "k", Family: topology.IPv4, Old: true}})
-	if s[0].Total() != 0 {
+	if m.Volume(Target{Letter: "k", Family: topology.IPv4, Old: true}, day, day.Add(2*time.Hour)) != 0 {
 		t.Error("non-b letter has old-prefix traffic")
 	}
 }
@@ -217,6 +203,130 @@ func TestDiurnalTableIsTheSwing(t *testing.T) {
 		want := 1 + 0.35*math.Sin((h-9)*math.Pi/12)
 		if got := diurnal(at); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: diurnal = %v, want %v", at.Format("15:04:05"), got, want)
+		}
+	}
+}
+
+// letterTargets is one target per letter and family, new prefixes.
+func letterTargets() []Target {
+	var out []Target
+	for _, l := range rss.Letters() {
+		for _, f := range topology.Families() {
+			out = append(out, Target{Letter: l, Family: f})
+		}
+	}
+	return out
+}
+
+// referenceFlowVolume is one client's sampled flow volume to target in the
+// hour starting at t, written out case by case, without the rates that
+// Volume and ClientDayActivity share.
+func referenceFlowVolume(m *Model, cl Client, target Target, t time.Time) float64 {
+	if cl.Family != target.Family {
+		return 0
+	}
+	base := cl.RatePerDay / 24 * diurnal(t) * m.LetterShare[target.Letter] * m.SampleRate * 1024
+	if target.Letter == "a" && t.Year() == ARootDipDay.Year() && t.YearDay() == ARootDipDay.YearDay() {
+		base *= 0.45
+	}
+	if target.Letter != "b" {
+		if target.Old {
+			return 0
+		}
+		return base
+	}
+	switch {
+	case t.Before(BRootChange) && target.Old:
+		return base * 0.992
+	case t.Before(BRootChange):
+		return base * 0.008
+	case cl.Switched(t) && target.Old && cl.Priming:
+		return primingDailyVolume / 24 * m.SampleRate * 1024
+	case cl.Switched(t) == target.Old:
+		return 0
+	}
+	return base
+}
+
+// bruteVolume is Volume's oracle: referenceFlowVolume summed over the
+// clients for each hour of the window, then over the hours.
+func bruteVolume(m *Model, target Target, start, end time.Time) float64 {
+	var sum float64
+	for t := start; t.Before(end); t = t.Add(time.Hour) {
+		var hour float64
+		for _, cl := range m.Clients {
+			hour += referenceFlowVolume(m, cl, target, t)
+		}
+		sum += hour
+	}
+	return sum
+}
+
+func relErr(got, want float64) float64 {
+	if got == want {
+		return 0
+	}
+	return math.Abs(got-want) / math.Max(math.Abs(got), math.Abs(want))
+}
+
+// TestVolumeMatchesBruteForce: the closed form agrees with the hour × client
+// sum to 1e-12 on every target and on every window the report reads, and
+// ClientDayActivity with the per-client reference. The populations are the
+// quick preset's 500 clients (and one 300-client exchange), which keeps the
+// brute force to about a second.
+func TestVolumeMatchesBruteForce(t *testing.T) {
+	models := map[string]*Model{
+		"ISP": NewModel(ISPConfig(500, 1)), "EU": NewModel(IXPConfigEU(500, 2)),
+		"NA": NewModel(IXPConfigNA(500, 3)), "IX-ORD": testMultiIXP().Sites[11].Model,
+	}
+	targets := append(letterTargets(),
+		Target{Letter: "b", Family: topology.IPv4, Old: true},
+		Target{Letter: "b", Family: topology.IPv6, Old: true})
+	windows := [][2]time.Time{
+		{ISPPreDay, ISPPreDay.Add(24 * time.Hour)}, ISPWindow2, ISPWindow3, IXPWindow1,
+		{ARootDipDay, ARootDipDay.Add(24 * time.Hour)},
+		{BRootChange.Add(-12 * time.Hour), BRootChange.Add(4 * 24 * time.Hour)},
+	}
+	for name, m := range models {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, tgt := range targets {
+				for _, w := range windows {
+					got, want := m.Volume(tgt, w[0], w[1]), bruteVolume(m, tgt, w[0], w[1])
+					if e := relErr(got, want); e > 1e-12 {
+						t.Errorf("%+v %s..%s: Volume %v, brute force %v (rel err %.2g)",
+							tgt, w[0].Format("2006-01-02"), w[1].Format("2006-01-02"), got, want, e)
+					}
+				}
+				for _, day := range []time.Time{ISPPreDay, BRootChange, ISPWindow2[0], ARootDipDay} {
+					checkDayActivity(t, m, tgt, day)
+				}
+			}
+		})
+	}
+}
+
+// checkDayActivity holds ClientDayActivity to referenceFlowVolume summed
+// over the day's hours, client by client.
+func checkDayActivity(t *testing.T, m *Model, tgt Target, day time.Time) {
+	t.Helper()
+	var want []float64
+	for _, cl := range m.Clients {
+		var sum float64
+		for h := 0; h < 24; h++ {
+			sum += referenceFlowVolume(m, cl, tgt, day.Add(time.Duration(h)*time.Hour))
+		}
+		if sum > 0 {
+			want = append(want, sum)
+		}
+	}
+	got := m.ClientDayActivity(tgt, day)
+	if len(got) != len(want) {
+		t.Fatalf("%+v %s: %d active clients, reference %d", tgt, day.Format("2006-01-02"), len(got), len(want))
+	}
+	for i := range got {
+		if e := relErr(got[i], want[i]); e > 1e-12 {
+			t.Errorf("%+v %s: client %d activity %v, reference %v", tgt, day.Format("2006-01-02"), i, got[i], want[i])
 		}
 	}
 }
