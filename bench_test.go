@@ -362,17 +362,20 @@ func BenchmarkRouteComputation(b *testing.B) {
 
 // BenchmarkNewWorld builds the world of the bench's campaign workload
 // (schedule scale 192, VP divisor 4, 80 TLDs): the topology, the 13
-// deployments, their 26 routing tables, the VP population, the signer and
-// both base zones. "default" computes the tables on one goroutine per CPU,
-// as the campaign does; "workers=1" computes them inline. live-MB is what
-// the last world built holds for as long as it is reachable, as a campaign
-// or a replay holds it: HeapAlloc after a collection with the world live,
-// less HeapAlloc after one before the first build.
+// deployments, the VP population, the signer and both base zones. "scene" is
+// NewWorld alone, which leaves the 26 routing tables unresolved: what a
+// replay pays. "default" and "workers=1" add NewCampaign, which resolves
+// them, on one goroutine per CPU as the campaign does, or inline: what a
+// campaign pays. live-MB is what the last world built holds for as long as
+// it is reachable, as a campaign or a replay holds it: HeapAlloc after a
+// collection with the world live, less HeapAlloc after one before the first
+// build.
 func BenchmarkNewWorld(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"default", 0}, {"workers=1", 1}} {
+		name     string
+		workers  int
+		campaign bool
+	}{{"scene", 0, false}, {"default", 0, true}, {"workers=1", 1, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			mCfg := measure.DefaultConfig()
 			mCfg.Scale, mCfg.TLDCount, mCfg.Workers = 192, 80, bc.workers
@@ -386,6 +389,9 @@ func BenchmarkNewWorld(b *testing.B) {
 				var err error
 				if w, err = measure.NewWorld(mCfg, topology.DefaultConfig(), vpCfg); err != nil {
 					b.Fatal(err)
+				}
+				if bc.campaign {
+					measure.NewCampaign(mCfg, w)
 				}
 			}
 			b.StopTimer()
@@ -537,7 +543,7 @@ func BenchmarkExtensionControlGroup(b *testing.B) {
 	pop := vantage.Generate(topo, vpCfg)
 	cfg := control.DefaultConfig()
 	cfg.Ticks = 50
-	exp := control.New(cfg, topo, sys, pop)
+	exp := control.New(cfg, topo, sys.Catchments(), pop)
 	var res *control.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -553,12 +559,10 @@ func BenchmarkExtensionControlGroup(b *testing.B) {
 // experiment (Appendix E, "Limited Temporal Resolution").
 func BenchmarkExtensionSOAPropagation(b *testing.B) {
 	topo := topology.Build(topology.DefaultConfig())
-	sys := rss.Build(topo, 1)
 	vpCfg := vantage.DefaultConfig()
 	vpCfg.Scale = 10
 	exp := &propagation.Experiment{
-		Topo:       topo,
-		System:     sys,
+		Catchments: rss.Build(topo, 1).Catchments(),
 		Population: vantage.Generate(topo, vpCfg),
 		Models:     propagation.DefaultSyncModels(),
 		Window:     2 * time.Minute,

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/measure"
@@ -76,13 +77,10 @@ func TestMissingInputLeavesMetrics(t *testing.T) {
 	}
 }
 
-// record writes what `rootmeasure -seed 2 -scale 512 -vpscale 8 -tlds 20`
-// writes, with an every-fourth-event flight log next to it. Nothing about the
-// world is a default: a replay that printed the golden read it in the file.
-func record(t *testing.T, dir string) (rgds, flight string) {
+// record writes what rootmeasure writes for the run cfg describes, with an
+// every-fourth-event flight log next to it.
+func record(t *testing.T, dir string, cfg core.Config) (rgds, flight string) {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Seed, cfg.Scale, cfg.VPScale, cfg.TLDCount = 2, 512, 8, 20
 	mCfg, world, err := core.NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,9 @@ func record(t *testing.T, dir string) (rgds, flight string) {
 
 // The round trip check.sh drives with the built binaries: every table and
 // figure of the replay, the same bytes at any -workers, of the world the
-// recording names. Re-record after a declared seed-compat break:
+// recording names. Nothing about the world is a default: a replay that
+// printed the golden read it in the file. Re-record after a declared
+// seed-compat break:
 //
 //	rootmeasure -seed 2 -scale 512 -vpscale 8 -tlds 20 -out study.rgds
 //	rootanalyze -in study.rgds >cmd/rootanalyze/testdata/replay.golden
@@ -132,7 +132,9 @@ func TestReplayGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rgds, flight := record(t, t.TempDir())
+	cfg := core.DefaultConfig()
+	cfg.Seed, cfg.Scale, cfg.VPScale, cfg.TLDCount = 2, 512, 8, 20
+	rgds, flight := record(t, t.TempDir(), cfg)
 	for _, workers := range []string{"1", "4"} {
 		code, stdout, stderr := runCLI(t, "-in", rgds, "-workers", workers)
 		if code != 0 || stderr != "" {
@@ -152,6 +154,66 @@ func TestReplayGolden(t *testing.T) {
 	if code != 0 || !strings.HasSuffix(stdout, "\n9713 events\n") || strings.Contains(stdout, "measure/probe") {
 		t.Errorf("-qlog show of the transfers: exit %d, ends %q", code, stdout[max(0, len(stdout)-80):])
 	}
+}
+
+// One run, reported live by rootstudy -quick and replayed from its recording
+// by rootanalyze, prints each section both programs print to the byte: a
+// probe's RTT reaches the live analyses as the recording stores it. A section
+// is a blank-line separated block named by its first line; rootanalyze
+// prints none that rootstudy does not (the passive models' are rootstudy's
+// alone). check.sh compares the default preset's with the built binaries.
+func TestReplayPrintsWhatTheStudyPrints(t *testing.T) {
+	quick := repro.QuickConfig()
+	study, err := repro.NewStudy(quick)
+	if err == nil {
+		err = study.Run()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live strings.Builder
+	study.WriteReport(&live)
+
+	cfg := core.DefaultConfig() // what rootmeasure runs, given the preset's flags
+	cfg.Seed, cfg.Scale, cfg.VPScale, cfg.TLDCount = quick.Seed, quick.Scale, quick.VPScale, quick.TLDCount
+	rgds, _ := record(t, t.TempDir(), cfg)
+	code, replay, stderr := runCLI(t, "-in", rgds)
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	replayed := sections(replay)[1:] // the first says what was replayed
+	named := make(map[string]bool, len(replayed))
+	for _, s := range replayed {
+		named[heading(s)] = true
+	}
+	var shared []string
+	for _, s := range sections(live.String()) {
+		if named[heading(s)] {
+			shared = append(shared, s)
+		}
+	}
+	differ := 0
+	for i, s := range replayed {
+		if i >= len(shared) || shared[i] != s {
+			if differ++; differ == 1 {
+				t.Errorf("section %q: the replay prints\n%s", heading(s), s)
+			}
+		}
+	}
+	if differ > 0 || len(shared) != len(replayed) {
+		t.Errorf("%d of the replay's %d sections differ from the live report's, which shares %d", differ, len(replayed), len(shared))
+	}
+}
+
+// sections splits a report into its blank-line separated blocks.
+func sections(report string) []string {
+	return strings.Split(strings.TrimRight(report, "\n"), "\n\n")
+}
+
+// heading is a section's first line.
+func heading(section string) string {
+	h, _, _ := strings.Cut(section, "\n")
+	return h
 }
 
 // A recording that does not say what run made it is not replayed against a

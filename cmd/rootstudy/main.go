@@ -79,12 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "\n== Extensions (Appendix E future work) ==")
 		ctrlCfg := control.DefaultConfig()
 		ctrlCfg.Ticks = 100
-		exp := control.New(ctrlCfg, study.World.Topo, study.World.System, study.World.Population)
+		exp := control.New(ctrlCfg, study.World.Topo, study.World.Catchments, study.World.Population)
 		exp.Run("h", topology.IPv4).Write(stdout)
 		fmt.Fprintln(stdout)
 		prop := &propagation.Experiment{
-			Topo:       study.World.Topo,
-			System:     study.World.System,
+			Catchments: study.World.Catchments,
 			Population: study.World.Population,
 			Models:     propagation.DefaultSyncModels(),
 			Window:     2 * time.Minute,

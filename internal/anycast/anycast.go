@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/geo"
@@ -108,30 +109,41 @@ func (d *Deployment) Origins() []topology.Origin {
 }
 
 // Catchment maps client ASes to the deployment site their traffic reaches
-// in one family, with alternates for churn modeling.
+// in one family, with alternates for churn modeling. Its routing table is
+// resolved once: by Resolve, or else by the first Choices.
 type Catchment struct {
 	Deployment *Deployment
 	Family     topology.Family
+	topo       *topology.Topology
+	once       sync.Once
 	table      *topology.RoutingTable
+}
+
+// NewCatchment describes the deployment's catchment over topo for f, its
+// routing table not yet resolved.
+func NewCatchment(topo *topology.Topology, d *Deployment, f topology.Family) *Catchment {
+	return &Catchment{Deployment: d, Family: f, topo: topo}
 }
 
 // ComputeCatchment resolves the deployment's catchment over topo for f.
 func ComputeCatchment(topo *topology.Topology, d *Deployment, f topology.Family) *Catchment {
-	return &Catchment{
-		Deployment: d,
-		Family:     f,
-		table:      topo.ComputeRoutes(d.Origins(), f),
-	}
+	c := NewCatchment(topo, d, f)
+	c.routes()
+	return c
 }
 
-// ComputeCatchmentWith is ComputeCatchment on r's scratch: a goroutine that
-// resolves many catchments over one topology keeps one Router for them all.
-func ComputeCatchmentWith(r *topology.Router, d *Deployment, f topology.Family) *Catchment {
-	return &Catchment{
-		Deployment: d,
-		Family:     f,
-		table:      r.ComputeRoutes(d.Origins(), f),
-	}
+// Resolve computes the routing table on r's scratch unless it is resolved
+// already: a goroutine that resolves many catchments over one topology keeps
+// one Router for them all. r must route over the catchment's topology.
+func (c *Catchment) Resolve(r *topology.Router) {
+	c.once.Do(func() { c.table = r.ComputeRoutes(c.Deployment.Origins(), c.Family) })
+}
+
+// routes returns the routing table, resolving it on fresh scratch if no one
+// has yet.
+func (c *Catchment) routes() *topology.RoutingTable {
+	c.once.Do(func() { c.table = c.topo.ComputeRoutes(c.Deployment.Origins(), c.Family) })
+	return c.table
 }
 
 // Choices is what a client AS chooses between in one catchment at one
@@ -160,7 +172,7 @@ type Choices struct {
 //
 //rootlint:hotpath
 func (c *Catchment) Choices(asn, scale int) Choices {
-	ch := Choices{Routes: c.table.Candidates(asn), Instability: c.Deployment.InstabilityV4}
+	ch := Choices{Routes: c.routes().Candidates(asn), Instability: c.Deployment.InstabilityV4}
 	if c.Family == topology.IPv6 {
 		ch.Instability = c.Deployment.InstabilityV6
 	}

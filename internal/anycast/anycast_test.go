@@ -2,6 +2,7 @@ package anycast
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -335,7 +336,7 @@ func TestSelectAtConcurrent(t *testing.T) {
 // of it, kept as their oracle: the same candidates, the same compounding, the
 // same two draws.
 func selectAtReference(c *Catchment, asn, tick int, seed int64, scale int) (topology.Route, bool) {
-	alts := c.table.Candidates(asn)
+	alts := c.routes().Candidates(asn)
 	if alts.Len() == 0 {
 		return topology.Route{}, false
 	}
@@ -400,5 +401,50 @@ func TestChoicesMatchSelectAtReference(t *testing.T) {
 	}
 	if flaps < 1000 || checked < 100000 {
 		t.Fatalf("%d flaps in %d selections: too few to tell the implementations apart", flaps, checked)
+	}
+}
+
+// TestFirstUseResolvesOnce: eight goroutines make the first Choices calls on
+// one unresolved catchment at once, and each sees the table ComputeCatchment
+// resolves, for every AS of the topology, to the bit of its path lengths; a
+// later Resolve leaves that table in place. Under -race (scripts/race.sh) it
+// shows the table is published once, before anyone reads it.
+func TestFirstUseResolvesOnce(t *testing.T) {
+	topo := testTopo()
+	d := testDeployment(topo)
+	want := ComputeCatchment(topo, d, topology.IPv4)
+	c := NewCatchment(topo, d, topology.IPv4)
+	if c.table != nil {
+		t.Fatal("NewCatchment resolved its routing table")
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for asn := range topo.ASes {
+				got, w := c.Choices(asn, 1).Routes, want.Choices(asn, 1).Routes
+				if got.Len() != w.Len() {
+					t.Errorf("AS%d: %d routes on first use, %d resolved up front", asn, got.Len(), w.Len())
+					return
+				}
+				for i := range got.Len() {
+					a, b := got.At(i), w.At(i)
+					if a.Origin != b.Origin || !slices.Equal(a.ASPath, b.ASPath) || math.Float64bits(a.PathKm) != math.Float64bits(b.PathKm) {
+						t.Errorf("AS%d route %d: %+v on first use, %+v resolved up front", asn, i, a, b)
+						return
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	table := c.table
+	c.Resolve(topo.NewRouter())
+	if c.table != table {
+		t.Error("Resolve replaced a resolved table")
 	}
 }

@@ -58,18 +58,20 @@ type Result struct {
 
 // Experiment is a runnable control-group comparison.
 type Experiment struct {
-	Cfg        Config
-	Topo       *topology.Topology
-	System     *rss.System
+	Cfg  Config
+	Topo *topology.Topology
+	// Catchments are the root letters' catchments, keyed by letter then
+	// family, as measure.World holds them.
+	Catchments map[rss.Letter]map[topology.Family]*anycast.Catchment
 	Population *vantage.Population
 	Control    *anycast.Deployment
 }
 
-// New builds the control deployment next to an existing system. The control
-// sites deliberately avoid the hub-weighted builder so the deployment is
-// not co-located with the letters (as an experimenter's fresh deployment
-// would not be).
-func New(cfg Config, topo *topology.Topology, sys *rss.System, pop *vantage.Population) *Experiment {
+// New builds the control deployment next to the root letters' catchments.
+// The control sites deliberately avoid the hub-weighted builder so the
+// deployment is not co-located with the letters (as an experimenter's fresh
+// deployment would not be).
+func New(cfg Config, topo *topology.Topology, catchments map[rss.Letter]map[topology.Family]*anycast.Catchment, pop *vantage.Population) *Experiment {
 	b := anycast.NewBuilder(topo, cfg.Seed+1000)
 	d := &anycast.Deployment{
 		Name:          "ctrl",
@@ -79,44 +81,33 @@ func New(cfg Config, topo *topology.Topology, sys *rss.System, pop *vantage.Popu
 	for _, region := range geo.Regions() { // in order: each placement draws from b
 		d.Sites = append(d.Sites, b.PlaceSites("ctrl", anycast.Global, region, cfg.SitesPerRegion[region])...)
 	}
-	return &Experiment{Cfg: cfg, Topo: topo, System: sys, Population: pop, Control: d}
+	return &Experiment{Cfg: cfg, Topo: topo, Catchments: catchments, Population: pop, Control: d}
 }
 
 // Run measures both deployments from every VP for Cfg.Ticks rounds in one
 // family and returns the comparison.
 func (e *Experiment) Run(letter rss.Letter, f topology.Family) *Result {
 	res := &Result{Letter: letter, Family: f}
-	ctrlCatch := anycast.ComputeCatchment(e.Topo, e.Control, f)
-	letterCatch := anycast.ComputeCatchment(e.Topo, e.System.Deployments[letter], f)
-
+	catches := [2]*anycast.Catchment{anycast.ComputeCatchment(e.Topo, e.Control, f), e.Catchments[letter][f]}
+	changes := [2]*[]float64{&res.ControlChanges, &res.LetterChanges}
+	rtts := [2]*[]float64{&res.ControlRTT, &res.LetterRTT}
 	for _, vp := range e.Population.VPs {
-		ctrlChanges, letterChanges := 0, 0
-		var prevCtrl, prevLetter string
-		for tick := 0; tick < e.Cfg.Ticks; tick++ {
-			if r, ok := ctrlCatch.SelectAt(vp.ASN, tick, e.Cfg.Seed, 1); ok {
-				if prevCtrl != "" && prevCtrl != r.Origin.SiteID {
-					ctrlChanges++
-				}
-				prevCtrl = r.Origin.SiteID
-				if tick == 0 {
-					res.ControlRTT = append(res.ControlRTT, geo.RTTms(r.PathKm, r.Hops()*2+2, 0.25))
-				}
-			}
-			if r, ok := letterCatch.SelectAt(vp.ASN, tick, e.Cfg.Seed, 1); ok {
-				if prevLetter != "" && prevLetter != r.Origin.SiteID {
-					letterChanges++
-				}
-				prevLetter = r.Origin.SiteID
-				if tick == 0 {
-					res.LetterRTT = append(res.LetterRTT, geo.RTTms(r.PathKm, r.Hops()*2+2, 0.25))
+		for k, catch := range catches {
+			n, prev := 0, ""
+			for tick := 0; tick < e.Cfg.Ticks; tick++ {
+				if r, ok := catch.SelectAt(vp.ASN, tick, e.Cfg.Seed, 1); ok {
+					if prev != "" && prev != r.Origin.SiteID {
+						n++
+					}
+					prev = r.Origin.SiteID
+					if tick == 0 {
+						*rtts[k] = append(*rtts[k], geo.RTTms(r.PathKm, r.Hops()*2+2, 0.25))
+					}
 				}
 			}
-		}
-		if prevCtrl != "" {
-			res.ControlChanges = append(res.ControlChanges, float64(ctrlChanges))
-		}
-		if prevLetter != "" {
-			res.LetterChanges = append(res.LetterChanges, float64(letterChanges))
+			if prev != "" {
+				*changes[k] = append(*changes[k], float64(n))
+			}
 		}
 	}
 	return res

@@ -22,7 +22,7 @@ func setup(t *testing.T) *Experiment {
 	pop := vantage.Generate(topo, vpCfg)
 	cfg := DefaultConfig()
 	cfg.Ticks = 100
-	return New(cfg, topo, sys, pop)
+	return New(cfg, topo, sys.Catchments(), pop)
 }
 
 func TestControlDeploymentShape(t *testing.T) {
@@ -73,7 +73,7 @@ func TestControlNotColocatedWithLetters(t *testing.T) {
 	e := setup(t)
 	letterFacs := map[string]bool{}
 	for _, l := range rss.Letters() {
-		for _, s := range e.System.Deployments[l].Sites {
+		for _, s := range e.Catchments[l][topology.IPv4].Deployment.Sites {
 			letterFacs[s.Facility] = true
 		}
 	}
@@ -107,7 +107,7 @@ func TestRegionsCovered(t *testing.T) {
 func TestNewIsDeterministic(t *testing.T) {
 	e := setup(t)
 	for i := 0; i < 20; i++ {
-		again := New(e.Cfg, e.Topo, e.System, e.Population)
+		again := New(e.Cfg, e.Topo, e.Catchments, e.Population)
 		if !reflect.DeepEqual(again.Control.Sites, e.Control.Sites) {
 			t.Fatalf("build %d placed other control sites", i+1)
 		}

@@ -337,7 +337,7 @@ func (d *Writer) HandleProbe(e measure.ProbeEvent) {
 		d.EndRecord()
 		return
 	}
-	d.Uvarint(uint64(e.RTTms * 100)) // centi-milliseconds
+	d.Uvarint(measure.CentiMs(e.RTTms))
 	if flags&flagSameSite == 0 {
 		d.Intern(st.id)
 		d.Intern(st.ident)

@@ -40,7 +40,7 @@ func (k *keeper) HandleProbe(e measure.ProbeEvent)       { k.probes = append(k.p
 func (k *keeper) HandleTransfer(e measure.TransferEvent) { k.transfers = append(k.transfers, e) }
 
 // asReplayed is what a recorded probe reads back as: its tick to the second,
-// its site city by metro code, its RTT to the centi-millisecond; a lost probe
+// its site city by metro code; a lost probe
 // keeps its flags and nothing else.
 func asReplayed(pop *vantage.Population, e measure.ProbeEvent) measure.ProbeEvent {
 	e.Tick.Time = time.Unix(e.Tick.Time.Unix(), 0).UTC()
@@ -50,7 +50,6 @@ func asReplayed(pop *vantage.Population, e measure.ProbeEvent) measure.ProbeEven
 			Lost: true, Degraded: e.Degraded, SiteKind: e.SiteKind, STLOK: e.STLOK}
 	}
 	e.SiteCity = catalog[e.SiteCity.IATA]
-	e.RTTms = float64(uint64(e.RTTms*100)) / 100
 	return e
 }
 

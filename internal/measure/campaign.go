@@ -144,7 +144,7 @@ func DefaultFaultPlan(d *anycast.Deployment) FaultPlan {
 	for len(staleSites) < 2 && len(d.Sites) > len(staleSites) {
 		staleSites = append(staleSites, d.Sites[len(staleSites)].ID)
 	}
-	plan := FaultPlan{
+	return FaultPlan{
 		Skews: []SkewWindow{
 			{VPIdx: 1, Start: day(time.December, 21, 10), End: day(time.December, 23, 11), Skew: -26 * time.Hour},
 			{VPIdx: 2, Start: day(time.October, 2, 22), End: day(time.October, 2, 23), Skew: -26 * time.Hour},
@@ -154,33 +154,18 @@ func DefaultFaultPlan(d *anycast.Deployment) FaultPlan {
 			{Letter: "d", SiteIDs: staleSites[1:], Start: day(time.October, 6, 10), End: day(time.October, 6, 14), Age: 40 * 24 * time.Hour},
 		},
 		Loss: faults.LossModel{Prob: 0.004, Seed: 77},
+		// Eight bitflips: three VPs, five distinct servers, one a name flip.
+		Bitflips: []BitflipPlan{
+			{VPIdx: 3, Letter: "d", Family: topology.IPv6, At: day(time.September, 26, 21)},
+			{VPIdx: 3, Letter: "d", Family: topology.IPv6, At: day(time.October, 24, 10)},
+			{VPIdx: 4, Letter: "g", Family: topology.IPv6, At: day(time.November, 18, 7)},
+			{VPIdx: 4, Letter: "b", Family: topology.IPv4, Old: true, At: day(time.November, 21, 6), FlipName: true},
+			{VPIdx: 5, Letter: "c", Family: topology.IPv6, At: day(time.September, 26, 10)},
+			{VPIdx: 5, Letter: "g", Family: topology.IPv4, At: day(time.October, 9, 7)},
+			{VPIdx: 5, Letter: "c", Family: topology.IPv6, At: day(time.October, 2, 12)},
+			{VPIdx: 3, Letter: "d", Family: topology.IPv6, At: day(time.October, 12, 9)},
+		},
 	}
-	// Eight bitflips: three VPs, five distinct servers, one a name flip.
-	flips := []struct {
-		vp   int
-		l    rss.Letter
-		f    topology.Family
-		old  bool
-		m    time.Month
-		d, h int
-		name bool
-	}{
-		{3, "d", topology.IPv6, false, time.September, 26, 21, false},
-		{3, "d", topology.IPv6, false, time.October, 24, 10, false},
-		{4, "g", topology.IPv6, false, time.November, 18, 7, false},
-		{4, "b", topology.IPv4, true, time.November, 21, 6, true},
-		{5, "c", topology.IPv6, false, time.September, 26, 10, false},
-		{5, "g", topology.IPv4, false, time.October, 9, 7, false},
-		{5, "c", topology.IPv6, false, time.October, 2, 12, false},
-		{3, "d", topology.IPv6, false, time.October, 12, 9, false},
-	}
-	for _, fl := range flips {
-		plan.Bitflips = append(plan.Bitflips, BitflipPlan{
-			VPIdx: fl.vp, Letter: fl.l, Family: fl.f, Old: fl.old,
-			At: day(fl.m, fl.d, fl.h), FlipName: fl.name,
-		})
-	}
-	return plan
 }
 
 // Config parameterizes a campaign.
@@ -243,6 +228,9 @@ type World struct {
 	Topo       *topology.Topology
 	System     *rss.System
 	Population *vantage.Population
+	// Catchments holds every letter's catchment in both families, resolved
+	// by NewCampaign (NewWorld leaves them for a replay, which reads none)
+	// or else by the first read of each.
 	Catchments map[rss.Letter]map[topology.Family]*anycast.Catchment
 	Signer     *dnssec.Signer
 	// BaseZone is the unsigned post-renumbering zone; BaseZonePre carries
@@ -253,9 +241,9 @@ type World struct {
 }
 
 // NewWorld builds the full simulated world: topology, 13 deployments,
-// VP population, catchments, and the DNSSEC signer with its trust anchor.
-// The 26 catchments are computed on Config.Workers goroutines, resolved as
-// the campaign resolves them; the world is the same at any count.
+// VP population, unresolved catchments, and the DNSSEC signer with its trust
+// anchor. It computes no routing table: what replays a recording needs of
+// the world is its System and Population.
 func NewWorld(cfg Config, topoCfg topology.Config, vpCfg vantage.Config) (*World, error) {
 	topo := topology.Build(topoCfg)
 	if err := topo.Validate(); err != nil {
@@ -283,7 +271,7 @@ func NewWorld(cfg Config, topoCfg topology.Config, vpCfg vantage.Config) (*World
 		Topo:        topo,
 		System:      sys,
 		Population:  pop,
-		Catchments:  sys.Catchments(cfg.workerCount()),
+		Catchments:  sys.Catchments(),
 		Signer:      signer,
 		BaseZone:    base,
 		BaseZonePre: basePre,
@@ -345,8 +333,11 @@ type signedResult struct {
 }
 
 // NewCampaign wires a campaign; the fault plan defaults to the paper's
-// Table 2 shape over d.root's sites.
+// Table 2 shape over d.root's sites. It resolves the world's 26 catchments on
+// Config.Workers goroutines, so that their cost falls in the campaign's setup
+// and not in Run; the tables are the same at any count.
 func NewCampaign(cfg Config, w *World) *Campaign {
+	w.System.ResolveCatchments(w.Catchments, cfg.workerCount())
 	if cfg.Start.IsZero() {
 		cfg.Start = StudyStart
 	}
@@ -422,7 +413,9 @@ func (c *Campaign) probe(tick Tick, vp *vantage.VP, vpIdx, tIdx int) ProbeEvent 
 	pe.SiteCity = cand.city
 	pe.SiteKind = cand.kind
 	pe.ASPath = cand.asPath
-	pe.RTTms = cand.rtt + rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index)
+	// Whole centi-milliseconds, truncated, as a recording has always stored
+	// them: live handlers see what a replay of the recording sees.
+	pe.RTTms = float64(uint64((cand.rtt+rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index))*100)) / 100
 	if traceroute.EdgeAnswers(c.traceCfg, c.Cfg.Seed, tick.Index, cand.originASN, len(cand.asPath)) {
 		pe.SecondToLast, pe.STLOK = cand.edge, true
 	}
@@ -432,7 +425,7 @@ func (c *Campaign) probe(tick Tick, vp *vantage.VP, vpIdx, tIdx int) ProbeEvent 
 // rttFor computes the path RTT, adding the open-v6 carrier's poor IPv4
 // performance (paper §6: 221 ms average v4 vs 23 ms v6 through AS6939).
 func rttFor(route topology.Route, f topology.Family) float64 {
-	rtt := geoRTT(route)
+	rtt := geo.RTTms(route.PathKm, route.Hops()*2+2, 0.25)
 	if f == topology.IPv4 {
 		for _, asn := range route.ASPath[1:max(1, len(route.ASPath))] {
 			if asn == topology.ASNOpenV6 {
@@ -444,9 +437,10 @@ func rttFor(route topology.Route, f topology.Family) float64 {
 	return rtt
 }
 
-func geoRTT(route topology.Route) float64 {
-	return geo.RTTms(route.PathKm, route.Hops()*2+2, 0.25)
-}
+// CentiMs is an RTT in the whole centi-milliseconds the recorder and the
+// flight log store. It rounds: a probe's RTT is a whole number of them, and
+// rounding undoes the division's float error (0.29*100 is 28.999999999999996).
+func CentiMs(ms float64) uint64 { return uint64(ms*100 + 0.5) }
 
 // rttJitter adds deterministic per-probe noise, uniform in [0, 2) ms. The
 // probe key is mixed through seeded.Mix instead of seeding a

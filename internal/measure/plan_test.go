@@ -15,7 +15,8 @@ import (
 )
 
 // probeReference is Campaign.probe as it was before the plan, kept as its
-// oracle: select the route, look the site up, compute the RTT and expand the
+// oracle: select the route, look the site up, compute the RTT (to the whole
+// centi-millisecond, truncated, as a recording keeps it) and expand the
 // whole traceroute to read its second-to-last hop, per (tick, VP, target).
 func probeReference(c *Campaign, tick Tick, vp *vantage.VP, vpIdx, tIdx int, target rss.ServiceAddr) ProbeEvent {
 	pe := ProbeEvent{Tick: tick, VP: vp, VPIdx: vpIdx, Target: target}
@@ -32,7 +33,7 @@ func probeReference(c *Campaign, tick Tick, vp *vantage.VP, vpIdx, tIdx int, tar
 	pe.SiteCity = site.City
 	pe.SiteKind = site.Kind
 	pe.ASPath = route.ASPath
-	pe.RTTms = rttFor(route, target.Family) + rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index)
+	pe.RTTms = float64(uint64((rttFor(route, target.Family)+rttJitter(c.Cfg.Seed, vpIdx, tIdx, tick.Index))*100)) / 100
 	tr := traceroute.Run(c.World.Topo, route, site, target.Family, c.traceCfg, c.Cfg.Seed, tick.Index)
 	pe.SecondToLast, pe.STLOK = tr.SecondToLast()
 	return pe

@@ -47,7 +47,7 @@ func (f *FlightLog) HandleProbe(e ProbeEvent) {
 	if e.Lost {
 		lost = 1
 	} else {
-		rtt = uint64(e.RTTms*100 + 0.5)
+		rtt = CentiMs(e.RTTms)
 	}
 	if e.Degraded {
 		degraded = 1

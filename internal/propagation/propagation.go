@@ -111,8 +111,9 @@ func Flaps(obs []Observation, newSerial uint32) int {
 
 // Experiment runs the per-second SOA study for all letters in one family.
 type Experiment struct {
-	Topo       *topology.Topology
-	System     *rss.System
+	// Catchments are the letters' catchments, keyed by letter then family,
+	// as measure.World holds them.
+	Catchments map[rss.Letter]map[topology.Family]*anycast.Catchment
 	Population *vantage.Population
 	Models     map[rss.Letter]SyncModel
 	// Window is the probing duration after publication.
@@ -141,10 +142,8 @@ func (e *Experiment) Run(f topology.Family) []LetterResult {
 	const oldSerial, newSerial = 2023112000, 2023112001
 	results := make([]LetterResult, 0, 13)
 	for _, l := range rss.Letters() {
-		d := e.System.Deployments[l]
-		model := e.Models[l]
-		lags := SiteLags(d, model, e.Seed^int64(l.Index()))
-		catch := anycast.ComputeCatchment(e.Topo, d, f)
+		catch := e.Catchments[l][f]
+		lags := SiteLags(catch.Deployment, e.Models[l], e.Seed^int64(l.Index()))
 		res := LetterResult{Letter: l}
 		for id := range lags {
 			res.SiteLags = append(res.SiteLags, lags[id].Seconds())

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/anycast"
 	"repro/internal/rss"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -15,12 +14,10 @@ import (
 func setup(t *testing.T) *Experiment {
 	t.Helper()
 	topo := topology.Build(topology.DefaultConfig())
-	sys := rss.Build(topo, 1)
 	vpCfg := vantage.DefaultConfig()
 	vpCfg.Scale = 10
 	return &Experiment{
-		Topo:       topo,
-		System:     sys,
+		Catchments: rss.Build(topo, 1).Catchments(),
 		Population: vantage.Generate(topo, vpCfg),
 		Models:     DefaultSyncModels(),
 		Window:     2 * time.Minute,
@@ -30,7 +27,7 @@ func setup(t *testing.T) *Experiment {
 
 func TestSiteLagsDistribution(t *testing.T) {
 	e := setup(t)
-	d := e.System.Deployments["l"]
+	d := e.Catchments["l"][topology.IPv4].Deployment
 	lags := SiteLags(d, e.Models["l"], 1)
 	if len(lags) != len(d.Sites) {
 		t.Fatalf("lags = %d, sites = %d", len(lags), len(d.Sites))
@@ -57,9 +54,8 @@ func TestSiteLagsDistribution(t *testing.T) {
 
 func TestProbeSeesTransition(t *testing.T) {
 	e := setup(t)
-	d := e.System.Deployments["c"]
-	lags := SiteLags(d, e.Models["c"], 2)
-	catch := anycast.ComputeCatchment(e.Topo, d, topology.IPv4)
+	catch := e.Catchments["c"][topology.IPv4]
+	lags := SiteLags(catch.Deployment, e.Models["c"], 2)
 	var vp *vantage.VP
 	for i := range e.Population.VPs {
 		if catch.Choices(e.Population.VPs[i].ASN, 1).Routes.Len() > 0 {

@@ -263,43 +263,48 @@ func Build(topo *topology.Topology, seed int64) *System {
 	return sys
 }
 
-// Catchments computes the catchment of every deployment in both families on
-// workers goroutines; at 1 (or less) it computes them inline, on the
-// caller's. Each goroutine keeps one topology.Router for the tables it
-// computes, and each table goes to its fixed (letter, family) slot whichever
-// goroutine computed it, so the result is the same at any count. The map is
-// keyed by letter then family.
-func (s *System) Catchments(workers int) map[Letter]map[topology.Family]*anycast.Catchment {
-	letters, fams := Letters(), topology.Families()
-	slots := make([]*anycast.Catchment, len(letters)*len(fams))
-	var next atomic.Int64
-	work := func() {
-		r := s.Topo.NewRouter()
-		for i := int(next.Add(1) - 1); i < len(slots); i = int(next.Add(1) - 1) {
-			slots[i] = anycast.ComputeCatchmentWith(r, s.Deployments[letters[i/len(fams)]], fams[i%len(fams)])
-		}
-	}
-	if workers = min(workers, len(slots)); workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
-	out := make(map[Letter]map[topology.Family]*anycast.Catchment, len(letters))
-	for li, l := range letters {
-		out[l] = make(map[topology.Family]*anycast.Catchment, len(fams))
-		for fi, f := range fams {
-			out[l][f] = slots[li*len(fams)+fi]
+// Catchments describes the catchment of every deployment in both families,
+// keyed by letter then family. No routing table is resolved: each is
+// computed on its first use, or up front by ResolveCatchments.
+func (s *System) Catchments() map[Letter]map[topology.Family]*anycast.Catchment {
+	out := make(map[Letter]map[topology.Family]*anycast.Catchment, len(s.Deployments))
+	for _, l := range Letters() {
+		out[l] = make(map[topology.Family]*anycast.Catchment, 2)
+		for _, f := range topology.Families() {
+			out[l][f] = anycast.NewCatchment(s.Topo, s.Deployments[l], f)
 		}
 	}
 	return out
+}
+
+// ResolveCatchments resolves every catchment of cs, all over s's topology,
+// on workers goroutines; at 1 (or less) it resolves them inline, on the
+// caller's. Each goroutine keeps one topology.Router for the tables it
+// computes, and each table lands in its own catchment whichever goroutine
+// computed it, so the result is the same at any count.
+func (s *System) ResolveCatchments(cs map[Letter]map[topology.Family]*anycast.Catchment, workers int) {
+	letters, fams := Letters(), topology.Families()
+	n := len(letters) * len(fams)
+	var next atomic.Int64
+	work := func() {
+		r := s.Topo.NewRouter()
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			cs[letters[i/len(fams)]][fams[i%len(fams)]].Resolve(r)
+		}
+	}
+	if workers = min(workers, n); workers <= 1 {
+		work()
+		return
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 }
 
 // IdentifierMappable reports whether the identifier reported by a site of

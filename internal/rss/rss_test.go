@@ -196,7 +196,7 @@ func TestIdentifierConventions(t *testing.T) {
 
 func TestCatchmentsComplete(t *testing.T) {
 	sys := Build(smallTopo(), 11)
-	catch := sys.Catchments(1)
+	catch := sys.Catchments()
 	if len(catch) != 13 {
 		t.Fatalf("catchments for %d letters", len(catch))
 	}

@@ -63,7 +63,8 @@ func TestComputeRoutesMatchesReference(t *testing.T) {
 func TestSharedGraphConcurrentReads(t *testing.T) {
 	topo := topology.Build(topology.DefaultConfig())
 	sys := rss.Build(topo, 1)
-	catchments := sys.Catchments(1)
+	catchments := sys.Catchments()
+	sys.ResolveCatchments(catchments, 1)
 	digest := func() uint64 {
 		h := fnv.New64a()
 		stubs := topo.StubASNs(nil)

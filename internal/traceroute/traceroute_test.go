@@ -328,7 +328,7 @@ func TestEdgeFunctionsMatchRun(t *testing.T) {
 		{topology.Route{Origin: topology.Origin{ASN: 7}}, anycast.Site{ID: "x-1", Facility: "F0"}, topology.IPv6},
 		{topology.Route{Origin: topology.Origin{ASN: 7}, ASPath: []int{7}}, anycast.Site{ID: "x-1", Facility: "F1"}, topology.IPv4},
 	}
-	for l, byFamily := range sys.Catchments(1) {
+	for l, byFamily := range sys.Catchments() {
 		for f, c := range byFamily {
 			for _, asn := range topo.StubASNs(nil) {
 				routes := c.Choices(asn, 1).Routes

@@ -192,6 +192,26 @@ go build -o "$tmp/rootanalyze" ./cmd/rootanalyze
 cmp "$tmp/serial.txt" "$tmp/parallel.txt"
 cmp "$tmp/serial.txt" "$tmp/checkpointed.txt"
 
+# Live and replay print one report: one run at the default preset, reported
+# live by rootstudy and replayed by rootanalyze from rootmeasure's recording,
+# prints each section both programs print to the byte. A section is a
+# blank-line separated block named by its first line (awk's paragraph mode);
+# the replay may print none that the live report does not.
+echo "== live vs replay report (default preset) =="
+go build -o "$tmp/rootstudy" ./cmd/rootstudy
+"$tmp/rootstudy" >"$tmp/live.txt"
+"$tmp/rootmeasure" -out "$tmp/default.rgds" >/dev/null
+"$tmp/rootanalyze" -in "$tmp/default.rgds" >"$tmp/replay.txt"
+awk 'BEGIN { RS = ""; FS = "\n" } NR == FNR { if (FNR > 1) named[$1] = 1; next }
+	$1 in named { print; print "" }' "$tmp/replay.txt" "$tmp/live.txt" >"$tmp/live-shared.txt"
+awk 'BEGIN { RS = ""; FS = "\n" } FNR > 1 { print; print "" }' "$tmp/replay.txt" >"$tmp/replay-shared.txt"
+if ! diff "$tmp/live-shared.txt" "$tmp/replay-shared.txt" >"$tmp/live-replay.diff"; then
+	head -n 20 "$tmp/live-replay.diff" >&2
+	echo "live vs replay: $(grep -c '^<' "$tmp/live-replay.diff") lines of the live report differ from the replay" >&2
+	exit 1
+fi
+awk 'BEGIN { RS = "" } END { print NR " sections identical" }' "$tmp/replay-shared.txt"
+
 # Every artefact of analysis.Artefacts, once each, from the full 675-VP
 # population on the coarsest schedule: the root benchmarks build and run, and
 # the README's bench command names one that exists. go test interleaves the
@@ -203,9 +223,10 @@ if ! BENCH_SCALE=512 go test -run '^$' -bench '^BenchmarkArtefacts$' -benchtime 
 fi
 grep -c '^BenchmarkArtefacts/' "$tmp/artefacts.txt" | sed 's/$/ artefacts rendered/'
 
-# The world build, once each: the bench-size world with its 26 routing
-# tables computed across the CPUs and inline, and one routing table. They
-# build and run; their ns/op, B/op and allocs/op lines are printed.
+# The world build, once each: the bench-size world without its 26 routing
+# tables (what a replay builds), with them resolved across the CPUs and
+# inline, and one routing table. They build and run; their ns/op, B/op and
+# allocs/op lines are printed.
 echo "== world-build benchmarks (once each) =="
 if ! go test -run '^$' -bench '^(BenchmarkNewWorld|BenchmarkRouteComputation)$' -benchtime 1x -benchmem . >"$tmp/world.txt" 2>&1; then
 	cat "$tmp/world.txt" >&2
